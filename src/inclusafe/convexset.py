@@ -23,6 +23,8 @@ __all__ = [
     "minkowski_sum",
     "hull_union",
     "hull_union_many",
+    "merge_parts",
+    "merge_stack",
     "hausdorff",
     "contains",
     "DEFAULT_DIRECTIONS",
@@ -232,21 +234,41 @@ def hull_union_many(sets: Sequence[ConvexCompactSet], *, angle: float = HULL_MER
     if len(sets) == 1:
         return sets[0]
     _check_same_dimension(sets)
-    rmax = max(s.radius for s in sets)
-    parts = []
+    return ConvexCompactSet(*merge_parts([(s.points, s.radius) for s in sets], angle=angle))
+
+
+def merge_parts(parts: Sequence[tuple[np.ndarray, float]], *, angle: float = HULL_MERGE_ANGLE) -> tuple[np.ndarray, float]:
+    """The :func:`hull_union_many` rule on raw ``(points, radius)`` pairs of
+    one dimension: returns the merged ``(points, radius)`` without building
+    a set per operand.  A single pair is returned unchanged."""
+    if not parts:
+        raise ValueError("merge_parts needs at least one part")
+    if len(parts) == 1:
+        return parts[0]
+    rmax = max(r for _, r in parts)
+    dimension = parts[0][0].shape[1]
+    merged = []
     ring = None
-    for s in sets:
-        if s.radius == rmax or s.radius == 0.0:
-            parts.append(s.points)
+    for pts, r in parts:
+        if r == rmax or r == 0.0:
+            merged.append(pts)
         else:
             if ring is None:
-                ring = _boundary_ring(s.dimension, angle)
-            pts = (s.points[:, None, :] + s.radius * ring[None, :, :]).reshape(-1, s.dimension)
-            parts.append(pts)
-    pts = np.vstack(parts)
-    if pts.shape[0] > _PRUNE_THRESHOLD:
-        pts = _prune(pts)
-    return ConvexCompactSet(pts, rmax)
+                ring = _boundary_ring(dimension, angle)
+            merged.append((pts[:, None, :] + r * ring[None, :, :]).reshape(-1, dimension))
+    return _pruned(np.concatenate(merged)), rmax
+
+
+def merge_stack(stack: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """:func:`merge_parts` of the equal-radius parts ``(stack[i], radius)``
+    of an (m, k, n) array: their points concatenate in order."""
+    if stack.shape[0] == 1:
+        return stack[0], radius
+    return _pruned(stack.reshape(-1, stack.shape[2])), radius
+
+
+def _pruned(points: np.ndarray) -> np.ndarray:
+    return _prune(points) if points.shape[0] > _PRUNE_THRESHOLD else points
 
 
 def hull_union(a: ConvexCompactSet, b: ConvexCompactSet, *, angle: float = HULL_MERGE_ANGLE) -> ConvexCompactSet:

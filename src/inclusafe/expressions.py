@@ -1,11 +1,15 @@
 """Compile restricted expression strings from scenario configs into callables.
 
 State variables are named ``x1 .. xn``.  Only arithmetic, comparisons,
-boolean operators, and a small whitelist of math names are available; the
-builtins are stripped so config files cannot reach into the interpreter.
+boolean operators, conditional expressions and a small whitelist of math
+names are available.  Every expression is checked node by node against that
+whitelist before it is compiled, so attribute access, subscripts, lambdas,
+comprehensions and the like are rejected at load time and config files
+cannot reach into the interpreter.
 """
 from __future__ import annotations
 
+import ast
 import math
 from typing import Callable, Sequence
 
@@ -31,35 +35,75 @@ _NAMESPACE = {
 }
 
 
+_FUNCTIONS = frozenset(k for k, v in _NAMESPACE.items() if callable(v))
+_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
+_UNARY = (ast.UAdd, ast.USub, ast.Not)
+_COMPARE = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
 class ExpressionError(ValueError):
     """Raised when a config expression cannot be compiled."""
 
 
-def _compile(expression: str, dimension: int, what: str) -> Callable:
+def _reads_state(body: ast.AST, variables: frozenset, expression: str, what: str) -> bool:
+    """Check every node of ``body`` against the whitelist; True when the
+    expression reads a state variable."""
+    reads = False
+    stack = [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            if node.id in variables:
+                reads = True
+            elif node.id not in _NAMESPACE:
+                raise ExpressionError(f"unknown name in {what} {expression!r}: {node.id!r}")
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float, bool):
+            pass
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINARY):
+            stack += (node.left, node.right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY):
+            stack.append(node.operand)
+        elif isinstance(node, ast.Compare) and all(isinstance(op, _COMPARE) for op in node.ops):
+            stack.append(node.left)
+            stack += node.comparators
+        elif isinstance(node, ast.BoolOp):  # and, or
+            stack += node.values
+        elif isinstance(node, ast.IfExp):
+            stack += (node.test, node.body, node.orelse)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _FUNCTIONS and not node.keywords:
+            stack += node.args  # a starred argument is rejected when popped
+        else:
+            raise ExpressionError(
+                f"{what} {expression!r} uses a disallowed construct ({type(node).__name__})"
+            )
+    return reads
+
+
+def _compile(expression: str, dimension: int, what: str) -> tuple[Callable, bool]:
+    """The expression as a lambda of ``x1 .. xn``, and whether it reads them."""
     if not isinstance(expression, str) or not expression.strip():
         raise ExpressionError(f"{what} must be a nonempty string, got {expression!r}")
-    args = ", ".join(f"x{i + 1}" for i in range(dimension))
-    source = f"lambda {args}: ({expression})"
+    variables = [f"x{i + 1}" for i in range(dimension)]
+    source = f"lambda {', '.join(variables)}: ({expression})"
+    try:
+        tree = ast.parse(source, f"<{what}>", "eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"invalid {what} {expression!r}: {exc.msg}") from None
+    # the parsed source must be exactly one lambda; text such as "0), (y"
+    # would otherwise close it early and smuggle in a second expression
+    if not isinstance(tree.body, ast.Lambda):
+        raise ExpressionError(f"invalid {what} {expression!r}: not a single expression")
+    reads = _reads_state(tree.body.body, frozenset(variables), expression, what)
     # the namespace must live in the globals dict: that is where the lambda
     # body resolves free names when it is eventually called
     namespace = {"__builtins__": {}, **_NAMESPACE}
-    try:
-        fn = eval(compile(source, f"<{what}>", "eval"), namespace)
-    except SyntaxError as exc:
-        raise ExpressionError(f"invalid {what} {expression!r}: {exc.msg}") from None
-    # Probe once so unknown names surface at load time, not mid-run.
-    try:
-        fn(*([0.0] * dimension))
-    except NameError as exc:
-        raise ExpressionError(f"unknown name in {what} {expression!r}: {exc}") from None
-    except Exception:
-        pass  # runtime-domain issues (log(0) etc.) are the caller's concern
-    return fn
+    return eval(compile(tree, f"<{what}>", "eval"), namespace), reads
 
 
 def scalar_fn(expression: str, dimension: int) -> Callable[[Sequence[float]], float]:
     """Compile an expression into ``f(x) -> float`` with x a length-n vector."""
-    fn = _compile(expression, dimension, "scalar expression")
+    fn, _ = _compile(expression, dimension, "scalar expression")
 
     def wrapped(x):
         return float(fn(*x))
@@ -69,19 +113,30 @@ def scalar_fn(expression: str, dimension: int) -> Callable[[Sequence[float]], fl
 
 
 def predicate_fn(expression: str, dimension: int) -> Callable[[Sequence[float]], bool]:
-    """Compile an expression into ``p(x) -> bool``."""
-    fn = _compile(expression, dimension, "predicate")
+    """Compile an expression into ``p(x) -> bool``.
+
+    The returned callable's ``constant`` attribute holds the predicate's
+    value when the expression reads no state variable (such as ``"True"``),
+    and None otherwise; batched evaluators use it to skip per-point calls.
+    """
+    fn, reads = _compile(expression, dimension, "predicate")
 
     def wrapped(x):
         return bool(fn(*x))
 
     wrapped.expression = expression
+    wrapped.constant = None
+    if not reads:
+        try:
+            wrapped.constant = wrapped([0.0] * dimension)
+        except (ArithmeticError, ValueError, TypeError):
+            pass  # a domain error (log(0) etc.) stays the caller's concern
     return wrapped
 
 
 def vector_fn(expressions: Sequence[str], dimension: int) -> Callable[[Sequence[float]], np.ndarray]:
     """Compile a list of component expressions into ``f(x) -> ndarray``."""
-    fns = [_compile(e, dimension, "vector component") for e in expressions]
+    fns = [_compile(e, dimension, "vector component")[0] for e in expressions]
 
     def wrapped(x):
         return np.array([f(*x) for f in fns], dtype=float)

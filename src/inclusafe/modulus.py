@@ -21,9 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convexset import ConvexCompactSet, hausdorff, hull_union_many, unit_directions
+from .convexset import ConvexCompactSet, hausdorff, unit_directions
 from .numerics import box_array
-from .svmap import unit_ball_lattice
 
 __all__ = [
     "ModulusPair",
@@ -64,11 +63,9 @@ class TabulatedFn:
 
 def _ball_hull(f_map, center, radius: float, density: int) -> ConvexCompactSet:
     """Hull of images over an inscribed lattice of the ball center + radius*B."""
-    center = np.asarray(center, dtype=float).reshape(-1)
     if radius <= 0.0:
         return f_map.image(center)
-    offsets = unit_ball_lattice(center.shape[0], density) * radius
-    return hull_union_many([f_map.image(center + u) for u in offsets])
+    return f_map.ball_hull(center, radius, density)
 
 
 def local_gap(

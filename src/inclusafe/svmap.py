@@ -5,6 +5,12 @@ predicates hold the image is the hull of all matching piece images, which
 makes the evaluated map closed at piece interfaces.  Perturbed variants add
 a state-dependent margin either to the image alone or to both the argument
 (via an inscribed ball lattice) and the image.
+
+Hulls over an argument ball (strong images, modulus ball hulls, continuity
+margins) are evaluated by :meth:`SetValuedMap.ball_hull` in one pass over
+the whole lattice: pieces return raw point arrays for all lattice rows at
+once and a single set is built at the end.  The per-point
+:meth:`SetValuedMap.image` is the oracle it must match bit for bit.
 """
 from __future__ import annotations
 
@@ -18,6 +24,8 @@ from .convexset import (
     ConvexCompactSet,
     contains,
     hull_union_many,
+    merge_parts,
+    merge_stack,
     unit_directions,
 )
 from .numerics import box_array, box_grid, largest_feasible
@@ -41,16 +49,28 @@ class NoMatchingPieceError(ValueError):
 
 @dataclass(frozen=True)
 class Piece:
-    """One branch of a piecewise set-valued map."""
+    """One branch of a piecewise set-valued map.
+
+    ``rows``, when given, evaluates the image at a stack of points: it maps
+    an (m, n) array to ``(points, radius)`` with points of shape (m, k, n),
+    row i holding the points of ``image(X[i])``.  Pieces without it are
+    evaluated point by point through ``image``.
+    """
 
     predicate: Callable[[np.ndarray], bool]
     image: Callable[[np.ndarray], ConvexCompactSet]
     label: str = ""
+    rows: Optional[Callable[[np.ndarray], tuple[np.ndarray, float]]] = None
 
 
 def constant_piece(predicate, points, radius=0.0, label="") -> Piece:
     fixed = ConvexCompactSet(points, radius)
-    return Piece(predicate, lambda x, _s=fixed: _s, label)
+    stacked = fixed.points[None]
+
+    def rows(X):
+        return np.repeat(stacked, X.shape[0], axis=0), fixed.radius
+
+    return Piece(predicate, lambda x, _s=fixed: _s, label, rows)
 
 
 def affine_piece(predicate, matrix, offset, radius=0.0, label="") -> Piece:
@@ -61,7 +81,19 @@ def affine_piece(predicate, matrix, offset, radius=0.0, label="") -> Piece:
     def image(x):
         return ConvexCompactSet((A @ np.asarray(x, dtype=float) + b).reshape(1, -1), r)
 
-    return Piece(predicate, image, label)
+    if A.shape == (1, 1):
+        a, c = A[0, 0], b[0]
+
+        def rows(X):
+            # the same rounding as the 1x1 product A @ x, which accumulates
+            # onto +0.0 (so a -0.0 product turns into +0.0)
+            return (X * a + 0.0 + c)[:, None, :], r
+    else:
+        # a batched matmul rounds differently from the per-point product
+        def rows(X):
+            return np.array([A @ x + b for x in X])[:, None, :], r
+
+    return Piece(predicate, image, label, rows)
 
 
 def polynomial_piece(predicate, components: Sequence[str], dimension: int, radius=0.0, label="") -> Piece:
@@ -71,7 +103,10 @@ def polynomial_piece(predicate, components: Sequence[str], dimension: int, radiu
     def image(x):
         return ConvexCompactSet(fn(x).reshape(1, -1), r)
 
-    return Piece(predicate, image, label)
+    def rows(X):
+        return np.array([fn(x) for x in X])[:, None, :], r
+
+    return Piece(predicate, image, label, rows)
 
 
 class SetValuedMap:
@@ -85,6 +120,18 @@ class SetValuedMap:
             raise ValueError("a set-valued map needs at least one piece")
         self.dimension = int(dimension)
         self.pieces = pieces
+
+    def _probes(self, X: np.ndarray, slack: float) -> list[list[np.ndarray]]:
+        """Predicate probe points of each row of X, as :meth:`matching` makes
+        them: with ``slack > 0`` a list per row, the row itself then the axis
+        probes ``x -+ slack * e_i``; otherwise just the rows."""
+        if slack <= 0.0:
+            return list(X)
+        P = np.repeat(X[:, None, :], 1 + 2 * self.dimension, axis=1)
+        for i in range(self.dimension):
+            for j, sgn in enumerate((-1.0, 1.0)):
+                P[:, 1 + 2 * i + j, i] += sgn * slack
+        return [list(row) for row in P]
 
     def matching(self, x, slack: float = 0.0) -> list[int]:
         """Indices of pieces active at x.
@@ -120,6 +167,57 @@ class SetValuedMap:
         if len(sets) == 1:
             return sets[0]
         return hull_union_many(sets)
+
+    def ball_hull(self, center, radius: float, density: int, slack: float = 0.0) -> ConvexCompactSet:
+        """Hull of the images over the lattice ``center + radius * L`` of the
+        ball, ``L = unit_ball_lattice(n, density)``.
+
+        Equal bit for bit to ``hull_union_many([self.image(center + u, slack)
+        for u in radius * L])``: rows where several pieces hold are merged
+        first, exactly as :meth:`image` merges them, then all rows are merged
+        in lattice order under the same rule.
+        """
+        center = np.asarray(center, dtype=float).reshape(-1)
+        X = center + unit_ball_lattice(self.dimension, density) * radius
+        m = X.shape[0]
+        if m == 0:
+            raise ValueError(f"the {self.dimension}-D ball lattice of density {density} is empty")
+        active = np.empty((len(self.pieces), m), dtype=bool)
+        probes = None
+        for k, piece in enumerate(self.pieces):
+            constant = getattr(piece.predicate, "constant", None)
+            if constant is not None:
+                active[k] = constant
+                continue
+            if probes is None:
+                probes = self._probes(X, slack)
+            if slack > 0.0:
+                active[k] = [any(map(piece.predicate, row)) for row in probes]
+            else:
+                active[k] = list(map(piece.predicate, probes))
+        counts = active.sum(axis=0)
+        if not counts.all():
+            x = X[np.argmin(counts)]
+            raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
+        hits = active.sum(axis=1)
+        owner = self.pieces[int(hits.argmax())]
+        if hits.max() == counts.sum() == m and owner.rows is not None:
+            # one piece holds on every row and no other piece anywhere
+            return ConvexCompactSet(*merge_stack(*owner.rows(X)))
+        row_parts = [[] for _ in range(m)]
+        for piece, mask in zip(self.pieces, active):
+            rows = mask.nonzero()[0]
+            if not rows.size:
+                continue
+            if piece.rows is not None:
+                pts, r = piece.rows(X[rows])
+                parts = zip(pts, [r] * rows.size)
+            else:
+                parts = ((s.points, s.radius) for s in map(piece.image, X[rows]))
+            for i, part in zip(rows.tolist(), parts):
+                row_parts[i].append(part)
+        return ConvexCompactSet(*merge_parts([merge_parts(parts) if len(parts) > 1 else parts[0]
+                                              for parts in row_parts]))
 
     @classmethod
     def from_config(cls, dimension: int, pieces_cfg: Sequence[dict]) -> "SetValuedMap":
@@ -240,9 +338,7 @@ class PerturbedSystem:
         # strong: hull over an argument-ball lattice, then inflate
         eps_img = self.margin_at(x)
         eps_arg = self.sense_margin_at(x)
-        offsets = unit_ball_lattice(self.dimension, self.density) * eps_arg
-        sets = [self.base.image(x + u, slack) for u in offsets]
-        return hull_union_many(sets).inflate(eps_img)
+        return self.base.ball_hull(x, eps_arg, self.density, slack).inflate(eps_img)
 
 
 @dataclass(frozen=True)
@@ -337,11 +433,9 @@ def continuity_margin(
     base_img = f_map.image(x)
     dirs = unit_directions(n, directions) if directions else unit_directions(n)
     base_support = base_img.support_many(dirs)
-    lattice = unit_ball_lattice(n, density)
 
     def violation(delta):
-        sets = [f_map.image(x + delta * u) for u in lattice]
-        big = hull_union_many(sets)
+        big = f_map.ball_hull(x, delta, density)
         excess = big.support_many(dirs) - (base_support + target)
         if np.any(excess > tol):
             return float(excess.max())

@@ -8,12 +8,15 @@ from inclusafe import (
     ConvexCompactSet,
     NoMatchingPieceError,
     PerturbedSystem,
+    Piece,
     SetValuedMap,
     affine_piece,
     constant_piece,
     continuity_margin,
     graph_inflation_margin,
+    hull_union_many,
     polynomial_piece,
+    scenarios,
     unit_ball_lattice,
     unit_directions,
 )
@@ -265,3 +268,83 @@ def test_strong_image_support_against_dense_reference():
     # the hinted selection vector (0, eps) is feasible in the sampled image
     from inclusafe import contains
     assert contains(img, [0.0, eps], 1e-9)
+
+
+# ----------------------------------------------------------------------- #
+# argument-ball lattice kernel
+def _per_point_hull(f, center, radius, density, slack):
+    lattice = unit_ball_lattice(f.dimension, density) * radius
+    return hull_union_many([f.image(center + u, slack) for u in lattice])
+
+
+def _assert_ball_hull_is_per_point(f, center, radius, density, slack):
+    center = np.asarray(center, dtype=float)
+    if unit_ball_lattice(f.dimension, density).shape[0] == 0:
+        with pytest.raises(ValueError):
+            _per_point_hull(f, center, radius, density, slack)
+        with pytest.raises(ValueError):
+            f.ball_hull(center, radius, density, slack)
+        return
+    want = _per_point_hull(f, center, radius, density, slack)
+    got = f.ball_hull(center, radius, density, slack)
+    assert got.points.shape == want.points.shape
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.radius == want.radius
+
+
+def _kernel_maps():
+    maps = {}
+    for name in scenarios.BUILTIN:
+        dyn = scenarios.build(name).scenario.dynamics
+        maps[name] = dyn.base if isinstance(dyn, PerturbedSystem) else dyn
+    maps["affine-2d"] = SetValuedMap(2, [affine_piece(
+        lambda x: True, [[0.3, 1.0], [-1.0, 0.7]], [1.0, -0.0], radius=0.5)])
+    maps["polynomial-2d"] = SetValuedMap(2, [polynomial_piece(
+        lambda x: True, ["x1*x2", "x1 - x2**2"], 2)])
+    return maps
+
+
+@pytest.mark.parametrize("name", list(_kernel_maps()))
+def test_ball_hull_equals_per_point_hull_bit_for_bit(name):
+    f = _kernel_maps()[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for radius in (1e-3, 0.1, 1.0):
+        # random centers, plus centers that put lattice rows exactly on the
+        # x1 = 0 interface of example1
+        centers = [rng.uniform(-2.0, 2.0, f.dimension) for _ in range(4)]
+        centers += [np.zeros(f.dimension), np.full(f.dimension, 0.25 * radius)]
+        for center in centers:
+            for density in (1, 3, 9):
+                for slack in (0.0, 1e-6):
+                    _assert_ball_hull_is_per_point(f, center, radius, density, slack)
+
+
+def test_ball_hull_unequal_piece_radii_keeps_two_level_merge():
+    # where pieces overlap with unequal radii a single flat merge would
+    # ring-expand some points twice; the kernel merges each row first
+    f = SetValuedMap(2, [
+        constant_piece(lambda x: x[0] <= 0.0, [[1.0, 0.0], [0.0, 1.0]], radius=0.1),
+        affine_piece(lambda x: x[0] >= 0.0, [[1.0, 0.5], [0.0, -1.0]], [0.0, 0.2], radius=0.3),
+        polynomial_piece(lambda x: x[1] >= 0.0, ["x1*x2", "x2 - 1"], 2, radius=0.2),
+        Piece(lambda x: abs(x[0]) <= 0.1,
+              lambda x: ConvexCompactSet([[x[1], x[0]]], 0.05 + abs(float(x[0])))),
+    ])
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        center = rng.uniform(-0.5, 0.5, 2)
+        for radius in (0.1, 1.0):
+            _assert_ball_hull_is_per_point(f, center, radius, 9, 0.0)
+            _assert_ball_hull_is_per_point(f, center, radius, 5, 1e-3)
+
+
+def test_ball_hull_raises_when_no_piece_covers_a_lattice_point():
+    f = SetValuedMap(1, [
+        constant_piece(lambda x: x[0] <= 0.0, [[1.0]]),
+        constant_piece(lambda x: x[0] >= 0.5, [[-1.0]]),
+    ])
+    with pytest.raises(NoMatchingPieceError):
+        f.ball_hull(np.array([0.25]), 0.5, 9)
+    with pytest.raises(NoMatchingPieceError):
+        _per_point_hull(f, np.array([0.25]), 0.5, 9, 0.0)
+    # a ball inside the covered part is fine
+    assert f.ball_hull(np.array([-1.0]), 0.5, 9).interval_bounds() == (1.0, 1.0)
