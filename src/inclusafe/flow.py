@@ -381,7 +381,8 @@ def falsify(
     grid samples), biased toward small |B|.  The first trajectory whose
     unsafe excursion depth reaches the exit threshold wins; the threshold is
     ten Euler steps of the observed velocity bound, which filters grazing
-    chatter.  Everything is seeded, so results are reproducible.
+    chatter, capped at the deepest unsafe node of the domain grid.
+    Everything is seeded, so results are reproducible.
     """
     if budget is None:
         budget = FalsifyBudget()
@@ -406,6 +407,11 @@ def falsify(
     probe_idx = np.linspace(0, grid.shape[0] - 1, min(64, grid.shape[0])).astype(int)
     vbound = _velocity_bound(system, grid[probe_idx])
     threshold = 10.0 * step * max(vbound, 1e-12)
+    # a threshold deeper than the box has room for could only be met by
+    # leaving the box, so cap it at the deepest unsafe grid node
+    room = max((float(depth_fn(x)) for x in grid if scenario.unsafe(x)), default=0.0)
+    if room > 0.0:
+        threshold = min(threshold, room)
 
     pool = scenario.initial_samples()
     if pool.shape[0] == 0:

@@ -137,6 +137,13 @@ def test_falsify_example1_writes_witness(tmp_path):
     assert first == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("eps", ["0.1", "0.25"])
+def test_falsify_example2_hinted_escape_exits_1(tmp_path, eps):
+    assert main(["falsify", "example2", "--eps", eps, "--out", str(tmp_path)]) == 1
+    bundle = json.loads((tmp_path / "bundle-falsify.json").read_text())
+    assert bundle["falsification"]["found"] is True
+
+
 def test_falsify_requires_eps_or_perturbation(tmp_path):
     with pytest.raises(ConfigError, match="falsify needs"):
         run("linear-stable", "falsify", out=str(tmp_path))

@@ -181,6 +181,19 @@ def test_falsify_example1_image_mode_finds_nothing(example1):
     assert res.hit_time is None
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+def test_falsify_example2_hinted_escape_deeper_than_ten_steps(example2, eps):
+    # ten Euler steps of the velocity bound exceed the box's depth of 1 here;
+    # the hinted run must still count once it reaches the box face
+    res = falsify(example2.scenario, eps=eps,
+                  budget=FalsifyBudget(starts=1, horizon=5.0),
+                  hints=example2.hints(eps))
+    assert res.found
+    assert res.threshold == 1.0
+    assert res.depth >= 1.0
+    assert np.array_equal(res.start, [1.0 / np.sqrt(eps), 0.0])
+
+
 def test_falsify_deterministic(example1):
     kw = dict(budget=FalsifyBudget(starts=4, horizon=0.5, seed=3), mode="image")
     a = falsify(example1.scenario, eps=0.5, **kw)
