@@ -241,8 +241,6 @@ def merge_parts(parts: Sequence[tuple[np.ndarray, float]], *, angle: float = HUL
     """The :func:`hull_union_many` rule on raw ``(points, radius)`` pairs of
     one dimension: returns the merged ``(points, radius)`` without building
     a set per operand.  A single pair is returned unchanged."""
-    if not parts:
-        raise ValueError("merge_parts needs at least one part")
     if len(parts) == 1:
         return parts[0]
     rmax = max(r for _, r in parts)

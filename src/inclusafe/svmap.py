@@ -123,10 +123,10 @@ class SetValuedMap:
 
     def _probes(self, X: np.ndarray, slack: float) -> list[list[np.ndarray]]:
         """Predicate probe points of each row of X, as :meth:`matching` makes
-        them: with ``slack > 0`` a list per row, the row itself then the axis
-        probes ``x -+ slack * e_i``; otherwise just the rows."""
+        them: the row itself, then with ``slack > 0`` the axis probes
+        ``x -+ slack * e_i``."""
         if slack <= 0.0:
-            return list(X)
+            return [[x] for x in X]
         P = np.repeat(X[:, None, :], 1 + 2 * self.dimension, axis=1)
         for i in range(self.dimension):
             for j, sgn in enumerate((-1.0, 1.0)):
@@ -191,10 +191,7 @@ class SetValuedMap:
                 continue
             if probes is None:
                 probes = self._probes(X, slack)
-            if slack > 0.0:
-                active[k] = [any(map(piece.predicate, row)) for row in probes]
-            else:
-                active[k] = list(map(piece.predicate, probes))
+            active[k] = [any(map(piece.predicate, row)) for row in probes]
         counts = active.sum(axis=0)
         if not counts.all():
             x = X[np.argmin(counts)]
@@ -216,8 +213,7 @@ class SetValuedMap:
                 parts = ((s.points, s.radius) for s in map(piece.image, X[rows]))
             for i, part in zip(rows.tolist(), parts):
                 row_parts[i].append(part)
-        return ConvexCompactSet(*merge_parts([merge_parts(parts) if len(parts) > 1 else parts[0]
-                                              for parts in row_parts]))
+        return ConvexCompactSet(*merge_parts([merge_parts(parts) for parts in row_parts]))
 
     @classmethod
     def from_config(cls, dimension: int, pieces_cfg: Sequence[dict]) -> "SetValuedMap":

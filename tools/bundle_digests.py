@@ -11,8 +11,6 @@ any bundle byte.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import sys
 import tempfile
@@ -25,27 +23,17 @@ from inclusafe import cli, scenarios  # noqa: E402
 import workloads  # noqa: E402
 
 
-def digest(bundle: dict) -> str:
-    """sha256 of a bundle without its timestamp, serialized as the CLI does."""
-    body = {k: v for k, v in bundle.items() if k != "timestamp"}
-    text = json.dumps(body, sort_keys=True, indent=2, allow_nan=False)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in scenarios.BUILTIN:
-            path = os.path.join(tmp, f"{name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(scenarios.builtin_config(name), fh)
-            bundle, code = cli.run(path, "all", out=os.path.join(tmp, "out"))
-            print(f"{digest(bundle)}  exit={code}  all {name}", flush=True)
+            bundle, code = cli.run(name, "all", out=os.path.join(tmp, "out"))
+            print(f"{workloads.digest(bundle)}  exit={code}  all {name}", flush=True)
         for workload, commands in workloads.WORKLOADS.items():
             paths = workloads.write_configs(commands, 0, os.path.join(tmp, workload))
             for cmd, path in zip(commands, paths):
                 bundle, code = cli.run(path, cmd.command, seed=0, out=os.path.join(tmp, "out"),
                                        **cmd.flags)
-                print(f"{digest(bundle)}  exit={code}  {workload}: {cmd.label}", flush=True)
+                print(f"{workloads.digest(bundle)}  exit={code}  {workload}: {cmd.label}", flush=True)
     return 0
 
 
