@@ -65,8 +65,6 @@ class Tolerances:
     tol            slack for non-strict inequality checks
     tol_strict     margin a strict inequality must clear to count as satisfied
     tol_boundary   |B| threshold for refined boundary representatives
-    grad_rtol      relative tolerance for gradient-oracle validation
-    contains_tol   membership slack for velocity/inclusion tests
     interface_slack  axis probe distance when evaluating images at piece
                      interfaces (covers boundary placement error)
     collar_cells   collar width in units of boundary cell diameters
@@ -78,8 +76,6 @@ class Tolerances:
     tol: float = 1e-9
     tol_strict: float = 1e-6
     tol_boundary: float = 1e-8
-    grad_rtol: float = 1e-4
-    contains_tol: float = 1e-9
     interface_slack: float = 1e-6
     collar_cells: float = 2.0
     collar_width: Optional[float] = None
@@ -91,8 +87,6 @@ class Tolerances:
             "tol": self.tol,
             "tol_strict": self.tol_strict,
             "tol_boundary": self.tol_boundary,
-            "grad_rtol": self.grad_rtol,
-            "contains_tol": self.contains_tol,
             "interface_slack": self.interface_slack,
             "collar_cells": self.collar_cells,
             "collar_width": self.collar_width,

@@ -1,9 +1,10 @@
 """Sampled barrier-condition checks and perturbation-margin synthesis.
 
-Every check evaluates a decrease condition for the candidate B against the
-(possibly perturbed) dynamics on a sampled region derived from the numeric
-boundary of K = {B <= 0}: either the boundary representatives themselves, an
-outer collar (outside K only), or a two-sided collar.  Verdicts are
+Every check is one inequality: -support(F(x), zeta) > 0 for each gradient
+object zeta of B at each x of a region derived from the numeric boundary of
+K = {B <= 0}: the boundary representatives themselves, an outer collar
+(outside K only), or a two-sided collar.  One table, ``CHECKS``, describes
+each check and one sampling kernel evaluates every row.  Verdicts are
 "pass-numeric" (sampled condition held at tolerance; no formal claim),
 "fail" (violating sample found; witness recorded), or "inconclusive"
 (positive margin that shrinks markedly on nested domain boxes).
@@ -12,27 +13,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .barrier import (
+    SMOOTHNESS_TAGS,
     BarrierCandidate,
     BoundaryGrid,
     SafetyScenario,
+    SingularPointError,
     UnsupportedSmoothnessError,
     boundary_extract,
     clarke_gradient,
     collar_width,
-    proximal_subdifferential,
 )
-from .convexset import ConvexCompactSet
 from .numerics import largest_feasible
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport
-from .svmap import PerturbedSystem, SetValuedMap
+from .svmap import PerturbedSystem
 
 __all__ = [
+    "CANNOT_RUN",
+    "CHECKS",
     "CheckReport",
+    "CheckSpec",
     "MarginSynthesis",
     "PreconditionError",
     "DegenerateGradientError",
@@ -53,13 +57,75 @@ class DegenerateGradientError(ValueError):
     """Gradient norm vanishes where a normalized quotient is required."""
 
 
+# what a check raises when it cannot run on the scenario as configured
+CANNOT_RUN = (PreconditionError, DegenerateGradientError, UnsupportedSmoothnessError,
+              SingularPointError)
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One row of the check table.
+
+    check_id    report id, also the name ``verify --check`` takes
+    function    the public function of this module that runs the check
+    region      "boundary", "outer-collar" or "two-sided-collar"
+    zeta        what F(x) is paired with: "gradient" or "clarke-vertices"
+    normalized  divide -support(F(x), zeta) by |zeta|
+    flags       report flags besides the region
+    commands    CLI commands that run the check without ``--check``
+    smoothness  candidate tags the check is meant for (a "gradient" row also
+                needs an oracle): the CLI runs it unasked only on these, and
+                the weighted variants refuse any other
+    """
+
+    check_id: str
+    function: str
+    region: str
+    zeta: str
+    normalized: bool = False
+    flags: dict = field(default_factory=dict)
+    commands: tuple = ()
+    smoothness: tuple = ()
+
+    @property
+    def variant(self) -> Optional[str]:
+        return self.flags.get("variant")
+
+    def suits(self, bar: BarrierCandidate) -> bool:
+        return bar.smoothness in self.smoothness and (
+            self.zeta != "gradient" or bar.gradient is not None
+        )
+
+
+_UNASKED = ("verify", "all")
+
+CHECKS = {spec.check_id: spec for spec in (
+    CheckSpec("nominal-nonincrease", "check_nominal", "outer-collar", "gradient",
+              commands=_UNASKED, smoothness=SMOOTHNESS_TAGS),
+    CheckSpec("robust-strict", "check_robust_strict", "boundary", "gradient",
+              commands=_UNASKED, smoothness=SMOOTHNESS_TAGS),
+    CheckSpec("clarke-strict", "check_clarke", "boundary", "clarke-vertices",
+              flags={"gradient": "clarke-vertices"}, commands=_UNASKED,
+              smoothness=("lipschitz",)),
+    CheckSpec("uniform-plain", "check_uniform_unweighted", "boundary", "gradient", True,
+              flags={"normalized": True}, commands=_UNASKED,
+              smoothness=("C2", "C1", "lipschitz")),
+    CheckSpec("uniform-weighted-c1", "check_uniform_weighted", "boundary", "gradient", True,
+              flags={"variant": "C1"}, commands=("all",), smoothness=("C2", "C1")),
+    CheckSpec("uniform-weighted-c2", "check_uniform_weighted", "boundary", "clarke-vertices",
+              True, flags={"variant": "C2"}, smoothness=("C2", "C1", "lipschitz")),
+    # the proximal subgradient of a C2 candidate is the gradient singleton
+    # (semicontinuous tags use the oracle); C4's <-zeta, F> for zeta in the
+    # proximal subgradient of -B is C3's number, on a separated unsafe set
+    CheckSpec("uniform-weighted-c3", "check_uniform_weighted", "two-sided-collar", "gradient",
+              True, flags={"variant": "C3"}, smoothness=("C2", "lsc", "usc")),
+    CheckSpec("uniform-weighted-c4", "check_uniform_weighted", "two-sided-collar", "gradient",
+              True, flags={"variant": "C4"}, smoothness=("C2", "lsc", "usc")),
+)}
+
+_WEIGHTED = {spec.variant: spec for spec in CHECKS.values() if spec.variant}
+
 _COLLAR_FRACTIONS = (1.0, 0.75, 0.5, 0.25, 0.1, 0.01, 1e-3)
-
-
-def _provider(scenario: SafetyScenario, system):
-    if system is not None:
-        return system
-    return scenario.dynamics
 
 
 def _slack(scenario: SafetyScenario) -> float:
@@ -96,12 +162,14 @@ def _outward_normal(bar: BarrierCandidate, x) -> Optional[np.ndarray]:
     return g / norm
 
 
-def _collar_points(scenario: SafetyScenario, grid: BoundaryGrid, *, sides: str) -> list[np.ndarray]:
+def _collar_points(scenario: SafetyScenario, grid: BoundaryGrid, region: str) -> list[np.ndarray]:
     """Points near the boundary: offsets along the outward normal.
 
-    sides="outer" keeps only points with B > 0 (outside K); sides="both"
-    keeps both signs and includes the representatives themselves.
+    region="outer-collar" keeps only points with B > 0 (outside K);
+    "two-sided-collar" keeps both signs and includes the representatives
+    themselves.
     """
+    outer = region == "outer-collar"
     width = collar_width(scenario, grid)
     floor = max(10.0 * _slack(scenario), 1e-12)
     offsets = [width * f for f in _COLLAR_FRACTIONS if width * f >= floor]
@@ -113,68 +181,17 @@ def _collar_points(scenario: SafetyScenario, grid: BoundaryGrid, *, sides: str) 
         nu = _outward_normal(bar, rep)
         if nu is None:
             continue
-        if sides == "both":
+        if not outer:
             pts.append(np.asarray(rep, dtype=float))
-        signs = (1.0,) if sides == "outer" else (1.0, -1.0)
+        signs = (1.0,) if outer else (1.0, -1.0)
         for sgn in signs:
             for t in offsets:
                 x = rep + sgn * t * nu
                 b = bar.value_at(x)
-                if sides == "outer" and b <= 0.0:
+                if outer and b <= 0.0:
                     continue
                 pts.append(x)
     return pts
-
-
-# ---------------------------------------------------------------------- #
-def check_nominal(scenario: SafetyScenario, grid: BoundaryGrid, *, system=None) -> CheckReport:
-    """Non-strict decrease outside K: max <grad B(x), F(x)> <= 0 on an outer
-    collar around the boundary.  Margin is min over samples of
-    -support(F(x), grad B(x))."""
-    tol = scenario.tolerances
-    provider = _provider(scenario, system)
-    samples = _collar_points(scenario, grid, sides="outer")
-    if not samples:
-        raise PreconditionError("empty outer collar; no usable boundary normals")
-    track = _MinTracker()
-    for x in samples:
-        g = scenario.barrier.gradient_at(x)
-        img = provider.image(x, _slack(scenario))
-        track.update(-img.support(g), x, img.extreme_point(g))
-    ok = track.value >= -tol.tol
-    return CheckReport(
-        check_id="nominal-nonincrease",
-        verdict=PASS if ok else FAIL,
-        margin=track.value,
-        witness=None if ok else track.point,
-        witness_velocity=None if ok else track.velocity,
-        samples=track.count,
-        tolerances={"tol": tol.tol, "collar_width": collar_width(scenario, grid)},
-        flags={"region": "outer-collar"},
-    )
-
-
-def check_robust_strict(scenario: SafetyScenario, grid: BoundaryGrid, *, system=None) -> CheckReport:
-    """Strict decrease on the boundary: max <grad B(x), F(x)> < 0 for every
-    boundary representative."""
-    tol = scenario.tolerances
-    provider = _provider(scenario, system)
-    track = _MinTracker()
-    for rep in grid.representatives:
-        g = scenario.barrier.gradient_at(rep)
-        img = provider.image(rep, _slack(scenario))
-        track.update(-img.support(g), rep, img.extreme_point(g))
-    ok = track.value > tol.tol_strict
-    return CheckReport(
-        check_id="robust-strict",
-        verdict=PASS if ok else FAIL,
-        margin=track.value,
-        witness=None if ok else track.point,
-        witness_velocity=None if ok else track.velocity,
-        samples=track.count,
-        tolerances={"tol_strict": tol.tol_strict},
-        flags={"region": "boundary"},
-    )
 
 
 def _clarke_vertices(scenario: SafetyScenario, x, radius, samples) -> np.ndarray:
@@ -189,6 +206,71 @@ def _clarke_vertices(scenario: SafetyScenario, x, radius, samples) -> np.ndarray
     return clarke_gradient(bar, x, radius, samples).points
 
 
+def _sample(spec: CheckSpec, scenario: SafetyScenario, grid: BoundaryGrid, system=None,
+            radius=None, samples=None, gain=None) -> _MinTracker:
+    """Minimum of -support(F(x), zeta) over the row's region and zetas.
+
+    Normalized rows divide by |zeta|; a ``gain`` divides by 1 + gain(x).
+    """
+    provider = scenario.dynamics if system is None else system
+    bar = scenario.barrier
+    region = grid.representatives if spec.region == "boundary" else _collar_points(scenario, grid, spec.region)
+    track = _MinTracker()
+    for x in region:
+        zetas = [bar.gradient_at(x)] if spec.zeta == "gradient" else _clarke_vertices(scenario, x, radius, samples)
+        img = provider.image(x, _slack(scenario))
+        weight = 1.0 if gain is None else 1.0 + float(gain(x))
+        for z in zetas:
+            norm = float(np.linalg.norm(z)) if spec.normalized else 1.0
+            if norm < 1e-12:
+                raise DegenerateGradientError("gradient norm below 1e-12 in normalized check")
+            track.update(-img.support(z) / norm / weight, x, img.extreme_point(z))
+    return track
+
+
+def _report(spec: CheckSpec, track: _MinTracker, verdict: str, tolerances: dict, **extra) -> CheckReport:
+    failed = verdict != PASS
+    return CheckReport(
+        check_id=spec.check_id,
+        verdict=verdict,
+        margin=track.value,
+        witness=track.point if failed else None,
+        witness_velocity=track.velocity if failed else None,
+        samples=track.count,
+        tolerances=tolerances,
+        flags={"region": spec.region, **spec.flags},
+        **extra,
+    )
+
+
+def _strict(check_id: str, scenario: SafetyScenario, grid: BoundaryGrid, system,
+            radius=None, samples=None) -> CheckReport:
+    spec = CHECKS[check_id]
+    tol = scenario.tolerances.tol_strict
+    track = _sample(spec, scenario, grid, system, radius, samples)
+    return _report(spec, track, PASS if track.value > tol else FAIL, {"tol_strict": tol})
+
+
+# ---------------------------------------------------------------------- #
+def check_nominal(scenario: SafetyScenario, grid: BoundaryGrid, *, system=None) -> CheckReport:
+    """Non-strict decrease outside K: max <grad B(x), F(x)> <= 0 on an outer
+    collar around the boundary.  Margin is min over samples of
+    -support(F(x), grad B(x))."""
+    spec = CHECKS["nominal-nonincrease"]
+    tol = scenario.tolerances.tol
+    track = _sample(spec, scenario, grid, system)
+    if not track.count:
+        raise PreconditionError("empty outer collar; no usable boundary normals")
+    return _report(spec, track, PASS if track.value >= -tol else FAIL,
+                   {"tol": tol, "collar_width": collar_width(scenario, grid)})
+
+
+def check_robust_strict(scenario: SafetyScenario, grid: BoundaryGrid, *, system=None) -> CheckReport:
+    """Strict decrease on the boundary: max <grad B(x), F(x)> < 0 for every
+    boundary representative."""
+    return _strict("robust-strict", scenario, grid, system)
+
+
 def check_clarke(
     scenario: SafetyScenario,
     grid: BoundaryGrid,
@@ -200,73 +282,14 @@ def check_clarke(
     """Strict decrease against every sampled generalized-gradient vertex on
     the boundary: <zeta, eta> < 0 for zeta in the sampled Clarke hull and
     eta in F(x)."""
-    tol = scenario.tolerances
-    provider = _provider(scenario, system)
-    track = _MinTracker()
-    for rep in grid.representatives:
-        zetas = _clarke_vertices(scenario, rep, radius, samples)
-        img = provider.image(rep, _slack(scenario))
-        for z in zetas:
-            track.update(-img.support(z), rep, img.extreme_point(z))
-    ok = track.value > tol.tol_strict
-    return CheckReport(
-        check_id="clarke-strict",
-        verdict=PASS if ok else FAIL,
-        margin=track.value,
-        witness=None if ok else track.point,
-        witness_velocity=None if ok else track.velocity,
-        samples=track.count,
-        tolerances={"tol_strict": tol.tol_strict},
-        flags={"region": "boundary", "gradient": "clarke-vertices"},
-    )
-
-
-def _normalized_quotient(img: ConvexCompactSet, zeta: np.ndarray) -> float:
-    norm = float(np.linalg.norm(zeta))
-    if norm < 1e-12:
-        raise DegenerateGradientError("gradient norm below 1e-12 in normalized check")
-    return -img.support(zeta) / norm
+    return _strict("clarke-strict", scenario, grid, system, radius, samples)
 
 
 def check_uniform_unweighted(scenario: SafetyScenario, grid: BoundaryGrid, *, system=None) -> CheckReport:
     """Normalized strict decrease on the boundary:
     min over boundary of (-max <grad B, F>) / |grad B| must be positive.
     A positive value witnesses a uniform decrease rate on the sampled set."""
-    tol = scenario.tolerances
-    provider = _provider(scenario, system)
-    track = _MinTracker()
-    for rep in grid.representatives:
-        g = scenario.barrier.gradient_at(rep)
-        img = provider.image(rep, _slack(scenario))
-        track.update(_normalized_quotient(img, g), rep, img.extreme_point(g))
-    ok = track.value > tol.tol_strict
-    return CheckReport(
-        check_id="uniform-plain",
-        verdict=PASS if ok else FAIL,
-        margin=track.value,
-        witness=None if ok else track.point,
-        witness_velocity=None if ok else track.velocity,
-        samples=track.count,
-        tolerances={"tol_strict": tol.tol_strict},
-        flags={"region": "boundary", "normalized": True},
-    )
-
-
-_WEIGHTED_VARIANTS = ("C1", "C2", "C3", "C4")
-
-
-def _require_variant_smoothness(bar: BarrierCandidate, variant: str):
-    if variant == "C1" and not bar.is_c1:
-        raise UnsupportedSmoothnessError("variant C1 needs a C1/C2 candidate")
-    if variant == "C2" and bar.smoothness not in ("C2", "C1", "lipschitz"):
-        raise UnsupportedSmoothnessError("variant C2 needs a Lipschitz candidate")
-    if variant in ("C3", "C4"):
-        # proximal shortcut: gradient singleton, computable for C2 candidates
-        # (or declared-semicontinuous candidates that still carry a gradient)
-        if not (bar.smoothness == "C2" or (bar.smoothness in ("lsc", "usc") and bar.gradient is not None)):
-            raise UnsupportedSmoothnessError(
-                f"variant {variant} needs a C2 candidate (proximal shortcut), got {bar.smoothness!r}"
-            )
+    return _strict("uniform-plain", scenario, grid, system)
 
 
 def check_uniform_weighted(
@@ -294,48 +317,20 @@ def check_uniform_weighted(
     on nested shrunken boxes; a margin that keeps shrinking as the box grows
     is reported as inconclusive rather than pass.
     """
-    if variant not in _WEIGHTED_VARIANTS:
-        raise ValueError(f"variant must be one of {_WEIGHTED_VARIANTS}, got {variant!r}")
+    if variant not in _WEIGHTED:
+        raise ValueError(f"variant must be one of {tuple(_WEIGHTED)}, got {variant!r}")
+    spec = _WEIGHTED[variant]
     tol = scenario.tolerances
-    _require_variant_smoothness(scenario.barrier, variant)
+    if not spec.suits(scenario.barrier):
+        oracle = " with a gradient oracle" if spec.zeta == "gradient" else ""
+        raise UnsupportedSmoothnessError(f"variant {variant} needs a {'/'.join(spec.smoothness)} "
+                                         f"candidate{oracle}, got {scenario.barrier.smoothness!r}")
 
     if variant == "C4":
         _check_separation(scenario, grid)
 
-    def sigma_on(scn: SafetyScenario, g: BoundaryGrid) -> _MinTracker:
-        provider = _provider(scn, system)
-        bar = scn.barrier
-        track = _MinTracker()
-        if variant in ("C1", "C2"):
-            region = [np.asarray(r, float) for r in g.representatives]
-        else:
-            region = _collar_points(scn, g, sides="both")
-        for x in region:
-            img = provider.image(x, _slack(scn))
-            weight = 1.0 + float(modulus.state_gain(x))
-            if variant == "C1":
-                zetas = [bar.gradient_at(x)]
-                flip = False
-            elif variant == "C2":
-                zetas = _clarke_vertices(scn, x, radius, samples)
-                flip = False
-            elif variant == "C3":
-                zetas = [proximal_subdifferential(bar, x).points[0]] if bar.smoothness == "C2" else [bar.gradient_at(x)]
-                flip = False
-            else:  # C4: zeta in proximal of -B; require <zeta, F> > 0
-                zetas = [-(bar.gradient_at(x))]
-                flip = True
-            for z in zetas:
-                if flip:
-                    val = _normalized_quotient(img, -np.asarray(z, float))
-                    vel = img.extreme_point(-np.asarray(z, float))
-                else:
-                    val = _normalized_quotient(img, np.asarray(z, float))
-                    vel = img.extreme_point(np.asarray(z, float))
-                track.update(val / weight, x, vel)
-        return track
-
-    full = sigma_on(scenario, grid)
+    sampling = (system, radius, samples, modulus.state_gain)
+    full = _sample(spec, scenario, grid, *sampling)
     trend = []
     for s in nested_scales:
         try:
@@ -343,7 +338,7 @@ def check_uniform_weighted(
             grid_s = boundary_extract(scn_s)
         except Exception:
             continue
-        t = sigma_on(scn_s, grid_s)
+        t = _sample(spec, scn_s, grid_s, *sampling)
         if t.count:
             trend.append([float(s), float(t.value)])
     trend.append([1.0, float(full.value)])
@@ -354,16 +349,8 @@ def check_uniform_weighted(
         verdict = INCONCLUSIVE
     else:
         verdict = PASS
-    return CheckReport(
-        check_id=f"uniform-weighted-{variant.lower()}",
-        verdict=verdict,
-        margin=full.value,
-        witness=None if verdict == PASS else full.point,
-        witness_velocity=None if verdict == PASS else full.velocity,
-        samples=full.count,
-        tolerances={"tol_strict": tol.tol_strict},
-        flags={"region": "boundary" if variant in ("C1", "C2") else "two-sided-collar",
-               "variant": variant},
+    return _report(
+        spec, full, verdict, {"tol_strict": tol.tol_strict},
         trend=trend,
         notes=(["margin shrinks under box growth; infimum over the unbounded "
                 "region is not numerically bounded away from zero"]

@@ -27,16 +27,9 @@ from typing import Optional
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from . import __version__, scenarios
+from . import __version__, checker, scenarios
 from .barrier import SMOOTHNESS_TAGS, boundary_extract, candidate_check
-from .checker import (
-    check_clarke,
-    check_nominal,
-    check_robust_strict,
-    check_uniform_unweighted,
-    check_uniform_weighted,
-    synthesize_margin,
-)
+from .checker import CANNOT_RUN, CHECKS, synthesize_margin
 from .flow import FalsifyBudget, falsify
 from .modulus import build_modulus, verify_modulus
 from .numerics import scale_box
@@ -45,6 +38,7 @@ from .svmap import PerturbedSystem
 __all__ = ["ConfigError", "load_config", "run", "main", "SCHEMA"]
 
 COMMANDS = ("verify", "falsify", "margin", "modulus", "all")
+CHECK_IDS = ("candidate-signs", *CHECKS)
 
 
 class ConfigError(Exception):
@@ -64,8 +58,6 @@ _TOLERANCE_PROPS = {
     "tol": _num(0),
     "tol_strict": _num(0),
     "tol_boundary": _num(exclusive=0),
-    "grad_rtol": _num(exclusive=0),
-    "contains_tol": _num(0),
     "interface_slack": _num(0),
     "collar_cells": _num(exclusive=0),
     "collar_width": {"type": ["number", "null"]},
@@ -297,38 +289,27 @@ def _write_trajectory(path: str, traj, barrier_values: bool) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _applicable_checks(scenario) -> list[str]:
+def _default_checks(scenario, command: str) -> list[str]:
+    """The sign check, then every table row that ``command`` runs unasked
+    and that is meant for the candidate."""
     bar = scenario.barrier
-    out = ["candidate-signs"]
-    # collar and boundary decrease checks evaluate the gradient directly, so
-    # they only apply when the candidate ships an oracle; kinked candidates
-    # without one are covered by the sampled generalized-gradient check
-    if bar.gradient is not None:
-        out += ["nominal-nonincrease", "robust-strict"]
-    if bar.smoothness == "lipschitz":
-        out.append("clarke-strict")
-    if bar.gradient is not None and bar.smoothness not in ("lsc", "usc"):
-        out.append("uniform-plain")
-    return out
+    return ["candidate-signs"] + [
+        spec.check_id for spec in CHECKS.values() if command in spec.commands and spec.suits(bar)
+    ]
 
 
-def _run_check(check_id: str, scenario, grid, modulus_pair=None):
+def _run_check(check_id: str, scenario, grid):
     if check_id == "candidate-signs":
         return candidate_check(scenario)
-    if check_id == "nominal-nonincrease":
-        return check_nominal(scenario, grid)
-    if check_id == "robust-strict":
-        return check_robust_strict(scenario, grid)
-    if check_id == "clarke-strict":
-        return check_clarke(scenario, grid)
-    if check_id == "uniform-plain":
-        return check_uniform_unweighted(scenario, grid)
-    if check_id.startswith("uniform-weighted-c"):
-        variant = "C" + check_id.rsplit("c", 1)[1]
-        if modulus_pair is None:
-            modulus_pair = build_modulus(_base_map(scenario))
-        return check_uniform_weighted(scenario, grid, modulus_pair, variant=variant)
-    raise ConfigError(f"unknown check id {check_id!r}")
+    spec = CHECKS[check_id]
+    # looked up by module attribute, so a wrapper set on the public name is used
+    run_spec = getattr(checker, spec.function)
+    try:
+        if spec.variant is None:
+            return run_spec(scenario, grid)
+        return run_spec(scenario, grid, build_modulus(_base_map(scenario)), spec.variant)
+    except CANNOT_RUN as e:
+        raise ConfigError(f"check {check_id!r} cannot run on this scenario: {e}") from e
 
 
 def _base_map(scenario):
@@ -369,6 +350,8 @@ def run(
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
+    if command == "verify" and check is not None and check not in CHECK_IDS:
+        raise ConfigError(f"unknown check id {check!r}; expected one of {', '.join(CHECK_IDS)}")
     cfg = load_config(config_path)
     cfg_hash = _config_hash(cfg)
 
@@ -420,18 +403,9 @@ def run(
     grid = boundary_extract(scenario) if needs_grid else None
 
     if command in ("verify", "all"):
-        pair = None
-        if check is not None and command == "verify":
-            ids = [check]
-        else:
-            ids = _applicable_checks(scenario)
-            if command == "all" and scenario.barrier.gradient is not None \
-                    and scenario.barrier.smoothness not in ("lsc", "usc"):
-                ids.append("uniform-weighted-c1")
+        ids = [check] if check is not None and command == "verify" else _default_checks(scenario, command)
         for cid in ids:
-            if cid.startswith("uniform-weighted") and pair is None:
-                pair = build_modulus(_base_map(scenario))
-            rep = _run_check(cid, scenario, grid, modulus_pair=pair)
+            rep = _run_check(cid, scenario, grid)
             checks.append(rep.to_dict())
             if not rep.passed:
                 exit_code = 1

@@ -76,11 +76,13 @@ def local_gap(
     density: int = 9,
     directions: int = 64,
     _origin_term: Optional[float] = None,
+    _image: Optional[ConvexCompactSet] = None,
 ) -> float:
     """Extra image spread at y beyond the spread at the origin.
 
     ``|F(y + s*B) - F(y)|_H - |F(s*B) - F(0)|_H`` with both Hausdorff
     distances computed on argument-ball lattice hulls.  Zero for s = 0.
+    Callers sweeping many radii pass the origin term and F(y) once.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     s = float(s)
@@ -89,7 +91,8 @@ def local_gap(
     if s == 0.0:
         return 0.0
     kw = {"directions": directions} if y.shape[0] > 1 else {}
-    spread = hausdorff(_ball_hull(f_map, y, s, density), f_map.image(y), **kw)
+    image = f_map.image(y) if _image is None else _image
+    spread = hausdorff(_ball_hull(f_map, y, s, density), image, **kw)
     if _origin_term is None:
         origin = np.zeros_like(y)
         _origin_term = hausdorff(_ball_hull(f_map, origin, s, density), f_map.image(origin), **kw)
@@ -274,7 +277,6 @@ def build_modulus(
     flags: dict = {}
 
     ring = unit_directions(n, 2 if n == 1 else ring_count)
-    kw = {"density": density, "directions": directions}
     origin = np.zeros(n)
 
     # direct spread term |F(s*B) - F(0)|_H per grid radius
@@ -287,12 +289,12 @@ def build_modulus(
     # raw extra spread at ring radius i, step radius j
     raw = np.zeros((count, count))
     for i, r in enumerate(radii):
-        for k, d in enumerate(ring):
+        for d in ring:
             y = r * d
             fy = f_map.image(y)
             for j, s in enumerate(radii):
-                spread = hausdorff(_ball_hull(f_map, y, s, density), fy, **hskw)
-                g = spread - direct_vals[j]
+                g = local_gap(f_map, y, s, density=density, directions=directions,
+                              _origin_term=direct_vals[j], _image=fy)
                 if g > raw[i, j]:
                     raw[i, j] = g
 

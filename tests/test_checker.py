@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from inclusafe import checker
+from inclusafe.checker import CHECKS
 from inclusafe import (
     FAIL,
     INCONCLUSIVE,
@@ -257,6 +259,27 @@ def test_weighted_variant_validation(linear_stable, linear_grid, linear_modulus)
         check_uniform_weighted(sc, grid, linear_modulus, "C1")  # kinked candidate
     with pytest.raises(UnsupportedSmoothnessError):
         check_uniform_weighted(sc, grid, linear_modulus, "C3")  # proximal needs C2
+
+
+def test_check_table_rows_run_through_their_functions(linear_modulus):
+    # unit gradient and a separated unsafe set: every row applies and passes
+    sc = _scenario("x1 - 1", ["1"], [affine_piece(lambda x: True, [[-1.0]], [0.0])],
+                   unsafe=lambda x: x[0] >= 1.5)
+    grid = boundary_extract(sc)
+    margins = {}
+    for spec in CHECKS.values():
+        run = getattr(checker, spec.function)
+        rep = run(sc, grid) if spec.variant is None else run(sc, grid, linear_modulus, spec.variant)
+        assert rep.check_id == spec.check_id
+        assert rep.flags["region"] == spec.region
+        assert rep.passed
+        margins[spec.check_id] = rep.margin
+    # the same inequality on the same boundary: C2 candidate, |grad B| = 1,
+    # degenerate modulus weight 2, and C4 samples what C3 samples
+    assert margins["robust-strict"] == margins["clarke-strict"] == margins["uniform-plain"]
+    assert margins["uniform-weighted-c1"] == margins["uniform-weighted-c2"] \
+        == margins["uniform-plain"] / 2.0
+    assert margins["uniform-weighted-c3"] == margins["uniform-weighted-c4"]
 
 
 # ----------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from inclusafe import scenarios
+from inclusafe import cli, scenarios
 from inclusafe.cli import COMMANDS, ConfigError, load_config, main, run
 
 
@@ -65,6 +65,13 @@ def test_load_config_lists_every_violation(tmp_path):
     assert "/dimension" in msg and "/barrier/smoothness" in msg
 
 
+def test_load_config_rejects_removed_tolerance_fields(tmp_path):
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["tolerances"] = {"grad_rtol": 1e-4}
+    with pytest.raises(ConfigError, match="/tolerances"):
+        load_config(_write_cfg(tmp_path, cfg))
+
+
 # ----------------------------------------------------------------------- #
 # verify command
 def test_verify_linear_stable_bundle(tmp_path):
@@ -103,6 +110,47 @@ def test_verify_single_check_flag(tmp_path):
 def test_verify_unknown_check_id(tmp_path):
     with pytest.raises(ConfigError, match="unknown check id"):
         run("linear-stable", "verify", check="sorcery", out=str(tmp_path))
+
+
+def test_verify_unknown_check_id_rejected_before_modulus(tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("no modulus may be built for an unknown check id")
+
+    monkeypatch.setattr(cli, "build_modulus", no_build)
+    with pytest.raises(ConfigError, match="unknown check id 'uniform-weighted-c5'"):
+        run("example2", "verify", check="uniform-weighted-c5", out=str(tmp_path))
+
+
+def test_verify_inapplicable_check_exits_two(tmp_path, capsys):
+    # cl(K) touches the unsafe set, so the C4 separation precondition fails
+    code = main(["verify", "linear-stable", "--check", "uniform-weighted-c4",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "uniform-weighted-c4" in capsys.readouterr().err
+
+
+def _abs_config(**barrier):
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["barrier"] = {"value": "abs(x1) - 1", "smoothness": "lipschitz",
+                      "singular": "x1 == 0", **barrier}
+    cfg["initial"] = "abs(x1) <= 0.5"
+    cfg["unsafe"] = "abs(x1) > 1.2"
+    return cfg
+
+
+def test_verify_gradient_check_without_oracle_is_config_error(tmp_path):
+    path = _write_cfg(tmp_path, _abs_config())
+    with pytest.raises(ConfigError, match="'robust-strict'.*no gradient oracle"):
+        run(path, "verify", check="robust-strict", out=str(tmp_path))
+
+
+def test_all_skips_weighted_c1_on_lipschitz_candidate_with_oracle(tmp_path):
+    path = _write_cfg(tmp_path, _abs_config(gradient=["1 if x1 > 0 else -1"]))
+    bundle, code = run(path, "all", out=str(tmp_path))
+    ids = [c["check_id"] for c in bundle["checks"]]
+    assert ids == ["candidate-signs", "nominal-nonincrease", "robust-strict",
+                   "clarke-strict", "uniform-plain"]
+    assert code == 0
 
 
 def test_clarke_check_selected_for_lipschitz_candidates(tmp_path):

@@ -2,15 +2,23 @@
 
     python3 tools/bundle_digests.py > digests.txt
 
-Covers the ``all`` bundle of every builtin scenario and every command of the
+Covers the ``all`` bundle of every builtin scenario, every command of the
 benchmark workloads in ``perfbench/workloads.py`` (which includes ``falsify``
-at the benchmark's perturbation sizes), run at seed 0.  The program is
-imported from ``src/`` of the checkout that holds this file, so running the
-script in two checkouts and diffing the outputs shows whether a change moved
-any bundle byte.
+at the benchmark's perturbation sizes), and ``verify --check ID`` for every
+check id on every builtin and on a few inline variants that reach the checks
+``all`` never runs on a builtin (Lipschitz candidates with and without a
+gradient oracle, a semicontinuous one, and the one linear setting where the
+C4 separation precondition holds); each variant's ``all`` bundle too.  All
+runs use seed 0.
+A command that raises prints ``raise <ErrorClass>`` in place of a digest.
+The check ids are written out here rather than imported, so the same file
+runs on an older checkout.  The program is imported from ``src/`` of the
+checkout that holds this file, so running the script in two checkouts and
+diffing the outputs shows whether a change moved any bundle byte.
 """
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
@@ -22,18 +30,75 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from inclusafe import cli, scenarios  # noqa: E402
 import workloads  # noqa: E402
 
+CHECK_IDS = (
+    "candidate-signs",
+    "nominal-nonincrease",
+    "robust-strict",
+    "clarke-strict",
+    "uniform-plain",
+    "uniform-weighted-c1",
+    "uniform-weighted-c2",
+    "uniform-weighted-c3",
+    "uniform-weighted-c4",
+)
+
+
+def _variants() -> dict:
+    """Inline configs derived from linear-stable."""
+
+    def linear(**changes):
+        cfg = scenarios.builtin_config("linear-stable")
+        cfg.update(changes)
+        return cfg
+
+    return {
+        "abs-lipschitz": linear(
+            barrier={"value": "abs(x1) - 1", "smoothness": "lipschitz", "singular": "x1 == 0"},
+            initial="abs(x1) <= 0.5",
+            unsafe="abs(x1) > 1.2",
+        ),
+        "abs-lipschitz-oracle": linear(
+            barrier={"value": "abs(x1) - 1", "gradient": ["1 if x1 > 0 else -1"],
+                     "smoothness": "lipschitz", "singular": "x1 == 0"},
+            initial="abs(x1) <= 0.5",
+            unsafe="abs(x1) > 1.2",
+        ),
+        "linear-lsc": linear(
+            barrier={"value": "x1 - 1", "gradient": ["1"], "smoothness": "lsc"},
+            boundary_points=[[1.0]],
+        ),
+        "linear-unsafe-1.5": linear(unsafe="x1 >= 1.5"),
+    }
+
+
+def _line(tmp, config, command, label, **flags) -> str:
+    try:
+        bundle, code = cli.run(config, command, seed=0, out=os.path.join(tmp, "out"), **flags)
+    except Exception as e:  # noqa: BLE001 - the error class is the output
+        return f"raise {type(e).__name__}  {label}"
+    return f"{workloads.digest(bundle)}  exit={code}  {label}"
+
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in scenarios.BUILTIN:
-            bundle, code = cli.run(name, "all", out=os.path.join(tmp, "out"))
-            print(f"{workloads.digest(bundle)}  exit={code}  all {name}", flush=True)
+            print(_line(tmp, name, "all", f"all {name}"), flush=True)
         for workload, commands in workloads.WORKLOADS.items():
             paths = workloads.write_configs(commands, 0, os.path.join(tmp, workload))
             for cmd, path in zip(commands, paths):
-                bundle, code = cli.run(path, cmd.command, seed=0, out=os.path.join(tmp, "out"),
-                                       **cmd.flags)
-                print(f"{workloads.digest(bundle)}  exit={code}  {workload}: {cmd.label}", flush=True)
+                print(_line(tmp, path, cmd.command, f"{workload}: {cmd.label}", **cmd.flags),
+                      flush=True)
+        configs = {name: name for name in scenarios.BUILTIN}
+        for name, cfg in _variants().items():
+            configs[name] = os.path.join(tmp, f"{name}.json")
+            with open(configs[name], "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+        for name, config in configs.items():
+            if config != name:
+                print(_line(tmp, config, "all", f"all {name}"), flush=True)
+            for check in CHECK_IDS:
+                print(_line(tmp, config, "verify", f"verify {name} --check {check}", check=check),
+                      flush=True)
     return 0
 
 
