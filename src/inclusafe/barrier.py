@@ -123,6 +123,11 @@ class BarrierCandidate:
     def value_at(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float).reshape(-1)))
 
+    def value_rows(self, X) -> np.ndarray:
+        """:meth:`value_at` at every row of an (m, n) array, in one batched
+        call when the value was compiled from an expression."""
+        return expressions.rows_of(self.value)(np.asarray(X, dtype=float))
+
     def is_singular(self, x) -> bool:
         return self.singular is not None and bool(self.singular(np.asarray(x, dtype=float).reshape(-1)))
 
@@ -217,13 +222,11 @@ class SafetyScenario:
 
     def initial_samples(self) -> np.ndarray:
         g = self.grid()
-        mask = np.fromiter((self.initial(x) for x in g), dtype=bool, count=g.shape[0])
-        return g[mask]
+        return g[expressions.rows_of(self.initial, bool)(g)]
 
     def unsafe_samples(self) -> np.ndarray:
         g = self.grid()
-        mask = np.fromiter((self.unsafe(x) for x in g), dtype=bool, count=g.shape[0])
-        return g[mask]
+        return g[expressions.rows_of(self.unsafe, bool)(g)]
 
     def scaled(self, factor: float) -> "SafetyScenario":
         """Copy of the scenario on a box shrunk/grown about its center."""
@@ -244,11 +247,11 @@ class SafetyScenario:
     def validate(self):
         """Raise when sampled initial and unsafe sets overlap."""
         g = self.grid()
-        for x in g:
-            if self.initial(x) and self.unsafe(x):
-                raise ValueError(
-                    f"initial and unsafe sets overlap at sampled point {x.tolist()}"
-                )
+        both = expressions.rows_of(self.initial, bool)(g) & expressions.rows_of(self.unsafe, bool)(g)
+        if both.any():
+            raise ValueError(
+                f"initial and unsafe sets overlap at sampled point {g[both.argmax()].tolist()}"
+            )
 
 
 @dataclass(frozen=True)

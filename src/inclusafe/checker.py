@@ -35,6 +35,7 @@ from .svmap import PerturbedSystem
 __all__ = [
     "CANNOT_RUN",
     "CHECKS",
+    "MARGIN_SMOOTHNESS",
     "CheckReport",
     "CheckSpec",
     "MarginSynthesis",
@@ -410,6 +411,11 @@ class MarginSynthesis:
             "witness_cell": self.witness_cell,
             "flags": dict(self.flags),
         }
+
+
+#: candidate tags margin synthesis is meant for: it needs the gradient or
+#: the sampled Clarke gradient at each representative
+MARGIN_SMOOTHNESS = ("C2", "C1", "lipschitz")
 
 
 def synthesize_margin(

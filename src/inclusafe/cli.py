@@ -29,7 +29,7 @@ from jsonschema import Draft202012Validator
 
 from . import __version__, checker, scenarios
 from .barrier import SMOOTHNESS_TAGS, boundary_extract, candidate_check
-from .checker import CANNOT_RUN, CHECKS, synthesize_margin
+from .checker import CANNOT_RUN, CHECKS, MARGIN_SMOOTHNESS, synthesize_margin
 from .flow import FalsifyBudget, falsify
 from .modulus import build_modulus, verify_modulus
 from .numerics import scale_box
@@ -383,6 +383,12 @@ def run(
     except Exception as e:  # expression errors, inconsistent sets, bad shapes
         raise ConfigError(f"cannot build scenario: {e}") from e
     scenario = bundle_scenario.scenario
+    # margin synthesis needs generalized gradients: `all` skips the stage
+    # for other candidates, as it skips checks not meant for them
+    synthesize = scenario.barrier.smoothness in MARGIN_SMOOTHNESS
+    if command == "margin" and not synthesize:
+        raise ConfigError(f"margin synthesis needs a {'/'.join(MARGIN_SMOOTHNESS)} candidate, "
+                          f"got smoothness {scenario.barrier.smoothness!r}")
 
     out_dir = out or "inclusafe-reports"
     os.makedirs(out_dir, exist_ok=True)
@@ -410,7 +416,7 @@ def run(
             if not rep.passed:
                 exit_code = 1
 
-    if command in ("margin", "all"):
+    if command in ("margin", "all") and synthesize:
         mcfg = work.get("margin", {})
         synth = synthesize_margin(
             scenario,

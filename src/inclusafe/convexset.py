@@ -24,11 +24,12 @@ __all__ = [
     "hull_union",
     "hull_union_many",
     "merge_parts",
-    "merge_stack",
+    "pruned",
     "hausdorff",
     "contains",
     "DEFAULT_DIRECTIONS",
     "HULL_MERGE_ANGLE",
+    "PRUNE_THRESHOLD",
 ]
 
 #: default number of sampled support directions for n >= 2
@@ -38,7 +39,7 @@ DEFAULT_DIRECTIONS = 256
 HULL_MERGE_ANGLE = math.pi / 32
 
 #: point count above which intermediate hulls are pruned to their vertices
-_PRUNE_THRESHOLD = 96
+PRUNE_THRESHOLD = 96
 
 
 class DimensionMismatchError(ValueError):
@@ -205,7 +206,7 @@ def minkowski_sum(a: ConvexCompactSet, b: ConvexCompactSet) -> ConvexCompactSet:
     """Exact Minkowski sum: pairwise point sums, radii added."""
     _check_same_dimension((a, b))
     pts = (a.points[:, None, :] + b.points[None, :, :]).reshape(-1, a.dimension)
-    if pts.shape[0] > _PRUNE_THRESHOLD:
+    if pts.shape[0] > PRUNE_THRESHOLD:
         pts = _prune(pts)
     return ConvexCompactSet(pts, a.radius + b.radius)
 
@@ -254,19 +255,13 @@ def merge_parts(parts: Sequence[tuple[np.ndarray, float]], *, angle: float = HUL
             if ring is None:
                 ring = _boundary_ring(dimension, angle)
             merged.append((pts[:, None, :] + r * ring[None, :, :]).reshape(-1, dimension))
-    return _pruned(np.concatenate(merged)), rmax
+    return pruned(np.concatenate(merged)), rmax
 
 
-def merge_stack(stack: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
-    """:func:`merge_parts` of the equal-radius parts ``(stack[i], radius)``
-    of an (m, k, n) array: their points concatenate in order."""
-    if stack.shape[0] == 1:
-        return stack[0], radius
-    return _pruned(stack.reshape(-1, stack.shape[2])), radius
-
-
-def _pruned(points: np.ndarray) -> np.ndarray:
-    return _prune(points) if points.shape[0] > _PRUNE_THRESHOLD else points
+def pruned(points: np.ndarray) -> np.ndarray:
+    """The points a merge keeps of its concatenated operands: all of them,
+    or the hull vertices above :data:`PRUNE_THRESHOLD` points."""
+    return _prune(points) if points.shape[0] > PRUNE_THRESHOLD else points
 
 
 def hull_union(a: ConvexCompactSet, b: ConvexCompactSet, *, angle: float = HULL_MERGE_ANGLE) -> ConvexCompactSet:

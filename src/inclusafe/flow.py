@@ -3,9 +3,14 @@
 Solutions are produced by explicit Euler steps ``x <- x + h * v`` with the
 velocity ``v`` chosen from the current image by a selection policy.  The
 update is the exact float expression above, so tests can reproduce states
-bit for bit.  On top of the integrator sit a monotonicity test for barrier
-values along trajectories, a falsifier that searches for solutions entering
-the unsafe region, and a one-dimensional reach-interval recursion.
+bit for bit.  One loop advances any number of trials in lockstep as an
+(N, n) state array: images come from one batched evaluation per step, the
+built-in policies select every row's velocity at once, and each trial draws
+from its own random stream, so a trial's states do not depend on the trials
+beside it.  :func:`integrate` is that loop with one trial.  On top of it
+sit a monotonicity test for barrier values along trajectories, a falsifier
+that searches for solutions entering the unsafe region, and a
+one-dimensional reach-interval recursion.
 """
 from __future__ import annotations
 
@@ -15,8 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barrier import SingularPointError
-from .convexset import contains
+from .convexset import ConvexCompactSet, unit_directions
 from .svmap import PerturbedSystem
 from . import expressions
 
@@ -50,46 +54,123 @@ class SelectionPolicy:
 
     ``verify`` asks the integrator to confirm the returned velocity lies in
     the image (extreme-point selectors are feasible by construction and skip
-    the check).
+    the check).  The built-in policies also select for many trials at once,
+    equal row for row to ``select``: an extreme-point policy gives
+    ``directions(X, rngs)``, the (m, n) directions for the states X with
+    one generator per row, and the velocity is the image's extreme point in
+    that direction; a state-feedback policy gives ``rows(X)``, the (m, n)
+    velocities.  Other policies are called per row on the materialised
+    image.
     """
 
     name: str
     select: Callable
     verify: bool = False
+    directions: Optional[Callable] = None
+    rows: Optional[Callable] = None
 
     def __call__(self, x, image, rng):
         return self.select(x, image, rng)
 
 
-def b_ascent(barrier) -> SelectionPolicy:
-    """Extreme point of the image in the barrier gradient direction."""
-
+def _extreme_policy(name: str, directions: Callable) -> SelectionPolicy:
     def select(x, image, rng):
-        try:
-            g = barrier.gradient_at(x)
-        except SingularPointError:
-            g = None
-        if g is None or float(np.linalg.norm(g)) < 1e-12:
-            g = rng.standard_normal(image.dimension)
-        return image.extreme_point(g)
+        return image.extreme_point(directions(np.asarray(x, dtype=float).reshape(1, -1), [rng])[0])
 
-    return SelectionPolicy("b-ascent", select)
+    return SelectionPolicy(name, select, directions=directions)
+
+
+def _dots(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """``A[i] @ D[i]`` for a stack of (k, n) matrices A, rounded as the
+    per-row product (a plain elementwise sum of products rounds
+    differently for n >= 2)."""
+    if D.shape[1] == 1:
+        return A[:, :, 0] * D
+    return np.matmul(A, D[:, :, None])[:, :, 0]
+
+
+def _norms(D: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row, rounded as the per-vector call."""
+    return np.sqrt(_dots(D[:, None, :], D)[:, 0])
+
+
+def _extreme_rows(points: np.ndarray, radii: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """:meth:`ConvexCompactSet.extreme_point` of every row's image in the
+    direction ``D[i]``."""
+    idx = _dots(points, D).argmax(axis=1)
+    V = points[np.arange(D.shape[0]), idx]
+    norm = _norms(D)
+    grow = (radii > 0.0) & (norm > 1e-300)
+    if grow.all():
+        return V + radii[:, None] * D / norm[:, None]
+    if grow.any():
+        V[grow] = V[grow] + radii[grow, None] * D[grow] / norm[grow, None]
+    return V
+
+
+def _contains_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: np.ndarray,
+                   tol: float) -> np.ndarray:
+    """:func:`convexset.contains` of ``V[i]`` in every row's image."""
+    if V.shape[1] == 1:
+        col = points[:, :, 0]
+        lo, hi = col.min(axis=1) - radii, col.max(axis=1) + radii
+        return (lo - tol <= V[:, 0]) & (V[:, 0] <= hi + tol)
+    dirs = unit_directions(V.shape[1])
+    support = np.matmul(dirs, points.transpose(0, 2, 1)).max(axis=2)
+    single = counts == 1
+    if single.any():
+        # a one-point set is multiplied as a matrix-vector product, which
+        # rounds differently from the matrix product of the padded stack
+        support[single] = np.matmul(dirs, points[single, :1].transpose(0, 2, 1))[:, :, 0]
+    grow = radii > 0.0
+    support[grow] += radii[grow, None] * np.linalg.norm(dirs, axis=1)
+    return (np.matmul(dirs, V[:, :, None])[:, :, 0] <= support + tol).all(axis=1)
+
+
+def b_ascent(barrier) -> SelectionPolicy:
+    """Extreme point of the image in the barrier gradient direction.
+
+    On the candidate's singular set, or where the gradient vanishes, the
+    direction is a standard normal draw instead.
+    """
+
+    def directions(X, rngs):
+        m, n = X.shape
+        if barrier.gradient is None:
+            barrier.gradient_at(X[0])  # raises the per-point error
+        gradient = expressions.rows_of(barrier.gradient)
+        if barrier.singular is None:
+            G = gradient(X).reshape(m, n)
+            draw = _norms(G) < 1e-12
+        else:
+            singular = expressions.rows_of(barrier.singular, bool)(X)
+            G = np.zeros((m, n))
+            if not singular.all():
+                G[~singular] = gradient(X[~singular]).reshape(-1, n)
+            draw = singular | (_norms(G) < 1e-12)
+        if draw.any():
+            for i in np.flatnonzero(draw).tolist():
+                G[i] = rngs[i].standard_normal(n)
+        return G
+
+    return _extreme_policy("b-ascent", directions)
 
 
 def random_extreme() -> SelectionPolicy:
     """Extreme point of the image in a random direction each step."""
 
-    def select(x, image, rng):
-        d = rng.standard_normal(image.dimension)
-        n = float(np.linalg.norm(d))
-        if n < 1e-12:
-            d = np.zeros(image.dimension)
-            d[0] = 1.0
-        else:
-            d = d / n
-        return image.extreme_point(d)
+    def directions(X, rngs):
+        D = np.array([rng.standard_normal(X.shape[1]) for rng in rngs])
+        norm = _norms(D)
+        small = norm < 1e-12
+        if not small.any():
+            return D / norm[:, None]
+        D[~small] = D[~small] / norm[~small, None]
+        D[small] = 0.0
+        D[small, 0] = 1.0
+        return D
 
-    return SelectionPolicy("random-extreme", select)
+    return _extreme_policy("random-extreme", directions)
 
 
 def constant_policy(v) -> SelectionPolicy:
@@ -99,7 +180,10 @@ def constant_policy(v) -> SelectionPolicy:
     def select(x, image, rng):
         return vv
 
-    return SelectionPolicy(f"constant({', '.join(f'{c:g}' for c in vv)})", select, verify=True)
+    def rows(X):
+        return np.tile(vv, (X.shape[0], 1))
+
+    return SelectionPolicy(f"constant({', '.join(f'{c:g}' for c in vv)})", select, verify=True, rows=rows)
 
 
 def expression_policy(components: Sequence[str], dimension: int, name: str = "expression") -> SelectionPolicy:
@@ -109,7 +193,7 @@ def expression_policy(components: Sequence[str], dimension: int, name: str = "ex
     def select(x, image, rng):
         return fn(x)
 
-    return SelectionPolicy(name, select, verify=True)
+    return SelectionPolicy(name, select, verify=True, rows=fn.rows)
 
 
 def custom_policy(fn, name: str = "custom", verify: bool = False) -> SelectionPolicy:
@@ -136,6 +220,158 @@ class Trajectory:
 
     def max_over(self, fn) -> float:
         return float(max(fn(x) for x in self.states))
+
+
+class _Watch:
+    """Unsafe-excursion bookkeeping of a falsification run over ``trials``
+    trials.
+
+    A trial hits when it reaches an unsafe state at least ``threshold``
+    deep.  The lowest-index hitter wins: from its hit on, every trial with
+    a higher index retires, while it and the lower-index trials run on to
+    their own end, so the outcome is the one a one-by-one search that stops
+    at the first hitter would report.
+    """
+
+    def __init__(self, unsafe: Callable, depth_fn: Callable, threshold: float, trials: int):
+        self.unsafe = unsafe
+        self.depth_fn = depth_fn
+        self.threshold = threshold
+        self.depth = np.full(trials, -math.inf)  # deepest unsafe excursion per trial
+        self.hit = np.full(trials, -1)  # step of each trial's first crossing (-1: none)
+        self.winner = trials  # index of the lowest hitter so far (trials: none)
+
+    def observe(self, k: int, trials: np.ndarray, S: np.ndarray) -> None:
+        """Record the states ``S`` that ``trials`` reached at step k."""
+        unsafe = self.unsafe(S)
+        if not unsafe.any():
+            return
+        trials = trials[unsafe]
+        d = self.depth_fn(S[unsafe])
+        deeper = d > self.depth[trials]
+        self.depth[trials[deeper]] = d[deeper]
+        new = (d >= self.threshold) & (self.hit[trials] < 0)
+        if new.any():
+            self.hit[trials[new]] = k
+            self.winner = min(self.winner, int(trials[new].min()))
+
+
+@dataclass
+class _Run:
+    """What the lockstep loop leaves: each trial's step count and exit
+    flags, and per step the trials that advanced with their new states."""
+
+    x0: np.ndarray
+    history: list  # (trial indices, (m, n) states) per step
+    lengths: np.ndarray
+    exited: np.ndarray
+    truncated: np.ndarray
+
+    def trajectory(self, i: int, step: float, policy: str, barrier=None) -> Trajectory:
+        rows, pos, states = None, 0, [self.x0[i]]
+        for trials, S in self.history[:self.lengths[i] - 1]:
+            if trials is not rows:
+                rows, pos = trials, int(np.flatnonzero(trials == i)[0])
+            states.append(S[pos])
+        states = np.array(states)
+        return Trajectory(
+            times=step * np.arange(states.shape[0]),
+            states=states,
+            values=None if barrier is None else barrier.value_rows(states),
+            exited_box=bool(self.exited[i]),
+            truncated=bool(self.truncated[i]),
+            policy=policy,
+        )
+
+
+def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
+              backward: bool = False, on_infeasible: str = "raise",
+              feasibility_tol: float = 1e-9, watch: Optional[_Watch] = None) -> _Run:
+    """Explicit Euler steps of every trial i from ``X0[i]``, with velocities
+    from ``policies[i]`` drawing on ``rngs[i]``, all advanced together.
+
+    A trial stops at ``nsteps``, after the step that leaves ``box`` (that
+    state is kept), before a step whose verified velocity lies outside the
+    image (with ``on_infeasible="truncate"``), or when ``watch`` retires it.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    N = X0.shape[0]
+    slots = {}
+    group = np.array([slots.setdefault(id(p), len(slots)) for p in policies])
+    order = list({id(p): p for p in policies}.values())
+    streams = np.empty(N, dtype=object)  # indexable by arrays of trials
+    streams[:] = rngs
+    lengths = np.full(N, nsteps + 1)
+    exited = np.zeros(N, dtype=bool)
+    truncated = np.zeros(N, dtype=bool)
+    history = []
+    # the running trials, kept sorted by policy so that each policy's rows
+    # form one slice, and their states
+    live = np.argsort(group, kind="stable")
+    S = X0[live]
+    parts = None  # (policy, slice of rows) per policy, remade when trials retire
+    if watch is not None:
+        watch.observe(0, live, S)
+    for k in range(1, nsteps + 1):
+        if watch is not None and watch.winner < N and live.size and live.max() > watch.winner:
+            keep = live <= watch.winner
+            lengths[live[~keep]] = k
+            live, S, parts = live[keep], S[keep], None
+        if not live.size:
+            break
+        if parts is None:
+            ends = np.cumsum(np.bincount(group[live], minlength=len(order))).tolist()
+            parts = [(p, slice(a, b)) for p, a, b in zip(order, [0] + ends, ends) if b > a]
+            steered = all(p.directions is not None for p, _ in parts)
+        points, counts, radii = system.images(S)
+        if backward:
+            points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
+        V = np.empty_like(S)
+        D = np.empty_like(S) if steered else None
+        feasible = None
+        for policy, sel in parts:
+            rng = streams[live[sel]]
+            if policy.directions is not None:
+                if steered:
+                    D[sel] = policy.directions(S[sel], rng)
+                else:
+                    V[sel] = _extreme_rows(points[sel], radii[sel], policy.directions(S[sel], rng))
+                continue
+            if policy.rows is not None:
+                V[sel] = policy.rows(S[sel])
+            else:
+                for j in range(sel.start, sel.stop):
+                    image = ConvexCompactSet(points[j, :counts[j]], radii[j])
+                    V[j] = np.asarray(policy(S[j].copy(), image, rng[j - sel.start]), dtype=float).reshape(-1)
+            if policy.verify:
+                ok = _contains_rows(points[sel], counts[sel], radii[sel], V[sel], feasibility_tol)
+                if not ok.all():
+                    if feasible is None:
+                        feasible = np.ones(live.size, dtype=bool)
+                    feasible[sel] = ok
+        if steered:
+            V = _extreme_rows(points, radii, D)
+        if feasible is not None:
+            if on_infeasible == "raise":
+                j = int(np.argmin(feasible))
+                raise InfeasibleSelectionError(
+                    f"policy {policies[live[j]].name!r} chose velocity {V[j]} outside the image at x={S[j]}"
+                )
+            truncated[live[~feasible]] = True
+            lengths[live[~feasible]] = k
+            live, S, V, parts = live[feasible], S[feasible], V[feasible], None
+        S = S + step * V
+        history.append((live, S))
+        if watch is not None:
+            watch.observe(k, live, S)
+        if box is not None:
+            out = (S < box[:, 0]) | (S > box[:, 1])
+            if out.any():
+                out = out.any(axis=1)
+                exited[live[out]] = True
+                lengths[live[out]] = k + 1
+                live, S, parts = live[~out], S[~out], None
+    return _Run(X0, history, lengths, exited, truncated)
 
 
 def integrate(
@@ -166,43 +402,14 @@ def integrate(
         raise ValueError("on_infeasible must be 'raise' or 'truncate'")
     if rng is None:
         rng = np.random.default_rng(seed)
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    nsteps = int(round(horizon / step))
-    states = [x.copy()]
-    values = [barrier.value_at(x)] if barrier is not None else None
-    exited = truncated = False
-    b = None
-    if box is not None:
-        b = np.asarray(box, dtype=float)
-    for k in range(nsteps):
-        image = system.image(x)
-        if backward:
-            image = image.scale(-1.0)
-        v = np.asarray(policy(x, image, rng), dtype=float).reshape(-1)
-        if policy.verify and not contains(image, v, feasibility_tol):
-            if on_infeasible == "raise":
-                raise InfeasibleSelectionError(
-                    f"policy {policy.name!r} chose velocity {v} outside the image at x={x}"
-                )
-            truncated = True
-            break
-        x = x + step * v
-        states.append(x.copy())
-        if values is not None:
-            values.append(barrier.value_at(x))
-        if b is not None and (np.any(x < b[:, 0]) or np.any(x > b[:, 1])):
-            exited = True
-            break
-    count = len(states)
-    times = step * np.arange(count)
-    return Trajectory(
-        times=times,
-        states=np.array(states),
-        values=None if values is None else np.array(values),
-        exited_box=exited,
-        truncated=truncated,
-        policy=policy.name,
+    x = np.asarray(x0, dtype=float).reshape(1, -1)
+    run = _lockstep(
+        system, x, [policy], [rng],
+        nsteps=int(round(horizon / step)), step=step,
+        box=None if box is None else np.asarray(box, dtype=float), backward=backward,
+        on_infeasible=on_infeasible, feasibility_tol=feasibility_tol,
     )
+    return run.trajectory(0, step, policy.name, barrier)
 
 
 @dataclass
@@ -332,31 +539,24 @@ class FalsificationResult:
 
 def _velocity_bound(system, points) -> float:
     """Coarse bound on image magnitudes over sample points."""
-    best = 0.0
-    for x in points:
-        img = system.image(np.asarray(x, dtype=float).reshape(-1))
-        if img.dimension == 1:
-            lo, hi = img.interval_bounds()
-            best = max(best, abs(lo), abs(hi))
-        else:
-            norms = np.linalg.norm(img.points, axis=1)
-            best = max(best, float(norms.max()) + img.radius)
-    return best
+    P, _, R = system.images(points)
+    if P.shape[2] == 1:
+        col = P[:, :, 0]
+        vals = np.abs(np.concatenate([col.min(axis=1) - R, col.max(axis=1) + R]))
+    else:
+        vals = np.linalg.norm(P, axis=2).max(axis=1) + R
+    return float(np.fmax.reduce(vals, initial=0.0))
 
 
-def _trajectory_outcome(traj: Trajectory, unsafe, depth_fn, threshold: float):
-    """(deepest unsafe excursion, first crossing time of the threshold)."""
-    depth = -math.inf
-    hit_time = None
-    for t, x in zip(traj.times, traj.states):
-        if not unsafe(x):
-            continue
-        d = float(depth_fn(x))
-        if d > depth:
-            depth = d
-        if hit_time is None and d >= threshold:
-            hit_time = float(t)
-    return depth, hit_time
+def _first_best(start, values: np.ndarray, better) -> float:
+    """Python's ``min``/``max`` over ``start, *values``: the first item that
+    no later item beats (``better`` is ``np.fmin`` or ``np.fmax``); NaNs
+    never win, and a NaN start is kept."""
+    if start != start or not values.size:
+        return start
+    items = np.concatenate([[start], values])
+    best = better.reduce(items)
+    return items[np.flatnonzero(items == best)[0]] if best == best else start
 
 
 def falsify(
@@ -376,13 +576,21 @@ def falsify(
     strong form).  With ``eps`` omitted, the scenario's own dynamics are
     integrated as-is (including any perturbation they already carry).
 
-    Hints are tried first, in order; remaining starts are drawn from the
+    Trials are (start, policy) pairs: hints come first, in order, each with
+    its own policy if it pins one; the remaining starts are drawn from the
     initial set (or from the zero sublevel set when the initial set has no
-    grid samples), biased toward small |B|.  The first trajectory whose
-    unsafe excursion depth reaches the exit threshold wins; the threshold is
-    ten Euler steps of the observed velocity bound, which filters grazing
-    chatter, capped at the deepest unsafe node of the domain grid.
-    Everything is seeded, so results are reproducible.
+    grid samples), biased toward small |B|, and run every policy.  A start
+    outside the domain box is not integrated but still counts as tried.
+    All trials run in one lockstep loop, each drawing from its own child of
+    ``SeedSequence(budget.seed)``.  A trial hits when its unsafe excursion
+    depth reaches the exit threshold, ten Euler steps of the observed
+    velocity bound (which filters grazing chatter) capped at the deepest
+    unsafe node of the domain grid.  The lowest-index hitter is the result,
+    with ``tried`` counting the trials up to it, exactly as if the trials
+    ran one by one and the search stopped at the first hit; with no hit,
+    the deepest trial is reported.  Everything is seeded, so results are
+    reproducible, and a trial's outcome does not depend on the trials that
+    run beside it.
     """
     if budget is None:
         budget = FalsifyBudget()
@@ -401,7 +609,8 @@ def falsify(
 
     rng = np.random.default_rng(budget.seed)
     bar = scenario.barrier
-    depth_fn = scenario.depth if scenario.depth is not None else bar.value_at
+    unsafe = expressions.rows_of(scenario.unsafe, bool)
+    depth_fn = bar.value_rows if scenario.depth is None else expressions.rows_of(scenario.depth)
 
     grid = scenario.grid()
     probe_idx = np.linspace(0, grid.shape[0] - 1, min(64, grid.shape[0])).astype(int)
@@ -409,17 +618,17 @@ def falsify(
     threshold = 10.0 * step * max(vbound, 1e-12)
     # a threshold deeper than the box has room for could only be met by
     # leaving the box, so cap it at the deepest unsafe grid node
-    room = max((float(depth_fn(x)) for x in grid if scenario.unsafe(x)), default=0.0)
+    depths = depth_fn(grid[unsafe(grid)])
+    room = float(_first_best(depths[0], depths[1:], np.fmax)) if depths.size else 0.0
     if room > 0.0:
         threshold = min(threshold, room)
 
     pool = scenario.initial_samples()
     if pool.shape[0] == 0:
-        bvals = np.fromiter((bar.value_at(x) for x in grid), dtype=float, count=grid.shape[0])
-        pool = grid[bvals <= scenario.tolerances.tol]
+        pool = grid[bar.value_rows(grid) <= scenario.tolerances.tol]
     if pool.shape[0] == 0:
         raise ValueError("no admissible start points inside the domain box")
-    weights = 1.0 / (0.1 + np.abs(np.fromiter((bar.value_at(x) for x in pool), dtype=float, count=pool.shape[0])))
+    weights = 1.0 / (0.1 + np.abs(bar.value_rows(pool)))
     weights = weights / weights.sum()
 
     if policies is None:
@@ -433,35 +642,42 @@ def falsify(
         picks = rng.choice(pool.shape[0], size=n_random, p=weights)
         for i in picks:
             starts.append((pool[i].copy(), None, "sampled"))
+    trials = [(x0, pol, label) for x0, pinned, label in starts
+              for pol in ([pinned] if pinned is not None else policies)]
 
-    best = FalsificationResult(
-        found=False, eps=eps, depth=-math.inf, threshold=threshold,
-        tried=0, notes="no unsafe excursion beyond threshold",
-    )
-    tried = 0
-    for x0, pinned, label in starts:
-        trial_policies = [pinned] if pinned is not None else list(policies)
-        for pol in trial_policies:
-            tried += 1
-            traj = integrate(
-                system, x0,
-                horizon=budget.horizon, step=step, policy=pol,
-                barrier=bar, box=scenario.box,
-                on_infeasible="truncate", rng=rng,
-            )
-            depth, hit_time = _trajectory_outcome(traj, scenario.unsafe, depth_fn, threshold)
-            if depth > best.depth:
-                best = FalsificationResult(
-                    found=hit_time is not None,
-                    eps=eps, depth=depth, threshold=threshold,
-                    hit_time=hit_time, start=x0, policy=pol.name,
-                    trajectory=traj, tried=tried,
-                    notes=label,
-                )
-            if hit_time is not None:
-                best.tried = tried
-                return best
-    best.tried = tried
+    box = scenario.box
+    in_box = [not (np.any(x0 < box[:, 0]) or np.any(x0 > box[:, 1])) for x0, _, _ in trials]
+    inside = [i for i, ok in enumerate(in_box) if ok]
+    streams = np.random.SeedSequence(budget.seed).spawn(len(trials))
+    watch = _Watch(unsafe, depth_fn, threshold, len(inside))
+    run = _lockstep(
+        system, np.array([trials[i][0] for i in inside]).reshape(len(inside), -1),
+        [trials[i][1] for i in inside], [np.random.default_rng(streams[i]) for i in inside],
+        nsteps=int(round(budget.horizon / step)), step=step, box=box,
+        on_infeasible="truncate", watch=watch,
+    ) if inside else None
+
+    def outcome(j: int, found: bool, tried: int) -> FalsificationResult:
+        x0, pol, label = trials[inside[j]]
+        return FalsificationResult(
+            found=found, eps=eps, depth=float(watch.depth[j]), threshold=threshold,
+            hit_time=float(step * watch.hit[j]) if found else None, start=x0,
+            policy=pol.name, trajectory=run.trajectory(j, step, pol.name, bar),
+            tried=tried, notes=label,
+        )
+
+    if watch.winner < len(inside):
+        return outcome(watch.winner, True, inside[watch.winner] + 1)
+    if inside and watch.depth.max() > -math.inf:
+        best = outcome(int(np.argmax(watch.depth)), False, len(trials))
+    else:
+        best = FalsificationResult(
+            found=False, eps=eps, depth=-math.inf, threshold=threshold,
+            tried=len(trials), notes="no unsafe excursion beyond threshold",
+        )
+    if not all(in_box):
+        skipped = ", ".join(f"{label!r} at {x0.tolist()}" for (x0, _, label), ok in zip(trials, in_box) if not ok)
+        best.notes += f"; not integrated, start outside the domain box: {skipped}"
     return best
 
 
@@ -482,11 +698,9 @@ def reach_interval_1d(system, interval, *, horizon: float, step: float, samples:
     nsteps = int(round(horizon / step))
     for _ in range(nsteps):
         xs = np.linspace(lo, hi, samples)
-        new_lo, new_hi = lo, hi
-        for x in xs:
-            flo, fhi = system.image(np.array([x])).interval_bounds()
-            new_lo = min(new_lo, x + step * flo)
-            new_hi = max(new_hi, x + step * fhi)
-        lo, hi = new_lo, new_hi
+        P, _, R = system.images(xs[:, None])
+        col = P[:, :, 0]
+        lo = _first_best(lo, xs + step * (col.min(axis=1) - R), np.fmin)
+        hi = _first_best(hi, xs + step * (col.max(axis=1) + R), np.fmax)
         out.append((lo, hi))
     return np.array(out)

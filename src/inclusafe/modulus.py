@@ -125,16 +125,18 @@ def beta(
     origin = np.zeros(n)
     hskw = {"directions": directions} if n > 1 else {}
     f0 = f_map.image(origin)
+    # F(y) does not depend on the step radius: evaluate it once per point
+    ys = [m * d for m in mags for d in ring]
+    images = [f_map.image(y) for y in ys]
     best = 0.0
     for s in svals:
         origin_term = hausdorff(_ball_hull(f_map, origin, s, density), f0, **hskw)
-        for m in mags:
-            for d in ring:
-                g = local_gap(
-                    f_map, m * d, s, density=density, directions=directions,
-                    _origin_term=origin_term,
-                )
-                best = max(best, g)
+        for y, fy in zip(ys, images):
+            g = local_gap(
+                f_map, y, s, density=density, directions=directions,
+                _origin_term=origin_term, _image=fy,
+            )
+            best = max(best, g)
     return best
 
 

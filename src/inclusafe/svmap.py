@@ -6,11 +6,14 @@ makes the evaluated map closed at piece interfaces.  Perturbed variants add
 a state-dependent margin either to the image alone or to both the argument
 (via an inscribed ball lattice) and the image.
 
-Hulls over an argument ball (strong images, modulus ball hulls, continuity
-margins) are evaluated by :meth:`SetValuedMap.ball_hull` in one pass over
-the whole lattice: pieces return raw point arrays for all lattice rows at
-once and a single set is built at the end.  The per-point
-:meth:`SetValuedMap.image` is the oracle it must match bit for bit.
+Images at many points are evaluated in one pass by :meth:`SetValuedMap.images`
+and :meth:`PerturbedSystem.images`: predicates and pieces run on the whole
+(N, n) array and every row's image comes back as a padded (N, K, n) point
+stack with (N,) radii.  Hulls over an argument ball (strong images, modulus
+ball hulls, continuity margins) are the same pass over every row's ball
+lattice, merged per row; :meth:`SetValuedMap.ball_hull` and
+:meth:`PerturbedSystem.image` are the one-row case.  The per-point
+:meth:`SetValuedMap.image` is the oracle they must match bit for bit.
 """
 from __future__ import annotations
 
@@ -21,11 +24,12 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .convexset import (
+    PRUNE_THRESHOLD,
     ConvexCompactSet,
     contains,
     hull_union_many,
     merge_parts,
-    merge_stack,
+    pruned,
     unit_directions,
 )
 from .numerics import box_array, box_grid, largest_feasible
@@ -104,9 +108,59 @@ def polynomial_piece(predicate, components: Sequence[str], dimension: int, radiu
         return ConvexCompactSet(fn(x).reshape(1, -1), r)
 
     def rows(X):
-        return np.array([fn(x) for x in X])[:, None, :], r
+        return fn.rows(X)[:, None, :], r
 
     return Piece(predicate, image, label, rows)
+
+
+def _concatenated(pts: np.ndarray, radius: float, group: int):
+    """The run hulls when every row holds one piece's points ``pts[i]``
+    with one radius: each run concatenates its rows' points, unless that
+    leaves more than :data:`PRUNE_THRESHOLD` points to prune (then None)."""
+    G, size = pts.shape[0] // group, pts.shape[1] * group
+    if group > 1 and size > PRUNE_THRESHOLD:
+        return None
+    return pts.reshape(G, size, pts.shape[2]), np.full(G, size), np.full(G, float(radius))
+
+
+def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, group: int):
+    """The hulls of runs of ``group`` consecutive rows of the padded row
+    hulls ``(A, counts, radius)`` under the :func:`merge_parts` rule, in
+    the layout of :meth:`SetValuedMap._hulls`."""
+    m, width, n = A.shape
+    G = m // group
+    radii = radius.reshape(G, group)
+    rmax = radii.max(axis=1)
+    plain = ((radii == rmax[:, None]) | (radii == 0.0)).all(axis=1)
+    sizes = counts.reshape(G, group).sum(axis=1)
+    points = A.reshape(G, group * width, n)
+    if not (counts == width).all():
+        # move each run's points to its front, in order; the rows' padding
+        # follows and repeats points of the run
+        filled = (np.arange(width) < counts[:, None]).reshape(G, -1)
+        order = np.argsort(~filled, axis=1, kind="stable")
+        points = np.take_along_axis(points, order[:, :, None], axis=1)[:, :sizes.max()]
+    special = {g: (pruned(points[g, :sizes[g]]), rmax[g])
+               for g in np.flatnonzero(plain & (sizes > PRUNE_THRESHOLD)).tolist()}
+    for g in np.flatnonzero(~plain).tolist():
+        rows = range(g * group, (g + 1) * group)
+        special[g] = merge_parts([(A[i, :counts[i]], radius[i]) for i in rows])
+    if not special:
+        return points, sizes, rmax
+    size = max(len(pts) for pts, _ in special.values())
+    if size > points.shape[1]:
+        points = np.concatenate([points, np.repeat(points[:, -1:], size - points.shape[1], axis=1)], axis=1)
+    for g, (pts, r) in special.items():
+        points[g, :len(pts)] = pts
+        points[g, len(pts):] = pts[-1]
+        sizes[g] = len(pts)
+        rmax[g] = r
+    return points, sizes, rmax
+
+
+def _one(points: np.ndarray, counts: np.ndarray, radii: np.ndarray) -> ConvexCompactSet:
+    """The set of the first row of an :meth:`SetValuedMap.images` result."""
+    return ConvexCompactSet(points[0, :counts[0]], radii[0])
 
 
 class SetValuedMap:
@@ -121,17 +175,14 @@ class SetValuedMap:
         self.dimension = int(dimension)
         self.pieces = pieces
 
-    def _probes(self, X: np.ndarray, slack: float) -> list[list[np.ndarray]]:
-        """Predicate probe points of each row of X, as :meth:`matching` makes
-        them: the row itself, then with ``slack > 0`` the axis probes
-        ``x -+ slack * e_i``."""
-        if slack <= 0.0:
-            return [[x] for x in X]
+    def _probes(self, X: np.ndarray, slack: float) -> np.ndarray:
+        """Predicate probe points of each row of X as an (m, 1 + 2n, n)
+        array: the row itself, then the axis probes ``x -+ slack * e_i``."""
         P = np.repeat(X[:, None, :], 1 + 2 * self.dimension, axis=1)
         for i in range(self.dimension):
             for j, sgn in enumerate((-1.0, 1.0)):
                 P[:, 1 + 2 * i + j, i] += sgn * slack
-        return [list(row) for row in P]
+        return P
 
     def matching(self, x, slack: float = 0.0) -> list[int]:
         """Indices of pieces active at x.
@@ -142,13 +193,7 @@ class SetValuedMap:
         boundary points sitting on a piece interface.
         """
         x = np.asarray(x, dtype=float).reshape(-1)
-        probes = [x]
-        if slack > 0.0:
-            for i in range(self.dimension):
-                for sgn in (-1.0, 1.0):
-                    p = x.copy()
-                    p[i] += sgn * slack
-                    probes.append(p)
+        probes = self._probes(x[None], slack)[0] if slack > 0.0 else [x]
         out = []
         for k, piece in enumerate(self.pieces):
             for p in probes:
@@ -168,6 +213,115 @@ class SetValuedMap:
             return sets[0]
         return hull_union_many(sets)
 
+    def _active(self, X: np.ndarray, slack: float) -> np.ndarray:
+        """(pieces, m) mask of the pieces whose predicate holds at each row
+        of X (or at one of its axis probes when ``slack > 0``)."""
+        m = X.shape[0]
+        active = np.empty((len(self.pieces), m), dtype=bool)
+        probes = None
+        for k, piece in enumerate(self.pieces):
+            constant = getattr(piece.predicate, "constant", None)
+            if constant is not None:
+                active[k] = constant
+                continue
+            if probes is None:
+                probes = X if slack <= 0.0 else self._probes(X, slack).reshape(-1, self.dimension)
+            hit = expressions.rows_of(piece.predicate, bool)(probes)
+            active[k] = hit if slack <= 0.0 else hit.reshape(m, -1).any(axis=1)
+        return active
+
+    def _hulls(self, X: np.ndarray, slack: float, group: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hull of the images over each run of ``group`` consecutive rows of
+        X, merged as ``hull_union_many([self.image(x, slack) for x in run])``:
+        rows where several pieces hold are merged first, then the rows of
+        a run in order.  Returns (points, counts, radii) of shapes (G, K, n),
+        (G,) and (G,); run g's hull has the points ``points[g, :counts[g]]``
+        and the rest of its row repeats some of them.
+
+        A row where one piece with a batched form holds takes that piece's
+        row; other rows are merged through the per-point rule.  Runs whose
+        rows all share the largest radius or have radius 0 (the rule then
+        just concatenates points) are assembled as arrays; the others go
+        through the per-point rule too.
+        """
+        m, n = X.shape
+        G = m // group
+        active = self._active(X, slack)
+        if len(self.pieces) == 1 and self.pieces[0].rows is not None and active.all():
+            pts, r = self.pieces[0].rows(X)
+            whole = _concatenated(pts, r, group)
+            if whole is not None:
+                return whole
+        hits = active.sum(axis=0)
+        if not hits.all():
+            x = X[np.argmin(hits)]
+            raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
+        lone = hits == 1
+        fills = []  # (rows, points, radius) of pieces evaluated in one pass
+        for piece, mask in zip(self.pieces, active):
+            rows = mask & lone
+            if piece.rows is None or not rows.any():
+                continue
+            if rows.all():
+                # one piece holds on every row and no other piece anywhere
+                pts, r = piece.rows(X)
+                whole = _concatenated(pts, r, group)
+                if whole is not None:
+                    return whole
+                rows = slice(None)
+            else:
+                pts, r = piece.rows(X[rows])
+            fills.append((rows, pts, float(r)))
+            lone &= ~mask
+        # what is left: rows where several pieces hold or a piece has no
+        # batched form
+        merged = {i: merge_parts([(s.points, s.radius) for s in
+                                  (self.pieces[k].image(X[i]) for k in np.flatnonzero(active[:, i]))])
+                  for i in np.flatnonzero(lone | (hits > 1)).tolist()}
+        width = max([pts.shape[1] for _, pts, _ in fills] + [len(p) for p, _ in merged.values()])
+        A = np.empty((m, width, n))
+        counts = np.empty(m, dtype=int)
+        radius = np.empty(m)
+        for rows, pts, r in fills:
+            c = pts.shape[1]
+            A[rows, :c] = pts
+            A[rows, c:] = pts[:, -1:]
+            counts[rows] = c
+            radius[rows] = r
+        for i, (pts, r) in merged.items():
+            A[i, :len(pts)] = pts
+            A[i, len(pts):] = pts[-1]
+            counts[i] = len(pts)
+            radius[i] = r
+        if group == 1:
+            return A, counts, radius
+        return _merge_runs(A, counts, radius, group)
+
+    def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The image at every row of an (m, n) array X in one pass.
+
+        Returns (points, counts, radii) of shapes (m, K, n), (m,) and (m,):
+        row i's image is ``co{points[i, :counts[i]]} + radii[i] * B``, equal
+        bit for bit to ``self.image(X[i], slack)``; the padding repeats
+        points of the row after its own, so support values and extreme
+        points may read the whole stack.
+        """
+        X = np.asarray(X, dtype=float).reshape(-1, self.dimension)
+        return self._hulls(X, slack, 1)
+
+    def ball_hulls(self, centers, radii, density: int, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`ball_hull` at every row of an (m, n) array of centers, with
+        radius ``radii[i]`` for row i (or one radius for all), in one pass;
+        returned as by :meth:`images`."""
+        n = self.dimension
+        centers = np.asarray(centers, dtype=float).reshape(-1, 1, n)
+        L = unit_ball_lattice(n, density)
+        if L.shape[0] == 0:
+            raise ValueError(f"the {n}-D ball lattice of density {density} is empty")
+        radii = np.asarray(radii, dtype=float)
+        X = centers + L * (radii if radii.ndim == 0 else radii.reshape(-1, 1, 1))
+        return self._hulls(X.reshape(-1, n), slack, L.shape[0])
+
     def ball_hull(self, center, radius: float, density: int, slack: float = 0.0) -> ConvexCompactSet:
         """Hull of the images over the lattice ``center + radius * L`` of the
         ball, ``L = unit_ball_lattice(n, density)``.
@@ -177,43 +331,7 @@ class SetValuedMap:
         first, exactly as :meth:`image` merges them, then all rows are merged
         in lattice order under the same rule.
         """
-        center = np.asarray(center, dtype=float).reshape(-1)
-        X = center + unit_ball_lattice(self.dimension, density) * radius
-        m = X.shape[0]
-        if m == 0:
-            raise ValueError(f"the {self.dimension}-D ball lattice of density {density} is empty")
-        active = np.empty((len(self.pieces), m), dtype=bool)
-        probes = None
-        for k, piece in enumerate(self.pieces):
-            constant = getattr(piece.predicate, "constant", None)
-            if constant is not None:
-                active[k] = constant
-                continue
-            if probes is None:
-                probes = self._probes(X, slack)
-            active[k] = [any(map(piece.predicate, row)) for row in probes]
-        counts = active.sum(axis=0)
-        if not counts.all():
-            x = X[np.argmin(counts)]
-            raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
-        hits = active.sum(axis=1)
-        owner = self.pieces[int(hits.argmax())]
-        if hits.max() == counts.sum() == m and owner.rows is not None:
-            # one piece holds on every row and no other piece anywhere
-            return ConvexCompactSet(*merge_stack(*owner.rows(X)))
-        row_parts = [[] for _ in range(m)]
-        for piece, mask in zip(self.pieces, active):
-            rows = mask.nonzero()[0]
-            if not rows.size:
-                continue
-            if piece.rows is not None:
-                pts, r = piece.rows(X[rows])
-                parts = zip(pts, [r] * rows.size)
-            else:
-                parts = ((s.points, s.radius) for s in map(piece.image, X[rows]))
-            for i, part in zip(rows.tolist(), parts):
-                row_parts[i].append(part)
-        return ConvexCompactSet(*merge_parts([merge_parts(parts) for parts in row_parts]))
+        return _one(*self.ball_hulls(center, radius, density, slack))
 
     @classmethod
     def from_config(cls, dimension: int, pieces_cfg: Sequence[dict]) -> "SetValuedMap":
@@ -325,16 +443,32 @@ class PerturbedSystem:
             raise ValueError(f"sensing margin must be positive, got {v} at x={x}")
         return v
 
-    def image(self, x, slack: float = 0.0) -> ConvexCompactSet:
-        x = np.asarray(x, dtype=float).reshape(-1)
+    def _margins(self, X: np.ndarray, sensing: bool):
+        """:meth:`margin_at` (or :meth:`sense_margin_at`) at every row of X;
+        one float when the margin is constant."""
+        at = self.sense_margin_at if sensing else self.margin_at
+        margin = self.sense_margin if sensing and self.sense_margin is not None else self.margin
+        if callable(margin):
+            return np.array([at(x) for x in X])
+        return at(X[0])
+
+    def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The perturbed image at every row of an (m, n) array X in one pass,
+        returned as by :meth:`SetValuedMap.images`."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.dimension)
         if self.mode == "none":
-            return self.base.image(x, slack)
+            return self.base.images(X, slack)
+        eps_img = self._margins(X, False)
         if self.mode == "image":
-            return self.base.image(x, slack).inflate(self.margin_at(x))
-        # strong: hull over an argument-ball lattice, then inflate
-        eps_img = self.margin_at(x)
-        eps_arg = self.sense_margin_at(x)
-        return self.base.ball_hull(x, eps_arg, self.density, slack).inflate(eps_img)
+            points, counts, radii = self.base.images(X, slack)
+        else:
+            # strong: hull over each row's argument-ball lattice
+            points, counts, radii = self.base.ball_hulls(X, self._margins(X, True), self.density, slack)
+        return points, counts, radii + eps_img
+
+    def image(self, x, slack: float = 0.0) -> ConvexCompactSet:
+        """The perturbed image at x: the one-row case of :meth:`images`."""
+        return _one(*self.images(x, slack))
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,29 @@ def test_all_skips_weighted_c1_on_lipschitz_candidate_with_oracle(tmp_path):
     assert code == 0
 
 
+def _lsc_config():
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["barrier"] = {"value": "x1 - 1", "gradient": ["1"], "smoothness": "lsc"}
+    cfg["boundary_points"] = [[1.0]]
+    return cfg
+
+
+def test_margin_on_semicontinuous_candidate_exits_two(tmp_path, capsys):
+    path = _write_cfg(tmp_path, _lsc_config())
+    with pytest.raises(ConfigError, match="smoothness 'lsc'"):
+        run(path, "margin", out=str(tmp_path))
+    assert main(["margin", path, "--out", str(tmp_path)]) == 2
+    assert "'lsc'" in capsys.readouterr().err
+
+
+def test_all_skips_margin_on_semicontinuous_candidate(tmp_path):
+    path = _write_cfg(tmp_path, _lsc_config())
+    bundle, code = run(path, "all", out=str(tmp_path))
+    assert bundle["margin"] is None
+    assert bundle["checks"] and bundle["modulus"]
+    assert code == bundle["exit_code"]
+
+
 def test_clarke_check_selected_for_lipschitz_candidates(tmp_path):
     cfg = scenarios.builtin_config("linear-stable")
     cfg["barrier"] = {"value": "abs(x1) - 1", "smoothness": "lipschitz",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from inclusafe import ExpressionError, scenarios
@@ -47,3 +48,94 @@ def test_predicates_without_state_variables_fold_to_constants():
     assert predicate_fn("x1 <= 0", 1).constant is None
     # a domain error is left to evaluation time, as for any expression
     assert predicate_fn("log(0) > 1", 1).constant is None
+
+
+# ----------------------------------------------------------------------- #
+# batched forms
+def _builtin_expressions():
+    """(kind, expression, dimension) of every expression in the builtin
+    configs and of both hint velocities."""
+    out = []
+    for name in scenarios.BUILTIN:
+        cfg = scenarios.builtin_config(name)
+        n = cfg["dimension"]
+        bar = cfg["barrier"]
+        out.append(("scalar", bar["value"], n))
+        out.append(("vector", bar["gradient"], n))
+        out += [("predicate", cfg[k], n) for k in ("initial", "unsafe")]
+        out.append(("scalar", cfg["depth"], n))
+        for piece in cfg["dynamics"]["pieces"]:
+            out.append(("predicate", piece["when"], n))
+            if piece["image"]["kind"] == "polynomial":
+                out.append(("vector", piece["image"]["components"], n))
+        out += [("vector", h["velocity"], n) for h in cfg.get("hints", ())]
+    # example2's sensing-offset hint velocity, as its hint builder writes it
+    out += [("vector", ["0", f"-1 + x1**2*(x2 + {eps!r}) + {eps!r}"], 2) for eps in (0.04, 0.1)]
+    return out
+
+
+_EXTRA = [
+    "x1**2 - x2**3 + 2**x1", "x1 // x2 + x1 % x2 - x2 // 0.7 + (-x1) % 3",
+    "sqrt(abs(x1)) + exp(-x2) - log(1 + abs(x1)) + sin(x2) * cos(x1)",
+    "tan(x1) + tanh(x2) + floor(x1) * ceil(x2)",
+    "min(x1, 0.0) + max(x2, -0.0, x1)", "min(x1*0, -0.0)", "max(-0.0, x2*0)",
+    "-1 < x1 <= x2 < 2", "x1 == x2 != 0", "x1 if x1 > x2 else (x2 if x2 > 0 else -x1)",
+    "x1 > 0 and x2 < 0", "x1 and x2", "x1 or x2 or 3", "not (x1 > 0)",
+    "log(x1) if x1 > 0 else -x1",  # log of a negative number in the branch not taken
+    "x1 / x2", "(x1 > 0) + (x2 <= 0) * 2", "pi * x1 + e", "3 ** 2 + x1",
+]
+
+
+def _points(n: int) -> np.ndarray:
+    rng = np.random.default_rng(7 + n)
+    X = rng.uniform(-3.0, 3.0, (300, n))
+    X[:40] = np.round(X[:40])  # integer points: exact ties, x1 == 0, x2 == 0
+    X[40:60, 0] = 0.0
+    X[60:80, 0] = -0.0
+    X[80:90] = 0.0
+    return X
+
+
+def _rows_match_scalar(kind, expression, n):
+    X = _points(n)
+    if kind == "vector":
+        f = vector_fn(expression, n)
+        want = np.array([f(x) for x in X])
+    else:
+        f = (scalar_fn if kind == "scalar" else predicate_fn)(expression, n)
+        want = np.array([f(x) for x in X])
+    got = f.rows(X)
+    assert got.dtype == want.dtype and got.shape == want.shape, expression
+    assert got.tobytes() == want.tobytes(), expression
+
+
+@pytest.mark.parametrize("kind, expression, n", _builtin_expressions())
+def test_rows_equal_stacked_scalar_results_on_builtin_expressions(kind, expression, n):
+    _rows_match_scalar(kind, expression, n)
+
+
+@pytest.mark.parametrize("expression", _EXTRA)
+def test_rows_equal_stacked_scalar_results_on_every_construct(expression):
+    with np.errstate(all="ignore"):
+        for kind in ("scalar", "predicate"):
+            _rows_match_scalar(kind, expression, 2)
+        _rows_match_scalar("vector", [expression, "x2"], 2)
+
+
+def test_rows_min_max_keep_the_first_of_signed_zero_ties():
+    X = np.array([[0.0, -0.0], [-0.0, 0.0]])
+    assert np.signbit(scalar_fn("min(x1, x2)", 2).rows(X)).tolist() == [False, True]
+    assert np.signbit(scalar_fn("max(x2, x1)", 2).rows(X)).tolist() == [True, False]
+
+
+def test_rows_fall_back_to_row_errors():
+    f = scalar_fn("log(x1)", 1)
+    assert f.rows(np.array([[1.0], [math.e]])).tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError):  # the per-point form's math domain error
+        f.rows(np.array([[1.0], [-1.0]]))
+    # Python's power gives a complex number here; the per-point form on a
+    # float64 gives nan, and so must the batched form
+    with np.errstate(all="ignore"):
+        g = scalar_fn("x1 ** 0.5", 1)
+        X = np.array([[4.0], [-4.0]])
+        assert np.array_equal(g.rows(X), [g(x) for x in X], equal_nan=True)

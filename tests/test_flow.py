@@ -10,6 +10,7 @@ from inclusafe import (
     FalsifyBudget,
     Hint,
     InfeasibleSelectionError,
+    PerturbedSystem,
     SetValuedMap,
     affine_piece,
     b_ascent,
@@ -22,7 +23,10 @@ from inclusafe import (
     monotonicity_test,
     random_extreme,
     reach_interval_1d,
+    scenarios,
 )
+from inclusafe.convexset import ConvexCompactSet, contains
+from inclusafe.flow import _contains_rows, _extreme_rows, _lockstep
 
 
 def _linear_map():
@@ -267,3 +271,94 @@ def test_reach_tube_validation():
         reach_interval_1d(_pm1_map(), [1.0, 0.0], horizon=1.0, step=0.1)
     with pytest.raises(ValueError):
         reach_interval_1d(_pm1_map(), [0.0, 1.0], horizon=1.0, step=0.1, samples=1)
+
+
+# ----------------------------------------------------------------------- #
+# lockstep trials
+@pytest.mark.parametrize("name, eps", [("example1", 0.1), ("example2", 0.04)])
+def test_trial_alone_matches_its_states_inside_a_400_trial_batch(name, eps):
+    bundle = scenarios.build(name)
+    sc = bundle.scenario
+    system = PerturbedSystem(sc.dynamics, eps, "strong")
+    pool = sc.initial_samples()
+    picks = pool[np.random.default_rng(3).integers(pool.shape[0], size=199)]
+    hint = bundle.hints(eps)[0]
+    x0 = np.vstack([hint.x0, np.repeat(picks, 2, axis=0)])
+    policies = [hint.policy] + [b_ascent(sc.barrier), random_extreme()] * 199
+    streams = np.random.SeedSequence(11).spawn(len(policies))
+    step = 1e-3
+    run = _lockstep(system, x0, policies, [np.random.default_rng(s) for s in streams],
+                    nsteps=20, step=step, box=sc.box, on_infeasible="truncate")
+    for i in (0, 1, 2, 57, 200, 397, 398):
+        alone = integrate(system, x0[i], horizon=20 * step, step=step, policy=policies[i],
+                          box=sc.box, on_infeasible="truncate",
+                          rng=np.random.default_rng(streams[i]))
+        inside = run.trajectory(i, step, policies[i].name)
+        assert alone.states.shape == inside.states.shape
+        assert alone.states.tobytes() == inside.states.tobytes()
+        assert (alone.exited_box, alone.truncated) == (inside.exited_box, inside.truncated)
+
+
+def _drift_right_scenario():
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["box"] = [[-2.0, 3.0]]
+    cfg["dynamics"] = {"pieces": [
+        {"when": "True", "image": {"kind": "constant", "points": [[1.0]]}}]}
+    return scenarios.bundle_from_config(cfg).scenario
+
+
+def test_lower_index_hitter_wins_although_a_higher_one_crosses_first():
+    sc = _drift_right_scenario()
+    late = Hint(np.array([0.0]), constant_policy([1.0]), "late")
+    early = Hint(np.array([0.9]), constant_policy([1.0]), "early")
+    budget = FalsifyBudget(starts=2, horizon=2.0, step=0.01)
+    res = falsify(sc, budget=budget, hints=[late, early])
+    assert res.found and res.threshold == pytest.approx(0.1)
+    assert res.notes == "late" and np.array_equal(res.start, [0.0])
+    assert res.tried == 1
+    assert res.hit_time == pytest.approx(1.1, abs=0.011)
+    # the outcome is the one the winning trial has on its own
+    alone = falsify(sc, budget=FalsifyBudget(starts=1, horizon=2.0, step=0.01), hints=[late])
+    assert (alone.depth, alone.hit_time, alone.tried) == (res.depth, res.hit_time, res.tried)
+    assert alone.trajectory.states.tobytes() == res.trajectory.states.tobytes()
+    # in the other order the early crosser is the lowest hitter
+    swapped = falsify(sc, budget=budget, hints=[early, late])
+    assert swapped.notes == "early" and swapped.tried == 1
+    assert swapped.hit_time == pytest.approx(0.2, abs=0.011)
+
+
+def test_hint_outside_the_box_is_counted_but_not_integrated(example2):
+    eps = 0.005  # the hint (1/sqrt(eps), 0) lies at x1 ~ 14.1, outside |x1| <= 10
+    res = falsify(example2.scenario, eps=eps,
+                  budget=FalsifyBudget(starts=3, horizon=0.1),
+                  hints=example2.hints(eps))
+    assert not res.found
+    assert res.tried == 1 + 2 * 2
+    assert res.policy != "sensing-offset"
+    assert "'cone-escape'" in res.notes and "outside the domain box" in res.notes
+    inside = falsify(example2.scenario, eps=0.04,
+                     budget=FalsifyBudget(starts=1, horizon=0.5),
+                     hints=example2.hints(0.04))
+    assert inside.found and inside.notes == "cone-escape"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_extreme_points_and_containment_match_the_set_methods(n):
+    rng = np.random.default_rng(n)
+    sets = [ConvexCompactSet(rng.normal(size=(int(rng.integers(1, 7)), n)),
+                             float(rng.choice([0.0, rng.uniform(0.0, 1.0)])))
+            for _ in range(300)]
+    K = max(s.points.shape[0] for s in sets)
+    points = np.array([np.vstack([s.points] + [s.points[-1:]] * (K - s.points.shape[0])) for s in sets])
+    counts = np.array([s.points.shape[0] for s in sets])
+    radii = np.array([s.radius for s in sets])
+    D = rng.normal(size=(len(sets), n))
+    D[:10] = 0.0  # a zero direction keeps the hull vertex
+    got = _extreme_rows(points, radii, D)
+    want = np.array([s.extreme_point(d) for s, d in zip(sets, D)])
+    assert got.tobytes() == want.tobytes()
+    # points on the boundary (the extreme points), inside and outside
+    V = np.vstack([want[:100], want[100:200] * 0.5, want[200:] * 2.0 + 0.1])
+    for tol in (0.0, 1e-9):
+        got = _contains_rows(points, counts, radii, V, tol)
+        assert got.tolist() == [contains(s, v, tol) for s, v in zip(sets, V)]

@@ -162,6 +162,23 @@ def test_beta_monotone_in_both_arguments():
     assert vals[0] < vals[1] < vals[2]
 
 
+def test_beta_evaluates_each_image_once(monkeypatch):
+    f = scenarios.build("example2").scenario.dynamics
+    # the value as the per-radius loop computed it, F(y) evaluated per call
+    ring = np.array([[np.cos(a), np.sin(a)] for a in 2 * np.pi * np.arange(16) / 16])
+    want = 0.0
+    for s in np.linspace(0.0, 1.0, 9)[1:]:
+        for m in np.linspace(0.0, 1.0, 9)[1:]:
+            for d in ring:
+                want = max(want, local_gap(f, m * d, s, directions=64))
+    calls = []
+    image = SetValuedMap.image
+    monkeypatch.setattr(SetValuedMap, "image", lambda self, *a, **k: calls.append(1) or image(self, *a, **k))
+    got = beta(f, 1.0, 1.0)
+    assert len(calls) == 1 + 8 * 16  # F(0), then once per ring point
+    assert got == want
+
+
 # ----------------------------------------------------------------------- #
 # serialization
 def test_tables_round_trip_through_json(corpus_pairs):

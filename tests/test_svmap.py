@@ -348,3 +348,77 @@ def test_ball_hull_raises_when_no_piece_covers_a_lattice_point():
         _per_point_hull(f, np.array([0.25]), 0.5, 9, 0.0)
     # a ball inside the covered part is fine
     assert f.ball_hull(np.array([-1.0]), 0.5, 9).interval_bounds() == (1.0, 1.0)
+
+
+# ----------------------------------------------------------------------- #
+# batched images
+def _per_point_perturbed(system, x, slack):
+    """The perturbed image at x built from per-point images only."""
+    if system.mode == "none":
+        return system.base.image(x, slack)
+    if system.mode == "image":
+        return system.base.image(x, slack).inflate(system.margin_at(x))
+    eps_arg = system.sense_margin_at(x)
+    return _per_point_hull(system.base, x, eps_arg, system.density, slack).inflate(system.margin_at(x))
+
+
+def _assert_rows_are_per_point(got, want_sets):
+    points, counts, radii = got
+    assert points.shape[0] == counts.shape[0] == radii.shape[0] == len(want_sets)
+    for i, want in enumerate(want_sets):
+        c = counts[i]
+        assert points[i, :c].tobytes() == want.points.tobytes()
+        assert radii[i] == want.radius
+        # the padding repeats points of the row, so it moves no support value
+        assert all((want.points == p).all(axis=1).any() for p in points[i, c:])
+
+
+def _batch_points(f, rng):
+    X = rng.uniform(-2.0, 2.0, (24, f.dimension))
+    X[:4] = 0.0  # example1's x1 = 0 interface: several pieces hold
+    X[4:8, 0] = rng.choice([-0.05, 0.0, 0.05], 4)
+    return X
+
+
+@pytest.mark.parametrize("name", list(_kernel_maps()))
+@pytest.mark.parametrize("mode", PerturbedSystem.MODES)
+def test_batched_images_equal_per_point_images_bit_for_bit(name, mode):
+    f = _kernel_maps()[name]
+    rng = np.random.default_rng(sum(map(ord, name + mode)))
+    X = _batch_points(f, rng)
+    for eps in (1e-3, 0.1):
+        system = PerturbedSystem(f, 0.0 if mode == "none" else eps, mode, density=9)
+        for slack in (0.0, 1e-6):
+            want = [_per_point_perturbed(system, x, slack) for x in X]
+            _assert_rows_are_per_point(system.images(X, slack), want)
+            # the one-row case is the per-point image
+            for x, w in zip(X[:6], want):
+                one = system.image(x, slack)
+                assert one.points.tobytes() == w.points.tobytes() and one.radius == w.radius
+    if mode == "none":
+        _assert_rows_are_per_point(f.images(X), [f.image(x) for x in X])
+
+
+def test_batched_ball_hulls_with_unequal_radii_and_rowless_pieces():
+    # rows where pieces of unequal radii overlap, and a piece without a
+    # batched form, go through the per-point merge rule
+    f = SetValuedMap(2, [
+        constant_piece(lambda x: x[0] <= 0.0, [[1.0, 0.0], [0.0, 1.0]], radius=0.1),
+        affine_piece(lambda x: x[0] >= 0.0, [[1.0, 0.5], [0.0, -1.0]], [0.0, 0.2], radius=0.3),
+        polynomial_piece(lambda x: x[1] >= 0.0, ["x1*x2", "x2 - 1"], 2, radius=0.2),
+        Piece(lambda x: abs(x[0]) <= 0.1,
+              lambda x: ConvexCompactSet([[x[1], x[0]]], 0.05 + abs(float(x[0])))),
+    ])
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(-0.5, 0.5, (12, 2))
+    radii = rng.uniform(0.05, 1.0, 12)
+    for density in (5, 9):
+        want = [_per_point_hull(f, c, r, density, 0.0) for c, r in zip(centers, radii)]
+        _assert_rows_are_per_point(f.ball_hulls(centers, radii, density), want)
+    _assert_rows_are_per_point(f.images(centers), [f.image(c) for c in centers])
+
+
+def test_batched_images_raise_when_no_piece_covers_a_row():
+    f = SetValuedMap(1, [constant_piece(lambda x: x[0] <= 0.0, [[1.0]])])
+    with pytest.raises(NoMatchingPieceError, match="x=\\[0.5\\]"):
+        f.images(np.array([[-1.0], [0.5]]))
