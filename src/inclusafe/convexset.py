@@ -206,9 +206,7 @@ def minkowski_sum(a: ConvexCompactSet, b: ConvexCompactSet) -> ConvexCompactSet:
     """Exact Minkowski sum: pairwise point sums, radii added."""
     _check_same_dimension((a, b))
     pts = (a.points[:, None, :] + b.points[None, :, :]).reshape(-1, a.dimension)
-    if pts.shape[0] > PRUNE_THRESHOLD:
-        pts = _prune(pts)
-    return ConvexCompactSet(pts, a.radius + b.radius)
+    return ConvexCompactSet(pruned(pts), a.radius + b.radius)
 
 
 def _boundary_ring(dimension: int, angle: float) -> np.ndarray:
