@@ -28,6 +28,7 @@ from .barrier import (
     clarke_gradient,
     collar_width,
 )
+from .convexset import ConvexCompactSet
 from .numerics import largest_feasible
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .svmap import PerturbedSystem
@@ -212,14 +213,19 @@ def _sample(spec: CheckSpec, scenario: SafetyScenario, grid: BoundaryGrid, syste
     """Minimum of -support(F(x), zeta) over the row's region and zetas.
 
     Normalized rows divide by |zeta|; a ``gain`` divides by 1 + gain(x).
+    The images of the whole region come from one batched evaluation.
     """
     provider = scenario.dynamics if system is None else system
     bar = scenario.barrier
     region = grid.representatives if spec.region == "boundary" else _collar_points(scenario, grid, spec.region)
     track = _MinTracker()
-    for x in region:
-        zetas = [bar.gradient_at(x)] if spec.zeta == "gradient" else _clarke_vertices(scenario, x, radius, samples)
-        img = provider.image(x, _slack(scenario))
+    if not len(region):
+        return track
+    zeta_sets = [[bar.gradient_at(x)] if spec.zeta == "gradient" else _clarke_vertices(scenario, x, radius, samples)
+                 for x in region]
+    points, counts, radii = provider.images(np.array(region, dtype=float), _slack(scenario))
+    for i, (x, zetas) in enumerate(zip(region, zeta_sets)):
+        img = ConvexCompactSet(points[i, :counts[i]], radii[i])
         weight = 1.0 if gain is None else 1.0 + float(gain(x))
         for z in zetas:
             norm = float(np.linalg.norm(z)) if spec.normalized else 1.0

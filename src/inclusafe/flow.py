@@ -548,17 +548,6 @@ def _velocity_bound(system, points) -> float:
     return float(np.fmax.reduce(vals, initial=0.0))
 
 
-def _first_best(start, values: np.ndarray, better) -> float:
-    """Python's ``min``/``max`` over ``start, *values``: the first item that
-    no later item beats (``better`` is ``np.fmin`` or ``np.fmax``); NaNs
-    never win, and a NaN start is kept."""
-    if start != start or not values.size:
-        return start
-    items = np.concatenate([[start], values])
-    best = better.reduce(items)
-    return items[np.flatnonzero(items == best)[0]] if best == best else start
-
-
 def falsify(
     scenario,
     eps: Optional[float] = None,
@@ -619,7 +608,7 @@ def falsify(
     # a threshold deeper than the box has room for could only be met by
     # leaving the box, so cap it at the deepest unsafe grid node
     depths = depth_fn(grid[unsafe(grid)])
-    room = float(_first_best(depths[0], depths[1:], np.fmax)) if depths.size else 0.0
+    room = float(max(depths.tolist(), default=0.0))
     if room > 0.0:
         threshold = min(threshold, room)
 
@@ -700,7 +689,7 @@ def reach_interval_1d(system, interval, *, horizon: float, step: float, samples:
         xs = np.linspace(lo, hi, samples)
         P, _, R = system.images(xs[:, None])
         col = P[:, :, 0]
-        lo = _first_best(lo, xs + step * (col.min(axis=1) - R), np.fmin)
-        hi = _first_best(hi, xs + step * (col.max(axis=1) + R), np.fmax)
+        lo = min([lo, *(xs + step * (col.min(axis=1) - R)).tolist()])
+        hi = max([hi, *(xs + step * (col.max(axis=1) + R)).tolist()])
         out.append((lo, hi))
     return np.array(out)

@@ -150,6 +150,8 @@ def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, group: in
     size = max(len(pts) for pts, _ in special.values())
     if size > points.shape[1]:
         points = np.concatenate([points, np.repeat(points[:, -1:], size - points.shape[1], axis=1)], axis=1)
+    else:
+        points = points.copy()  # it may still view A, the caller's rows
     for g, (pts, r) in special.items():
         points[g, :len(pts)] = pts
         points[g, len(pts):] = pts[-1]
@@ -245,13 +247,15 @@ class SetValuedMap:
         through the per-point rule too.
         """
         m, n = X.shape
-        G = m // group
         active = self._active(X, slack)
-        if len(self.pieces) == 1 and self.pieces[0].rows is not None and active.all():
-            pts, r = self.pieces[0].rows(X)
+        held = active.sum(axis=1).tolist()  # rows on which each piece holds
+        if sum(held) == m and m in held and self.pieces[held.index(m)].rows is not None:
+            # one piece holds on every row and no other piece anywhere
+            pts, r = self.pieces[held.index(m)].rows(X)
             whole = _concatenated(pts, r, group)
             if whole is not None:
                 return whole
+            return _merge_runs(pts, np.full(m, pts.shape[1]), np.full(m, float(r)), group)
         hits = active.sum(axis=0)
         if not hits.all():
             x = X[np.argmin(hits)]
@@ -262,15 +266,7 @@ class SetValuedMap:
             rows = mask & lone
             if piece.rows is None or not rows.any():
                 continue
-            if rows.all():
-                # one piece holds on every row and no other piece anywhere
-                pts, r = piece.rows(X)
-                whole = _concatenated(pts, r, group)
-                if whole is not None:
-                    return whole
-                rows = slice(None)
-            else:
-                pts, r = piece.rows(X[rows])
+            pts, r = piece.rows(X[rows])
             fills.append((rows, pts, float(r)))
             lone &= ~mask
         # what is left: rows where several pieces hold or a piece has no

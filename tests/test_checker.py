@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from inclusafe import checker
+from inclusafe import checker, scenarios
 from inclusafe.checker import CHECKS
 from inclusafe import (
     FAIL,
@@ -24,7 +24,9 @@ from inclusafe import (
     check_uniform_unweighted,
     check_uniform_weighted,
     constant_piece,
+    hull_union_many,
     synthesize_margin,
+    unit_ball_lattice,
 )
 
 
@@ -91,6 +93,55 @@ def test_checks_accept_perturbed_dynamics(linear_stable, linear_grid):
     rep = check_robust_strict(linear_stable.scenario, linear_grid, system=sys_img)
     assert rep.passed
     assert rep.margin == pytest.approx(0.7, abs=1e-12)
+
+
+def _per_point_sample(spec, scenario, grid, base, mode, eps):
+    """Reference for ``checker._sample`` on ``PerturbedSystem(base, eps,
+    mode)``: the perturbed image built point by point from
+    ``SetValuedMap.image``."""
+    region = (grid.representatives if spec.region == "boundary"
+              else checker._collar_points(scenario, grid, spec.region))
+    slack = scenario.tolerances.interface_slack
+    lattice = eps * unit_ball_lattice(base.dimension, 9)
+    track = checker._MinTracker()
+    for x in region:
+        zetas = ([scenario.barrier.gradient_at(x)] if spec.zeta == "gradient"
+                 else checker._clarke_vertices(scenario, x, None, None))
+        if mode == "strong":
+            img = hull_union_many([base.image(x + u, slack) for u in lattice])
+        else:
+            img = base.image(x, slack)
+        if mode != "none":
+            img = img.inflate(eps)
+        for z in zetas:
+            norm = float(np.linalg.norm(z)) if spec.normalized else 1.0
+            track.update(-img.support(z) / norm, x, img.extreme_point(z))
+    return track
+
+
+def _interface_scenario():
+    # the boundary point x = 1 sits on the interface of two pieces, so the
+    # interface slack merges both images there
+    return _scenario("x1 * x1 - 1", ["2 * x1"], [
+        affine_piece(lambda x: x[0] < 1.0, [[-1.0]], [0.5]),
+        affine_piece(lambda x: x[0] >= 1.0, [[-2.0]], [0.0]),
+    ])
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "linear-stable", "noisy-loop", "interface"])
+@pytest.mark.parametrize("mode", ["none", "image", "strong"])
+def test_sampled_checks_match_per_point_images(name, mode):
+    sc = _interface_scenario() if name == "interface" else scenarios.build(name).scenario
+    grid = boundary_extract(sc)
+    base = sc.dynamics.base if isinstance(sc.dynamics, PerturbedSystem) else sc.dynamics
+    system = PerturbedSystem(base, 0.05, mode)
+    for check_id in ("nominal-nonincrease", "robust-strict", "clarke-strict", "uniform-plain"):
+        spec = CHECKS[check_id]
+        got = checker._sample(spec, sc, grid, system)
+        want = _per_point_sample(spec, sc, grid, base, mode, 0.05)
+        assert got.count == want.count > 0
+        assert (got.value, got.point, got.velocity) == (want.value, want.point, want.velocity)
+        assert np.signbit(got.value) == np.signbit(want.value)
 
 
 def test_noisy_loop_checks_through_builtin_perturbation(noisy_loop):

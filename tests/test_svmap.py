@@ -337,6 +337,20 @@ def test_ball_hull_unequal_piece_radii_keeps_two_level_merge():
             _assert_ball_hull_is_per_point(f, center, radius, 5, 1e-3)
 
 
+def test_ball_hull_of_one_piece_too_large_to_concatenate_leaves_its_rows_alone():
+    # three points at each of the 49 lattice rows exceed the pruning
+    # threshold, so the run is pruned; the piece's rows are read-only here
+    piece = constant_piece(lambda x: True, [[1.0, 0.0], [0.0, 1.0], [-1.0, -0.5]], radius=0.1)
+
+    def rows(X):
+        pts, r = piece.rows(X)
+        pts.setflags(write=False)
+        return pts, r
+
+    f = SetValuedMap(2, [Piece(piece.predicate, piece.image, rows=rows)])
+    _assert_ball_hull_is_per_point(f, [0.3, -0.2], 0.5, 9, 0.0)
+
+
 def test_ball_hull_raises_when_no_piece_covers_a_lattice_point():
     f = SetValuedMap(1, [
         constant_piece(lambda x: x[0] <= 0.0, [[1.0]]),
