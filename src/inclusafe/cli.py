@@ -31,7 +31,7 @@ from . import __version__, checker, scenarios
 from .barrier import SMOOTHNESS_TAGS, boundary_extract, candidate_check
 from .checker import CANNOT_RUN, CHECKS, MARGIN_SMOOTHNESS, synthesize_margin
 from .flow import FalsifyBudget, falsify
-from .modulus import build_modulus, verify_modulus
+from .modulus import LOG_RANGE, build_modulus, log_grid_steps, verify_modulus
 from .numerics import scale_box
 from .svmap import PerturbedSystem
 
@@ -206,7 +206,8 @@ def load_config(path: str) -> dict:
     """Read and schema-check a config (a file path or a built-in name).
 
     Parse errors report line and column; schema violations are listed
-    exhaustively, one per line.
+    exhaustively, one per line.  A modulus ``log_step`` must also divide the
+    log range of the modulus grid.
     """
     if os.path.exists(path):
         try:
@@ -236,6 +237,13 @@ def load_config(path: str) -> dict:
             loc = "/" + "/".join(str(p) for p in e.absolute_path)
             lines.append(f"  {loc or '/'}: {e.message}")
         raise ConfigError("invalid config:\n" + "\n".join(lines))
+    log_step = cfg.get("modulus", {}).get("log_step")
+    if log_step is not None:
+        try:
+            log_grid_steps(LOG_RANGE, log_step)
+        except ValueError:
+            raise ConfigError(f"invalid config:\n  /modulus/log_step: {log_step} does not divide "
+                              f"the modulus log range {LOG_RANGE:g}") from None
     return cfg
 
 

@@ -26,6 +26,8 @@ __all__ = [
     "merge_parts",
     "pruned",
     "hausdorff",
+    "support_rows",
+    "hausdorff_rows",
     "contains",
     "DEFAULT_DIRECTIONS",
     "HULL_MERGE_ANGLE",
@@ -281,6 +283,44 @@ def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet, *, directions: int = DEF
         return max(abs(alo - blo), abs(ahi - bhi))
     dirs = unit_directions(a.dimension, directions)
     return float(np.abs(a.support_many(dirs) - b.support_many(dirs)).max())
+
+
+def support_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Support values of every set of a padded stack, as an (m, d) array.
+
+    Row i is ``co{points[i, :counts[i]]} + radii[i] * B``, and its values
+    equal ``support_many`` of that set bit for bit.  The rows of one count
+    share one stacked product in which each row has the shape of its own
+    per-set product: a product over a padded row rounds differently (a
+    one-point set's product is a matrix-vector product).
+    """
+    D = np.asarray(directions, dtype=float)
+    out = np.empty((len(counts), D.shape[0]))
+    for c in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == c)
+        out[rows] = np.matmul(D, points[rows, :c].transpose(0, 2, 1)).max(axis=2)
+    ball = radii > 0.0
+    if ball.any():
+        out[ball] += radii[ball, None] * np.linalg.norm(D, axis=1)
+    return out
+
+
+def hausdorff_rows(a: tuple, b: tuple, *, directions: int = DEFAULT_DIRECTIONS) -> np.ndarray:
+    """:func:`hausdorff` between row i of two padded stacks, for every row.
+
+    ``a`` and ``b`` are ``(points, counts, radii)`` stacks with the same
+    number of rows, laid out as ``SetValuedMap.images`` returns them (the
+    padding of a row repeats points of that row).  Equal bit for bit to the
+    per-set distances: interval endpoints in one dimension, sampled support
+    values (:func:`support_rows`) otherwise.
+    """
+    (pa, ca, ra), (pb, cb, rb) = a, b
+    if pa.shape[2] == 1:
+        lo = np.abs((pa[:, :, 0].min(axis=1) - ra) - (pb[:, :, 0].min(axis=1) - rb))
+        hi = np.abs((pa[:, :, 0].max(axis=1) + ra) - (pb[:, :, 0].max(axis=1) + rb))
+        return np.maximum(lo, hi)
+    dirs = unit_directions(pa.shape[2], directions)
+    return np.abs(support_rows(pa, ca, ra, dirs) - support_rows(pb, cb, rb, dirs)).max(axis=1)
 
 
 def contains(s: ConvexCompactSet, x, tol: float = 0.0, *, directions: int = DEFAULT_DIRECTIONS) -> bool:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convexset import ConvexCompactSet, hausdorff, unit_directions
+from .convexset import ConvexCompactSet, hausdorff, hausdorff_rows, support_rows, unit_directions
 from .numerics import box_array
 
 __all__ = [
@@ -32,11 +32,18 @@ __all__ = [
     "local_gap",
     "beta",
     "build_modulus",
+    "log_grid_steps",
     "verify_modulus",
 ]
 
 #: log-value standing in for log(0) on the tabulated grid
 LOG_FLOOR = -1e6
+
+#: half-width of the log-grid of :func:`build_modulus` (radii e^-20 .. e^20)
+LOG_RANGE = 20.0
+
+#: samples per batched pass of :func:`verify_modulus`; bounds its memory
+_BLOCK = 64
 
 
 class ModulusBuildError(RuntimeError):
@@ -151,9 +158,12 @@ class ModulusPair:
         degenerate: bool = False,
         tables: Optional[dict] = None,
         flags: Optional[dict] = None,
+        _step_rows: Optional[Callable] = None,
     ):
         self._step = step_fn
         self._state = state_fn
+        # step_fn at an array of radii > 0 in one pass (built pairs only)
+        self._step_rows = _step_rows
         self.degenerate = bool(degenerate)
         self.tables = tables or {}
         self.flags = flags or {}
@@ -171,6 +181,14 @@ class ModulusPair:
 
     def bound(self, x, delta: float) -> float:
         return self.step_gain(delta) * self.state_gain(x)
+
+    def _bounds(self, xs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """:meth:`bound` at each row of xs and entry of deltas (all >= 0)."""
+        if self._step_rows is None:
+            return np.array([self.bound(x, d) for x, d in zip(xs, deltas)])
+        steps = self._step_rows(deltas)
+        return np.array([(float(s) if d > 0.0 else 0.0) * self.state_gain(x)
+                         for x, d, s in zip(xs, deltas, steps)])
 
     @classmethod
     def from_callables(cls, step_fn, state_fn, **kw) -> "ModulusPair":
@@ -242,10 +260,26 @@ def _bilinear(grid: np.ndarray, values: np.ndarray):
     return interp
 
 
+def log_grid_steps(log_range: float, log_step: float) -> int:
+    """Steps of ``log_step`` from log radius 0 to ``log_range``.
+
+    Raises ValueError unless the step divides the range.
+    """
+    steps = log_range / log_step
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError("log_range must be an integer multiple of log_step")
+    return int(round(steps))
+
+
+def _take(stack: tuple, rows: np.ndarray) -> tuple:
+    """The given rows of a ``(points, counts, radii)`` stack."""
+    return tuple(a[rows] for a in stack)
+
+
 def build_modulus(
     f_map,
     *,
-    log_range: float = 20.0,
+    log_range: float = LOG_RANGE,
     log_step: Optional[float] = None,
     density: Optional[int] = None,
     ring_count: Optional[int] = None,
@@ -261,6 +295,9 @@ def build_modulus(
     one-variable envelopes, and exponentiate.  Maps whose extra spread
     vanishes on the whole grid take a degenerate path: the step factor is
     the origin spread itself and the state factor is one.
+
+    The spreads are the :func:`local_gap` values, taken for each ring
+    radius in one batched pass over every (ring point, step radius) pair.
     """
     n = f_map.dimension
     if log_step is None:
@@ -270,35 +307,32 @@ def build_modulus(
     if ring_count is None:
         ring_count = 2 if n == 1 else 8
 
-    steps = log_range / log_step
-    if abs(steps - round(steps)) > 1e-9:
-        raise ValueError("log_range must be an integer multiple of log_step")
-    count = 2 * int(round(steps)) + 1
+    count = 2 * log_grid_steps(log_range, log_step) + 1
     grid = np.linspace(-log_range, log_range, count)
     radii = np.exp(grid)
     flags: dict = {}
 
     ring = unit_directions(n, 2 if n == 1 else ring_count)
-    origin = np.zeros(n)
+    f0 = f_map.images(np.zeros(n))
 
-    # direct spread term |F(s*B) - F(0)|_H per grid radius
-    hskw = {"directions": directions} if n > 1 else {}
-    f0 = f_map.image(origin)
-    direct_vals = np.array(
-        [hausdorff(_ball_hull(f_map, origin, s, density), f0, **hskw) for s in radii]
-    )
+    def direct_rows(ds: np.ndarray) -> np.ndarray:
+        """The direct spread term |F(s*B) - F(0)|_H at each radius s > 0."""
+        return hausdorff_rows(f_map.ball_hulls(np.zeros((len(ds), n)), ds, density),
+                              _take(f0, np.zeros(len(ds), dtype=int)), directions=directions)
 
-    # raw extra spread at ring radius i, step radius j
+    direct_vals = direct_rows(radii)
+
+    # raw extra spread at ring radius i, step radius j: row k * count + j of
+    # a pass is ring point k with step radius j
+    point = np.repeat(np.arange(len(ring)), count)
+    steps = np.tile(radii, len(ring))
     raw = np.zeros((count, count))
     for i, r in enumerate(radii):
-        for d in ring:
-            y = r * d
-            fy = f_map.image(y)
-            for j, s in enumerate(radii):
-                g = local_gap(f_map, y, s, density=density, directions=directions,
-                              _origin_term=direct_vals[j], _image=fy)
-                if g > raw[i, j]:
-                    raw[i, j] = g
+        ys = r * ring
+        spread = hausdorff_rows(f_map.ball_hulls(ys[point], steps, density),
+                                _take(f_map.images(ys), point), directions=directions)
+        gaps = spread.reshape(len(ring), count) - direct_vals
+        raw[i] = np.maximum(raw[i], gaps.max(axis=0))
 
     # nested-ring cumulative max: monotone in both arguments, >= 0 since the
     # origin ring contributes zero
@@ -310,7 +344,7 @@ def build_modulus(
     )
 
     def direct_fn(d: float) -> float:
-        return hausdorff(_ball_hull(f_map, origin, d, density), f0, **hskw)
+        return float(direct_rows(np.array([d]))[0])
 
     if M.max() <= 1e-10 * direct_scale:
         tables = {
@@ -321,7 +355,7 @@ def build_modulus(
         }
         return ModulusPair(
             direct_fn, lambda x: 1.0, degenerate=True, tables=tables,
-            flags={"degenerate": True},
+            flags={"degenerate": True}, _step_rows=direct_rows,
         )
 
     # rescale so the unit-cell log value is positive when possible
@@ -416,6 +450,9 @@ def build_modulus(
     def step_fn(d: float) -> float:
         return max(growth(d), direct_fn(d))
 
+    def step_rows(ds: np.ndarray) -> list:
+        return [max(growth(d), float(v)) for d, v in zip(ds.tolist(), direct_rows(ds))]
+
     def state_fn(x) -> float:
         return growth(float(np.linalg.norm(x))) + 1.0
 
@@ -433,7 +470,8 @@ def build_modulus(
         "direct": direct_tab.to_dict(),
         "flags": dict(flags),
     }
-    return ModulusPair(step_fn, state_fn, degenerate=False, tables=tables, flags=flags)
+    return ModulusPair(step_fn, state_fn, degenerate=False, tables=tables, flags=flags,
+                       _step_rows=step_rows)
 
 
 @dataclass
@@ -470,24 +508,30 @@ def verify_modulus(
 
     Draws (x, delta) pairs from the box and (0, delta_max], compares sampled
     support values of the inflated-argument hull against the base image plus
-    the modulus bound, and records the worst slack.
+    the modulus bound, and records the worst slack.  The hulls and images
+    of each block of samples come from one batched pass.
     """
     b = box_array(box)
     n = b.shape[0]
     rng = np.random.default_rng(seed)
     dirs = unit_directions(n, directions if n > 1 else 2)
+    # row k is sample k's x, then its delta: the stream order of one
+    # uniform(box) and one uniform(0, delta_max) call per sample
+    draws = rng.uniform(np.append(b[:, 0], 0.0), np.append(b[:, 1], delta_max), (samples, n + 1))
+    xs, deltas = draws[:, :n], draws[:, n]
     min_slack = math.inf
     worst = None
-    for _ in range(samples):
-        x = rng.uniform(b[:, 0], b[:, 1])
-        delta = float(rng.uniform(0.0, delta_max))
-        big = _ball_hull(f_map, x, delta, density)
-        base = f_map.image(x)
-        bound = pair.bound(x, delta)
-        slack = float((base.support_many(dirs) + bound - big.support_many(dirs)).min())
-        if slack < min_slack:
-            min_slack = slack
-            worst = {"x": [float(v) for v in x], "delta": delta, "slack": slack}
+    for lo in range(0, samples, _BLOCK):
+        x, delta = xs[lo:lo + _BLOCK], deltas[lo:lo + _BLOCK]
+        base = support_rows(*f_map.images(x), dirs)
+        big = support_rows(*f_map.ball_hulls(x, delta, density), dirs)
+        flat = delta <= 0.0  # a zero-radius ball: the hull is F(x) itself
+        big[flat] = base[flat]
+        slacks = (base + pair._bounds(x, delta)[:, None] - big).min(axis=1)
+        k = int(np.argmin(slacks))
+        if slacks[k] < min_slack:
+            min_slack = float(slacks[k])
+            worst = {"x": [float(v) for v in x[k]], "delta": float(delta[k]), "slack": min_slack}
     return ModulusReport(
         passed=bool(min_slack >= -pass_tol),
         min_slack=float(min_slack),

@@ -274,6 +274,20 @@ def test_modulus_command_writes_tables(tmp_path):
     assert tables["kind"] == "degenerate"
 
 
+@pytest.mark.parametrize("command", ["modulus", "all"])
+@pytest.mark.parametrize("log_step", [0.3, 50])
+def test_misaligned_modulus_log_step_exits_two_before_any_stage(tmp_path, capsys, monkeypatch, command, log_step):
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["modulus"] = {"log_step": log_step}
+    path = _write_cfg(tmp_path, cfg)
+    monkeypatch.setattr(cli, "boundary_extract", lambda *a: pytest.fail("a stage ran"))
+    monkeypatch.setattr(cli, "build_modulus", lambda *a, **k: pytest.fail("a stage ran"))
+    out = tmp_path / "out"
+    assert main([command, path, "--out", str(out)]) == 2
+    assert "/modulus/log_step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------- #
 # flags, hashing, reproducibility
 def test_box_scale_flag(tmp_path):

@@ -231,3 +231,36 @@ def test_contains_outer_in_higher_dimension():
         p = w[1] * np.array([1.0, 0.0]) + w[2] * np.array([0.0, 1.0])
         assert contains(s, p, 0.0)
     assert not contains(s, [2.0, 2.0], 1e-6)
+
+
+# ----------------------------------------------------------------------- #
+# row forms on padded stacks
+def _padded_stack(rng, m, n):
+    """m random sets as a padded (points, counts, radii) stack: about a
+    third one-point rows, half of the rows with radius 0, and the padding
+    of each row repeating random points of that row."""
+    counts = np.where(rng.random(m) < 0.35, 1, rng.integers(1, 7, m))
+    width = int(counts.max()) + int(rng.integers(0, 3))
+    points = np.empty((m, width, n))
+    for i, c in enumerate(counts):
+        points[i, :c] = rng.standard_normal((c, n)) * 10.0 ** rng.uniform(-3, 3)
+        points[i, c:] = points[i, rng.integers(0, c, width - c)]
+    radii = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0.0, 2.0, m))
+    return points, counts, radii
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_forms_equal_per_set_values_bit_for_bit(n):
+    from inclusafe.convexset import hausdorff_rows, support_rows
+
+    rng = np.random.default_rng(100 + n)
+    for directions in (64, 256):
+        a = _padded_stack(rng, 200, n)
+        b = _padded_stack(rng, 200, n)
+        dirs = unit_directions(n, directions)
+        sets_a = [ConvexCompactSet(p[:c], r) for p, c, r in zip(*a)]
+        sets_b = [ConvexCompactSet(p[:c], r) for p, c, r in zip(*b)]
+        want = np.array([s.support_many(dirs) for s in sets_a])
+        assert support_rows(*a, dirs).tobytes() == want.tobytes()
+        want = np.array([hausdorff(sa, sb, directions=directions) for sa, sb in zip(sets_a, sets_b)])
+        assert hausdorff_rows(a, b, directions=directions).tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from inclusafe import (
     beta,
     build_modulus,
     constant_piece,
+    hausdorff,
     local_gap,
     polynomial_piece,
     scenarios,
+    unit_directions,
     verify_modulus,
 )
 from inclusafe.modulus import TabulatedFn
@@ -246,3 +249,117 @@ def test_example2_modulus_state_gain_tracks_growth(example2_modulus):
     assert example2_modulus.state_gain([10.0, 0.0]) >= 100.0
     assert example2_modulus.state_gain([0.0, 0.0]) >= 1.0
     assert not example2_modulus.degenerate
+
+
+# ----------------------------------------------------------------------- #
+# the batched pipeline against a per-point reference
+def _reference_spreads(f, log_step, density, ring_count, directions=64):
+    """build_modulus's direct terms, kind and log-gap grid, one local_gap
+    call per (ring point, step radius) as the per-point pipeline made them."""
+    grid = np.linspace(-20.0, 20.0, 2 * int(round(20.0 / log_step)) + 1)
+    radii = np.exp(grid)
+    n = f.dimension
+    origin = np.zeros(n)
+    f0 = f.image(origin)
+    direct = np.array([hausdorff(f.ball_hull(origin, s, density), f0, directions=directions) for s in radii])
+    raw = np.zeros((len(radii), len(radii)))
+    for i, r in enumerate(radii):
+        for d in unit_directions(n, 2 if n == 1 else ring_count):
+            fy = f.image(r * d)
+            for j, s in enumerate(radii):
+                g = local_gap(f, r * d, s, density=density, directions=directions,
+                              _origin_term=direct[j], _image=fy)
+                if g > raw[i, j]:
+                    raw[i, j] = g
+    M = np.maximum.accumulate(np.maximum.accumulate(raw, axis=0), axis=1)
+    kind = "degenerate" if M.max() <= 1e-10 * (1.0 + direct.max()) else "built"
+    unit = M[len(grid) // 2, len(grid) // 2]
+    if 0.0 < unit <= 1.0:
+        M = M * (2.0 / unit)
+    log_gap = np.where(M > 0.0, np.log(np.where(M > 0.0, M, 1.0)), -1e6)
+    return direct, kind, log_gap
+
+
+def _reference_growth(tables, s):
+    if tables["kind"] == "degenerate" or s <= math.exp(-tables["log_range"]):
+        return 0.0
+    env = tables["envelope"]
+    return math.exp(float(np.interp(math.log(s), np.asarray(env["xs"]), np.asarray(env["ys"]))))
+
+
+def _reference_step(f, tables, delta, density):
+    """A built pair's step factor, its direct term a per-point distance."""
+    if delta == 0.0:
+        return 0.0
+    origin = np.zeros(f.dimension)
+    direct = hausdorff(f.ball_hull(origin, delta, density), f.image(origin), directions=64)
+    return max(_reference_growth(tables, delta), direct)
+
+
+def _reference_report(f, pair, box, samples, seed, built_density=None, delta_max=1.0):
+    """verify_modulus as a per-sample loop over per-point sets; the bound is
+    pair.bound, or for a built pair (``built_density`` given) its factors
+    recomputed per point."""
+    b = np.asarray(box, dtype=float)
+    n = b.shape[0]
+    rng = np.random.default_rng(seed)
+    dirs = unit_directions(n, 64 if n > 1 else 2)
+    min_slack, worst = math.inf, None
+    for _ in range(samples):
+        x = rng.uniform(b[:, 0], b[:, 1])
+        delta = float(rng.uniform(0.0, delta_max))
+        big = f.ball_hull(x, delta, 9) if delta > 0.0 else f.image(x)
+        if built_density is None:
+            bound = pair.bound(x, delta)
+        else:
+            state = _reference_growth(pair.tables, float(np.linalg.norm(x))) + 1.0
+            bound = _reference_step(f, pair.tables, delta, built_density) * state
+        slack = float((f.image(x).support_many(dirs) + bound - big.support_many(dirs)).min())
+        if slack < min_slack:
+            min_slack = slack
+            worst = {"x": [float(v) for v in x], "delta": delta, "slack": slack}
+    return {"passed": bool(min_slack >= -1e-9), "min_slack": float(min_slack), "worst": worst,
+            "samples": samples}
+
+
+def _modulus_cases():
+    cases = []
+    for name in scenarios.BUILTIN:
+        scenario = scenarios.build(name).scenario
+        f = getattr(scenario.dynamics, "base", scenario.dynamics)
+        bench_step = 1.0 if f.dimension == 1 else 2.0
+        for log_step in (None, bench_step):
+            cases.append(pytest.param(f, scenario.box, log_step, id=f"{name}-{log_step}"))
+    for name, f in _corpus().items():
+        if name != "example1":
+            cases.append(pytest.param(f, [[-3.0, 3.0]], None, id=f"{name}-None"))
+    # a planar map whose zero-radius lattice hull rounds unlike F(x) itself
+    planar = SetValuedMap(2, [polynomial_piece(lambda x: True, ["x1**2 - x2", "x1*x2 + 0.3"], 2)])
+    cases.append(pytest.param(planar, [[-2.0, 2.0], [-1.0, 1.0]], 2.0, id="planar-2.0"))
+    return cases
+
+
+@pytest.mark.parametrize("f, box, log_step", _modulus_cases())
+def test_batched_modulus_equals_per_point_reference(f, box, log_step):
+    n = f.dimension
+    density, ring_count = (9, 2) if n == 1 else (5, 8)
+    pair = build_modulus(f, log_step=log_step)
+    direct, kind, log_gap = _reference_spreads(f, log_step or (0.5 if n == 1 else 1.0), density, ring_count)
+    tables = pair.tables
+    assert json.dumps(tables["direct"]["ys"][1:]) == json.dumps(direct.tolist())
+    assert tables["kind"] == kind
+    if kind == "built":
+        assert json.dumps(tables["log_gap"]) == json.dumps(log_gap.tolist())
+    for d in (1e-6, 0.3, 1.0, 7.5):
+        assert pair.step_gain(d) == _reference_step(f, tables, d, density)
+    clone = ModulusPair.from_tables(json.loads(json.dumps(tables)))
+    bare = ModulusPair.from_callables(lambda d: 2.0 * d, lambda x: 1.0 + float(np.abs(x).sum()))
+    for samples in (1, 63, 64, 65, 1000):
+        got = verify_modulus(f, pair, box, samples=samples, seed=7).to_dict()
+        assert json.dumps(got) == json.dumps(_reference_report(f, pair, box, samples, 7, density))
+        for other in ((clone, bare) if samples < 1000 else ()):
+            got = verify_modulus(f, other, box, samples=samples, seed=7).to_dict()
+            assert json.dumps(got) == json.dumps(_reference_report(f, other, box, samples, 7))
+    # every delta 0: the hull is F(x) and the bound 0
+    got = verify_modulus(f, pair, box, samples=65, seed=7, delta_max=0.0).to_dict()
+    assert json.dumps(got) == json.dumps(_reference_report(f, pair, box, 65, 7, density, 0.0))
