@@ -285,6 +285,16 @@ def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet, *, directions: int = DEF
     return float(np.abs(a.support_many(dirs) - b.support_many(dirs)).max())
 
 
+def _check_rows(points: np.ndarray, radii: np.ndarray) -> None:
+    """Raise as :class:`ConvexCompactSet` would for any row of a padded
+    stack (the padding repeats points of its row, so reading it is safe)."""
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    bad = ~(np.isfinite(radii) & (radii >= 0.0))
+    if bad.any():
+        raise ValueError(f"radius must be finite and >= 0, got {float(radii[bad][0])}")
+
+
 def support_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Support values of every set of a padded stack, as an (m, d) array.
 
@@ -292,8 +302,10 @@ def support_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, dire
     equal ``support_many`` of that set bit for bit.  The rows of one count
     share one stacked product in which each row has the shape of its own
     per-set product: a product over a padded row rounds differently (a
-    one-point set's product is a matrix-vector product).
+    one-point set's product is a matrix-vector product).  Raises
+    ValueError, as building the sets would, if a row is not finite.
     """
+    _check_rows(points, radii)
     D = np.asarray(directions, dtype=float)
     out = np.empty((len(counts), D.shape[0]))
     for c in np.unique(counts).tolist():
@@ -312,10 +324,13 @@ def hausdorff_rows(a: tuple, b: tuple, *, directions: int = DEFAULT_DIRECTIONS) 
     number of rows, laid out as ``SetValuedMap.images`` returns them (the
     padding of a row repeats points of that row).  Equal bit for bit to the
     per-set distances: interval endpoints in one dimension, sampled support
-    values (:func:`support_rows`) otherwise.
+    values (:func:`support_rows`) otherwise.  Raises ValueError, as
+    building the sets would, if a row is not finite.
     """
     (pa, ca, ra), (pb, cb, rb) = a, b
     if pa.shape[2] == 1:
+        _check_rows(pa, ra)
+        _check_rows(pb, rb)
         lo = np.abs((pa[:, :, 0].min(axis=1) - ra) - (pb[:, :, 0].min(axis=1) - rb))
         hi = np.abs((pa[:, :, 0].max(axis=1) + ra) - (pb[:, :, 0].max(axis=1) + rb))
         return np.maximum(lo, hi)

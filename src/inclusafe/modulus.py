@@ -447,11 +447,11 @@ def build_modulus(
             return 0.0
         return math.exp(env_tab(math.log(s)))
 
-    def step_fn(d: float) -> float:
-        return max(growth(d), direct_fn(d))
-
     def step_rows(ds: np.ndarray) -> list:
         return [max(growth(d), float(v)) for d, v in zip(ds.tolist(), direct_rows(ds))]
+
+    def step_fn(d: float) -> float:
+        return step_rows(np.array([d]))[0]
 
     def state_fn(x) -> float:
         return growth(float(np.linalg.norm(x))) + 1.0
@@ -528,7 +528,9 @@ def verify_modulus(
         flat = delta <= 0.0  # a zero-radius ball: the hull is F(x) itself
         big[flat] = base[flat]
         slacks = (base + pair._bounds(x, delta)[:, None] - big).min(axis=1)
-        k = int(np.argmin(slacks))
+        # the first least slack, as a sequential strict < would pick it; a
+        # NaN slack is never taken
+        k = int(np.argmin(np.where(np.isnan(slacks), np.inf, slacks)))
         if slacks[k] < min_slack:
             min_slack = float(slacks[k])
             worst = {"x": [float(v) for v in x[k]], "delta": float(delta[k]), "slack": min_slack}

@@ -264,3 +264,24 @@ def test_row_forms_equal_per_set_values_bit_for_bit(n):
         assert support_rows(*a, dirs).tobytes() == want.tobytes()
         want = np.array([hausdorff(sa, sb, directions=directions) for sa, sb in zip(sets_a, sets_b)])
         assert hausdorff_rows(a, b, directions=directions).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_row_forms_reject_non_finite_rows(n):
+    from inclusafe.convexset import hausdorff_rows, support_rows
+
+    rng = np.random.default_rng(7)
+    good = _padded_stack(rng, 5, n)
+    dirs = unit_directions(n, 16)
+    for value in (np.inf, np.nan):
+        points = good[0].copy()
+        points[3, 0, 0] = value
+        bad = (points, good[1], good[2])
+        with pytest.raises(ValueError, match="points must be finite"):
+            support_rows(*bad, dirs)
+        with pytest.raises(ValueError, match="points must be finite"):
+            hausdorff_rows(good, bad, directions=16)
+        radii = good[2].copy()
+        radii[1] = value
+        with pytest.raises(ValueError, match="radius must be finite"):
+            hausdorff_rows((good[0], good[1], radii), good, directions=16)

@@ -363,3 +363,29 @@ def test_batched_modulus_equals_per_point_reference(f, box, log_step):
     # every delta 0: the hull is F(x) and the bound 0
     got = verify_modulus(f, pair, box, samples=65, seed=7, delta_max=0.0).to_dict()
     assert json.dumps(got) == json.dumps(_reference_report(f, pair, box, 65, 7, density, 0.0))
+
+
+@pytest.mark.parametrize("f, box", [
+    (SetValuedMap(1, [polynomial_piece(lambda x: True, ["2*x1"], 1)]), [[-1.0, 1.0]]),
+    (SetValuedMap(2, [polynomial_piece(lambda x: True, ["x1**2 - x2", "x1*x2"], 2)]), [[-1.0, 1.0], [-1.0, 1.0]]),
+])
+def test_nan_bounds_skip_only_their_own_samples(f, box):
+    # a NaN slack is passed over; a violation in the same block still counts
+    pair = ModulusPair.from_callables(lambda d: math.nan if d > 0.5 else 0.1 * d, lambda x: 1.0)
+    for samples in (1, 63, 64, 65, 200):
+        got = verify_modulus(f, pair, box, samples=samples, seed=3).to_dict()
+        assert json.dumps(got) == json.dumps(_reference_report(f, pair, box, samples, 3))
+    assert not verify_modulus(f, pair, box, samples=200, seed=3).passed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("component", ["1/x1", "x1**0.5"])
+def test_non_finite_images_raise(component):
+    f = SetValuedMap(1, [polynomial_piece(lambda x: True, [component], 1)])
+    with pytest.raises(ValueError, match="points must be finite"):
+        build_modulus(f)
+    # x1**0.5 is NaN on the negative half of the box
+    if component == "x1**0.5":
+        pair = ModulusPair.from_callables(lambda d: d, lambda x: 1.0)
+        with pytest.raises(ValueError, match="points must be finite"):
+            verify_modulus(f, pair, [[-1.0, 1.0]], samples=100)
