@@ -296,8 +296,8 @@ def candidate_check(scenario: SafetyScenario) -> CheckReport:
     if unsafe.shape[0] == 0:
         raise EmptySampleError("no sampled points of the unsafe set inside the domain box")
 
-    b_init = np.array([scenario.barrier.value_at(x) for x in initial])
-    b_unsafe = np.array([scenario.barrier.value_at(x) for x in unsafe])
+    b_init = scenario.barrier.value_rows(initial)
+    b_unsafe = scenario.barrier.value_rows(unsafe)
 
     worst_init = float(b_init.max())
     worst_unsafe = float(b_unsafe.min())
@@ -320,27 +320,30 @@ def candidate_check(scenario: SafetyScenario) -> CheckReport:
     )
 
 
-def _refine_edge(value_fn, a, b, va, vb, tol_b, max_iter=200) -> np.ndarray:
-    """Bisect along the segment a->b for a point with |B| <= tol_b.
+def _refine_edges(value_rows, a, b, va, vb, tol_b, max_iter=200) -> np.ndarray:
+    """Bisect every segment a[i] -> b[i] for a point with |B| <= tol_b, all
+    segments in lockstep, each with the arithmetic of bisecting it alone.
 
-    Orientation: B(a) <= 0 < B(b).
+    Orientation: B(a[i]) <= 0 < B(b[i]).  An end within tol_b is the point
+    itself; a segment that finds none in ``max_iter`` steps keeps its last
+    midpoint.
     """
-    if abs(va) <= tol_b:
-        return np.asarray(a, dtype=float).copy()
-    if abs(vb) <= tol_b:
-        return np.asarray(b, dtype=float).copy()
-    lo, hi = np.asarray(a, dtype=float).copy(), np.asarray(b, dtype=float).copy()
-    mid = 0.5 * (lo + hi)
+    near_a, near_b = np.abs(va) <= tol_b, np.abs(vb) <= tol_b
+    out = np.where((~near_a & near_b)[:, None], b, a)
+    live = np.flatnonzero(~near_a & ~near_b)
+    lo, hi = a[live], b[live]
     for _ in range(max_iter):
+        if not live.size:
+            break
         mid = 0.5 * (lo + hi)
-        vm = value_fn(mid)
-        if abs(vm) <= tol_b:
-            return mid
-        if vm <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+        out[live] = mid
+        vm = value_rows(mid)
+        left = vm <= 0.0
+        lo[left] = mid[left]
+        hi[~left] = mid[~left]
+        going = ~(np.abs(vm) <= tol_b)
+        live, lo, hi = live[going], lo[going], hi[going]
+    return out
 
 
 def boundary_extract(scenario: SafetyScenario) -> BoundaryGrid:
@@ -370,38 +373,40 @@ def boundary_extract(scenario: SafetyScenario) -> BoundaryGrid:
 
     axes = scenario.axes()
     shape = tuple(len(a) for a in axes)
-    grid = scenario.grid()
-    values = np.array([bar.value_at(x) for x in grid]).reshape(shape)
+    values = bar.value_rows(scenario.grid()).reshape(shape)
     inside = values <= 0.0
 
     spacing = np.array([a[1] - a[0] for a in axes])
-    cells: list[BoundaryCell] = []
     n = len(axes)
     half = spacing / 2.0
+    # every sign-change edge (u, v = u + one step along an axis), by axis
+    # and then in C order
+    iu, iv, step = [], [], []
     for axis in range(n):
         sl_lo = [slice(None)] * n
         sl_hi = [slice(None)] * n
         sl_lo[axis] = slice(0, shape[axis] - 1)
         sl_hi[axis] = slice(1, shape[axis])
-        change = inside[tuple(sl_lo)] != inside[tuple(sl_hi)]
-        for idx in np.argwhere(change):
-            iu = list(idx)
-            iv = list(idx)
-            iv[axis] += 1
-            u = np.array([axes[k][iu[k]] for k in range(n)])
-            v = np.array([axes[k][iv[k]] for k in range(n)])
-            vu, vv = values[tuple(iu)], values[tuple(iv)]
-            if vu <= 0.0:
-                rep = _refine_edge(bar.value_at, u, v, vu, vv, tol.tol_boundary)
-            else:
-                rep = _refine_edge(bar.value_at, v, u, vv, vu, tol.tol_boundary)
-            lower = np.minimum(u, v) - half
-            upper = np.maximum(u, v) + half
-            lower[axis] = min(u[axis], v[axis])
-            upper[axis] = max(u[axis], v[axis])
-            cells.append(
-                BoundaryCell(lower, upper, rep.reshape(1, -1), float(np.linalg.norm(upper - lower)))
-            )
+        idx = np.argwhere(inside[tuple(sl_lo)] != inside[tuple(sl_hi)])
+        iu.append(idx)
+        iv.append(idx + np.eye(n, dtype=int)[axis])
+        step += [axis] * len(idx)
+    iu, iv = np.vstack(iu), np.vstack(iv)
+    u = np.column_stack([axes[k][iu[:, k]] for k in range(n)])
+    v = np.column_stack([axes[k][iv[:, k]] for k in range(n)])
+    vu, vv = values[tuple(iu.T)], values[tuple(iv.T)]
+    flip = ~(vu <= 0.0)
+    reps = _refine_edges(bar.value_rows, np.where(flip[:, None], v, u), np.where(flip[:, None], u, v),
+                         np.where(flip, vv, vu), np.where(flip, vu, vv), tol.tol_boundary)
+    # a cell spans its edge along the edge's axis, and half a spacing to
+    # either side along the others
+    along = np.arange(n) == np.array(step, dtype=int)[:, None]
+    lower = np.where(along, np.minimum(u, v), np.minimum(u, v) - half)
+    upper = np.where(along, np.maximum(u, v), np.maximum(u, v) + half)
+    cells = [
+        BoundaryCell(lower[i], upper[i], reps[i:i + 1], float(np.linalg.norm(upper[i] - lower[i])))
+        for i in range(len(step))
+    ]
     if not cells:
         raise EmptyBoundaryError("no sign change of B on the grid; boundary not found")
     diam = max(c.diameter for c in cells)

@@ -28,8 +28,8 @@ from .barrier import (
     clarke_gradient,
     collar_width,
 )
-from .convexset import ConvexCompactSet
-from .numerics import largest_feasible
+from .convexset import ConvexCompactSet, support_pairs
+from .numerics import largest_feasible_rows
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .svmap import PerturbedSystem
 
@@ -369,9 +369,9 @@ def _check_separation(scenario: SafetyScenario, grid: BoundaryGrid):
     """Sampled proxy for cl(K) and the unsafe set being separated: no unsafe
     grid sample may lie in K or within one boundary-cell diameter of it."""
     reps = grid.representatives
-    bar = scenario.barrier
-    for x in scenario.unsafe_samples():
-        if bar.value_at(x) <= 0.0:
+    unsafe = scenario.unsafe_samples()
+    for x, b in zip(unsafe, scenario.barrier.value_rows(unsafe)):
+        if b <= 0.0:
             raise PreconditionError(
                 f"unsafe sample {x.tolist()} lies in K = {{B <= 0}}"
             )
@@ -441,32 +441,47 @@ def synthesize_margin(
     max <zeta, co{F(x + delta*B)} + delta*B> < 0.  The overall margin is the
     minimum over cells; a cell that fails even the probe radius yields 0 and
     an overall fail verdict with that cell's witness.
+
+    The cells bisect in lockstep (:func:`largest_feasible_rows`): each round
+    takes the strong images at the representatives of every open cell, each
+    at its own delta, from one ``ball_hulls`` call.
     """
     tol = scenario.tolerances
     base = scenario.dynamics
     if isinstance(base, PerturbedSystem):
         base = base.base
-    margins = []
-    witness = None
-    witness_cell = None
-    for ci, cell in enumerate(grid.cells):
-        reps = [np.asarray(r, float) for r in cell.representatives]
-        zeta_sets = [_clarke_vertices(scenario, r, radius, samples) for r in reps]
+    # every representative of every cell, in cell order, and each one's
+    # gradient vertices with their norms, paired row by row
+    X = grid.representatives
+    cell_of = np.repeat(np.arange(len(grid.cells)), [len(c.representatives) for c in grid.cells])
+    zeta_sets = [_clarke_vertices(scenario, x, radius, samples) for x in X]
+    rep_of = np.repeat(np.arange(len(X)), [len(z) for z in zeta_sets])
+    zetas = np.vstack(zeta_sets)
+    norms = np.array([np.linalg.norm(z) for zs in zeta_sets for z in zs])
 
-        def violation(delta):
-            strong = PerturbedSystem(base, delta, "strong", density)
-            for r, zetas in zip(reps, zeta_sets):
-                img = strong.image(r, _slack(scenario))
-                for z in zetas:
-                    if -img.support(z) <= tol.tol_strict:
-                        return (tuple(r), tuple(img.extreme_point(z)))
-            return None
+    def violation(cells, deltas):
+        """For each cell, None when every representative x and vertex zeta
+        satisfy -support(co{F(x + delta*B)} + delta*B, zeta) > tol_strict,
+        else the cell's first violating representative."""
+        delta = np.zeros(len(grid.cells))
+        delta[cells] = deltas
+        live = np.isin(cell_of, cells)
+        row = np.cumsum(live) - 1  # each live representative's stack row
+        points, counts, radii = base.ball_hulls(X[live], delta[cell_of[live]], density, _slack(scenario))
+        pairs = np.flatnonzero(live[rep_of])
+        support = support_pairs(points, counts, radii + delta[cell_of[live]],
+                                row[rep_of[pairs]], zetas[pairs], norms[pairs])
+        bad = np.unique(rep_of[pairs[-support <= tol.tol_strict]])
+        first = {}
+        for i in bad.tolist():
+            first.setdefault(int(cell_of[i]), tuple(X[i]))
+        return [first.get(c) for c in cells.tolist()]
 
-        delta, w = largest_feasible(violation, float(bracket), rel_tol=rel_tol)
-        margins.append(delta)
-        if delta == 0.0 and witness is None:
-            witness = w[0]
-            witness_cell = ci
+    values, witnesses = largest_feasible_rows(violation, np.full(len(grid.cells), float(bracket)),
+                                              rel_tol=rel_tol)
+    margins = values.tolist()
+    witness_cell = next((ci for ci, w in enumerate(witnesses) if w is not None), None)
+    witness = None if witness_cell is None else witnesses[witness_cell]
 
     eps_star = min(margins) if margins else 0.0
     box = scenario.box

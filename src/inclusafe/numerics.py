@@ -5,7 +5,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["box_array", "grid_axes", "box_grid", "largest_feasible", "scale_box"]
+__all__ = ["box_array", "grid_axes", "box_grid", "largest_feasible", "largest_feasible_rows", "scale_box"]
 
 
 def box_array(box) -> np.ndarray:
@@ -58,22 +58,64 @@ def largest_feasible(
     object.  The feasible region is assumed to be an interval containing 0.
     Returns ``(0.0, witness)`` when even the probe value ``hi * probe_frac``
     fails; otherwise bisects down to relative tolerance and returns the last
-    known-feasible value (sound side) with witness None.
+    known-feasible value (sound side) with witness None.  The one-bracket
+    case of :func:`largest_feasible_rows`.
     """
-    hi = float(hi)
-    if hi <= 0.0:
+    value, witness = largest_feasible_rows(
+        lambda rows, t: [violation(float(t[0]))], [float(hi)], rel_tol=rel_tol, probe_frac=probe_frac
+    )
+    return float(value[0]), witness[0]
+
+
+def largest_feasible_rows(
+    violation: Callable[[np.ndarray, np.ndarray], Sequence[Optional[object]]],
+    hi,
+    *,
+    rel_tol: float = 1e-3,
+    probe_frac: float = 1e-3,
+) -> tuple[np.ndarray, list]:
+    """:func:`largest_feasible` on K brackets ``(0, hi[k]]`` in lockstep.
+
+    ``violation(rows, t)`` tests value ``t[j]`` on bracket ``rows[j]`` and
+    returns one entry per j: None when feasible, else a witness.  Each
+    round passes only the brackets still open, and every bracket sees the
+    probes it would see alone: ``hi * probe_frac``, then ``hi``, then the
+    midpoints.  A bracket whose midpoint rounds to one of its ends is
+    closed at its feasible end, as bisection can make no more progress.
+
+    Returns the (K,) values and a list holding, for each bracket that
+    failed its probe value (value 0), that probe's witness, else None.
+    """
+    hi = np.array(hi, dtype=float).reshape(-1)
+    if (hi <= 0.0).any():
         raise ValueError("bracket upper end must be positive")
-    probe = hi * probe_frac
-    w = violation(probe)
-    if w is not None:
-        return 0.0, w
-    if violation(hi) is None:
-        return hi, None
-    lo, high = probe, hi
-    while high - lo > rel_tol * high:
-        mid = 0.5 * (lo + high)
-        if violation(mid) is None:
-            lo = mid
-        else:
-            high = mid
-    return lo, None
+    value = np.zeros(hi.shape[0])
+    witness: list = []
+
+    def feasible(rows, t):
+        if not rows.size:
+            return np.zeros(0, dtype=bool)
+        found = violation(rows, t)
+        return np.array([w is None for w in found], dtype=bool)
+
+    lo = hi * probe_frac
+    rows = np.arange(hi.shape[0])
+    if rows.size:
+        witness = list(violation(rows, lo))
+    rows = rows[np.array([w is None for w in witness], dtype=bool)]
+    capped = feasible(rows, hi[rows])
+    value[rows[capped]] = hi[rows[capped]]
+    rows = rows[~capped]
+    bisected, high = rows, hi.copy()
+    while True:
+        rows = rows[high[rows] - lo[rows] > rel_tol * high[rows]]
+        mid = 0.5 * (lo[rows] + high[rows])
+        moves = (mid != lo[rows]) & (mid != high[rows])
+        rows, mid = rows[moves], mid[moves]
+        if not rows.size:
+            break
+        ok = feasible(rows, mid)
+        lo[rows[ok]] = mid[ok]
+        high[rows[~ok]] = mid[~ok]
+    value[bisected] = lo[bisected]
+    return value, witness

@@ -28,6 +28,28 @@ def noisy_loop():
 
 
 @pytest.fixture(scope="session")
+def lipschitz_2d():
+    """A planar polyhedral-norm candidate without a gradient oracle under a
+    contracting spiral: its finite-difference Clarke vertices at the kinks
+    are general vectors."""
+    norm = "abs(0.37*x1 + 0.11*x2) + abs(0.23*x1 - 0.61*x2)"
+    cfg = scenarios.builtin_config("example2")
+    cfg.update(
+        name="abs-lipschitz-2d",
+        box=[[-2.0, 2.0], [-2.0, 2.0]],
+        resolution=[21, 21],
+        barrier={"value": f"{norm} - 0.5", "smoothness": "lipschitz"},
+        initial=f"{norm} <= 0.25",
+        unsafe=f"{norm} >= 1",
+        depth=f"{norm} - 0.5",
+        tolerances={},
+        dynamics={"pieces": [{"when": "True", "image": {
+            "kind": "polynomial", "components": ["-x1 + 0.2*x2", "-0.2*x1 - x2"]}}]},
+    )
+    return scenarios.bundle_from_config(cfg)
+
+
+@pytest.fixture(scope="session")
 def example1_grid(example1):
     return boundary_extract(example1.scenario)
 

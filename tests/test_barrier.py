@@ -19,6 +19,7 @@ from inclusafe import (
     hausdorff,
     proximal_subdifferential,
 )
+from inclusafe import scenarios
 from inclusafe.barrier import SMOOTHNESS_TAGS, EmptySampleError, collar_width
 
 
@@ -269,3 +270,94 @@ def test_tolerances_to_dict_round():
     assert d["tol_boundary"] == 1e-8
     assert d["collar_cells"] == 2.0
     assert d["collar_width"] is None
+
+
+# ----------------------------------------------------------------------- #
+# the batched boundary scan against a per-node, per-edge reference
+def _refine_one(value_at, a, b, va, vb, tol_b):
+    """Bisect a -> b (B(a) <= 0 < B(b)) alone; returns the point and the
+    number of midpoints tried."""
+    if abs(va) <= tol_b:
+        return np.array(a, dtype=float), 0
+    if abs(vb) <= tol_b:
+        return np.array(b, dtype=float), 0
+    lo, hi = np.array(a, dtype=float), np.array(b, dtype=float)
+    for k in range(200):
+        mid = 0.5 * (lo + hi)
+        vm = value_at(mid)
+        if abs(vm) <= tol_b:
+            return mid, k + 1
+        if vm <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid, 200
+
+
+def _per_edge_boundary(scenario):
+    """(lower, upper, representative, diameter) of every cell, and the
+    midpoints each edge tried, evaluating B one point at a time."""
+    bar = scenario.barrier
+    axes = scenario.axes()
+    shape = tuple(len(a) for a in axes)
+    values = np.array([bar.value_at(x) for x in scenario.grid()]).reshape(shape)
+    inside = values <= 0.0
+    half = np.array([a[1] - a[0] for a in axes]) / 2.0
+    n = len(axes)
+    cells, tries = [], []
+    for axis in range(n):
+        lo = tuple(slice(0, shape[k] - 1) if k == axis else slice(None) for k in range(n))
+        hi = tuple(slice(1, shape[k]) if k == axis else slice(None) for k in range(n))
+        for iu in np.argwhere(inside[lo] != inside[hi]):
+            iv = iu.copy()
+            iv[axis] += 1
+            u = np.array([axes[k][iu[k]] for k in range(n)])
+            v = np.array([axes[k][iv[k]] for k in range(n)])
+            vu, vv = values[tuple(iu)], values[tuple(iv)]
+            edge = (u, v, vu, vv) if vu <= 0.0 else (v, u, vv, vu)
+            rep, k = _refine_one(bar.value_at, *edge, scenario.tolerances.tol_boundary)
+            lower = np.minimum(u, v) - half
+            upper = np.maximum(u, v) + half
+            lower[axis] = min(u[axis], v[axis])
+            upper[axis] = max(u[axis], v[axis])
+            cells.append((lower, upper, rep, float(np.linalg.norm(upper - lower))))
+            tries.append(k)
+    return cells, tries
+
+
+def _steep():
+    # |B| <= tol_boundary only within 1e-308 of the root x1 = 1e-300: 200
+    # midpoints come nowhere near it, so every edge stops at the cap
+    cfg = scenarios.builtin_config("example2")
+    cfg.update(initial="x1 <= -1", unsafe="x1 >= 1", depth="x1")
+    cfg["barrier"] = {"value": "1e300*(x1 - 1e-300)", "gradient": ["1e300", "0"]}
+    return scenarios.bundle_from_config(cfg)
+
+
+_BOUNDARY_CASES = {
+    "example1": lambda request: request.getfixturevalue("example1"),
+    "example2": lambda request: request.getfixturevalue("example2"),
+    "linear-stable": lambda request: request.getfixturevalue("linear_stable"),
+    "example2-61x21": lambda request: scenarios.build("example2", resolution=(61, 21)),
+    "example2-81x41": lambda request: scenarios.build("example2", resolution=(81, 41)),
+    "lipschitz-2d": lambda request: request.getfixturevalue("lipschitz_2d"),
+    "steep": lambda request: _steep(),
+}
+
+
+@pytest.mark.parametrize("case", list(_BOUNDARY_CASES))
+def test_batched_boundary_scan_equals_per_edge_reference(request, case):
+    scenario = _BOUNDARY_CASES[case](request).scenario
+    expected, tries = _per_edge_boundary(scenario)
+    grid = boundary_extract(scenario)
+    assert len(grid.cells) == len(expected)
+    for cell, (lower, upper, rep, diameter) in zip(grid.cells, expected):
+        # bytes, so that a -0.0 in place of 0.0 shows
+        assert cell.lower.tobytes() == lower.tobytes()
+        assert cell.upper.tobytes() == upper.tobytes()
+        assert cell.representatives.tobytes() == rep.tobytes()
+        assert cell.representatives.shape == (1, scenario.dimension)
+        assert cell.diameter == diameter
+    assert grid.diameter == max(d for *_, d in expected)
+    if case == "steep":
+        assert tries and tries == [200] * len(tries)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from inclusafe import checker, scenarios
+from inclusafe.barrier import BoundaryCell, BoundaryGrid
 from inclusafe.checker import CHECKS
+from inclusafe.numerics import largest_feasible
 from inclusafe import (
     FAIL,
     INCONCLUSIVE,
@@ -386,3 +388,89 @@ def test_margin_synthesis_unwraps_perturbed_dynamics(noisy_loop):
     synth = synthesize_margin(noisy_loop.scenario, grid)
     # synthesis bisects on the bare field, not the pre-perturbed system
     assert synth.eps_star == pytest.approx(0.5, abs=0.01)
+
+
+# ----------------------------------------------------------------------- #
+# lockstep margin synthesis against a per-cell bisection
+def _per_cell_margin(scenario, grid, bracket=1.0, *, density=9, rel_tol=1e-3) -> dict:
+    """``synthesize_margin(...).to_dict()`` one cell at a time: each probe
+    builds the strong system and stops at the cell's first violating
+    (representative, vertex) pair."""
+    tol = scenario.tolerances
+    base = scenario.dynamics
+    if isinstance(base, PerturbedSystem):
+        base = base.base
+    margins, witness, witness_cell = [], None, None
+    for ci, cell in enumerate(grid.cells):
+        reps = [np.asarray(r, float) for r in cell.representatives]
+        zeta_sets = [checker._clarke_vertices(scenario, r, None, None) for r in reps]
+
+        def violation(delta):
+            strong = PerturbedSystem(base, delta, "strong", density)
+            for r, zetas in zip(reps, zeta_sets):
+                img = strong.image(r, tol.interface_slack)
+                for z in zetas:
+                    if -img.support(z) <= tol.tol_strict:
+                        return tuple(r)
+            return None
+
+        delta, w = largest_feasible(violation, float(bracket), rel_tol=rel_tol)
+        margins.append(delta)
+        if delta == 0.0 and witness is None:
+            witness, witness_cell = w, ci
+    box = scenario.box
+    touches = any(np.any(c.lower <= box[:, 0] + 1e-12) or np.any(c.upper >= box[:, 1] - 1e-12)
+                  for c in grid.cells)
+    return {
+        "cell_margins": [float(v) for v in margins],
+        "eps_star": float(min(margins)),
+        "verdict": PASS if min(margins) > 0.0 else FAIL,
+        "witness": list(witness) if witness is not None else None,
+        "witness_cell": witness_cell,
+        "flags": {"bracket": float(bracket), "density": density, "boundary_touches_box": touches},
+    }
+
+
+# scenario fixture, resolution override, synthesis keywords
+_MARGIN_CASES = {
+    "example1": ("example1", None, {}),
+    "example2": ("example2", None, {}),
+    "linear-stable": ("linear_stable", None, {}),
+    "noisy-loop": ("noisy_loop", None, {}),
+    "example2-61x21": ("example2", (61, 21), {}),
+    "example2-81x41": ("example2", (81, 41), {}),
+    "example2-coarse": ("example2", None, {"bracket": 0.25, "density": 5}),
+    # cells with |x1| below about 4.3 are feasible at the bracket end
+    "example2-capped": ("example2", None, {"bracket": 0.05}),
+    "lipschitz-2d": ("lipschitz_2d", None, {}),
+}
+
+
+def test_lockstep_margin_witness_is_first_violating_representative(example1, example1_grid):
+    # one cell with several representatives: the robust root -2, then two
+    # points whose argument ball straddles the switching interface
+    cell = example1_grid.cells[0]
+    reps = np.array([[-2.0], [0.0], [1e-9]])
+    grid = BoundaryGrid([BoundaryCell(cell.lower, cell.upper, reps, cell.diameter),
+                         *example1_grid.cells], example1_grid.spacing, example1_grid.diameter)
+    expected = _per_cell_margin(example1.scenario, grid)
+    assert expected["witness"] == [0.0] and expected["witness_cell"] == 0
+    assert synthesize_margin(example1.scenario, grid).to_dict() == expected
+
+
+@pytest.mark.parametrize("case", list(_MARGIN_CASES))
+def test_lockstep_margin_equals_per_cell_bisection(request, case):
+    fixture, resolution, kw = _MARGIN_CASES[case]
+    scenario = request.getfixturevalue(fixture).scenario
+    if resolution is not None:
+        scenario = scenarios.build(scenario.name, resolution=resolution).scenario
+    grid = boundary_extract(scenario)
+    expected = _per_cell_margin(scenario, grid, **kw)
+    assert synthesize_margin(scenario, grid, **kw).to_dict() == expected
+    if case == "example1":
+        assert expected["witness"] == [0.0] and expected["eps_star"] == 0.0
+    if case == "example2-capped":
+        assert 0 < expected["cell_margins"].count(0.05) < len(grid.cells)
+    if case == "lipschitz-2d":
+        assert any(len(checker._clarke_vertices(scenario, r, None, None)) > 1
+                   for r in grid.representatives)

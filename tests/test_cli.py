@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -253,6 +255,23 @@ def test_margin_command_linear(tmp_path):
     assert code == 0
     assert bundle["margin"]["eps_star"] == pytest.approx(0.5, abs=0.01)
     assert bundle["margin"]["verdict"] == "pass-numeric"
+
+
+def test_margin_with_tolerance_below_float_spacing_returns(tmp_path):
+    # the schema takes any positive rel_tol; bisection used to loop forever
+    # once its bracket ends were adjacent floats
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["margin"] = {"rel_tol": 1e-17}
+    path = _write_cfg(tmp_path, cfg)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "inclusafe.cli", "margin", path, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "out" / "bundle-margin.json", encoding="utf-8") as fh:
+        assert json.load(fh)["margin"]["eps_star"] == pytest.approx(0.5, abs=0.01)
 
 
 def test_margin_command_example1_exits_one(tmp_path):

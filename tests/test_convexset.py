@@ -266,9 +266,24 @@ def test_row_forms_equal_per_set_values_bit_for_bit(n):
         assert hausdorff_rows(a, b, directions=directions).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_support_pairs_equal_per_set_support_bit_for_bit(n):
+    from inclusafe.convexset import support_pairs
+
+    rng = np.random.default_rng(200 + n)
+    stack = _padded_stack(rng, 300, n)
+    # sets paired with general directions, several per set and out of order
+    rows = rng.integers(0, 300, 2000)
+    directions = rng.standard_normal((2000, n)) * 10.0 ** rng.uniform(-2, 2, (2000, 1))
+    norms = np.array([np.linalg.norm(d) for d in directions])
+    sets = [ConvexCompactSet(p[:c], r) for p, c, r in zip(*stack)]
+    want = np.array([sets[i].support(d) for i, d in zip(rows, directions)])
+    assert support_pairs(*stack, rows, directions, norms).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_row_forms_reject_non_finite_rows(n):
-    from inclusafe.convexset import hausdorff_rows, support_rows
+    from inclusafe.convexset import hausdorff_rows, support_pairs, support_rows
 
     rng = np.random.default_rng(7)
     good = _padded_stack(rng, 5, n)
@@ -279,6 +294,8 @@ def test_row_forms_reject_non_finite_rows(n):
         bad = (points, good[1], good[2])
         with pytest.raises(ValueError, match="points must be finite"):
             support_rows(*bad, dirs)
+        with pytest.raises(ValueError, match="points must be finite"):
+            support_pairs(*bad, np.array([0]), dirs[:1], np.ones(1))
         with pytest.raises(ValueError, match="points must be finite"):
             hausdorff_rows(good, bad, directions=16)
         radii = good[2].copy()

@@ -7,9 +7,10 @@ benchmark workloads in ``perfbench/workloads.py`` (which includes ``falsify``
 at the benchmark's perturbation sizes), and ``verify --check ID`` for every
 check id on every builtin and on a few inline variants that reach the checks
 ``all`` never runs on a builtin (Lipschitz candidates with and without a
-gradient oracle, a semicontinuous one, and the one linear setting where the
-C4 separation precondition holds); each variant's ``all`` bundle too.  All
-runs use seed 0.
+gradient oracle, a semicontinuous one, the one linear setting where the
+C4 separation precondition holds, and a planar Lipschitz candidate whose
+sampled Clarke vertices are general vectors); each variant's ``all`` bundle
+too.  All runs use seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 The check ids are written out here rather than imported, so the same file
 runs on an older checkout.  The program is imported from ``src/`` of the
@@ -44,12 +45,19 @@ CHECK_IDS = (
 
 
 def _variants() -> dict:
-    """Inline configs derived from linear-stable."""
+    """Inline configs derived from linear-stable and example2."""
 
-    def linear(**changes):
-        cfg = scenarios.builtin_config("linear-stable")
+    def derived(name, **changes):
+        cfg = scenarios.builtin_config(name)
         cfg.update(changes)
         return cfg
+
+    def linear(**changes):
+        return derived("linear-stable", **changes)
+
+    # a polyhedral norm without a gradient oracle: finite-difference Clarke
+    # vertices at the kinks, under a contracting spiral
+    norm = "abs(0.37*x1 + 0.11*x2) + abs(0.23*x1 - 0.61*x2)"
 
     return {
         "abs-lipschitz": linear(
@@ -68,6 +76,18 @@ def _variants() -> dict:
             boundary_points=[[1.0]],
         ),
         "linear-unsafe-1.5": linear(unsafe="x1 >= 1.5"),
+        "abs-lipschitz-2d": derived(
+            "example2",
+            box=[[-2.0, 2.0], [-2.0, 2.0]],
+            resolution=[21, 21],
+            barrier={"value": f"{norm} - 0.5", "smoothness": "lipschitz"},
+            initial=f"{norm} <= 0.25",
+            unsafe=f"{norm} >= 1",
+            depth=f"{norm} - 0.5",
+            tolerances={},
+            dynamics={"pieces": [{"when": "True", "image": {
+                "kind": "polynomial", "components": ["-x1 + 0.2*x2", "-0.2*x1 - x2"]}}]},
+        ),
     }
 
 
