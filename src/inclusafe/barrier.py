@@ -140,13 +140,18 @@ class BarrierCandidate:
         return np.asarray(self.gradient(x), dtype=float).reshape(-1)
 
     def finite_difference_gradient(self, x, h: float = 1e-6) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        g = np.empty_like(x)
-        for i in range(x.shape[0]):
-            e = np.zeros_like(x)
-            e[i] = h
-            g[i] = (self.value_at(x + e) - self.value_at(x - e)) / (2.0 * h)
-        return g
+        return self.finite_difference_rows(np.asarray(x, dtype=float).reshape(1, -1), h)[0]
+
+    def finite_difference_rows(self, X, h: float = 1e-6) -> np.ndarray:
+        """Central-difference gradient at every row of an (m, n) array, from
+        one :meth:`value_rows` call over the probes x + h*e_i and x - h*e_i
+        (full offset vectors, so a -0.0 coordinate probes as +0.0)."""
+        X = np.asarray(X, dtype=float)
+        m, n = X.shape
+        E = h * np.eye(n)
+        probes = np.concatenate([X[:, None, :] + E, X[:, None, :] - E], axis=1)
+        v = self.value_rows(probes.reshape(-1, n)).reshape(m, 2, n)
+        return (v[:, 0] - v[:, 1]) / (2.0 * h)
 
     def gradient_deviation(self, points, h: float = 1e-6) -> float:
         """Worst relative deviation between the gradient oracle and central
@@ -245,13 +250,25 @@ class SafetyScenario:
         return out
 
     def validate(self):
-        """Raise when sampled initial and unsafe sets overlap."""
+        """Raise when sampled initial and unsafe sets overlap, or when B is
+        undefined at a grid node: its evaluation raises or is not finite."""
         g = self.grid()
         both = expressions.rows_of(self.initial, bool)(g) & expressions.rows_of(self.unsafe, bool)(g)
         if both.any():
             raise ValueError(
                 f"initial and unsafe sets overlap at sampled point {g[both.argmax()].tolist()}"
             )
+        bar = self.barrier
+        expression = getattr(bar.value, "expression", None)
+        label = f"barrier {bar.name or 'B'}" + (f" = {expression}" if expression else "")
+        try:
+            with np.errstate(all="ignore"):
+                values = bar.value_rows(g)
+        except (ArithmeticError, ValueError, TypeError) as e:
+            raise ValueError(f"{label} is undefined on the grid: {e}") from e
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError(f"{label} is not finite at grid node {g[bad.argmax()].tolist()}")
 
 
 @dataclass(frozen=True)
@@ -443,25 +460,17 @@ def clarke_gradient(
     n = x.shape[0]
     dirs = unit_directions(n, min(samples, 64) if n > 1 else 2)
     per_dir = max(1, int(math.ceil(samples / dirs.shape[0])))
-    if bar.gradient is not None:
-        grad_at = bar.gradient_at
-    else:
-        fd_step = min(1e-6, 0.25 * radius / per_dir)
-        grad_at = lambda p: bar.finite_difference_gradient(p, fd_step)
-    grads = []
-    for d in dirs:
-        for k in range(1, per_dir + 1):
-            p = x + radius * (k / per_dir) * d
-            if bar.is_singular(p):
-                continue
-            grads.append(grad_at(p))
-    if not bar.is_singular(x):
-        grads.append(grad_at(x))
-    if not grads:
+    ball = [x + radius * (k / per_dir) * d for d in dirs for k in range(1, per_dir + 1)]
+    pts = [p for p in ball + [x] if not bar.is_singular(p)]
+    if not pts:
         raise SingularPointError(
             f"all gradient samples near x={x.tolist()} hit the singular set"
         )
-    return ConvexCompactSet(np.vstack([g.reshape(1, -1) for g in grads]), 0.0)
+    if bar.gradient is not None:
+        return ConvexCompactSet(np.vstack([bar.gradient_at(p) for p in pts]), 0.0)
+    # central differences at every sample from one batched evaluation of B
+    fd_step = min(1e-6, 0.25 * radius / per_dir)
+    return ConvexCompactSet(bar.finite_difference_rows(np.vstack(pts), fd_step), 0.0)
 
 
 def proximal_subdifferential(bar: BarrierCandidate, x) -> ConvexCompactSet:

@@ -4,16 +4,18 @@ Every check is one inequality: -support(F(x), zeta) > 0 for each gradient
 object zeta of B at each x of a region derived from the numeric boundary of
 K = {B <= 0}: the boundary representatives themselves, an outer collar
 (outside K only), or a two-sided collar.  One table, ``CHECKS``, describes
-each check and one sampling kernel evaluates every row.  Verdicts are
-"pass-numeric" (sampled condition held at tolerance; no formal claim),
-"fail" (violating sample found; witness recorded), or "inconclusive"
-(positive margin that shrinks markedly on nested domain boxes).
+each check and one sampling kernel evaluates every row; it and margin
+synthesis read the same (sample, zeta) pairs through one support kernel,
+``convexset.support_pairs``.  Verdicts are "pass-numeric" (sampled
+condition held at tolerance; no formal claim), "fail" (violating sample
+found; witness recorded), or "inconclusive" (positive margin that shrinks
+markedly on nested domain boxes).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -129,28 +131,12 @@ _WEIGHTED = {spec.variant: spec for spec in CHECKS.values() if spec.variant}
 
 _COLLAR_FRACTIONS = (1.0, 0.75, 0.5, 0.25, 0.1, 0.01, 1e-3)
 
+# box scales of the nested infima a weighted check compares its margin with
+_NESTED_SCALES = (0.25, 0.5)
+
 
 def _slack(scenario: SafetyScenario) -> float:
     return scenario.tolerances.interface_slack
-
-
-class _MinTracker:
-    """Running minimum with lexicographic witness tie-breaking."""
-
-    def __init__(self):
-        self.value = math.inf
-        self.point = None
-        self.velocity = None
-        self.count = 0
-
-    def update(self, value, point, velocity=None):
-        self.count += 1
-        pt = tuple(float(v) for v in np.asarray(point).reshape(-1))
-        vel = tuple(float(v) for v in np.asarray(velocity).reshape(-1)) if velocity is not None else None
-        if value < self.value or (value == self.value and self.point is not None and pt < self.point):
-            self.value = value
-            self.point = pt
-            self.velocity = vel
 
 
 def _outward_normal(bar: BarrierCandidate, x) -> Optional[np.ndarray]:
@@ -196,66 +182,85 @@ def _collar_points(scenario: SafetyScenario, grid: BoundaryGrid, region: str) ->
     return pts
 
 
-def _clarke_vertices(scenario: SafetyScenario, x, radius, samples) -> np.ndarray:
+def _clarke_vertices(scenario: SafetyScenario, x) -> np.ndarray:
     tol = scenario.tolerances
-    if radius is None:
-        radius = tol.clarke_radius_scale * (1.0 + float(np.linalg.norm(x)))
-    if samples is None:
-        samples = tol.clarke_samples
+    radius = tol.clarke_radius_scale * (1.0 + float(np.linalg.norm(x)))
+    return clarke_gradient(scenario.barrier, x, radius, tol.clarke_samples).points
+
+
+def _pairs(scenario: SafetyScenario, region, zeta: str):
+    """Every (sample, zeta) pair of a region, sample by sample: each pair's
+    sample index, its zeta, and |zeta| taken one vector at a time (a
+    row-wise norm rounds differently)."""
     bar = scenario.barrier
-    if bar.is_c1:
-        return bar.gradient_at(x).reshape(1, -1)
-    return clarke_gradient(bar, x, radius, samples).points
+    sets = [bar.gradient_at(x).reshape(1, -1) if zeta == "gradient" else _clarke_vertices(scenario, x)
+            for x in region]
+    zetas = np.vstack(sets)
+    return (np.repeat(np.arange(len(sets)), [len(z) for z in sets]), zetas,
+            np.array([np.linalg.norm(z) for z in zetas]))
+
+
+class _Minimum(NamedTuple):
+    """A sampled check's least pair: its value, sample and velocity, and the
+    number of pairs sampled."""
+
+    value: float
+    point: Optional[tuple]
+    velocity: Optional[tuple]
+    count: int
 
 
 def _sample(spec: CheckSpec, scenario: SafetyScenario, grid: BoundaryGrid, system=None,
-            radius=None, samples=None, gain=None) -> _MinTracker:
-    """Minimum of -support(F(x), zeta) over the row's region and zetas.
+            gain=None) -> _Minimum:
+    """Least -support(F(x), zeta) over the row's (sample, zeta) pairs.
 
     Normalized rows divide by |zeta|; a ``gain`` divides by 1 + gain(x).
-    The images of the whole region come from one batched evaluation.
+    The least value wins, ties go to the lexicographically least sample and
+    then to the first pair, and a NaN or +inf value never wins.  The images
+    of the whole region come from one batched evaluation.
     """
     provider = scenario.dynamics if system is None else system
-    bar = scenario.barrier
     region = grid.representatives if spec.region == "boundary" else _collar_points(scenario, grid, spec.region)
-    track = _MinTracker()
+    region = np.array(region, dtype=float)
     if not len(region):
-        return track
-    zeta_sets = [[bar.gradient_at(x)] if spec.zeta == "gradient" else _clarke_vertices(scenario, x, radius, samples)
-                 for x in region]
-    points, counts, radii = provider.images(np.array(region, dtype=float), _slack(scenario))
-    for i, (x, zetas) in enumerate(zip(region, zeta_sets)):
-        img = ConvexCompactSet(points[i, :counts[i]], radii[i])
-        weight = 1.0 if gain is None else 1.0 + float(gain(x))
-        for z in zetas:
-            norm = float(np.linalg.norm(z)) if spec.normalized else 1.0
-            if norm < 1e-12:
-                raise DegenerateGradientError("gradient norm below 1e-12 in normalized check")
-            track.update(-img.support(z) / norm / weight, x, img.extreme_point(z))
-    return track
+        return _Minimum(math.inf, None, None, 0)
+    rep, zetas, norms = _pairs(scenario, region, spec.zeta)
+    points, counts, radii = provider.images(region, _slack(scenario))
+    value = -support_pairs(points, counts, radii, rep, zetas, norms)
+    if spec.normalized:
+        if (norms < 1e-12).any():
+            raise DegenerateGradientError("gradient norm below 1e-12 in normalized check")
+        value /= norms
+    if gain is not None:
+        value /= np.array([1.0 + float(gain(x)) for x in region])[rep]
+    best = np.lexsort((*region[rep].T[::-1], value))[0]
+    if not value[best] < math.inf:
+        return _Minimum(math.inf, None, None, len(rep))
+    i, z = rep[best], zetas[best]
+    velocity = ConvexCompactSet(points[i, :counts[i]], radii[i]).extreme_point(z)
+    return _Minimum(float(value[best]), tuple(region[i].tolist()), tuple(velocity.tolist()), len(rep))
 
 
-def _report(spec: CheckSpec, track: _MinTracker, verdict: str, tolerances: dict, **extra) -> CheckReport:
+def _report(spec: CheckSpec, least: _Minimum, verdict: str, tolerances: dict, **extra) -> CheckReport:
     failed = verdict != PASS
     return CheckReport(
         check_id=spec.check_id,
         verdict=verdict,
-        margin=track.value,
-        witness=track.point if failed else None,
-        witness_velocity=track.velocity if failed else None,
-        samples=track.count,
+        margin=least.value,
+        witness=least.point if failed else None,
+        witness_velocity=least.velocity if failed else None,
+        samples=least.count,
         tolerances=tolerances,
         flags={"region": spec.region, **spec.flags},
         **extra,
     )
 
 
-def _strict(check_id: str, scenario: SafetyScenario, grid: BoundaryGrid, system,
-            radius=None, samples=None) -> CheckReport:
+def _strict(check_id: str, scenario: SafetyScenario, grid: BoundaryGrid, system) -> CheckReport:
     spec = CHECKS[check_id]
     tol = scenario.tolerances.tol_strict
-    track = _sample(spec, scenario, grid, system, radius, samples)
-    return _report(spec, track, PASS if track.value > tol else FAIL, {"tol_strict": tol})
+    least = _sample(spec, scenario, grid, system)
+    return _report(spec, least, PASS if least.value > tol else FAIL, {"tol_strict": tol})
 
 
 # ---------------------------------------------------------------------- #
@@ -265,10 +270,10 @@ def check_nominal(scenario: SafetyScenario, grid: BoundaryGrid, *, system=None) 
     -support(F(x), grad B(x))."""
     spec = CHECKS["nominal-nonincrease"]
     tol = scenario.tolerances.tol
-    track = _sample(spec, scenario, grid, system)
-    if not track.count:
+    least = _sample(spec, scenario, grid, system)
+    if not least.count:
         raise PreconditionError("empty outer collar; no usable boundary normals")
-    return _report(spec, track, PASS if track.value >= -tol else FAIL,
+    return _report(spec, least, PASS if least.value >= -tol else FAIL,
                    {"tol": tol, "collar_width": collar_width(scenario, grid)})
 
 
@@ -278,18 +283,12 @@ def check_robust_strict(scenario: SafetyScenario, grid: BoundaryGrid, *, system=
     return _strict("robust-strict", scenario, grid, system)
 
 
-def check_clarke(
-    scenario: SafetyScenario,
-    grid: BoundaryGrid,
-    radius: Optional[float] = None,
-    samples: Optional[int] = None,
-    *,
-    system=None,
-) -> CheckReport:
+def check_clarke(scenario: SafetyScenario, grid: BoundaryGrid, *, system=None) -> CheckReport:
     """Strict decrease against every sampled generalized-gradient vertex on
     the boundary: <zeta, eta> < 0 for zeta in the sampled Clarke hull and
-    eta in F(x)."""
-    return _strict("clarke-strict", scenario, grid, system, radius, samples)
+    eta in F(x).  The sampling radius and count are the scenario's
+    ``clarke_radius_scale`` and ``clarke_samples`` tolerances."""
+    return _strict("clarke-strict", scenario, grid, system)
 
 
 def check_uniform_unweighted(scenario: SafetyScenario, grid: BoundaryGrid, *, system=None) -> CheckReport:
@@ -306,9 +305,6 @@ def check_uniform_weighted(
     variant: str = "C1",
     *,
     system=None,
-    radius: Optional[float] = None,
-    samples: Optional[int] = None,
-    nested_scales: Sequence[float] = (0.25, 0.5),
 ) -> CheckReport:
     """Normalized strict decrease weighted by the state growth factor.
 
@@ -321,8 +317,8 @@ def check_uniform_weighted(
     unsafe set).
 
     Because the true region may be unbounded, the infimum is also evaluated
-    on nested shrunken boxes; a margin that keeps shrinking as the box grows
-    is reported as inconclusive rather than pass.
+    on nested shrunken boxes (``_NESTED_SCALES``); a margin that keeps
+    shrinking as the box grows is reported as inconclusive rather than pass.
     """
     if variant not in _WEIGHTED:
         raise ValueError(f"variant must be one of {tuple(_WEIGHTED)}, got {variant!r}")
@@ -336,16 +332,15 @@ def check_uniform_weighted(
     if variant == "C4":
         _check_separation(scenario, grid)
 
-    sampling = (system, radius, samples, modulus.state_gain)
-    full = _sample(spec, scenario, grid, *sampling)
+    full = _sample(spec, scenario, grid, system, modulus.state_gain)
     trend = []
-    for s in nested_scales:
+    for s in _NESTED_SCALES:
         try:
             scn_s = scenario.scaled(s)
             grid_s = boundary_extract(scn_s)
         except Exception:
             continue
-        t = _sample(spec, scn_s, grid_s, *sampling)
+        t = _sample(spec, scn_s, grid_s, system, modulus.state_gain)
         if t.count:
             trend.append([float(s), float(t.value)])
     trend.append([1.0, float(full.value)])
@@ -430,8 +425,6 @@ def synthesize_margin(
     bracket: float = 1.0,
     *,
     density: int = 9,
-    radius: Optional[float] = None,
-    samples: Optional[int] = None,
     rel_tol: float = 1e-3,
 ) -> MarginSynthesis:
     """Largest constant perturbation radius per boundary cell.
@@ -454,10 +447,7 @@ def synthesize_margin(
     # gradient vertices with their norms, paired row by row
     X = grid.representatives
     cell_of = np.repeat(np.arange(len(grid.cells)), [len(c.representatives) for c in grid.cells])
-    zeta_sets = [_clarke_vertices(scenario, x, radius, samples) for x in X]
-    rep_of = np.repeat(np.arange(len(X)), [len(z) for z in zeta_sets])
-    zetas = np.vstack(zeta_sets)
-    norms = np.array([np.linalg.norm(z) for zs in zeta_sets for z in zs])
+    rep_of, zetas, norms = _pairs(scenario, X, "clarke-vertices")
 
     def violation(cells, deltas):
         """For each cell, None when every representative x and vertex zeta

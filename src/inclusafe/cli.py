@@ -10,12 +10,13 @@ plus columnar text files for any witness trajectories.
 
 Exit codes: 0 all requested checks passed / nothing falsified; 1 a check
 failed, was inconclusive, a witness was found, or no positive margin
-exists; 2 configuration error.
+exists; 2 configuration error, a barrier undefined on the grid included.
 """
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -306,7 +307,9 @@ def _default_checks(scenario, command: str) -> list[str]:
     ]
 
 
-def _run_check(check_id: str, scenario, grid):
+def _run_check(check_id: str, scenario, grid, modulus):
+    """Run one check; ``modulus()`` returns the run's modulus, which only
+    the weighted rows read."""
     if check_id == "candidate-signs":
         return candidate_check(scenario)
     spec = CHECKS[check_id]
@@ -315,7 +318,7 @@ def _run_check(check_id: str, scenario, grid):
     try:
         if spec.variant is None:
             return run_spec(scenario, grid)
-        return run_spec(scenario, grid, build_modulus(_base_map(scenario)), spec.variant)
+        return run_spec(scenario, grid, modulus(), spec.variant)
     except CANNOT_RUN as e:
         raise ConfigError(f"check {check_id!r} cannot run on this scenario: {e}") from e
 
@@ -413,13 +416,27 @@ def run(
     fal_mode = (mode or work.get("perturbation", {}).get("mode", "strong"))
     eps_arg = eps if eps is not None else work.get("perturbation", {}).get("margin")
 
+    mocfg = work.get("modulus", {})
+
+    @functools.cache
+    def modulus():
+        """The run's one continuity modulus of the base map, built from the
+        config's modulus section on first use by a weighted check or the
+        modulus stage."""
+        kwargs = {}
+        if "log_step" in mocfg:
+            kwargs["log_step"] = float(mocfg["log_step"])
+        if "density" in mocfg:
+            kwargs["density"] = int(mocfg["density"])
+        return build_modulus(_base_map(scenario), **kwargs)
+
     needs_grid = command in ("verify", "margin", "all")
     grid = boundary_extract(scenario) if needs_grid else None
 
     if command in ("verify", "all"):
         ids = [check] if check is not None and command == "verify" else _default_checks(scenario, command)
         for cid in ids:
-            rep = _run_check(cid, scenario, grid)
+            rep = _run_check(cid, scenario, grid, modulus)
             checks.append(rep.to_dict())
             if not rep.passed:
                 exit_code = 1
@@ -438,13 +455,7 @@ def run(
             exit_code = 1
 
     if command in ("modulus", "all"):
-        mocfg = work.get("modulus", {})
-        kwargs = {}
-        if "log_step" in mocfg:
-            kwargs["log_step"] = float(mocfg["log_step"])
-        if "density" in mocfg:
-            kwargs["density"] = int(mocfg["density"])
-        pair = build_modulus(_base_map(scenario), **kwargs)
+        pair = modulus()
         mreport = verify_modulus(
             _base_map(scenario),
             pair,

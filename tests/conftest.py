@@ -75,6 +75,11 @@ def example2_modulus(example2):
     return build_modulus(example2.scenario.dynamics)
 
 
+@pytest.fixture(scope="session")
+def lipschitz_2d_modulus(lipschitz_2d):
+    return build_modulus(lipschitz_2d.scenario.dynamics)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)

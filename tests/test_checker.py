@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -97,27 +99,48 @@ def test_checks_accept_perturbed_dynamics(linear_stable, linear_grid):
     assert rep.margin == pytest.approx(0.7, abs=1e-12)
 
 
-def _per_point_sample(spec, scenario, grid, base, mode, eps):
+class _MinTracker:
+    """Running minimum with lexicographic witness tie-breaking."""
+
+    def __init__(self):
+        self.value = math.inf
+        self.point = None
+        self.velocity = None
+        self.count = 0
+
+    def update(self, value, point, velocity=None):
+        self.count += 1
+        pt = tuple(float(v) for v in np.asarray(point).reshape(-1))
+        vel = tuple(float(v) for v in np.asarray(velocity).reshape(-1)) if velocity is not None else None
+        if value < self.value or (value == self.value and self.point is not None and pt < self.point):
+            self.value = value
+            self.point = pt
+            self.velocity = vel
+
+
+def _per_point_sample(spec, scenario, grid, base, mode, eps, gain=None):
     """Reference for ``checker._sample`` on ``PerturbedSystem(base, eps,
     mode)``: the perturbed image built point by point from
-    ``SetValuedMap.image``."""
+    ``SetValuedMap.image``, each value divided by 1 + gain(x) when a
+    ``gain`` is given."""
     region = (grid.representatives if spec.region == "boundary"
               else checker._collar_points(scenario, grid, spec.region))
     slack = scenario.tolerances.interface_slack
     lattice = eps * unit_ball_lattice(base.dimension, 9)
-    track = checker._MinTracker()
+    track = _MinTracker()
     for x in region:
         zetas = ([scenario.barrier.gradient_at(x)] if spec.zeta == "gradient"
-                 else checker._clarke_vertices(scenario, x, None, None))
+                 else checker._clarke_vertices(scenario, x))
         if mode == "strong":
             img = hull_union_many([base.image(x + u, slack) for u in lattice])
         else:
             img = base.image(x, slack)
         if mode != "none":
             img = img.inflate(eps)
+        weight = 1.0 if gain is None else 1.0 + float(gain(x))
         for z in zetas:
             norm = float(np.linalg.norm(z)) if spec.normalized else 1.0
-            track.update(-img.support(z) / norm, x, img.extreme_point(z))
+            track.update(-img.support(z) / norm / weight, x, img.extreme_point(z))
     return track
 
 
@@ -144,6 +167,83 @@ def test_sampled_checks_match_per_point_images(name, mode):
         assert got.count == want.count > 0
         assert (got.value, got.point, got.velocity) == (want.value, want.point, want.velocity)
         assert np.signbit(got.value) == np.signbit(want.value)
+
+
+def _hand_grid(reps):
+    """One boundary cell holding the given representatives, in that order."""
+    reps = np.array(reps, dtype=float)
+    cell = BoundaryCell(reps.min(axis=0) - 1.0, reps.max(axis=0) + 1.0, reps, 1.0)
+    return BoundaryGrid([cell], np.ones(reps.shape[1]), 1.0)
+
+
+def _still_scenario(dimension):
+    """B = x_n under a field that makes -support(F(x), grad B) the same at
+    every point: {0} in one dimension, {(0, -1), (1, -1)} in two."""
+    grad = ["0"] * (dimension - 1) + ["1"]
+    points = [[0.0]] if dimension == 1 else [[0.0, -1.0], [1.0, -1.0]]
+    f = SetValuedMap(dimension, [constant_piece(lambda x: True, points)])
+    bar = BarrierCandidate.from_config(
+        {"value": f"x{dimension}", "gradient": grad, "smoothness": "C2"}, dimension)
+    return SafetyScenario("still", f, bar, lambda x: x[-1] <= -1.0, lambda x: x[-1] >= 1.0,
+                          [[-2.0, 2.0]] * dimension, 5)
+
+
+# label: scenario (fixture name or hand-built), check id, gain (modulus
+# fixture name, a callable, or None), hand-built grid representatives
+_REFERENCE_CASES = {
+    "example2-weighted-c1": ("example2", "uniform-weighted-c1", "example2_modulus", None),
+    "linear-stable-weighted-c1": ("linear_stable", "uniform-weighted-c1", "linear_modulus", None),
+    "lipschitz-2d-clarke": ("lipschitz_2d", "clarke-strict", None, None),
+    "lipschitz-2d-weighted-c2": ("lipschitz_2d", "uniform-weighted-c2", "lipschitz_2d_modulus", None),
+    # equal values, samples in reverse lexicographic order
+    "equal-values-reverse-order": (2, "robust-strict", None,
+                                   [[1.0, 0.5], [1.0, 0.0], [0.0, 0.5], [0.0, -0.5], [-1.0, 0.0]]),
+    # -0.0 and +0.0 samples tie, either listed first
+    "signed-zero-samples": (1, "robust-strict", None, [[0.0], [-0.0], [0.0]]),
+    "signed-zero-samples-reversed": (1, "robust-strict", None, [[-0.0], [0.0]]),
+    # a negative weight turns the zero value -0.0 into +0.0 at x > 0, so
+    # -0.0 and +0.0 values tie; the least sample's own zero is reported
+    "signed-zero-values": (1, "uniform-weighted-c1", lambda x: -2.0 if x[0] > 0 else 0.0,
+                           [[1.0], [-1.0], [2.0]]),
+    "signed-zero-values-positive-least": (1, "uniform-weighted-c1",
+                                          lambda x: -2.0 if x[0] < 0 else 0.0,
+                                          [[1.0], [-1.0], [2.0]]),
+    # a NaN value never wins, and with nothing else there is no witness
+    "nan-values-skipped": (2, "uniform-weighted-c1", lambda x: math.nan if x[0] < 0 else 0.0,
+                           [[1.0, 0.5], [-1.0, 0.0], [0.0, 0.5]]),
+    "nan-values-only": (2, "uniform-weighted-c1", lambda x: math.nan, [[1.0, 0.5], [-1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+@pytest.mark.parametrize("mode", ["none", "strong"])
+def test_sampled_rows_match_per_point_reference(request, case, mode):
+    source, check_id, gain, reps = _REFERENCE_CASES[case]
+    sc = _still_scenario(source) if reps is not None else request.getfixturevalue(source).scenario
+    grid = _hand_grid(reps) if reps is not None else boundary_extract(sc)
+    if isinstance(gain, str):
+        gain = request.getfixturevalue(gain).state_gain
+    base = sc.dynamics
+    system = PerturbedSystem(base, 0.05, mode)
+    spec = CHECKS[check_id]
+    got = checker._sample(spec, sc, grid, system, gain)
+    want = _per_point_sample(spec, sc, grid, base, mode, 0.05, gain)
+    assert got.count == want.count > 0
+    assert (got.value, got.point, got.velocity) == (want.value, want.point, want.velocity)
+    assert np.signbit(got.value) == np.signbit(want.value)
+    assert np.signbit(got.point or ()).tolist() == np.signbit(want.point or ()).tolist()
+    if case.startswith("lipschitz-2d"):
+        assert want.count > len(grid.representatives)  # several zetas at some samples
+
+
+def test_pair_norms_are_taken_vector_by_vector(lipschitz_2d):
+    # support_pairs equals the per-set support only with per-vector norms,
+    # and a row-wise norm rounds differently on some of these vertices
+    sc = lipschitz_2d.scenario
+    rep, zetas, norms = checker._pairs(sc, boundary_extract(sc).representatives, "clarke-vertices")
+    assert norms.tolist() == [np.linalg.norm(z) for z in zetas]
+    assert not np.array_equal(np.linalg.norm(zetas, axis=1), norms)
+    assert np.all(np.diff(rep) >= 0)
 
 
 def test_noisy_loop_checks_through_builtin_perturbation(noisy_loop):
@@ -403,7 +503,7 @@ def _per_cell_margin(scenario, grid, bracket=1.0, *, density=9, rel_tol=1e-3) ->
     margins, witness, witness_cell = [], None, None
     for ci, cell in enumerate(grid.cells):
         reps = [np.asarray(r, float) for r in cell.representatives]
-        zeta_sets = [checker._clarke_vertices(scenario, r, None, None) for r in reps]
+        zeta_sets = [checker._clarke_vertices(scenario, r) for r in reps]
 
         def violation(delta):
             strong = PerturbedSystem(base, delta, "strong", density)
@@ -472,5 +572,5 @@ def test_lockstep_margin_equals_per_cell_bisection(request, case):
     if case == "example2-capped":
         assert 0 < expected["cell_margins"].count(0.05) < len(grid.cells)
     if case == "lipschitz-2d":
-        assert any(len(checker._clarke_vertices(scenario, r, None, None)) > 1
+        assert any(len(checker._clarke_vertices(scenario, r)) > 1
                    for r in grid.representatives)

@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from inclusafe import cli, scenarios
+from inclusafe import boundary_extract, build_modulus, checker, cli, scenarios
 from inclusafe.cli import COMMANDS, ConfigError, load_config, main, run
 
 
@@ -291,6 +292,64 @@ def test_modulus_command_writes_tables(tmp_path):
     assert bundle["artifacts"]["modulus_tables"] == "modulus-tables.json"
     tables = json.loads((tmp_path / "modulus-tables.json").read_text())
     assert tables["kind"] == "degenerate"
+
+
+def test_weighted_check_uses_the_configs_modulus(tmp_path):
+    cfg = scenarios.builtin_config("example2")
+    cfg["modulus"] = {"log_step": 2.0}
+    bundle, _ = run(_write_cfg(tmp_path, cfg), "verify", check="uniform-weighted-c1", out=str(tmp_path))
+    scenario = scenarios.bundle_from_config(cfg).scenario
+    want = checker.check_uniform_weighted(scenario, boundary_extract(scenario),
+                                          build_modulus(scenario.dynamics, log_step=2.0), "C1")
+    assert bundle["checks"][0]["margin"] == want.margin
+
+
+@pytest.mark.parametrize("command, builds", [("verify", 0), ("modulus", 1), ("all", 1)])
+def test_one_modulus_per_run(tmp_path, monkeypatch, command, builds):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return build_modulus(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_modulus", counted)
+    run("linear-stable", command, out=str(tmp_path))
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("barrier, reason", [
+    ("sqrt(x1 + 1.5) - 1", "undefined on the grid: math domain error"),
+    ("log(x1 + 2) - 0.5", "undefined on the grid: math domain error"),
+    ("x1 - 1 + 0/x1", "not finite at grid node [0.0]"),
+])
+def test_barrier_undefined_on_the_grid_exits_two(tmp_path, capsys, barrier, reason):
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["barrier"] = {"value": barrier, "smoothness": "C1"}
+    assert main(["verify", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"barrier B = {barrier} is {reason}" in err
+
+
+def test_clarke_tolerances_reach_clarke_check_and_margin(tmp_path, monkeypatch):
+    cfg = _abs_config()
+    default = run(_write_cfg(tmp_path, cfg), "verify", check="clarke-strict", out=str(tmp_path))[0]
+    cfg["tolerances"] = {"clarke_samples": 6, "clarke_radius_scale": 0.02}
+    path = _write_cfg(tmp_path, cfg)
+    seen = []
+    real = checker.clarke_gradient
+
+    def spy(bar, x, radius=None, samples=None):
+        seen.append((radius / (1.0 + np.linalg.norm(x)), samples))
+        return real(bar, x, radius, samples)
+
+    monkeypatch.setattr(checker, "clarke_gradient", spy)
+    bundles = {}
+    for command, kw in (("verify", {"check": "clarke-strict"}), ("margin", {})):
+        seen.clear()
+        bundles[command] = run(path, command, out=str(tmp_path), **kw)[0]
+        assert seen and all(r == pytest.approx(0.02) and s == 6 for r, s in seen)
+    # fewer gradient samples, fewer (sample, zeta) pairs
+    assert bundles["verify"]["checks"][0]["samples"] < default["checks"][0]["samples"]
 
 
 @pytest.mark.parametrize("command", ["modulus", "all"])
