@@ -30,7 +30,7 @@ from .barrier import (
     clarke_gradient,
     collar_width,
 )
-from .convexset import ConvexCompactSet, support_pairs
+from .convexset import row_norms, row_set, support_pairs
 from .numerics import largest_feasible_rows
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .svmap import PerturbedSystem
@@ -190,14 +190,12 @@ def _clarke_vertices(scenario: SafetyScenario, x) -> np.ndarray:
 
 def _pairs(scenario: SafetyScenario, region, zeta: str):
     """Every (sample, zeta) pair of a region, sample by sample: each pair's
-    sample index, its zeta, and |zeta| taken one vector at a time (a
-    row-wise norm rounds differently)."""
+    sample index, its zeta, and |zeta| (:func:`row_norms`)."""
     bar = scenario.barrier
     sets = [bar.gradient_at(x).reshape(1, -1) if zeta == "gradient" else _clarke_vertices(scenario, x)
             for x in region]
     zetas = np.vstack(sets)
-    return (np.repeat(np.arange(len(sets)), [len(z) for z in sets]), zetas,
-            np.array([np.linalg.norm(z) for z in zetas]))
+    return np.repeat(np.arange(len(sets)), [len(z) for z in sets]), zetas, row_norms(zetas)
 
 
 class _Minimum(NamedTuple):
@@ -225,8 +223,8 @@ def _sample(spec: CheckSpec, scenario: SafetyScenario, grid: BoundaryGrid, syste
     if not len(region):
         return _Minimum(math.inf, None, None, 0)
     rep, zetas, norms = _pairs(scenario, region, spec.zeta)
-    points, counts, radii = provider.images(region, _slack(scenario))
-    value = -support_pairs(points, counts, radii, rep, zetas, norms)
+    stack = provider.images(region, _slack(scenario))
+    value = -support_pairs(*stack, rep, zetas, norms)
     if spec.normalized:
         if (norms < 1e-12).any():
             raise DegenerateGradientError("gradient norm below 1e-12 in normalized check")
@@ -237,7 +235,7 @@ def _sample(spec: CheckSpec, scenario: SafetyScenario, grid: BoundaryGrid, syste
     if not value[best] < math.inf:
         return _Minimum(math.inf, None, None, len(rep))
     i, z = rep[best], zetas[best]
-    velocity = ConvexCompactSet(points[i, :counts[i]], radii[i]).extreme_point(z)
+    velocity = row_set(stack, i).extreme_point(z)
     return _Minimum(float(value[best]), tuple(region[i].tolist()), tuple(velocity.tolist()), len(rep))
 
 

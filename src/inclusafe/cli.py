@@ -203,12 +203,20 @@ SCHEMA = {
 _VALIDATOR = Draft202012Validator(SCHEMA)
 
 
+def _finite(literal: str) -> float:
+    """A JSON number or ``NaN``/``Infinity`` constant; ``1e999`` is inf."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {literal} in config; config numbers must be finite")
+    return value
+
+
 def load_config(path: str) -> dict:
     """Read and schema-check a config (a file path or a built-in name).
 
     Parse errors report line and column; schema violations are listed
-    exhaustively, one per line.  A modulus ``log_step`` must also divide the
-    log range of the modulus grid.
+    exhaustively, one per line.  Numbers must be finite, and a modulus
+    ``log_step`` must also divide the log range of the modulus grid.
     """
     if os.path.exists(path):
         try:
@@ -217,7 +225,7 @@ def load_config(path: str) -> dict:
         except OSError as e:
             raise ConfigError(f"cannot read config {path!r}: {e}") from e
         try:
-            cfg = json.loads(text)
+            cfg = json.loads(text, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as e:
             raise ConfigError(
                 f"parse error in {path!r} at line {e.lineno}, column {e.colno}: {e.msg}"
@@ -373,8 +381,8 @@ def run(
             raise ConfigError("--box-scale must be positive")
         work["box"] = [[float(a), float(b)] for a, b in scale_box(work["box"], box_scale)]
     if eps is not None:
-        if eps <= 0:
-            raise ConfigError("--eps must be positive")
+        if not 0.0 < eps < math.inf:
+            raise ConfigError("--eps must be positive and finite")
         pert = work.get("perturbation", {})
         pert["margin"] = float(eps)
         pert.setdefault("mode", "strong")

@@ -6,6 +6,19 @@ under outer hulls of unions, which is all the set arithmetic the rest of the
 package needs.  Support values are exact for the stored representation;
 Hausdorff distance and membership are exact in one dimension and
 direction-sampled in higher dimensions.
+
+Many sets travel as one padded stack ``(points, counts, radii)`` of shapes
+(m, K, n), (m,) and (m,): row i is ``co{points[i, :counts[i]]} + radii[i] *
+B``, and the rest of the row repeats points of that row.  This module is the
+only one that reads that layout.  Its row kernels equal, bit for bit, the
+per-set methods that the tests keep as their oracles: :func:`row_set` builds
+a row's set, and :func:`support_rows` is ``support_many``,
+:func:`support_pairs` ``support``, :func:`extreme_rows` ``extreme_point``,
+:func:`interval_rows` ``interval_bounds``, :func:`contains_rows`
+:func:`contains`, :func:`hausdorff_rows` :func:`hausdorff`, and
+:func:`row_norms` ``np.linalg.norm`` of each vector.  The support and
+distance kernels raise ValueError, as building the sets would, if a row is
+not finite.
 """
 from __future__ import annotations
 
@@ -26,8 +39,13 @@ __all__ = [
     "merge_parts",
     "pruned",
     "hausdorff",
+    "row_set",
+    "row_norms",
     "support_rows",
     "support_pairs",
+    "extreme_rows",
+    "interval_rows",
+    "contains_rows",
     "hausdorff_rows",
     "contains",
     "DEFAULT_DIRECTIONS",
@@ -296,26 +314,53 @@ def _check_rows(points: np.ndarray, radii: np.ndarray) -> None:
         raise ValueError(f"radius must be finite and >= 0, got {float(radii[bad][0])}")
 
 
-def support_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Support values of every set of a padded stack, as an (m, d) array.
+def row_set(stack: tuple, i: int) -> ConvexCompactSet:
+    """The set of row i of a padded ``(points, counts, radii)`` stack."""
+    points, counts, radii = stack
+    return ConvexCompactSet(points[i, :counts[i]], radii[i])
 
-    Row i is ``co{points[i, :counts[i]]} + radii[i] * B``, and its values
-    equal ``support_many`` of that set bit for bit.  The rows of one count
-    share one stacked product in which each row has the shape of its own
-    per-set product: a product over a padded row rounds differently (a
-    one-point set's product is a matrix-vector product).  Raises
-    ValueError, as building the sets would, if a row is not finite.
+
+def _dots(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """``A[i] @ D[i]`` for a stack of (k, n) matrices A, rounded as the
+    per-row matrix-vector product (a plain elementwise sum of products
+    rounds differently for n >= 2)."""
+    if D.shape[1] == 1:
+        return A[:, :, 0] * D
+    return np.matmul(A, D[:, :, None])[:, :, 0]
+
+
+def row_norms(D: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of D, rounded as the per-vector call."""
+    return np.sqrt(_dots(D[:, None, :], D)[:, 0])
+
+
+def _supports(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """:func:`support_rows` without the finiteness check.
+
+    Each row's product has the shape of its own per-set product: one
+    product for an unpadded stack, else one per point count.  A product
+    over the padded width would round differently: a one-point set is
+    multiplied as a matrix-vector product, and from about 180 columns on,
+    BLAS kernels round the last columns of a product differently, so a
+    padding copy can exceed its original.
     """
-    _check_rows(points, radii)
-    D = np.asarray(directions, dtype=float)
-    out = np.empty((len(counts), D.shape[0]))
-    for c in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == c)
-        out[rows] = np.matmul(D, points[rows, :c].transpose(0, 2, 1)).max(axis=2)
+    if (counts == points.shape[1]).all():
+        out = np.matmul(D, points.transpose(0, 2, 1)).max(axis=2)
+    else:
+        out = np.empty((len(counts), D.shape[0]))
+        for c in np.unique(counts).tolist():
+            rows = np.flatnonzero(counts == c)
+            out[rows] = np.matmul(D, points[rows, :c].transpose(0, 2, 1)).max(axis=2)
     ball = radii > 0.0
     if ball.any():
         out[ball] += radii[ball, None] * np.linalg.norm(D, axis=1)
     return out
+
+
+def support_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """``support_many`` of every set of a padded stack, as an (m, d) array."""
+    _check_rows(points, radii)
+    return _supports(points, counts, radii, np.asarray(directions, dtype=float))
 
 
 def support_pairs(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, rows: np.ndarray,
@@ -327,8 +372,7 @@ def support_pairs(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, row
     ``norms[j]`` is ``np.linalg.norm(directions[j])``: the pairs of one
     count share one stacked product in which each pair is the per-set
     matrix-vector product (a batched ``einsum`` or a row-wise norm rounds
-    differently).  Raises ValueError, as building the sets would, if a row
-    is not finite.
+    differently).
     """
     _check_rows(points, radii)
     out = np.empty(len(rows))
@@ -339,23 +383,37 @@ def support_pairs(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, row
     return out + radii[rows] * norms
 
 
-def hausdorff_rows(a: tuple, b: tuple, *, directions: int = DEFAULT_DIRECTIONS) -> np.ndarray:
-    """:func:`hausdorff` between row i of two padded stacks, for every row.
+def extreme_rows(points: np.ndarray, radii: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """:meth:`ConvexCompactSet.extreme_point` of every row of a padded stack
+    in the direction ``D[i]``, as an (m, n) array."""
+    idx = _dots(points, D).argmax(axis=1)
+    V = points[np.arange(D.shape[0]), idx]
+    norm = row_norms(D)
+    grow = (radii > 0.0) & (norm > 1e-300)
+    if grow.all():
+        return V + radii[:, None] * D / norm[:, None]
+    if grow.any():
+        V[grow] = V[grow] + radii[grow, None] * D[grow] / norm[grow, None]
+    return V
 
-    ``a`` and ``b`` are ``(points, counts, radii)`` stacks with the same
-    number of rows, laid out as ``SetValuedMap.images`` returns them (the
-    padding of a row repeats points of that row).  Equal bit for bit to the
-    per-set distances: interval endpoints in one dimension, sampled support
-    values (:func:`support_rows`) otherwise.  Raises ValueError, as
-    building the sets would, if a row is not finite.
-    """
+
+def interval_rows(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`ConvexCompactSet.interval_bounds` of every row of a 1-D
+    padded stack, as arrays (lo, hi)."""
+    col = points[:, :, 0]
+    return col.min(axis=1) - radii, col.max(axis=1) + radii
+
+
+def hausdorff_rows(a: tuple, b: tuple, *, directions: int = DEFAULT_DIRECTIONS) -> np.ndarray:
+    """:func:`hausdorff` between row i of two padded stacks with the same
+    number of rows, for every row: interval endpoints in one dimension,
+    sampled support values (:func:`support_rows`) otherwise."""
     (pa, ca, ra), (pb, cb, rb) = a, b
     if pa.shape[2] == 1:
         _check_rows(pa, ra)
         _check_rows(pb, rb)
-        lo = np.abs((pa[:, :, 0].min(axis=1) - ra) - (pb[:, :, 0].min(axis=1) - rb))
-        hi = np.abs((pa[:, :, 0].max(axis=1) + ra) - (pb[:, :, 0].max(axis=1) + rb))
-        return np.maximum(lo, hi)
+        (alo, ahi), (blo, bhi) = interval_rows(pa, ra), interval_rows(pb, rb)
+        return np.maximum(np.abs(alo - blo), np.abs(ahi - bhi))
     dirs = unit_directions(pa.shape[2], directions)
     return np.abs(support_rows(pa, ca, ra, dirs) - support_rows(pb, cb, rb, dirs)).max(axis=1)
 
@@ -375,3 +433,15 @@ def contains(s: ConvexCompactSet, x, tol: float = 0.0, *, directions: int = DEFA
         return bool(lo - tol <= v[0] <= hi + tol)
     dirs = unit_directions(s.dimension, directions)
     return bool(np.all(dirs @ v <= s.support_many(dirs) + tol))
+
+
+def contains_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: np.ndarray,
+                  tol: float = 0.0) -> np.ndarray:
+    """:func:`contains` of ``V[i]`` in row i of a padded stack, for every
+    row.  It does not check that the rows are finite."""
+    if V.shape[1] == 1:
+        lo, hi = interval_rows(points, radii)
+        return (lo - tol <= V[:, 0]) & (V[:, 0] <= hi + tol)
+    dirs = unit_directions(V.shape[1])
+    support = _supports(points, counts, radii, dirs)
+    return (np.matmul(dirs, V[:, :, None])[:, :, 0] <= support + tol).all(axis=1)

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .convexset import ConvexCompactSet, unit_directions
+from .convexset import contains_rows, extreme_rows, interval_rows, row_norms, row_set
 from .svmap import PerturbedSystem
 from . import expressions
 
@@ -80,53 +80,6 @@ def _extreme_policy(name: str, directions: Callable) -> SelectionPolicy:
     return SelectionPolicy(name, select, directions=directions)
 
 
-def _dots(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """``A[i] @ D[i]`` for a stack of (k, n) matrices A, rounded as the
-    per-row product (a plain elementwise sum of products rounds
-    differently for n >= 2)."""
-    if D.shape[1] == 1:
-        return A[:, :, 0] * D
-    return np.matmul(A, D[:, :, None])[:, :, 0]
-
-
-def _norms(D: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of every row, rounded as the per-vector call."""
-    return np.sqrt(_dots(D[:, None, :], D)[:, 0])
-
-
-def _extreme_rows(points: np.ndarray, radii: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """:meth:`ConvexCompactSet.extreme_point` of every row's image in the
-    direction ``D[i]``."""
-    idx = _dots(points, D).argmax(axis=1)
-    V = points[np.arange(D.shape[0]), idx]
-    norm = _norms(D)
-    grow = (radii > 0.0) & (norm > 1e-300)
-    if grow.all():
-        return V + radii[:, None] * D / norm[:, None]
-    if grow.any():
-        V[grow] = V[grow] + radii[grow, None] * D[grow] / norm[grow, None]
-    return V
-
-
-def _contains_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: np.ndarray,
-                   tol: float) -> np.ndarray:
-    """:func:`convexset.contains` of ``V[i]`` in every row's image."""
-    if V.shape[1] == 1:
-        col = points[:, :, 0]
-        lo, hi = col.min(axis=1) - radii, col.max(axis=1) + radii
-        return (lo - tol <= V[:, 0]) & (V[:, 0] <= hi + tol)
-    dirs = unit_directions(V.shape[1])
-    support = np.matmul(dirs, points.transpose(0, 2, 1)).max(axis=2)
-    single = counts == 1
-    if single.any():
-        # a one-point set is multiplied as a matrix-vector product, which
-        # rounds differently from the matrix product of the padded stack
-        support[single] = np.matmul(dirs, points[single, :1].transpose(0, 2, 1))[:, :, 0]
-    grow = radii > 0.0
-    support[grow] += radii[grow, None] * np.linalg.norm(dirs, axis=1)
-    return (np.matmul(dirs, V[:, :, None])[:, :, 0] <= support + tol).all(axis=1)
-
-
 def b_ascent(barrier) -> SelectionPolicy:
     """Extreme point of the image in the barrier gradient direction.
 
@@ -141,13 +94,13 @@ def b_ascent(barrier) -> SelectionPolicy:
         gradient = expressions.rows_of(barrier.gradient)
         if barrier.singular is None:
             G = gradient(X).reshape(m, n)
-            draw = _norms(G) < 1e-12
+            draw = row_norms(G) < 1e-12
         else:
             singular = expressions.rows_of(barrier.singular, bool)(X)
             G = np.zeros((m, n))
             if not singular.all():
                 G[~singular] = gradient(X[~singular]).reshape(-1, n)
-            draw = singular | (_norms(G) < 1e-12)
+            draw = singular | (row_norms(G) < 1e-12)
         if draw.any():
             for i in np.flatnonzero(draw).tolist():
                 G[i] = rngs[i].standard_normal(n)
@@ -161,7 +114,7 @@ def random_extreme() -> SelectionPolicy:
 
     def directions(X, rngs):
         D = np.array([rng.standard_normal(X.shape[1]) for rng in rngs])
-        norm = _norms(D)
+        norm = row_norms(D)
         small = norm < 1e-12
         if not small.any():
             return D / norm[:, None]
@@ -335,22 +288,22 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                 if steered:
                     D[sel] = policy.directions(S[sel], rng)
                 else:
-                    V[sel] = _extreme_rows(points[sel], radii[sel], policy.directions(S[sel], rng))
+                    V[sel] = extreme_rows(points[sel], radii[sel], policy.directions(S[sel], rng))
                 continue
             if policy.rows is not None:
                 V[sel] = policy.rows(S[sel])
             else:
                 for j in range(sel.start, sel.stop):
-                    image = ConvexCompactSet(points[j, :counts[j]], radii[j])
+                    image = row_set((points, counts, radii), j)
                     V[j] = np.asarray(policy(S[j].copy(), image, rng[j - sel.start]), dtype=float).reshape(-1)
             if policy.verify:
-                ok = _contains_rows(points[sel], counts[sel], radii[sel], V[sel], feasibility_tol)
+                ok = contains_rows(points[sel], counts[sel], radii[sel], V[sel], feasibility_tol)
                 if not ok.all():
                     if feasible is None:
                         feasible = np.ones(live.size, dtype=bool)
                     feasible[sel] = ok
         if steered:
-            V = _extreme_rows(points, radii, D)
+            V = extreme_rows(points, radii, D)
         if feasible is not None:
             if on_infeasible == "raise":
                 j = int(np.argmin(feasible))
@@ -541,8 +494,7 @@ def _velocity_bound(system, points) -> float:
     """Coarse bound on image magnitudes over sample points."""
     P, _, R = system.images(points)
     if P.shape[2] == 1:
-        col = P[:, :, 0]
-        vals = np.abs(np.concatenate([col.min(axis=1) - R, col.max(axis=1) + R]))
+        vals = np.abs(np.concatenate(interval_rows(P, R)))
     else:
         vals = np.linalg.norm(P, axis=2).max(axis=1) + R
     return float(np.fmax.reduce(vals, initial=0.0))
@@ -560,10 +512,11 @@ def falsify(
 ) -> FalsificationResult:
     """Search for a sampled solution that enters the unsafe region.
 
-    With ``eps`` given, the scenario's base dynamics are wrapped in a
-    perturbation of that size (``mode`` picks plain image inflation or the
-    strong form).  With ``eps`` omitted, the scenario's own dynamics are
-    integrated as-is (including any perturbation they already carry).
+    With ``eps`` given (0 < eps < inf, else ValueError), the scenario's
+    base dynamics are wrapped in a perturbation of that size (``mode``
+    picks plain image inflation or the strong form).  With ``eps`` omitted,
+    the scenario's own dynamics are integrated as-is (including any
+    perturbation they already carry).
 
     Trials are (start, policy) pairs: hints come first, in order, each with
     its own policy if it pins one; the remaining starts are drawn from the
@@ -588,8 +541,8 @@ def falsify(
     if eps is None:
         system = dynamics
     else:
-        if eps <= 0.0:
-            raise ValueError("perturbation size eps must be positive")
+        if not 0.0 < eps < math.inf:
+            raise ValueError("perturbation size eps must be positive and finite")
         system = PerturbedSystem(base, margin=float(eps), mode=mode, density=density)
 
     step = budget.step
@@ -688,8 +641,8 @@ def reach_interval_1d(system, interval, *, horizon: float, step: float, samples:
     for _ in range(nsteps):
         xs = np.linspace(lo, hi, samples)
         P, _, R = system.images(xs[:, None])
-        col = P[:, :, 0]
-        lo = min([lo, *(xs + step * (col.min(axis=1) - R)).tolist()])
-        hi = max([hi, *(xs + step * (col.max(axis=1) + R)).tolist()])
+        low, high = interval_rows(P, R)
+        lo = min([lo, *(xs + step * low).tolist()])
+        hi = max([hi, *(xs + step * high).tolist()])
         out.append((lo, hi))
     return np.array(out)

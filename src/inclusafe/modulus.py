@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -148,25 +148,21 @@ def beta(
 
 
 class ModulusPair:
-    """Factored spread bound: ``step_gain(delta) * state_gain(x)``."""
+    """Factored spread bound: ``step_gain(delta) * state_gain(x)``, with the
+    step factor at an array of radii given by ``step_rows``."""
 
     def __init__(
         self,
-        step_fn: Callable[[float], float],
+        step_rows: Callable[[np.ndarray], Sequence[float]],
         state_fn: Callable[[np.ndarray], float],
         *,
-        degenerate: bool = False,
         tables: Optional[dict] = None,
-        flags: Optional[dict] = None,
-        _step_rows: Optional[Callable] = None,
     ):
-        self._step = step_fn
+        self._step_rows = step_rows
         self._state = state_fn
-        # step_fn at an array of radii > 0 in one pass (built pairs only)
-        self._step_rows = _step_rows
-        self.degenerate = bool(degenerate)
         self.tables = tables or {}
-        self.flags = flags or {}
+        self.degenerate = self.tables.get("kind") == "degenerate"
+        self.flags = dict(self.tables.get("flags", {}))
 
     def step_gain(self, delta: float) -> float:
         d = float(delta)
@@ -174,7 +170,7 @@ class ModulusPair:
             raise ValueError("inflation radius must be >= 0")
         if d == 0.0:
             return 0.0
-        return float(self._step(d))
+        return float(self._step_rows(np.array([d]))[0])
 
     def state_gain(self, x) -> float:
         return float(self._state(np.asarray(x, dtype=float).reshape(-1)))
@@ -184,15 +180,13 @@ class ModulusPair:
 
     def _bounds(self, xs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """:meth:`bound` at each row of xs and entry of deltas (all >= 0)."""
-        if self._step_rows is None:
-            return np.array([self.bound(x, d) for x, d in zip(xs, deltas)])
         steps = self._step_rows(deltas)
         return np.array([(float(s) if d > 0.0 else 0.0) * self.state_gain(x)
                          for x, d, s in zip(xs, deltas, steps)])
 
     @classmethod
     def from_callables(cls, step_fn, state_fn, **kw) -> "ModulusPair":
-        return cls(step_fn, state_fn, **kw)
+        return cls(lambda ds: [step_fn(d) if d > 0.0 else 0.0 for d in ds.tolist()], state_fn, **kw)
 
     # ------------------------------------------------------------------ #
     def to_tables(self) -> dict:
@@ -202,35 +196,42 @@ class ModulusPair:
 
     @classmethod
     def from_tables(cls, tables: dict) -> "ModulusPair":
-        """Rebuild evaluators from serialized tables.
-
-        The reloaded pair evaluates the direct spread term by linear
-        interpolation of its table (the built pair evaluates it on demand
-        against the map, which is exact at the sampled radii).
-        """
+        """Rebuild a pair from serialized tables; its direct spread term is
+        the linear interpolation of the ``direct`` table."""
         kind = tables.get("kind")
-        direct = TabulatedFn.from_dict(tables["direct"])
-        if kind == "degenerate":
-            return cls(direct, lambda x: 1.0, degenerate=True, tables=tables,
-                       flags=dict(tables.get("flags", {})))
-        if kind != "built":
+        if kind not in ("built", "degenerate"):
             raise ValueError(f"cannot rebuild modulus of kind {kind!r}")
-        env = TabulatedFn.from_dict(tables["envelope"])
-        cutoff = math.exp(-float(tables["log_range"]))
+        direct = TabulatedFn.from_dict(tables["direct"])
+        return _pair(tables, lambda ds: np.interp(ds, direct.xs, direct.ys))
 
-        def growth(s: float) -> float:
-            if s <= cutoff:
-                return 0.0
-            return math.exp(env(math.log(s)))
 
-        def step_fn(d: float) -> float:
-            return max(growth(d), direct(d))
+def _pair(tables: dict, direct_rows: Callable[[np.ndarray], np.ndarray]) -> ModulusPair:
+    """The pair of these tables, given the direct spread term at an array
+    of radii (a built pair evaluates it against the map, which is exact at
+    the tabulated radii; a reloaded one interpolates its table).
 
-        def state_fn(x) -> float:
-            return growth(float(np.linalg.norm(x))) + 1.0
+    A degenerate pair's step factor is the direct term and its state factor
+    is one.  Otherwise the growth is the exponentiated envelope (zero at
+    radii up to e^-log_range), the step factor the larger of the growth and
+    the direct term, and the state factor one plus the growth at |x|.
+    """
+    if tables["kind"] == "degenerate":
+        return ModulusPair(direct_rows, lambda x: 1.0, tables=tables)
+    env = TabulatedFn.from_dict(tables["envelope"])
+    cutoff = math.exp(-float(tables["log_range"]))
 
-        return cls(step_fn, state_fn, degenerate=False, tables=tables,
-                   flags=dict(tables.get("flags", {})))
+    def growth(s: float) -> float:
+        if s <= cutoff:
+            return 0.0
+        return math.exp(env(math.log(s)))
+
+    def step_rows(ds: np.ndarray) -> list:
+        return [max(growth(d), float(v)) for d, v in zip(ds.tolist(), direct_rows(ds))]
+
+    def state_fn(x) -> float:
+        return growth(float(np.linalg.norm(x))) + 1.0
+
+    return ModulusPair(step_rows, state_fn, tables=tables)
 
 
 def _bilinear(grid: np.ndarray, values: np.ndarray):
@@ -343,9 +344,6 @@ def build_modulus(
         np.concatenate([[0.0], radii]), np.concatenate([[0.0], direct_vals])
     )
 
-    def direct_fn(d: float) -> float:
-        return float(direct_rows(np.array([d]))[0])
-
     if M.max() <= 1e-10 * direct_scale:
         tables = {
             "kind": "degenerate",
@@ -353,10 +351,7 @@ def build_modulus(
             "direct": direct_tab.to_dict(),
             "flags": {"degenerate": True},
         }
-        return ModulusPair(
-            direct_fn, lambda x: 1.0, degenerate=True, tables=tables,
-            flags={"degenerate": True}, _step_rows=direct_rows,
-        )
+        return _pair(tables, direct_rows)
 
     # rescale so the unit-cell log value is positive when possible
     i0 = count // 2  # grid index of log radius 0
@@ -438,24 +433,6 @@ def build_modulus(
     if endpoint_warn:
         flags["sup_endpoint_warning"] = True
 
-    envelope = np.maximum(arg_exp, step_exp)
-    env_tab = TabulatedFn(grid, envelope)
-    cutoff = math.exp(-A)
-
-    def growth(s: float) -> float:
-        if s <= cutoff:
-            return 0.0
-        return math.exp(env_tab(math.log(s)))
-
-    def step_rows(ds: np.ndarray) -> list:
-        return [max(growth(d), float(v)) for d, v in zip(ds.tolist(), direct_rows(ds))]
-
-    def step_fn(d: float) -> float:
-        return step_rows(np.array([d]))[0]
-
-    def state_fn(x) -> float:
-        return growth(float(np.linalg.norm(x))) + 1.0
-
     tables = {
         "kind": "built",
         "log_range": float(log_range),
@@ -466,12 +443,11 @@ def build_modulus(
         "onset_root": root_tab.to_dict(),
         "arg_exponent": TabulatedFn(grid, arg_exp).to_dict(),
         "step_exponent": TabulatedFn(grid, step_exp).to_dict(),
-        "envelope": env_tab.to_dict(),
+        "envelope": TabulatedFn(grid, np.maximum(arg_exp, step_exp)).to_dict(),
         "direct": direct_tab.to_dict(),
         "flags": dict(flags),
     }
-    return ModulusPair(step_fn, state_fn, degenerate=False, tables=tables, flags=flags,
-                       _step_rows=step_rows)
+    return _pair(tables, direct_rows)
 
 
 @dataclass

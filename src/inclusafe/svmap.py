@@ -30,6 +30,7 @@ from .convexset import (
     hull_union_many,
     merge_parts,
     pruned,
+    row_set,
     unit_directions,
 )
 from .numerics import box_array, box_grid, largest_feasible
@@ -160,11 +161,6 @@ def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, group: in
     return points, sizes, rmax
 
 
-def _one(points: np.ndarray, counts: np.ndarray, radii: np.ndarray) -> ConvexCompactSet:
-    """The set of the first row of an :meth:`SetValuedMap.images` result."""
-    return ConvexCompactSet(points[0, :counts[0]], radii[0])
-
-
 class SetValuedMap:
     """Piecewise set-valued map on R^n."""
 
@@ -236,9 +232,8 @@ class SetValuedMap:
         """Hull of the images over each run of ``group`` consecutive rows of
         X, merged as ``hull_union_many([self.image(x, slack) for x in run])``:
         rows where several pieces hold are merged first, then the rows of
-        a run in order.  Returns (points, counts, radii) of shapes (G, K, n),
-        (G,) and (G,); run g's hull has the points ``points[g, :counts[g]]``
-        and the rest of its row repeats some of them.
+        a run in order.  Returns the G hulls as a padded stack (see
+        :mod:`convexset`).
 
         A row where one piece with a batched form holds takes that piece's
         row; other rows are merged through the per-point rule.  Runs whose
@@ -296,11 +291,9 @@ class SetValuedMap:
     def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The image at every row of an (m, n) array X in one pass.
 
-        Returns (points, counts, radii) of shapes (m, K, n), (m,) and (m,):
-        row i's image is ``co{points[i, :counts[i]]} + radii[i] * B``, equal
-        bit for bit to ``self.image(X[i], slack)``; the padding repeats
-        points of the row after its own, so support values and extreme
-        points may read the whole stack.
+        Returns a padded ``(points, counts, radii)`` stack (see
+        :mod:`convexset`) whose row i equals ``self.image(X[i], slack)``
+        bit for bit.
         """
         X = np.asarray(X, dtype=float).reshape(-1, self.dimension)
         return self._hulls(X, slack, 1)
@@ -327,7 +320,7 @@ class SetValuedMap:
         first, exactly as :meth:`image` merges them, then all rows are merged
         in lattice order under the same rule.
         """
-        return _one(*self.ball_hulls(center, radius, density, slack))
+        return row_set(self.ball_hulls(center, radius, density, slack), 0)
 
     @classmethod
     def from_config(cls, dimension: int, pieces_cfg: Sequence[dict]) -> "SetValuedMap":
@@ -464,7 +457,7 @@ class PerturbedSystem:
 
     def image(self, x, slack: float = 0.0) -> ConvexCompactSet:
         """The perturbed image at x: the one-row case of :meth:`images`."""
-        return _one(*self.images(x, slack))
+        return row_set(self.images(x, slack), 0)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,18 @@ def test_load_config_reports_json_position(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_config_numbers_exit_two(tmp_path, capsys, literal):
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["margin"] = {"rel_tol": "rel_tol"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg).replace('"rel_tol": "rel_tol"', f'"rel_tol": {literal}'))
+    with pytest.raises(ConfigError, match="non-finite number"):
+        load_config(str(path))
+    assert main(["margin", str(path), "--out", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     cfg = scenarios.builtin_config("linear-stable")
     cfg["surprise"] = 1
@@ -226,6 +238,12 @@ def test_falsify_requires_eps_or_perturbation(tmp_path):
 def test_falsify_rejects_nonpositive_eps(tmp_path):
     with pytest.raises(ConfigError, match="--eps"):
         run("linear-stable", "falsify", eps=-1.0, out=str(tmp_path))
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_falsify_rejects_non_finite_eps(tmp_path, capsys, eps):
+    assert main(["falsify", "linear-stable", "--eps", eps, "--out", str(tmp_path)]) == 2
+    assert "--eps must be positive and finite" in capsys.readouterr().err
 
 
 def test_mode_flag_requires_perturbation(tmp_path):

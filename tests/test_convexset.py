@@ -235,11 +235,12 @@ def test_contains_outer_in_higher_dimension():
 
 # ----------------------------------------------------------------------- #
 # row forms on padded stacks
-def _padded_stack(rng, m, n):
-    """m random sets as a padded (points, counts, radii) stack: about a
-    third one-point rows, half of the rows with radius 0, and the padding
-    of each row repeating random points of that row."""
-    counts = np.where(rng.random(m) < 0.35, 1, rng.integers(1, 7, m))
+def _padded_stack(rng, m, n, most=6):
+    """m random sets of at most ``most`` points as a padded (points, counts,
+    radii) stack: about a third one-point rows, half of the rows with
+    radius 0, and the padding of each row repeating random points of that
+    row."""
+    counts = np.where(rng.random(m) < 0.35, 1, rng.integers(1, most + 1, m))
     width = int(counts.max()) + int(rng.integers(0, 3))
     points = np.empty((m, width, n))
     for i, c in enumerate(counts):
@@ -302,3 +303,83 @@ def test_row_forms_reject_non_finite_rows(n):
         radii[1] = value
         with pytest.raises(ValueError, match="radius must be finite"):
             hausdorff_rows((good[0], good[1], radii), good, directions=16)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_extreme_points_and_containment_match_the_set_methods(n):
+    from inclusafe.convexset import contains_rows, extreme_rows
+
+    rng = np.random.default_rng(n)
+    points, counts, radii = _padded_stack(rng, 300, n)
+    sets = [ConvexCompactSet(p[:c], r) for p, c, r in zip(points, counts, radii)]
+    D = rng.normal(size=(len(sets), n))
+    D[:10] = 0.0  # a zero direction keeps the hull vertex
+    got = extreme_rows(points, radii, D)
+    want = np.array([s.extreme_point(d) for s, d in zip(sets, D)])
+    assert got.tobytes() == want.tobytes()
+    # points on the boundary (the extreme points), inside and outside
+    V = np.vstack([want[:100], want[100:200] * 0.5, want[200:] * 2.0 + 0.1])
+    for tol in (0.0, 1e-9):
+        got = contains_rows(points, counts, radii, V, tol)
+        assert got.tolist() == [contains(s, v, tol) for s, v in zip(sets, V)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_row_kernels_are_exact_on_wide_stacks(n):
+    """Rows padded far beyond their own points: a product over the padded
+    width would round some padding copies differently from their
+    originals."""
+    from inclusafe.convexset import contains_rows, extreme_rows, hausdorff_rows, support_pairs, support_rows
+
+    rng = np.random.default_rng(300 + n)
+    a = _padded_stack(rng, 60, n, most=300)
+    b = _padded_stack(rng, 60, n, most=300)
+    sets_a = [ConvexCompactSet(p[:c], r) for p, c, r in zip(*a)]
+    sets_b = [ConvexCompactSet(p[:c], r) for p, c, r in zip(*b)]
+    dirs = unit_directions(n, 256)
+    want = np.array([s.support_many(dirs) for s in sets_a])
+    assert support_rows(*a, dirs).tobytes() == want.tobytes()
+    want = np.array([hausdorff(sa, sb) for sa, sb in zip(sets_a, sets_b)])
+    assert hausdorff_rows(a, b).tobytes() == want.tobytes()
+    rows = rng.integers(0, 60, 600)
+    D = rng.standard_normal((600, n))
+    norms = np.array([np.linalg.norm(d) for d in D])
+    want = np.array([sets_a[i].support(d) for i, d in zip(rows, D)])
+    assert support_pairs(*a, rows, D, norms).tobytes() == want.tobytes()
+    D = D[:60]
+    want = np.array([s.extreme_point(d) for s, d in zip(sets_a, D)])
+    assert extreme_rows(a[0], a[2], D).tobytes() == want.tobytes()
+    # every row's own support points are on its sampled boundary
+    V = np.array([s.extreme_point(d) for s, d in zip(sets_a, np.tile(dirs[:1], (60, 1)))])
+    for tol in (0.0, 1e-9):
+        assert contains_rows(*a, V, tol).tolist() == [contains(s, v, tol) for s, v in zip(sets_a, V)]
+
+
+def test_interval_rows_equal_interval_bounds():
+    from inclusafe.convexset import interval_rows
+
+    points, counts, radii = _padded_stack(np.random.default_rng(11), 200, 1)
+    lo, hi = interval_rows(points, radii)
+    want = np.array([ConvexCompactSet(p[:c], r).interval_bounds() for p, c, r in zip(points, counts, radii)])
+    assert np.column_stack([lo, hi]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_norms_equal_per_vector_norms(n):
+    from inclusafe.convexset import row_norms
+
+    rng = np.random.default_rng(400 + n)
+    D = rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-100, 100, (500, 1))
+    D[:5] = 0.0
+    D[5:10] = 1e-170  # squares underflow
+    want = np.array([np.linalg.norm(d) for d in D])
+    assert row_norms(D).tobytes() == want.tobytes()
+
+
+def test_row_set_builds_the_rows_set():
+    from inclusafe.convexset import row_set
+
+    stack = _padded_stack(np.random.default_rng(12), 50, 2)
+    for i, (p, c, r) in enumerate(zip(*stack)):
+        got, want = row_set(stack, i), ConvexCompactSet(p[:c], r)
+        assert got.points.tobytes() == want.points.tobytes() and got.radius == want.radius

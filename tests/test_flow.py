@@ -25,8 +25,7 @@ from inclusafe import (
     reach_interval_1d,
     scenarios,
 )
-from inclusafe.convexset import ConvexCompactSet, contains
-from inclusafe.flow import _contains_rows, _extreme_rows, _lockstep
+from inclusafe.flow import _lockstep
 
 
 def _linear_map():
@@ -160,6 +159,12 @@ def test_monotonicity_explicit_tolerance():
 
 # ----------------------------------------------------------------------- #
 # falsification
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_falsify_rejects_eps_outside_zero_to_infinity(linear_stable, eps):
+    with pytest.raises(ValueError, match="positive and finite"):
+        falsify(linear_stable.scenario, eps=eps, budget=FalsifyBudget(starts=1, horizon=0.01))
+
+
 def test_falsify_example1_strong_uses_interface_hint(example1):
     res = falsify(example1.scenario, eps=0.1,
                   budget=FalsifyBudget(starts=4, horizon=1.0),
@@ -340,25 +345,3 @@ def test_hint_outside_the_box_is_counted_but_not_integrated(example2):
                      budget=FalsifyBudget(starts=1, horizon=0.5),
                      hints=example2.hints(0.04))
     assert inside.found and inside.notes == "cone-escape"
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_batched_extreme_points_and_containment_match_the_set_methods(n):
-    rng = np.random.default_rng(n)
-    sets = [ConvexCompactSet(rng.normal(size=(int(rng.integers(1, 7)), n)),
-                             float(rng.choice([0.0, rng.uniform(0.0, 1.0)])))
-            for _ in range(300)]
-    K = max(s.points.shape[0] for s in sets)
-    points = np.array([np.vstack([s.points] + [s.points[-1:]] * (K - s.points.shape[0])) for s in sets])
-    counts = np.array([s.points.shape[0] for s in sets])
-    radii = np.array([s.radius for s in sets])
-    D = rng.normal(size=(len(sets), n))
-    D[:10] = 0.0  # a zero direction keeps the hull vertex
-    got = _extreme_rows(points, radii, D)
-    want = np.array([s.extreme_point(d) for s, d in zip(sets, D)])
-    assert got.tobytes() == want.tobytes()
-    # points on the boundary (the extreme points), inside and outside
-    V = np.vstack([want[:100], want[100:200] * 0.5, want[200:] * 2.0 + 0.1])
-    for tol in (0.0, 1e-9):
-        got = _contains_rows(points, counts, radii, V, tol)
-        assert got.tolist() == [contains(s, v, tol) for s, v in zip(sets, V)]
