@@ -207,7 +207,7 @@ def _finite(literal: str) -> float:
     """A JSON number or ``NaN``/``Infinity`` constant; ``1e999`` is inf."""
     value = float(literal)
     if not math.isfinite(value):
-        raise ConfigError(f"non-finite number {literal} in config; config numbers must be finite")
+        raise ConfigError(f"non-finite number {literal}")
     return value
 
 
@@ -230,6 +230,8 @@ def load_config(path: str) -> dict:
             raise ConfigError(
                 f"parse error in {path!r} at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from e
+        except ConfigError as e:
+            raise ConfigError(f"{e} in {path!r}; config numbers must be finite") from e
     elif path in scenarios.BUILTIN:
         cfg = scenarios.builtin_config(path)
     else:

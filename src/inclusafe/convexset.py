@@ -94,6 +94,12 @@ def _directions_cached(dimension: int, count: int) -> np.ndarray:
     return dirs
 
 
+@lru_cache(maxsize=None)
+def _unit_norms(dimension: int) -> np.ndarray:
+    """``np.linalg.norm`` of each of the default ``unit_directions``."""
+    return np.linalg.norm(unit_directions(dimension), axis=1)
+
+
 def unit_directions(dimension: int, count: int = DEFAULT_DIRECTIONS) -> np.ndarray:
     """Deterministic unit direction samples.
 
@@ -334,33 +340,27 @@ def row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(D[:, None, :], D)[:, 0])
 
 
-def _supports(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """:func:`support_rows` without the finiteness check.
-
-    Each row's product has the shape of its own per-set product: one
-    product for an unpadded stack, else one per point count.  A product
-    over the padded width would round differently: a one-point set is
-    multiplied as a matrix-vector product, and from about 180 columns on,
-    BLAS kernels round the last columns of a product differently, so a
-    padding copy can exceed its original.
-    """
-    if (counts == points.shape[1]).all():
-        out = np.matmul(D, points.transpose(0, 2, 1)).max(axis=2)
-    else:
-        out = np.empty((len(counts), D.shape[0]))
-        for c in np.unique(counts).tolist():
-            rows = np.flatnonzero(counts == c)
-            out[rows] = np.matmul(D, points[rows, :c].transpose(0, 2, 1)).max(axis=2)
+def _supports(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, D: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """:func:`support_rows` without the finiteness check, given the norms of
+    the directions: one product per point count, each row in the shape of
+    its own per-set product.  A product over the padded width rounds
+    differently: a one-point set is a matrix-vector product, and from about
+    180 columns on, BLAS rounds the last columns differently, so a padding
+    copy can exceed its original."""
+    out = np.empty((len(counts), D.shape[0]))
+    for c in set(counts.tolist()):
+        rows = counts == c
+        out[rows] = np.matmul(D, points[rows, :c].transpose(0, 2, 1)).max(axis=2)
     ball = radii > 0.0
-    if ball.any():
-        out[ball] += radii[ball, None] * np.linalg.norm(D, axis=1)
+    out[ball] += radii[ball, None] * norms
     return out
 
 
 def support_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """``support_many`` of every set of a padded stack, as an (m, d) array."""
     _check_rows(points, radii)
-    return _supports(points, counts, radii, np.asarray(directions, dtype=float))
+    D = np.asarray(directions, dtype=float)
+    return _supports(points, counts, radii, D, np.linalg.norm(D, axis=1))
 
 
 def support_pairs(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, rows: np.ndarray,
@@ -443,5 +443,5 @@ def contains_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: 
         lo, hi = interval_rows(points, radii)
         return (lo - tol <= V[:, 0]) & (V[:, 0] <= hi + tol)
     dirs = unit_directions(V.shape[1])
-    support = _supports(points, counts, radii, dirs)
+    support = _supports(points, counts, radii, dirs, _unit_norms(V.shape[1]))
     return (np.matmul(dirs, V[:, :, None])[:, :, 0] <= support + tol).all(axis=1)

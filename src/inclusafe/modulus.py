@@ -148,8 +148,7 @@ def beta(
 
 
 class ModulusPair:
-    """Factored spread bound: ``step_gain(delta) * state_gain(x)``, with the
-    step factor at an array of radii given by ``step_rows``."""
+    """Factored spread bound ``step_gain(delta) * state_gain(x)`` (see :meth:`from_callables`)."""
 
     def __init__(
         self,

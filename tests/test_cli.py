@@ -50,8 +50,9 @@ def test_non_finite_config_numbers_exit_two(tmp_path, capsys, literal):
     cfg["margin"] = {"rel_tol": "rel_tol"}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg).replace('"rel_tol": "rel_tol"', f'"rel_tol": {literal}'))
-    with pytest.raises(ConfigError, match="non-finite number"):
+    with pytest.raises(ConfigError, match="non-finite number") as excinfo:
         load_config(str(path))
+    assert repr(str(path)) in str(excinfo.value)
     assert main(["margin", str(path), "--out", str(tmp_path)]) == 2
     assert "must be finite" in capsys.readouterr().err
 
