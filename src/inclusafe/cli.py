@@ -211,12 +211,21 @@ def _finite(literal: str) -> float:
     return value
 
 
+def _int(literal: str) -> int:
+    """A JSON integer, kept as an int; it must also fit a float, as the
+    numeric fields are computed in floats."""
+    if not math.isfinite(float(literal)):
+        raise ConfigError(f"integer of {len(literal.lstrip('-'))} digits beyond float range")
+    return int(literal)
+
+
 def load_config(path: str) -> dict:
     """Read and schema-check a config (a file path or a built-in name).
 
     Parse errors report line and column; schema violations are listed
-    exhaustively, one per line.  Numbers must be finite, and a modulus
-    ``log_step`` must also divide the log range of the modulus grid.
+    exhaustively, one per line.  Numbers must be finite, integers within
+    float range, and a modulus ``log_step`` must also divide the log range
+    of the modulus grid.
     """
     if os.path.exists(path):
         try:
@@ -225,7 +234,7 @@ def load_config(path: str) -> dict:
         except OSError as e:
             raise ConfigError(f"cannot read config {path!r}: {e}") from e
         try:
-            cfg = json.loads(text, parse_float=_finite, parse_constant=_finite)
+            cfg = json.loads(text, parse_float=_finite, parse_int=_int, parse_constant=_finite)
         except json.JSONDecodeError as e:
             raise ConfigError(
                 f"parse error in {path!r} at line {e.lineno}, column {e.colno}: {e.msg}"

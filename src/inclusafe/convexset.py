@@ -19,6 +19,11 @@ a row's set, and :func:`support_rows` is ``support_many``,
 :func:`row_norms` ``np.linalg.norm`` of each vector.  The support and
 distance kernels raise ValueError, as building the sets would, if a row is
 not finite.
+
+scipy is imported only on the first call that needs Qhull: the hull of more
+than :data:`PRUNE_THRESHOLD` points in two or more dimensions.  Qhull is
+reached through the module-level name :func:`ConvexHull`, which tracers
+patch to count hull calls, so :func:`_prune` looks it up at call time.
 """
 from __future__ import annotations
 
@@ -27,7 +32,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "ConvexCompactSet",
@@ -206,6 +210,14 @@ class ConvexCompactSet:
 
 
 # ---------------------------------------------------------------------- #
+def ConvexHull(points: np.ndarray):
+    """``scipy.spatial.ConvexHull(points)``, with scipy imported on the first
+    call rather than with this module."""
+    from scipy.spatial import ConvexHull as qhull
+
+    return qhull(points)
+
+
 def _prune(points: np.ndarray) -> np.ndarray:
     """Drop points interior to the hull.  Exact: support values are unchanged."""
     points = np.unique(points, axis=0)
@@ -214,6 +226,8 @@ def _prune(points: np.ndarray) -> np.ndarray:
         return np.array([[points[:, 0].min()], [points[:, 0].max()]])
     if points.shape[0] <= n + 1:
         return points
+    from scipy.spatial import QhullError
+
     try:
         hull = ConvexHull(points)
     except QhullError:

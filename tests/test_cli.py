@@ -18,6 +18,12 @@ def _write_cfg(tmp_path, cfg, name="scenario.json"):
     return str(p)
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src/`` first on the import path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 # ----------------------------------------------------------------------- #
 # config loading
 def test_load_config_accepts_builtin_names():
@@ -55,6 +61,31 @@ def test_non_finite_config_numbers_exit_two(tmp_path, capsys, literal):
     assert repr(str(path)) in str(excinfo.value)
     assert main(["margin", str(path), "--out", str(tmp_path)]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_config_integer_beyond_float_range_exits_two(tmp_path, capsys):
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["margin"] = {"rel_tol": "rel_tol"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg).replace('"rel_tol": "rel_tol"', '"rel_tol": 1' + "0" * 400))
+    with pytest.raises(ConfigError, match="beyond float range") as excinfo:
+        load_config(str(path))
+    assert repr(str(path)) in str(excinfo.value)
+    assert main(["margin", str(path), "--out", str(tmp_path)]) == 2
+    assert "beyond float range" in capsys.readouterr().err
+
+
+def test_config_integers_in_float_range_keep_value_and_type(tmp_path):
+    cfg = scenarios.builtin_config("linear-stable")
+    largest = int(sys.float_info.max)
+    cfg["falsify"] = {"seed": 2**64 + 1}
+    cfg["modulus"] = {"seed": -largest}
+    cfg["margin"] = {"rel_tol": largest, "density": 3}
+    loaded = load_config(_write_cfg(tmp_path, cfg))
+    assert loaded == cfg
+    for value in (loaded["falsify"]["seed"], loaded["modulus"]["seed"],
+                  loaded["margin"]["rel_tol"], loaded["margin"]["density"], loaded["dimension"]):
+        assert type(value) is int
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -283,15 +314,23 @@ def test_margin_with_tolerance_below_float_spacing_returns(tmp_path):
     cfg = scenarios.builtin_config("linear-stable")
     cfg["margin"] = {"rel_tol": 1e-17}
     path = _write_cfg(tmp_path, cfg)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "inclusafe.cli", "margin", path, "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "out" / "bundle-margin.json", encoding="utf-8") as fh:
         assert json.load(fh)["margin"]["eps_star"] == pytest.approx(0.5, abs=0.01)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy serves only Qhull, which no command reaches below the pruning
+    # threshold; importing it would double every command's start-up time
+    code = "import sys, inclusafe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_margin_command_example1_exits_one(tmp_path):

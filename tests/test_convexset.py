@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -383,3 +384,91 @@ def test_row_set_builds_the_rows_set():
     for i, (p, c, r) in enumerate(zip(*stack)):
         got, want = row_set(stack, i), ConvexCompactSet(p[:c], r)
         assert got.points.tobytes() == want.points.tobytes() and got.radius == want.radius
+
+
+# ----------------------------------------------------------------------- #
+# pruning through Qhull
+def _brute_force_extreme(points):
+    """Mask of the points that lie on a line (n = 2) or plane (n = 3)
+    through n of the points with every other point strictly on one side.
+    For a cloud in general position these are exactly the hull's vertices."""
+    m, n = points.shape
+    keep = np.zeros(m, dtype=bool)
+    combos = np.array(list(itertools.combinations(range(m), n)))
+    for block in np.array_split(combos, max(1, len(combos) // 4096)):
+        base = points[block]  # (k, n, n)
+        if n == 2:
+            d = base[:, 1] - base[:, 0]
+            normal = np.column_stack([-d[:, 1], d[:, 0]])
+        else:
+            normal = np.cross(base[:, 1] - base[:, 0], base[:, 2] - base[:, 0])
+        side = ((points[None, :, :] - base[:, :1, :]) * normal[:, None, :]).sum(axis=2)
+        side[np.arange(len(block))[:, None], block] = 0.0
+        facet = (side >= 0.0).all(axis=1) | (side <= 0.0).all(axis=1)
+        keep[block[facet].ravel()] = True
+    return keep
+
+
+def _supports(points, directions):
+    return (points[:, None, :] * directions[None, :, :]).sum(axis=2).max(axis=0)
+
+
+@pytest.mark.parametrize("n, m", [(2, 150), (3, 110)])
+def test_pruned_keeps_exactly_the_extreme_points(n, m):
+    from inclusafe.convexset import PRUNE_THRESHOLD, pruned
+
+    rng = np.random.default_rng(500 + n)
+    cloud = rng.standard_normal((m, n))
+    cloud = np.concatenate([cloud, cloud[rng.integers(0, m, 20)]])  # duplicates
+    assert cloud.shape[0] > PRUNE_THRESHOLD
+    unique = np.unique(cloud, axis=0)
+    want = unique[_brute_force_extreme(unique)]
+    assert 2 * n < want.shape[0] < m
+    got = pruned(cloud)
+    # np.unique's row order, which the pruned points keep
+    assert got.tobytes() == want.tobytes()
+    directions = np.concatenate([unit_directions(n), rng.standard_normal((100, n))])
+    assert _supports(got, directions).tobytes() == _supports(cloud, directions).tobytes()
+
+
+def test_pruned_keeps_every_point_of_collinear_input():
+    # Qhull refuses a flat input; the prune then keeps all unique points
+    # rather than risk dropping a true extreme point under joggling
+    from inclusafe.convexset import PRUNE_THRESHOLD, pruned
+
+    t = np.random.default_rng(7).integers(-50, 50, PRUNE_THRESHOLD + 20).astype(float)
+    line = np.column_stack([t, 2.0 * t - 3.0])
+    got = pruned(line)
+    assert got.tobytes() == np.unique(line, axis=0).tobytes()
+    assert got.shape[0] > 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_leaves_small_inputs_unchanged(n):
+    from inclusafe.convexset import PRUNE_THRESHOLD, pruned
+
+    rng = np.random.default_rng(600 + n)
+    for m in (1, n + 1, PRUNE_THRESHOLD):
+        points = rng.standard_normal((m, n))
+        points[m // 2:] = points[0]  # duplicates and interior points stay
+        assert pruned(points) is points
+
+
+def test_prune_calls_qhull_through_the_module_level_name(monkeypatch):
+    # the benchmark's tracer counts hull calls by patching this name
+    from inclusafe import convexset
+
+    calls = []
+    qhull = convexset.ConvexHull
+
+    def counted(points):
+        calls.append(points.shape)
+        return qhull(points)
+
+    monkeypatch.setattr(convexset, "ConvexHull", counted)
+    cloud = np.random.default_rng(8).standard_normal((200, 2))
+    convexset.pruned(cloud[: convexset.PRUNE_THRESHOLD])
+    assert calls == []
+    kept = convexset.pruned(cloud)
+    assert calls == [(200, 2)]
+    assert kept.shape[0] < 200
