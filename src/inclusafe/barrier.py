@@ -95,6 +95,10 @@ class Tolerances:
         }
 
 
+#: central-difference step of :meth:`BarrierCandidate.finite_difference_gradient`
+_FD_STEP = 1e-6
+
+
 class BarrierCandidate:
     """Scalar candidate B with gradient oracle and smoothness tag."""
 
@@ -139,10 +143,10 @@ class BarrierCandidate:
             raise SingularPointError(f"gradient queried on the singular set at x={x.tolist()}")
         return np.asarray(self.gradient(x), dtype=float).reshape(-1)
 
-    def finite_difference_gradient(self, x, h: float = 1e-6) -> np.ndarray:
-        return self.finite_difference_rows(np.asarray(x, dtype=float).reshape(1, -1), h)[0]
+    def finite_difference_gradient(self, x) -> np.ndarray:
+        return self.finite_difference_rows(np.asarray(x, dtype=float).reshape(1, -1), _FD_STEP)[0]
 
-    def finite_difference_rows(self, X, h: float = 1e-6) -> np.ndarray:
+    def finite_difference_rows(self, X, h: float) -> np.ndarray:
         """Central-difference gradient at every row of an (m, n) array, from
         one :meth:`value_rows` call over the probes x + h*e_i and x - h*e_i
         (full offset vectors, so a -0.0 coordinate probes as +0.0)."""
@@ -153,7 +157,7 @@ class BarrierCandidate:
         v = self.value_rows(probes.reshape(-1, n)).reshape(m, 2, n)
         return (v[:, 0] - v[:, 1]) / (2.0 * h)
 
-    def gradient_deviation(self, points, h: float = 1e-6) -> float:
+    def gradient_deviation(self, points) -> float:
         """Worst relative deviation between the gradient oracle and central
         differences over the given points (singular points are skipped)."""
         worst = 0.0
@@ -161,7 +165,7 @@ class BarrierCandidate:
             if self.is_singular(x):
                 continue
             g = self.gradient_at(x)
-            fd = self.finite_difference_gradient(x, h)
+            fd = self.finite_difference_gradient(x)
             scale = 1.0 + float(np.linalg.norm(g))
             worst = max(worst, float(np.linalg.norm(g - fd)) / scale)
         return worst
@@ -337,19 +341,23 @@ def candidate_check(scenario: SafetyScenario) -> CheckReport:
     )
 
 
-def _refine_edges(value_rows, a, b, va, vb, tol_b, max_iter=200) -> np.ndarray:
+#: bisection steps after which :func:`_refine_edges` gives up on a segment
+_REFINE_STEPS = 200
+
+
+def _refine_edges(value_rows, a, b, va, vb, tol_b) -> np.ndarray:
     """Bisect every segment a[i] -> b[i] for a point with |B| <= tol_b, all
     segments in lockstep, each with the arithmetic of bisecting it alone.
 
     Orientation: B(a[i]) <= 0 < B(b[i]).  An end within tol_b is the point
-    itself; a segment that finds none in ``max_iter`` steps keeps its last
-    midpoint.
+    itself; a segment that finds none in :data:`_REFINE_STEPS` steps keeps
+    its last midpoint.
     """
     near_a, near_b = np.abs(va) <= tol_b, np.abs(vb) <= tol_b
     out = np.where((~near_a & near_b)[:, None], b, a)
     live = np.flatnonzero(~near_a & ~near_b)
     lo, hi = a[live], b[live]
-    for _ in range(max_iter):
+    for _ in range(_REFINE_STEPS):
         if not live.size:
             break
         mid = 0.5 * (lo + hi)
@@ -458,7 +466,7 @@ def clarke_gradient(
     if samples is None:
         samples = 64
     n = x.shape[0]
-    dirs = unit_directions(n, min(samples, 64) if n > 1 else 2)
+    dirs = unit_directions(n, min(samples, 64))
     per_dir = max(1, int(math.ceil(samples / dirs.shape[0])))
     ball = [x + radius * (k / per_dir) * d for d in dirs for k in range(1, per_dir + 1)]
     pts = [p for p in ball + [x] if not bar.is_singular(p)]

@@ -250,23 +250,19 @@ def minkowski_sum(a: ConvexCompactSet, b: ConvexCompactSet) -> ConvexCompactSet:
     return ConvexCompactSet(pruned(pts), a.radius + b.radius)
 
 
-def _boundary_ring(dimension: int, angle: float) -> np.ndarray:
-    if dimension == 1:
-        return unit_directions(1)
-    if dimension == 2:
-        count = max(4, int(math.ceil(2.0 * math.pi / angle)))
-        return unit_directions(2, count)
-    return unit_directions(dimension, DEFAULT_DIRECTIONS)
+#: boundary points of a 2-D ring in a merge, HULL_MERGE_ANGLE apart
+_MERGE_RING = int(math.ceil(2.0 * math.pi / HULL_MERGE_ANGLE))
 
 
-def hull_union_many(sets: Sequence[ConvexCompactSet], *, angle: float = HULL_MERGE_ANGLE) -> ConvexCompactSet:
+def hull_union_many(sets: Sequence[ConvexCompactSet]) -> ConvexCompactSet:
     """Outer approximation of ``co(union of sets)``.
 
     With equal radii the result is exact (point lists concatenate).  With
     unequal radii, each smaller-radius operand is replaced by points on its
-    boundary at the given angular resolution and the result carries the
-    largest radius; this keeps the result a superset of every operand since
-    the radius step exceeds the sampled-ring deficit r*(1 - cos(angle/2)).
+    boundary (in 2-D at the angular resolution :data:`HULL_MERGE_ANGLE`)
+    and the result carries the largest radius; this keeps the result a
+    superset of every operand since the radius step exceeds the sampled-ring
+    deficit r*(1 - cos(HULL_MERGE_ANGLE/2)).
     """
     sets = list(sets)
     if not sets:
@@ -274,10 +270,10 @@ def hull_union_many(sets: Sequence[ConvexCompactSet], *, angle: float = HULL_MER
     if len(sets) == 1:
         return sets[0]
     _check_same_dimension(sets)
-    return ConvexCompactSet(*merge_parts([(s.points, s.radius) for s in sets], angle=angle))
+    return ConvexCompactSet(*merge_parts([(s.points, s.radius) for s in sets]))
 
 
-def merge_parts(parts: Sequence[tuple[np.ndarray, float]], *, angle: float = HULL_MERGE_ANGLE) -> tuple[np.ndarray, float]:
+def merge_parts(parts: Sequence[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float]:
     """The :func:`hull_union_many` rule on raw ``(points, radius)`` pairs of
     one dimension: returns the merged ``(points, radius)`` without building
     a set per operand.  A single pair is returned unchanged."""
@@ -286,13 +282,11 @@ def merge_parts(parts: Sequence[tuple[np.ndarray, float]], *, angle: float = HUL
     rmax = max(r for _, r in parts)
     dimension = parts[0][0].shape[1]
     merged = []
-    ring = None
     for pts, r in parts:
         if r == rmax or r == 0.0:
             merged.append(pts)
         else:
-            if ring is None:
-                ring = _boundary_ring(dimension, angle)
+            ring = unit_directions(dimension, _MERGE_RING if dimension == 2 else DEFAULT_DIRECTIONS)
             merged.append((pts[:, None, :] + r * ring[None, :, :]).reshape(-1, dimension))
     return pruned(np.concatenate(merged)), rmax
 
@@ -303,9 +297,9 @@ def pruned(points: np.ndarray) -> np.ndarray:
     return _prune(points) if points.shape[0] > PRUNE_THRESHOLD else points
 
 
-def hull_union(a: ConvexCompactSet, b: ConvexCompactSet, *, angle: float = HULL_MERGE_ANGLE) -> ConvexCompactSet:
+def hull_union(a: ConvexCompactSet, b: ConvexCompactSet) -> ConvexCompactSet:
     """Outer approximation of ``co(A u B)``; see :func:`hull_union_many`."""
-    return hull_union_many([a, b], angle=angle)
+    return hull_union_many([a, b])
 
 
 def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet, *, directions: int = DEFAULT_DIRECTIONS) -> float:
@@ -432,7 +426,7 @@ def hausdorff_rows(a: tuple, b: tuple, *, directions: int = DEFAULT_DIRECTIONS) 
     return np.abs(support_rows(pa, ca, ra, dirs) - support_rows(pb, cb, rb, dirs)).max(axis=1)
 
 
-def contains(s: ConvexCompactSet, x, tol: float = 0.0, *, directions: int = DEFAULT_DIRECTIONS) -> bool:
+def contains(s: ConvexCompactSet, x, tol: float = 0.0) -> bool:
     """Membership test ``x in S`` up to ``tol``.
 
     Exact in one dimension.  In higher dimensions the test checks the
@@ -445,7 +439,7 @@ def contains(s: ConvexCompactSet, x, tol: float = 0.0, *, directions: int = DEFA
     if s.dimension == 1:
         lo, hi = s.interval_bounds()
         return bool(lo - tol <= v[0] <= hi + tol)
-    dirs = unit_directions(s.dimension, directions)
+    dirs = unit_directions(s.dimension)
     return bool(np.all(dirs @ v <= s.support_many(dirs) + tol))
 
 

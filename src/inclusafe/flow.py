@@ -237,9 +237,13 @@ class _Run:
         )
 
 
+#: how far outside the image a verified velocity may lie
+_FEASIBILITY_TOL = 1e-9
+
+
 def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
               backward: bool = False, on_infeasible: str = "raise",
-              feasibility_tol: float = 1e-9, watch: Optional[_Watch] = None) -> _Run:
+              watch: Optional[_Watch] = None) -> _Run:
     """Explicit Euler steps of every trial i from ``X0[i]``, with velocities
     from ``policies[i]`` drawing on ``rngs[i]``, all advanced together.
 
@@ -297,7 +301,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                     image = row_set((points, counts, radii), j)
                     V[j] = np.asarray(policy(S[j].copy(), image, rng[j - sel.start]), dtype=float).reshape(-1)
             if policy.verify:
-                ok = contains_rows(points[sel], counts[sel], radii[sel], V[sel], feasibility_tol)
+                ok = contains_rows(points[sel], counts[sel], radii[sel], V[sel], _FEASIBILITY_TOL)
                 if not ok.all():
                     if feasible is None:
                         feasible = np.ones(live.size, dtype=bool)
@@ -340,7 +344,6 @@ def integrate(
     on_infeasible: str = "raise",
     seed: int = 0,
     rng: Optional[np.random.Generator] = None,
-    feasibility_tol: float = 1e-9,
 ) -> Trajectory:
     """Explicit Euler sampling of one solution.
 
@@ -360,7 +363,7 @@ def integrate(
         system, x, [policy], [rng],
         nsteps=int(round(horizon / step)), step=step,
         box=None if box is None else np.asarray(box, dtype=float), backward=backward,
-        on_infeasible=on_infeasible, feasibility_tol=feasibility_tol,
+        on_infeasible=on_infeasible,
     )
     return run.trajectory(0, step, policy.name, barrier)
 
@@ -387,7 +390,6 @@ class MonotonicityReport:
 
 def monotonicity_test(
     values,
-    step: float,
     *,
     mask=None,
     rise_tol: Optional[float] = None,
@@ -508,7 +510,6 @@ def falsify(
     hints: Sequence[Hint] = (),
     mode: str = "strong",
     density: int = 9,
-    policies: Optional[Sequence[SelectionPolicy]] = None,
 ) -> FalsificationResult:
     """Search for a sampled solution that enters the unsafe region.
 
@@ -521,18 +522,18 @@ def falsify(
     Trials are (start, policy) pairs: hints come first, in order, each with
     its own policy if it pins one; the remaining starts are drawn from the
     initial set (or from the zero sublevel set when the initial set has no
-    grid samples), biased toward small |B|, and run every policy.  A start
-    outside the domain box is not integrated but still counts as tried.
-    All trials run in one lockstep loop, each drawing from its own child of
-    ``SeedSequence(budget.seed)``.  A trial hits when its unsafe excursion
-    depth reaches the exit threshold, ten Euler steps of the observed
-    velocity bound (which filters grazing chatter) capped at the deepest
-    unsafe node of the domain grid.  The lowest-index hitter is the result,
-    with ``tried`` counting the trials up to it, exactly as if the trials
-    ran one by one and the search stopped at the first hit; with no hit,
-    the deepest trial is reported.  Everything is seeded, so results are
-    reproducible, and a trial's outcome does not depend on the trials that
-    run beside it.
+    grid samples), biased toward small |B|, and run b-ascent, then
+    random-extreme.  A start outside the domain box is not integrated but
+    still counts as tried.  All trials run in one lockstep loop, each
+    drawing from its own child of ``SeedSequence(budget.seed)``.  A trial
+    hits when its unsafe excursion depth reaches the exit threshold, ten
+    Euler steps of the observed velocity bound (which filters grazing
+    chatter) capped at the deepest unsafe node of the domain grid.  The
+    lowest-index hitter is the result, with ``tried`` counting the trials up
+    to it, exactly as if the trials ran one by one and the search stopped at
+    the first hit; with no hit, the deepest trial is reported.  Everything
+    is seeded, so results are reproducible, and a trial's outcome does not
+    depend on the trials that run beside it.
     """
     if budget is None:
         budget = FalsifyBudget()
@@ -573,8 +574,7 @@ def falsify(
     weights = 1.0 / (0.1 + np.abs(bar.value_rows(pool)))
     weights = weights / weights.sum()
 
-    if policies is None:
-        policies = [b_ascent(bar), random_extreme()]
+    policies = [b_ascent(bar), random_extreme()]
 
     starts: list[tuple[np.ndarray, Optional[SelectionPolicy], str]] = []
     for hint in hints:

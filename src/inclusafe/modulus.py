@@ -27,7 +27,6 @@ from .numerics import box_array
 __all__ = [
     "ModulusPair",
     "ModulusReport",
-    "ModulusBuildError",
     "TabulatedFn",
     "local_gap",
     "beta",
@@ -45,9 +44,12 @@ LOG_RANGE = 20.0
 #: samples per batched pass of :func:`verify_modulus`; bounds its memory
 _BLOCK = 64
 
+#: support directions sampled in n >= 2 by the spreads and the containment check
+_DIRECTIONS = 64
 
-class ModulusBuildError(RuntimeError):
-    """The tabulated pipeline could not be completed."""
+#: argument-ball lattice density of :func:`local_gap`, :func:`beta` and
+#: :func:`verify_modulus`
+_DENSITY = 9
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ def local_gap(
     y,
     s: float,
     *,
-    density: int = 9,
-    directions: int = 64,
+    density: int = _DENSITY,
+    directions: int = _DIRECTIONS,
     _origin_term: Optional[float] = None,
     _image: Optional[ConvexCompactSet] = None,
 ) -> float:
@@ -97,24 +99,20 @@ def local_gap(
         raise ValueError("ball radius s must be >= 0")
     if s == 0.0:
         return 0.0
-    kw = {"directions": directions} if y.shape[0] > 1 else {}
     image = f_map.image(y) if _image is None else _image
-    spread = hausdorff(_ball_hull(f_map, y, s, density), image, **kw)
+    spread = hausdorff(_ball_hull(f_map, y, s, density), image, directions=directions)
     if _origin_term is None:
         origin = np.zeros_like(y)
-        _origin_term = hausdorff(_ball_hull(f_map, origin, s, density), f_map.image(origin), **kw)
+        _origin_term = hausdorff(_ball_hull(f_map, origin, s, density), f_map.image(origin),
+                                 directions=directions)
     return spread - _origin_term
 
 
-def beta(
-    f_map,
-    r: float,
-    delta: float,
-    *,
-    density: int = 9,
-    rings: int = 8,
-    directions: int = 64,
-) -> float:
+#: sampled magnitudes of y and of s in :func:`beta`
+_BETA_STEPS = 8
+
+
+def beta(f_map, r: float, delta: float) -> float:
     """Max of :func:`local_gap` over sampled |y| <= r, s <= delta.
 
     Exactly zero when either argument is zero (the origin sample y = 0 is
@@ -126,21 +124,20 @@ def beta(
     if r == 0.0 or delta == 0.0:
         return 0.0
     n = f_map.dimension
-    ring = unit_directions(n, 2 if n == 1 else 16)
-    mags = np.linspace(0.0, r, rings + 1)[1:]
-    svals = np.linspace(0.0, delta, rings + 1)[1:]
+    ring = unit_directions(n, 16)
+    mags = np.linspace(0.0, r, _BETA_STEPS + 1)[1:]
+    svals = np.linspace(0.0, delta, _BETA_STEPS + 1)[1:]
     origin = np.zeros(n)
-    hskw = {"directions": directions} if n > 1 else {}
     f0 = f_map.image(origin)
     # F(y) does not depend on the step radius: evaluate it once per point
     ys = [m * d for m in mags for d in ring]
     images = [f_map.image(y) for y in ys]
     best = 0.0
     for s in svals:
-        origin_term = hausdorff(_ball_hull(f_map, origin, s, density), f0, **hskw)
+        origin_term = hausdorff(_ball_hull(f_map, origin, s, _DENSITY), f0, directions=_DIRECTIONS)
         for y, fy in zip(ys, images):
             g = local_gap(
-                f_map, y, s, density=density, directions=directions,
+                f_map, y, s, density=_DENSITY, directions=_DIRECTIONS,
                 _origin_term=origin_term, _image=fy,
             )
             best = max(best, g)
@@ -276,15 +273,31 @@ def _take(stack: tuple, rows: np.ndarray) -> tuple:
     return tuple(a[rows] for a in stack)
 
 
+#: ring points per ring radius of :func:`build_modulus` in n >= 2
+_RING_POINTS = 8
+
+#: width to which :func:`build_modulus` bisects its log-radius roots
+_ROOT_TOL = 1e-6
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bisect [lo, hi] down to :data:`_ROOT_TOL`, moving ``lo`` to each
+    midpoint where ``f <= 0``, and return the last ``lo``."""
+    while hi - lo > _ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def build_modulus(
     f_map,
     *,
     log_range: float = LOG_RANGE,
     log_step: Optional[float] = None,
     density: Optional[int] = None,
-    ring_count: Optional[int] = None,
-    directions: int = 64,
-    root_tol: float = 1e-6,
 ) -> ModulusPair:
     """Construct a factored spread bound for the map by grid tabulation.
 
@@ -304,21 +317,19 @@ def build_modulus(
         log_step = 0.5 if n == 1 else 1.0
     if density is None:
         density = 9 if n == 1 else 5
-    if ring_count is None:
-        ring_count = 2 if n == 1 else 8
 
     count = 2 * log_grid_steps(log_range, log_step) + 1
     grid = np.linspace(-log_range, log_range, count)
     radii = np.exp(grid)
     flags: dict = {}
 
-    ring = unit_directions(n, 2 if n == 1 else ring_count)
+    ring = unit_directions(n, _RING_POINTS)
     f0 = f_map.images(np.zeros(n))
 
     def direct_rows(ds: np.ndarray) -> np.ndarray:
         """The direct spread term |F(s*B) - F(0)|_H at each radius s > 0."""
         return hausdorff_rows(f_map.ball_hulls(np.zeros((len(ds), n)), ds, density),
-                              _take(f0, np.zeros(len(ds), dtype=int)), directions=directions)
+                              _take(f0, np.zeros(len(ds), dtype=int)), directions=_DIRECTIONS)
 
     direct_vals = direct_rows(radii)
 
@@ -330,7 +341,7 @@ def build_modulus(
     for i, r in enumerate(radii):
         ys = r * ring
         spread = hausdorff_rows(f_map.ball_hulls(ys[point], steps, density),
-                                _take(f_map.images(ys), point), directions=directions)
+                                _take(f_map.images(ys), point), directions=_DIRECTIONS)
         gaps = spread.reshape(len(ring), count) - direct_vals
         raw[i] = np.maximum(raw[i], gaps.max(axis=0))
 
@@ -374,14 +385,7 @@ def build_modulus(
         onset = A
         flags["onset_clamped_high"] = True
     else:
-        lo, hi = -A, A
-        while hi - lo > root_tol:
-            mid = 0.5 * (lo + hi)
-            if c_at(mid, 0.0) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        onset = lo
+        onset = _bisect(lambda a: c_at(a, 0.0), -A, A)
 
     # root table: for a <= onset, the radius where c(a, b) = -b
     def onset_root(a: float) -> float:
@@ -392,16 +396,9 @@ def build_modulus(
         if q(hi_b) < 0.0:
             flags["root_clamped"] = True
             return hi_b
-        lo_b, hb = -A, hi_b
-        if q(lo_b) > 0.0:
+        if q(-A) > 0.0:
             return 0.0
-        while hb - lo_b > root_tol:
-            mid = 0.5 * (lo_b + hb)
-            if q(mid) <= 0.0:
-                lo_b = mid
-            else:
-                hb = mid
-        return max(lo_b, 0.0)
+        return max(_bisect(q, -A, hi_b), 0.0)
 
     mask = grid <= onset + 1e-12
     root_xs = grid[mask]
@@ -467,6 +464,10 @@ class ModulusReport:
         }
 
 
+#: slack below zero that :func:`verify_modulus` still passes
+_PASS_TOL = 1e-9
+
+
 def verify_modulus(
     f_map,
     pair: ModulusPair,
@@ -475,9 +476,6 @@ def verify_modulus(
     samples: int = 1000,
     delta_max: float = 1.0,
     seed: int = 0,
-    density: int = 9,
-    directions: int = 64,
-    pass_tol: float = 1e-9,
 ) -> ModulusReport:
     """Sampled containment check F(x + delta*B) in F(x) + bound * B.
 
@@ -489,7 +487,7 @@ def verify_modulus(
     b = box_array(box)
     n = b.shape[0]
     rng = np.random.default_rng(seed)
-    dirs = unit_directions(n, directions if n > 1 else 2)
+    dirs = unit_directions(n, _DIRECTIONS)
     # row k is sample k's x, then its delta: the stream order of one
     # uniform(box) and one uniform(0, delta_max) call per sample
     draws = rng.uniform(np.append(b[:, 0], 0.0), np.append(b[:, 1], delta_max), (samples, n + 1))
@@ -499,7 +497,7 @@ def verify_modulus(
     for lo in range(0, samples, _BLOCK):
         x, delta = xs[lo:lo + _BLOCK], deltas[lo:lo + _BLOCK]
         base = support_rows(*f_map.images(x), dirs)
-        big = support_rows(*f_map.ball_hulls(x, delta, density), dirs)
+        big = support_rows(*f_map.ball_hulls(x, delta, _DENSITY), dirs)
         flat = delta <= 0.0  # a zero-radius ball: the hull is F(x) itself
         big[flat] = base[flat]
         slacks = (base + pair._bounds(x, delta)[:, None] - big).min(axis=1)
@@ -510,7 +508,7 @@ def verify_modulus(
             min_slack = float(slacks[k])
             worst = {"x": [float(v) for v in x[k]], "delta": float(delta[k]), "slack": min_slack}
     return ModulusReport(
-        passed=bool(min_slack >= -pass_tol),
+        passed=bool(min_slack >= -_PASS_TOL),
         min_slack=float(min_slack),
         worst=worst,
         samples=samples,

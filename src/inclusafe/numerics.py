@@ -45,24 +45,27 @@ def box_grid(box, resolution) -> np.ndarray:
     return np.column_stack([m.reshape(-1) for m in mesh])
 
 
+#: first probe of a bisection, as a fraction of the bracket's upper end
+_PROBE_FRAC = 1e-3
+
+
 def largest_feasible(
     violation: Callable[[float], Optional[object]],
     hi: float,
     *,
     rel_tol: float = 1e-3,
-    probe_frac: float = 1e-3,
 ) -> tuple[float, Optional[object]]:
     """Largest value in (0, hi] for which ``violation`` returns None.
 
     ``violation(t)`` returns None when t is feasible, otherwise a witness
     object.  The feasible region is assumed to be an interval containing 0.
-    Returns ``(0.0, witness)`` when even the probe value ``hi * probe_frac``
+    Returns ``(0.0, witness)`` when even the probe value ``hi * _PROBE_FRAC``
     fails; otherwise bisects down to relative tolerance and returns the last
     known-feasible value (sound side) with witness None.  The one-bracket
     case of :func:`largest_feasible_rows`.
     """
     value, witness = largest_feasible_rows(
-        lambda rows, t: [violation(float(t[0]))], [float(hi)], rel_tol=rel_tol, probe_frac=probe_frac
+        lambda rows, t: [violation(float(t[0]))], [float(hi)], rel_tol=rel_tol
     )
     return float(value[0]), witness[0]
 
@@ -72,14 +75,13 @@ def largest_feasible_rows(
     hi,
     *,
     rel_tol: float = 1e-3,
-    probe_frac: float = 1e-3,
 ) -> tuple[np.ndarray, list]:
     """:func:`largest_feasible` on K brackets ``(0, hi[k]]`` in lockstep.
 
     ``violation(rows, t)`` tests value ``t[j]`` on bracket ``rows[j]`` and
     returns one entry per j: None when feasible, else a witness.  Each
     round passes only the brackets still open, and every bracket sees the
-    probes it would see alone: ``hi * probe_frac``, then ``hi``, then the
+    probes it would see alone: ``hi * _PROBE_FRAC``, then ``hi``, then the
     midpoints.  A bracket whose midpoint rounds to one of its ends is
     closed at its feasible end, as bisection can make no more progress.
 
@@ -98,7 +100,7 @@ def largest_feasible_rows(
         found = violation(rows, t)
         return np.array([w is None for w in found], dtype=bool)
 
-    lo = hi * probe_frac
+    lo = hi * _PROBE_FRAC
     rows = np.arange(hi.shape[0])
     if rows.size:
         witness = list(violation(rows, lo))

@@ -471,22 +471,19 @@ class MarginResult:
         return self.delta
 
 
-def _strong_at(f_map: SetValuedMap, margin: float, density: int):
-    return PerturbedSystem(f_map, margin, "strong", density)
+#: argument-ball lattice density of the margin searches
+_DENSITY = 9
+
+#: containment slack of the margin searches
+_TOL = 1e-9
+
+#: grid nodes per axis of the graph sample, and (u, v) perturbation
+#: directions per graph point, of :func:`graph_inflation_margin`
+_GRAPH_GRID = 15
+_GRAPH_DIRECTIONS = 32
 
 
-def graph_inflation_margin(
-    f_map: SetValuedMap,
-    eps: MarginFn,
-    box,
-    bracket: float,
-    *,
-    arg_grid: int = 15,
-    density: int = 9,
-    directions: int = 32,
-    tol: float = 1e-9,
-    rel_tol: float = 1e-3,
-) -> MarginResult:
+def graph_inflation_margin(f_map: SetValuedMap, eps: MarginFn, box, bracket: float) -> MarginResult:
     """Largest delta such that inflating the graph of F by delta stays inside
     the strongly perturbed map with margin eps.
 
@@ -498,48 +495,33 @@ def graph_inflation_margin(
     """
     b = box_array(box)
     n = b.shape[0]
-    xs = box_grid(b, arg_grid)
-    if xs.shape[0] == 0:
-        raise ValueError("empty graph sample")
-    ring = unit_directions(n, 16 if n > 1 else 2)
+    ring = unit_directions(n, 16)
     graph = []
-    for x in xs:
+    for x in box_grid(b, _GRAPH_GRID):
         s = f_map.image(x)
         ys = [s.points]
         if s.radius > 0.0:
             ys.append((s.points[:, None, :] + s.radius * ring[None, :, :]).reshape(-1, n))
         graph.append((x, np.vstack(ys)))
 
-    pert_dirs = unit_directions(2 * n, directions)
+    pert_dirs = unit_directions(2 * n, _GRAPH_DIRECTIONS)
 
     def violation(delta):
-        strong = []
         for x, ys in graph:
             for d in pert_dirs:
                 u, v = delta * d[:n], delta * d[n:]
                 margin_here = _margin_value(eps, x + u)
-                sys_here = _strong_at(f_map, margin_here, density)
-                img = sys_here.image(x + u)
+                img = PerturbedSystem(f_map, margin_here, "strong", _DENSITY).image(x + u)
                 for y in ys:
-                    if not contains(img, y + v, tol):
+                    if not contains(img, y + v, _TOL):
                         return (tuple(x), tuple(y), tuple(u), tuple(v))
         return None
 
-    delta, witness = largest_feasible(violation, float(bracket), rel_tol=rel_tol)
+    delta, witness = largest_feasible(violation, float(bracket))
     return MarginResult(delta, witness)
 
 
-def continuity_margin(
-    f_map: SetValuedMap,
-    eps: MarginFn,
-    x,
-    bracket: float,
-    *,
-    density: int = 9,
-    directions: int = 0,
-    tol: float = 1e-9,
-    rel_tol: float = 1e-3,
-) -> float:
+def continuity_margin(f_map: SetValuedMap, eps: MarginFn, x, bracket: float) -> float:
     """Largest delta with F(x + delta*B) inside F(x) + eps(x)*B (sampled).
 
     The argument ball is sampled on the inscribed lattice; containment is
@@ -550,15 +532,15 @@ def continuity_margin(
     n = x.shape[0]
     target = _margin_value(eps, x)
     base_img = f_map.image(x)
-    dirs = unit_directions(n, directions) if directions else unit_directions(n)
+    dirs = unit_directions(n)
     base_support = base_img.support_many(dirs)
 
     def violation(delta):
-        big = f_map.ball_hull(x, delta, density)
+        big = f_map.ball_hull(x, delta, _DENSITY)
         excess = big.support_many(dirs) - (base_support + target)
-        if np.any(excess > tol):
+        if np.any(excess > _TOL):
             return float(excess.max())
         return None
 
-    delta, _ = largest_feasible(violation, float(bracket), rel_tol=rel_tol)
+    delta, _ = largest_feasible(violation, float(bracket))
     return delta

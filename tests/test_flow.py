@@ -117,7 +117,7 @@ def test_interface_chatter_stays_within_steps(example1):
                      policy=b_ascent(sc.barrier), barrier=sc.barrier)
     # ascent overshoots to 2h, the right branch pulls back: bounded chatter
     assert traj.max_over(lambda x: abs(x[0])) <= 3e-3
-    rep = monotonicity_test(traj.values, 1e-3)
+    rep = monotonicity_test(traj.values)
     # single-step wiggles sit inside the default tolerance
     assert rep.passed
     assert rep.max_rise <= rep.rise_tol
@@ -127,13 +127,13 @@ def test_interface_chatter_stays_within_steps(example1):
 # monotonicity
 def test_monotonicity_passes_decay():
     vals = np.exp(-np.linspace(0, 3, 200))
-    rep = monotonicity_test(vals, 0.01)
+    rep = monotonicity_test(vals)
     assert rep.passed and rep.windows == 1 and rep.max_rise == 0.0
 
 
 def test_monotonicity_flags_sustained_climb():
     vals = np.concatenate([np.linspace(1, 0, 50), np.linspace(0, 1, 100)])
-    rep = monotonicity_test(vals, 0.01)
+    rep = monotonicity_test(vals)
     assert not rep.passed
     assert rep.violations
     assert rep.violations[0]["index"] > 50
@@ -144,17 +144,17 @@ def test_monotonicity_flags_sustained_climb():
 def test_monotonicity_mask_windows():
     vals = np.array([1.0, 0.5, 9.0, 0.4, 0.3])
     mask = np.array([True, True, False, True, True])
-    rep = monotonicity_test(vals, 0.1, mask=mask)
+    rep = monotonicity_test(vals, mask=mask)
     assert rep.passed
     assert rep.windows == 2
     with pytest.raises(ValueError):
-        monotonicity_test(vals, 0.1, mask=mask[:-1])
+        monotonicity_test(vals, mask=mask[:-1])
 
 
 def test_monotonicity_explicit_tolerance():
     vals = np.array([0.0, 0.2, 0.0, 0.2])
-    assert monotonicity_test(vals, 1.0, rise_tol=0.25).passed
-    assert not monotonicity_test(vals, 1.0, rise_tol=0.1).passed
+    assert monotonicity_test(vals, rise_tol=0.25).passed
+    assert not monotonicity_test(vals, rise_tol=0.1).passed
 
 
 # ----------------------------------------------------------------------- #

@@ -250,6 +250,21 @@ def test_continuity_margin_scales_with_target():
     assert d2 == pytest.approx(2 * d1, rel=0.02)
 
 
+def test_continuity_margin_state_dependent_eps():
+    # F(x) = 2x spreads by 2*delta, so the margin is eps(x) / 2, found from
+    # below to the bisection's relative tolerance of 1e-3
+    twox = SetValuedMap(1, [affine_piece(lambda x: True, [[2.0]], [0.0])])
+
+    def eps(x):
+        return 1.0 + abs(float(x[0]))
+
+    at_one = continuity_margin(twox, eps, [1.0], 5.0)
+    assert at_one == continuity_margin(twox, 2.0, [1.0], 5.0)
+    assert 1.0 * (1.0 - 1e-3) <= at_one <= 1.0
+    at_minus_three = continuity_margin(twox, eps, [-3.0], 5.0)
+    assert 2.0 * (1.0 - 1e-3) <= at_minus_three <= 2.0
+
+
 def test_strong_image_support_against_dense_reference():
     # 2-D sanity: inscribed-lattice hull support is within the analytic bound
     # for the planar drift field used by the corpus

@@ -1,4 +1,5 @@
-"""Print the sha256 of report bundles, timestamp removed, one per line.
+"""Print the sha256 of report bundles, timestamp removed, one per line, and
+of every artifact file a run writes.
 
     python3 tools/bundle_digests.py > digests.txt
 
@@ -12,6 +13,9 @@ C4 separation precondition holds, and a planar Lipschitz candidate whose
 sampled Clarke vertices are general vectors); each variant's ``all`` bundle
 too.  All runs use seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
+Each file that a bundle names under ``artifacts`` (the modulus tables, the
+witness trajectory) gets one more line: its sha256 and its file name, after
+the bundle's line.
 The check ids are written out here rather than imported, so the same file
 runs on an older checkout.  The program is imported from ``src/`` of the
 checkout that holds this file, so running the script in two checkouts and
@@ -19,6 +23,7 @@ diffing the outputs shows whether a change moved any bundle byte.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -92,11 +97,16 @@ def _variants() -> dict:
 
 
 def _line(tmp, config, command, label, **flags) -> str:
+    out = os.path.join(tmp, "out")
     try:
-        bundle, code = cli.run(config, command, seed=0, out=os.path.join(tmp, "out"), **flags)
+        bundle, code = cli.run(config, command, seed=0, out=out, **flags)
     except Exception as e:  # noqa: BLE001 - the error class is the output
         return f"raise {type(e).__name__}  {label}"
-    return f"{workloads.digest(bundle)}  exit={code}  {label}"
+    lines = [f"{workloads.digest(bundle)}  exit={code}  {label}"]
+    for name in sorted(bundle.get("artifacts", {}).values()):
+        with open(os.path.join(out, name), "rb") as fh:
+            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}  {label}")
+    return "\n".join(lines)
 
 
 def main() -> int:
