@@ -7,17 +7,29 @@ whitelist before it is compiled, so attribute access, subscripts, lambdas,
 comprehensions and the like are rejected at load time and config files
 cannot reach into the interpreter.
 
+The per-point form evaluates on float64 elements whatever container holds
+the point, so a list, a tuple and an ndarray give the same value or the same
+error.
+
+A square, ``a ** 2`` with the exponent the constant 2 or 2.0, is compiled
+as the one product ``a * a`` (``a`` evaluated once).  IEEE 754 rounds a
+product correctly, so the square is the same on every CPU and in both forms
+below; libm's ``pow``, which Python's ``**`` calls, is not correctly rounded
+and differs from ``a * a`` in the last bit on about one double in a
+thousand.  Every other power keeps Python's ``**``: a longer product chain
+such as ``(a * a) * a`` rounds twice.
+
 Every compiled callable also carries a batched form, ``.rows(X)``, that
 evaluates the expression at every row of an (m, n) array in one pass and is
 equal bit for bit to stacking the per-point results.  It is emitted from the
-same parsed tree: arithmetic, comparisons, boolean operators, conditional
-expressions and ``abs`` map to numpy directly; ``min`` and ``max`` keep
-Python's rule (a later argument replaces the current one only when strictly
-smaller or larger); ``**``, ``//``, ``%`` and the math functions run the
-very same Python operation elementwise, since numpy's own versions round
-differently.  When the batched pass raises (say ``log`` of a negative number
-in a branch that is not taken) the form evaluates row by row, so errors are
-those of the per-point form.
+same parsed tree: arithmetic, squares, comparisons, boolean operators,
+conditional expressions and ``abs`` map to numpy directly; ``min`` and
+``max`` keep Python's rule (a later argument replaces the current one only
+when strictly smaller or larger); other powers, ``//``, ``%`` and the math
+functions run the very same Python operation elementwise, since numpy's own
+versions round differently.  When the batched pass raises (say ``log`` of a
+negative number in a branch that is not taken) the form evaluates row by
+row, so errors are those of the per-point form.
 """
 from __future__ import annotations
 
@@ -109,9 +121,10 @@ def _compile(expression: str, dimension: int, what: str) -> tuple[Callable, Call
     if not isinstance(tree.body, ast.Lambda):
         raise ExpressionError(f"invalid {what} {expression!r}: not a single expression")
     reads = _reads_state(tree.body.body, frozenset(variables), expression, what)
+    tree = ast.fix_missing_locations(_Squares().visit(tree))
     # the namespace must live in the globals dict: that is where the lambda
     # body resolves free names when it is eventually called
-    namespace = {"__builtins__": {}, **_NAMESPACE}
+    namespace = {"__builtins__": {}, **_NAMESPACE, "_square": _square}
     fn = eval(compile(tree, f"<{what}>", "eval"), namespace)
 
     def batched():
@@ -121,6 +134,30 @@ def _compile(expression: str, dimension: int, what: str) -> tuple[Callable, Call
         return eval(code, {**namespace, **_BATCH_NAMESPACE})
 
     return fn, batched, reads
+
+
+class _Squares(ast.NodeTransformer):
+    """Rewrite every ``a ** 2`` as ``_square(a)``; the base subtree is
+    moved, not copied, so nested squares stay linear in size."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        exponent = node.right
+        if isinstance(node.op, ast.Pow) and isinstance(exponent, ast.Constant) \
+                and type(exponent.value) in (int, float) and exponent.value == 2:
+            return ast.copy_location(_call("_square", node.left), node)
+        return node
+
+
+_BOOL = np.dtype(bool)
+
+
+def _square(a):
+    """``a ** 2`` as the one correctly rounded product ``a * a``; numpy's
+    multiply on arrays and float64 elements alike."""
+    if type(a) is bool or getattr(a, "dtype", None) is _BOOL:
+        a = a + 0  # a truth value squares to an integer, as under ``**``
+    return a * a
 
 
 # ---------------------------------------------------------------------- #
@@ -227,7 +264,8 @@ def _batch(node: ast.AST, variables: frozenset) -> tuple[ast.AST, bool]:
         parts = [_batch(n, variables) for n in node.args]
         if not any(reads for _, reads in parts):
             return node, False
-        return _call(f"_{node.func.id}", *(n for n, _ in parts)), True
+        name = node.func.id
+        return _call(name if name == "_square" else f"_{name}", *(n for n, _ in parts)), True
     raise AssertionError(f"node {type(node).__name__} passed the whitelist")  # pragma: no cover
 
 
@@ -269,7 +307,7 @@ def scalar_fn(expression: str, dimension: int) -> Callable[[Sequence[float]], fl
     fn, batched, _ = _compile(expression, dimension, "scalar expression")
 
     def wrapped(x):
-        return float(fn(*x))
+        return float(fn(*np.asarray(x, dtype=float)))
 
     wrapped.expression = expression
     wrapped.rows = _rows_form(batched, wrapped, _as_floats)
@@ -287,7 +325,7 @@ def predicate_fn(expression: str, dimension: int) -> Callable[[Sequence[float]],
     fn, batched, reads = _compile(expression, dimension, "predicate")
 
     def wrapped(x):
-        return bool(fn(*x))
+        return bool(fn(*np.asarray(x, dtype=float)))
 
     wrapped.expression = expression
     wrapped.constant = None
@@ -311,6 +349,7 @@ def vector_fn(expressions: Sequence[str], dimension: int) -> Callable[[Sequence[
     k = len(fns)
 
     def wrapped(x):
+        x = np.asarray(x, dtype=float)
         return np.array([f(*x) for f in fns], dtype=float)
 
     def batched():

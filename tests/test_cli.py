@@ -388,6 +388,14 @@ def test_barrier_undefined_on_the_grid_exits_two(tmp_path, capsys, barrier, reas
     assert f"barrier B = {barrier} is {reason}" in err
 
 
+def test_barrier_squared_past_float_range_exits_two(tmp_path, capsys):
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["box"] = [[-1e200, 1e200]]
+    cfg["barrier"] = {"value": "x1**2 - 1", "smoothness": "C1"}
+    assert main(["verify", _write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert "barrier B = x1**2 - 1 is not finite" in capsys.readouterr().err
+
+
 def test_clarke_tolerances_reach_clarke_check_and_margin(tmp_path, monkeypatch):
     cfg = _abs_config()
     default = run(_write_cfg(tmp_path, cfg), "verify", check="clarke-strict", out=str(tmp_path))[0]

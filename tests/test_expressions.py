@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from inclusafe import ExpressionError, scenarios
-from inclusafe.expressions import predicate_fn, scalar_fn, vector_fn
+from inclusafe.expressions import _compile, predicate_fn, scalar_fn, vector_fn
 
 
 @pytest.mark.parametrize("expression", [
@@ -83,6 +84,7 @@ _EXTRA = [
     "x1 > 0 and x2 < 0", "x1 and x2", "x1 or x2 or 3", "not (x1 > 0)",
     "log(x1) if x1 > 0 else -x1",  # log of a negative number in the branch not taken
     "x1 / x2", "(x1 > 0) + (x2 <= 0) * 2", "pi * x1 + e", "3 ** 2 + x1",
+    "(x1 - x2) ** 2", "(x1 > 0) ** 2 + x1", "x1 ** 2.0 - 3 ** 2",
 ]
 
 
@@ -139,3 +141,85 @@ def test_rows_fall_back_to_row_errors():
         g = scalar_fn("x1 ** 0.5", 1)
         X = np.array([[4.0], [-4.0]])
         assert np.array_equal(g.rows(X), [g(x) for x in X], equal_nan=True)
+
+
+@pytest.mark.parametrize("expression, x", [("x1 ** 0.5", -4.0), ("x1 ** 3", 1e200)])
+def test_per_point_form_evaluates_on_float64_whatever_the_container(expression, x):
+    f = scalar_fn(expression, 1)
+    vector = vector_fn([expression], 1)
+    with np.errstate(all="ignore"):
+        got = [f(c) for c in ([x], (x,), np.array([x]))]
+        got += [vector(c)[0] for c in ([x], (x,), np.array([x]))]
+        assert np.array_equal(got, [f.rows(np.array([[x]]))[0]] * 6, equal_nan=True)
+    with np.errstate(all="raise"):
+        for c in ([x], (x,), np.array([x])):
+            with pytest.raises(FloatingPointError):
+                f(c)
+
+
+# ----------------------------------------------------------------------- #
+# squares
+def _square_points() -> list:
+    """Random doubles, first those where Python's ``x ** 2`` (libm's pow)
+    is not the correctly rounded ``x * x``."""
+    xs = np.random.default_rng(11).uniform(-10.0, 10.0, 20000).tolist()
+    return sorted(xs, key=lambda x: x ** 2 == x * x)
+
+
+def test_squares_are_one_correctly_rounded_product():
+    xs = _square_points()
+    f, vector = scalar_fn("x1**2", 1), vector_fn(["x1", "x1**2"], 1)
+    for x in xs[:50]:
+        assert f([x]) == x * x and vector([x])[1] == x * x, x
+        # a bound between pow's square and the product tells them apart
+        c = min(x ** 2, x * x)
+        assert predicate_fn(f"x1**2 <= {c!r}", 1)([x]) is (x * x <= c), x
+    X = np.array(xs)[:, None]
+    assert f.rows(X).tobytes() == (X[:, 0] * X[:, 0]).tobytes()
+    assert vector.rows(X)[:, 1].tobytes() == (X[:, 0] * X[:, 0]).tobytes()
+    # a truth value squares to an integer, as under ``**``, not to a bool
+    g = scalar_fn("(x1 > 0) ** 2 + (x2 > 0) ** 2", 2)
+    assert g([1.0, 1.0]) == 2.0 and g.rows(np.ones((1, 2))).tolist() == [2.0]
+
+
+@pytest.mark.parametrize("expression, power", [
+    ("x1**3", lambda x: x ** 3),
+    ("2**x1", lambda x: 2 ** x),
+    ("abs(x1)**0.5", lambda x: abs(x) ** 0.5),
+])
+def test_other_powers_keep_pythons_pow(expression, power):
+    xs = _square_points()[:200]
+    f = scalar_fn(expression, 1)
+    want = [power(x) for x in xs]
+    assert [f([x]) for x in xs] == want
+    assert f.rows(np.array(xs)[:, None]).tolist() == want
+
+
+def test_nested_squares_are_not_duplicated():
+    expression = "x1"
+    for _ in range(40):
+        expression = f"({expression}) ** 2"
+    start = time.perf_counter()
+    f = scalar_fn(expression, 1)
+    assert f([0.5]) == 0.0 and f([-1.0]) == 1.0
+    assert f.rows(np.array([[1.0], [-1.0], [0.5]])).tolist() == [1.0, 1.0, 0.0]
+    assert time.perf_counter() - start < 0.5
+
+
+def test_config_cannot_name_the_square_helper():
+    with pytest.raises(ExpressionError):
+        scalar_fn("_square(x1)", 1)
+
+
+def test_builtin_batched_forms_use_no_elementwise_pow():
+    for kind, expression, n in _builtin_expressions():
+        for text in [expression] if isinstance(expression, str) else expression:
+            _, batched, _ = _compile(text, n, kind)
+            assert "_Pow" not in batched().__code__.co_names, text
+
+
+def test_squares_overflow_to_infinity_in_both_forms():
+    f = scalar_fn("x1**2", 1)
+    with np.errstate(all="ignore"):
+        assert f([1e200]) == f(np.array([1e200])) == math.inf
+        assert f.rows(np.array([[1e200], [-1e200]])).tolist() == [math.inf, math.inf]
