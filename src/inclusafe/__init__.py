@@ -22,15 +22,12 @@ from .convexset import (
     unit_directions,
 )
 from .svmap import (
-    MarginResult,
     NoMatchingPieceError,
     PerturbedSystem,
     Piece,
     SetValuedMap,
     affine_piece,
     constant_piece,
-    continuity_margin,
-    graph_inflation_margin,
     polynomial_piece,
     unit_ball_lattice,
 )
@@ -46,7 +43,6 @@ from .barrier import (
     boundary_extract,
     candidate_check,
     clarke_gradient,
-    proximal_subdifferential,
 )
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .checker import (
@@ -64,7 +60,6 @@ from .modulus import (
     ModulusPair,
     ModulusReport,
     TabulatedFn,
-    beta,
     build_modulus,
     local_gap,
     verify_modulus,
@@ -74,7 +69,6 @@ from .flow import (
     FalsifyBudget,
     Hint,
     InfeasibleSelectionError,
-    MonotonicityReport,
     SelectionPolicy,
     Trajectory,
     b_ascent,
@@ -83,7 +77,6 @@ from .flow import (
     expression_policy,
     falsify,
     integrate,
-    monotonicity_test,
     random_extreme,
     reach_interval_1d,
 )

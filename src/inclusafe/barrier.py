@@ -4,9 +4,8 @@ A barrier candidate is a scalar function B with a gradient oracle and a
 declared smoothness tag.  The zero sublevel set K = {B <= 0} separates the
 initial set from the unsafe set when the candidate sign check passes; the
 numeric boundary of K is extracted as a grid of cells with refined
-representative points.  Generalized gradients are computed by sampling
-gradients near the point (Clarke) or, for twice continuously differentiable
-candidates only, as the plain gradient singleton (proximal).
+representative points.  Generalized (Clarke) gradients are computed by
+sampling gradients near the point.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ __all__ = [
     "candidate_check",
     "boundary_extract",
     "clarke_gradient",
-    "proximal_subdifferential",
     "collar_width",
     "UnsupportedSmoothnessError",
     "SingularPointError",
@@ -95,10 +93,6 @@ class Tolerances:
         }
 
 
-#: central-difference step of :meth:`BarrierCandidate.finite_difference_gradient`
-_FD_STEP = 1e-6
-
-
 class BarrierCandidate:
     """Scalar candidate B with gradient oracle and smoothness tag."""
 
@@ -143,9 +137,6 @@ class BarrierCandidate:
             raise SingularPointError(f"gradient queried on the singular set at x={x.tolist()}")
         return np.asarray(self.gradient(x), dtype=float).reshape(-1)
 
-    def finite_difference_gradient(self, x) -> np.ndarray:
-        return self.finite_difference_rows(np.asarray(x, dtype=float).reshape(1, -1), _FD_STEP)[0]
-
     def finite_difference_rows(self, X, h: float) -> np.ndarray:
         """Central-difference gradient at every row of an (m, n) array, from
         one :meth:`value_rows` call over the probes x + h*e_i and x - h*e_i
@@ -156,19 +147,6 @@ class BarrierCandidate:
         probes = np.concatenate([X[:, None, :] + E, X[:, None, :] - E], axis=1)
         v = self.value_rows(probes.reshape(-1, n)).reshape(m, 2, n)
         return (v[:, 0] - v[:, 1]) / (2.0 * h)
-
-    def gradient_deviation(self, points) -> float:
-        """Worst relative deviation between the gradient oracle and central
-        differences over the given points (singular points are skipped)."""
-        worst = 0.0
-        for x in np.atleast_2d(np.asarray(points, dtype=float)):
-            if self.is_singular(x):
-                continue
-            g = self.gradient_at(x)
-            fd = self.finite_difference_gradient(x)
-            scale = 1.0 + float(np.linalg.norm(g))
-            worst = max(worst, float(np.linalg.norm(g - fd)) / scale)
-        return worst
 
     @classmethod
     def from_config(cls, cfg: dict, dimension: int) -> "BarrierCandidate":
@@ -300,9 +278,6 @@ class BoundaryGrid:
     @property
     def representatives(self) -> np.ndarray:
         return np.vstack([c.representatives for c in self.cells])
-
-    def cells_containing(self, x) -> list[int]:
-        return [i for i, c in enumerate(self.cells) if c.contains_point(x, 1e-12)]
 
 
 # ---------------------------------------------------------------------- #
@@ -479,16 +454,6 @@ def clarke_gradient(
     # central differences at every sample from one batched evaluation of B
     fd_step = min(1e-6, 0.25 * radius / per_dir)
     return ConvexCompactSet(bar.finite_difference_rows(np.vstack(pts), fd_step), 0.0)
-
-
-def proximal_subdifferential(bar: BarrierCandidate, x) -> ConvexCompactSet:
-    """Proximal subgradient set; implemented only for C2 candidates, where it
-    is the gradient singleton."""
-    if bar.smoothness != "C2":
-        raise UnsupportedSmoothnessError(
-            f"proximal subdifferential is only computed for C2 candidates, got {bar.smoothness!r}"
-        )
-    return ConvexCompactSet.singleton(bar.gradient_at(x))
 
 
 def collar_width(scenario: SafetyScenario, grid: BoundaryGrid) -> float:

@@ -380,7 +380,9 @@ def run(
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    if command == "verify" and check is not None and check not in CHECK_IDS:
+    if check is not None and command != "verify":
+        raise ConfigError(f"--check runs with verify only, not with {command!r}")
+    if check is not None and check not in CHECK_IDS:
         raise ConfigError(f"unknown check id {check!r}; expected one of {', '.join(CHECK_IDS)}")
     cfg = load_config(config_path)
     cfg_hash = _config_hash(cfg)
@@ -453,7 +455,7 @@ def run(
     grid = boundary_extract(scenario) if needs_grid else None
 
     if command in ("verify", "all"):
-        ids = [check] if check is not None and command == "verify" else _default_checks(scenario, command)
+        ids = [check] if check is not None else _default_checks(scenario, command)
         for cid in ids:
             rep = _run_check(cid, scenario, grid, modulus)
             checks.append(rep.to_dict())

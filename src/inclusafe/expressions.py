@@ -19,6 +19,9 @@ and differs from ``a * a`` in the last bit on about one double in a
 thousand.  Every other power keeps Python's ``**``: a longer product chain
 such as ``(a * a) * a`` rounds twice.
 
+Arithmetic takes a truth value as Python's int in both forms: ``(x1 > 0) +
+(x2 > 0)`` is 2 where both hold, and ``-(x1 > 0)`` is -1.
+
 Every compiled callable also carries a batched form, ``.rows(X)``, that
 evaluates the expression at every row of an (m, n) array in one pass and is
 equal bit for bit to stacking the per-point results.  It is emitted from the
@@ -121,10 +124,10 @@ def _compile(expression: str, dimension: int, what: str) -> tuple[Callable, Call
     if not isinstance(tree.body, ast.Lambda):
         raise ExpressionError(f"invalid {what} {expression!r}: not a single expression")
     reads = _reads_state(tree.body.body, frozenset(variables), expression, what)
-    tree = ast.fix_missing_locations(_Squares().visit(tree))
+    tree = ast.fix_missing_locations(_Arithmetic().visit(tree))
     # the namespace must live in the globals dict: that is where the lambda
     # body resolves free names when it is eventually called
-    namespace = {"__builtins__": {}, **_NAMESPACE, "_square": _square}
+    namespace = {"__builtins__": {}, **_NAMESPACE, "_number": _number, "_square": _square}
     fn = eval(compile(tree, f"<{what}>", "eval"), namespace)
 
     def batched():
@@ -136,27 +139,58 @@ def _compile(expression: str, dimension: int, what: str) -> tuple[Callable, Call
     return fn, batched, reads
 
 
-class _Squares(ast.NodeTransformer):
-    """Rewrite every ``a ** 2`` as ``_square(a)``; the base subtree is
-    moved, not copied, so nested squares stay linear in size."""
+def _truth_valued(node: ast.AST) -> bool:
+    """Whether ``node`` can be a truth value: a comparison, ``not``, a bool
+    constant, or ``and``/``or``/``if``-``else``/``abs``/``min``/``max`` of one."""
+    if isinstance(node, ast.BoolOp):
+        return any(map(_truth_valued, node.values))
+    if isinstance(node, ast.IfExp):
+        return _truth_valued(node.body) or _truth_valued(node.orelse)
+    if isinstance(node, ast.Call):
+        return node.func.id in ("abs", "min", "max") and any(map(_truth_valued, node.args))
+    return isinstance(node, ast.Compare) or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) \
+        or isinstance(node, ast.Constant) and type(node.value) is bool
+
+
+def _number_of(node: ast.AST) -> ast.AST:
+    return _call("_number", node) if _truth_valued(node) else node
+
+
+class _Arithmetic(ast.NodeTransformer):
+    """Pass every operand of ``+ - * / // % **`` and unary ``-``/``+`` that
+    can be a truth value through ``_number``, and rewrite every ``a ** 2`` as
+    ``_square(a)``; the base subtree is moved, not copied, so nested squares
+    stay linear in size."""
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
+        node.left, node.right = _number_of(node.left), _number_of(node.right)
         exponent = node.right
         if isinstance(node.op, ast.Pow) and isinstance(exponent, ast.Constant) \
                 and type(exponent.value) in (int, float) and exponent.value == 2:
             return ast.copy_location(_call("_square", node.left), node)
         return node
 
+    def visit_UnaryOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Not):
+            node.operand = _number_of(node.operand)
+        return node
+
 
 _BOOL = np.dtype(bool)
+
+
+def _number(a):
+    """A truth value, or an array of them, as Python's int: ``True + True`` is 2."""
+    if getattr(a, "dtype", None) is _BOOL:
+        return a.astype(int) if a.ndim else int(a)
+    return int(a) if type(a) is bool else a
 
 
 def _square(a):
     """``a ** 2`` as the one correctly rounded product ``a * a``; numpy's
     multiply on arrays and float64 elements alike."""
-    if type(a) is bool or getattr(a, "dtype", None) is _BOOL:
-        a = a + 0  # a truth value squares to an integer, as under ``**``
     return a * a
 
 
@@ -175,6 +209,15 @@ def _pow(a, b):
     return out
 
 
+def _pick(c, a, b):
+    """``np.where(c, a, b)``, of Python values when only one of a and b holds
+    truth values: numpy would make False 0.0, which negates to -0.0, not 0."""
+    a, b = np.asarray(a), np.asarray(b)
+    if (a.dtype == bool) != (b.dtype == bool):
+        a = a.astype(object)
+    return np.where(_truth(c), a, b)
+
+
 def _first(better):
     """Python's ``min``/``max`` rule: a later argument replaces the current
     value only when ``better(arg, current)`` holds."""
@@ -184,7 +227,7 @@ def _first(better):
             raise TypeError("min/max of a single number")
         cur = args[0]
         for a in args[1:]:
-            cur = np.where(_truth(better(a, cur)), a, cur)
+            cur = _pick(better(a, cur), a, cur)
         return cur
 
     return pick
@@ -202,9 +245,9 @@ _BATCH_NAMESPACE = {
     "_min": _first(operator.lt),
     "_max": _first(operator.gt),
     "_not": lambda v: ~_truth(v),
-    "_and": lambda a, b: np.where(_truth(a), b, a),
-    "_or": lambda a, b: np.where(_truth(a), a, b),
-    "_where": lambda c, a, b: np.where(_truth(c), a, b),
+    "_and": lambda a, b: _pick(a, b, a),
+    "_or": lambda a, b: _pick(a, a, b),
+    "_where": _pick,
     "_all": _all,
     "_Pow": np.frompyfunc(_pow, 2, 1),
     "_FloorDiv": np.frompyfunc(operator.floordiv, 2, 1),
@@ -265,7 +308,7 @@ def _batch(node: ast.AST, variables: frozenset) -> tuple[ast.AST, bool]:
         if not any(reads for _, reads in parts):
             return node, False
         name = node.func.id
-        return _call(name if name == "_square" else f"_{name}", *(n for n, _ in parts)), True
+        return _call(name if name.startswith("_") else f"_{name}", *(n for n, _ in parts)), True
     raise AssertionError(f"node {type(node).__name__} passed the whitelist")  # pragma: no cover
 
 

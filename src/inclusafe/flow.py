@@ -8,9 +8,8 @@ bit for bit.  One loop advances any number of trials in lockstep as an
 built-in policies select every row's velocity at once, and each trial draws
 from its own random stream, so a trial's states do not depend on the trials
 beside it.  :func:`integrate` is that loop with one trial.  On top of it
-sit a monotonicity test for barrier values along trajectories, a falsifier
-that searches for solutions entering the unsafe region, and a
-one-dimensional reach-interval recursion.
+sit a falsifier that searches for solutions entering the unsafe region and
+a one-dimensional reach-interval recursion.
 """
 from __future__ import annotations
 
@@ -34,8 +33,6 @@ __all__ = [
     "expression_policy",
     "custom_policy",
     "integrate",
-    "MonotonicityReport",
-    "monotonicity_test",
     "Hint",
     "FalsifyBudget",
     "FalsificationResult",
@@ -170,9 +167,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-    def max_over(self, fn) -> float:
-        return float(max(fn(x) for x in self.states))
 
 
 class _Watch:
@@ -366,78 +360,6 @@ def integrate(
         on_infeasible=on_infeasible,
     )
     return run.trajectory(0, step, policy.name, barrier)
-
-
-@dataclass
-class MonotonicityReport:
-    """Result of the windowed no-rise test on barrier values."""
-
-    passed: bool
-    max_rise: float
-    rise_tol: float
-    violations: list
-    windows: int
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_rise": self.max_rise,
-            "rise_tol": self.rise_tol,
-            "violations": self.violations[:16],
-            "windows": self.windows,
-        }
-
-
-def monotonicity_test(
-    values,
-    *,
-    mask=None,
-    rise_tol: Optional[float] = None,
-) -> MonotonicityReport:
-    """Check that barrier values never climb above a running minimum.
-
-    Within each maximal masked window the value may rise at most
-    ``rise_tol`` above the minimum seen so far in that window.  The default
-    tolerance is the largest observed single-step change (one Euler step of
-    slack), so isolated discretization wiggles pass and sustained climbs
-    fail.
-    """
-    vals = np.asarray(values, dtype=float).reshape(-1)
-    if mask is None:
-        m = np.ones(vals.shape[0], dtype=bool)
-    else:
-        m = np.asarray(mask, dtype=bool).reshape(-1)
-        if m.shape[0] != vals.shape[0]:
-            raise ValueError("mask length must match values length")
-    if rise_tol is None:
-        diffs = np.abs(np.diff(vals))
-        rise_tol = float(diffs.max()) + 1e-12 if diffs.size else 1e-12
-    violations = []
-    max_rise = 0.0
-    windows = 0
-    run_min = None
-    prev_in = False
-    for i, (v, inside) in enumerate(zip(vals, m)):
-        if not inside:
-            prev_in = False
-            continue
-        if not prev_in:
-            windows += 1
-            run_min = v
-            prev_in = True
-        run_min = min(run_min, v)
-        rise = v - run_min
-        if rise > max_rise:
-            max_rise = rise
-        if rise > rise_tol:
-            violations.append({"index": int(i), "rise": float(rise)})
-    return MonotonicityReport(
-        passed=not violations,
-        max_rise=float(max_rise),
-        rise_tol=float(rise_tol),
-        violations=violations,
-        windows=windows,
-    )
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "ModulusReport",
     "TabulatedFn",
     "local_gap",
-    "beta",
     "build_modulus",
     "log_grid_steps",
     "verify_modulus",
@@ -47,8 +46,7 @@ _BLOCK = 64
 #: support directions sampled in n >= 2 by the spreads and the containment check
 _DIRECTIONS = 64
 
-#: argument-ball lattice density of :func:`local_gap`, :func:`beta` and
-#: :func:`verify_modulus`
+#: argument-ball lattice density of :func:`local_gap` and :func:`verify_modulus`
 _DENSITY = 9
 
 
@@ -68,13 +66,6 @@ class TabulatedFn:
     @classmethod
     def from_dict(cls, d: dict) -> "TabulatedFn":
         return cls(np.asarray(d["xs"], dtype=float), np.asarray(d["ys"], dtype=float))
-
-
-def _ball_hull(f_map, center, radius: float, density: int) -> ConvexCompactSet:
-    """Hull of images over an inscribed lattice of the ball center + radius*B."""
-    if radius <= 0.0:
-        return f_map.image(center)
-    return f_map.ball_hull(center, radius, density)
 
 
 def local_gap(
@@ -100,48 +91,12 @@ def local_gap(
     if s == 0.0:
         return 0.0
     image = f_map.image(y) if _image is None else _image
-    spread = hausdorff(_ball_hull(f_map, y, s, density), image, directions=directions)
+    spread = hausdorff(f_map.ball_hull(y, s, density), image, directions=directions)
     if _origin_term is None:
         origin = np.zeros_like(y)
-        _origin_term = hausdorff(_ball_hull(f_map, origin, s, density), f_map.image(origin),
+        _origin_term = hausdorff(f_map.ball_hull(origin, s, density), f_map.image(origin),
                                  directions=directions)
     return spread - _origin_term
-
-
-#: sampled magnitudes of y and of s in :func:`beta`
-_BETA_STEPS = 8
-
-
-def beta(f_map, r: float, delta: float) -> float:
-    """Max of :func:`local_gap` over sampled |y| <= r, s <= delta.
-
-    Exactly zero when either argument is zero (the origin sample y = 0 is
-    always included, so the value is never negative).
-    """
-    r, delta = float(r), float(delta)
-    if r < 0.0 or delta < 0.0:
-        raise ValueError("beta arguments must be >= 0")
-    if r == 0.0 or delta == 0.0:
-        return 0.0
-    n = f_map.dimension
-    ring = unit_directions(n, 16)
-    mags = np.linspace(0.0, r, _BETA_STEPS + 1)[1:]
-    svals = np.linspace(0.0, delta, _BETA_STEPS + 1)[1:]
-    origin = np.zeros(n)
-    f0 = f_map.image(origin)
-    # F(y) does not depend on the step radius: evaluate it once per point
-    ys = [m * d for m in mags for d in ring]
-    images = [f_map.image(y) for y in ys]
-    best = 0.0
-    for s in svals:
-        origin_term = hausdorff(_ball_hull(f_map, origin, s, _DENSITY), f0, directions=_DIRECTIONS)
-        for y, fy in zip(ys, images):
-            g = local_gap(
-                f_map, y, s, density=_DENSITY, directions=_DIRECTIONS,
-                _origin_term=origin_term, _image=fy,
-            )
-            best = max(best, g)
-    return best
 
 
 class ModulusPair:

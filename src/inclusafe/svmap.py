@@ -10,7 +10,7 @@ Images at many points are evaluated in one pass by :meth:`SetValuedMap.images`
 and :meth:`PerturbedSystem.images`: predicates and pieces run on the whole
 (N, n) array and every row's image comes back as a padded (N, K, n) point
 stack with (N,) radii.  Hulls over an argument ball (strong images, modulus
-ball hulls, continuity margins) are the same pass over every row's ball
+ball hulls) are the same pass over every row's ball
 lattice, merged per row; :meth:`SetValuedMap.ball_hull` and
 :meth:`PerturbedSystem.image` are the one-row case.  The per-point
 :meth:`SetValuedMap.image` is the oracle they must match bit for bit.
@@ -26,14 +26,11 @@ import numpy as np
 from .convexset import (
     PRUNE_THRESHOLD,
     ConvexCompactSet,
-    contains,
     hull_union_many,
     merge_parts,
     pruned,
     row_set,
-    unit_directions,
 )
-from .numerics import box_array, box_grid, largest_feasible
 from . import expressions
 
 __all__ = [
@@ -41,9 +38,6 @@ __all__ = [
     "SetValuedMap",
     "PerturbedSystem",
     "NoMatchingPieceError",
-    "MarginResult",
-    "graph_inflation_margin",
-    "continuity_margin",
     "unit_ball_lattice",
 ]
 
@@ -458,89 +452,3 @@ class PerturbedSystem:
     def image(self, x, slack: float = 0.0) -> ConvexCompactSet:
         """The perturbed image at x: the one-row case of :meth:`images`."""
         return row_set(self.images(x, slack), 0)
-
-
-@dataclass(frozen=True)
-class MarginResult:
-    """Outcome of a bisection for a largest feasible perturbation radius."""
-
-    delta: float
-    witness: Optional[tuple] = None
-
-    def __float__(self):
-        return self.delta
-
-
-#: argument-ball lattice density of the margin searches
-_DENSITY = 9
-
-#: containment slack of the margin searches
-_TOL = 1e-9
-
-#: grid nodes per axis of the graph sample, and (u, v) perturbation
-#: directions per graph point, of :func:`graph_inflation_margin`
-_GRAPH_GRID = 15
-_GRAPH_DIRECTIONS = 32
-
-
-def graph_inflation_margin(f_map: SetValuedMap, eps: MarginFn, box, bracket: float) -> MarginResult:
-    """Largest delta such that inflating the graph of F by delta stays inside
-    the strongly perturbed map with margin eps.
-
-    For sampled graph points (x, y) and ball perturbations (u, v) with
-    |(u, v)| <= delta, checks y + v in co{F(x + u + eps*B)} + eps*B.  Sampled
-    in x (box grid), in y (image hull points plus boundary ring), and in
-    (u, v) (sphere directions in R^{2n}).  Returns 0 with a witness when even
-    the probe radius fails.
-    """
-    b = box_array(box)
-    n = b.shape[0]
-    ring = unit_directions(n, 16)
-    graph = []
-    for x in box_grid(b, _GRAPH_GRID):
-        s = f_map.image(x)
-        ys = [s.points]
-        if s.radius > 0.0:
-            ys.append((s.points[:, None, :] + s.radius * ring[None, :, :]).reshape(-1, n))
-        graph.append((x, np.vstack(ys)))
-
-    pert_dirs = unit_directions(2 * n, _GRAPH_DIRECTIONS)
-
-    def violation(delta):
-        for x, ys in graph:
-            for d in pert_dirs:
-                u, v = delta * d[:n], delta * d[n:]
-                margin_here = _margin_value(eps, x + u)
-                img = PerturbedSystem(f_map, margin_here, "strong", _DENSITY).image(x + u)
-                for y in ys:
-                    if not contains(img, y + v, _TOL):
-                        return (tuple(x), tuple(y), tuple(u), tuple(v))
-        return None
-
-    delta, witness = largest_feasible(violation, float(bracket))
-    return MarginResult(delta, witness)
-
-
-def continuity_margin(f_map: SetValuedMap, eps: MarginFn, x, bracket: float) -> float:
-    """Largest delta with F(x + delta*B) inside F(x) + eps(x)*B (sampled).
-
-    The argument ball is sampled on the inscribed lattice; containment is
-    checked through support inequalities over sampled directions.  Returns
-    the bracket cap when even the cap is feasible.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = x.shape[0]
-    target = _margin_value(eps, x)
-    base_img = f_map.image(x)
-    dirs = unit_directions(n)
-    base_support = base_img.support_many(dirs)
-
-    def violation(delta):
-        big = f_map.ball_hull(x, delta, _DENSITY)
-        excess = big.support_many(dirs) - (base_support + target)
-        if np.any(excess > _TOL):
-            return float(excess.max())
-        return None
-
-    delta, _ = largest_feasible(violation, float(bracket))
-    return delta

@@ -159,6 +159,12 @@ def test_verify_unknown_check_id(tmp_path):
         run("linear-stable", "verify", check="sorcery", out=str(tmp_path))
 
 
+def test_check_with_another_command_exits_two(tmp_path):
+    for command in ("margin", "all", "modulus", "falsify"):
+        assert main([command, "linear-stable", "--check", "sorcery", "--out", str(tmp_path)]) == 2
+    assert os.listdir(tmp_path) == []  # no bundle written
+
+
 def test_verify_unknown_check_id_rejected_before_modulus(tmp_path, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("no modulus may be built for an unknown check id")

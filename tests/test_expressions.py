@@ -88,6 +88,19 @@ _EXTRA = [
 ]
 
 
+# arithmetic on truth values, which both forms must evaluate as Python does
+# on plain floats
+_TRUTH = [
+    "(x1 > 0) + (x2 > 0)", "(x1 > 0) - (x2 > 0)", "-(x1 > 0)", "+(x1 > 0) * x2",
+    "(not (x1 > 0)) + (not (x2 > 0))", "((x1 > 0) or 0) + ((x2 > 0) or 0)",
+    "abs(x1 > 0) + abs(x2 <= 0)", "min(x1 > 0, x2 > 0) + max(x1 > 0, x2 <= 0)",
+    "-min(x1 > 0, x2)", "-max(x2, x1 > 0) * 3",
+    "(x1 > 0 if x2 > 0 else x2 < 0) + (x1 < 0)", "-(x2 if x1 > 0 else x1 > 1)",
+    "-(x1 > 0 and x2)", "(x1 > 0 or x2) ** 2 + (x2 > 0) ** 3",
+    "(x1 > 0) // 1 + (x2 > 0) % 2 + (x1 > 0) / 2 + True",
+]
+
+
 def _points(n: int) -> np.ndarray:
     rng = np.random.default_rng(7 + n)
     X = rng.uniform(-3.0, 3.0, (300, n))
@@ -116,12 +129,18 @@ def test_rows_equal_stacked_scalar_results_on_builtin_expressions(kind, expressi
     _rows_match_scalar(kind, expression, n)
 
 
-@pytest.mark.parametrize("expression", _EXTRA)
+@pytest.mark.parametrize("expression", _EXTRA + _TRUTH)
 def test_rows_equal_stacked_scalar_results_on_every_construct(expression):
     with np.errstate(all="ignore"):
         for kind in ("scalar", "predicate"):
             _rows_match_scalar(kind, expression, 2)
         _rows_match_scalar("vector", [expression, "x2"], 2)
+    if expression in _TRUTH:
+        f = scalar_fn(expression, 2)
+        names = {"__builtins__": {}, "abs": abs, "min": min, "max": max}
+        for x1, x2 in _points(2).tolist():
+            want = float(eval(expression, names, {"x1": x1, "x2": x2}))
+            assert np.float64(f([x1, x2])).tobytes() == np.float64(want).tobytes(), (expression, x1, x2)
 
 
 def test_rows_min_max_keep_the_first_of_signed_zero_ties():

@@ -20,7 +20,6 @@ from inclusafe import (
     expression_policy,
     falsify,
     integrate,
-    monotonicity_test,
     random_extreme,
     reach_interval_1d,
     scenarios,
@@ -107,7 +106,7 @@ def test_unverified_policy_skips_feasibility():
 def test_trajectory_helpers():
     traj = integrate(_linear_map(), [1.0], horizon=0.2, step=0.1,
                      policy=b_ascent_dummy())
-    assert traj.max_over(lambda x: -x[0]) == pytest.approx(-traj.final[0])
+    assert max(-x[0] for x in traj.states) == pytest.approx(-traj.final[0])
     assert traj.policy == "singleton"
 
 
@@ -116,45 +115,7 @@ def test_interface_chatter_stays_within_steps(example1):
     traj = integrate(sc.dynamics, [0.0], horizon=0.2, step=1e-3,
                      policy=b_ascent(sc.barrier), barrier=sc.barrier)
     # ascent overshoots to 2h, the right branch pulls back: bounded chatter
-    assert traj.max_over(lambda x: abs(x[0])) <= 3e-3
-    rep = monotonicity_test(traj.values)
-    # single-step wiggles sit inside the default tolerance
-    assert rep.passed
-    assert rep.max_rise <= rep.rise_tol
-
-
-# ----------------------------------------------------------------------- #
-# monotonicity
-def test_monotonicity_passes_decay():
-    vals = np.exp(-np.linspace(0, 3, 200))
-    rep = monotonicity_test(vals)
-    assert rep.passed and rep.windows == 1 and rep.max_rise == 0.0
-
-
-def test_monotonicity_flags_sustained_climb():
-    vals = np.concatenate([np.linspace(1, 0, 50), np.linspace(0, 1, 100)])
-    rep = monotonicity_test(vals)
-    assert not rep.passed
-    assert rep.violations
-    assert rep.violations[0]["index"] > 50
-    d = rep.to_dict()
-    assert d["passed"] is False and len(d["violations"]) <= 16
-
-
-def test_monotonicity_mask_windows():
-    vals = np.array([1.0, 0.5, 9.0, 0.4, 0.3])
-    mask = np.array([True, True, False, True, True])
-    rep = monotonicity_test(vals, mask=mask)
-    assert rep.passed
-    assert rep.windows == 2
-    with pytest.raises(ValueError):
-        monotonicity_test(vals, mask=mask[:-1])
-
-
-def test_monotonicity_explicit_tolerance():
-    vals = np.array([0.0, 0.2, 0.0, 0.2])
-    assert monotonicity_test(vals, rise_tol=0.25).passed
-    assert not monotonicity_test(vals, rise_tol=0.1).passed
+    assert np.abs(traj.states[:, 0]).max() <= 3e-3
 
 
 # ----------------------------------------------------------------------- #

@@ -10,7 +10,6 @@ from inclusafe import (
     ModulusPair,
     SetValuedMap,
     affine_piece,
-    beta,
     build_modulus,
     constant_piece,
     hausdorff,
@@ -146,40 +145,6 @@ def test_local_gap_quadratic_closed_form():
     m = _corpus()["quadratic"]
     assert local_gap(m, [1.0], 0.5) == pytest.approx(1.0, abs=1e-12)
     assert local_gap(m, [2.0], 0.25) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_beta_zero_edges_and_validation():
-    m = _corpus()["quadratic"]
-    assert beta(m, 0.0, 1.0) == 0.0
-    assert beta(m, 1.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        beta(m, -1.0, 0.5)
-
-
-def test_beta_monotone_in_both_arguments():
-    m = _corpus()["quadratic"]
-    vals = [beta(m, r, d) for r, d in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0))]
-    assert vals[0] == pytest.approx(1.0, abs=1e-12)
-    assert vals[1] == pytest.approx(2.0, abs=1e-12)
-    assert vals[2] == pytest.approx(4.0, abs=1e-12)
-    assert vals[0] < vals[1] < vals[2]
-
-
-def test_beta_evaluates_each_image_once(monkeypatch):
-    f = scenarios.build("example2").scenario.dynamics
-    # the value as the per-radius loop computed it, F(y) evaluated per call
-    ring = np.array([[np.cos(a), np.sin(a)] for a in 2 * np.pi * np.arange(16) / 16])
-    want = 0.0
-    for s in np.linspace(0.0, 1.0, 9)[1:]:
-        for m in np.linspace(0.0, 1.0, 9)[1:]:
-            for d in ring:
-                want = max(want, local_gap(f, m * d, s, directions=64))
-    calls = []
-    image = SetValuedMap.image
-    monkeypatch.setattr(SetValuedMap, "image", lambda self, *a, **k: calls.append(1) or image(self, *a, **k))
-    got = beta(f, 1.0, 1.0)
-    assert len(calls) == 1 + 8 * 16  # F(0), then once per ring point
-    assert got == want
 
 
 # ----------------------------------------------------------------------- #

@@ -12,8 +12,6 @@ from inclusafe import (
     SetValuedMap,
     affine_piece,
     constant_piece,
-    continuity_margin,
-    graph_inflation_margin,
     hull_union_many,
     polynomial_piece,
     scenarios,
@@ -205,64 +203,6 @@ def test_mode_none_passthrough():
     x = np.array([0.5])
     assert sysn.image(x).interval_bounds() == f.image(x).interval_bounds()
     assert sysn.dimension == 1
-
-
-# ----------------------------------------------------------------------- #
-# graph and continuity margins
-def test_graph_inflation_margin_zero_map():
-    zero = SetValuedMap(1, [constant_piece(lambda x: True, [[0.0]])])
-    assert float(graph_inflation_margin(zero, 1.0, [[-2, 2]], 2.0)) == pytest.approx(1.0, abs=0.01)
-    assert float(graph_inflation_margin(zero, 0.1, [[-2, 2]], 2.0)) == pytest.approx(0.1, abs=0.002)
-
-
-def test_graph_inflation_margin_identity_map():
-    # identity graph: need |v - u| <= 2*eps over |(u,v)| <= delta, so sqrt(2)
-    ident = SetValuedMap(1, [affine_piece(lambda x: True, [[1.0]], [0.0])])
-    res = graph_inflation_margin(ident, 1.0, [[-2, 2]], 3.0)
-    assert float(res) == pytest.approx(np.sqrt(2.0), abs=0.01)
-    assert res.witness is None
-
-
-def test_graph_inflation_margin_zero_with_witness():
-    # an unsatisfiable target: margin callable that vanishes somewhere is
-    # not allowed, so force failure with a huge probe instead
-    zero = SetValuedMap(1, [constant_piece(lambda x: True, [[0.0]])])
-    res = graph_inflation_margin(zero, 0.001, [[-2, 2]], 1000.0)
-    assert float(res) == 0.0
-    assert res.witness is not None
-
-
-def test_continuity_margin_values():
-    ident = SetValuedMap(1, [affine_piece(lambda x: True, [[1.0]], [0.0])])
-    twox = SetValuedMap(1, [affine_piece(lambda x: True, [[2.0]], [0.0])])
-    const = SetValuedMap(1, [constant_piece(lambda x: True, [[3.0]])])
-    assert continuity_margin(ident, 1.0, [0.0], 5.0) == pytest.approx(1.0, abs=0.01)
-    assert continuity_margin(twox, 1.0, [0.0], 5.0) == pytest.approx(0.5, abs=0.01)
-    # constant maps never spread: the bracket cap is returned as-is
-    assert continuity_margin(const, 1.0, [0.0], 5.0) == 5.0
-
-
-def test_continuity_margin_scales_with_target():
-    twox = SetValuedMap(1, [affine_piece(lambda x: True, [[2.0]], [0.0])])
-    d1 = continuity_margin(twox, 0.5, [0.0], 5.0)
-    d2 = continuity_margin(twox, 1.0, [0.0], 5.0)
-    assert d1 == pytest.approx(0.25, abs=0.01)
-    assert d2 == pytest.approx(2 * d1, rel=0.02)
-
-
-def test_continuity_margin_state_dependent_eps():
-    # F(x) = 2x spreads by 2*delta, so the margin is eps(x) / 2, found from
-    # below to the bisection's relative tolerance of 1e-3
-    twox = SetValuedMap(1, [affine_piece(lambda x: True, [[2.0]], [0.0])])
-
-    def eps(x):
-        return 1.0 + abs(float(x[0]))
-
-    at_one = continuity_margin(twox, eps, [1.0], 5.0)
-    assert at_one == continuity_margin(twox, 2.0, [1.0], 5.0)
-    assert 1.0 * (1.0 - 1e-3) <= at_one <= 1.0
-    at_minus_three = continuity_margin(twox, eps, [-3.0], 5.0)
-    assert 2.0 * (1.0 - 1e-3) <= at_minus_three <= 2.0
 
 
 def test_strong_image_support_against_dense_reference():
