@@ -1,10 +1,12 @@
 """Barrier candidates, safety scenarios, and boundary extraction.
 
 A barrier candidate is a scalar function B with a gradient oracle and a
-declared smoothness tag.  The zero sublevel set K = {B <= 0} separates the
-initial set from the unsafe set when the candidate sign check passes; the
-numeric boundary of K is extracted as a grid of cells with refined
-representative points.  Generalized (Clarke) gradients are computed by
+declared smoothness tag.  ``gradient_at`` queries the oracle at one point
+and is the oracle of ``gradient_rows``, which queries it at every row of
+an array in one batched call.  The zero sublevel set K = {B <= 0}
+separates the initial set from the unsafe set when the candidate sign
+check passes; the numeric boundary of K is extracted as a grid of cells
+with refined representative points.  Generalized (Clarke) gradients are computed by
 sampling gradients near the point.
 """
 from __future__ import annotations
@@ -136,6 +138,23 @@ class BarrierCandidate:
         if self.is_singular(x):
             raise SingularPointError(f"gradient queried on the singular set at x={x.tolist()}")
         return np.asarray(self.gradient(x), dtype=float).reshape(-1)
+
+    def gradient_rows(self, X) -> np.ndarray:
+        """:meth:`gradient_at` at every row of an (m, n) array, in one batched
+        call of the oracle, raising what :meth:`gradient_at` raises at the
+        first row where it would."""
+        X = np.asarray(X, dtype=float)
+        if self.gradient is None:
+            raise UnsupportedSmoothnessError(f"candidate {self.name!r} has no gradient oracle")
+        m = X.shape[0]
+        if self.singular is not None:
+            # the rows before the first singular one still raise their own error
+            hit = expressions.rows_of(self.singular, bool)(X)
+            m = int(hit.argmax()) if hit.any() else m
+        G = expressions.rows_of(self.gradient)(X[:m])
+        if m < X.shape[0]:
+            raise SingularPointError(f"gradient queried on the singular set at x={X[m].tolist()}")
+        return G.reshape(m, -1) if m else np.empty((0, X.shape[1]))
 
     def finite_difference_rows(self, X, h: float) -> np.ndarray:
         """Central-difference gradient at every row of an (m, n) array, from

@@ -139,23 +139,13 @@ def _slack(scenario: SafetyScenario) -> float:
     return scenario.tolerances.interface_slack
 
 
-def _outward_normal(bar: BarrierCandidate, x) -> Optional[np.ndarray]:
-    try:
-        g = bar.gradient_at(x)
-    except Exception:
-        return None
-    norm = float(np.linalg.norm(g))
-    if norm < 1e-12:
-        return None
-    return g / norm
-
-
-def _collar_points(scenario: SafetyScenario, grid: BoundaryGrid, region: str) -> list[np.ndarray]:
-    """Points near the boundary: offsets along the outward normal.
+def _collar_points(scenario: SafetyScenario, grid: BoundaryGrid, region: str) -> np.ndarray:
+    """Points near the boundary: offsets along the outward normal, as rows.
 
     region="outer-collar" keeps only points with B > 0 (outside K);
     "two-sided-collar" keeps both signs and includes the representatives
-    themselves.
+    themselves.  A representative where the gradient oracle raises, or
+    where |grad B| < 1e-12, has no normal and contributes no point.
     """
     outer = region == "outer-collar"
     width = collar_width(scenario, grid)
@@ -164,22 +154,28 @@ def _collar_points(scenario: SafetyScenario, grid: BoundaryGrid, region: str) ->
     if not offsets:
         offsets = [max(width, floor)]
     bar = scenario.barrier
-    pts = []
-    for rep in grid.representatives:
-        nu = _outward_normal(bar, rep)
-        if nu is None:
-            continue
-        if not outer:
-            pts.append(np.asarray(rep, dtype=float))
-        signs = (1.0,) if outer else (1.0, -1.0)
-        for sgn in signs:
-            for t in offsets:
-                x = rep + sgn * t * nu
-                b = bar.value_at(x)
-                if outer and b <= 0.0:
-                    continue
-                pts.append(x)
-    return pts
+    reps = grid.representatives
+    try:
+        G = bar.gradient_rows(reps)
+    except Exception:
+        # one representative at a time; a zero row marks one that raises
+        G = np.zeros_like(reps)
+        for i, x in enumerate(reps):
+            try:
+                G[i] = bar.gradient_rows(x[None])[0]
+            except Exception:
+                pass
+    norms = row_norms(G)
+    keep = ~(norms < 1e-12)
+    reps, nu = reps[keep], G[keep] / norms[keep, None]
+    # per representative: itself (two-sided), then rep + (sgn * t) * nu for
+    # each sign and then each offset
+    steps = np.array([sgn * t for sgn in ((1.0,) if outer else (1.0, -1.0)) for t in offsets])
+    pts = reps[:, None, :] + steps[:, None] * nu[:, None, :]
+    if not outer:
+        pts = np.concatenate([reps[:, None, :], pts], axis=1)
+    pts = pts.reshape(-1, reps.shape[1])
+    return pts[~(bar.value_rows(pts) <= 0.0)] if outer else pts
 
 
 def _clarke_vertices(scenario: SafetyScenario, x) -> np.ndarray:
@@ -190,10 +186,18 @@ def _clarke_vertices(scenario: SafetyScenario, x) -> np.ndarray:
 
 def _pairs(scenario: SafetyScenario, region, zeta: str):
     """Every (sample, zeta) pair of a region, sample by sample: each pair's
-    sample index, its zeta, and |zeta| (:func:`row_norms`)."""
+    sample index, its zeta, and |zeta| (:func:`row_norms`).
+
+    Where zeta is the gradient, including the Clarke singleton of a C1/C2
+    candidate, the whole column comes from one ``gradient_rows`` call; only
+    the sampled Clarke vertices of other tags are taken point by point."""
     bar = scenario.barrier
-    sets = [bar.gradient_at(x).reshape(1, -1) if zeta == "gradient" else _clarke_vertices(scenario, x)
-            for x in region]
+    if zeta == "gradient" or bar.is_c1:
+        zetas = bar.gradient_rows(region)
+        if zeta != "gradient" and not np.isfinite(zetas).all():
+            raise ValueError("points must be finite")  # as the singleton set would
+        return np.arange(len(zetas)), zetas, row_norms(zetas)
+    sets = [_clarke_vertices(scenario, x) for x in region]
     zetas = np.vstack(sets)
     return np.repeat(np.arange(len(sets)), [len(z) for z in sets]), zetas, row_norms(zetas)
 
@@ -219,7 +223,6 @@ def _sample(spec: CheckSpec, scenario: SafetyScenario, grid: BoundaryGrid, syste
     """
     provider = scenario.dynamics if system is None else system
     region = grid.representatives if spec.region == "boundary" else _collar_points(scenario, grid, spec.region)
-    region = np.array(region, dtype=float)
     if not len(region):
         return _Minimum(math.inf, None, None, 0)
     rep, zetas, norms = _pairs(scenario, region, spec.zeta)

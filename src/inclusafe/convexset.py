@@ -140,10 +140,6 @@ class ConvexCompactSet:
         return cls(np.asarray(point, dtype=float).reshape(1, -1), 0.0)
 
     @classmethod
-    def ball(cls, center, radius: float) -> "ConvexCompactSet":
-        return cls(np.asarray(center, dtype=float).reshape(1, -1), radius)
-
-    @classmethod
     def interval(cls, lo: float, hi: float) -> "ConvexCompactSet":
         if hi < lo:
             raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -189,10 +185,6 @@ class ConvexCompactSet:
         if margin == 0.0:
             return self
         return ConvexCompactSet(self.points, self.radius + float(margin))
-
-    def translate(self, shift) -> "ConvexCompactSet":
-        v = np.asarray(shift, dtype=float).reshape(1, -1)
-        return ConvexCompactSet(self.points + v, self.radius)
 
     def scale(self, factor: float) -> "ConvexCompactSet":
         f = float(factor)

@@ -126,11 +126,9 @@ class ModulusPair:
     def state_gain(self, x) -> float:
         return float(self._state(np.asarray(x, dtype=float).reshape(-1)))
 
-    def bound(self, x, delta: float) -> float:
-        return self.step_gain(delta) * self.state_gain(x)
-
     def _bounds(self, xs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-        """:meth:`bound` at each row of xs and entry of deltas (all >= 0)."""
+        """``step_gain(delta) * state_gain(x)`` at each row of xs and entry of
+        deltas (all >= 0)."""
         steps = self._step_rows(deltas)
         return np.array([(float(s) if d > 0.0 else 0.0) * self.state_gain(x)
                          for x, d, s in zip(xs, deltas, steps)])

@@ -200,9 +200,56 @@ def builtin_config(name: str) -> dict:
     return builder()
 
 
+def _check_lengths(cfg: dict, dim: int) -> None:
+    """Raise ValueError, naming the field, for the first config vector whose
+    length is not the dimension: box, resolution list, barrier gradient,
+    piece points, matrix, offset and components, hint x0 and velocity, and
+    boundary points.  A flat list of points is one point, as
+    :class:`ConvexCompactSet` reads it."""
+
+    def vector(path, v):
+        k = len(v) if np.ndim(v) == 1 else None
+        if k != dim:
+            raise ValueError(f"{path}: {'not a vector' if k is None else f'{k} components'}, "
+                             f"dimension {dim}")
+
+    def points(path, vs):
+        if all(np.ndim(v) == 0 for v in vs):
+            return vector(path, vs)
+        for j, v in enumerate(vs):
+            vector(f"{path}/{j}", v)
+
+    if len(cfg["box"]) != dim:
+        raise ValueError(f"/box: {len(cfg['box'])} intervals, dimension {dim}")
+    if isinstance(cfg["resolution"], list):
+        vector("/resolution", cfg["resolution"])
+    if cfg["barrier"].get("gradient") is not None:
+        vector("/barrier/gradient", cfg["barrier"]["gradient"])
+    for k, piece in enumerate(cfg["dynamics"]["pieces"]):
+        path, img = f"/dynamics/pieces/{k}/image", piece["image"]
+        if "points" in img:
+            points(f"{path}/points", img["points"])
+        if "matrix" in img:
+            if len(img["matrix"]) != dim:
+                raise ValueError(f"{path}/matrix: {len(img['matrix'])} rows, dimension {dim}")
+            for j, row in enumerate(img["matrix"]):
+                vector(f"{path}/matrix/{j}", row)
+        for key in ("offset", "components"):
+            if key in img:
+                vector(f"{path}/{key}", img[key])
+    for k, hint in enumerate(cfg.get("hints", ())):
+        vector(f"/hints/{k}/x0", hint["x0"])
+        vector(f"/hints/{k}/velocity", hint["velocity"])
+    if cfg.get("boundary_points"):
+        points("/boundary_points", cfg["boundary_points"])
+
+
 def scenario_from_config(cfg: dict) -> SafetyScenario:
-    """Construct a scenario from a config dict (shared with the CLI)."""
+    """Construct a scenario from a config dict (shared with the CLI).
+
+    Every vector in the config must have ``dimension`` components."""
     dim = int(cfg["dimension"])
+    _check_lengths(cfg, dim)
     dynamics = SetValuedMap.from_config(dim, cfg["dynamics"]["pieces"])
     pert = cfg.get("perturbation")
     if pert:

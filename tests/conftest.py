@@ -50,6 +50,31 @@ def lipschitz_2d():
 
 
 @pytest.fixture(scope="session")
+def partial_oracle():
+    """The unit circle under a planar contraction, with a gradient oracle
+    that vanishes where x1 < -0.5 and raises (``sqrt`` of a negative
+    number) where x2 < -0.8 and x1 >= -0.5 on and inside the circle: some
+    boundary representatives have no outward normal, most have one, and
+    the outer collar has a gradient everywhere."""
+    cfg = scenarios.builtin_config("example2")
+    cfg.update(
+        name="partial-oracle",
+        box=[[-2.0, 2.0], [-2.0, 2.0]],
+        resolution=[21, 21],
+        barrier={"value": "x1*x1 + x2*x2 - 1", "smoothness": "C2", "gradient": [
+            "0 if x1 < -0.5 else 2*x1",
+            "0 if x1 < -0.5 else 2*x2 if x2 >= -0.8 else 2*x2 + 0*sqrt(x1*x1 + x2*x2 - 1.000001)"]},
+        initial="x1*x1 + x2*x2 <= 0.25",
+        unsafe="x1*x1 + x2*x2 >= 2.25",
+        depth="x1*x1 + x2*x2 - 1",
+        tolerances={},
+        dynamics={"pieces": [{"when": "True", "image": {
+            "kind": "polynomial", "components": ["-x1", "-x2"]}}]},
+    )
+    return scenarios.bundle_from_config(cfg)
+
+
+@pytest.fixture(scope="session")
 def example1_grid(example1):
     return boundary_extract(example1.scenario)
 

@@ -68,6 +68,72 @@ def test_gradient_oracle_and_errors():
         none.gradient_at([1.0])
 
 
+def _first_error(fn, X):
+    """The class and message of the first row of X at which fn raises."""
+    for x in X:
+        try:
+            fn(x)
+        except Exception as e:  # noqa: BLE001 - the error is the result
+            return type(e), str(e)
+    return None
+
+
+_ONE_D = np.linspace(-2.0, 2.0, 81).reshape(-1, 1)
+
+# candidates with a gradient oracle, each on an (m, n) array of rows
+_ORACLE_CASES = {
+    # the oracle barriers of tools/bundle_digests.py's variants
+    "abs-lipschitz-oracle": ({"value": "abs(x1) - 1", "gradient": ["1 if x1 > 0 else -1"],
+                              "smoothness": "lipschitz", "singular": "x1 == 0"}, _ONE_D),
+    "linear-lsc": ({"value": "x1 - 1", "gradient": ["1"], "smoothness": "lsc"}, _ONE_D),
+    # rows before the first singular one raise their own error first
+    "raises-before-singular": ({"value": "x1", "gradient": ["log(x1 + 1)"],
+                                "smoothness": "lipschitz", "singular": "x1 == 0"}, _ONE_D),
+    "raises-after-a-while": ({"value": "x1", "gradient": ["sqrt(1.5 - x1)"], "smoothness": "C1"},
+                             _ONE_D),
+    "no-oracle": ({"value": "abs(x1)", "smoothness": "lipschitz"}, _ONE_D),
+}
+
+
+def _gradient_cases():
+    for name in scenarios.BUILTIN:
+        sc = scenarios.build(name).scenario
+        yield name, sc.barrier, sc.grid()
+    for name, (cfg, X) in _ORACLE_CASES.items():
+        yield name, BarrierCandidate.from_config(cfg, X.shape[1]), X
+    yield "python-callable", _abs_candidate(), _ONE_D
+
+
+_FIRST_ERRORS = {
+    "abs-lipschitz-oracle": SingularPointError,
+    "raises-before-singular": ValueError,
+    "raises-after-a-while": ValueError,
+    "no-oracle": UnsupportedSmoothnessError,
+    "python-callable": SingularPointError,
+}
+
+
+@pytest.mark.parametrize("name, bar, X", list(_gradient_cases()))
+def test_gradient_rows_equal_gradient_at_row_by_row(name, bar, X):
+    error = _first_error(bar.gradient_at, X)
+    assert (error and error[0]) == _FIRST_ERRORS.get(name)
+    stop = len(X)
+    if error is not None:
+        with pytest.raises(error[0]) as excinfo:
+            bar.gradient_rows(X)
+        assert str(excinfo.value) == error[1]
+        stop = next(i for i, x in enumerate(X) if _first_error(bar.gradient_at, [x]))
+    if bar.gradient is None:
+        return
+    # the rows before the first error, and every row off the singular set
+    regular = X if bar.singular is None else X[[not bar.is_singular(x) for x in X]]
+    for rows in (X[:stop], regular):
+        if _first_error(bar.gradient_at, rows) is None:
+            got = bar.gradient_rows(rows)
+            assert got.dtype == np.float64 and got.shape == rows.shape
+            assert [g.tobytes() for g in got] == [bar.gradient_at(x).tobytes() for x in rows]
+
+
 def test_from_config_builds_value_gradient_singular():
     bar = BarrierCandidate.from_config(
         {"value": "x1*(x1 + 2)", "gradient": ["2*x1 + 2"], "smoothness": "C2", "name": "p"}, 1)

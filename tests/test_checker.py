@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from inclusafe import checker, scenarios
-from inclusafe.barrier import BoundaryCell, BoundaryGrid
+from inclusafe.barrier import BoundaryCell, BoundaryGrid, collar_width
 from inclusafe.checker import CHECKS
 from inclusafe.numerics import largest_feasible
 from inclusafe import (
@@ -118,13 +118,45 @@ class _MinTracker:
             self.velocity = vel
 
 
+def _per_point_collar(scenario, grid, region):
+    """Reference for ``checker._collar_points``: one representative and one
+    offset at a time, each normal from ``gradient_at`` and each outer-collar
+    point kept by its own ``value_at``."""
+    outer = region == "outer-collar"
+    width = collar_width(scenario, grid)
+    floor = max(10.0 * scenario.tolerances.interface_slack, 1e-12)
+    offsets = [width * f for f in checker._COLLAR_FRACTIONS if width * f >= floor]
+    if not offsets:
+        offsets = [max(width, floor)]
+    bar = scenario.barrier
+    pts = []
+    for rep in grid.representatives:
+        try:
+            g = bar.gradient_at(rep)
+        except Exception:
+            continue
+        norm = float(np.linalg.norm(g))
+        if norm < 1e-12:
+            continue
+        nu = g / norm
+        if not outer:
+            pts.append(np.asarray(rep, dtype=float))
+        for sgn in ((1.0,) if outer else (1.0, -1.0)):
+            for t in offsets:
+                x = rep + sgn * t * nu
+                if outer and bar.value_at(x) <= 0.0:
+                    continue
+                pts.append(x)
+    return pts
+
+
 def _per_point_sample(spec, scenario, grid, base, mode, eps, gain=None):
     """Reference for ``checker._sample`` on ``PerturbedSystem(base, eps,
     mode)``: the perturbed image built point by point from
     ``SetValuedMap.image``, each value divided by 1 + gain(x) when a
     ``gain`` is given."""
     region = (grid.representatives if spec.region == "boundary"
-              else checker._collar_points(scenario, grid, spec.region))
+              else _per_point_collar(scenario, grid, spec.region))
     slack = scenario.tolerances.interface_slack
     lattice = eps * unit_ball_lattice(base.dimension, 9)
     track = _MinTracker()
@@ -169,6 +201,29 @@ def test_sampled_checks_match_per_point_images(name, mode):
         assert np.signbit(got.value) == np.signbit(want.value)
 
 
+@pytest.mark.parametrize("case", [*scenarios.BUILTIN, "partial_oracle", "lipschitz_2d"])
+@pytest.mark.parametrize("region", ["outer-collar", "two-sided-collar"])
+def test_collar_matches_per_point_reference(request, case, region):
+    bundle = scenarios.build(case) if case in scenarios.BUILTIN else request.getfixturevalue(case)
+    sc = bundle.scenario
+    grid = boundary_extract(sc)
+    got = checker._collar_points(sc, grid, region)
+    want = _per_point_collar(sc, grid, region)
+    assert got.dtype == np.float64 and got.shape == (len(want), sc.dimension)
+    assert [x.tobytes() for x in got] == [np.asarray(x, dtype=float).tobytes() for x in want]
+    assert bool(len(want)) == (case != "lipschitz_2d")  # no gradient oracle, no normals
+    if case == "partial_oracle":
+        outcomes = {_oracle_outcome(sc.barrier, rep) for rep in grid.representatives}
+        assert outcomes == {"raises", "vanishes", "normal"}
+
+
+def _oracle_outcome(bar, x) -> str:
+    try:
+        return "vanishes" if np.linalg.norm(bar.gradient_at(x)) < 1e-12 else "normal"
+    except ValueError:
+        return "raises"
+
+
 def _hand_grid(reps):
     """One boundary cell holding the given representatives, in that order."""
     reps = np.array(reps, dtype=float)
@@ -195,6 +250,7 @@ _REFERENCE_CASES = {
     "linear-stable-weighted-c1": ("linear_stable", "uniform-weighted-c1", "linear_modulus", None),
     "lipschitz-2d-clarke": ("lipschitz_2d", "clarke-strict", None, None),
     "lipschitz-2d-weighted-c2": ("lipschitz_2d", "uniform-weighted-c2", "lipschitz_2d_modulus", None),
+    "partial-oracle-nominal": ("partial_oracle", "nominal-nonincrease", None, None),
     # equal values, samples in reverse lexicographic order
     "equal-values-reverse-order": (2, "robust-strict", None,
                                    [[1.0, 0.5], [1.0, 0.0], [0.0, 0.5], [0.0, -0.5], [-1.0, 0.0]]),

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from inclusafe import boundary_extract, build_modulus, checker, cli, scenarios
+from inclusafe import BarrierCandidate, boundary_extract, build_modulus, checker, cli, scenarios
 from inclusafe.cli import COMMANDS, ConfigError, load_config, main, run
 
 
@@ -463,6 +463,56 @@ def test_bundles_reproducible_modulo_timestamp(tmp_path):
     tb = json.loads((tmp_path / "b" / "bundle-verify.json").read_text())
     ta.pop("timestamp"), tb.pop("timestamp")
     assert json.dumps(ta, sort_keys=True) == json.dumps(tb, sort_keys=True)
+
+
+class _PerPointCall(BaseException):
+    """Raised by the patched per-point oracles; no ``except Exception``
+    around the batched calls can swallow it."""
+
+
+@pytest.mark.parametrize("name", scenarios.BUILTIN)
+def test_verify_and_margin_make_no_per_point_barrier_calls(tmp_path, monkeypatch, name):
+    want = {command: run(name, command, out=str(tmp_path))[0] for command in ("verify", "margin")}
+
+    def per_point(self, x):
+        raise _PerPointCall(np.asarray(x).tolist())
+
+    monkeypatch.setattr(BarrierCandidate, "gradient_at", per_point)
+    monkeypatch.setattr(BarrierCandidate, "value_at", per_point)
+    for command, bundle in want.items():
+        got = run(name, command, out=str(tmp_path))[0]
+        assert {**got, "timestamp": None} == {**bundle, "timestamp": None}
+
+
+def _mismatched(name, edit):
+    cfg = scenarios.builtin_config(name)
+    edit(cfg)
+    return cfg
+
+
+_WRONG_LENGTHS = {
+    "/barrier/gradient: 2 components, dimension 1": _mismatched(
+        "linear-stable", lambda c: c["barrier"].update(gradient=["1", "0"])),
+    "/dynamics/pieces/0/image/components: 1 components, dimension 2": _mismatched(
+        "example2", lambda c: c["dynamics"]["pieces"][0]["image"].update(components=["0"])),
+    "/dynamics/pieces/0/image/points/0: 2 components, dimension 1": _mismatched(
+        "example1", lambda c: c["dynamics"]["pieces"][0]["image"].update(points=[[2.0, 1.0]])),
+    "/dynamics/pieces/0/image/matrix/0: 2 components, dimension 1": _mismatched(
+        "linear-stable", lambda c: c["dynamics"]["pieces"][0]["image"].update(matrix=[[-1.0, 0.0]])),
+    "/hints/0/velocity: 2 components, dimension 1": _mismatched(
+        "example1", lambda c: c["hints"][0].update(velocity=["1", "2"])),
+}
+
+
+@pytest.mark.parametrize("message", list(_WRONG_LENGTHS))
+@pytest.mark.parametrize("command", ["verify", "margin", "falsify"])
+def test_config_vector_of_wrong_length_exits_two_before_any_stage(tmp_path, capsys, monkeypatch,
+                                                                 message, command):
+    path = _write_cfg(tmp_path, _WRONG_LENGTHS[message])
+    monkeypatch.setattr(cli, "boundary_extract", lambda *a: pytest.fail("a stage ran"))
+    monkeypatch.setattr(cli, "falsify", lambda *a, **k: pytest.fail("a stage ran"))
+    assert main([command, path, "--eps", "0.1", "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bundle_is_strict_json(tmp_path):

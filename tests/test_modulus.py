@@ -87,17 +87,9 @@ def test_constant_map_bound_is_zero():
     m = _corpus()["constant"]
     pair = build_modulus(m)
     assert pair.step_gain(0.5) == 0.0
-    assert pair.bound([1.0], 0.5) == 0.0
+    assert pair.step_gain(0.5) * pair.state_gain([1.0]) == 0.0
     rep = verify_modulus(m, pair, [[-3, 3]], samples=100)
     assert rep.passed and rep.min_slack == 0.0
-
-
-def test_bound_factorizes(corpus_pairs, rng):
-    _, pair = corpus_pairs["quadratic"]
-    for _ in range(20):
-        x = rng.uniform(-3, 3, size=1)
-        d = float(rng.uniform(0.01, 1.0))
-        assert pair.bound(x, d) == pair.step_gain(d) * pair.state_gain(x)
 
 
 def test_log_gap_grid_monotone_both_axes(corpus_pairs):
@@ -122,7 +114,7 @@ def test_factored_bound_dominates_gap_on_grid(corpus_pairs):
         for d in (0.25, 0.5, 1.0):
             direct = m.image(np.zeros(1))
             gap = local_gap(m, [r], d)
-            assert pair.bound([r], d) >= gap - 1e-9
+            assert pair.step_gain(d) * pair.state_gain([r]) >= gap - 1e-9
 
 
 def test_build_rejects_misaligned_log_grid():
@@ -263,8 +255,8 @@ def _reference_step(f, tables, delta, density):
 
 def _reference_report(f, pair, box, samples, seed, built_density=None, delta_max=1.0):
     """verify_modulus as a per-sample loop over per-point sets; the bound is
-    pair.bound, or for a built pair (``built_density`` given) its factors
-    recomputed per point."""
+    step_gain(delta) * state_gain(x), or for a built pair (``built_density``
+    given) its factors recomputed per point."""
     b = np.asarray(box, dtype=float)
     n = b.shape[0]
     rng = np.random.default_rng(seed)
@@ -275,7 +267,7 @@ def _reference_report(f, pair, box, samples, seed, built_density=None, delta_max
         delta = float(rng.uniform(0.0, delta_max))
         big = f.ball_hull(x, delta, 9) if delta > 0.0 else f.image(x)
         if built_density is None:
-            bound = pair.bound(x, delta)
+            bound = pair.step_gain(delta) * pair.state_gain(x)
         else:
             state = _reference_growth(pair.tables, float(np.linalg.norm(x))) + 1.0
             bound = _reference_step(f, pair.tables, delta, built_density) * state

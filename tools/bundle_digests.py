@@ -9,9 +9,12 @@ at the benchmark's perturbation sizes), and ``verify --check ID`` for every
 check id on every builtin and on a few inline variants that reach the checks
 ``all`` never runs on a builtin (Lipschitz candidates with and without a
 gradient oracle, a semicontinuous one, the one linear setting where the
-C4 separation precondition holds, and a planar Lipschitz candidate whose
-sampled Clarke vertices are general vectors); each variant's ``all`` bundle
-too.  All runs use seed 0.
+C4 separation precondition holds, a planar Lipschitz candidate whose
+sampled Clarke vertices are general vectors, and a planar C2 candidate whose
+gradient oracle vanishes at some boundary representatives and raises at
+others); each variant's ``all`` bundle too.  Then plain ``verify`` on that
+last variant, and ``verify`` on five builtin configs with one vector whose
+length is not the dimension.  All runs use seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
 witness trajectory) gets one more line: its sha256 and its file name, after
@@ -93,6 +96,42 @@ def _variants() -> dict:
             dynamics={"pieces": [{"when": "True", "image": {
                 "kind": "polynomial", "components": ["-x1 + 0.2*x2", "-0.2*x1 - x2"]}}]},
         ),
+        # a gradient oracle that vanishes at some boundary representatives
+        # (x1 < -0.5) and raises at others (x2 < -0.8, on or inside the circle)
+        "partial-oracle": derived(
+            "example2",
+            box=[[-2.0, 2.0], [-2.0, 2.0]],
+            resolution=[21, 21],
+            barrier={"value": "x1*x1 + x2*x2 - 1", "smoothness": "C2", "gradient": [
+                "0 if x1 < -0.5 else 2*x1",
+                "0 if x1 < -0.5 else 2*x2 if x2 >= -0.8 else 2*x2 + 0*sqrt(x1*x1 + x2*x2 - 1.000001)"]},
+            initial="x1*x1 + x2*x2 <= 0.25",
+            unsafe="x1*x1 + x2*x2 >= 2.25",
+            depth="x1*x1 + x2*x2 - 1",
+            tolerances={},
+            dynamics={"pieces": [{"when": "True", "image": {
+                "kind": "polynomial", "components": ["-x1", "-x2"]}}]},
+        ),
+    }
+
+
+def _wrong_lengths() -> dict:
+    """Builtin configs with one vector whose length is not the dimension."""
+
+    def edited(name, edit):
+        cfg = scenarios.builtin_config(name)
+        edit(cfg)
+        return cfg
+
+    def image(cfg):
+        return cfg["dynamics"]["pieces"][0]["image"]
+
+    return {
+        "linear-stable gradient": edited("linear-stable", lambda c: c["barrier"].update(gradient=["1", "0"])),
+        "example2 components": edited("example2", lambda c: image(c).update(components=["0"])),
+        "example1 points": edited("example1", lambda c: image(c).update(points=[[2.0, 1.0]])),
+        "linear-stable matrix": edited("linear-stable", lambda c: image(c).update(matrix=[[-1.0, 0.0]])),
+        "example1 hint velocity": edited("example1", lambda c: c["hints"][0].update(velocity=["1", "2"])),
     }
 
 
@@ -129,6 +168,12 @@ def main() -> int:
             for check in CHECK_IDS:
                 print(_line(tmp, config, "verify", f"verify {name} --check {check}", check=check),
                       flush=True)
+        print(_line(tmp, configs["partial-oracle"], "verify", "verify partial-oracle"), flush=True)
+        for label, cfg in _wrong_lengths().items():
+            path = os.path.join(tmp, "wrong-length.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            print(_line(tmp, path, "verify", f"verify {label} wrong length"), flush=True)
     return 0
 
 
