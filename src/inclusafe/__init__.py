@@ -36,6 +36,7 @@ from .barrier import (
     BoundaryCell,
     BoundaryGrid,
     EmptyBoundaryError,
+    GradientOracleError,
     SafetyScenario,
     SingularPointError,
     Tolerances,

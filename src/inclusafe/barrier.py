@@ -34,6 +34,7 @@ __all__ = [
     "collar_width",
     "UnsupportedSmoothnessError",
     "SingularPointError",
+    "GradientOracleError",
     "EmptySampleError",
     "EmptyBoundaryError",
     "SMOOTHNESS_TAGS",
@@ -48,6 +49,10 @@ class UnsupportedSmoothnessError(ValueError):
 
 class SingularPointError(ValueError):
     """Gradient queried on the declared singular set."""
+
+
+class GradientOracleError(ValueError):
+    """The gradient oracle raises at the queried point."""
 
 
 class EmptySampleError(ValueError):
@@ -137,7 +142,11 @@ class BarrierCandidate:
             raise UnsupportedSmoothnessError(f"candidate {self.name!r} has no gradient oracle")
         if self.is_singular(x):
             raise SingularPointError(f"gradient queried on the singular set at x={x.tolist()}")
-        return np.asarray(self.gradient(x), dtype=float).reshape(-1)
+        try:
+            g = self.gradient(x)
+        except (ArithmeticError, ValueError, TypeError) as e:
+            raise GradientOracleError(f"the gradient oracle raises at x={x.tolist()}: {e}") from e
+        return np.asarray(g, dtype=float).reshape(-1)
 
     def gradient_rows(self, X) -> np.ndarray:
         """:meth:`gradient_at` at every row of an (m, n) array, in one batched
@@ -151,7 +160,12 @@ class BarrierCandidate:
             # the rows before the first singular one still raise their own error
             hit = expressions.rows_of(self.singular, bool)(X)
             m = int(hit.argmax()) if hit.any() else m
-        G = expressions.rows_of(self.gradient)(X[:m])
+        try:
+            G = expressions.rows_of(self.gradient)(X[:m])
+        except (ArithmeticError, ValueError, TypeError):
+            for x in X[:m]:
+                self.gradient_at(x)  # raises at the first row where the oracle does
+            raise
         if m < X.shape[0]:
             raise SingularPointError(f"gradient queried on the singular set at x={X[m].tolist()}")
         return G.reshape(m, -1) if m else np.empty((0, X.shape[1]))

@@ -23,6 +23,7 @@ from .barrier import (
     SMOOTHNESS_TAGS,
     BarrierCandidate,
     BoundaryGrid,
+    GradientOracleError,
     SafetyScenario,
     SingularPointError,
     UnsupportedSmoothnessError,
@@ -63,7 +64,7 @@ class DegenerateGradientError(ValueError):
 
 # what a check raises when it cannot run on the scenario as configured
 CANNOT_RUN = (PreconditionError, DegenerateGradientError, UnsupportedSmoothnessError,
-              SingularPointError)
+              SingularPointError, GradientOracleError)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ plus columnar text files for any witness trajectories.
 
 Exit codes: 0 all requested checks passed / nothing falsified; 1 a check
 failed, was inconclusive, a witness was found, or no positive margin
-exists; 2 configuration error, a barrier undefined on the grid included.
+exists; 2 configuration error, a barrier undefined on the grid and a
+gradient oracle that raises where a check or the margin reads it included.
 """
 from __future__ import annotations
 
@@ -464,13 +465,16 @@ def run(
 
     if command in ("margin", "all") and synthesize:
         mcfg = work.get("margin", {})
-        synth = synthesize_margin(
-            scenario,
-            grid,
-            mcfg.get("bracket", 1.0),
-            density=int(mcfg.get("density", fal_density)),
-            rel_tol=mcfg.get("rel_tol", 1e-3),
-        )
+        try:
+            synth = synthesize_margin(
+                scenario,
+                grid,
+                mcfg.get("bracket", 1.0),
+                density=int(mcfg.get("density", fal_density)),
+                rel_tol=mcfg.get("rel_tol", 1e-3),
+            )
+        except CANNOT_RUN as e:
+            raise ConfigError(f"margin synthesis cannot run on this scenario: {e}") from e
         margin_out = synth.to_dict()
         if synth.eps_star <= 0.0:
             exit_code = 1

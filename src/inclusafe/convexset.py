@@ -390,9 +390,10 @@ def extreme_rows(points: np.ndarray, radii: np.ndarray, D: np.ndarray) -> np.nda
     V = points[np.arange(D.shape[0]), idx]
     norm = row_norms(D)
     grow = (radii > 0.0) & (norm > 1e-300)
-    if grow.all():
+    c = np.count_nonzero(grow)
+    if c == grow.size:
         return V + radii[:, None] * D / norm[:, None]
-    if grow.any():
+    if c:
         V[grow] = V[grow] + radii[grow, None] * D[grow] / norm[grow, None]
     return V
 

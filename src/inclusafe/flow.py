@@ -57,7 +57,10 @@ class SelectionPolicy:
     one generator per row, and the velocity is the image's extreme point in
     that direction; a state-feedback policy gives ``rows(X)``, the (m, n)
     velocities.  Other policies are called per row on the materialised
-    image.
+    image.  An extreme-point policy whose direction is a function of one
+    ``rng.standard_normal(n)`` draw per step, and of nothing else, also
+    gives ``normals(Z)``, the directions for the (m, n) draws Z; the
+    integrator then draws each trial's normals in blocks.
     """
 
     name: str
@@ -65,16 +68,17 @@ class SelectionPolicy:
     verify: bool = False
     directions: Optional[Callable] = None
     rows: Optional[Callable] = None
+    normals: Optional[Callable] = None
 
     def __call__(self, x, image, rng):
         return self.select(x, image, rng)
 
 
-def _extreme_policy(name: str, directions: Callable) -> SelectionPolicy:
+def _extreme_policy(name: str, directions: Callable, normals: Optional[Callable] = None) -> SelectionPolicy:
     def select(x, image, rng):
         return image.extreme_point(directions(np.asarray(x, dtype=float).reshape(1, -1), [rng])[0])
 
-    return SelectionPolicy(name, select, directions=directions)
+    return SelectionPolicy(name, select, directions=directions, normals=normals)
 
 
 def b_ascent(barrier) -> SelectionPolicy:
@@ -84,21 +88,23 @@ def b_ascent(barrier) -> SelectionPolicy:
     direction is a standard normal draw instead.
     """
 
+    gradient = None if barrier.gradient is None else expressions.rows_of(barrier.gradient)
+    on_singular = None if barrier.singular is None else expressions.rows_of(barrier.singular, bool)
+
     def directions(X, rngs):
         m, n = X.shape
-        if barrier.gradient is None:
+        if gradient is None:
             barrier.gradient_at(X[0])  # raises the per-point error
-        gradient = expressions.rows_of(barrier.gradient)
-        if barrier.singular is None:
+        if on_singular is None:
             G = gradient(X).reshape(m, n)
             draw = row_norms(G) < 1e-12
         else:
-            singular = expressions.rows_of(barrier.singular, bool)(X)
+            singular = on_singular(X)
             G = np.zeros((m, n))
-            if not singular.all():
+            if np.count_nonzero(singular) < m:
                 G[~singular] = gradient(X[~singular]).reshape(-1, n)
             draw = singular | (row_norms(G) < 1e-12)
-        if draw.any():
+        if np.count_nonzero(draw):
             for i in np.flatnonzero(draw).tolist():
                 G[i] = rngs[i].standard_normal(n)
         return G
@@ -107,20 +113,23 @@ def b_ascent(barrier) -> SelectionPolicy:
 
 
 def random_extreme() -> SelectionPolicy:
-    """Extreme point of the image in a random direction each step."""
+    """Extreme point of the image in a random direction each step: the
+    standard normal draw, normalised."""
 
-    def directions(X, rngs):
-        D = np.array([rng.standard_normal(X.shape[1]) for rng in rngs])
+    def normals(D):
         norm = row_norms(D)
         small = norm < 1e-12
-        if not small.any():
+        if not np.count_nonzero(small):
             return D / norm[:, None]
         D[~small] = D[~small] / norm[~small, None]
         D[small] = 0.0
         D[small, 0] = 1.0
         return D
 
-    return _extreme_policy("random-extreme", directions)
+    def directions(X, rngs):
+        return normals(np.array([rng.standard_normal(X.shape[1]) for rng in rngs]))
+
+    return _extreme_policy("random-extreme", directions, normals)
 
 
 def constant_policy(v) -> SelectionPolicy:
@@ -191,14 +200,14 @@ class _Watch:
     def observe(self, k: int, trials: np.ndarray, S: np.ndarray) -> None:
         """Record the states ``S`` that ``trials`` reached at step k."""
         unsafe = self.unsafe(S)
-        if not unsafe.any():
+        if not np.count_nonzero(unsafe):
             return
         trials = trials[unsafe]
         d = self.depth_fn(S[unsafe])
         deeper = d > self.depth[trials]
         self.depth[trials[deeper]] = d[deeper]
         new = (d >= self.threshold) & (self.hit[trials] < 0)
-        if new.any():
+        if np.count_nonzero(new):
             self.hit[trials[new]] = k
             self.winner = min(self.winner, int(trials[new].min()))
 
@@ -234,6 +243,10 @@ class _Run:
 #: how far outside the image a verified velocity may lie
 _FEASIBILITY_TOL = 1e-9
 
+#: steps of standard normal draws that a trial of a ``normals`` policy
+#: takes from its generator at a time
+_BLOCK = 64
+
 
 def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
               backward: bool = False, on_infeasible: str = "raise",
@@ -244,14 +257,24 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     A trial stops at ``nsteps``, after the step that leaves ``box`` (that
     state is kept), before a step whose verified velocity lies outside the
     image (with ``on_infeasible="truncate"``), or when ``watch`` retires it.
+    A trial of a ``normals`` policy draws ``standard_normal((b, n))`` with
+    b = min(64, steps left) every 64 steps, the same numbers as one
+    ``standard_normal(n)`` per step; a trial that stops early may so leave
+    up to 63 draws unused.
     """
     X0 = np.asarray(X0, dtype=float)
-    N = X0.shape[0]
+    N, n = X0.shape
     slots = {}
     group = np.array([slots.setdefault(id(p), len(slots)) for p in policies])
     order = list({id(p): p for p in policies}.values())
     streams = np.empty(N, dtype=object)  # indexable by arrays of trials
     streams[:] = rngs
+    # row of each normals-policy trial in the block of draws
+    blocked = np.array([p.normals is not None for p in policies], dtype=bool)
+    block_row = np.cumsum(blocked) - 1
+    normals = np.empty((int(np.count_nonzero(blocked)), min(_BLOCK, nsteps), n))
+    if box is not None:
+        lo, hi = box[:, 0].copy(), box[:, 1].copy()
     lengths = np.full(N, nsteps + 1)
     exited = np.zeros(N, dtype=bool)
     truncated = np.zeros(N, dtype=bool)
@@ -260,7 +283,9 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     # form one slice, and their states
     live = np.argsort(group, kind="stable")
     S = X0[live]
-    parts = None  # (policy, slice of rows) per policy, remade when trials retire
+    # per policy: (policy, slice of rows, what it draws on: the rows of its
+    # trials in the block for a normals policy, else their generators)
+    parts = None
     if watch is not None:
         watch.observe(0, live, S)
     for k in range(1, nsteps + 1):
@@ -272,31 +297,42 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             break
         if parts is None:
             ends = np.cumsum(np.bincount(group[live], minlength=len(order))).tolist()
-            parts = [(p, slice(a, b)) for p, a, b in zip(order, [0] + ends, ends) if b > a]
-            steered = all(p.directions is not None for p, _ in parts)
+            parts = [(p, slice(a, b), block_row[live[a:b]] if p.normals is not None
+                      else None if p.rows is not None else streams[live[a:b]])
+                     for p, a, b in zip(order, [0] + ends, ends) if b > a]
+            steered = all(p.directions is not None for p, _, _ in parts)
+        j = (k - 1) % _BLOCK
+        if j == 0:
+            size = min(_BLOCK, nsteps - k + 1)
+            for p, sel, source in parts:
+                if p.normals is not None:
+                    normals[source, :size] = [rng.standard_normal((size, n)) for rng in streams[live[sel]]]
         points, counts, radii = system.images(S)
         if backward:
             points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
-        V = np.empty_like(S)
-        D = np.empty_like(S) if steered else None
+        if steered:
+            D = np.empty(S.shape)
+        else:
+            V = np.empty(S.shape)
         feasible = None
-        for policy, sel in parts:
-            rng = streams[live[sel]]
+        for policy, sel, source in parts:
             if policy.directions is not None:
+                d = policy.normals(normals[source, j]) if policy.normals is not None \
+                    else policy.directions(S[sel], source)
                 if steered:
-                    D[sel] = policy.directions(S[sel], rng)
+                    D[sel] = d
                 else:
-                    V[sel] = extreme_rows(points[sel], radii[sel], policy.directions(S[sel], rng))
+                    V[sel] = extreme_rows(points[sel], radii[sel], d)
                 continue
             if policy.rows is not None:
                 V[sel] = policy.rows(S[sel])
             else:
-                for j in range(sel.start, sel.stop):
-                    image = row_set((points, counts, radii), j)
-                    V[j] = np.asarray(policy(S[j].copy(), image, rng[j - sel.start]), dtype=float).reshape(-1)
+                for i in range(sel.start, sel.stop):
+                    image = row_set((points, counts, radii), i)
+                    V[i] = np.asarray(policy(S[i].copy(), image, source[i - sel.start]), dtype=float).reshape(-1)
             if policy.verify:
                 ok = contains_rows(points[sel], counts[sel], radii[sel], V[sel], _FEASIBILITY_TOL)
-                if not ok.all():
+                if np.count_nonzero(ok) < ok.size:
                     if feasible is None:
                         feasible = np.ones(live.size, dtype=bool)
                     feasible[sel] = ok
@@ -304,9 +340,9 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             V = extreme_rows(points, radii, D)
         if feasible is not None:
             if on_infeasible == "raise":
-                j = int(np.argmin(feasible))
+                i = int(np.argmin(feasible))
                 raise InfeasibleSelectionError(
-                    f"policy {policies[live[j]].name!r} chose velocity {V[j]} outside the image at x={S[j]}"
+                    f"policy {policies[live[i]].name!r} chose velocity {V[i]} outside the image at x={S[i]}"
                 )
             truncated[live[~feasible]] = True
             lengths[live[~feasible]] = k
@@ -316,8 +352,8 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
         if watch is not None:
             watch.observe(k, live, S)
         if box is not None:
-            out = (S < box[:, 0]) | (S > box[:, 1])
-            if out.any():
+            out = (S < lo) | (S > hi)
+            if np.count_nonzero(out):
                 out = out.any(axis=1)
                 exited[live[out]] = True
                 lengths[live[out]] = k + 1
@@ -344,7 +380,11 @@ def integrate(
     ``backward`` integrates the time-reversed inclusion (image negated).
     ``on_infeasible`` is "raise" or "truncate" and only matters for policies
     with ``verify`` set.  Leaving ``box`` stops the run with the offending
-    state recorded and ``exited_box`` set.
+    state recorded and ``exited_box`` set.  A policy with ``normals`` (such
+    as :func:`random_extreme`) draws from ``rng`` in blocks of up to 64
+    steps: a run that reaches ``horizon`` leaves ``rng`` as one draw per
+    step would, but one that stops early may have drawn up to 63 more
+    normals from it.
     """
     if step <= 0.0 or horizon <= 0.0:
         raise ValueError("horizon and step must be positive")

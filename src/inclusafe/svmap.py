@@ -115,7 +115,10 @@ def _concatenated(pts: np.ndarray, radius: float, group: int):
     G, size = pts.shape[0] // group, pts.shape[1] * group
     if group > 1 and size > PRUNE_THRESHOLD:
         return None
-    return pts.reshape(G, size, pts.shape[2]), np.full(G, size), np.full(G, float(radius))
+    counts, radii = np.empty(G, dtype=int), np.empty(G)
+    counts.fill(size)
+    radii.fill(radius)
+    return pts.reshape(G, size, pts.shape[2]), counts, radii
 
 
 def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, group: int):
@@ -129,15 +132,15 @@ def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, group: in
     plain = ((radii == rmax[:, None]) | (radii == 0.0)).all(axis=1)
     sizes = counts.reshape(G, group).sum(axis=1)
     points = A.reshape(G, group * width, n)
-    if not (counts == width).all():
+    if np.count_nonzero(counts != width):
         # move each run's points to its front, in order; the rows' padding
         # follows and repeats points of the run
         filled = (np.arange(width) < counts[:, None]).reshape(G, -1)
         order = np.argsort(~filled, axis=1, kind="stable")
         points = np.take_along_axis(points, order[:, :, None], axis=1)[:, :sizes.max()]
     special = {g: (pruned(points[g, :sizes[g]]), rmax[g])
-               for g in np.flatnonzero(plain & (sizes > PRUNE_THRESHOLD)).tolist()}
-    for g in np.flatnonzero(~plain).tolist():
+               for g in (plain & (sizes > PRUNE_THRESHOLD)).nonzero()[0].tolist()}
+    for g in (~plain).nonzero()[0].tolist():
         rows = range(g * group, (g + 1) * group)
         special[g] = merge_parts([(A[i, :counts[i]], radius[i]) for i in rows])
     if not special:
@@ -166,6 +169,10 @@ class SetValuedMap:
             raise ValueError("a set-valued map needs at least one piece")
         self.dimension = int(dimension)
         self.pieces = pieces
+        # the one piece, when it has a batched form and holds everywhere
+        sole = pieces[0]
+        always = len(pieces) == 1 and getattr(sole.predicate, "constant", None) is True
+        self._sole = sole if always and sole.rows is not None else None
 
     def _probes(self, X: np.ndarray, slack: float) -> np.ndarray:
         """Predicate probe points of each row of X as an (m, 1 + 2n, n)
@@ -236,33 +243,44 @@ class SetValuedMap:
         through the per-point rule too.
         """
         m, n = X.shape
-        active = self._active(X, slack)
-        held = active.sum(axis=1).tolist()  # rows on which each piece holds
-        if sum(held) == m and m in held and self.pieces[held.index(m)].rows is not None:
-            # one piece holds on every row and no other piece anywhere
-            pts, r = self.pieces[held.index(m)].rows(X)
+        piece = self._sole
+        if piece is None:
+            active = self._active(X, slack)
+            held = active.sum(axis=1).tolist()  # rows on which each piece holds
+            if sum(held) == m and m in held and self.pieces[held.index(m)].rows is not None:
+                # one piece holds on every row and no other piece anywhere
+                piece = self.pieces[held.index(m)]
+        if piece is not None:
+            pts, r = piece.rows(X)
             whole = _concatenated(pts, r, group)
             if whole is not None:
                 return whole
             return _merge_runs(pts, np.full(m, pts.shape[1]), np.full(m, float(r)), group)
         hits = active.sum(axis=0)
-        if not hits.all():
+        if np.count_nonzero(hits) < m:
             x = X[np.argmin(hits)]
             raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
         lone = hits == 1
         fills = []  # (rows, points, radius) of pieces evaluated in one pass
+        filled = 0
         for piece, mask in zip(self.pieces, active):
-            rows = mask & lone
-            if piece.rows is None or not rows.any():
+            if piece.rows is None:
                 continue
-            pts, r = piece.rows(X[rows])
-            fills.append((rows, pts, float(r)))
-            lone &= ~mask
+            rows = (mask & lone).nonzero()[0]
+            if rows.size:
+                pts, r = piece.rows(X[rows])
+                fills.append((rows, pts, float(r)))
+                filled += rows.size
         # what is left: rows where several pieces hold or a piece has no
         # batched form
-        merged = {i: merge_parts([(s.points, s.radius) for s in
-                                  (self.pieces[k].image(X[i]) for k in np.flatnonzero(active[:, i]))])
-                  for i in np.flatnonzero(lone | (hits > 1)).tolist()}
+        merged = {}
+        if filled < m:
+            left = np.ones(m, dtype=bool)
+            for rows, _, _ in fills:
+                left[rows] = False
+            merged = {i: merge_parts([(s.points, s.radius) for s in
+                                      (self.pieces[k].image(X[i]) for k in np.flatnonzero(active[:, i]))])
+                      for i in np.flatnonzero(left).tolist()}
         width = max([pts.shape[1] for _, pts, _ in fills] + [len(p) for p, _ in merged.values()])
         A = np.empty((m, width, n))
         counts = np.empty(m, dtype=int)
@@ -270,7 +288,8 @@ class SetValuedMap:
         for rows, pts, r in fills:
             c = pts.shape[1]
             A[rows, :c] = pts
-            A[rows, c:] = pts[:, -1:]
+            if c < width:
+                A[rows, c:] = pts[:, -1:]
             counts[rows] = c
             radius[rows] = r
         for i, (pts, r) in merged.items():
@@ -298,12 +317,13 @@ class SetValuedMap:
         returned as by :meth:`images`."""
         n = self.dimension
         centers = np.asarray(centers, dtype=float).reshape(-1, 1, n)
-        L = unit_ball_lattice(n, density)
-        if L.shape[0] == 0:
-            raise ValueError(f"the {n}-D ball lattice of density {density} is empty")
         radii = np.asarray(radii, dtype=float)
-        X = centers + L * (radii if radii.ndim == 0 else radii.reshape(-1, 1, 1))
-        return self._hulls(X.reshape(-1, n), slack, L.shape[0])
+        if radii.ndim == 0 and radii != 0.0:  # the cache would not keep a zero's sign
+            offsets = _ball_offsets(n, density, float(radii))
+        else:
+            offsets = _ball_offsets(n, density, 1.0) * radii.reshape(-1, 1, 1)
+        X = centers + offsets
+        return self._hulls(X.reshape(-1, n), slack, offsets.shape[-2])
 
     def ball_hull(self, center, radius: float, density: int, slack: float = 0.0) -> ConvexCompactSet:
         """Hull of the images over the lattice ``center + radius * L`` of the
@@ -363,6 +383,19 @@ def unit_ball_lattice(dimension: int, density: int = 9) -> np.ndarray:
     return _unit_lattice(int(dimension), int(density))
 
 
+@lru_cache(maxsize=32)
+def _ball_offsets(dimension: int, density: int, radius: float) -> np.ndarray:
+    """:func:`unit_ball_lattice` times one radius, refused when it holds no
+    point; :meth:`SetValuedMap.ball_hulls` takes it on every call of a run
+    with a constant argument margin."""
+    L = unit_ball_lattice(dimension, density)
+    if L.shape[0] == 0:
+        raise ValueError(f"the {dimension}-D ball lattice of density {density} is empty")
+    out = L * radius
+    out.setflags(write=False)
+    return out
+
+
 MarginFn = Union[float, Callable[[np.ndarray], float]]
 
 
@@ -407,6 +440,7 @@ class PerturbedSystem:
         self.mode = mode
         self.density = int(density)
         self.sense_margin = sense_margin
+        self._constant = {}  # checked constant margins, by "sensing or not"
 
     @property
     def dimension(self) -> int:
@@ -428,12 +462,16 @@ class PerturbedSystem:
 
     def _margins(self, X: np.ndarray, sensing: bool):
         """:meth:`margin_at` (or :meth:`sense_margin_at`) at every row of X;
-        one float when the margin is constant."""
+        one float when the margin is constant, checked on first use and
+        then reused."""
         at = self.sense_margin_at if sensing else self.margin_at
         margin = self.sense_margin if sensing and self.sense_margin is not None else self.margin
         if callable(margin):
             return np.array([at(x) for x in X])
-        return at(X[0])
+        value = self._constant.get(sensing)
+        if value is None:
+            value = self._constant[sensing] = at(X[0])
+        return value
 
     def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The perturbed image at every row of an (m, n) array X in one pass,

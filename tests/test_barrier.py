@@ -7,6 +7,7 @@ from inclusafe import (
     BarrierCandidate,
     ConvexCompactSet,
     EmptyBoundaryError,
+    GradientOracleError,
     SafetyScenario,
     SetValuedMap,
     SingularPointError,
@@ -106,8 +107,8 @@ def _gradient_cases():
 
 _FIRST_ERRORS = {
     "abs-lipschitz-oracle": SingularPointError,
-    "raises-before-singular": ValueError,
-    "raises-after-a-while": ValueError,
+    "raises-before-singular": GradientOracleError,
+    "raises-after-a-while": GradientOracleError,
     "no-oracle": UnsupportedSmoothnessError,
     "python-callable": SingularPointError,
 }

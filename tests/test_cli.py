@@ -555,3 +555,18 @@ def test_main_margin_and_modulus_lines(tmp_path, capsys):
     assert main(["modulus", "linear-stable", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "[modulus] degenerate=True verified=True" in out
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("verify", "check 'robust-strict'"),
+    ("margin", "margin synthesis"),
+    ("all", "check 'robust-strict'"),
+])
+def test_gradient_oracle_that_raises_exits_two_naming_stage_and_point(tmp_path, capsys, partial_oracle,
+                                                                      command, stage):
+    # the oracle takes sqrt of a negative number at some boundary representatives
+    path = _write_cfg(tmp_path, partial_oracle.config)
+    assert main([command, path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{stage} cannot run on this scenario: the gradient oracle raises at x=[0.0, -1.0]" in err
+    assert "Traceback" not in err

@@ -16,6 +16,7 @@ from inclusafe import (
     b_ascent,
     constant_piece,
     constant_policy,
+    contains,
     custom_policy,
     expression_policy,
     falsify,
@@ -263,6 +264,85 @@ def test_trial_alone_matches_its_states_inside_a_400_trial_batch(name, eps):
         assert alone.states.shape == inside.states.shape
         assert alone.states.tobytes() == inside.states.tobytes()
         assert (alone.exited_box, alone.truncated) == (inside.exited_box, inside.truncated)
+
+
+def _euler_by_hand(system, x0, kind, rng, barrier, nsteps, step, box, velocity=None):
+    """One trial one step at a time: the per-point image, its extreme point
+    in the policy's direction (b-ascent: the gradient, or a normal draw
+    where it vanishes; random-extreme: one normal draw per step,
+    normalised), or a constant velocity checked against the image."""
+    x = np.asarray(x0, dtype=float)
+    n = x.shape[0]
+    states, exited, truncated = [x], False, False
+    for _ in range(nsteps):
+        image = system.image(x)
+        if kind == "constant":
+            if not contains(image, velocity, 1e-9):
+                truncated = True
+                break
+            v = velocity
+        else:
+            if kind == "b-ascent":
+                d = barrier.gradient_at(x)
+                if np.linalg.norm(d) < 1e-12:
+                    d = rng.standard_normal(n)
+            else:
+                d = rng.standard_normal(n)
+                norm = np.linalg.norm(d)
+                d = d / norm if norm >= 1e-12 else np.eye(n)[0]
+            v = image.extreme_point(d)
+        x = x + step * v
+        states.append(x)
+        if box is not None and (np.any(x < box[:, 0]) or np.any(x > box[:, 1])):
+            exited = True
+            break
+    return np.array(states), exited, truncated
+
+
+@pytest.mark.parametrize("name", scenarios.BUILTIN)
+@pytest.mark.parametrize("mode", ["none", "image", "strong"])
+def test_lockstep_equals_an_euler_loop_by_hand_byte_for_byte(name, mode):
+    sc = scenarios.build(name).scenario
+    base = sc.dynamics.base if isinstance(sc.dynamics, PerturbedSystem) else sc.dynamics
+    system = sc.dynamics if mode == "none" else PerturbedSystem(base, 0.1, mode)
+    n, nsteps, step = sc.dimension, 150, 1e-3  # 150 steps: blocks of 64, 64 and 22 draws
+    pool = sc.initial_samples()
+    xa, xb = pool[len(pool) // 3], pool[2 * len(pool) // 3]
+    # (start, kind, policy); the constant velocity lies outside every image
+    trials = [(xa, "b-ascent", b_ascent(sc.barrier)), (xa, "random", random_extreme()),
+              (xb, "b-ascent", b_ascent(sc.barrier)), (xb, "random", random_extreme()),
+              (xb, "random", random_extreme()), (xa, "constant", constant_policy([100.0] * n))]
+    # a box edge that the first trial crosses after step 64: halfway to the
+    # first new extreme of a coordinate of its free run
+    free, _, _ = _euler_by_hand(system, xa, "b-ascent", np.random.default_rng(0), sc.barrier,
+                                nsteps, step, None)
+    box = sc.box.copy()
+    k, j = next((k, j) for k in range(65, nsteps + 1) for j in range(n)
+                if not free[:k, j].min() <= free[k, j] <= free[:k, j].max())
+    side = int(free[k, j] > free[:k, j].max())
+    box[j, side] = 0.5 * (free[k, j] + (free[:k, j].max() if side else free[:k, j].min()))
+    run = _lockstep(system, np.array([x0 for x0, _, _ in trials]), [p for _, _, p in trials],
+                    [np.random.default_rng(i) for i in range(len(trials))],
+                    nsteps=nsteps, step=step, box=box, on_infeasible="truncate")
+    assert run.exited.any() and run.truncated.any() and run.lengths.max() > 65
+    for i, (x0, kind, policy) in enumerate(trials):
+        states, exited, truncated = _euler_by_hand(
+            system, x0, kind, np.random.default_rng(i), sc.barrier, nsteps, step, box,
+            np.array([100.0] * n))
+        got = run.trajectory(i, step, policy.name)
+        assert got.states.tobytes() == states.tobytes()
+        assert (got.exited_box, got.truncated) == (exited, truncated)
+
+
+def test_integrate_to_the_horizon_leaves_the_callers_generator_as_per_step_draws(linear_stable):
+    system = PerturbedSystem(linear_stable.scenario.dynamics, 0.1, "strong")
+    for nsteps in (64, 150):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        traj = integrate(system, [0.25], horizon=nsteps * 1e-3, step=1e-3, policy=random_extreme(), rng=rng)
+        assert len(traj) == nsteps + 1
+        for _ in range(nsteps):
+            ref.standard_normal(1)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _drift_right_scenario():

@@ -156,6 +156,41 @@ def test_state_dependent_margin():
     assert (lo, hi) == (-2.1, 2.1)
 
 
+def test_constant_margins_are_checked_on_first_use_and_callable_margins_every_call(monkeypatch):
+    f = SetValuedMap(1, [affine_piece(lambda x: True, [[-1.0]], [0.0])])
+    X = np.array([[0.5], [-0.25], [1.0]])
+    # a zero margin is refused on every call, at the first row of each
+    zero = PerturbedSystem(f, 0.0, "image")
+    for x in (0.5, -0.25):
+        with pytest.raises(ValueError, match=rf"perturbation margin must be positive, got 0.0 at x=\[{x}\]"):
+            zero.images(np.array([[x], [1.0]]))
+    blind = PerturbedSystem(f, 0.1, "strong", sense_margin=0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sensing margin must be positive, got 0.0"):
+            blind.images(X)
+    # a constant margin is resolved once and then reused
+    checked = []
+    margin_at = PerturbedSystem.margin_at
+    monkeypatch.setattr(PerturbedSystem, "margin_at", lambda self, x: checked.append(x) or margin_at(self, x))
+    once = PerturbedSystem(f, 0.1, "strong")
+    first = once.images(X)
+    again = once.images(X)
+    assert len(checked) == 2  # the image margin and the argument margin
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    # a callable margin is evaluated at every row on every call
+    seen = []
+
+    def margin(x):
+        seen.append(x.tolist())
+        return 0.1 + abs(float(x[0]))
+
+    varying = PerturbedSystem(f, margin, "strong")
+    for _ in range(2):
+        _, _, radii = varying.images(X)
+        assert radii.tolist() == [0.1 + abs(x) for x in X[:, 0]]
+    assert seen == X.tolist() * 4  # image and argument margins, twice
+
+
 def test_sense_margin_decouples_argument_ball():
     ident = SetValuedMap(1, [affine_piece(lambda x: True, [[1.0]], [0.0])])
     sys_sa = PerturbedSystem(ident, margin=0.25, mode="strong", density=9, sense_margin=0.5)

@@ -13,8 +13,10 @@ C4 separation precondition holds, a planar Lipschitz candidate whose
 sampled Clarke vertices are general vectors, and a planar C2 candidate whose
 gradient oracle vanishes at some boundary representatives and raises at
 others); each variant's ``all`` bundle too.  Then plain ``verify`` on that
-last variant, and ``verify`` on five builtin configs with one vector whose
-length is not the dimension.  All runs use seed 0.
+last variant, ``verify`` on five builtin configs with one vector whose
+length is not the dimension, and last ``falsify linear-stable --eps 0.1``
+at the default budget (400 trials of 5000 steps in one lockstep run).  All
+runs use seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
 witness trajectory) gets one more line: its sha256 and its file name, after
@@ -174,6 +176,8 @@ def main() -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
             print(_line(tmp, path, "verify", f"verify {label} wrong length"), flush=True)
+        print(_line(tmp, "linear-stable", "falsify", "falsify linear-stable --eps 0.1 default budget",
+                    eps=0.1), flush=True)
     return 0
 
 
