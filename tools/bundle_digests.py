@@ -15,8 +15,11 @@ gradient oracle vanishes at some boundary representatives and raises at
 others); each variant's ``all`` bundle too.  Then plain ``verify`` on that
 last variant, ``verify`` on five builtin configs with one vector whose
 length is not the dimension, and last ``falsify linear-stable --eps 0.1``
-at the default budget (400 trials of 5000 steps in one lockstep run).  All
-runs use seed 0.
+at the default budget (400 trials of 5000 steps in one lockstep run).
+Last, one run for each flag path that a config value can meet: ``--density``
+beside a margin stage, a nonzero ``--seed``, ``--eps`` on a config that has
+its own perturbation, ``--eps`` with ``--mode``, and ``--box-scale``.  Every
+other run uses seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
 witness trajectory) gets one more line: its sha256 and its file name, after
@@ -137,10 +140,10 @@ def _wrong_lengths() -> dict:
     }
 
 
-def _line(tmp, config, command, label, **flags) -> str:
+def _line(tmp, config, command, label, seed=0, **flags) -> str:
     out = os.path.join(tmp, "out")
     try:
-        bundle, code = cli.run(config, command, seed=0, out=out, **flags)
+        bundle, code = cli.run(config, command, seed=seed, out=out, **flags)
     except Exception as e:  # noqa: BLE001 - the error class is the output
         return f"raise {type(e).__name__}  {label}"
     lines = [f"{workloads.digest(bundle)}  exit={code}  {label}"]
@@ -178,6 +181,14 @@ def main() -> int:
             print(_line(tmp, path, "verify", f"verify {label} wrong length"), flush=True)
         print(_line(tmp, "linear-stable", "falsify", "falsify linear-stable --eps 0.1 default budget",
                     eps=0.1), flush=True)
+        for config, command, label, flags in (
+            ("linear-stable", "margin", "--density 5", {"density": 5}),
+            ("noisy-loop", "all", "--seed 7", {"seed": 7}),
+            ("noisy-loop", "falsify", "--eps 0.05", {"eps": 0.05}),
+            ("linear-stable", "falsify", "--eps 0.1 --mode image", {"eps": 0.1, "mode": "image"}),
+            ("example2", "verify", "--box-scale 0.5", {"box_scale": 0.5}),
+        ):
+            print(_line(tmp, config, command, f"{command} {config} {label}", **flags), flush=True)
     return 0
 
 
