@@ -12,7 +12,7 @@ sampling gradients near the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,16 +88,7 @@ class Tolerances:
     clarke_samples: int = 64
 
     def to_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "tol_strict": self.tol_strict,
-            "tol_boundary": self.tol_boundary,
-            "interface_slack": self.interface_slack,
-            "collar_cells": self.collar_cells,
-            "collar_width": self.collar_width,
-            "clarke_radius_scale": self.clarke_radius_scale,
-            "clarke_samples": self.clarke_samples,
-        }
+        return asdict(self)
 
 
 class BarrierCandidate:

@@ -34,7 +34,7 @@ from .barrier import (
 from .convexset import row_norms, row_set, support_pairs
 from .numerics import largest_feasible_rows
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport
-from .svmap import PerturbedSystem
+from .svmap import unperturbed
 
 __all__ = [
     "CANNOT_RUN",
@@ -442,9 +442,7 @@ def synthesize_margin(
     at its own delta, from one ``ball_hulls`` call.
     """
     tol = scenario.tolerances
-    base = scenario.dynamics
-    if isinstance(base, PerturbedSystem):
-        base = base.base
+    base = unperturbed(scenario.dynamics)
     # every representative of every cell, in cell order, and each one's
     # gradient vertices with their norms, paired row by row
     X = grid.representatives

@@ -35,7 +35,7 @@ from .checker import CANNOT_RUN, CHECKS, MARGIN_SMOOTHNESS, synthesize_margin
 from .flow import FalsifyBudget, falsify
 from .modulus import LOG_RANGE, build_modulus, log_grid_steps, verify_modulus
 from .numerics import scale_box
-from .svmap import PerturbedSystem
+from .svmap import unperturbed
 
 __all__ = ["ConfigError", "load_config", "run", "main", "SCHEMA"]
 
@@ -343,23 +343,21 @@ def _run_check(check_id: str, scenario, grid, modulus):
         raise ConfigError(f"check {check_id!r} cannot run on this scenario: {e}") from e
 
 
-def _base_map(scenario):
-    dyn = scenario.dynamics
-    return dyn.base if isinstance(dyn, PerturbedSystem) else dyn
+def _keys(section: dict, *names: str) -> dict:
+    """The entries of a config section among ``names`` that it sets."""
+    return {k: section[k] for k in names if k in section}
 
 
-def _modulus_summary(pair, report=None) -> dict:
+def _modulus_summary(pair, report) -> dict:
     t = pair.tables
-    out = {
+    return {
         "degenerate": pair.degenerate,
         "flags": dict(pair.flags),
         "kind": t.get("kind"),
         "onset": t.get("onset"),
         "scale": t.get("scale"),
+        "verification": report.to_dict(),
     }
-    if report is not None:
-        out["verification"] = report.to_dict()
-    return out
 
 
 def run(
@@ -376,7 +374,11 @@ def run(
 ) -> tuple[dict, int]:
     """Execute one command against one config; returns (bundle, exit code).
 
-    Flag precedence: flags override config values, which override defaults.
+    The flags are written into a copy of the config, and every stage reads
+    its settings from that copy; a setting it leaves out takes the default
+    of the library function that reads it, except that ``seed`` seeds the
+    falsify and modulus sections and the perturbation's density is the
+    margin density.
     Raises ConfigError for problems that should exit with code 2.
     """
     if command not in COMMANDS:
@@ -397,25 +399,30 @@ def run(
     if eps is not None:
         if not 0.0 < eps < math.inf:
             raise ConfigError("--eps must be positive and finite")
-        pert = work.get("perturbation", {})
-        pert["margin"] = float(eps)
-        pert.setdefault("mode", "strong")
-        work["perturbation"] = pert
+        work["perturbation"] = {"mode": "strong", **work.get("perturbation", {}), "margin": eps}
     if mode is not None:
         if "perturbation" not in work:
             raise ConfigError("--mode requires --eps or a perturbation section in the config")
         work["perturbation"]["mode"] = mode
     if density is not None:
         if "perturbation" in work:
-            work["perturbation"]["density"] = int(density)
+            work["perturbation"]["density"] = density
+        work.setdefault("margin", {})["density"] = density
+    # the schema takes an integral float such as 3.0 for an integer field;
+    # counts, densities and seeds reach the library as ints
+    for name in ("perturbation", "falsify", "margin", "modulus"):
+        props = SCHEMA["properties"][name]["properties"]
+        section = work.get(name, {})
+        for key in section:
+            if props[key].get("type") == "integer":
+                section[key] = int(section[key])
 
     try:
         bundle_scenario = scenarios.bundle_from_config(work)
-    except ConfigError:
-        raise
     except Exception as e:  # expression errors, inconsistent sets, bad shapes
         raise ConfigError(f"cannot build scenario: {e}") from e
     scenario = bundle_scenario.scenario
+    base = unperturbed(scenario.dynamics)
     # margin synthesis needs generalized gradients: `all` skips the stage
     # for other candidates, as it skips checks not meant for them
     synthesize = scenario.barrier.smoothness in MARGIN_SMOOTHNESS
@@ -433,11 +440,7 @@ def run(
     fals_out = None
     exit_code = 0
 
-    fal_cfg = work.get("falsify", {})
-    fal_density = density if density is not None else work.get("perturbation", {}).get("density", 9)
-    fal_mode = (mode or work.get("perturbation", {}).get("mode", "strong"))
-    eps_arg = eps if eps is not None else work.get("perturbation", {}).get("margin")
-
+    pert = work.get("perturbation", {})
     mocfg = work.get("modulus", {})
 
     @functools.cache
@@ -445,15 +448,9 @@ def run(
         """The run's one continuity modulus of the base map, built from the
         config's modulus section on first use by a weighted check or the
         modulus stage."""
-        kwargs = {}
-        if "log_step" in mocfg:
-            kwargs["log_step"] = float(mocfg["log_step"])
-        if "density" in mocfg:
-            kwargs["density"] = int(mocfg["density"])
-        return build_modulus(_base_map(scenario), **kwargs)
+        return build_modulus(base, **_keys(mocfg, "log_step", "density"))
 
-    needs_grid = command in ("verify", "margin", "all")
-    grid = boundary_extract(scenario) if needs_grid else None
+    grid = boundary_extract(scenario) if command in ("verify", "margin", "all") else None
 
     if command in ("verify", "all"):
         ids = [check] if check is not None else _default_checks(scenario, command)
@@ -464,15 +461,8 @@ def run(
                 exit_code = 1
 
     if command in ("margin", "all") and synthesize:
-        mcfg = work.get("margin", {})
         try:
-            synth = synthesize_margin(
-                scenario,
-                grid,
-                mcfg.get("bracket", 1.0),
-                density=int(mcfg.get("density", fal_density)),
-                rel_tol=mcfg.get("rel_tol", 1e-3),
-            )
+            synth = synthesize_margin(scenario, grid, **{**_keys(pert, "density"), **work.get("margin", {})})
         except CANNOT_RUN as e:
             raise ConfigError(f"margin synthesis cannot run on this scenario: {e}") from e
         margin_out = synth.to_dict()
@@ -481,14 +471,8 @@ def run(
 
     if command in ("modulus", "all"):
         pair = modulus()
-        mreport = verify_modulus(
-            _base_map(scenario),
-            pair,
-            scenario.box,
-            samples=int(mocfg.get("samples", 1000)),
-            delta_max=float(mocfg.get("delta_max", 1.0)),
-            seed=int(mocfg.get("seed", seed)),
-        )
+        mreport = verify_modulus(base, pair, scenario.box,
+                                 **{"seed": seed, **_keys(mocfg, "samples", "delta_max", "seed")})
         modulus_out = _modulus_summary(pair, mreport)
         if pair.tables:
             tbl_name = "modulus-tables.json"
@@ -500,39 +484,26 @@ def run(
         if not mreport.passed:
             exit_code = 1
 
-    if command in ("falsify", "all"):
-        if eps_arg is None and command == "falsify":
-            raise ConfigError("falsify needs --eps or a perturbation section in the config")
-        if eps_arg is not None or "perturbation" in work:
-            budget = FalsifyBudget(
-                starts=int(fal_cfg.get("starts", 200)),
-                horizon=float(fal_cfg.get("horizon", 5.0)),
-                step=float(fal_cfg["step"]) if "step" in fal_cfg else None,
-                seed=int(fal_cfg.get("seed", seed)),
+    if command == "falsify" and not pert:
+        raise ConfigError("falsify needs --eps or a perturbation section in the config")
+    if command in ("falsify", "all") and pert:
+        # an eps flag re-wraps the base dynamics in the run's mode and
+        # density; without it the config's perturbed dynamics run as they are
+        wrap = _keys(pert, "mode", "density")
+        if wrap.get("mode") == "none":
+            wrap["mode"] = "strong"
+        result = falsify(scenario, eps, FalsifyBudget(**{"seed": seed, **work.get("falsify", {})}),
+                         hints=bundle_scenario.hints(pert["margin"]), **wrap)
+        fals_out = result.to_dict()
+        if result.found:
+            exit_code = 1
+            traj_name = "trajectory-witness.txt"
+            _write_trajectory(
+                os.path.join(out_dir, traj_name),
+                result.trajectory,
+                barrier_values=result.trajectory.values is not None,
             )
-            # when the config itself carries the perturbation, integrate it
-            # as-is; an explicit eps re-wraps the base dynamics
-            explicit = eps if eps is not None else (
-                eps_arg if not isinstance(scenario.dynamics, PerturbedSystem) else None
-            )
-            result = falsify(
-                scenario,
-                explicit,
-                budget,
-                hints=bundle_scenario.hints(eps_arg),
-                mode=fal_mode if fal_mode != "none" else "strong",
-                density=fal_density,
-            )
-            fals_out = result.to_dict()
-            if result.found:
-                exit_code = 1
-                traj_name = "trajectory-witness.txt"
-                _write_trajectory(
-                    os.path.join(out_dir, traj_name),
-                    result.trajectory,
-                    barrier_values=result.trajectory.values is not None,
-                )
-                artifacts["trajectory"] = traj_name
+            artifacts["trajectory"] = traj_name
 
     bundle = {
         "bundle_version": 1,

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .convexset import contains_rows, extreme_rows, interval_rows, row_norms, row_set
-from .svmap import PerturbedSystem
+from .svmap import PerturbedSystem, unperturbed
 from . import expressions
 
 __all__ = [
@@ -499,14 +499,13 @@ def falsify(
     """
     if budget is None:
         budget = FalsifyBudget()
-    dynamics = scenario.dynamics
-    base = dynamics.base if isinstance(dynamics, PerturbedSystem) else dynamics
     if eps is None:
-        system = dynamics
+        system = scenario.dynamics
     else:
         if not 0.0 < eps < math.inf:
             raise ValueError("perturbation size eps must be positive and finite")
-        system = PerturbedSystem(base, margin=float(eps), mode=mode, density=density)
+        system = PerturbedSystem(unperturbed(scenario.dynamics), margin=float(eps), mode=mode,
+                                 density=density)
 
     step = budget.step
     if step is None:

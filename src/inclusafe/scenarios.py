@@ -300,8 +300,9 @@ class ScenarioBundle:
     expected: dict = field(default_factory=dict)
 
     def hints(self, eps: Optional[float] = None) -> list[Hint]:
+        """The builtin's hint builder while the config keeps its hints."""
         builder = _HINT_BUILDERS.get(self.name)
-        if builder is not None:
+        if builder is not None and self.config.get("hints") == builtin_config(self.name).get("hints"):
             dynamic = builder(eps)
             if dynamic:
                 return dynamic

@@ -39,6 +39,7 @@ __all__ = [
     "PerturbedSystem",
     "NoMatchingPieceError",
     "unit_ball_lattice",
+    "unperturbed",
 ]
 
 
@@ -465,7 +466,7 @@ class PerturbedSystem:
         one float when the margin is constant, checked on first use and
         then reused."""
         at = self.sense_margin_at if sensing else self.margin_at
-        margin = self.sense_margin if sensing and self.sense_margin is not None else self.margin
+        margin = self.sense_margin if sensing else self.margin
         if callable(margin):
             return np.array([at(x) for x in X])
         value = self._constant.get(sensing)
@@ -483,10 +484,17 @@ class PerturbedSystem:
         if self.mode == "image":
             points, counts, radii = self.base.images(X, slack)
         else:
-            # strong: hull over each row's argument-ball lattice
-            points, counts, radii = self.base.ball_hulls(X, self._margins(X, True), self.density, slack)
+            # strong: hull over each row's argument-ball lattice, whose radii
+            # are the image margins unless a sensing margin is set
+            eps_arg = eps_img if self.sense_margin is None else self._margins(X, True)
+            points, counts, radii = self.base.ball_hulls(X, eps_arg, self.density, slack)
         return points, counts, radii + eps_img
 
     def image(self, x, slack: float = 0.0) -> ConvexCompactSet:
         """The perturbed image at x: the one-row case of :meth:`images`."""
         return row_set(self.images(x, slack), 0)
+
+
+def unperturbed(dynamics):
+    """The base map of a :class:`PerturbedSystem`; any other map as it is."""
+    return dynamics.base if isinstance(dynamics, PerturbedSystem) else dynamics

@@ -299,6 +299,44 @@ def test_falsify_uses_config_perturbation_and_budget(tmp_path):
     assert "trajectory" not in bundle["artifacts"]
 
 
+def test_falsify_starts_from_the_hints_of_a_config_named_after_a_builtin(tmp_path):
+    cfg = scenarios.builtin_config("example1")
+    cfg["hints"] = [{"x0": [-0.01], "velocity": ["0.5"], "label": "own-hint"}]
+    bundle, code = run(_write_cfg(tmp_path, cfg), "falsify", eps=0.1, out=str(tmp_path))
+    assert code == 1
+    f = bundle["falsification"]
+    assert (f["start"], f["notes"], f["policy"]) == ([-0.01], "own-hint", "own-hint")
+    # the builtin keeps its own interface hint
+    f = run("example1", "falsify", eps=0.1, out=str(tmp_path))[0]["falsification"]
+    assert (f["start"], f["notes"], f["policy"]) == ([0.0], "interface-escape", "constant(1)")
+
+
+def test_density_flag_overrides_the_config_margin_density(tmp_path):
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["margin"] = {"density": 3}
+    bundle, _ = run(_write_cfg(tmp_path, cfg), "margin", density=5, out=str(tmp_path))
+    assert bundle["margin"]["flags"]["density"] == 5
+    bundle, _ = run(_write_cfg(tmp_path, cfg), "margin", out=str(tmp_path))
+    assert bundle["margin"]["flags"]["density"] == 3
+
+
+def test_integral_floats_in_integer_fields_give_the_bundle_of_ints(tmp_path):
+    # the schema takes 3.0 for an integer field; counts, densities and seeds
+    # must reach the library as ints, or the bundle prints 3.0 and the
+    # search cannot draw 3.0 starts
+    def bundle(number):
+        cfg = scenarios.builtin_config("linear-stable")
+        cfg["perturbation"] = {"margin": 0.1, "density": number(3)}
+        cfg["falsify"] = {"starts": number(3), "horizon": 1.0, "seed": number(7)}
+        cfg["margin"] = {"rel_tol": 0.01}
+        cfg["modulus"] = {"density": number(3), "samples": number(50), "seed": number(2)}
+        out, _ = run(_write_cfg(tmp_path, cfg), "all", out=str(tmp_path))
+        del out["config_sha256"], out["timestamp"]
+        return json.dumps(out, sort_keys=True)
+
+    assert bundle(float) == bundle(int)
+
+
 def test_unknown_command_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown command"):
         run("linear-stable", "simulate", out=str(tmp_path))
