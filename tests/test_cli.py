@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -117,6 +118,43 @@ def test_load_config_rejects_removed_tolerance_fields(tmp_path):
     cfg["tolerances"] = {"grad_rtol": 1e-4}
     with pytest.raises(ConfigError, match="/tolerances"):
         load_config(_write_cfg(tmp_path, cfg))
+
+
+def _error_paths(path: str) -> list[str]:
+    """The JSON path of each line that ``load_config`` reports, in order."""
+    try:
+        load_config(path)
+    except ConfigError as e:
+        head, *lines = str(e).split("\n")
+        assert head == "invalid config:" and lines
+        assert all(line.startswith("  /") and ": " in line for line in lines)
+        return [line[2:].split(": ", 1)[0] for line in lines]
+    return []
+
+
+def test_load_config_reports_the_draft_2020_12_error_paths(tmp_path):
+    # tests/data/schema_mutations.json, written by tools/schema_mutations.py,
+    # holds the error paths jsonschema's Draft202012Validator gave on every
+    # single-field mutation of the builtins
+    with open(os.path.join(os.path.dirname(__file__), "data", "schema_mutations.json")) as fh:
+        table = json.load(fh)
+    assert len(table) == 1976
+    path = str(tmp_path / "mutated.json")
+    wrong = []
+    for entry in table:
+        cfg = scenarios.builtin_config(entry["config"])
+        *parents, last = entry["path"]
+        parent = functools.reduce(lambda node, key: node[key], parents, cfg)
+        if entry.get("delete"):
+            del parent[last]
+        else:
+            parent[last] = entry["value"]
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        got = _error_paths(path)
+        if got != entry["errors"]:
+            wrong.append((entry, got))
+    assert not wrong, f"{len(wrong)} mismatches, first: {wrong[0]}"
 
 
 # ----------------------------------------------------------------------- #
