@@ -27,7 +27,6 @@ import tempfile
 from typing import Optional
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__, checker, scenarios
 from .barrier import SMOOTHNESS_TAGS, boundary_extract, candidate_check
@@ -201,7 +200,82 @@ SCHEMA = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(SCHEMA)
+#: the keywords :func:`_violations` reads; ``SCHEMA`` may use no others
+_KEYWORDS = frozenset({"type", "properties", "additionalProperties", "required", "enum",
+                       "items", "minItems", "maxItems", "minimum", "exclusiveMinimum", "anyOf"})
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: the JSON types a ``type`` keyword may name; as in Draft 2020-12, a bool is
+#: not a number and an integral float is an integer
+_TYPES = {
+    "null": lambda v: v is None,
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _show(value) -> str:
+    if isinstance(value, list):
+        return "an array"
+    if isinstance(value, dict):
+        return "an object"
+    return json.dumps(value)
+
+
+def _pointer(path: tuple) -> str:
+    return "/" + "/".join(map(str, path))
+
+
+def _violations(value, schema: dict, path: tuple = ()):
+    """Yield ``(path, message)`` for every way ``value`` breaks ``schema``,
+    read as JSON Schema Draft 2020-12 restricted to ``_KEYWORDS``.  Paths
+    are tuples of keys and indices, as in the error paths of a Draft
+    2020-12 validator: ``required`` and ``additionalProperties`` point at
+    the object, ``anyOf`` at the value that fits no branch."""
+    types = schema.get("type")
+    if types is not None:
+        names = [types] if isinstance(types, str) else types
+        if not any(_TYPES[t](value) for t in names):
+            yield path, f"expected {' or '.join(names)}, got {_show(value)}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"expected one of {', '.join(map(json.dumps, schema['enum']))}, got {_show(value)}"
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"missing required key {json.dumps(key)}"
+        if schema.get("additionalProperties") is False:
+            extra = [key for key in value if key not in props]
+            if extra:
+                yield path, f"unknown key{'s' * (len(extra) > 1)} {', '.join(map(json.dumps, extra))}"
+        for key, child in value.items():
+            if key in props:
+                yield from _violations(child, props[key], path + (key,))
+    elif isinstance(value, list):
+        if "minItems" in schema and len(value) < schema["minItems"]:
+            yield path, f"expected at least {schema['minItems']} items, got {len(value)}"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            yield path, f"expected at most {schema['maxItems']} items, got {len(value)}"
+        if "items" in schema:
+            for i, child in enumerate(value):
+                yield from _violations(child, schema["items"], path + (i,))
+    elif _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield path, f"expected at least {schema['minimum']}, got {_show(value)}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield path, f"expected more than {schema['exclusiveMinimum']}, got {_show(value)}"
+    if "anyOf" in schema:
+        first = [next(_violations(value, branch, path), None) for branch in schema["anyOf"]]
+        if all(first):
+            why = "; ".join(m if p == path else f"{_pointer(p)}: {m}" for p, m in first)
+            yield path, f"fits none of the allowed forms ({why})"
 
 
 def _finite(literal: str) -> float:
@@ -223,10 +297,13 @@ def _int(literal: str) -> int:
 def load_config(path: str) -> dict:
     """Read and schema-check a config (a file path or a built-in name).
 
-    Parse errors report line and column; schema violations are listed
-    exhaustively, one per line.  Numbers must be finite, integers within
-    float range, and a modulus ``log_step`` must also divide the log range
-    of the modulus grid.
+    Parse errors report line and column.  The config is checked against
+    ``SCHEMA``, read as JSON Schema Draft 2020-12: an integral float such as
+    ``3.0`` counts as an integer, and a bool is not a number.  Every
+    violation is listed, one per line as ``  /json/path: message``, sorted
+    by path.  Numbers must be finite, integers within float range, and a
+    modulus ``log_step`` must also divide the log range of the modulus grid.
+    Every problem raises :class:`ConfigError`.
     """
     if os.path.exists(path):
         try:
@@ -251,13 +328,9 @@ def load_config(path: str) -> dict:
         )
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    errors = sorted(_violations(cfg, SCHEMA), key=lambda e: list(e[0]))
     if errors:
-        lines = []
-        for e in errors:
-            loc = "/" + "/".join(str(p) for p in e.absolute_path)
-            lines.append(f"  {loc or '/'}: {e.message}")
-        raise ConfigError("invalid config:\n" + "\n".join(lines))
+        raise ConfigError("invalid config:\n" + "\n".join(f"  {_pointer(p)}: {m}" for p, m in errors))
     log_step = cfg.get("modulus", {}).get("log_step")
     if log_step is not None:
         try:

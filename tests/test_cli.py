@@ -157,6 +157,31 @@ def test_load_config_reports_the_draft_2020_12_error_paths(tmp_path):
     assert not wrong, f"{len(wrong)} mismatches, first: {wrong[0]}"
 
 
+def test_schema_uses_only_what_the_checker_reads():
+    # a keyword the checker does not read would be ignored without a word
+    def walk(schema, where):
+        assert set(schema) <= cli._KEYWORDS, (where, set(schema) - cli._KEYWORDS)
+        types = schema.get("type", [])
+        assert set([types] if isinstance(types, str) else types) <= set(cli._TYPES), where
+        assert schema.get("additionalProperties", False) is False, where
+        for key, sub in schema.get("properties", {}).items():
+            walk(sub, f"{where}/{key}")
+        if "items" in schema:
+            walk(schema["items"], f"{where}/items")
+        for i, sub in enumerate(schema.get("anyOf", ())):
+            walk(sub, f"{where}/anyOf/{i}")
+
+    walk(cli.SCHEMA, "")
+
+
+def test_importing_the_cli_loads_no_schema_library():
+    code = ("import sys, inclusafe.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'jsonschema', 'referencing', 'rpds'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 # ----------------------------------------------------------------------- #
 # verify command
 def test_verify_linear_stable_bundle(tmp_path):
