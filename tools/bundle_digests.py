@@ -18,8 +18,8 @@ length is not the dimension, and last ``falsify linear-stable --eps 0.1``
 at the default budget (400 trials of 5000 steps in one lockstep run).
 Last, one run for each flag path that a config value can meet: ``--density``
 beside a margin stage, a nonzero ``--seed``, ``--eps`` on a config that has
-its own perturbation, ``--eps`` with ``--mode``, and ``--box-scale``.  Every
-other run uses seed 0.
+its own perturbation, ``--eps`` with ``--mode``, ``--box-scale``, and
+``falsify`` with ``--eps`` and ``--mode none``.  Every other run uses seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
 witness trajectory) gets one more line: its sha256 and its file name, after
@@ -187,6 +187,7 @@ def main() -> int:
             ("noisy-loop", "falsify", "--eps 0.05", {"eps": 0.05}),
             ("linear-stable", "falsify", "--eps 0.1 --mode image", {"eps": 0.1, "mode": "image"}),
             ("example2", "verify", "--box-scale 0.5", {"box_scale": 0.5}),
+            ("example1", "falsify", "--eps 0.1 --mode none", {"eps": 0.1, "mode": "none"}),
         ):
             print(_line(tmp, config, command, f"{command} {config} {label}", **flags), flush=True)
     return 0
