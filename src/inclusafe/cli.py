@@ -562,11 +562,8 @@ def run(
     if command in ("falsify", "all") and pert:
         # an eps flag re-wraps the base dynamics in the run's mode and
         # density; without it the config's perturbed dynamics run as they are
-        wrap = _keys(pert, "mode", "density")
-        if wrap.get("mode") == "none":
-            wrap["mode"] = "strong"
         result = falsify(scenario, eps, FalsifyBudget(**{"seed": seed, **work.get("falsify", {})}),
-                         hints=bundle_scenario.hints(pert["margin"]), **wrap)
+                         hints=bundle_scenario.hints(pert["margin"]), **_keys(pert, "mode", "density"))
         fals_out = result.to_dict()
         if result.found:
             exit_code = 1

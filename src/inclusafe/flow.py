@@ -477,7 +477,8 @@ def falsify(
 
     With ``eps`` given (0 < eps < inf, else ValueError), the scenario's
     base dynamics are wrapped in a perturbation of that size (``mode``
-    picks plain image inflation or the strong form).  With ``eps`` omitted,
+    picks none, plain image inflation or the strong form; with ``"none"``
+    the base map is integrated as it is).  With ``eps`` omitted,
     the scenario's own dynamics are integrated as-is (including any
     perturbation they already carry).
 

@@ -352,6 +352,21 @@ def test_mode_flag_requires_perturbation(tmp_path):
         run("linear-stable", "verify", mode="image", out=str(tmp_path))
 
 
+def test_falsify_eps_with_mode_none_integrates_the_unperturbed_map(tmp_path):
+    # the falsifier must search the map the bundle's flags name: with
+    # --mode none that is the map a config's own mode-none perturbation gives
+    cfg = scenarios.builtin_config("example1")
+    cfg["falsify"] = {"starts": 20, "horizon": 1.0}
+    flagged, code = run(_write_cfg(tmp_path, cfg), "falsify", eps=0.1, mode="none", out=str(tmp_path))
+    cfg["perturbation"] = {"margin": 0.1, "mode": "none"}
+    own, _ = run(_write_cfg(tmp_path, cfg), "falsify", out=str(tmp_path))
+    assert code == 0 and flagged["flags"]["mode"] == "none"
+    assert flagged["falsification"]["found"] is False
+    assert {**flagged["falsification"], "eps": None} == own["falsification"]
+    # in strong mode the same search finds the interface escape
+    assert run(_write_cfg(tmp_path, cfg), "falsify", eps=0.1, mode="strong", out=str(tmp_path))[1] == 1
+
+
 def test_falsify_uses_config_perturbation_and_budget(tmp_path):
     bundle, code = run("noisy-loop", "falsify", out=str(tmp_path))
     assert code == 0
