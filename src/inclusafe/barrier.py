@@ -319,16 +319,20 @@ def candidate_check(scenario: SafetyScenario) -> CheckReport:
     b_init = scenario.barrier.value_rows(initial)
     b_unsafe = scenario.barrier.value_rows(unsafe)
 
-    worst_init = float(b_init.max())
-    worst_unsafe = float(b_unsafe.min())
+    # the first extreme sample: a SIMD max/min may return 0.0 or -0.0 when
+    # both occur, argmax/argmin always pick the first of them
+    i_init = int(np.argmax(b_init))
+    i_unsafe = int(np.argmin(b_unsafe))
+    worst_init = float(b_init[i_init])
+    worst_unsafe = float(b_unsafe[i_unsafe])
     margin = min(-worst_init, worst_unsafe)
     ok = worst_init <= tol.tol and worst_unsafe > tol.tol_strict
     if ok:
         witness = None
     elif worst_init > tol.tol:
-        witness = tuple(initial[int(np.argmax(b_init))])
+        witness = tuple(initial[i_init])
     else:
-        witness = tuple(unsafe[int(np.argmin(b_unsafe))])
+        witness = tuple(unsafe[i_unsafe])
     return CheckReport(
         check_id="candidate-signs",
         verdict=PASS if ok else FAIL,

@@ -169,6 +169,21 @@ def test_candidate_check_fail_has_witness():
     assert sc.unsafe(np.array(rep.witness))
 
 
+@pytest.mark.parametrize("zero, first", [("0.0", -0.0), ("-0.0", 0.0)])
+def test_candidate_check_margin_keeps_the_sign_of_the_first_zero(zero, first):
+    # B is 0.0 on one side of the initial set and -0.0 on the other; which
+    # zero a SIMD max returns depends on the CPU, the first sample's does not
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["barrier"] = {"value": f"x1 * {zero} if x1 <= 0.5 else x1 - 1", "smoothness": "lsc"}
+    sc = scenarios.scenario_from_config(cfg)
+    values = sc.barrier.value_rows(sc.initial_samples())
+    assert set(np.signbit(values)) == {True, False} and np.all(values == 0.0)
+    assert np.signbit(values[0]) == np.signbit(first)
+    rep = candidate_check(sc)
+    assert rep.passed and rep.margin == 0.0
+    assert np.signbit(rep.margin) == np.signbit(-first)
+
+
 def test_candidate_check_empty_sets_raise():
     sc = _scenario_1d(lambda x: x[0], lambda x: np.array([1.0]))
     sc.initial = lambda x: x[0] < -100
