@@ -309,7 +309,7 @@ def load_config(path: str) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path!r}: {e}") from e
         try:
             cfg = json.loads(text, parse_float=_finite, parse_int=_int, parse_constant=_finite)
@@ -317,6 +317,8 @@ def load_config(path: str) -> dict:
             raise ConfigError(
                 f"parse error in {path!r} at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from e
+        except RecursionError:
+            raise ConfigError(f"parse error in {path!r}: arrays or objects nested too deeply") from None
         except ConfigError as e:
             raise ConfigError(f"{e} in {path!r}; config numbers must be finite") from e
     elif path in scenarios.BUILTIN:

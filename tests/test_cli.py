@@ -51,6 +51,19 @@ def test_load_config_reports_json_position(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'\xff\xfe{}', "cannot read config"),
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+], ids=["undecodable", "too-deep"])
+def test_unreadable_config_files_exit_two(tmp_path, capsys, content, message):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(p))
+    assert main(["verify", str(p), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_config_numbers_exit_two(tmp_path, capsys, literal):
     cfg = scenarios.builtin_config("linear-stable")
