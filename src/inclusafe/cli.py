@@ -245,7 +245,8 @@ def _violations(value, schema: dict, path: tuple = ()):
         if not any(_TYPES[t](value) for t in names):
             yield path, f"expected {' or '.join(names)}, got {_show(value)}"
     if "enum" in schema and value not in schema["enum"]:
-        yield path, f"expected one of {', '.join(map(json.dumps, schema['enum']))}, got {_show(value)}"
+        allowed = ", ".join(map(json.dumps, schema["enum"]))
+        yield path, f"expected one of {allowed}, got {_show(value)}"
     if isinstance(value, dict):
         props = schema.get("properties", {})
         for key in schema.get("required", ()):
@@ -254,7 +255,8 @@ def _violations(value, schema: dict, path: tuple = ()):
         if schema.get("additionalProperties") is False:
             extra = [key for key in value if key not in props]
             if extra:
-                yield path, f"unknown key{'s' * (len(extra) > 1)} {', '.join(map(json.dumps, extra))}"
+                listed = ", ".join(map(json.dumps, extra))
+                yield path, f"unknown key{'s' * (len(extra) > 1)} {listed}"
         for key, child in value.items():
             if key in props:
                 yield from _violations(child, props[key], path + (key,))
@@ -318,7 +320,7 @@ def load_config(path: str) -> dict:
                 f"parse error in {path!r} at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from e
         except RecursionError:
-            raise ConfigError(f"parse error in {path!r}: arrays or objects nested too deeply") from None
+            raise ConfigError(f"parse error in {path!r}: nested too deeply") from None
         except ConfigError as e:
             raise ConfigError(f"{e} in {path!r}; config numbers must be finite") from e
     elif path in scenarios.BUILTIN:
@@ -332,7 +334,8 @@ def load_config(path: str) -> dict:
         raise ConfigError("config root must be a JSON object")
     errors = sorted(_violations(cfg, SCHEMA), key=lambda e: list(e[0]))
     if errors:
-        raise ConfigError("invalid config:\n" + "\n".join(f"  {_pointer(p)}: {m}" for p, m in errors))
+        lines = (f"  {_pointer(p)}: {m}" for p, m in errors)
+        raise ConfigError("invalid config:\n" + "\n".join(lines))
     log_step = cfg.get("modulus", {}).get("log_step")
     if log_step is not None:
         try:
@@ -565,7 +568,8 @@ def run(
         # an eps flag re-wraps the base dynamics in the run's mode and
         # density; without it the config's perturbed dynamics run as they are
         result = falsify(scenario, eps, FalsifyBudget(**{"seed": seed, **work.get("falsify", {})}),
-                         hints=bundle_scenario.hints(pert["margin"]), **_keys(pert, "mode", "density"))
+                         hints=bundle_scenario.hints(pert["margin"]),
+                         **_keys(pert, "mode", "density"))
         fals_out = result.to_dict()
         if result.found:
             exit_code = 1

@@ -34,7 +34,12 @@ VALUES = (None, True, 0, -1, 1.5, 2, "s", [], [1], [[0, 1]], {}, {"x": 1})
 
 def _fields(node, path=()):
     """The path of every dict value and list item below ``node``."""
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
     for key, child in items:
         yield path + (key,)
         yield from _fields(child, path + (key,))
