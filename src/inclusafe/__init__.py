@@ -33,7 +33,6 @@ from .svmap import (
 )
 from .barrier import (
     BarrierCandidate,
-    BoundaryCell,
     BoundaryGrid,
     EmptyBoundaryError,
     GradientOracleError,

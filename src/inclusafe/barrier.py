@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convexset import ConvexCompactSet, unit_directions
+from .convexset import ConvexCompactSet, row_norms, unit_directions
 from .numerics import box_array, box_grid, grid_axes, scale_box
 from .reports import FAIL, PASS, CheckReport
 from . import expressions
@@ -26,7 +26,6 @@ __all__ = [
     "Tolerances",
     "BarrierCandidate",
     "SafetyScenario",
-    "BoundaryCell",
     "BoundaryGrid",
     "candidate_check",
     "boundary_extract",
@@ -277,31 +276,22 @@ class SafetyScenario:
             raise ValueError(f"{label} is not finite at grid node {g[bad.argmax()].tolist()}")
 
 
-@dataclass(frozen=True)
-class BoundaryCell:
-    """Axis-aligned box around one sign-change edge of the grid."""
+@dataclass
+class BoundaryGrid:
+    """All sign-change cells of B over the scenario grid, as arrays: row i
+    of ``lower``, ``upper`` and ``representatives`` (each (k, n)) is cell
+    i's axis-aligned box and its refined point with |B| <= tol_boundary."""
 
     lower: np.ndarray
     upper: np.ndarray
-    representatives: np.ndarray  # (k, n) refined points with |B| <= tol_boundary
-    diameter: float
-
-    def contains_point(self, x, slack: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return bool(np.all(x >= self.lower - slack) and np.all(x <= self.upper + slack))
-
-
-@dataclass
-class BoundaryGrid:
-    """All sign-change cells of B over the scenario grid."""
-
-    cells: list
+    representatives: np.ndarray
     spacing: np.ndarray
     diameter: float
 
-    @property
-    def representatives(self) -> np.ndarray:
-        return np.vstack([c.representatives for c in self.cells])
+    def containing(self, x, slack: float = 0.0) -> np.ndarray:
+        """Indices of the cells whose box, grown by ``slack``, holds x."""
+        x = np.asarray(x, dtype=float).reshape(-1)
+        return np.flatnonzero(((x >= self.lower - slack) & (x <= self.upper + slack)).all(axis=1))
 
 
 # ---------------------------------------------------------------------- #
@@ -392,12 +382,8 @@ def boundary_extract(scenario: SafetyScenario) -> BoundaryGrid:
             )
         pts = np.atleast_2d(np.asarray(scenario.boundary_points, dtype=float))
         spacing = (scenario.box[:, 1] - scenario.box[:, 0]) / (np.array(scenario.resolution) - 1)
-        diam = float(np.linalg.norm(spacing))
-        cells = [
-            BoundaryCell(p - spacing / 2.0, p + spacing / 2.0, p.reshape(1, -1), diam)
-            for p in pts
-        ]
-        return BoundaryGrid(cells, spacing, diam)
+        return BoundaryGrid(pts - spacing / 2.0, pts + spacing / 2.0, pts, spacing,
+                            float(np.linalg.norm(spacing)))
 
     axes = scenario.axes()
     shape = tuple(len(a) for a in axes)
@@ -420,6 +406,8 @@ def boundary_extract(scenario: SafetyScenario) -> BoundaryGrid:
         iv.append(idx + np.eye(n, dtype=int)[axis])
         step += [axis] * len(idx)
     iu, iv = np.vstack(iu), np.vstack(iv)
+    if not len(iu):
+        raise EmptyBoundaryError("no sign change of B on the grid; boundary not found")
     u = np.column_stack([axes[k][iu[:, k]] for k in range(n)])
     v = np.column_stack([axes[k][iv[:, k]] for k in range(n)])
     vu, vv = values[tuple(iu.T)], values[tuple(iv.T)]
@@ -431,14 +419,7 @@ def boundary_extract(scenario: SafetyScenario) -> BoundaryGrid:
     along = np.arange(n) == np.array(step, dtype=int)[:, None]
     lower = np.where(along, np.minimum(u, v), np.minimum(u, v) - half)
     upper = np.where(along, np.maximum(u, v), np.maximum(u, v) + half)
-    cells = [
-        BoundaryCell(lower[i], upper[i], reps[i:i + 1], float(np.linalg.norm(upper[i] - lower[i])))
-        for i in range(len(step))
-    ]
-    if not cells:
-        raise EmptyBoundaryError("no sign change of B on the grid; boundary not found")
-    diam = max(c.diameter for c in cells)
-    return BoundaryGrid(cells, spacing, diam)
+    return BoundaryGrid(lower, upper, reps, spacing, float(row_norms(upper - lower).max()))
 
 
 # ---------------------------------------------------------------------- #

@@ -392,18 +392,14 @@ class MarginSynthesis:
     witness: Optional[tuple] = None
     witness_cell: Optional[int] = None
     flags: dict = field(default_factory=dict)
-    cells: list = field(default_factory=list, repr=False)
+    grid: Optional[BoundaryGrid] = field(default=None, repr=False)
 
     def eps_at(self, x) -> float:
         """Pointwise margin: min of the cell radii over cells containing x."""
-        vals = [
-            self.cell_margins[i]
-            for i, c in enumerate(self.cells)
-            if c.contains_point(x, 1e-12)
-        ]
-        if not vals:
+        hits = [] if self.grid is None else self.grid.containing(x, 1e-12)
+        if not len(hits):
             raise ValueError(f"point {np.asarray(x).tolist()} lies in no boundary cell")
-        return min(vals)
+        return min(self.cell_margins[i] for i in hits)
 
     def to_dict(self) -> dict:
         return {
@@ -431,11 +427,11 @@ def synthesize_margin(
 ) -> MarginSynthesis:
     """Largest constant perturbation radius per boundary cell.
 
-    For each cell, bisects the largest delta such that every representative x
-    and every sampled gradient vertex zeta satisfy
+    For each cell, bisects the largest delta such that its representative x
+    and every sampled gradient vertex zeta at x satisfy
     max <zeta, co{F(x + delta*B)} + delta*B> < 0.  The overall margin is the
     minimum over cells; a cell that fails even the probe radius yields 0 and
-    an overall fail verdict with that cell's witness.
+    an overall fail verdict with that cell's representative as witness.
 
     The cells bisect in lockstep (:func:`largest_feasible_rows`): each round
     takes the strong images at the representatives of every open cell, each
@@ -443,32 +439,25 @@ def synthesize_margin(
     """
     tol = scenario.tolerances
     base = unperturbed(scenario.dynamics)
-    # every representative of every cell, in cell order, and each one's
-    # gradient vertices with their norms, paired row by row
+    # each cell's representative, and its gradient vertices with their
+    # norms, paired row by row
     X = grid.representatives
-    cell_of = np.repeat(np.arange(len(grid.cells)), [len(c.representatives) for c in grid.cells])
     rep_of, zetas, norms = _pairs(scenario, X, "clarke-vertices")
 
     def violation(cells, deltas):
-        """For each cell, None when every representative x and vertex zeta
-        satisfy -support(co{F(x + delta*B)} + delta*B, zeta) > tol_strict,
-        else the cell's first violating representative."""
-        delta = np.zeros(len(grid.cells))
-        delta[cells] = deltas
-        live = np.isin(cell_of, cells)
-        row = np.cumsum(live) - 1  # each live representative's stack row
-        points, counts, radii = base.ball_hulls(X[live], delta[cell_of[live]], density, _slack(scenario))
-        pairs = np.flatnonzero(live[rep_of])
-        support = support_pairs(points, counts, radii + delta[cell_of[live]],
-                                row[rep_of[pairs]], zetas[pairs], norms[pairs])
-        bad = np.unique(rep_of[pairs[-support <= tol.tol_strict]])
-        first = {}
-        for i in bad.tolist():
-            first.setdefault(int(cell_of[i]), tuple(X[i]))
-        return [first.get(c) for c in cells.tolist()]
+        """For each cell, None when every vertex zeta at its representative x
+        satisfies -support(co{F(x + delta*B)} + delta*B, zeta) > tol_strict,
+        else x."""
+        row = np.full(len(X), -1)
+        row[cells] = np.arange(len(cells))  # each open cell's stack row
+        pairs = np.flatnonzero(row[rep_of] >= 0)
+        points, counts, radii = base.ball_hulls(X[cells], deltas, density, _slack(scenario))
+        support = support_pairs(points, counts, radii + deltas, row[rep_of[pairs]], zetas[pairs], norms[pairs])
+        bad = np.zeros(len(cells), dtype=bool)
+        bad[row[rep_of[pairs[-support <= tol.tol_strict]]]] = True
+        return [tuple(X[c]) if b else None for c, b in zip(cells.tolist(), bad)]
 
-    values, witnesses = largest_feasible_rows(violation, np.full(len(grid.cells), float(bracket)),
-                                              rel_tol=rel_tol)
+    values, witnesses = largest_feasible_rows(violation, np.full(len(X), float(bracket)), rel_tol=rel_tol)
     margins = values.tolist()
     witness_cell = next((ci for ci, w in enumerate(witnesses) if w is not None), None)
     witness = None if witness_cell is None else witnesses[witness_cell]
@@ -477,10 +466,7 @@ def synthesize_margin(
     box = scenario.box
     # cells at the first/last grid column overhang the box by half a spacing;
     # reaching the box edge means the boundary may continue outside the domain
-    touches = any(
-        np.any(c.lower <= box[:, 0] + 1e-12) or np.any(c.upper >= box[:, 1] - 1e-12)
-        for c in grid.cells
-    )
+    touches = (grid.lower <= box[:, 0] + 1e-12).any() or (grid.upper >= box[:, 1] - 1e-12).any()
     return MarginSynthesis(
         cell_margins=margins,
         eps_star=float(eps_star),
@@ -492,5 +478,5 @@ def synthesize_margin(
             "density": density,
             "boundary_touches_box": bool(touches),
         },
-        cells=list(grid.cells),
+        grid=grid,
     )

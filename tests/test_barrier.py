@@ -209,7 +209,7 @@ def test_boundary_cells_example1(example1_grid):
     # roots of x(x+2) land on grid nodes at resolution 201, so the refined
     # representatives are exact
     assert reps == [-2.0, 0.0]
-    assert len(example1_grid.cells) == 2
+    assert len(example1_grid.representatives) == 2
     assert example1_grid.spacing[0] == pytest.approx(0.02)
 
 
@@ -229,7 +229,7 @@ def test_boundary_cells_example2(example2_grid):
     reps = example2_grid.representatives
     assert np.all(reps[:, 1] == 0.0)
     # one sign-change cell per x1 column
-    assert len(example2_grid.cells) == 41
+    assert len(example2_grid.representatives) == 41
 
 
 def test_boundary_requires_sign_change():
@@ -247,18 +247,38 @@ def test_boundary_semicontinuous_needs_explicit_points():
         boundary_extract(sc)
     sc.boundary_points = np.array([[0.0]])
     grid = boundary_extract(sc)
-    assert len(grid.cells) == 1
+    assert len(grid.representatives) == 1
     assert np.allclose(grid.representatives, [[0.0]])
 
 
 def test_cells_containing_and_slack(example1_grid):
-    hits = [c for c in example1_grid.cells if c.contains_point(np.array([0.0]), 1e-12)]
+    hits = example1_grid.containing(np.array([0.0]), 1e-12)
     assert len(hits) == 1
-    cell = hits[0]
-    assert cell.contains_point(np.array([0.0]))
-    outside = cell.upper + 0.05
-    assert not cell.contains_point(outside)
-    assert cell.contains_point(outside, slack=0.06)
+    i = int(hits[0])
+    assert example1_grid.containing(np.array([0.0])).tolist() == [i]
+    outside = example1_grid.upper[i] + 0.05
+    assert example1_grid.containing(outside).tolist() == []
+    assert example1_grid.containing(outside, slack=0.06).tolist() == [i]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, "points"])
+def test_boundary_extract_returns_one_representative_per_row(request, dimension):
+    if dimension == "points":
+        f = SetValuedMap(1, [constant_piece(lambda x: True, [[0.0]])])
+        bar = BarrierCandidate(lambda x: 0.0 if x[0] <= 0 else 1.0, smoothness="lsc")
+        sc = SafetyScenario("semi", f, bar, lambda x: x[0] <= -1, lambda x: x[0] >= 1,
+                            [[-2, 2]], 41, boundary_points=np.array([[0.0], [0.5], [-1.0]]))
+    else:
+        sc = request.getfixturevalue("example1" if dimension == 1 else "example2").scenario
+    grid = boundary_extract(sc)
+    k, n = len(grid.representatives), sc.dimension
+    assert k > 0
+    for a in (grid.lower, grid.upper, grid.representatives):
+        assert isinstance(a, np.ndarray) and a.shape == (k, n)
+    # row i's box holds row i's representative
+    assert np.all(grid.lower <= grid.representatives) and np.all(grid.representatives <= grid.upper)
+    for i, x in enumerate(grid.representatives):
+        assert i in grid.containing(x).tolist()
 
 
 def test_collar_width_default_and_override(example1_grid):
@@ -414,14 +434,12 @@ def test_batched_boundary_scan_equals_per_edge_reference(request, case):
     scenario = _BOUNDARY_CASES[case](request).scenario
     expected, tries = _per_edge_boundary(scenario)
     grid = boundary_extract(scenario)
-    assert len(grid.cells) == len(expected)
-    for cell, (lower, upper, rep, diameter) in zip(grid.cells, expected):
+    assert grid.representatives.shape == (len(expected), scenario.dimension)
+    for i, (lower, upper, rep, diameter) in enumerate(expected):
         # bytes, so that a -0.0 in place of 0.0 shows
-        assert cell.lower.tobytes() == lower.tobytes()
-        assert cell.upper.tobytes() == upper.tobytes()
-        assert cell.representatives.tobytes() == rep.tobytes()
-        assert cell.representatives.shape == (1, scenario.dimension)
-        assert cell.diameter == diameter
+        assert grid.lower[i].tobytes() == lower.tobytes()
+        assert grid.upper[i].tobytes() == upper.tobytes()
+        assert grid.representatives[i].tobytes() == rep.tobytes()
     assert grid.diameter == max(d for *_, d in expected)
     if case == "steep":
         assert tries and tries == [200] * len(tries)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from inclusafe import checker, scenarios
-from inclusafe.barrier import BoundaryCell, BoundaryGrid, collar_width
+from inclusafe.barrier import BoundaryGrid, collar_width
 from inclusafe.checker import CHECKS
 from inclusafe.numerics import largest_feasible
 from inclusafe import (
@@ -225,10 +225,9 @@ def _oracle_outcome(bar, x) -> str:
 
 
 def _hand_grid(reps):
-    """One boundary cell holding the given representatives, in that order."""
+    """One boundary cell per given representative, in that order."""
     reps = np.array(reps, dtype=float)
-    cell = BoundaryCell(reps.min(axis=0) - 1.0, reps.max(axis=0) + 1.0, reps, 1.0)
-    return BoundaryGrid([cell], np.ones(reps.shape[1]), 1.0)
+    return BoundaryGrid(reps - 1.0, reps + 1.0, reps, np.ones(reps.shape[1]), 1.0)
 
 
 def _still_scenario(dimension):
@@ -557,17 +556,14 @@ def _per_cell_margin(scenario, grid, bracket=1.0, *, density=9, rel_tol=1e-3) ->
     if isinstance(base, PerturbedSystem):
         base = base.base
     margins, witness, witness_cell = [], None, None
-    for ci, cell in enumerate(grid.cells):
-        reps = [np.asarray(r, float) for r in cell.representatives]
-        zeta_sets = [checker._clarke_vertices(scenario, r) for r in reps]
+    for ci, r in enumerate(grid.representatives):
+        zetas = checker._clarke_vertices(scenario, r)
 
         def violation(delta):
-            strong = PerturbedSystem(base, delta, "strong", density)
-            for r, zetas in zip(reps, zeta_sets):
-                img = strong.image(r, tol.interface_slack)
-                for z in zetas:
-                    if -img.support(z) <= tol.tol_strict:
-                        return tuple(r)
+            img = PerturbedSystem(base, delta, "strong", density).image(r, tol.interface_slack)
+            for z in zetas:
+                if -img.support(z) <= tol.tol_strict:
+                    return tuple(r)
             return None
 
         delta, w = largest_feasible(violation, float(bracket), rel_tol=rel_tol)
@@ -575,8 +571,8 @@ def _per_cell_margin(scenario, grid, bracket=1.0, *, density=9, rel_tol=1e-3) ->
         if delta == 0.0 and witness is None:
             witness, witness_cell = w, ci
     box = scenario.box
-    touches = any(np.any(c.lower <= box[:, 0] + 1e-12) or np.any(c.upper >= box[:, 1] - 1e-12)
-                  for c in grid.cells)
+    touches = any(np.any(lower <= box[:, 0] + 1e-12) or np.any(upper >= box[:, 1] - 1e-12)
+                  for lower, upper in zip(grid.lower, grid.upper))
     return {
         "cell_margins": [float(v) for v in margins],
         "eps_star": float(min(margins)),
@@ -603,14 +599,14 @@ _MARGIN_CASES = {
 
 
 def test_lockstep_margin_witness_is_first_violating_representative(example1, example1_grid):
-    # one cell with several representatives: the robust root -2, then two
-    # points whose argument ball straddles the switching interface
-    cell = example1_grid.cells[0]
-    reps = np.array([[-2.0], [0.0], [1e-9]])
-    grid = BoundaryGrid([BoundaryCell(cell.lower, cell.upper, reps, cell.diameter),
-                         *example1_grid.cells], example1_grid.spacing, example1_grid.diameter)
+    # three cells in the box of example1's first: the robust root -2, then
+    # two points whose argument ball straddles the switching interface
+    g = example1_grid
+    lower, upper = np.repeat(g.lower[:1], 3, axis=0), np.repeat(g.upper[:1], 3, axis=0)
+    grid = BoundaryGrid(np.vstack([lower, g.lower]), np.vstack([upper, g.upper]),
+                        np.vstack([[[-2.0], [0.0], [1e-9]], g.representatives]), g.spacing, g.diameter)
     expected = _per_cell_margin(example1.scenario, grid)
-    assert expected["witness"] == [0.0] and expected["witness_cell"] == 0
+    assert expected["witness"] == [0.0] and expected["witness_cell"] == 1
     assert synthesize_margin(example1.scenario, grid).to_dict() == expected
 
 
@@ -626,7 +622,7 @@ def test_lockstep_margin_equals_per_cell_bisection(request, case):
     if case == "example1":
         assert expected["witness"] == [0.0] and expected["eps_star"] == 0.0
     if case == "example2-capped":
-        assert 0 < expected["cell_margins"].count(0.05) < len(grid.cells)
+        assert 0 < expected["cell_margins"].count(0.05) < len(grid.representatives)
     if case == "lipschitz-2d":
         assert any(len(checker._clarke_vertices(scenario, r)) > 1
                    for r in grid.representatives)
