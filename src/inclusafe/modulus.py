@@ -273,7 +273,9 @@ def build_modulus(
 
     count = 2 * log_grid_steps(log_range, log_step) + 1
     grid = np.linspace(-log_range, log_range, count)
-    radii = np.exp(grid)
+    # math.exp and math.log per entry: numpy's exp and log round some
+    # entries differently at its AVX-512 level
+    radii = np.array([math.exp(g) for g in grid.tolist()])
     flags: dict = {}
 
     ring = unit_directions(n, _RING_POINTS)
@@ -325,7 +327,7 @@ def build_modulus(
         M = M * scale
         flags["rescaled"] = scale
 
-    C = np.where(M > 0.0, np.log(np.where(M > 0.0, M, 1.0)), LOG_FLOOR)
+    C = np.array([[math.log(m) if m > 0.0 else LOG_FLOOR for m in row] for row in M.tolist()])
     c_at = _bilinear(grid, C)
     A = float(log_range)
 

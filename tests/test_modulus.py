@@ -214,7 +214,7 @@ def _reference_spreads(f, log_step, density, ring_count, directions=64):
     """build_modulus's direct terms, kind and log-gap grid, one local_gap
     call per (ring point, step radius) as the per-point pipeline made them."""
     grid = np.linspace(-20.0, 20.0, 2 * int(round(20.0 / log_step)) + 1)
-    radii = np.exp(grid)
+    radii = np.array([math.exp(g) for g in grid.tolist()])
     n = f.dimension
     origin = np.zeros(n)
     f0 = f.image(origin)
@@ -233,7 +233,7 @@ def _reference_spreads(f, log_step, density, ring_count, directions=64):
     unit = M[len(grid) // 2, len(grid) // 2]
     if 0.0 < unit <= 1.0:
         M = M * (2.0 / unit)
-    log_gap = np.where(M > 0.0, np.log(np.where(M > 0.0, M, 1.0)), -1e6)
+    log_gap = np.array([[math.log(m) if m > 0.0 else -1e6 for m in row] for row in M.tolist()])
     return direct, kind, log_gap
 
 
