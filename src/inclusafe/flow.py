@@ -480,7 +480,9 @@ def falsify(
     picks none, plain image inflation or the strong form; with ``"none"``
     the base map is integrated as it is).  With ``eps`` omitted,
     the scenario's own dynamics are integrated as-is (including any
-    perturbation they already carry).
+    perturbation they already carry).  Unless the budget sets it, the
+    Euler step is min(1e-3, eps / 50) for the constant margin eps of the
+    perturbation integrated, else 1e-3.
 
     Trials are (start, policy) pairs: hints come first, in order, each with
     its own policy if it pins one; the remaining starts are drawn from the
@@ -510,7 +512,11 @@ def falsify(
 
     step = budget.step
     if step is None:
-        step = min(1e-3, eps / 50.0) if eps is not None else 1e-3
+        # a constant perturbation margin sets the step, whether the eps wrap
+        # or the scenario's own dynamics carry it
+        margin = system.margin if isinstance(system, PerturbedSystem) else None
+        constant = margin is not None and not callable(margin) and float(margin) > 0.0
+        step = min(1e-3, float(margin) / 50.0) if constant else 1e-3
 
     rng = np.random.default_rng(budget.seed)
     bar = scenario.barrier

@@ -380,6 +380,19 @@ def test_falsify_eps_with_mode_none_integrates_the_unperturbed_map(tmp_path):
     assert run(_write_cfg(tmp_path, cfg), "falsify", eps=0.1, mode="strong", out=str(tmp_path))[1] == 1
 
 
+def test_falsify_step_follows_the_perturbation_wherever_it_was_set(tmp_path):
+    # the Euler step, and with it the exit threshold, follows a constant
+    # margin given by --eps and one from the config's own perturbation alike
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg["falsify"] = {"starts": 4, "horizon": 0.5}
+    flagged, _ = run(_write_cfg(tmp_path, cfg), "falsify", eps=0.01, out=str(tmp_path))
+    cfg["perturbation"] = {"margin": 0.01, "mode": "strong"}
+    own, _ = run(_write_cfg(tmp_path, cfg), "falsify", out=str(tmp_path))
+    assert flagged["falsification"]["threshold"] == pytest.approx(0.00404)
+    assert own["falsification"]["threshold"] == pytest.approx(0.00404)
+    assert {**flagged["falsification"], "eps": None} == own["falsification"]
+
+
 def test_falsify_uses_config_perturbation_and_budget(tmp_path):
     bundle, code = run("noisy-loop", "falsify", out=str(tmp_path))
     assert code == 0
