@@ -449,12 +449,13 @@ def synthesize_margin(
         satisfies -support(co{F(x + delta*B)} + delta*B, zeta) > tol_strict,
         else x."""
         row = np.full(len(X), -1)
-        row[cells] = np.arange(len(cells))  # each open cell's stack row
-        pairs = np.flatnonzero(row[rep_of] >= 0)
+        row[cells] = np.arange(len(cells))
+        at = row[rep_of]  # each pair's stack row, -1 where its cell is closed
+        pairs = np.flatnonzero(at >= 0)
         points, counts, radii = base.ball_hulls(X[cells], deltas, density, _slack(scenario))
-        support = support_pairs(points, counts, radii + deltas, row[rep_of[pairs]], zetas[pairs], norms[pairs])
+        support = support_pairs(points, counts, radii + deltas, at[pairs], zetas[pairs], norms[pairs])
         bad = np.zeros(len(cells), dtype=bool)
-        bad[row[rep_of[pairs[-support <= tol.tol_strict]]]] = True
+        bad[at[pairs][-support <= tol.tol_strict]] = True
         return [tuple(X[c]) if b else None for c, b in zip(cells.tolist(), bad)]
 
     values, witnesses = largest_feasible_rows(violation, np.full(len(X), float(bracket)), rel_tol=rel_tol)

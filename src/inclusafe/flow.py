@@ -512,11 +512,9 @@ def falsify(
 
     step = budget.step
     if step is None:
-        # a constant perturbation margin sets the step, whether the eps wrap
-        # or the scenario's own dynamics carry it
-        margin = system.margin if isinstance(system, PerturbedSystem) else None
-        constant = margin is not None and not callable(margin) and float(margin) > 0.0
-        step = min(1e-3, float(margin) / 50.0) if constant else 1e-3
+        # a constant margin sets the step, whether eps or the config gave it
+        margin = system.margin if isinstance(system, PerturbedSystem) else 0.0
+        step = 1e-3 if callable(margin) or not margin > 0.0 else min(1e-3, margin / 50.0)
 
     rng = np.random.default_rng(budget.seed)
     bar = scenario.barrier
