@@ -435,7 +435,7 @@ def test_batched_boundary_scan_equals_per_edge_reference(request, case):
     expected, tries = _per_edge_boundary(scenario)
     grid = boundary_extract(scenario)
     assert grid.representatives.shape == (len(expected), scenario.dimension)
-    for i, (lower, upper, rep, diameter) in enumerate(expected):
+    for i, (lower, upper, rep, _) in enumerate(expected):
         # bytes, so that a -0.0 in place of 0.0 shows
         assert grid.lower[i].tobytes() == lower.tobytes()
         assert grid.upper[i].tobytes() == upper.tobytes()
