@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .convexset import ConvexCompactSet, hausdorff, hausdorff_rows, support_rows, unit_directions
+from .convexset import ConvexCompactSet, hausdorff, hausdorff_rows, row_norms, support_rows, unit_directions
+from .expressions import rows_of
 from .numerics import box_array
 
 __all__ = [
@@ -100,17 +101,22 @@ def local_gap(
 
 
 class ModulusPair:
-    """Factored spread bound ``step_gain(delta) * state_gain(x)`` (see :meth:`from_callables`)."""
+    """Factored spread bound ``step_gain(delta) * state_gain(x)``.
+
+    Both factors are row functions: ``step_rows`` maps an array of radii
+    and ``state_rows`` an (m, n) array of points to one value per entry
+    (see :meth:`from_callables` for per-point callables).
+    """
 
     def __init__(
         self,
-        step_rows: Callable[[np.ndarray], Sequence[float]],
-        state_fn: Callable[[np.ndarray], float],
+        step_rows: Callable[[np.ndarray], np.ndarray],
+        state_rows: Callable[[np.ndarray], np.ndarray],
         *,
         tables: Optional[dict] = None,
     ):
         self._step_rows = step_rows
-        self._state = state_fn
+        self.state_rows = state_rows
         self.tables = tables or {}
         self.degenerate = self.tables.get("kind") == "degenerate"
         self.flags = dict(self.tables.get("flags", {}))
@@ -124,18 +130,17 @@ class ModulusPair:
         return float(self._step_rows(np.array([d]))[0])
 
     def state_gain(self, x) -> float:
-        return float(self._state(np.asarray(x, dtype=float).reshape(-1)))
+        return float(self.state_rows(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def _bounds(self, xs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """``step_gain(delta) * state_gain(x)`` at each row of xs and entry of
         deltas (all >= 0)."""
-        steps = self._step_rows(deltas)
-        return np.array([(float(s) if d > 0.0 else 0.0) * self.state_gain(x)
-                         for x, d, s in zip(xs, deltas, steps)])
+        return np.where(deltas > 0.0, self._step_rows(deltas), 0.0) * self.state_rows(xs)
 
     @classmethod
     def from_callables(cls, step_fn, state_fn, **kw) -> "ModulusPair":
-        return cls(lambda ds: [step_fn(d) if d > 0.0 else 0.0 for d in ds.tolist()], state_fn, **kw)
+        return cls(lambda ds: np.array([step_fn(d) if d > 0.0 else 0.0 for d in ds.tolist()], dtype=float),
+                   rows_of(state_fn), **kw)
 
     # ------------------------------------------------------------------ #
     def to_tables(self) -> dict:
@@ -165,22 +170,27 @@ def _pair(tables: dict, direct_rows: Callable[[np.ndarray], np.ndarray]) -> Modu
     the direct term, and the state factor one plus the growth at |x|.
     """
     if tables["kind"] == "degenerate":
-        return ModulusPair(direct_rows, lambda x: 1.0, tables=tables)
+        return ModulusPair(direct_rows, lambda X: np.ones(len(X)), tables=tables)
     env = TabulatedFn.from_dict(tables["envelope"])
     cutoff = math.exp(-float(tables["log_range"]))
 
-    def growth(s: float) -> float:
-        if s <= cutoff:
-            return 0.0
-        return math.exp(env(math.log(s)))
+    def growth_rows(s: np.ndarray) -> np.ndarray:
+        # math.log and math.exp per entry, as in build_modulus; a NaN
+        # radius stays NaN
+        out = np.zeros(len(s))
+        live = ~(s <= cutoff)
+        logs = np.interp([math.log(v) for v in s[live].tolist()], env.xs, env.ys)
+        out[live] = [math.exp(v) for v in logs.tolist()]
+        return out
 
-    def step_rows(ds: np.ndarray) -> list:
-        return [max(growth(d), float(v)) for d, v in zip(ds.tolist(), direct_rows(ds))]
+    def step_rows(ds: np.ndarray) -> np.ndarray:
+        g, v = growth_rows(ds), direct_rows(ds)
+        return np.where(v > g, v, g)  # max(g, v), which keeps g unless v > g
 
-    def state_fn(x) -> float:
-        return growth(float(np.linalg.norm(x))) + 1.0
+    def state_rows(X: np.ndarray) -> np.ndarray:
+        return growth_rows(row_norms(X)) + 1.0
 
-    return ModulusPair(step_rows, state_fn, tables=tables)
+    return ModulusPair(step_rows, state_rows, tables=tables)
 
 
 def _bilinear(grid: np.ndarray, values: np.ndarray):

@@ -122,6 +122,22 @@ def _concatenated(pts: np.ndarray, radius: float, group: int):
     return pts.reshape(G, size, pts.shape[2]), counts, radii
 
 
+def _overlap(pieces: Sequence[Piece], X: np.ndarray):
+    """The :func:`merge_parts` hulls of the pieces' images at every row of
+    X as ``(points, radius)``, in one pass when that rule just concatenates
+    the pieces' points in order: each radius is the largest or zero, and
+    there are at most :data:`PRUNE_THRESHOLD` points.  Otherwise (or when a
+    piece has no batched form) None."""
+    if any(piece.rows is None for piece in pieces):
+        return None
+    parts = [piece.rows(X) for piece in pieces]
+    radii = [float(r) for _, r in parts]
+    rmax = max(radii)
+    if any(r != rmax and r != 0.0 for r in radii) or sum(pts.shape[1] for pts, _ in parts) > PRUNE_THRESHOLD:
+        return None
+    return np.concatenate([pts for pts, _ in parts], axis=1), rmax
+
+
 def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, group: int):
     """The hulls of runs of ``group`` consecutive rows of the padded row
     hulls ``(A, counts, radius)`` under the :func:`merge_parts` rule, in
@@ -238,10 +254,13 @@ class SetValuedMap:
         :mod:`convexset`).
 
         A row where one piece with a batched form holds takes that piece's
-        row; other rows are merged through the per-point rule.  Runs whose
-        rows all share the largest radius or have radius 0 (the rule then
-        just concatenates points) are assembled as arrays; the others go
-        through the per-point rule too.
+        row.  Rows where several pieces hold are taken by their pattern of
+        active pieces: a pattern whose merge just concatenates batched
+        points (see :func:`_overlap`) is one pass, and the other rows are
+        merged through the per-point rule.  Runs whose rows all share the
+        largest radius or have radius 0 (the rule then just concatenates
+        points) are assembled as arrays; the others go through the
+        per-point rule too.
         """
         m, n = X.shape
         piece = self._sole
@@ -273,15 +292,23 @@ class SetValuedMap:
                 fills.append((rows, pts, float(r)))
                 filled += rows.size
         # what is left: rows where several pieces hold or a piece has no
-        # batched form
+        # batched form, taken by their pattern of active pieces
         merged = {}
         if filled < m:
             left = np.ones(m, dtype=bool)
             for rows, _, _ in fills:
                 left[rows] = False
-            merged = {i: merge_parts([(s.points, s.radius) for s in
-                                      (self.pieces[k].image(X[i]) for k in np.flatnonzero(active[:, i]))])
-                      for i in np.flatnonzero(left).tolist()}
+            left = np.flatnonzero(left)
+            patterns, which = np.unique(active[:, left], axis=1, return_inverse=True)
+            for p, pattern in enumerate(patterns.T):
+                rows = left[which.reshape(-1) == p]
+                pieces = [self.pieces[k] for k in np.flatnonzero(pattern)]
+                overlap = _overlap(pieces, X[rows])
+                if overlap is not None:
+                    fills.append((rows, *overlap))
+                    continue
+                for i in rows.tolist():
+                    merged[i] = merge_parts([(s.points, s.radius) for s in (piece.image(X[i]) for piece in pieces)])
         width = max([pts.shape[1] for _, pts, _ in fills] + [len(p) for p, _ in merged.values()])
         A = np.empty((m, width, n))
         counts = np.empty(m, dtype=int)

@@ -307,8 +307,18 @@ def test_batched_modulus_equals_per_point_reference(f, box, log_step):
     assert tables["kind"] == kind
     if kind == "built":
         assert json.dumps(tables["log_gap"]) == json.dumps(log_gap.tolist())
-    for d in (1e-6, 0.3, 1.0, 7.5):
+    cutoff = math.exp(-tables["log_range"])
+    for d in (cutoff, 1e-6, 0.3, 1.0, 7.5):
         assert pair.step_gain(d) == _reference_step(f, tables, d, density)
+    # the batched factors at a NaN radius, at the cutoff radius e^-log_range
+    # and at delta 0
+    X = np.zeros((4, n))
+    X[1:, 0] = (math.nan, cutoff, 1.5)
+    deltas = np.array([0.0, cutoff, 0.3, 0.0])
+    states = [_reference_growth(tables, float(np.linalg.norm(x))) + 1.0 for x in X]
+    assert json.dumps(pair.state_rows(X).tolist()) == json.dumps(states)
+    bounds = [_reference_step(f, tables, d, density) * g for d, g in zip(deltas, states)]
+    assert json.dumps(pair._bounds(X, deltas).tolist()) == json.dumps(bounds)
     clone = ModulusPair.from_tables(json.loads(json.dumps(tables)))
     bare = ModulusPair.from_callables(lambda d: 2.0 * d, lambda x: 1.0 + float(np.abs(x).sum()))
     for samples in (1, 63, 64, 65, 1000):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from inclusafe import (
     unit_ball_lattice,
     unit_directions,
 )
+from inclusafe.convexset import PRUNE_THRESHOLD
 
 
 def _example1_map():
@@ -291,6 +294,13 @@ def _kernel_maps():
         lambda x: True, [[0.3, 1.0], [-1.0, 0.7]], [1.0, -0.0], radius=0.5)])
     maps["polynomial-2d"] = SetValuedMap(2, [polynomial_piece(
         lambda x: True, ["x1*x2", "x1 - x2**2"], 2)])
+    # an affine and a polynomial piece that both hold on the line x1 = 0,
+    # with equal radii and with one radius zero
+    for label, radius in (("equal", 0.2), ("zero", 0.0)):
+        maps[f"overlap-2d-{label}"] = SetValuedMap(2, [
+            affine_piece(lambda x: x[0] <= 0.0, [[0.3, 1.0], [-1.0, 0.7]], [1.0, -0.0], radius=0.2),
+            polynomial_piece(lambda x: x[0] >= 0.0, ["x1*x2 - 1", "x1 - x2**2"], 2, radius=radius),
+        ])
     return maps
 
 
@@ -401,25 +411,39 @@ def test_batched_images_equal_per_point_images_bit_for_bit(name, mode):
                 assert one.points.tobytes() == w.points.tobytes() and one.radius == w.radius
     if mode == "none":
         _assert_rows_are_per_point(f.images(X), [f.image(x) for x in X])
+    if name.startswith("overlap-2d"):
+        # the rows on the line take one pass: no per-point image is made
+        rowwise = SetValuedMap(2, [dataclasses.replace(p, image=None) for p in f.pieces])
+        _assert_rows_are_per_point(rowwise.images(X), [f.image(x) for x in X])
 
 
 def test_batched_ball_hulls_with_unequal_radii_and_rowless_pieces():
-    # rows where pieces of unequal radii overlap, and a piece without a
-    # batched form, go through the per-point merge rule
-    f = SetValuedMap(2, [
+    # rows where pieces of unequal radii overlap, a piece without a batched
+    # form, and overlaps of more than PRUNE_THRESHOLD points go through the
+    # per-point merge rule
+    unequal = SetValuedMap(2, [
         constant_piece(lambda x: x[0] <= 0.0, [[1.0, 0.0], [0.0, 1.0]], radius=0.1),
         affine_piece(lambda x: x[0] >= 0.0, [[1.0, 0.5], [0.0, -1.0]], [0.0, 0.2], radius=0.3),
         polynomial_piece(lambda x: x[1] >= 0.0, ["x1*x2", "x2 - 1"], 2, radius=0.2),
         Piece(lambda x: abs(x[0]) <= 0.1,
               lambda x: ConvexCompactSet([[x[1], x[0]]], 0.05 + abs(float(x[0])))),
     ])
+    ring = unit_directions(2, 60)
+    crowded = SetValuedMap(2, [
+        constant_piece(lambda x: x[0] <= 0.0, ring),
+        constant_piece(lambda x: x[0] >= 0.0, 0.5 * ring + 0.25),
+    ])
+    assert 2 * len(ring) > PRUNE_THRESHOLD
     rng = np.random.default_rng(5)
     centers = rng.uniform(-0.5, 0.5, (12, 2))
-    radii = rng.uniform(0.05, 1.0, 12)
-    for density in (5, 9):
-        want = [_per_point_hull(f, c, r, density, 0.0) for c, r in zip(centers, radii)]
-        _assert_rows_are_per_point(f.ball_hulls(centers, radii, density), want)
-    _assert_rows_are_per_point(f.images(centers), [f.image(c) for c in centers])
+    radii = rng.uniform(0.05, 1.0, 15)
+    # centers on the line x1 = 0, where both pieces of crowded hold
+    centers = np.vstack([centers, [[0.0, 0.1], [0.0, -0.3], [0.0, 0.0]]])
+    for f in (unequal, crowded):
+        for density in (5, 9):
+            want = [_per_point_hull(f, c, r, density, 0.0) for c, r in zip(centers, radii)]
+            _assert_rows_are_per_point(f.ball_hulls(centers, radii, density), want)
+        _assert_rows_are_per_point(f.images(centers), [f.image(c) for c in centers])
 
 
 def test_batched_images_raise_when_no_piece_covers_a_row():
