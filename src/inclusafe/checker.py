@@ -217,7 +217,9 @@ def _sample(spec: CheckSpec, scenario: SafetyScenario, grid: BoundaryGrid, syste
             gain=None) -> _Minimum:
     """Least -support(F(x), zeta) over the row's (sample, zeta) pairs.
 
-    Normalized rows divide by |zeta|; a ``gain`` divides by 1 + gain(x).
+    Normalized rows divide by |zeta|; a ``gain`` (a row function, such as
+    :meth:`ModulusPair.state_rows`) divides each sample's rows by
+    1 + gain(x).
     The least value wins, ties go to the lexicographically least sample and
     then to the first pair, and a NaN or +inf value never wins.  The images
     of the whole region come from one batched evaluation.
@@ -234,7 +236,7 @@ def _sample(spec: CheckSpec, scenario: SafetyScenario, grid: BoundaryGrid, syste
             raise DegenerateGradientError("gradient norm below 1e-12 in normalized check")
         value /= norms
     if gain is not None:
-        value /= np.array([1.0 + float(gain(x)) for x in region])[rep]
+        value /= (1.0 + gain(region))[rep]
     best = np.lexsort((*region[rep].T[::-1], value))[0]
     if not value[best] < math.inf:
         return _Minimum(math.inf, None, None, len(rep))
@@ -334,7 +336,7 @@ def check_uniform_weighted(
     if variant == "C4":
         _check_separation(scenario, grid)
 
-    full = _sample(spec, scenario, grid, system, modulus.state_gain)
+    full = _sample(spec, scenario, grid, system, modulus.state_rows)
     trend = []
     for s in _NESTED_SCALES:
         try:
@@ -342,7 +344,7 @@ def check_uniform_weighted(
             grid_s = boundary_extract(scn_s)
         except Exception:
             continue
-        t = _sample(spec, scn_s, grid_s, system, modulus.state_gain)
+        t = _sample(spec, scn_s, grid_s, system, modulus.state_rows)
         if t.count:
             trend.append([float(s), float(t.value)])
     trend.append([1.0, float(full.value)])

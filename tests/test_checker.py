@@ -8,6 +8,7 @@ import pytest
 from inclusafe import checker, scenarios
 from inclusafe.barrier import BoundaryGrid, collar_width
 from inclusafe.checker import CHECKS
+from inclusafe.expressions import rows_of
 from inclusafe.numerics import largest_feasible
 from inclusafe import (
     FAIL,
@@ -276,12 +277,16 @@ def test_sampled_rows_match_per_point_reference(request, case, mode):
     source, check_id, gain, reps = _REFERENCE_CASES[case]
     sc = _still_scenario(source) if reps is not None else request.getfixturevalue(source).scenario
     grid = _hand_grid(reps) if reps is not None else boundary_extract(sc)
+    # checker._sample takes the gain as a row function, the reference per point
     if isinstance(gain, str):
-        gain = request.getfixturevalue(gain).state_gain
+        modulus = request.getfixturevalue(gain)
+        gain, gain_rows = modulus.state_gain, modulus.state_rows
+    else:
+        gain_rows = None if gain is None else rows_of(gain)
     base = sc.dynamics
     system = PerturbedSystem(base, 0.05, mode)
     spec = CHECKS[check_id]
-    got = checker._sample(spec, sc, grid, system, gain)
+    got = checker._sample(spec, sc, grid, system, gain_rows)
     want = _per_point_sample(spec, sc, grid, base, mode, 0.05, gain)
     assert got.count == want.count > 0
     assert (got.value, got.point, got.velocity) == (want.value, want.point, want.velocity)
