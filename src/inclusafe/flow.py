@@ -478,7 +478,8 @@ def falsify(
     With ``eps`` given (0 < eps < inf, else ValueError), the scenario's
     base dynamics are wrapped in a perturbation of that size (``mode``
     picks none, plain image inflation or the strong form; with ``"none"``
-    the base map is integrated as it is).  With ``eps`` omitted,
+    the base map is integrated as it is), which keeps the sensing margin of
+    the scenario's own perturbation, if it sets one.  With ``eps`` omitted,
     the scenario's own dynamics are integrated as-is (including any
     perturbation they already carry).  Unless the budget sets it, the
     Euler step is min(1e-3, eps / 50) for the constant margin eps of the
@@ -507,8 +508,10 @@ def falsify(
     else:
         if not 0.0 < eps < math.inf:
             raise ValueError("perturbation size eps must be positive and finite")
-        system = PerturbedSystem(unperturbed(scenario.dynamics), margin=float(eps), mode=mode,
-                                 density=density)
+        dynamics = scenario.dynamics
+        sense = dynamics.sense_margin if isinstance(dynamics, PerturbedSystem) else None
+        system = PerturbedSystem(unperturbed(dynamics), margin=float(eps), mode=mode,
+                                 density=density, sense_margin=sense)
 
     step = budget.step
     if step is None:

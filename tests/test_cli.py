@@ -393,6 +393,18 @@ def test_falsify_step_follows_the_perturbation_wherever_it_was_set(tmp_path):
     assert {**flagged["falsification"], "eps": None} == own["falsification"]
 
 
+def test_falsify_eps_keeps_the_config_sensing_margin(tmp_path):
+    # noisy-loop's perturbation has margin 0.1 and sensing margin 0.05; an
+    # --eps of 0.1 re-wraps the map with the same two margins
+    cfg = scenarios.builtin_config("noisy-loop")
+    cfg["falsify"] = {"starts": 4, "horizon": 0.5}
+    path = _write_cfg(tmp_path, cfg)
+    flagged, _ = run(path, "falsify", eps=0.1, out=str(tmp_path))
+    own, _ = run(path, "falsify", out=str(tmp_path))
+    assert own["falsification"]["threshold"] == pytest.approx(0.0215)
+    assert {**flagged["falsification"], "eps": None} == own["falsification"]
+
+
 def test_falsify_uses_config_perturbation_and_budget(tmp_path):
     bundle, code = run("noisy-loop", "falsify", out=str(tmp_path))
     assert code == 0
