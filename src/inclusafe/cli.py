@@ -388,11 +388,10 @@ def _write_trajectory(path: str, traj, barrier_values: bool) -> None:
     n = traj.states.shape[1]
     cols = ["t"] + [f"x{i + 1}" for i in range(n)] + (["B"] if barrier_values else [])
     lines = ["# " + " ".join(cols)]
-    for k in range(len(traj)):
-        row = [f"{traj.times[k]:.17g}"] + [f"{v:.17g}" for v in traj.states[k]]
-        if barrier_values:
-            row.append(f"{traj.values[k]:.17g}")
-        lines.append(" ".join(row))
+    # one tolist per column: Python floats format faster than numpy scalars
+    columns = [traj.times, *traj.states.T] + ([traj.values] if barrier_values else [])
+    for row in zip(*(c.tolist() for c in columns)):
+        lines.append(" ".join(f"{v:.17g}" for v in row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
