@@ -298,10 +298,11 @@ class SetValuedMap:
             left = np.ones(m, dtype=bool)
             for rows, _, _ in fills:
                 left[rows] = False
-            left = np.flatnonzero(left)
-            patterns, which = np.unique(active[:, left], axis=1, return_inverse=True)
+            rest = np.flatnonzero(left)
+            patterns, which = np.unique(active[:, rest], axis=1, return_inverse=True)
+            which = which.reshape(-1)
             for p, pattern in enumerate(patterns.T):
-                rows = left[which.reshape(-1) == p]
+                rows = rest[which == p]
                 pieces = [self.pieces[k] for k in np.flatnonzero(pattern)]
                 overlap = _overlap(pieces, X[rows])
                 if overlap is not None:
