@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import os
 import time
 
 import numpy as np
@@ -235,6 +237,93 @@ def test_builtin_batched_forms_use_no_elementwise_pow():
         for text in [expression] if isinstance(expression, str) else expression:
             _, batched, _ = _compile(text, n, kind)
             assert "_Pow" not in batched().__code__.co_names, text
+
+
+# ----------------------------------------------------------------------- #
+# frozen forms: tests/data/expression_forms.json holds what the compiler gave
+# on this corpus when it was written by tools/expression_forms.py
+FORMS = os.path.join(os.path.dirname(__file__), "data", "expression_forms.json")
+
+# at least one expression per whitelisted construct, and the README's
+_CONSTRUCTS = [
+    "x1 + x2", "x1 - x2", "x1 * x2", "x1 / x2", "x1 // x2", "x1 % x2", "x1 ** x2",
+    "+x1", "-x1", "not x1", "-(-x1)", "abs(-0.0 * x1)",
+    "x1 == x2", "x1 != x2", "x1 < x2", "x1 <= x2", "x1 > x2", "x1 >= x2",
+    "0 <= x1 < x2 <= 3", "x1 < x2 > 0", "x1 > 0 or x2 > 0 and not x1 < x2", "not x1 and x2",
+    "x1 if x2 else x2", "x1 if 1 else x2",
+    "abs(x1)", "min(x1, x2)", "max(x1, x2)", "min(x1, x2, 0.5)", "sqrt(x1)", "exp(x1)",
+    "log(x1)", "sin(x1)", "cos(x1)", "tan(x1)", "tanh(x1)", "floor(x1)", "ceil(x1)",
+    "pi", "e", "True", "1 > 2", "log(0) > 1", "True + x1", "x1 + False", "x1 + (2 > 1 and 5)",
+    "x1 ** 2", "x1 ** 2.0", "((x1 ** 2) ** 2) ** 2", "(x1 ** 2 + x2 ** 2) ** 2", "-x1 ** 2",
+    "(x1 > 0) ** 2", "x1 ** 2 ** 1", "x1 ** 3", "x1 ** 0.5", "x1 ** -1", "2 ** x1",
+    "2 ** 0.5 * x1", "x1 + 2 ** 0.5", "sqrt(2) * x1", "x1 * (1 // 3 + 7 % 4)",
+    "x1 + (3 if 1 > 0 else 4)", "x1 + 10 ** 400",
+    "1e999", "x1 + 1e999", "x1 - 1e999", "x1 * 1e999", "-1e999 < x1",
+    "x1 * x1", "(x1 * x1) * x1", "x1 <= 0", "(x1 > 0 and x2)", "-(x1 > 0 and x2)",
+]
+
+
+def form_corpus() -> list:
+    """(kind, expression, dimension) of every frozen form, each once."""
+    out = _builtin_expressions()
+    for text in _EXTRA + _TRUTH + _CONSTRUCTS:
+        n = 2 if "x2" in text else 1
+        out += [("scalar", text, n), ("predicate", text, n)]
+    out.append(("vector", ["x1 ** 2", "(x1 > 0) + x2", "pi", "min(x1, x2)", "x2 - 1e999", "-(x2 < 0)"], 2))
+    seen = set()
+    return [c for c in out if repr(c) not in seen and not seen.add(repr(c))]
+
+
+def _form_points(n: int) -> np.ndarray:
+    """Zeros of both signs, the builtin pieces' interfaces, ±1e200 and a few
+    other values, two of them where libm's ``x ** 2`` is not ``x * x``;
+    every pair of them in 2-D."""
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, -0.7, -0.5690083675613415, 1e200, -1e200]
+    if n == 1:
+        return np.array(values + [2.5, 3.0, 0.1, 1e-300, 3.753351923688669])[:, None]
+    return np.array([(a, b) for a in values for b in values])
+
+
+def _encode(value):
+    """A float as float.hex (a NaN with its sign), a bool as itself, and an
+    array as the list of its entries."""
+    if isinstance(value, (list, np.ndarray)):
+        return [_encode(v) for v in (value.tolist() if isinstance(value, np.ndarray) else value)]
+    if isinstance(value, bool):
+        return value
+    return ("-nan" if math.copysign(1.0, value) < 0 else "nan") if math.isnan(value) else float.hex(value)
+
+
+def _outcome(fn, *args):
+    try:
+        return _encode(fn(*args))
+    except Exception as exc:  # the exception class is the frozen outcome
+        return f"raise {type(exc).__name__}"
+
+
+def forms(kind: str, expression, n: int) -> dict:
+    """The per-point result at every point of ``_form_points(n)``, the
+    ``.rows`` result on all of them and, when that raises, on the points
+    where the per-point form does not."""
+    factory = {"scalar": scalar_fn, "predicate": predicate_fn, "vector": vector_fn}[kind]
+    f = factory(expression, n)
+    X = _form_points(n)
+    with np.errstate(all="ignore"):
+        point = [_outcome(f, x) for x in X]
+        out = {"kind": kind, "expression": expression, "dimension": n, "point": point,
+               "rows": _outcome(f.rows, X)}
+        if isinstance(out["rows"], str):
+            ok = [not (isinstance(p, str) and p.startswith("raise ")) for p in point]
+            out["rows_ok"] = _outcome(f.rows, X[ok])
+    return out
+
+
+def test_compiled_forms_equal_the_frozen_forms():
+    with open(FORMS, encoding="utf-8") as fh:
+        table = json.load(fh)
+    assert [(e["kind"], e["expression"], e["dimension"]) for e in table] == form_corpus()
+    wrong = [(e, got) for e in table if (got := forms(e["kind"], e["expression"], e["dimension"])) != e]
+    assert not wrong, f"{len(wrong)} of {len(table)} forms moved, first: {wrong[0]}"
 
 
 def test_squares_overflow_to_infinity_in_both_forms():
