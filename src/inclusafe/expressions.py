@@ -64,9 +64,9 @@ _NAMESPACE = {
 
 
 _FUNCTIONS = frozenset(k for k, v in _NAMESPACE.items() if callable(v))
-_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
-_UNARY = (ast.UAdd, ast.USub, ast.Not)
-_COMPARE = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.FloorDiv: "//", ast.Mod: "%", ast.Pow: "**"}
+_UNARY = {ast.UAdd: "+", ast.USub: "-", ast.Not: "not "}
+_COMPARE = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 
 
 class ExpressionError(ValueError):
@@ -87,11 +87,11 @@ def _reads_state(body: ast.AST, variables: frozenset, expression: str, what: str
                 raise ExpressionError(f"unknown name in {what} {expression!r}: {node.id!r}")
         elif isinstance(node, ast.Constant) and type(node.value) in (int, float, bool):
             pass
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINARY):
+        elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
             stack += (node.left, node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY):
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
             stack.append(node.operand)
-        elif isinstance(node, ast.Compare) and all(isinstance(op, _COMPARE) for op in node.ops):
+        elif isinstance(node, ast.Compare) and all(type(op) in _COMPARE for op in node.ops):
             stack.append(node.left)
             stack += node.comparators
         elif isinstance(node, ast.BoolOp):  # and, or
@@ -108,12 +108,11 @@ def _reads_state(body: ast.AST, variables: frozenset, expression: str, what: str
     return reads
 
 
-def _compile(expression: str, dimension: int, what: str) -> tuple[Callable, Callable, bool]:
-    """The expression as a lambda of ``x1 .. xn``, a maker of its batched
-    lambda (of the columns ``x1 .. xn``), and whether it reads them."""
+def _parsed(expression: str, variables: list, what: str) -> ast.AST:
+    """The body of the lambda of ``x1 .. xn`` that returns ``expression``,
+    checked against the whitelist."""
     if not isinstance(expression, str) or not expression.strip():
         raise ExpressionError(f"{what} must be a nonempty string, got {expression!r}")
-    variables = [f"x{i + 1}" for i in range(dimension)]
     source = f"lambda {', '.join(variables)}: ({expression})"
     try:
         tree = ast.parse(source, f"<{what}>", "eval")
@@ -123,59 +122,108 @@ def _compile(expression: str, dimension: int, what: str) -> tuple[Callable, Call
     # would otherwise close it early and smuggle in a second expression
     if not isinstance(tree.body, ast.Lambda):
         raise ExpressionError(f"invalid {what} {expression!r}: not a single expression")
-    reads = _reads_state(tree.body.body, frozenset(variables), expression, what)
-    tree = ast.fix_missing_locations(_Arithmetic().visit(tree))
-    # the namespace must live in the globals dict: that is where the lambda
-    # body resolves free names when it is eventually called
-    namespace = {"__builtins__": {}, **_NAMESPACE, "_number": _number, "_square": _square}
-    fn = eval(compile(tree, f"<{what}>", "eval"), namespace)
-
-    def batched():
-        body, _ = _batch(tree.body.body, frozenset(variables))
-        lam = ast.Expression(ast.Lambda(tree.body.args, body))
-        code = compile(ast.fix_missing_locations(lam), f"<{what} rows>", "eval")
-        return eval(code, {**namespace, **_BATCH_NAMESPACE})
-
-    return fn, batched, reads
+    _reads_state(tree.body.body, frozenset(variables), expression, what)
+    return tree.body.body
 
 
-def _truth_valued(node: ast.AST) -> bool:
-    """Whether ``node`` can be a truth value: a comparison, ``not``, a bool
-    constant, or ``and``/``or``/``if``-``else``/``abs``/``min``/``max`` of one."""
-    if isinstance(node, ast.BoolOp):
-        return any(map(_truth_valued, node.values))
-    if isinstance(node, ast.IfExp):
-        return _truth_valued(node.body) or _truth_valued(node.orelse)
-    if isinstance(node, ast.Call):
-        return node.func.id in ("abs", "min", "max") and any(map(_truth_valued, node.args))
-    return isinstance(node, ast.Compare) or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) \
-        or isinstance(node, ast.Constant) and type(node.value) is bool
+def _lambdas(point: str, rows: str, variables: list, what: str) -> tuple[Callable, Callable]:
+    """The per-point and the batched lambda of ``x1 .. xn`` that return the
+    emitted ``point`` and ``rows`` texts, from one ``compile()``; where the
+    texts agree, one lambda serves as both."""
+    params = ", ".join(variables)
+    if point == rows:
+        fn = eval(compile(f"lambda {params}: {point}", f"<{what}>", "eval"), _GLOBALS)
+        return fn, fn
+    return eval(compile(f"(lambda {params}: {point}, lambda {params}: {rows})", f"<{what}>", "eval"), _GLOBALS)
 
 
-def _number_of(node: ast.AST) -> ast.AST:
-    return _call("_number", node) if _truth_valued(node) else node
+def _compile(expression: str, dimension: int, what: str) -> tuple[Callable, Callable, bool]:
+    """The expression as a lambda of ``x1 .. xn``, its batched lambda (of the
+    columns ``x1 .. xn``), and whether it reads them."""
+    variables = [f"x{i + 1}" for i in range(dimension)]
+    point, rows, reads, _ = _emit(_parsed(expression, variables, what), frozenset(variables))
+    return (*_lambdas(point, rows, variables, what), reads)
 
 
-class _Arithmetic(ast.NodeTransformer):
-    """Pass every operand of ``+ - * / // % **`` and unary ``-``/``+`` that
-    can be a truth value through ``_number``, and rewrite every ``a ** 2`` as
-    ``_square(a)``; the base subtree is moved, not copied, so nested squares
-    stay linear in size."""
+def _literal(value) -> str:
+    """Source text that parses back to the constant ``value``: ``repr`` gives
+    'inf' for ``1e999``, and a long int's decimal text can pass the limit
+    on int to str conversion, which its hexadecimal text does not."""
+    if type(value) is int:
+        return hex(value)
+    return "1e999" if value == math.inf else repr(value)
 
-    def visit_BinOp(self, node):
-        self.generic_visit(node)
-        node.left, node.right = _number_of(node.left), _number_of(node.right)
-        exponent = node.right
-        if isinstance(node.op, ast.Pow) and isinstance(exponent, ast.Constant) \
+
+def _arithmetic(node: ast.AST, variables: frozenset) -> tuple[str, str, bool]:
+    """``node`` as an operand of arithmetic: a truth value passes through
+    ``_number`` in both forms."""
+    point, rows, reads, truth = _emit(node, variables)
+    return (f"_number({point})", f"_number({rows})", reads) if truth else (point, rows, reads)
+
+
+def _emit(node: ast.AST, variables: frozenset) -> tuple[str, str, bool, bool]:
+    """The whitelisted ``node`` as the source text of its per-point form and
+    of its batched form, whether it reads a state variable, and whether it
+    can be a truth value: a comparison, ``not``, a bool constant, or
+    ``and``/``or``/``if``-``else``/``abs``/``min``/``max`` of one.
+
+    Every compound is parenthesised, so the text parses back to the tree
+    it came from.  A square's base is emitted once, so nested squares stay
+    linear in size.  A subtree that reads no state variable is the same
+    text in both forms, so constants are computed exactly as the per-point
+    form computes them."""
+    if isinstance(node, ast.Name):
+        return node.id, node.id, node.id in variables, False
+    if isinstance(node, ast.Constant):
+        text = _literal(node.value)
+        return text, text, False, type(node.value) is bool
+    truth = False
+    if isinstance(node, ast.BinOp):
+        (lp, lb, lr), (rp, rb, rr) = _arithmetic(node.left, variables), _arithmetic(node.right, variables)
+        op, exponent, reads = type(node.op), node.right, lr or rr
+        point, rows = f"({lp} {_BINARY[op]} {rp})", f"({lb} {_BINARY[op]} {rb})"
+        if op is ast.Pow and isinstance(exponent, ast.Constant) \
                 and type(exponent.value) in (int, float) and exponent.value == 2:
-            return ast.copy_location(_call("_square", node.left), node)
-        return node
-
-    def visit_UnaryOp(self, node):
-        self.generic_visit(node)
-        if not isinstance(node.op, ast.Not):
-            node.operand = _number_of(node.operand)
-        return node
+            point, rows = f"_square({lp})", f"_square({lb})"
+        elif op in (ast.Pow, ast.FloorDiv, ast.Mod):  # numpy's own versions round differently
+            rows = f"_{op.__name__}({lb}, {rb})"
+    elif isinstance(node, ast.UnaryOp):
+        symbol = _UNARY[type(node.op)]
+        if isinstance(node.op, ast.Not):
+            operand, rows, reads, _ = _emit(node.operand, variables)
+            rows, truth = f"_not({rows})", True
+        else:
+            operand, rows, reads = _arithmetic(node.operand, variables)
+            rows = f"({symbol}{rows})"
+        point = f"({symbol}{operand})"
+    else:
+        if isinstance(node, ast.Compare):
+            children = (node.left, *node.comparators)
+        elif isinstance(node, ast.IfExp):
+            children = (node.test, node.body, node.orelse)
+        else:
+            children = node.values if isinstance(node, ast.BoolOp) else node.args
+        parts = [_emit(child, variables) for child in children]
+        points, batched = [p[0] for p in parts], [p[1] for p in parts]
+        reads, truths = any(p[2] for p in parts), [p[3] for p in parts]
+        if isinstance(node, ast.Compare):
+            ops = [_COMPARE[type(op)] for op in node.ops]
+            point = f"({points[0]}{''.join(f' {op} {p}' for op, p in zip(ops, points[1:]))})"
+            terms = [f"({a} {op} {b})" for op, a, b in zip(ops, batched, batched[1:])]
+            rows, truth = terms[0] if len(terms) == 1 else f"_all({', '.join(terms)})", True
+        elif isinstance(node, ast.IfExp):
+            point, rows = f"({points[1]} if {points[0]} else {points[2]})", f"_where({', '.join(batched)})"
+            truth = truths[1] or truths[2]
+        elif isinstance(node, ast.BoolOp):
+            word, name = (" and ", "_and") if isinstance(node.op, ast.And) else (" or ", "_or")
+            point, rows, truth = f"({word.join(points)})", batched[0], any(truths)
+            for value in batched[1:]:
+                rows = f"{name}({rows}, {value})"
+        else:  # a call of a whitelisted function
+            name = node.func.id
+            point, rows = f"{name}({', '.join(points)})", f"_{name}({', '.join(batched)})"
+            truth = name in ("abs", "min", "max") and any(truths)
+    return point, rows if reads else point, reads, truth
 
 
 _BOOL = np.dtype(bool)
@@ -256,75 +304,20 @@ _BATCH_NAMESPACE = {
        if callable(v) and k not in ("abs", "min", "max")},
 }
 
-
-def _call(name: str, *args: ast.AST) -> ast.Call:
-    return ast.Call(ast.Name(name, ast.Load()), list(args), [])
-
-
-def _batch(node: ast.AST, variables: frozenset) -> tuple[ast.AST, bool]:
-    """The whitelisted ``node`` rewritten to act on column arrays, and
-    whether it reads a state variable.  Subtrees that read none stay as
-    they are, so constants are computed exactly as the per-point form does."""
-    if isinstance(node, ast.Name):
-        return node, node.id in variables
-    if isinstance(node, ast.Constant):
-        return node, False
-    if isinstance(node, ast.BinOp):
-        (left, a), (right, b) = _batch(node.left, variables), _batch(node.right, variables)
-        if not (a or b):
-            return node, False
-        if isinstance(node.op, (ast.Pow, ast.FloorDiv, ast.Mod)):
-            return _call(f"_{type(node.op).__name__}", left, right), True
-        return ast.BinOp(left, node.op, right), True
-    if isinstance(node, ast.UnaryOp):
-        operand, reads = _batch(node.operand, variables)
-        if not reads:
-            return node, False
-        if isinstance(node.op, ast.Not):
-            return _call("_not", operand), True
-        return ast.UnaryOp(node.op, operand), True
-    if isinstance(node, ast.Compare):
-        parts = [_batch(n, variables) for n in (node.left, *node.comparators)]
-        if not any(reads for _, reads in parts):
-            return node, False
-        terms = [ast.Compare(a, [op], [b]) for op, (a, _), (b, _) in zip(node.ops, parts, parts[1:])]
-        return (terms[0] if len(terms) == 1 else _call("_all", *terms)), True
-    if isinstance(node, ast.BoolOp):
-        parts = [_batch(n, variables) for n in node.values]
-        if not any(reads for _, reads in parts):
-            return node, False
-        name = "_and" if isinstance(node.op, ast.And) else "_or"
-        out = parts[0][0]
-        for value, _ in parts[1:]:
-            out = _call(name, out, value)
-        return out, True
-    if isinstance(node, ast.IfExp):
-        parts = [_batch(n, variables) for n in (node.test, node.body, node.orelse)]
-        if not any(reads for _, reads in parts):
-            return node, False
-        return _call("_where", *(n for n, _ in parts)), True
-    if isinstance(node, ast.Call):
-        parts = [_batch(n, variables) for n in node.args]
-        if not any(reads for _, reads in parts):
-            return node, False
-        name = node.func.id
-        return _call(name if name.startswith("_") else f"_{name}", *(n for n, _ in parts)), True
-    raise AssertionError(f"node {type(node).__name__} passed the whitelist")  # pragma: no cover
+# the globals of both lambdas: their names are disjoint but for _number and
+# _square, which serve both forms; a free name of a lambda body resolves here
+_GLOBALS = {"__builtins__": {}, **_NAMESPACE, **_BATCH_NAMESPACE, "_number": _number, "_square": _square}
 
 
 def _rows_form(batched: Callable, per_point: Callable, finish: Callable) -> Callable:
-    """``rows(X)``: the batched lambda, made on first use, applied to the
-    columns of X and shaped by ``finish(value, m)``; row by row through
-    ``per_point`` when the batched pass raises."""
-    lam = None
+    """``rows(X)``: the batched lambda applied to the columns of X and shaped
+    by ``finish(value, m)``; row by row through ``per_point`` when the
+    batched pass raises."""
 
     def rows(X):
-        nonlocal lam
         X = np.asarray(X, dtype=float)
-        if lam is None:
-            lam = batched()
         try:
-            return finish(lam(*(X[:, i] for i in range(X.shape[1]))), X.shape[0])
+            return finish(batched(*(X[:, i] for i in range(X.shape[1]))), X.shape[0])
         except (ArithmeticError, ValueError, TypeError):
             # the per-point form raises (or not) exactly where it should
             return finish(np.array([per_point(x) for x in X]), X.shape[0])
@@ -387,17 +380,14 @@ def vector_fn(expressions: Sequence[str], dimension: int) -> Callable[[Sequence[
     ``f.rows(X)`` evaluates it at every row of an (m, n) array at once and
     returns an (m, k) array for k components.
     """
-    compiled = [_compile(e, dimension, "vector component") for e in expressions]
-    fns = [fn for fn, _, _ in compiled]
-    k = len(fns)
+    variables = [f"x{i + 1}" for i in range(dimension)]
+    forms = [_emit(_parsed(e, variables, "vector component"), frozenset(variables)) for e in expressions]
+    fn, batched = _lambdas(*(f"[{', '.join(form[i] for form in forms)}]" for i in (0, 1)),
+                           variables, "vector component")
+    k = len(forms)
 
     def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        return np.array([f(*x) for f in fns], dtype=float)
-
-    def batched():
-        lams = [make() for _, make, _ in compiled]
-        return lambda *cols: [lam(*cols) for lam in lams]
+        return np.array(fn(*np.asarray(x, dtype=float)), dtype=float)
 
     def finish(value, m):
         if isinstance(value, list):  # the batched components

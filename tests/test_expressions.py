@@ -236,7 +236,7 @@ def test_builtin_batched_forms_use_no_elementwise_pow():
     for kind, expression, n in _builtin_expressions():
         for text in [expression] if isinstance(expression, str) else expression:
             _, batched, _ = _compile(text, n, kind)
-            assert "_Pow" not in batched().__code__.co_names, text
+            assert "_Pow" not in batched.__code__.co_names, text
 
 
 # ----------------------------------------------------------------------- #
