@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inclusafe import ExpressionError, scenarios
 from inclusafe.expressions import _compile, predicate_fn, scalar_fn, vector_fn
@@ -324,6 +326,91 @@ def test_compiled_forms_equal_the_frozen_forms():
     assert [(e["kind"], e["expression"], e["dimension"]) for e in table] == form_corpus()
     wrong = [(e, got) for e in table if (got := forms(e["kind"], e["expression"], e["dimension"])) != e]
     assert not wrong, f"{len(wrong)} of {len(table)} forms moved, first: {wrong[0]}"
+
+
+def test_non_finite_and_long_literals_parse_back():
+    for expression, want in (("x1 + 1e999", math.inf), ("x1 - 1e999", -math.inf)):
+        f = scalar_fn(expression, 1)
+        assert f([2.0]) == want and f.rows(np.array([[2.0], [-1e200]])).tolist() == [want, want]
+    # a hexadecimal literal past the limit on int to str conversion
+    f = scalar_fn("x1 + 0x" + "f" * 5000, 1)
+    with pytest.raises(OverflowError):
+        f([1.0])
+    with pytest.raises(OverflowError):
+        f.rows(np.array([[1.0]]))
+
+
+# ----------------------------------------------------------------------- #
+# random expression trees: rows against the stacked per-point form
+_LEAVES = ["0", "1", "2", "3", "0.5", "2.0", "1e999", "True", "False", "pi", "e"]
+_CALLS = ["abs", "sqrt", "exp", "log", "sin", "cos", "tan", "tanh", "floor", "ceil"]
+
+
+def _trees(depth: int, leaves: list, calls: list) -> st.SearchStrategy:
+    """Whitelisted expression texts of at most ``depth`` levels.
+
+    An int power is exact and unbounded, so ``2 ** floor(x1)`` at x1 = 1e200
+    or ``2 ** (3 ** (3 ** 3))`` would not finish in either form.  So the
+    exponent of a power other than a square holds no int literal above 1
+    and no floor or ceil: its int values, sums and powers of truth values,
+    stay below 257 at this depth."""
+    leaf = st.sampled_from(leaves)
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1, leaves, calls)
+    exponent = _trees(depth - 1, [t for t in leaves if t not in ("2", "3")],
+                      [c for c in calls if c not in ("floor", "ceil")])
+    return st.one_of(
+        leaf,
+        st.builds("({} {} {})".format, sub, st.sampled_from(["+", "-", "*", "/", "//", "%"]), sub),
+        st.builds("({} ** {})".format, sub, exponent),
+        st.builds("({}) ** {}".format, sub, st.sampled_from(["2", "2.0"])),
+        st.builds("({}{})".format, st.sampled_from(["-", "+", "not "]), sub),
+        st.builds(lambda first, rest: "(" + first + "".join(f" {op} {t}" for op, t in rest) + ")",
+                  sub, st.lists(st.tuples(st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), sub),
+                                min_size=1, max_size=2)),
+        st.builds(lambda word, terms: "(" + word.join(terms) + ")",
+                  st.sampled_from([" and ", " or "]), st.lists(sub, min_size=2, max_size=3)),
+        st.builds("({} if {} else {})".format, sub, sub, sub),
+        st.builds("{}({})".format, st.sampled_from(calls), sub),
+        st.builds(lambda name, args: f"{name}({', '.join(args)})",
+                  st.sampled_from(["min", "max"]), st.lists(sub, min_size=2, max_size=3)),
+    )
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e200, -1e200]), st.floats())
+
+
+_TREES = {n: _trees(4, [f"x{i + 1}" for i in range(n)] + _LEAVES, _CALLS) for n in (1, 2)}
+
+
+@st.composite
+def _cases(draw):
+    n = draw(st.integers(1, 2))
+    expression = draw(_TREES[n])
+    rows = draw(st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=1, max_size=6))
+    return expression, n, np.array(rows, dtype=float)
+
+
+def _stacked(f, X):
+    try:
+        return np.array([f(x) for x in X])
+    except Exception as exc:  # the outcome is the exception class
+        return type(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_cases())
+def test_rows_equal_stacked_per_point_values_on_random_trees(case):
+    expression, n, X = case
+    with np.errstate(all="ignore"):
+        for factory in (scalar_fn, predicate_fn):
+            f = factory(expression, n)
+            want, got = _stacked(f, X), _stacked(f.rows, [X])
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want, (expression, X)
+            else:
+                assert got[0].dtype == want.dtype and got[0].tobytes() == want.tobytes(), (expression, X)
 
 
 def test_squares_overflow_to_infinity_in_both_forms():
