@@ -24,15 +24,19 @@ Arithmetic takes a truth value as Python's int in both forms: ``(x1 > 0) +
 
 Every compiled callable also carries a batched form, ``.rows(X)``, that
 evaluates the expression at every row of an (m, n) array in one pass and is
-equal bit for bit to stacking the per-point results.  It is emitted from the
-same parsed tree: arithmetic, squares, comparisons, boolean operators,
-conditional expressions and ``abs`` map to numpy directly; ``min`` and
-``max`` keep Python's rule (a later argument replaces the current one only
-when strictly smaller or larger); other powers, ``//``, ``%`` and the math
-functions run the very same Python operation elementwise, since numpy's own
-versions round differently.  When the batched pass raises (say ``log`` of a
-negative number in a branch that is not taken) the form evaluates row by
-row, so errors are those of the per-point form.
+equal bit for bit to stacking the per-point results.  One walk over the
+checked tree emits both forms as source text, and one ``compile()`` call
+makes both lambdas (one lambda serves both where the texts agree; a vector's
+components share the call).  In the batched text, arithmetic, squares,
+comparisons, boolean operators, conditional expressions and ``abs`` map to
+numpy directly; ``min`` and ``max`` keep Python's rule (a later argument
+replaces the current one only when strictly smaller or larger); other
+powers, ``//``, ``%`` and the math functions run the very same Python
+operation elementwise, since numpy's own versions round differently.  When
+the batched pass raises (say ``log`` of a negative number in a branch that
+is not taken) the form evaluates row by row, so errors are those of the
+per-point form.  No text reaches ``compile()`` but what the walk emitted
+from whitelisted nodes.
 """
 from __future__ import annotations
 
