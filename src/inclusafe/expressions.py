@@ -77,17 +77,13 @@ class ExpressionError(ValueError):
     """Raised when a config expression cannot be compiled."""
 
 
-def _reads_state(body: ast.AST, variables: frozenset, expression: str, what: str) -> bool:
-    """Check every node of ``body`` against the whitelist; True when the
-    expression reads a state variable."""
-    reads = False
+def _check(body: ast.AST, variables: frozenset, expression: str, what: str) -> None:
+    """Check every node of ``body`` against the whitelist."""
     stack = [body]
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Name):
-            if node.id in variables:
-                reads = True
-            elif node.id not in _NAMESPACE:
+            if node.id not in variables and node.id not in _NAMESPACE:
                 raise ExpressionError(f"unknown name in {what} {expression!r}: {node.id!r}")
         elif isinstance(node, ast.Constant) and type(node.value) in (int, float, bool):
             pass
@@ -109,7 +105,6 @@ def _reads_state(body: ast.AST, variables: frozenset, expression: str, what: str
             raise ExpressionError(
                 f"{what} {expression!r} uses a disallowed construct ({type(node).__name__})"
             )
-    return reads
 
 
 def _parsed(expression: str, variables: list, what: str) -> ast.AST:
@@ -126,7 +121,7 @@ def _parsed(expression: str, variables: list, what: str) -> ast.AST:
     # would otherwise close it early and smuggle in a second expression
     if not isinstance(tree.body, ast.Lambda):
         raise ExpressionError(f"invalid {what} {expression!r}: not a single expression")
-    _reads_state(tree.body.body, frozenset(variables), expression, what)
+    _check(tree.body.body, frozenset(variables), expression, what)
     return tree.body.body
 
 
