@@ -381,8 +381,8 @@ def vector_fn(expressions: Sequence[str], dimension: int) -> Callable[[Sequence[
     """
     variables = [f"x{i + 1}" for i in range(dimension)]
     forms = [_emit(_parsed(e, variables, "vector component"), frozenset(variables)) for e in expressions]
-    fn, batched = _lambdas(*(f"[{', '.join(form[i] for form in forms)}]" for i in (0, 1)),
-                           variables, "vector component")
+    point, rows = (f"[{', '.join(form[i] for form in forms)}]" for i in (0, 1))
+    fn, batched = _lambdas(point, rows, variables, "vector component")
     k = len(forms)
 
     def wrapped(x):
