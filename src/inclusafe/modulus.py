@@ -24,6 +24,7 @@ import numpy as np
 from .convexset import ConvexCompactSet, hausdorff, hausdorff_rows, row_norms, support_rows, unit_directions
 from .expressions import rows_of
 from .numerics import box_array
+from .svmap import unit_ball_lattice
 
 __all__ = [
     "ModulusPair",
@@ -41,8 +42,10 @@ LOG_FLOOR = -1e6
 #: half-width of the log-grid of :func:`build_modulus` (radii e^-20 .. e^20)
 LOG_RANGE = 20.0
 
-#: samples per batched pass of :func:`verify_modulus`; bounds its memory
-_BLOCK = 64
+#: argument-ball lattice rows per batched pass of :func:`build_modulus` and
+#: :func:`verify_modulus` (64 samples of the 49-point 2-D verify lattice);
+#: bounds their memory
+_ROWS = 64 * 49
 
 #: support directions sampled in n >= 2 by the spreads and the containment check
 _DIRECTIONS = 64
@@ -272,8 +275,10 @@ def build_modulus(
     vanishes on the whole grid take a degenerate path: the step factor is
     the origin spread itself and the state factor is one.
 
-    The spreads are the :func:`local_gap` values, taken for each ring
-    radius in one batched pass over every (ring point, step radius) pair.
+    The spreads are the :func:`local_gap` values, taken in batched passes
+    over every (ring radius, ring point, step radius) triple: each pass
+    takes as many whole ring radii as fit :data:`_ROWS` argument-ball
+    lattice rows, and at least one.
     """
     n = f_map.dimension
     if log_step is None:
@@ -298,17 +303,19 @@ def build_modulus(
 
     direct_vals = direct_rows(radii)
 
-    # raw extra spread at ring radius i, step radius j: row k * count + j of
-    # a pass is ring point k with step radius j
-    point = np.repeat(np.arange(len(ring)), count)
-    steps = np.tile(radii, len(ring))
+    # raw extra spread at ring radius i, step radius j: row
+    # (i' * len(ring) + k) * count + j of a pass is its i'-th ring radius,
+    # ring point k and step radius j (ball_hulls refuses an empty lattice)
+    per_pass = max(1, _ROWS // (len(ring) * count * max(1, len(unit_ball_lattice(n, density)))))
     raw = np.zeros((count, count))
-    for i, r in enumerate(radii):
-        ys = r * ring
-        spread = hausdorff_rows(f_map.ball_hulls(ys[point], steps, density),
+    for lo in range(0, count, per_pass):
+        rs = radii[lo:lo + per_pass]
+        ys = (rs[:, None, None] * ring).reshape(-1, n)
+        point = np.repeat(np.arange(len(ys)), count)
+        spread = hausdorff_rows(f_map.ball_hulls(ys[point], np.tile(radii, len(ys)), density),
                                 _take(f_map.images(ys), point), directions=_DIRECTIONS)
-        gaps = spread.reshape(len(ring), count) - direct_vals
-        raw[i] = np.maximum(raw[i], gaps.max(axis=0))
+        gaps = spread.reshape(len(rs), len(ring), count) - direct_vals
+        raw[lo:lo + len(rs)] = np.maximum(raw[lo:lo + len(rs)], gaps.max(axis=1))
 
     # nested-ring cumulative max: monotone in both arguments, >= 0 since the
     # origin ring contributes zero
@@ -446,8 +453,10 @@ def verify_modulus(
 
     Draws (x, delta) pairs from the box and (0, delta_max], compares sampled
     support values of the inflated-argument hull against the base image plus
-    the modulus bound, and records the worst slack.  The hulls and images
-    of each block of samples come from one batched pass.
+    the modulus bound, and records the worst slack.  The hulls, images and
+    bounds of each block of samples come from one batched pass; a block
+    holds as many samples as fit :data:`_ROWS` argument-ball lattice rows
+    (64 in 2-D, 348 in 1-D), and at least one.
     """
     b = box_array(box)
     n = b.shape[0]
@@ -457,10 +466,11 @@ def verify_modulus(
     # uniform(box) and one uniform(0, delta_max) call per sample
     draws = rng.uniform(np.append(b[:, 0], 0.0), np.append(b[:, 1], delta_max), (samples, n + 1))
     xs, deltas = draws[:, :n], draws[:, n]
+    block = max(1, _ROWS // len(unit_ball_lattice(n, _DENSITY)))
     min_slack = math.inf
     worst = None
-    for lo in range(0, samples, _BLOCK):
-        x, delta = xs[lo:lo + _BLOCK], deltas[lo:lo + _BLOCK]
+    for lo in range(0, samples, block):
+        x, delta = xs[lo:lo + block], deltas[lo:lo + block]
         base = support_rows(*f_map.images(x), dirs)
         big = support_rows(*f_map.ball_hulls(x, delta, _DENSITY), dirs)
         flat = delta <= 0.0  # a zero-radius ball: the hull is F(x) itself

@@ -19,6 +19,7 @@ from inclusafe import (
     unit_directions,
     verify_modulus,
 )
+from inclusafe import modulus
 from inclusafe.modulus import TabulatedFn
 
 
@@ -321,7 +322,8 @@ def test_batched_modulus_equals_per_point_reference(f, box, log_step):
     assert json.dumps(pair._bounds(X, deltas).tolist()) == json.dumps(bounds)
     clone = ModulusPair.from_tables(json.loads(json.dumps(tables)))
     bare = ModulusPair.from_callables(lambda d: 2.0 * d, lambda x: 1.0 + float(np.abs(x).sum()))
-    for samples in (1, 63, 64, 65, 1000):
+    # pass boundaries: 64 samples a pass in 2-D, 348 in 1-D
+    for samples in (1, 63, 64, 65, 347, 348, 349, 1000):
         got = verify_modulus(f, pair, box, samples=samples, seed=7).to_dict()
         assert json.dumps(got) == json.dumps(_reference_report(f, pair, box, samples, 7, density))
         for other in ((clone, bare) if samples < 1000 else ()):
@@ -330,6 +332,23 @@ def test_batched_modulus_equals_per_point_reference(f, box, log_step):
     # every delta 0: the hull is F(x) and the bound 0
     got = verify_modulus(f, pair, box, samples=65, seed=7, delta_max=0.0).to_dict()
     assert json.dumps(got) == json.dumps(_reference_report(f, pair, box, 65, 7, density, 0.0))
+
+
+@pytest.mark.parametrize("name", scenarios.BUILTIN)
+def test_pass_sizes_leave_tables_and_reports_unchanged(name, monkeypatch):
+    # one lattice row a pass (one ring radius, one sample), and one pass for
+    # the whole call, give the default's tables and report
+    scenario = scenarios.build(name).scenario
+    f = getattr(scenario.dynamics, "base", scenario.dynamics)
+
+    def outcome():
+        pair = build_modulus(f)
+        return json.dumps([pair.tables, verify_modulus(f, pair, scenario.box, seed=5).to_dict()])
+
+    want = outcome()
+    for rows in (1, 10 ** 9):
+        monkeypatch.setattr(modulus, "_ROWS", rows)
+        assert outcome() == want, rows
 
 
 @pytest.mark.parametrize("f, box", [
