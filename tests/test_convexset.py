@@ -356,6 +356,41 @@ def test_row_kernels_are_exact_on_wide_stacks(n):
         assert contains_rows(*a, V, tol).tolist() == [contains(s, v, tol) for s, v in zip(sets_a, V)]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_supports_equal_per_set_values_on_both_sides_of_the_column_rule(n):
+    """The max over K points is one ``np.maximum`` per point column when
+    the product has m >= K rows, else the reduce; either way the bytes are
+    ``support_many``'s."""
+    from inclusafe.convexset import _supports
+
+    rng = np.random.default_rng(400 + n)
+    dirs = unit_directions(n, 64)
+    norms = np.linalg.norm(dirs, axis=1)
+    for K in (2, 13, 49):
+        for m in (K - 1, K, K + 1):
+            points = rng.standard_normal((m, K, n))
+            radii = rng.choice([0.0, 0.5], m)
+            got = _supports(points, np.full(m, K), radii, dirs, norms)
+            want = np.array([ConvexCompactSet(p, r).support_many(dirs) for p, r in zip(points, radii)])
+            assert got.tobytes() == want.tobytes(), (K, m)
+
+
+def test_point_max_makes_a_tied_zero_positive_on_both_sides_of_the_column_rule():
+    # on ties of signed zeros the column loop and numpy's SIMD reduce pick
+    # different zeros; both sides must give +0.0
+    from inclusafe.convexset import _point_max
+
+    rng = np.random.default_rng(401)
+    for K in range(1, 79):
+        for m in (K - 1, K):
+            prod = rng.choice([0.0, -0.0], (m, 8, K))
+            prod[:, 0] = -0.0  # a row of negative zeros stays a zero
+            prod[:, 1, -1] = -1.0
+            got = _point_max(prod)
+            assert got.tobytes() == (prod.max(axis=2) + 0.0).tobytes(), (K, m)
+            assert not np.signbit(got[got == 0.0]).any(), (K, m)
+
+
 def test_interval_rows_equal_interval_bounds():
     from inclusafe.convexset import interval_rows
 
