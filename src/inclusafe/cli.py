@@ -371,6 +371,59 @@ def _jsonable(obj):
     return obj
 
 
+_QUOTED = json.encoder.encode_basestring_ascii
+
+#: the strings that stand in for the non-finite floats, quoted
+_NON_FINITE = {math.inf: '"inf"', -math.inf: '"-inf"'}
+
+
+def _float_text(f: float) -> str:
+    return float.__repr__(f) if math.isfinite(f) else _NON_FINITE.get(f, '"nan"')
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """``json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+    allow_nan=False)`` in one walk: ``nl`` is a newline and the indent of
+    the line that ``obj`` starts on.  A list of finite floats is joined in
+    one call; the repr of a finite float holds no ``n``."""
+    t = type(obj)
+    if t is float:
+        return _float_text(obj)
+    if t is list or t is tuple or t is np.ndarray:
+        items = obj.tolist() if t is np.ndarray else obj
+        if not items:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        if all(type(v) is float for v in items):
+            text = sep.join(map(float.__repr__, items))
+            if "n" not in text:
+                return "[" + inner + text + nl + "]"
+        return "[" + inner + sep.join(_json_text(v, inner) for v in items) + nl + "]"
+    if t is dict:
+        if not all(type(k) is str for k in obj):
+            obj = {str(k): v for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            _QUOTED(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)) + nl + "}"
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return _QUOTED(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(float(obj))
+    plain = _jsonable(obj)
+    if plain is obj:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    return _json_text(plain, nl)
+
+
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
@@ -555,7 +608,7 @@ def run(
             tbl_name = "modulus-tables.json"
             _atomic_write(
                 os.path.join(out_dir, tbl_name),
-                json.dumps(_jsonable(pair.tables), sort_keys=True, indent=2, allow_nan=False),
+                _json_text(pair.tables),
             )
             artifacts["modulus_tables"] = tbl_name
         if not mreport.passed:
@@ -609,7 +662,7 @@ def run(
     bundle_name = f"bundle-{command}.json"
     _atomic_write(
         os.path.join(out_dir, bundle_name),
-        json.dumps(stamped, sort_keys=True, indent=2, allow_nan=False),
+        _json_text(stamped),
     )
     return stamped, exit_code
 

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inclusafe import BarrierCandidate, boundary_extract, build_modulus, checker, cli, scenarios
 from inclusafe.cli import COMMANDS, ConfigError, load_config, main, run
@@ -674,6 +677,44 @@ def test_bundle_is_strict_json(tmp_path):
     # round-trips through the strictest JSON settings (no NaN/Inf leaks)
     blob = json.dumps(bundle, allow_nan=False, sort_keys=True)
     assert json.loads(blob)["scenario"] == "example1"
+
+
+def _indented(obj) -> str:
+    """The text the writer must give: the converted object, indented dumps."""
+    return json.dumps(cli._jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e16, 1e-5, math.inf, -math.inf, math.nan]))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=6),
+    _FLOATS.map(np.float64), st.integers(-5, 5).map(np.int64), st.booleans().map(np.bool_),
+    st.lists(_FLOATS, max_size=3).map(np.array),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(_FLOATS, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-3, 3)), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_VALUES)
+def test_json_text_equals_indented_dumps_of_the_converted_object(obj):
+    assert cli._json_text(obj) == _indented(obj)
+
+
+def test_written_tables_and_bundle_are_indented_dumps(tmp_path):
+    bundle, _ = run("example1", "modulus", out=str(tmp_path))
+    assert (tmp_path / "bundle-modulus.json").read_text() == _indented(bundle)
+    tables = build_modulus(scenarios.build("example1").scenario.dynamics).tables
+    assert (tmp_path / "modulus-tables.json").read_text() == _indented(tables)
+    with pytest.raises(TypeError):
+        cli._json_text({"a": [object()]})
 
 
 # ----------------------------------------------------------------------- #
