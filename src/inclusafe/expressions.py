@@ -17,7 +17,9 @@ product correctly, so the square is the same on every CPU and in both forms
 below; libm's ``pow``, which Python's ``**`` calls, is not correctly rounded
 and differs from ``a * a`` in the last bit on about one double in a
 thousand.  Every other power keeps Python's ``**``: a longer product chain
-such as ``(a * a) * a`` rounds twice.
+such as ``(a * a) * a`` rounds twice.  A power of ints is exact, so its
+cost grows with its result; one (a square included) whose result no float
+holds raises OverflowError in both forms before it is computed.
 
 Arithmetic takes a truth value as Python's int in both forms: ``(x1 > 0) +
 (x2 > 0)`` is 2 where both hold, and ``-(x1 > 0)`` is -1.
@@ -32,17 +34,19 @@ comparisons, boolean operators, conditional expressions and ``abs`` map to
 numpy directly; ``min`` and ``max`` keep Python's rule (a later argument
 replaces the current one only when strictly smaller or larger); other
 powers, ``//``, ``%`` and the math functions run the very same Python
-operation elementwise, since numpy's own versions round differently.  When
-the batched pass raises (say ``log`` of a negative number in a branch that
-is not taken) the form evaluates row by row, so errors are those of the
-per-point form.  No text reaches ``compile()`` but what the walk emitted
-from whitelisted nodes.
+operation elementwise, since numpy's own versions round differently; ``/``
+is numpy's, but raises where numpy divides by zero or gets an invalid
+quotient.  When the batched pass raises (say ``log`` of a negative number
+in a branch that is not taken) the form evaluates row by row, so errors
+are those of the per-point form.  No text reaches ``compile()`` but what
+the walk emitted from whitelisted nodes.
 """
 from __future__ import annotations
 
 import ast
 import math
 import operator
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,8 +188,12 @@ def _emit(node: ast.AST, variables: frozenset) -> tuple[str, str, bool, bool]:
         if op is ast.Pow and isinstance(exponent, ast.Constant) \
                 and type(exponent.value) in (int, float) and exponent.value == 2:
             point, rows = f"_square({lp})", f"_square({lb})"
-        elif op in (ast.Pow, ast.FloorDiv, ast.Mod):  # numpy's own versions round differently
+        elif op is ast.Pow:  # numpy's own power rounds differently
+            point, rows = f"_power({lp}, {rp})", f"_Pow({lb}, {rb})"
+        elif op in (ast.FloorDiv, ast.Mod):  # numpy's own versions round differently
             rows = f"_{op.__name__}({lb}, {rb})"
+        elif op is ast.Div:
+            rows = f"_Div({lb}, {rb})"
     elif isinstance(node, ast.UnaryOp):
         symbol = _UNARY[type(node.op)]
         if isinstance(node.op, ast.Not):
@@ -235,9 +243,36 @@ def _number(a):
     return int(a) if type(a) is bool else a
 
 
+#: the largest finite float as an int: an int power beyond it is refused
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _power(a, b):
+    """``a ** b``, except that an int power whose result no float can hold
+    raises OverflowError, found before the exact power is computed: an
+    exact power of ints takes time and memory that grow with the result
+    (``2 ** floor(x1)`` at x1 = 1e12 would take hours)."""
+    if type(a) is int and type(b) is int and b > 0:
+        if (a.bit_length() - 1) * b < 1024:  # else |a ** b| >= 2 ** 1024
+            out = a ** b
+            if -_FLOAT_MAX <= out <= _FLOAT_MAX:
+                return out
+        raise OverflowError("int power too large for a float")
+    return a ** b
+
+
+_OBJECT = np.dtype(object)
+_Square = np.frompyfunc(lambda v: _power(v, 2) if type(v) is int else v * v, 1, 1)
+
+
 def _square(a):
     """``a ** 2`` as the one correctly rounded product ``a * a``; numpy's
-    multiply on arrays and float64 elements alike."""
+    multiply on arrays and float64 elements alike.  An int, alone or in an
+    object array, squares under :func:`_power`'s bound."""
+    if type(a) is int:
+        return _power(a, 2)
+    if getattr(a, "dtype", None) is _OBJECT:
+        return _Square(a)
     return a * a
 
 
@@ -250,10 +285,19 @@ def _truth(v) -> np.ndarray:
 
 
 def _pow(a, b):
-    out = a ** b
+    out = _power(a, b)
     if type(out) is complex:  # numpy's scalar power returns nan here instead
         raise ValueError("complex power")
     return out
+
+
+def _divide(a, b):
+    """``a / b``, raising where numpy's quotient is a division by zero or
+    invalid, so that the rows fall back to the per-point form: there a
+    Python number (an int from a truth value or ``floor``) over zero
+    raises ZeroDivisionError where numpy's int64 array gives inf or nan."""
+    with np.errstate(divide="raise", invalid="raise"):
+        return a / b
 
 
 def _pick(c, a, b):
@@ -297,6 +341,7 @@ _BATCH_NAMESPACE = {
     "_where": _pick,
     "_all": _all,
     "_Pow": np.frompyfunc(_pow, 2, 1),
+    "_Div": _divide,
     "_FloorDiv": np.frompyfunc(operator.floordiv, 2, 1),
     "_Mod": np.frompyfunc(operator.mod, 2, 1),
     **{f"_{k}": np.frompyfunc(v, 1, 1) for k, v in _NAMESPACE.items()
@@ -304,8 +349,11 @@ _BATCH_NAMESPACE = {
 }
 
 # the globals of both lambdas: their names are disjoint but for _number and
-# _square, which serve both forms; a free name of a lambda body resolves here
-_GLOBALS = {"__builtins__": {}, **_NAMESPACE, **_BATCH_NAMESPACE, "_number": _number, "_square": _square}
+# _square, which serve both forms (and _power, which a constant power in the
+# batched text shares with the per-point text); a free name of a lambda body
+# resolves here
+_GLOBALS = {"__builtins__": {}, **_NAMESPACE, **_BATCH_NAMESPACE, "_number": _number, "_square": _square,
+            "_power": _power}
 
 
 def _rows_form(batched: Callable, per_point: Callable, finish: Callable) -> Callable:
