@@ -7,22 +7,25 @@ whitelist before it is compiled, so attribute access, subscripts, lambdas,
 comprehensions and the like are rejected at load time and config files
 cannot reach into the interpreter.
 
-The per-point form evaluates on float64 elements whatever container holds
-the point, so a list, a tuple and an ndarray give the same value or the same
-error.
+Every value an expression computes is a float64 or a truth value.  The
+per-point form evaluates on float64 elements whatever container holds the
+point, so a list, a tuple and an ndarray give the same value or the same
+error.  An int literal is its float, and one that no float holds is an
+ExpressionError at load.  Arithmetic takes a truth value as 0.0 or 1.0:
+``(x1 > 0) + (x2 > 0)`` is 2.0 where both hold, and ``-(x1 > 0)`` is -0.0
+where x1 <= 0.  ``floor`` and ``ceil`` return floats, and ±inf and nan pass
+through them.  ``/`` and ``**`` follow float64 in both forms: ``x / 0`` is
+±inf or nan, and a power past float range is ±inf, never an exception
+(numpy's ``errstate`` decides whether either warns or raises).
 
 A square, ``a ** 2`` with the exponent the constant 2 or 2.0, is compiled
 as the one product ``a * a`` (``a`` evaluated once).  IEEE 754 rounds a
 product correctly, so the square is the same on every CPU and in both forms
-below; libm's ``pow``, which Python's ``**`` calls, is not correctly rounded
-and differs from ``a * a`` in the last bit on about one double in a
-thousand.  Every other power keeps Python's ``**``: a longer product chain
-such as ``(a * a) * a`` rounds twice.  A power of ints is exact, so its
-cost grows with its result; one (a square included) whose result no float
-holds raises OverflowError in both forms before it is computed.
-
-Arithmetic takes a truth value as Python's int in both forms: ``(x1 > 0) +
-(x2 > 0)`` is 2 where both hold, and ``-(x1 > 0)`` is -1.
+below; libm's ``pow`` is not correctly rounded and differs from ``a * a``
+in the last bit on about one double in a thousand.  Every other power is
+numpy's float64 scalar power (libm's ``pow``) in both forms: a longer
+product chain such as ``(a * a) * a`` rounds twice, and numpy's array
+power can take a SIMD ``pow`` that rounds differently.
 
 Every compiled callable also carries a batched form, ``.rows(X)``, that
 evaluates the expression at every row of an (m, n) array in one pass and is
@@ -30,28 +33,33 @@ equal bit for bit to stacking the per-point results.  One walk over the
 checked tree emits both forms as source text, and one ``compile()`` call
 makes both lambdas (one lambda serves both where the texts agree; a vector's
 components share the call).  In the batched text, arithmetic, squares,
-comparisons, boolean operators, conditional expressions and ``abs`` map to
-numpy directly; ``min`` and ``max`` keep Python's rule (a later argument
-replaces the current one only when strictly smaller or larger); other
-powers, ``//``, ``%`` and the math functions run the very same Python
-operation elementwise, since numpy's own versions round differently; ``/``
-is numpy's, but raises where numpy divides by zero or gets an invalid
-quotient.  When the batched pass raises (say ``log`` of a negative number
-in a branch that is not taken) the form evaluates row by row, so errors
-are those of the per-point form.  No text reaches ``compile()`` but what
-the walk emitted from whitelisted nodes.
+``/``, comparisons, boolean operators, conditional expressions, ``abs``,
+``floor`` and ``ceil`` map to numpy directly; ``min`` and ``max`` keep
+Python's rule (a later argument replaces the current one only when strictly
+smaller or larger); other powers, ``//``, ``%`` and the remaining math
+functions run the very same scalar operation elementwise, since numpy's
+own versions round differently.  When the batched pass raises (say ``log``
+of a negative number in a branch that is not taken) the form evaluates row
+by row, so errors are those of the per-point form.  No text reaches
+``compile()`` but what the walk emitted from whitelisted nodes.
 """
 from __future__ import annotations
 
 import ast
 import math
 import operator
-import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["ExpressionError", "scalar_fn", "vector_fn", "predicate_fn", "rows_of"]
+
+def _rounding(fn: Callable) -> Callable:
+    """``fn``, numpy's floor or ceil, on float64: a truth value is 0.0 or
+    1.0, and ±inf and nan pass through.  Rounding to an integer is exact,
+    so the one function serves both forms, on arrays as on numbers."""
+    return lambda a: fn(np.float64(a))
+
 
 _NAMESPACE = {
     "abs": abs,
@@ -64,8 +72,8 @@ _NAMESPACE = {
     "cos": math.cos,
     "tan": math.tan,
     "tanh": math.tanh,
-    "floor": math.floor,
-    "ceil": math.ceil,
+    "floor": _rounding(np.floor),
+    "ceil": _rounding(np.ceil),
     "pi": math.pi,
     "e": math.e,
 }
@@ -90,7 +98,10 @@ def _check(body: ast.AST, variables: frozenset, expression: str, what: str) -> N
             if node.id not in variables and node.id not in _NAMESPACE:
                 raise ExpressionError(f"unknown name in {what} {expression!r}: {node.id!r}")
         elif isinstance(node, ast.Constant) and type(node.value) in (int, float, bool):
-            pass
+            try:
+                float(node.value)
+            except OverflowError:
+                raise ExpressionError(f"{what} {expression!r} has a literal that no float holds") from None
         elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
             stack += (node.left, node.right)
         elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
@@ -149,12 +160,11 @@ def _compile(expression: str, dimension: int, what: str) -> tuple[Callable, Call
 
 
 def _literal(value) -> str:
-    """Source text that parses back to the constant ``value``: ``repr`` gives
-    'inf' for ``1e999``, and a long int's decimal text can pass the limit
-    on int to str conversion, which its hexadecimal text does not."""
-    if type(value) is int:
-        return hex(value)
-    return "1e999" if value == math.inf else repr(value)
+    """Source text that parses back to the constant ``value``, an int as its
+    float: ``repr`` gives 'inf' for ``1e999``."""
+    if type(value) is bool:
+        return repr(value)
+    return "1e999" if value == math.inf else repr(float(value))
 
 
 def _arithmetic(node: ast.AST, variables: frozenset) -> tuple[str, str, bool]:
@@ -188,12 +198,12 @@ def _emit(node: ast.AST, variables: frozenset) -> tuple[str, str, bool, bool]:
         if op is ast.Pow and isinstance(exponent, ast.Constant) \
                 and type(exponent.value) in (int, float) and exponent.value == 2:
             point, rows = f"_square({lp})", f"_square({lb})"
-        elif op is ast.Pow:  # numpy's own power rounds differently
+        elif op is ast.Pow:  # numpy's array power rounds differently
             point, rows = f"_power({lp}, {rp})", f"_Pow({lb}, {rb})"
+        elif op is ast.Div:
+            point, rows = f"_divide({lp}, {rp})", f"_divide({lb}, {rb})"
         elif op in (ast.FloorDiv, ast.Mod):  # numpy's own versions round differently
             rows = f"_{op.__name__}({lb}, {rb})"
-        elif op is ast.Div:
-            rows = f"_Div({lb}, {rb})"
     elif isinstance(node, ast.UnaryOp):
         symbol = _UNARY[type(node.op)]
         if isinstance(node.op, ast.Not):
@@ -233,46 +243,20 @@ def _emit(node: ast.AST, variables: frozenset) -> tuple[str, str, bool, bool]:
     return point, rows if reads else point, reads, truth
 
 
-_BOOL = np.dtype(bool)
-
-
-def _number(a):
-    """A truth value, or an array of them, as Python's int: ``True + True`` is 2."""
-    if getattr(a, "dtype", None) is _BOOL:
-        return a.astype(int) if a.ndim else int(a)
-    return int(a) if type(a) is bool else a
-
-
-#: the largest finite float as an int: an int power beyond it is refused
-_FLOAT_MAX = int(sys.float_info.max)
-
-
 def _power(a, b):
-    """``a ** b``, except that an int power whose result no float can hold
-    raises OverflowError, found before the exact power is computed: an
-    exact power of ints takes time and memory that grow with the result
-    (``2 ** floor(x1)`` at x1 = 1e12 would take hours)."""
-    if type(a) is int and type(b) is int and b > 0:
-        if (a.bit_length() - 1) * b < 1024:  # else |a ** b| >= 2 ** 1024
-            out = a ** b
-            if -_FLOAT_MAX <= out <= _FLOAT_MAX:
-                return out
-        raise OverflowError("int power too large for a float")
-    return a ** b
+    """``a ** b`` as numpy's float64 scalar power: per point, and elementwise
+    in the batched form."""
+    return np.float64(a) ** b
 
 
-_OBJECT = np.dtype(object)
-_Square = np.frompyfunc(lambda v: _power(v, 2) if type(v) is int else v * v, 1, 1)
+def _divide(a, b):
+    """``a / b`` as float64 division, of numbers and arrays alike: ``x / 0``
+    is ±inf or nan."""
+    return np.float64(a) / np.float64(b)
 
 
 def _square(a):
-    """``a ** 2`` as the one correctly rounded product ``a * a``; numpy's
-    multiply on arrays and float64 elements alike.  An int, alone or in an
-    object array, squares under :func:`_power`'s bound."""
-    if type(a) is int:
-        return _power(a, 2)
-    if getattr(a, "dtype", None) is _OBJECT:
-        return _Square(a)
+    """``a ** 2`` as the one correctly rounded product ``a * a``."""
     return a * a
 
 
@@ -284,28 +268,8 @@ def _truth(v) -> np.ndarray:
     return v if v.dtype == bool else v.astype(bool)
 
 
-def _pow(a, b):
-    out = _power(a, b)
-    if type(out) is complex:  # numpy's scalar power returns nan here instead
-        raise ValueError("complex power")
-    return out
-
-
-def _divide(a, b):
-    """``a / b``, raising where numpy's quotient is a division by zero or
-    invalid, so that the rows fall back to the per-point form: there a
-    Python number (an int from a truth value or ``floor``) over zero
-    raises ZeroDivisionError where numpy's int64 array gives inf or nan."""
-    with np.errstate(divide="raise", invalid="raise"):
-        return a / b
-
-
 def _pick(c, a, b):
-    """``np.where(c, a, b)``, of Python values when only one of a and b holds
-    truth values: numpy would make False 0.0, which negates to -0.0, not 0."""
-    a, b = np.asarray(a), np.asarray(b)
-    if (a.dtype == bool) != (b.dtype == bool):
-        a = a.astype(object)
+    """``np.where(c, a, b)`` with Python's truthiness of ``c``."""
     return np.where(_truth(c), a, b)
 
 
@@ -340,20 +304,21 @@ _BATCH_NAMESPACE = {
     "_or": lambda a, b: _pick(a, a, b),
     "_where": _pick,
     "_all": _all,
-    "_Pow": np.frompyfunc(_pow, 2, 1),
-    "_Div": _divide,
+    "_Pow": np.frompyfunc(_power, 2, 1),
+    "_floor": _NAMESPACE["floor"],
+    "_ceil": _NAMESPACE["ceil"],
     "_FloorDiv": np.frompyfunc(operator.floordiv, 2, 1),
     "_Mod": np.frompyfunc(operator.mod, 2, 1),
     **{f"_{k}": np.frompyfunc(v, 1, 1) for k, v in _NAMESPACE.items()
-       if callable(v) and k not in ("abs", "min", "max")},
+       if callable(v) and k not in ("abs", "min", "max", "floor", "ceil")},
 }
 
-# the globals of both lambdas: their names are disjoint but for _number and
-# _square, which serve both forms (and _power, which a constant power in the
-# batched text shares with the per-point text); a free name of a lambda body
-# resolves here
-_GLOBALS = {"__builtins__": {}, **_NAMESPACE, **_BATCH_NAMESPACE, "_number": _number, "_square": _square,
-            "_power": _power}
+# the globals of both lambdas: their names are disjoint but for the helpers
+# that serve both forms (_number takes a truth value, or an array of them, as
+# float64; _power also serves a constant power in the batched text); a free
+# name of a lambda body resolves here
+_GLOBALS = {"__builtins__": {}, **_NAMESPACE, **_BATCH_NAMESPACE, "_number": np.float64, "_square": _square,
+            "_power": _power, "_divide": _divide}
 
 
 def _rows_form(batched: Callable, per_point: Callable, finish: Callable) -> Callable:
