@@ -54,6 +54,7 @@ import numpy as np
 
 __all__ = ["ExpressionError", "scalar_fn", "vector_fn", "predicate_fn", "rows_of"]
 
+
 def _rounding(fn: Callable) -> Callable:
     """``fn``, numpy's floor or ceil, on float64: a truth value is 0.0 or
     1.0, and ±inf and nan pass through.  Rounding to an integer is exact,

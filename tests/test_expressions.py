@@ -92,8 +92,8 @@ _EXTRA = [
     "log(x1) if x1 > 0 else -x1",  # log of a negative number in the branch not taken
     "x1 / x2", "(x1 > 0) + (x2 <= 0) * 2", "pi * x1 + e", "3 ** 2 + x1",
     "(x1 - x2) ** 2", "(x1 > 0) ** 2 + x1", "x1 ** 2.0 - 3 ** 2",
-    "-(0 if x1 else x1)",  # once 0 per point and -0.0 from the rows
-    "(1e999 if x1 else x1) / 0",  # once ZeroDivisionError per point and inf from the rows
+    "-(0 if x1 else x1)",  # a literal branch negates to -0.0 in both forms
+    "(1e999 if x1 else x1) / 0",  # a float over zero is inf in both forms, not an error
 ]
 
 
@@ -107,7 +107,7 @@ _TRUTH = [
     "(x1 > 0 if x2 > 0 else x2 < 0) + (x1 < 0)", "-(x2 if x1 > 0 else x1 > 1)",
     "-(x1 > 0 and x2)", "(x1 > 0 or x2) ** 2 + (x2 > 0) ** 3",
     "(x1 > 0) // 1 + (x2 > 0) % 2 + (x1 > 0) / 2 + True",
-    "(x1 > 0) * 1000000000000000000 * 100",  # once 1e20 per point and int64's wrap from the rows
+    "(x1 > 0) * 1000000000000000000 * 100",  # past int64: a truth value is a float
 ]
 
 
@@ -439,8 +439,7 @@ def _stacked(f, X):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(_cases())
-# powers of a NaN: once Python's power in one form and numpy's in the other,
-# which give NaNs of opposite sign
+# a power of a NaN keeps one sign: both forms run the same float64 power
 @example(("x1 ** 3", 1, np.array([[-math.nan]])))
 @example(("(x1 - x1) ** 1", 1, np.array([[math.inf]])))
 def test_rows_equal_stacked_per_point_values_on_random_trees(case):
