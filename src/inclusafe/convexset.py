@@ -166,7 +166,7 @@ class ConvexCompactSet:
             raise DimensionMismatchError(
                 f"directions have dimension {D.shape[1]}, set has {self.dimension}"
             )
-        vals = (D @ self.points.T).max(axis=1) + 0.0  # a tied zero as +0.0
+        vals = (self.points @ D.T).max(axis=0) + 0.0  # a tied zero as +0.0
         if self.radius > 0.0:
             vals = vals + self.radius * np.linalg.norm(D, axis=1)
         return vals
@@ -340,38 +340,29 @@ def row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(D[:, None, :], D)[:, 0])
 
 
-def _point_max(prod: np.ndarray) -> np.ndarray:
-    """``prod.max(axis=2)`` of an (m, d, K) product, a tied zero as +0.0.
-
-    The max is exact either way it is taken: one ``np.maximum`` per point
-    column when the product has at least as many rows as points (numpy's
-    reduce over a short innermost axis takes one output at a time), else
-    the reduce.  On a tie of +0.0 and -0.0 the zero a max returns depends
-    on its order, so it is made +0.0, as in ``support_many``."""
-    m, _, c = prod.shape
-    if m >= c:
-        top = prod[:, :, 0].copy()
-        for k in range(1, c):
-            np.maximum(top, prod[:, :, k], out=top)
-    else:
-        top = prod.max(axis=2)
-    top += 0.0
-    return top
-
-
 def _supports(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, D: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """:func:`support_rows` without the finiteness check, given the norms of
-    the directions: one product per point count, each row in the shape of
-    its own per-set product, and its max by :func:`_point_max`.  A product
-    over the padded width rounds differently: a one-point set is a
-    matrix-vector product, and from about 180 columns on, BLAS rounds the
-    last columns differently, so a padding copy can exceed its original."""
-    out = np.empty((len(counts), D.shape[0]))
-    for c in set(counts.tolist()):
-        rows = counts == c
-        out[rows] = _point_max(np.matmul(D, points[rows, :c].transpose(0, 2, 1)))
+    the directions.  Each row's product is point-major, ``points @ D.T`` of
+    its own K points as in ``support_many``, and its max over those points;
+    rows of one point count share one stacked product.  A product over the
+    padded width rounds differently: BLAS may round a padding copy apart
+    from its original.  With one point count, and with a ball on every row
+    or on none, no row mask is built."""
+    sizes = set(counts.tolist())
+    if len(sizes) == 1:
+        out = np.matmul(points[:, :sizes.pop()], D.T).max(axis=1)
+    else:
+        out = np.empty((len(counts), D.shape[0]))
+        for c in sizes:
+            rows = counts == c
+            out[rows] = np.matmul(points[rows, :c], D.T).max(axis=1)
+    out += 0.0  # a tied zero as +0.0, as in support_many
     ball = radii > 0.0
-    out[ball] += radii[ball, None] * norms
+    held = np.count_nonzero(ball)
+    if held == ball.size:
+        out += radii[:, None] * norms
+    elif held:
+        out[ball] += radii[ball, None] * norms
     return out
 
 

@@ -356,39 +356,48 @@ def test_row_kernels_are_exact_on_wide_stacks(n):
         assert contains_rows(*a, V, tol).tolist() == [contains(s, v, tol) for s, v in zip(sets_a, V)]
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_supports_equal_per_set_values_on_both_sides_of_the_column_rule(n):
-    """The max over K points is one ``np.maximum`` per point column when
-    the product has m >= K rows, else the reduce; either way the bytes are
-    ``support_many``'s."""
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_supports_equal_per_set_values_bit_for_bit(n):
+    """One point count (one stacked product, no row mask) and mixed counts,
+    with a ball on every row, on some rows or on none, from 1 to 300
+    points; the bytes are ``support_many``'s."""
     from inclusafe.convexset import _supports
 
-    rng = np.random.default_rng(400 + n)
-    dirs = unit_directions(n, 64)
+    rng = np.random.default_rng(410 + n)
+    dirs = unit_directions(n)
     norms = np.linalg.norm(dirs, axis=1)
-    for K in (2, 13, 49):
-        for m in (K - 1, K, K + 1):
-            points = rng.standard_normal((m, K, n))
-            radii = rng.choice([0.0, 0.5], m)
-            got = _supports(points, np.full(m, K), radii, dirs, norms)
-            want = np.array([ConvexCompactSet(p, r).support_many(dirs) for p, r in zip(points, radii)])
-            assert got.tobytes() == want.tobytes(), (K, m)
+    for K in (1, 2, 13, 49, 97, 181, 300):
+        for m in (1, 5):
+            points = rng.standard_normal((m, K, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1, 1))
+            mixed = rng.integers(1, K + 1, m)
+            mixed[0] = K
+            for counts in (np.full(m, K), mixed):
+                for radii in (np.zeros(m), rng.uniform(0.1, 2.0, m), np.where(np.arange(m) % 2, 0.5, 0.0)):
+                    got = _supports(points, counts, radii, dirs, norms)
+                    want = np.array([ConvexCompactSet(p[:c], r).support_many(dirs)
+                                     for p, c, r in zip(points, counts, radii)])
+                    assert got.tobytes() == want.tobytes(), (K, m, counts.tolist(), radii.tolist())
 
 
-def test_point_max_makes_a_tied_zero_positive_on_both_sides_of_the_column_rule():
-    # on ties of signed zeros the column loop and numpy's SIMD reduce pick
-    # different zeros; both sides must give +0.0
-    from inclusafe.convexset import _point_max
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_supports_make_a_tied_zero_positive(n):
+    """Points of signed zeros and products that underflow: a max of tied
+    zeros returns either zero, by its order, and BLAS itself returns -0.0
+    for some shapes (one direction in five dimensions with OpenBLAS).  The
+    kernel and ``support_many`` both give +0.0 for every zero."""
+    from inclusafe.convexset import _supports
 
     rng = np.random.default_rng(401)
-    for K in range(1, 79):
-        for m in (K - 1, K):
-            prod = rng.choice([0.0, -0.0], (m, 8, K))
-            prod[:, 0] = -0.0  # a row of negative zeros stays a zero
-            prod[:, 1, -1] = -1.0
-            got = _point_max(prod)
-            assert got.tobytes() == (prod.max(axis=2) + 0.0).tobytes(), (K, m)
-            assert not np.signbit(got[got == 0.0]).any(), (K, m)
+    for K in range(1, 33):
+        points = rng.choice([0.0, -0.0, -1e-200], (4, K, n))
+        for d in (1, 2, 16):
+            dirs = np.where(rng.random((d, n)) < 0.5, 1e-200, -0.0)
+            norms = np.linalg.norm(dirs, axis=1)
+            for counts in (np.full(4, K), rng.integers(1, K + 1, 4)):
+                got = _supports(points, counts, np.zeros(4), dirs, norms)
+                want = np.array([ConvexCompactSet(p[:c]).support_many(dirs) for p, c in zip(points, counts)])
+                assert got.tobytes() == want.tobytes(), (K, d)
+                assert not np.signbit(got[got == 0.0]).any(), (K, d)
 
 
 def test_interval_rows_equal_interval_bounds():
