@@ -17,6 +17,7 @@ lattice, merged per row; :meth:`SetValuedMap.ball_hull` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -145,7 +146,9 @@ def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, group: in
     m, width, n = A.shape
     G = m // group
     radii = radius.reshape(G, group)
-    rmax = radii.max(axis=1)
+    # the first largest radius of each run, as Python's max takes it in
+    # merge_parts: numpy's max may return either zero of a tie of 0.0 and -0.0
+    rmax = radii[np.arange(G), radii.argmax(axis=1)]
     plain = ((radii == rmax[:, None]) | (radii == 0.0)).all(axis=1)
     sizes = counts.reshape(G, group).sum(axis=1)
     points = A.reshape(G, group * width, n)
@@ -257,10 +260,12 @@ class SetValuedMap:
         row.  Rows where several pieces hold are taken by their pattern of
         active pieces: a pattern whose merge just concatenates batched
         points (see :func:`_overlap`) is one pass, and the other rows are
-        merged through the per-point rule.  Runs whose rows all share the
-        largest radius or have radius 0 (the rule then just concatenates
-        points) are assembled as arrays; the others go through the
-        per-point rule too.
+        merged through the per-point rule.  When every row then holds one
+        point count and one radius, each run is its rows' points
+        concatenated (:func:`_concatenated`).  Otherwise runs whose rows
+        all share the largest radius or have radius 0 (the rule then just
+        concatenates points) are assembled as arrays; the others go through
+        the per-point rule too.
         """
         m, n = X.shape
         piece = self._sole
@@ -328,6 +333,11 @@ class SetValuedMap:
             radius[i] = r
         if group == 1:
             return A, counts, radius
+        if not merged and len({(pts.shape[1], r, math.copysign(1.0, r)) for _, pts, r in fills}) == 1:
+            # one point count and one radius, to its sign, on every row
+            whole = _concatenated(A, fills[0][2], group)
+            if whole is not None:
+                return whole
         return _merge_runs(A, counts, radius, group)
 
     def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -351,6 +351,46 @@ def test_ball_hull_of_one_piece_too_large_to_concatenate_leaves_its_rows_alone()
     _assert_ball_hull_is_per_point(f, [0.3, -0.2], 0.5, 9, 0.0)
 
 
+def test_multi_piece_ball_hulls_equal_per_point_hulls_bit_for_bit(monkeypatch):
+    """Lattice rows of several pieces: where every row holds one point count
+    and one radius (to its sign) each run just concatenates its rows, and
+    rows of other counts, radii or zero signs still reach ``_merge_runs``.
+    Every hull, the sign of a zero radius included, is the per-point one."""
+    import inclusafe.svmap as svmap
+
+    calls = []
+    merge_runs = svmap._merge_runs
+    monkeypatch.setattr(svmap, "_merge_runs", lambda *args: calls.append(1) or merge_runs(*args))
+
+    def halves(left, right):
+        return SetValuedMap(1, [
+            constant_piece(lambda x: x[0] <= 0.0, *left),
+            constant_piece(lambda x: x[0] > 0.0, *right),
+        ])
+
+    # centers whose lattice of radius 0.5 straddles x1 = 0 without a row
+    # on it, lies on one side, or (0.25) has a row exactly on it
+    straddle, on_zero = [[-0.3], [0.1], [0.3], [-1.0], [1.0]], [[0.25], [-0.3]]
+    cases = [
+        (_example1_map(), straddle, False),
+        (_example1_map(), on_zero, True),  # the interface row holds 4 points
+        (halves(([[2.0]], 0.0), ([[-1.0], [1.5]], 0.0)), straddle, True),
+        (halves(([[2.0]], 0.1), ([[-1.0]], 0.3)), straddle, True),
+        (halves(([[2.0]], -0.0), ([[-1.0]], -0.0)), straddle, False),
+        (halves(([[2.0]], 0.0), ([[-1.0]], -0.0)), straddle, True),
+        (halves(([[2.0]], -0.0), ([[-1.0]], 0.0)), straddle, True),
+    ]
+    for f, centers, merged in cases:
+        for slack in (0.0, 1e-6):
+            calls.clear()
+            points, counts, radii = f.ball_hulls(centers, 0.5, 9, slack)
+            assert bool(calls) == merged
+            for i, center in enumerate(centers):
+                want = _per_point_hull(f, np.array(center), 0.5, 9, slack)
+                assert points[i, :counts[i]].tobytes() == want.points.tobytes()
+                assert radii[i:i + 1].tobytes() == np.float64(want.radius).tobytes()
+
+
 def test_ball_hull_raises_when_no_piece_covers_a_lattice_point():
     f = SetValuedMap(1, [
         constant_piece(lambda x: x[0] <= 0.0, [[1.0]]),
