@@ -200,10 +200,12 @@ class _Watch:
     def observe(self, k: int, trials: np.ndarray, S: np.ndarray) -> None:
         """Record the states ``S`` that ``trials`` reached at step k."""
         unsafe = self.unsafe(S)
-        if not np.count_nonzero(unsafe):
+        held = np.count_nonzero(unsafe)
+        if not held:
             return
-        trials = trials[unsafe]
-        d = self.depth_fn(S[unsafe])
+        if held < unsafe.size:
+            trials, S = trials[unsafe], S[unsafe]
+        d = self.depth_fn(S)
         deeper = d > self.depth[trials]
         self.depth[trials[deeper]] = d[deeper]
         new = (d >= self.threshold) & (self.hit[trials] < 0)

@@ -373,6 +373,39 @@ def test_lower_index_hitter_wins_although_a_higher_one_crosses_first():
     assert swapped.hit_time == pytest.approx(0.2, abs=0.011)
 
 
+def test_watch_observe_equals_a_per_row_loop():
+    from inclusafe.flow import _Watch
+
+    def unsafe(S):
+        return S[:, 0] > 0.0
+
+    def depth(S):
+        return S[:, 0] + S[:, 1]
+
+    N, threshold = 8, 1.0
+    rng = np.random.default_rng(31)
+    watch = _Watch(unsafe, depth, threshold, N)
+    want_depth, want_hit, want_winner = [-math.inf] * N, [-1] * N, N
+    for k, kind in enumerate(["none", "some", "all", "some", "all", "none", "all"] * 3):
+        trials = np.sort(rng.choice(N, int(rng.integers(1, N + 1)), replace=False))
+        S = rng.uniform(-1.0, 1.0, (trials.size, 2))
+        if kind != "some":
+            S[:, 0] = np.abs(S[:, 0]) + 1e-3
+            S[:, 0] *= 1.0 if kind == "all" else -1.0
+        watch.observe(k, trials, S)
+        for t, s in zip(trials.tolist(), S):
+            if s[0] > 0.0:
+                d = s[0] + s[1]
+                want_depth[t] = max(want_depth[t], d)
+                if d >= threshold and want_hit[t] < 0:
+                    want_hit[t] = k
+                    want_winner = min(want_winner, t)
+        assert watch.depth.tolist() == want_depth
+        assert watch.hit.tolist() == want_hit
+        assert watch.winner == want_winner
+    assert want_winner < N and -1 in want_hit  # some trials hit, not all
+
+
 def test_hint_outside_the_box_is_counted_but_not_integrated(example2):
     eps = 0.005  # the hint (1/sqrt(eps), 0) lies at x1 ~ 14.1, outside |x1| <= 10
     res = falsify(example2.scenario, eps=eps,
