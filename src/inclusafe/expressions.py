@@ -14,9 +14,10 @@ error.  An int literal is its float, and one that no float holds is an
 ExpressionError at load.  Arithmetic takes a truth value as 0.0 or 1.0:
 ``(x1 > 0) + (x2 > 0)`` is 2.0 where both hold, and ``-(x1 > 0)`` is -0.0
 where x1 <= 0.  ``floor`` and ``ceil`` return floats, and ±inf and nan pass
-through them.  ``/`` and ``**`` follow float64 in both forms: ``x / 0`` is
-±inf or nan, and a power past float range is ±inf, never an exception
-(numpy's ``errstate`` decides whether either warns or raises).
+through them.  ``/``, ``//``, ``%`` and ``**`` follow float64 in both
+forms: ``x / 0`` and ``x // 0`` are ±inf or nan, ``x % 0`` is nan, and a
+power past float range is ±inf, never an exception (numpy's ``errstate``
+decides whether any of them warns or raises).
 
 A square, ``a ** 2`` with the exponent the constant 2 or 2.0, is compiled
 as the one product ``a * a`` (``a`` evaluated once).  IEEE 754 rounds a
@@ -33,10 +34,11 @@ equal bit for bit to stacking the per-point results.  One walk over the
 checked tree emits both forms as source text, and one ``compile()`` call
 makes both lambdas (one lambda serves both where the texts agree; a vector's
 components share the call).  In the batched text, arithmetic, squares,
-``/``, comparisons, boolean operators, conditional expressions, ``abs``,
-``floor`` and ``ceil`` map to numpy directly; ``min`` and ``max`` keep
-Python's rule (a later argument replaces the current one only when strictly
-smaller or larger); other powers, ``//``, ``%`` and the remaining math
+``/``, ``//``, ``%``, comparisons, boolean operators, conditional
+expressions, ``abs``, ``floor`` and ``ceil`` map to numpy directly (numpy's
+scalar and array loops of ``/``, ``//`` and ``%`` round alike); ``min`` and
+``max`` keep Python's rule (a later argument replaces the current one only
+when strictly smaller or larger); other powers and the remaining math
 functions run the very same scalar operation elementwise, since numpy's
 own versions round differently.  When the batched pass raises (say ``log``
 of a negative number in a branch that is not taken) the form evaluates row
@@ -201,10 +203,9 @@ def _emit(node: ast.AST, variables: frozenset) -> tuple[str, str, bool, bool]:
             point, rows = f"_square({lp})", f"_square({lb})"
         elif op is ast.Pow:  # numpy's array power rounds differently
             point, rows = f"_power({lp}, {rp})", f"_Pow({lb}, {rb})"
-        elif op is ast.Div:
-            point, rows = f"_divide({lp}, {rp})", f"_divide({lb}, {rb})"
-        elif op in (ast.FloorDiv, ast.Mod):  # numpy's own versions round differently
-            rows = f"_{op.__name__}({lb}, {rb})"
+        elif op in _FLOAT64:
+            name = _FLOAT64[op]
+            point, rows = f"{name}({lp}, {rp})", f"{name}({lb}, {rb})"
     elif isinstance(node, ast.UnaryOp):
         symbol = _UNARY[type(node.op)]
         if isinstance(node.op, ast.Not):
@@ -254,6 +255,22 @@ def _divide(a, b):
     """``a / b`` as float64 division, of numbers and arrays alike: ``x / 0``
     is ±inf or nan."""
     return np.float64(a) / np.float64(b)
+
+
+def _floordiv(a, b):
+    """``a // b`` as numpy's float64 floor division, of numbers and arrays
+    alike: ``x // 0`` is ±inf or nan."""
+    return np.float64(a) // np.float64(b)
+
+
+def _mod(a, b):
+    """``a % b`` as numpy's float64 remainder, of numbers and arrays alike:
+    ``x % 0`` is nan."""
+    return np.float64(a) % np.float64(b)
+
+
+#: the operators that are one float64 operation, by helper name, in both forms
+_FLOAT64 = {ast.Div: "_divide", ast.FloorDiv: "_floordiv", ast.Mod: "_mod"}
 
 
 def _square(a):
@@ -308,8 +325,6 @@ _BATCH_NAMESPACE = {
     "_Pow": np.frompyfunc(_power, 2, 1),
     "_floor": _NAMESPACE["floor"],
     "_ceil": _NAMESPACE["ceil"],
-    "_FloorDiv": np.frompyfunc(operator.floordiv, 2, 1),
-    "_Mod": np.frompyfunc(operator.mod, 2, 1),
     **{f"_{k}": np.frompyfunc(v, 1, 1) for k, v in _NAMESPACE.items()
        if callable(v) and k not in ("abs", "min", "max", "floor", "ceil")},
 }
@@ -319,7 +334,7 @@ _BATCH_NAMESPACE = {
 # float64; _power also serves a constant power in the batched text); a free
 # name of a lambda body resolves here
 _GLOBALS = {"__builtins__": {}, **_NAMESPACE, **_BATCH_NAMESPACE, "_number": np.float64, "_square": _square,
-            "_power": _power, "_divide": _divide}
+            "_power": _power, "_divide": _divide, "_floordiv": _floordiv, "_mod": _mod}
 
 
 def _rows_form(batched: Callable, per_point: Callable, finish: Callable) -> Callable:

@@ -94,6 +94,9 @@ _EXTRA = [
     "(x1 - x2) ** 2", "(x1 > 0) ** 2 + x1", "x1 ** 2.0 - 3 ** 2",
     "-(0 if x1 else x1)",  # a literal branch negates to -0.0 in both forms
     "(1e999 if x1 else x1) / 0",  # a float over zero is inf in both forms, not an error
+    # a math function's result and a state variable, floor-divided and
+    # reduced by zero: inf or nan in both forms, not an error
+    "sqrt(abs(x1)) // 0", "sqrt(abs(x1)) % 0", "x1 // 0", "x1 % 0",
 ]
 
 
