@@ -69,7 +69,7 @@ def constant_piece(predicate, points, radius=0.0, label="") -> Piece:
     stacked = fixed.points[None]
 
     def rows(X):
-        return np.repeat(stacked, X.shape[0], axis=0), fixed.radius
+        return stacked.repeat(X.shape[0], axis=0), fixed.radius
 
     return Piece(predicate, lambda x, _s=fixed: _s, label, rows)
 
@@ -111,12 +111,14 @@ def polynomial_piece(predicate, components: Sequence[str], dimension: int, radiu
 
 
 def _concatenated(pts: np.ndarray, radius: float, group: int):
-    """The run hulls when every row holds one piece's points ``pts[i]``
-    with one radius: each run concatenates its rows' points, unless that
-    leaves more than :data:`PRUNE_THRESHOLD` points to prune (then None)."""
-    G, size = pts.shape[0] // group, pts.shape[1] * group
+    """The run hulls when every row i holds the points ``pts[i]`` with one
+    radius: each run concatenates its rows' points, unless that leaves more
+    than :data:`PRUNE_THRESHOLD` points to prune (then :func:`_merge_runs`
+    prunes them)."""
+    m, c, _ = pts.shape
+    G, size = m // group, c * group
     if group > 1 and size > PRUNE_THRESHOLD:
-        return None
+        return _merge_runs(pts, np.full(m, c), np.full(m, float(radius)), group)
     counts, radii = np.empty(G, dtype=int), np.empty(G)
     counts.fill(size)
     radii.fill(radius)
@@ -189,6 +191,10 @@ class SetValuedMap:
             raise ValueError("a set-valued map needs at least one piece")
         self.dimension = int(dimension)
         self.pieces = pieces
+        # per piece: its predicate's value when it reads no state, else None,
+        # and its batched form
+        self._tests = [(getattr(p.predicate, "constant", None), expressions.rows_of(p.predicate, bool))
+                       for p in pieces]
         # the one piece, when it has a batched form and holds everywhere
         sole = pieces[0]
         always = len(pieces) == 1 and getattr(sole.predicate, "constant", None) is True
@@ -238,14 +244,13 @@ class SetValuedMap:
         m = X.shape[0]
         active = np.empty((len(self.pieces), m), dtype=bool)
         probes = None
-        for k, piece in enumerate(self.pieces):
-            constant = getattr(piece.predicate, "constant", None)
+        for k, (constant, rows) in enumerate(self._tests):
             if constant is not None:
                 active[k] = constant
                 continue
             if probes is None:
                 probes = X if slack <= 0.0 else self._probes(X, slack).reshape(-1, self.dimension)
-            hit = expressions.rows_of(piece.predicate, bool)(probes)
+            hit = rows(probes)
             active[k] = hit if slack <= 0.0 else hit.reshape(m, -1).any(axis=1)
         return active
 
@@ -261,8 +266,8 @@ class SetValuedMap:
         active pieces: a pattern whose merge just concatenates batched
         points (see :func:`_overlap`) is one pass, and the other rows are
         merged through the per-point rule.  When every row then holds one
-        point count and one radius, each run is its rows' points
-        concatenated (:func:`_concatenated`).  Otherwise runs whose rows
+        point count and one radius, the rows go to :func:`_concatenated`
+        as one array.  Otherwise runs whose rows
         all share the largest radius or have radius 0 (the rule then just
         concatenates points) are assembled as arrays; the others go through
         the per-point rule too.
@@ -276,22 +281,18 @@ class SetValuedMap:
                 # one piece holds on every row and no other piece anywhere
                 piece = self.pieces[held.index(m)]
         if piece is not None:
-            pts, r = piece.rows(X)
-            whole = _concatenated(pts, r, group)
-            if whole is not None:
-                return whole
-            return _merge_runs(pts, np.full(m, pts.shape[1]), np.full(m, float(r)), group)
+            return _concatenated(*piece.rows(X), group)
         hits = active.sum(axis=0)
         if np.count_nonzero(hits) < m:
             x = X[np.argmin(hits)]
             raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
-        lone = hits == 1
+        own = active & (hits == 1)  # the rows where each piece holds alone
         fills = []  # (rows, points, radius) of pieces evaluated in one pass
         filled = 0
-        for piece, mask in zip(self.pieces, active):
+        for piece, mask in zip(self.pieces, own):
             if piece.rows is None:
                 continue
-            rows = (mask & lone).nonzero()[0]
+            rows = mask.nonzero()[0]
             if rows.size:
                 pts, r = piece.rows(X[rows])
                 fills.append((rows, pts, float(r)))
@@ -315,6 +316,12 @@ class SetValuedMap:
                     continue
                 for i in rows.tolist():
                     merged[i] = merge_parts([(s.points, s.radius) for s in (piece.image(X[i]) for piece in pieces)])
+        if not merged and len({(pts.shape[1], r, math.copysign(1.0, r)) for _, pts, r in fills}) == 1:
+            # one point count and one radius, to its sign, on every row
+            A = np.empty((m, *fills[0][1].shape[1:]))
+            for rows, pts, _ in fills:
+                A[rows] = pts
+            return _concatenated(A, fills[0][2], group)
         width = max([pts.shape[1] for _, pts, _ in fills] + [len(p) for p, _ in merged.values()])
         A = np.empty((m, width, n))
         counts = np.empty(m, dtype=int)
@@ -333,11 +340,6 @@ class SetValuedMap:
             radius[i] = r
         if group == 1:
             return A, counts, radius
-        if not merged and len({(pts.shape[1], r, math.copysign(1.0, r)) for _, pts, r in fills}) == 1:
-            # one point count and one radius, to its sign, on every row
-            whole = _concatenated(A, fills[0][2], group)
-            if whole is not None:
-                return whole
         return _merge_runs(A, counts, radius, group)
 
     def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
