@@ -140,7 +140,7 @@ def constant_policy(v) -> SelectionPolicy:
         return vv
 
     def rows(X):
-        return np.tile(vv, (X.shape[0], 1))
+        return vv[None].repeat(X.shape[0], axis=0)
 
     return SelectionPolicy(f"constant({', '.join(f'{c:g}' for c in vv)})", select, verify=True, rows=rows)
 
@@ -288,13 +288,16 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     # per policy: (policy, slice of rows, what it draws on: the rows of its
     # trials in the block for a normals policy, else their generators)
     parts = None
+    cut = N  # the winner whose higher-index trials have retired (N: none)
     if watch is not None:
         watch.observe(0, live, S)
     for k in range(1, nsteps + 1):
-        if watch is not None and watch.winner < N and live.size and live.max() > watch.winner:
-            keep = live <= watch.winner
-            lengths[live[~keep]] = k
-            live, S, parts = live[keep], S[keep], None
+        if watch is not None and watch.winner < cut:
+            cut = watch.winner
+            keep = live <= cut
+            if not keep.all():
+                lengths[live[~keep]] = k
+                live, S, parts = live[keep], S[keep], None
         if not live.size:
             break
         if parts is None:
