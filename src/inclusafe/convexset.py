@@ -358,10 +358,9 @@ def _supports(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, D: np.n
             out[rows] = np.matmul(points[rows, :c], D.T).max(axis=1)
     out += 0.0  # a tied zero as +0.0, as in support_many
     ball = radii > 0.0
-    held = np.count_nonzero(ball)
-    if held == ball.size:
+    if ball.all():
         out += radii[:, None] * norms
-    elif held:
+    elif ball.any():
         out[ball] += radii[ball, None] * norms
     return out
 
@@ -412,7 +411,7 @@ def interval_rows(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np
     """:meth:`ConvexCompactSet.interval_bounds` of every row of a 1-D
     padded stack, as arrays (lo, hi)."""
     col = points[:, :, 0]
-    return col.min(axis=1) - radii, col.max(axis=1) + radii
+    return np.minimum.reduce(col, axis=1) - radii, np.maximum.reduce(col, axis=1) + radii
 
 
 def hausdorff_rows(a: tuple, b: tuple, *, directions: int = DEFAULT_DIRECTIONS) -> np.ndarray:

@@ -345,7 +345,7 @@ def _rows_form(batched: Callable, per_point: Callable, finish: Callable) -> Call
     def rows(X):
         X = np.asarray(X, dtype=float)
         try:
-            return finish(batched(*(X[:, i] for i in range(X.shape[1]))), X.shape[0])
+            return finish(batched(*X.T), X.shape[0])
         except (ArithmeticError, ValueError, TypeError):
             # the per-point form raises (or not) exactly where it should
             return finish(np.array([per_point(x) for x in X]), X.shape[0])
