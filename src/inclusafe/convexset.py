@@ -16,9 +16,12 @@ a row's set, and :func:`support_rows` is ``support_many``,
 :func:`support_pairs` ``support``, :func:`extreme_rows` ``extreme_point``,
 :func:`interval_rows` ``interval_bounds``, :func:`contains_rows`
 :func:`contains`, :func:`hausdorff_rows` :func:`hausdorff`, and
-:func:`row_norms` ``np.linalg.norm`` of each vector.  The support and
-distance kernels raise ValueError, as building the sets would, if a row is
-not finite.
+:func:`row_norms` ``np.linalg.norm`` of each vector.  Support values are
+point-major in both forms: a set's product is ``points @ D.T``, one row per
+point, and its support is the max over those rows, a tied zero as +0.0; a
+stack takes one such product per point count, each row in the shape of
+its own set.  The support and distance kernels raise ValueError, as
+building the sets would, if a row is not finite.
 
 scipy is imported only on the first call that needs Qhull: the hull of more
 than :data:`PRUNE_THRESHOLD` points in two or more dimensions.  Qhull is

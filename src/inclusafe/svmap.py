@@ -193,7 +193,7 @@ class SetValuedMap:
         self.pieces = pieces
         # per piece: its predicate's value when it reads no state, else None,
         # and its batched form
-        self._tests = [(getattr(p.predicate, "constant", None), expressions.rows_of(p.predicate, bool))
+        self._predicates = [(getattr(p.predicate, "constant", None), expressions.rows_of(p.predicate, bool))
                        for p in pieces]
         # the one piece, when it has a batched form and holds everywhere
         sole = pieces[0]
@@ -244,7 +244,7 @@ class SetValuedMap:
         m = X.shape[0]
         active = np.empty((len(self.pieces), m), dtype=bool)
         probes = None
-        for k, (constant, rows) in enumerate(self._tests):
+        for k, (constant, rows) in enumerate(self._predicates):
             if constant is not None:
                 active[k] = constant
                 continue
@@ -266,11 +266,10 @@ class SetValuedMap:
         active pieces: a pattern whose merge just concatenates batched
         points (see :func:`_overlap`) is one pass, and the other rows are
         merged through the per-point rule.  When every row then holds one
-        point count and one radius, the rows go to :func:`_concatenated`
-        as one array.  Otherwise runs whose rows
-        all share the largest radius or have radius 0 (the rule then just
-        concatenates points) are assembled as arrays; the others go through
-        the per-point rule too.
+        point count and one radius, the rows go to :func:`_concatenated` as
+        one array.  Otherwise runs whose rows all share the largest radius
+        or have radius 0 (the rule then just concatenates points) are
+        assembled as arrays; the others go through the per-point rule too.
         """
         m, n = X.shape
         piece = self._sole
