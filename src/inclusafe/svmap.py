@@ -194,10 +194,10 @@ class SetValuedMap:
         # per piece: its predicate's value when it reads no state, else None,
         # and its batched form
         self._predicates = [(getattr(p.predicate, "constant", None), expressions.rows_of(p.predicate, bool))
-                       for p in pieces]
+                            for p in pieces]
         # the one piece, when it has a batched form and holds everywhere
         sole = pieces[0]
-        always = len(pieces) == 1 and getattr(sole.predicate, "constant", None) is True
+        always = len(pieces) == 1 and self._predicates[0][0] is True
         self._sole = sole if always and sole.rows is not None else None
 
     def _probes(self, X: np.ndarray, slack: float) -> np.ndarray:
