@@ -619,9 +619,12 @@ def run(
     if command in ("falsify", "all") and pert:
         # an eps flag re-wraps the base dynamics in the run's mode and
         # density; without it the config's perturbed dynamics run as they are
-        result = falsify(scenario, eps, FalsifyBudget(**{"seed": seed, **work.get("falsify", {})}),
-                         hints=bundle_scenario.hints(pert["margin"]),
-                         **_keys(pert, "mode", "density"))
+        try:
+            result = falsify(scenario, eps, FalsifyBudget(**{"seed": seed, **work.get("falsify", {})}),
+                             hints=bundle_scenario.hints(pert["margin"]),
+                             **_keys(pert, "mode", "density"))
+        except CANNOT_RUN as e:
+            raise ConfigError(f"falsification cannot run on this scenario: {e}") from e
         fals_out = result.to_dict()
         if result.found:
             exit_code = 1

@@ -406,7 +406,9 @@ def vector_fn(expressions: Sequence[str], dimension: int) -> Callable[[Sequence[
     """Compile a list of component expressions into ``f(x) -> ndarray``.
 
     ``f.rows(X)`` evaluates it at every row of an (m, n) array at once and
-    returns an (m, k) array for k components.
+    returns an (m, k) array for k components.  The ``constant`` attribute
+    holds the (read-only) value when no component reads a state variable,
+    as for :func:`predicate_fn`, and None otherwise.
     """
     variables = [f"x{i + 1}" for i in range(dimension)]
     forms = [_emit(_parsed(e, variables, "vector component"), frozenset(variables)) for e in expressions]
@@ -426,6 +428,13 @@ def vector_fn(expressions: Sequence[str], dimension: int) -> Callable[[Sequence[
         return value.reshape(m, k)
 
     wrapped.expressions = list(expressions)
+    wrapped.constant = None
+    if not any(form[2] for form in forms):
+        try:
+            wrapped.constant = wrapped([0.0] * dimension)
+            wrapped.constant.setflags(write=False)
+        except (ArithmeticError, ValueError, TypeError):
+            pass  # a domain error stays the caller's concern
     wrapped.rows = _rows_form(batched, wrapped, finish)
     return wrapped
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .convexset import contains_rows, extreme_rows, interval_rows, row_norms, row_set
-from .svmap import PerturbedSystem, unperturbed
+from .svmap import PerturbedSystem, _image_kernel, unperturbed
 from . import expressions
 
 __all__ = [
@@ -85,15 +85,36 @@ def b_ascent(barrier) -> SelectionPolicy:
     """Extreme point of the image in the barrier gradient direction.
 
     On the candidate's singular set, or where the gradient vanishes, the
-    direction is a standard normal draw instead.
+    direction is a standard normal draw instead.  Where the gradient oracle
+    raises, :meth:`BarrierCandidate.gradient_rows` raises its error for the
+    first such row.  A gradient that reads no state, is at least 1e-12 long
+    and has no singular set beside it gives the same direction rows on
+    every step; they are made once per row count.
     """
 
-    gradient = None if barrier.gradient is None else expressions.rows_of(barrier.gradient)
+    rows = None if barrier.gradient is None else expressions.rows_of(barrier.gradient)
     on_singular = None if barrier.singular is None else expressions.rows_of(barrier.singular, bool)
+    constant = getattr(barrier.gradient, "constant", None) if on_singular is None else None
+    if constant is not None and not row_norms(constant[None])[0] >= 1e-12:
+        constant = None
+    fixed = {}  # the direction rows of a constant gradient, by row count
+
+    def gradient(X):
+        try:
+            return rows(X)
+        except (ArithmeticError, ValueError, TypeError):
+            barrier.gradient_rows(X)  # raises GradientOracleError at the first row that does
+            raise
 
     def directions(X, rngs):
         m, n = X.shape
-        if gradient is None:
+        if constant is not None and constant.size == n:
+            G = fixed.get(m)
+            if G is None:
+                G = fixed[m] = constant[None].repeat(m, axis=0)
+                G.setflags(write=False)
+            return G
+        if rows is None:
             barrier.gradient_at(X[0])  # raises the per-point error
         if on_singular is None:
             G = gradient(X).reshape(m, n)
@@ -289,6 +310,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     # trials in the block for a normals policy, else their generators)
     parts = None
     cut = N  # the winner whose higher-index trials have retired (N: none)
+    images = _image_kernel(system)
     if watch is not None:
         watch.observe(0, live, S)
     for k in range(1, nsteps + 1):
@@ -312,7 +334,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             for p, sel, source in parts:
                 if p.normals is not None:
                     normals[source, :size] = [rng.standard_normal((size, n)) for rng in streams[live[sel]]]
-        points, counts, radii = system.images(S)
+        points, counts, radii = images(S)
         if backward:
             points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
         if steered:
@@ -469,6 +491,36 @@ def _velocity_bound(system, points) -> float:
     return float(np.fmax.reduce(vals, initial=0.0))
 
 
+def _trials(scenario, budget: FalsifyBudget, hints: Sequence[Hint], grid: np.ndarray) -> list:
+    """The (start, policy, label) trials of a falsification, in order: the
+    hints, each with its own policy if it pins one, then the starts that
+    ``budget.starts`` leaves beside them, drawn from the initial set (or
+    from the zero sublevel set of the ``grid`` nodes when the initial set
+    has no grid samples) biased toward small |B|, each run with b-ascent,
+    then with random-extreme."""
+    bar = scenario.barrier
+    pool = scenario.initial_samples()
+    if pool.shape[0] == 0:
+        pool = grid[bar.value_rows(grid) <= scenario.tolerances.tol]
+    if pool.shape[0] == 0:
+        raise ValueError("no admissible start points inside the domain box")
+    weights = 1.0 / (0.1 + np.abs(bar.value_rows(pool)))
+    weights = weights / weights.sum()
+
+    policies = [b_ascent(bar), random_extreme()]
+
+    starts: list[tuple[np.ndarray, Optional[SelectionPolicy], str]] = []
+    for hint in hints:
+        starts.append((np.asarray(hint.x0, dtype=float).reshape(-1), hint.policy, hint.label or "hint"))
+    n_random = max(0, budget.starts - len(starts))
+    if n_random and pool.shape[0]:
+        picks = np.random.default_rng(budget.seed).choice(pool.shape[0], size=n_random, p=weights)
+        for i in picks:
+            starts.append((pool[i].copy(), None, "sampled"))
+    return [(x0, pol, label) for x0, pinned, label in starts
+            for pol in ([pinned] if pinned is not None else policies)]
+
+
 def falsify(
     scenario,
     eps: Optional[float] = None,
@@ -524,7 +576,6 @@ def falsify(
         margin = system.margin if isinstance(system, PerturbedSystem) else 0.0
         step = 1e-3 if callable(margin) or not margin > 0.0 else min(1e-3, margin / 50.0)
 
-    rng = np.random.default_rng(budget.seed)
     bar = scenario.barrier
     unsafe = expressions.rows_of(scenario.unsafe, bool)
     depth_fn = bar.value_rows if scenario.depth is None else expressions.rows_of(scenario.depth)
@@ -540,27 +591,7 @@ def falsify(
     if room > 0.0:
         threshold = min(threshold, room)
 
-    pool = scenario.initial_samples()
-    if pool.shape[0] == 0:
-        pool = grid[bar.value_rows(grid) <= scenario.tolerances.tol]
-    if pool.shape[0] == 0:
-        raise ValueError("no admissible start points inside the domain box")
-    weights = 1.0 / (0.1 + np.abs(bar.value_rows(pool)))
-    weights = weights / weights.sum()
-
-    policies = [b_ascent(bar), random_extreme()]
-
-    starts: list[tuple[np.ndarray, Optional[SelectionPolicy], str]] = []
-    for hint in hints:
-        starts.append((np.asarray(hint.x0, dtype=float).reshape(-1), hint.policy, hint.label or "hint"))
-    n_random = max(0, budget.starts - len(starts))
-    if n_random and pool.shape[0]:
-        picks = rng.choice(pool.shape[0], size=n_random, p=weights)
-        for i in picks:
-            starts.append((pool[i].copy(), None, "sampled"))
-    trials = [(x0, pol, label) for x0, pinned, label in starts
-              for pol in ([pinned] if pinned is not None else policies)]
-
+    trials = _trials(scenario, budget, hints, grid)
     box = scenario.box
     in_box = [not (np.any(x0 < box[:, 0]) or np.any(x0 > box[:, 1])) for x0, _, _ in trials]
     inside = [i for i, ok in enumerate(in_box) if ok]

@@ -55,13 +55,16 @@ class Piece:
     ``rows``, when given, evaluates the image at a stack of points: it maps
     an (m, n) array to ``(points, radius)`` with points of shape (m, k, n),
     row i holding the points of ``image(X[i])``.  Pieces without it are
-    evaluated point by point through ``image``.
+    evaluated point by point through ``image``.  ``fixed`` says that the
+    image is one set, whatever the point (as :func:`constant_piece` makes
+    it).
     """
 
     predicate: Callable[[np.ndarray], bool]
     image: Callable[[np.ndarray], ConvexCompactSet]
     label: str = ""
     rows: Optional[Callable[[np.ndarray], tuple[np.ndarray, float]]] = None
+    fixed: bool = False
 
 
 def constant_piece(predicate, points, radius=0.0, label="") -> Piece:
@@ -71,7 +74,7 @@ def constant_piece(predicate, points, radius=0.0, label="") -> Piece:
     def rows(X):
         return stacked.repeat(X.shape[0], axis=0), fixed.radius
 
-    return Piece(predicate, lambda x, _s=fixed: _s, label, rows)
+    return Piece(predicate, lambda x, _s=fixed: _s, label, rows, fixed=True)
 
 
 def affine_piece(predicate, matrix, offset, radius=0.0, label="") -> Piece:
@@ -532,6 +535,139 @@ class PerturbedSystem:
     def image(self, x, slack: float = 0.0) -> ConvexCompactSet:
         """The perturbed image at x: the one-row case of :meth:`images`."""
         return row_set(self.images(x, slack), 0)
+
+
+#: the most pieces whose patterns of active pieces an image kernel tables
+#: (it keeps one slot for each of the 2 ** pieces patterns)
+_PATTERN_PIECES = 12
+
+
+def _image_kernel(system) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A callable equal bit for bit to ``system.images(S)`` at every (m, n)
+    float array S, for one run of Euler steps: what no step can change is
+    resolved once, on the first call.
+
+    - A map that is one batched piece holding everywhere, with constant
+      margins: the margins (checked on the first call, as
+      :meth:`PerturbedSystem.images` checks them), the argument-ball
+      offsets, and per row count the read-only ``(counts, radii)``, margin
+      added.  A call is the piece's rows and one reshape.
+    - A map whose every piece has a fixed image, unperturbed or in mode
+      image with a constant margin: the image at a row depends only on its
+      pattern of active pieces.  Each pattern, when first met, gets
+      :meth:`SetValuedMap._hulls` of one row of it; a call is the active
+      pieces, one pattern code per row and three gathers from that table,
+      padded as ``_hulls`` pads.  A row where no piece holds raises as
+      ``system.images`` raises.
+    - Anything else: ``system.images`` itself.
+    """
+    if isinstance(system, PerturbedSystem):
+        base, mode = system.base, system.mode
+    elif isinstance(system, SetValuedMap):
+        base, mode = system, "none"
+    else:
+        return system.images
+    if mode != "none" and (callable(system.margin) or mode == "strong" and callable(system.sense_margin)):
+        return system.images
+    if base._sole is not None:
+        return _sole_kernel(system, base._sole, mode)
+    if mode != "strong" and len(base.pieces) <= _PATTERN_PIECES and all(p.fixed for p in base.pieces):
+        return _pattern_kernel(system, base, mode)
+    return system.images
+
+
+def _checked_margins(system, mode: str, S: np.ndarray):
+    """The image margin (None when unperturbed) and the argument-ball radius
+    (None unless strong) of a run with constant margins, checked at S as
+    :meth:`PerturbedSystem.images` checks them."""
+    if mode == "none":
+        return None, None
+    eps = system._margins(S, False)
+    if mode == "image":
+        return eps, None
+    return eps, eps if system.sense_margin is None else system._margins(S, True)
+
+
+def _sole_kernel(system, piece: Piece, mode: str):
+    """The image kernel of a map that is one batched piece holding
+    everywhere (see :func:`_image_kernel`)."""
+    n = system.dimension
+    resolved = None  # (image margin, ball offsets, lattice rows per row)
+    arrays = {}  # (rows, points per row) -> (piece radius, counts, radii)
+
+    def kernel(S):
+        nonlocal resolved
+        if resolved is None:
+            eps, eps_arg = _checked_margins(system, mode, S)
+            offsets = None if eps_arg is None else _ball_offsets(n, system.density, float(eps_arg))
+            resolved = eps, offsets, 1 if offsets is None else offsets.shape[0]
+        eps, offsets, group = resolved
+        m = S.shape[0]
+        pts, r = piece.rows(S if offsets is None else (S[:, None, :] + offsets).reshape(-1, n))
+        size = pts.shape[1] * group
+        if group > 1 and size > PRUNE_THRESHOLD:
+            points, counts, radii = _concatenated(pts, r, group)
+            return points, counts, radii if eps is None else radii + eps
+        entry = arrays.get((m, size))
+        if entry is None or entry[0] is not r:
+            counts, radii = np.full(m, size), np.full(m, r, dtype=float)
+            if eps is not None:
+                radii = radii + eps
+            counts.setflags(write=False)
+            radii.setflags(write=False)
+            entry = arrays[m, size] = (r, counts, radii)
+        return pts.reshape(m, size, n), entry[1], entry[2]
+
+    return kernel
+
+
+def _pattern_kernel(system, base: SetValuedMap, mode: str):
+    """The image kernel of a map whose every piece has a fixed image (see
+    :func:`_image_kernel`)."""
+    n = system.dimension
+    weights = 1 << np.arange(len(base.pieces))
+    # the table row of each pattern code; -1, a pattern not met yet, takes
+    # the table's last row, whose count 0 no pattern has
+    slot = np.full(1 << len(base.pieces), -1)
+    entries = []  # (points, count, radius) of one row of each pattern met
+    eps = None  # the image margin
+    counts = np.zeros(1, dtype=int)
+    radii = points = widths = None  # the padded table; its points cut to each width met
+
+    def kernel(S):
+        nonlocal eps, counts, radii, points, widths
+        if mode == "image" and eps is None:
+            eps = _checked_margins(system, mode, S)[0]
+        codes = weights @ base._active(S, 0.0)
+        index = slot[codes]
+        sizes = counts[index].tolist()
+        if min(sizes) == 0:
+            # code 0 comes first: _hulls raises at the first row where no
+            # piece holds, as images does
+            for code in sorted(set(codes[index < 0].tolist())):
+                i = int(np.argmax(codes == code))
+                pts, c, r = base._hulls(S[i:i + 1], 0.0, 1)
+                slot[code] = len(entries)
+                entries.append((pts[0], int(c[0]), r[0]))
+            width = max(c for _, c, _ in entries)
+            points = np.empty((len(entries) + 1, width, n))
+            for k, (pts, c, _) in enumerate(entries):
+                points[k, :c] = pts
+                points[k, c:] = pts[-1]
+            counts = np.array([c for _, c, _ in entries] + [0])
+            radii = np.array([r for _, _, r in entries] + [0.0])
+            if eps is not None:
+                radii = radii + eps
+            widths = {}
+            index = slot[codes]
+            sizes = counts[index].tolist()
+        width = max(sizes)
+        cut = widths.get(width)
+        if cut is None:
+            cut = widths[width] = np.ascontiguousarray(points[:, :width])
+        return cut[index], counts[index], radii[index]
+
+    return kernel
 
 
 def unperturbed(dynamics):

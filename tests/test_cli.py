@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inclusafe import BarrierCandidate, boundary_extract, build_modulus, checker, cli, scenarios
+from inclusafe import BarrierCandidate, GradientOracleError, boundary_extract, build_modulus, checker, cli, scenarios
 from inclusafe.cli import COMMANDS, ConfigError, load_config, main, run
 
 
@@ -765,3 +765,21 @@ def test_gradient_oracle_that_raises_exits_two_naming_stage_and_point(tmp_path, 
     err = capsys.readouterr().err
     assert f"{stage} cannot run on this scenario: the gradient oracle raises at x=[0.0, -1.0]" in err
     assert "Traceback" not in err
+
+
+def test_falsify_where_the_gradient_oracle_raises_exits_two_naming_the_point(tmp_path, capsys, partial_oracle,
+                                                                            monkeypatch):
+    # b-ascent reaches the rows where the oracle takes sqrt of a negative number
+    path = _write_cfg(tmp_path, partial_oracle.config)
+    assert main(["falsify", path, "--eps", "0.5", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "falsification cannot run on this scenario: the gradient oracle raises at x=[" in err
+    assert "Traceback" not in err
+    # `all` wraps the falsify stage's errors alike
+
+    def oracle_error(*args, **kwargs):
+        raise GradientOracleError("the gradient oracle raises at x=[0.5]: math domain error")
+
+    monkeypatch.setattr(cli, "falsify", oracle_error)
+    with pytest.raises(ConfigError, match=r"falsification cannot run on this scenario: .* at x=\[0\.5\]"):
+        run("linear-stable", "all", eps=0.1, out=str(tmp_path))

@@ -462,3 +462,11 @@ def test_squares_overflow_to_infinity_in_both_forms():
     with np.errstate(all="ignore"):
         assert f([1e200]) == f(np.array([1e200])) == math.inf
         assert f.rows(np.array([[1e200], [-1e200]])).tolist() == [math.inf, math.inf]
+
+
+def test_vector_constant_holds_the_value_when_no_component_reads_the_state():
+    fn = vector_fn(["1", "2*pi", "-(3 > 2)"], 2)
+    assert fn.constant.tolist() == [1.0, 2 * math.pi, -1.0] and not fn.constant.flags.writeable
+    assert fn.constant.tobytes() == fn.rows(np.zeros((1, 2)))[0].tobytes()
+    assert vector_fn(["1", "x2"], 2).constant is None
+    assert vector_fn(["log(0)"], 1).constant is None  # raises per point, so no constant

@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 from inclusafe import (
+    BarrierCandidate,
     FalsifyBudget,
+    GradientOracleError,
     Hint,
     InfeasibleSelectionError,
     PerturbedSystem,
@@ -17,6 +19,7 @@ from inclusafe import (
     constant_piece,
     constant_policy,
     contains,
+    expressions,
     custom_policy,
     expression_policy,
     falsify,
@@ -419,3 +422,46 @@ def test_hint_outside_the_box_is_counted_but_not_integrated(example2):
                      budget=FalsifyBudget(starts=1, horizon=0.5),
                      hints=example2.hints(0.04))
     assert inside.found and inside.notes == "cone-escape"
+
+
+# ----------------------------------------------------------------------- #
+# b-ascent directions
+def _candidate(gradient, dimension, singular=None):
+    return BarrierCandidate(lambda x: 0.0, expressions.vector_fn(gradient, dimension),
+                            "lipschitz" if singular else "C2",
+                            None if singular is None else expressions.predicate_fn(singular, dimension))
+
+
+@pytest.mark.parametrize("gradient, singular", [
+    (["1"], None),            # linear-stable's gradient, resolved once
+    (["0", "1"], None),       # example2's
+    (["-2.5", "1e-7"], None),
+    (["1e-13"], None),        # shorter than 1e-12: every row draws
+    (["0", "0"], None),
+    (["1", "0"], "x1 > 0.5"),  # a singular set: every call reads the state
+    (["2*x1 + 2"], None),     # reads the state
+])
+def test_b_ascent_directions_equal_per_row_gradients_and_draws(gradient, singular):
+    n = len(gradient)
+    barrier = _candidate(gradient, n, singular)
+    policy = b_ascent(barrier)
+    rng = np.random.default_rng(17)
+    for m in (5, 5, 3, 1, 4):
+        X = rng.uniform(-1.0, 1.0, (m, n))
+        seeds = rng.integers(2**32, size=m)
+        got = policy.directions(X, [np.random.default_rng(s) for s in seeds])
+        want = []
+        for x, s in zip(X, seeds):
+            draw = barrier.is_singular(x) or np.linalg.norm(barrier.gradient_at(x)) < 1e-12
+            want.append(np.random.default_rng(s).standard_normal(n) if draw else barrier.gradient_at(x))
+        assert got.shape == (m, n) and got.tobytes() == np.array(want).tobytes()
+
+
+def test_b_ascent_names_the_first_row_where_the_gradient_oracle_raises(partial_oracle):
+    policy = b_ascent(partial_oracle.scenario.barrier)
+    X = np.array([[0.5, 0.0], [0.0, -0.9], [0.0, -0.95], [-1.0, -0.9]])
+    with pytest.raises(GradientOracleError, match=r"the gradient oracle raises at x=\[0\.0, -0\.9\]: math domain"):
+        policy.directions(X, [np.random.default_rng(i) for i in range(4)])
+    with pytest.raises(GradientOracleError, match=r"raises at x=\[0\.0, -0\.9\]"):
+        falsify(partial_oracle.scenario, 0.5, FalsifyBudget(starts=4, horizon=0.01),
+                hints=[Hint(np.array([0.0, -0.9]), b_ascent(partial_oracle.scenario.barrier))])

@@ -14,6 +14,7 @@ from inclusafe import (
     SetValuedMap,
     affine_piece,
     constant_piece,
+    expressions,
     hull_union_many,
     polynomial_piece,
     scenarios,
@@ -21,6 +22,7 @@ from inclusafe import (
     unit_directions,
 )
 from inclusafe.convexset import PRUNE_THRESHOLD
+from inclusafe.svmap import _image_kernel
 
 
 def _example1_map():
@@ -490,3 +492,137 @@ def test_batched_images_raise_when_no_piece_covers_a_row():
     f = SetValuedMap(1, [constant_piece(lambda x: x[0] <= 0.0, [[1.0]])])
     with pytest.raises(NoMatchingPieceError, match="x=\\[0.5\\]"):
         f.images(np.array([[-1.0], [0.5]]))
+
+
+# ----------------------------------------------------------------------- #
+# per-run image kernels
+def _assert_same_stack(got, want):
+    for a, b in zip(got, want):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert a.tobytes() == b.tobytes()
+
+
+def _kernel_systems(name):
+    """The systems a falsification of builtin ``name`` can step through:
+    its base map bare and in each mode, and its own dynamics."""
+    dyn = scenarios.build(name).scenario.dynamics
+    base = dyn.base if isinstance(dyn, PerturbedSystem) else dyn
+    systems = {"bare": base, "own": dyn}
+    for mode in PerturbedSystem.MODES:
+        systems[mode] = PerturbedSystem(base, 0.0 if mode == "none" else 0.1, mode)
+    systems["sensing"] = PerturbedSystem(base, 0.1, "strong", sense_margin=0.05)
+    return systems
+
+
+@pytest.mark.parametrize("name", scenarios.BUILTIN)
+def test_image_kernel_equals_images_bit_for_bit(name):
+    sc = scenarios.build(name).scenario
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for label, system in _kernel_systems(name).items():
+        kernel = _image_kernel(system)
+        # the builtins take a resolved kernel, but example1's strong images
+        fast = not (name == "example1" and getattr(system, "mode", "none") == "strong")
+        assert (kernel != system.images) == fast, label
+        # a run whose row count shrinks, then grows: random states of the
+        # box, and states on example1's piece interface and beside it
+        for m in (6, 6, 4, 1, 3, 5):
+            S = rng.uniform(sc.box[:, 0], sc.box[:, 1], (m, sc.dimension))
+            if m > 3:
+                S[:3, 0] = [0.0, -0.0, rng.choice([-1e-12, 1e-12])]
+            _assert_same_stack(kernel(S), system.images(S))
+
+
+def test_image_kernel_meets_a_pattern_after_step_64():
+    system = PerturbedSystem(_example1_map(), 1.0, "image")
+    kernel = _image_kernel(system)
+    S = np.array([[-1.0], [-0.5], [-0.25]])
+    for k in range(70):  # the left piece alone
+        _assert_same_stack(kernel(S - 1e-3 * k), system.images(S - 1e-3 * k))
+    # the interface row widens every row's padding, and then right rows
+    for S in ([[-1.0], [0.0], [0.5]], [[0.5], [0.25]], [[-1.0], [0.75]], [[0.0]], [[-0.5], [-0.25]]):
+        S = np.array(S)
+        _assert_same_stack(kernel(S), system.images(S))
+
+
+def test_image_kernel_of_overlapping_fixed_pieces():
+    ring = unit_directions(2, 60)
+    assert 2 * len(ring) > PRUNE_THRESHOLD
+    f = SetValuedMap(2, [
+        constant_piece(lambda x: x[0] <= 0.0, [[1.0, 0.0], [0.0, 1.0]], radius=0.1),
+        constant_piece(lambda x: x[0] >= 0.0, [[1.0, 0.5], [0.0, -1.0], [0.5, 0.5]], radius=0.3),
+        constant_piece(lambda x: x[1] >= 0.0, [[0.2, 0.2]], radius=0.3),
+        constant_piece(lambda x: x[1] <= -0.5, ring),
+        constant_piece(lambda x: x[1] <= -0.5 and x[0] >= 0.0, 0.5 * ring + 0.25),
+        constant_piece(lambda x: x[1] >= 0.5, [[-0.0, 0.0]], radius=-0.0),
+    ])
+    rng = np.random.default_rng(9)
+    for mode, system in (("bare", f), ("none", PerturbedSystem(f, 0.0, "none")),
+                         ("image", PerturbedSystem(f, 0.2, "image"))):
+        kernel = _image_kernel(system)
+        assert kernel != system.images, mode
+        for m in (8, 8, 5, 2, 7):
+            S = rng.uniform(-1.0, 1.0, (m, 2))
+            S[: m // 2, rng.integers(2)] = 0.0
+            _assert_same_stack(kernel(S), system.images(S))
+
+
+def test_image_kernel_raises_where_images_raises():
+    f = SetValuedMap(1, [constant_piece(lambda x: x[0] <= 0.0, [[1.0]]),
+                         constant_piece(lambda x: x[0] >= 1.0, [[2.0]])])
+    kernel = _image_kernel(f)
+    with pytest.raises(NoMatchingPieceError, match=r"no piece matches at x=\[0\.5\]"):
+        kernel(np.array([[-1.0], [0.5], [0.75]]))
+    _assert_same_stack(kernel(np.array([[-1.0], [2.0]])), f.images(np.array([[-1.0], [2.0]])))
+    with pytest.raises(NoMatchingPieceError, match=r"no piece matches at x=\[0\.25\]"):
+        kernel(np.array([[-1.0], [0.25]]))
+
+
+def test_image_kernel_checks_constant_margins_on_the_first_call():
+    f = SetValuedMap(1, [affine_piece(expressions.predicate_fn("True", 1), [[-1.0]], [0.0])])
+    fixed = _example1_map()
+    X = np.array([[0.5], [-0.25]])
+    for system, message in (
+        (PerturbedSystem(f, 0.0, "image"), r"perturbation margin must be positive, got 0.0 at x=\[0.5\]"),
+        (PerturbedSystem(f, 0.0, "strong"), r"perturbation margin must be positive, got 0.0 at x=\[0.5\]"),
+        (PerturbedSystem(f, 0.1, "strong", sense_margin=0.0), "sensing margin must be positive, got 0.0"),
+        (PerturbedSystem(fixed, 0.0, "image"), r"perturbation margin must be positive, got 0.0 at x=\[0.5\]"),
+    ):
+        kernel = _image_kernel(system)
+        assert kernel != system.images
+        for _ in range(2):  # refused on every call, as images refuses it
+            with pytest.raises(ValueError, match=message):
+                kernel(X)
+    # a callable margin is the system's own images, evaluated every call
+    for system in (PerturbedSystem(f, lambda x: 0.1, "strong"),
+                   PerturbedSystem(f, 0.1, "strong", sense_margin=lambda x: 0.05),
+                   PerturbedSystem(fixed, lambda x: 0.1, "image")):
+        assert _image_kernel(system) == system.images
+    # a map with a piece whose image moves with the point has no table
+    moving = SetValuedMap(1, [*fixed.pieces[:2], affine_piece(lambda x: x[0] >= 0.0, [[-1.0]], [0.0])])
+    system = PerturbedSystem(moving, 0.1, "image")
+    assert _image_kernel(system) == system.images
+
+
+def test_image_kernel_of_one_piece_holding_everywhere():
+    always = expressions.predicate_fn("True", 2)
+    maps = {
+        # three points on each of 49 lattice rows: more than PRUNE_THRESHOLD
+        # to concatenate, so each run is pruned
+        "crowded": SetValuedMap(2, [constant_piece(always, [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]], 0.25)]),
+        "polynomial": SetValuedMap(2, [polynomial_piece(always, ["x1*x2", "x1 - x2**2"], 2, radius=-0.0)]),
+        "affine": SetValuedMap(2, [affine_piece(always, [[0.3, 1.0], [-1.0, 0.7]], [1.0, -0.0], radius=0.5)]),
+        # a batched form whose radius moves from call to call
+        "moving-radius": SetValuedMap(2, [Piece(always, None, rows=lambda X: (X[:, None, :], float(X[0, 0] > 0.0)))]),
+    }
+    assert 3 * unit_ball_lattice(2, 9).shape[0] > PRUNE_THRESHOLD
+    rng = np.random.default_rng(12)
+    for name, f in maps.items():
+        for system in (f, PerturbedSystem(f, 0.1, "image"), PerturbedSystem(f, 0.1, "strong"),
+                       PerturbedSystem(f, 0.1, "strong", density=5, sense_margin=0.3)):
+            kernel = _image_kernel(system)
+            assert kernel != system.images, name
+            for m in (4, 4, 2, 3):
+                S = rng.uniform(-1.0, 1.0, (m, 2))
+                _assert_same_stack(kernel(S), system.images(S))
+    # the radius keeps its sign: the polynomial piece's is -0.0
+    assert np.signbit(_image_kernel(maps["polynomial"])(np.zeros((2, 2)))[2]).all()
