@@ -13,9 +13,11 @@ C4 separation precondition holds, a planar Lipschitz candidate whose
 sampled Clarke vertices are general vectors, and a planar C2 candidate whose
 gradient oracle vanishes at some boundary representatives and raises at
 others); each variant's ``all`` bundle too.  Then plain ``verify`` on that
-last variant, ``verify`` on five builtin configs with one vector whose
-length is not the dimension, and last ``falsify linear-stable --eps 0.1``
-at the default budget (400 trials of 5000 steps in one lockstep run).
+last variant and ``falsify`` on it at ``--eps 0.5``, where b-ascent meets
+the rows on which its oracle raises, ``verify`` on five builtin configs
+with one vector whose length is not the dimension, and last ``falsify
+linear-stable --eps 0.1`` at the default budget (400 trials of 5000 steps
+in one lockstep run).
 Last, one run for each flag path that a config value can meet: ``--density``
 beside a margin stage, a nonzero ``--seed``, ``--eps`` on a config that has
 its own perturbation, ``--eps`` with ``--mode``, ``--box-scale``, and
@@ -174,6 +176,8 @@ def main() -> int:
                 print(_line(tmp, config, "verify", f"verify {name} --check {check}", check=check),
                       flush=True)
         print(_line(tmp, configs["partial-oracle"], "verify", "verify partial-oracle"), flush=True)
+        print(_line(tmp, configs["partial-oracle"], "falsify", "falsify partial-oracle --eps 0.5", eps=0.5),
+              flush=True)
         for label, cfg in _wrong_lengths().items():
             path = os.path.join(tmp, "wrong-length.json")
             with open(path, "w", encoding="utf-8") as fh:

@@ -8,10 +8,14 @@ eps = 0.1, ``noisy-loop`` with its own perturbation, ``example1`` image at
 eps = 1, ``example1`` strong at eps = 0.5 with its hint, and ``example2``
 strong at eps = 0.04 with its hint.  A hinted case runs N copies of the
 hint's start and policy; the others run N starts of the initial set with
-b-ascent and random-extreme in turn.  Each run is ``flow._lockstep`` as
-``falsify`` calls it (the domain box, infeasible velocities truncated and a
-watch on the unsafe set), for 200 steps at ``falsify``'s step size, with
-an exit threshold no trial reaches, so no trial retires on a hit.
+b-ascent and random-extreme in turn.  Then the three ``exhaust`` commands
+of the benchmark's falsify-search workload (``perfbench/workloads.py``),
+each with the trials ``falsify`` makes from the command's config at seed 0:
+its hints and sampled starts, so N is the command's trial count.  Each run
+is ``flow._lockstep`` as ``falsify`` calls it (the domain box, infeasible
+velocities truncated and a watch on the unsafe set), for 200 steps at
+``falsify``'s step size, with an exit threshold no trial reaches, so no
+trial retires on a hit.
 
 One line per case and N: microseconds per step (the median of 11 timed runs
 after one warm-up run) and Python calls per step, the ``call`` events that
@@ -30,12 +34,14 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import numpy as np  # noqa: E402
 
 from inclusafe import expressions, scenarios  # noqa: E402
-from inclusafe.flow import _lockstep, _Watch, b_ascent, random_extreme  # noqa: E402
+from inclusafe.flow import FalsifyBudget, _lockstep, _trials, _Watch, b_ascent, random_extreme  # noqa: E402
 from inclusafe.svmap import PerturbedSystem, unperturbed  # noqa: E402
+import workloads  # noqa: E402
 
 STEPS = 200
 RUNS = 11
@@ -51,9 +57,15 @@ CASES = [
 ]
 
 
-def _setup(name: str, eps, mode, hinted: bool, trials: int):
-    """The arguments of one lockstep run but its generators and watch."""
-    bundle = scenarios.build(name)
+#: the exhaust commands of the falsify-search workload
+EXHAUST = [cmd for cmd in workloads.WORKLOADS["falsify-search"] if cmd.role == "exhaust"]
+
+
+def _setup(bundle, eps, mode, starts, trials):
+    """The arguments of one lockstep run but its generators and watch: N =
+    ``trials`` copies of the hint (``starts`` True) or starts of the
+    initial set (False), or the trials ``falsify`` makes on the budget
+    ``starts``."""
     scenario = bundle.scenario
     system = scenario.dynamics
     if eps is not None:
@@ -61,7 +73,11 @@ def _setup(name: str, eps, mode, hinted: bool, trials: int):
         system = PerturbedSystem(unperturbed(system), margin=eps, mode=mode, sense_margin=sense)
     margin = system.margin if isinstance(system, PerturbedSystem) else 0.0
     step = 1e-3 if callable(margin) or not margin > 0.0 else min(1e-3, margin / 50.0)
-    if hinted:
+    if isinstance(starts, FalsifyBudget):
+        made = _trials(scenario, starts, bundle.hints(margin), scenario.grid())
+        X0 = np.array([x0 for x0, _, _ in made])
+        policies = [policy for _, policy, _ in made]
+    elif starts:
         hint = bundle.hints(eps)[0]
         X0 = np.repeat(hint.x0.reshape(1, -1), trials, axis=0)
         policies = [hint.policy] * trials
@@ -102,21 +118,35 @@ def _calls(args) -> tuple[int, int]:
     return count, steps
 
 
-def main() -> int:
-    print(f"{'case':32} {'N':>2} {'steps':>5} {'us/step':>8} {'calls/step':>10}")
+def _cases():
+    """(label, bundle, eps, mode, starts, N) of every case; ``starts`` is
+    True (hinted), False, or the budget of an exhaust command, whose N its
+    trials set."""
     for label, name, eps, mode, hinted in CASES:
         for trials in (1, 4):
-            args = _setup(name, eps, mode, hinted, trials)
-            _run(args)  # fills the caches a run uses
-            times = []
-            for _ in range(RUNS):
-                start = time.perf_counter()
-                steps = _run(args)
-                times.append((time.perf_counter() - start) / steps)
-            count, steps = _calls(args)
-            if _calls(args) != (count, steps):
-                raise SystemExit(f"{label} N={trials}: the call count did not repeat")
-            print(f"{label:32} {trials:>2} {steps:>5} {1e6 * statistics.median(times):8.1f} {count / steps:10.1f}")
+            yield label, scenarios.build(name), eps, mode, hinted, trials
+    for cmd in EXHAUST:
+        cfg = workloads.make_config(cmd, 0)
+        eps, mode = cmd.flags.get("eps"), cmd.flags.get("mode")
+        label = f"exhaust {cmd.scenario} " + ("native" if eps is None else f"{mode} eps={eps:g}")
+        yield label, scenarios.bundle_from_config(cfg), eps, mode, FalsifyBudget(**cfg["falsify"]), None
+
+
+def main() -> int:
+    print(f"{'case':36} {'N':>2} {'steps':>5} {'us/step':>8} {'calls/step':>10}")
+    for label, bundle, eps, mode, starts, trials in _cases():
+        args = _setup(bundle, eps, mode, starts, trials)
+        trials = args[1].shape[0]
+        _run(args)  # fills the caches a run uses
+        times = []
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            steps = _run(args)
+            times.append((time.perf_counter() - start) / steps)
+        count, steps = _calls(args)
+        if _calls(args) != (count, steps):
+            raise SystemExit(f"{label} N={trials}: the call count did not repeat")
+        print(f"{label:36} {trials:>2} {steps:>5} {1e6 * statistics.median(times):8.1f} {count / steps:10.1f}")
     return 0
 
 
