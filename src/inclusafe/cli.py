@@ -443,8 +443,8 @@ def _write_trajectory(path: str, traj, barrier_values: bool) -> None:
     lines = ["# " + " ".join(cols)]
     # one tolist per column: Python floats format faster than numpy scalars
     columns = [traj.times, *traj.states.T] + ([traj.values] if barrier_values else [])
-    for row in zip(*(c.tolist() for c in columns)):
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+    row_format = " ".join(["%.17g"] * len(columns))
+    lines.extend(row_format % row for row in zip(*(c.tolist() for c in columns)))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

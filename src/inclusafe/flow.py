@@ -60,7 +60,11 @@ class SelectionPolicy:
     image.  An extreme-point policy whose direction is a function of one
     ``rng.standard_normal(n)`` draw per step, and of nothing else, also
     gives ``normals(Z)``, the directions for the (m, n) draws Z; the
-    integrator then draws each trial's normals in blocks.
+    integrator then draws each trial's normals in blocks.  A policy whose
+    velocity is the same at every state gives it as ``velocity``, a
+    read-only (n,) array, and the integrator coasts a lone trial of it
+    through blocks of steps.  :func:`constant_policy` and
+    :func:`expression_policy` set it; other policies leave it None.
     """
 
     name: str
@@ -69,6 +73,7 @@ class SelectionPolicy:
     directions: Optional[Callable] = None
     rows: Optional[Callable] = None
     normals: Optional[Callable] = None
+    velocity: Optional[np.ndarray] = None
 
     def __call__(self, x, image, rng):
         return self.select(x, image, rng)
@@ -155,7 +160,8 @@ def random_extreme() -> SelectionPolicy:
 
 def constant_policy(v) -> SelectionPolicy:
     """Constant velocity; checked against the image every step."""
-    vv = np.asarray(v, dtype=float).reshape(-1)
+    vv = np.array(v, dtype=float).reshape(-1)
+    vv.setflags(write=False)
 
     def select(x, image, rng):
         return vv
@@ -163,17 +169,19 @@ def constant_policy(v) -> SelectionPolicy:
     def rows(X):
         return vv[None].repeat(X.shape[0], axis=0)
 
-    return SelectionPolicy(f"constant({', '.join(f'{c:g}' for c in vv)})", select, verify=True, rows=rows)
+    return SelectionPolicy(f"constant({', '.join(f'{c:g}' for c in vv)})", select, verify=True, rows=rows,
+                           velocity=vv)
 
 
 def expression_policy(components: Sequence[str], dimension: int, name: str = "expression") -> SelectionPolicy:
-    """State-dependent velocity from expression strings; checked each step."""
+    """State-dependent velocity from expression strings; checked each step.
+    Components that read no state give a constant ``velocity``."""
     fn = expressions.vector_fn(list(components), dimension)
 
     def select(x, image, rng):
         return fn(x)
 
-    return SelectionPolicy(name, select, verify=True, rows=fn.rows)
+    return SelectionPolicy(name, select, verify=True, rows=fn.rows, velocity=fn.constant)
 
 
 def custom_policy(fn, name: str = "custom", verify: bool = False) -> SelectionPolicy:
@@ -234,6 +242,26 @@ class _Watch:
             self.hit[trials[new]] = k
             self.winner = min(self.winner, int(trials[new].min()))
 
+    def observe_run(self, k: int, trial: int, S: np.ndarray) -> None:
+        """Record the states ``S[j]`` that trial ``trial`` reached at steps
+        k + j, as one :meth:`observe` per step would: the depth folds in
+        step order with the same strict ``>``, so the first of equal values
+        stays and a NaN is never stored."""
+        unsafe = np.flatnonzero(self.unsafe(S))
+        if not unsafe.size:
+            return
+        d = self.depth_fn(S[unsafe])
+        deepest = self.depth[trial]
+        for v in d.tolist():
+            if v > deepest:
+                deepest = v
+        self.depth[trial] = deepest
+        if self.hit[trial] < 0:
+            crossed = np.flatnonzero(d >= self.threshold)
+            if crossed.size:
+                self.hit[trial] = k + int(unsafe[crossed[0]])
+                self.winner = min(self.winner, trial)
+
 
 @dataclass
 class _Run:
@@ -283,7 +311,11 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     A trial of a ``normals`` policy draws ``standard_normal((b, n))`` with
     b = min(64, steps left) every 64 steps, the same numbers as one
     ``standard_normal(n)`` per step; a trial that stops early may so leave
-    up to 63 draws unused.
+    up to 63 draws unused.  A lone live trial of a policy with a
+    ``velocity`` coasts through blocks of up to 64 steps (:func:`_coast`),
+    with every state, stop, history entry and watch value as single steps
+    give them; if a block's image call raises, the trial takes single steps
+    for the rest of the run, so an error surfaces where they raise it.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -313,7 +345,10 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     images = _image_kernel(system)
     if watch is not None:
         watch.observe(0, live, S)
-    for k in range(1, nsteps + 1):
+    bounds = None if box is None else (lo, hi)
+    coast = True  # until a block's image call raises
+    k = 1
+    while k <= nsteps:
         if watch is not None and watch.winner < cut:
             cut = watch.winner
             keep = live <= cut
@@ -322,6 +357,31 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                 live, S, parts = live[keep], S[keep], None
         if not live.size:
             break
+        # only a lone trial coasts: with several live, retirement between
+        # trials could fall inside a block, and no search needs that case
+        v = policies[live[0]].velocity if coast and live.size == 1 else None
+        if v is not None and v.shape == (n,):
+            block = _coast(images, S, policies[live[0]], min(_BLOCK, nsteps - k + 1), step, bounds, backward)
+            if block is None:
+                coast = False
+            else:
+                T, taken, stop = block
+                history.extend((live, T[j:j + 1]) for j in range(1, taken + 1))
+                if watch is not None and taken:
+                    watch.observe_run(k, int(live[0]), T[1:taken + 1])
+                if stop is None:
+                    k, S = k + taken, T[taken:]
+                    continue
+                if stop == "exit":
+                    exited[live] = True
+                elif on_infeasible == "raise":
+                    raise InfeasibleSelectionError(
+                        f"policy {policies[live[0]].name!r} chose velocity {v} outside the image at x={T[taken]}"
+                    )
+                else:
+                    truncated[live] = True
+                lengths[live] = k + taken
+                break
         if parts is None:
             ends = np.cumsum(np.bincount(group[live], minlength=len(order))).tolist()
             parts = [(p, slice(a, b), block_row[live[a:b]] if p.normals is not None
@@ -374,6 +434,8 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             truncated[live[~feasible]] = True
             lengths[live[~feasible]] = k
             live, S, V, parts = live[feasible], S[feasible], V[feasible], None
+            if not live.size:
+                break
         S = S + step * V
         history.append((live, S))
         if watch is not None:
@@ -385,7 +447,42 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                 exited[live[out]] = True
                 lengths[live[out]] = k + 1
                 live, S, parts = live[~out], S[~out], None
+        k += 1
     return _Run(X0, history, lengths, exited, truncated)
+
+
+def _coast(images, S, policy, size, step, bounds, backward):
+    """Up to ``size`` Euler steps of one trial from its (1, n) state ``S`` at
+    ``policy.velocity`` v, checked as single steps check them.
+
+    Returns ``(T, taken, stop)``: T holds S then the states ``T[j] = T[j - 1]
+    + step * v`` (one left fold, rounded as the single steps round), of
+    which the trial takes the first ``taken``; ``stop`` is "exit" when the
+    last one taken leaves ``bounds`` (lo, hi), "infeasible" when v lies
+    outside the image at ``T[taken]``, else None.  Images are taken only at
+    states a single step would start from, in one call of ``images``;
+    returns None when that call raises.
+    """
+    v = policy.velocity
+    T = np.empty((size + 1, v.size))
+    T[0], T[1:] = S[0], step * v
+    T = np.add.accumulate(T)
+    taken, stop = size, None
+    if bounds is not None:
+        out = ((T[1:] < bounds[0]) | (T[1:] > bounds[1])).any(axis=1)
+        if np.count_nonzero(out):
+            taken, stop = int(np.argmax(out)) + 1, "exit"
+    try:
+        points, counts, radii = images(T[:taken])
+    except Exception:  # noqa: BLE001 - single steps raise it, or not, where they should
+        return None
+    if policy.verify:
+        if backward:
+            points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
+        ok = contains_rows(points, counts, radii, v[None].repeat(taken, axis=0), _FEASIBILITY_TOL)
+        if np.count_nonzero(ok) < taken:
+            return T, int(np.argmin(ok)), "infeasible"
+    return T, taken, stop
 
 
 def integrate(

@@ -783,3 +783,21 @@ def test_falsify_where_the_gradient_oracle_raises_exits_two_naming_the_point(tmp
     monkeypatch.setattr(cli, "falsify", oracle_error)
     with pytest.raises(ConfigError, match=r"falsification cannot run on this scenario: .* at x=\[0\.5\]"):
         run("linear-stable", "all", eps=0.1, out=str(tmp_path))
+
+
+def test_witness_rows_read_as_the_per_value_formatting(tmp_path):
+    # one "%.17g ..." % row per line, the text of per-value f-strings joined by spaces
+    from inclusafe.flow import Trajectory
+
+    values = np.array([-0.0, 5e-324, 1e308, 0.1, math.nan])
+    traj = Trajectory(times=0.1 * np.arange(5), states=np.stack([values, values[::-1]], axis=1),
+                      values=np.array([math.inf, -math.inf, 1.0 / 3.0, -1e-300, 2.0]))
+    for barrier_values in (False, True):
+        path = tmp_path / "trajectory.txt"
+        cli._write_trajectory(str(path), traj, barrier_values)
+        columns = [traj.times, *traj.states.T] + ([traj.values] if barrier_values else [])
+        rows = [" ".join(f"{v:.17g}" for v in row) for row in zip(*(c.tolist() for c in columns))]
+        header = "# t x1 x2" + (" B" if barrier_values else "")
+        assert path.read_text() == "\n".join([header, *rows]) + "\n"
+        text = path.read_text()
+        assert " -0 " in text and " 4.9406564584124654e-324 " in text and " nan" in text

@@ -465,3 +465,200 @@ def test_b_ascent_names_the_first_row_where_the_gradient_oracle_raises(partial_o
     with pytest.raises(GradientOracleError, match=r"raises at x=\[0\.0, -0\.9\]"):
         falsify(partial_oracle.scenario, 0.5, FalsifyBudget(starts=4, horizon=0.01),
                 hints=[Hint(np.array([0.0, -0.9]), b_ascent(partial_oracle.scenario.barrier))])
+
+
+# ----------------------------------------------------------------------- #
+# coasting: a lone fixed-velocity trial advances in blocks of steps
+def _single_steps(policy):
+    """The same velocity through a policy without ``velocity``, which the
+    loop takes one step at a time."""
+    return custom_policy(lambda x, image, rng: policy.velocity, name=policy.name, verify=True)
+
+
+def _run_both(system, x0, policy, *, nsteps, step, box=None, backward=False, watch=None,
+              on_infeasible="truncate"):
+    """The coasted run and the single-step run of ``policy`` from ``x0``,
+    asserted equal bit for bit: history, lengths, stop flags and watch."""
+    from inclusafe.flow import _Watch
+
+    assert policy.velocity is not None
+    runs, watches = [], []
+    for p in (policy, _single_steps(policy)):
+        w = None if watch is None else _Watch(*watch, 1)
+        runs.append(_lockstep(system, np.asarray(x0, dtype=float).reshape(1, -1), [p],
+                              [np.random.default_rng(0)], nsteps=nsteps, step=step,
+                              box=None if box is None else np.asarray(box, dtype=float),
+                              backward=backward, on_infeasible=on_infeasible, watch=w))
+        watches.append(w)
+    coasted, single = runs
+    assert len(coasted.history) == len(single.history)
+    for (ta, Sa), (tb, Sb) in zip(coasted.history, single.history):
+        assert ta.tolist() == tb.tolist() and Sa.shape == Sb.shape and Sa.tobytes() == Sb.tobytes()
+    for field in ("lengths", "exited", "truncated"):
+        assert getattr(coasted, field).tolist() == getattr(single, field).tolist()
+    if watch is not None:
+        assert watches[0].depth.tobytes() == watches[1].depth.tobytes()
+        assert watches[0].hit.tolist() == watches[1].hit.tolist()
+        assert watches[0].winner == watches[1].winner
+    return coasted, watches[0]
+
+
+def _raised_by_both(system, x0, policy, error, **kw):
+    texts = []
+    for p in (policy, _single_steps(policy)):
+        with pytest.raises(error) as info:
+            _lockstep(system, np.asarray(x0, dtype=float).reshape(1, -1), [p],
+                      [np.random.default_rng(0)], **kw)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1]
+    return texts[0]
+
+
+_STEP, _V = 1e-3, 0.7  # states whose sums round: the fold must round alike
+
+
+def _states(nsteps):
+    return oracles.euler_states(lambda x: _V, 0.0, nsteps * _STEP, _STEP)
+
+
+def _until(c):
+    """Image {0.7} left of c, {-1} from c on: the velocity turns infeasible
+    at the first state at or past c."""
+    return SetValuedMap(1, [constant_piece(lambda x: x[0] < c, [[_V]]),
+                            constant_piece(lambda x: x[0] >= c, [[-1.0]])])
+
+
+def test_add_accumulate_is_the_left_fold_of_repeated_addition():
+    # pairwise summation would differ here: 1 + 1e-16 rounds back to 1
+    A = np.array([[1.0, 3.0]] + [[1e-16, 2.5e-16]] * 127)
+    folded, x = np.add.accumulate(A), A[0].copy()
+    for j in range(1, A.shape[0]):
+        x = x + A[j]
+        assert folded[j].tobytes() == x.tobytes()
+    assert np.ascontiguousarray(A[:, 0]).sum() != folded[-1, 0]
+
+
+@pytest.mark.parametrize("stop", [30, 63, 64, 65, 129])
+def test_coast_truncates_as_single_steps_mid_block_and_at_block_edges(stop):
+    # the step that starts from state `stop` is infeasible
+    run, _ = _run_both(_until(_states(stop)[-1]), [0.0], constant_policy([_V]),
+                       nsteps=150, step=_STEP, box=[[-1.0, 1.0]])
+    assert run.truncated[0] and run.lengths[0] == stop + 1 == len(run.history) + 1
+
+
+@pytest.mark.parametrize("stop", [30, 64, 65, 128, 129])
+def test_coast_leaves_the_box_as_single_steps_mid_block_and_at_block_edges(stop):
+    # state `stop` is the first outside the box
+    states = _states(stop)
+    box = [[-1.0, 0.5 * (states[-1] + states[-2])]]
+    run, _ = _run_both(_until(1.0), [0.0], constant_policy([_V]), nsteps=150, step=_STEP, box=box)
+    assert run.exited[0] and run.lengths[0] == stop + 1 == len(run.history) + 1
+
+
+@pytest.mark.parametrize("nsteps", [1, 63, 64, 150])
+def test_coast_reaches_a_horizon_that_is_not_a_multiple_of_the_block(nsteps):
+    run, _ = _run_both(_until(1.0), [0.0], constant_policy([_V]), nsteps=nsteps, step=_STEP)
+    assert run.lengths[0] == nsteps + 1 and not (run.exited[0] or run.truncated[0])
+    assert run.history[-1][1][0, 0] == _states(nsteps)[-1]
+
+
+def test_coast_hits_inside_a_block_as_single_steps():
+    states = _states(150)
+
+    def unsafe(S):
+        return S[:, 0] > states[40]
+
+    def depth(S):
+        return S[:, 0] - states[40]
+
+    _, watch = _run_both(_until(1.0), [0.0], constant_policy([_V]), nsteps=150, step=_STEP,
+                         watch=(unsafe, depth, states[100] - states[40]))
+    assert watch.hit.tolist() == [100] and watch.winner == 0
+    assert watch.depth[0] == states[150] - states[40]
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0, 0.0, -0.0, 0.0],             # the first of equal values stays
+    [0.0, -0.0, math.nan, -0.0],
+    [math.nan, math.nan, -1.0, math.nan],  # a NaN is never stored
+    [math.nan] * 4,
+])
+def test_coast_folds_depth_ties_and_nan_as_single_steps(values):
+    # states j / 8 are exact, so the depth can look its value up by step
+    table = np.array((values * 40)[:150])
+
+    def depth(S):
+        return table[np.rint(8.0 * S[:, 0]).astype(int) % table.size]
+
+    system = SetValuedMap(1, [constant_piece(lambda x: True, [[0.125]])])
+    for threshold in (math.inf, 0.0):
+        _, watch = _run_both(system, [0.0], constant_policy([0.125]), nsteps=149, step=1.0,
+                             watch=(lambda S: S[:, 0] >= 0.0, depth, threshold))
+        assert watch.depth.tobytes() == np.array([next((v for v in values if not math.isnan(v)), -math.inf)]).tobytes()
+
+
+def test_coast_backward_negates_the_image_as_single_steps():
+    # backward, the image {-0.7} left of c is {0.7}: feasible until c
+    c = _states(90)[-1]
+    system = SetValuedMap(1, [constant_piece(lambda x: x[0] < c, [[-_V]]),
+                              constant_piece(lambda x: x[0] >= c, [[1.0]])])
+    run, _ = _run_both(system, [0.0], constant_policy([_V]), nsteps=150, step=_STEP, backward=True)
+    assert run.truncated[0] and run.lengths[0] == 91
+
+
+def test_coast_through_integrate_without_a_box():
+    policy = constant_policy([_V])
+    coasted = integrate(_until(1.0), [0.0], horizon=0.15, step=_STEP, policy=policy)
+    single = integrate(_until(1.0), [0.0], horizon=0.15, step=_STEP, policy=_single_steps(policy))
+    assert coasted.states.tobytes() == single.states.tobytes() and len(coasted) == 151
+    assert coasted.states[:, 0].tolist() == _states(150)
+
+
+def test_coast_past_a_truncation_takes_no_image_error():
+    # no piece holds from c2 on, but the trial truncates at c first
+    c, c2 = _states(30)[-1], _states(40)[-1]
+    system = SetValuedMap(1, [constant_piece(lambda x: x[0] < c, [[_V]]),
+                              constant_piece(lambda x: c <= x[0] < c2, [[-1.0]])])
+    run, _ = _run_both(system, [0.0], constant_policy([_V]), nsteps=150, step=_STEP)
+    assert run.truncated[0] and run.lengths[0] == 31
+
+
+def test_coast_raises_a_missing_piece_where_single_steps_raise_it():
+    from inclusafe.svmap import NoMatchingPieceError
+
+    c = _states(70)[-1]
+    system = SetValuedMap(1, [constant_piece(lambda x: x[0] < c, [[_V]])])
+    text = _raised_by_both(system, [0.0], constant_policy([_V]), NoMatchingPieceError,
+                           nsteps=150, step=_STEP, on_infeasible="truncate")
+    assert f"x=[{c!r}]" in text
+
+
+def test_coast_raises_the_infeasible_selection_text_of_single_steps():
+    c = _states(45)[-1]
+    text = _raised_by_both(_until(c), [0.0], constant_policy([_V]), InfeasibleSelectionError,
+                           nsteps=150, step=_STEP, on_infeasible="raise")
+    assert text == f"policy 'constant(0.7)' chose velocity [0.7] outside the image at x={np.array([c])}"
+
+
+def test_coast_of_an_expression_policy_with_constant_components(example2):
+    policy = expression_policy(["0.03", "-1/40"], 2, name="drift")
+    assert policy.velocity.tolist() == [0.03, -0.025] and not policy.velocity.flags.writeable
+    assert expression_policy(["x1", "1"], 2).velocity is None
+    assert b_ascent(example2.scenario.barrier).velocity is random_extreme().velocity is None
+    sc = example2.scenario
+    system = PerturbedSystem(sc.dynamics, 0.04, "strong")
+    # the image's upper end in x2 sinks below -0.025 as x2 falls below 0
+    run, _ = _run_both(system, [5.0, 0.0], policy, nsteps=700, step=1e-3, box=sc.box)
+    assert run.truncated[0] and 65 < run.lengths[0] < 700
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
+def test_falsify_example1_with_a_coasting_hint_equals_single_steps(example1, eps):
+    hint = example1.hints(eps)[0]
+    budget = FalsifyBudget(starts=3, horizon=1.0)
+    coasted = falsify(example1.scenario, eps, budget, hints=[hint])
+    single = falsify(example1.scenario, eps, budget,
+                     hints=[Hint(hint.x0, _single_steps(hint.policy), hint.label)])
+    assert coasted.found and coasted.to_dict() == single.to_dict()
+    assert coasted.trajectory.states.tobytes() == single.trajectory.states.tobytes()
+    assert coasted.trajectory.values.tobytes() == single.trajectory.values.tobytes()

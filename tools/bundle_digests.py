@@ -21,7 +21,10 @@ in one lockstep run).
 Last, one run for each flag path that a config value can meet: ``--density``
 beside a margin stage, a nonzero ``--seed``, ``--eps`` on a config that has
 its own perturbation, ``--eps`` with ``--mode``, ``--box-scale``, and
-``falsify`` with ``--eps`` and ``--mode none``.  Every other run uses seed 0.
+``falsify`` with ``--eps`` and ``--mode none``.  Then ``falsify --eps 0.5`` on
+example1's config under another name, whose hint so comes from the config
+as an expression policy, not from the builtin's hint builder.  Every other
+run uses seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
 witness trajectory) gets one more line: its sha256 and its file name, after
@@ -194,6 +197,10 @@ def main() -> int:
             ("example1", "falsify", "--eps 0.1 --mode none", {"eps": 0.1, "mode": "none"}),
         ):
             print(_line(tmp, config, command, f"{command} {config} {label}", **flags), flush=True)
+        renamed = os.path.join(tmp, "example1-renamed.json")
+        with open(renamed, "w", encoding="utf-8") as fh:
+            json.dump(dict(scenarios.builtin_config("example1"), name="example1-renamed"), fh)
+        print(_line(tmp, renamed, "falsify", "falsify example1-renamed --eps 0.5", eps=0.5), flush=True)
     return 0
 
 

@@ -15,7 +15,12 @@ its hints and sampled starts, so N is the command's trial count.  Each run
 is ``flow._lockstep`` as ``falsify`` calls it (the domain box, infeasible
 velocities truncated and a watch on the unsafe set), for 200 steps at
 ``falsify``'s step size, with an exit threshold no trial reaches, so no
-trial retires on a hit.
+trial retires on a hit.  Last, the five ``find`` commands of that workload,
+each the lockstep run that ``falsify`` makes for it through ``cli.run``,
+caught on its way in and run again as it is: the whole horizon and the real
+exit threshold, so the winner's hit retires the trials after it and its
+tail runs alone (a hint of fixed velocity coasts through blocks of steps).
+A step is one pass of the loop, however many trials are live.
 
 One line per case and N: microseconds per step (the median of 11 timed runs
 after one warm-up run) and Python calls per step, the ``call`` events that
@@ -30,6 +35,7 @@ import math
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -38,7 +44,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import numpy as np  # noqa: E402
 
-from inclusafe import expressions, scenarios  # noqa: E402
+from inclusafe import cli, expressions, flow, scenarios  # noqa: E402
 from inclusafe.flow import FalsifyBudget, _lockstep, _trials, _Watch, b_ascent, random_extreme  # noqa: E402
 from inclusafe.svmap import PerturbedSystem, unperturbed  # noqa: E402
 import workloads  # noqa: E402
@@ -57,15 +63,15 @@ CASES = [
 ]
 
 
-#: the exhaust commands of the falsify-search workload
+#: the exhaust and find commands of the falsify-search workload
 EXHAUST = [cmd for cmd in workloads.WORKLOADS["falsify-search"] if cmd.role == "exhaust"]
+FIND = [cmd for cmd in workloads.WORKLOADS["falsify-search"] if cmd.role == "find"]
 
 
 def _setup(bundle, eps, mode, starts, trials):
-    """The arguments of one lockstep run but its generators and watch: N =
-    ``trials`` copies of the hint (``starts`` True) or starts of the
-    initial set (False), or the trials ``falsify`` makes on the budget
-    ``starts``."""
+    """The arguments of one lockstep run (see :func:`_run`): N = ``trials``
+    copies of the hint (``starts`` True) or starts of the initial set
+    (False), or the trials ``falsify`` makes on the budget ``starts``."""
     scenario = bundle.scenario
     system = scenario.dynamics
     if eps is not None:
@@ -88,16 +94,39 @@ def _setup(bundle, eps, mode, starts, trials):
         policies = [pair[i % 2] for i in range(trials)]
     unsafe = expressions.rows_of(scenario.unsafe, bool)
     depth = scenario.barrier.value_rows if scenario.depth is None else expressions.rows_of(scenario.depth)
-    return system, X0, policies, step, scenario.box, unsafe, depth
+    settings = {"nsteps": STEPS, "step": step, "box": scenario.box, "on_infeasible": "truncate",
+                "watch": (unsafe, depth, math.inf)}
+    return system, X0, policies, np.random.SeedSequence(0).spawn(X0.shape[0]), settings
+
+
+def _caught(cmd):
+    """The arguments of the lockstep run that ``falsify`` makes for ``cmd``
+    in ``cli.run``, at seed 0."""
+    caught = []
+
+    def catch(system, X0, policies, rngs, **settings):
+        watch = settings["watch"]
+        caught.append((system, X0, policies, [rng.bit_generator.seed_seq for rng in rngs],
+                       dict(settings, watch=(watch.unsafe, watch.depth_fn, watch.threshold))))
+        return _lockstep(system, X0, policies, rngs, **settings)
+
+    flow._lockstep = catch
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = workloads.write_configs([cmd], 0, tmp)[0]
+            cli.run(path, cmd.command, seed=0, out=os.path.join(tmp, "out"), **cmd.flags)
+    finally:
+        flow._lockstep = _lockstep
+    return caught[0]
 
 
 def _run(args) -> int:
-    """One lockstep run; returns the number of steps it took."""
-    system, X0, policies, step, box, unsafe, depth = args
-    trials = X0.shape[0]
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(trials)]
-    run = _lockstep(system, X0, policies, rngs, nsteps=STEPS, step=step, box=box,
-                    on_infeasible="truncate", watch=_Watch(unsafe, depth, math.inf, trials))
+    """One lockstep run on fresh generators and a fresh watch; returns the
+    number of steps it took."""
+    system, X0, policies, seeds, settings = args
+    unsafe, depth, threshold = settings["watch"]
+    run = _lockstep(system, X0, policies, [np.random.default_rng(s) for s in seeds],
+                    **dict(settings, watch=_Watch(unsafe, depth, threshold, X0.shape[0])))
     return len(run.history)
 
 
@@ -118,24 +147,27 @@ def _calls(args) -> tuple[int, int]:
     return count, steps
 
 
+def _label(role, cmd):
+    eps = cmd.flags.get("eps")
+    return f"{role} {cmd.scenario} " + ("native" if eps is None else f"{cmd.flags['mode']} eps={eps:g}")
+
+
 def _cases():
-    """(label, bundle, eps, mode, starts, N) of every case; ``starts`` is
-    True (hinted), False, or the budget of an exhaust command, whose N its
-    trials set."""
+    """(label, arguments of one lockstep run) of every case."""
     for label, name, eps, mode, hinted in CASES:
         for trials in (1, 4):
-            yield label, scenarios.build(name), eps, mode, hinted, trials
+            yield label, _setup(scenarios.build(name), eps, mode, hinted, trials)
     for cmd in EXHAUST:
         cfg = workloads.make_config(cmd, 0)
-        eps, mode = cmd.flags.get("eps"), cmd.flags.get("mode")
-        label = f"exhaust {cmd.scenario} " + ("native" if eps is None else f"{mode} eps={eps:g}")
-        yield label, scenarios.bundle_from_config(cfg), eps, mode, FalsifyBudget(**cfg["falsify"]), None
+        yield _label("exhaust", cmd), _setup(scenarios.bundle_from_config(cfg), cmd.flags.get("eps"),
+                                             cmd.flags.get("mode"), FalsifyBudget(**cfg["falsify"]), None)
+    for cmd in FIND:
+        yield _label("find", cmd), _caught(cmd)
 
 
 def main() -> int:
     print(f"{'case':36} {'N':>2} {'steps':>5} {'us/step':>8} {'calls/step':>10}")
-    for label, bundle, eps, mode, starts, trials in _cases():
-        args = _setup(bundle, eps, mode, starts, trials)
+    for label, args in _cases():
         trials = args[1].shape[0]
         _run(args)  # fills the caches a run uses
         times = []
