@@ -448,13 +448,25 @@ def contains(s: ConvexCompactSet, x, tol: float = 0.0) -> bool:
     return bool(np.all(dirs @ v <= s.support_many(dirs) + tol))
 
 
+#: elements of the (rows, width, directions) support product that one
+#: slice of :func:`contains_rows` builds at most
+_CONTAINS_ELEMENTS = 1 << 16
+
+
 def contains_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: np.ndarray,
                   tol: float = 0.0) -> np.ndarray:
     """:func:`contains` of ``V[i]`` in row i of a padded stack, for every
-    row.  It does not check that the rows are finite."""
+    row.  It does not check that the rows are finite.  In two or more
+    dimensions the rows go in slices whose support product holds at most
+    ``_CONTAINS_ELEMENTS`` elements; each row's products are its own, so
+    slicing changes no bit."""
     if V.shape[1] == 1:
         lo, hi = interval_rows(points, radii)
         return (lo - tol <= V[:, 0]) & (V[:, 0] <= hi + tol)
     dirs = unit_directions(V.shape[1])
+    size = max(1, _CONTAINS_ELEMENTS // (points.shape[1] * dirs.shape[0]))
+    if V.shape[0] > size:
+        return np.concatenate([contains_rows(points[a:a + size], counts[a:a + size], radii[a:a + size],
+                                             V[a:a + size], tol) for a in range(0, V.shape[0], size)])
     support = _supports(points, counts, radii, dirs, _unit_norms(V.shape[1]))
     return (np.matmul(dirs, V[:, :, None])[:, :, 0] <= support + tol).all(axis=1)

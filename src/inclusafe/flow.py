@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -62,9 +63,12 @@ class SelectionPolicy:
     gives ``normals(Z)``, the directions for the (m, n) draws Z; the
     integrator then draws each trial's normals in blocks.  A policy whose
     velocity is the same at every state gives it as ``velocity``, a
-    read-only (n,) array, and the integrator coasts a lone trial of it
-    through blocks of steps.  :func:`constant_policy` and
-    :func:`expression_policy` set it; other policies leave it None.
+    read-only (n,) array: :func:`constant_policy` and
+    :func:`expression_policy` with components that read no state set it;
+    other policies leave it None.  The integrator coasts a lone trial of
+    any policy with ``rows`` or ``velocity`` through blocks of steps,
+    which may call ``rows`` at states past the trial's stop, so ``rows``
+    must depend on the state alone and have no side effects.
     """
 
     name: str
@@ -295,7 +299,7 @@ class _Run:
 _FEASIBILITY_TOL = 1e-9
 
 #: steps of standard normal draws that a trial of a ``normals`` policy
-#: takes from its generator at a time
+#: takes from its generator at a time, and most steps of a coasted block
 _BLOCK = 64
 
 
@@ -311,11 +315,14 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     A trial of a ``normals`` policy draws ``standard_normal((b, n))`` with
     b = min(64, steps left) every 64 steps, the same numbers as one
     ``standard_normal(n)`` per step; a trial that stops early may so leave
-    up to 63 draws unused.  A lone live trial of a policy with a
-    ``velocity`` coasts through blocks of up to 64 steps (:func:`_coast`),
-    with every state, stop, history entry and watch value as single steps
-    give them; if a block's image call raises, the trial takes single steps
-    for the rest of the run, so an error surfaces where they raise it.
+    up to 63 draws unused.  A lone live trial of a policy with ``rows``
+    (state feedback) or a ``velocity`` (fixed) coasts through blocks of up
+    to 64 steps (:func:`_coast`): the velocities and states first, then one
+    image call and one feasibility call for the block, with every state,
+    stop, history entry and watch value as single steps give them.  If
+    anything in a block raises or meets a float event, the trial takes
+    single steps for the rest of the run, so an error or warning surfaces
+    where they raise it and a state past a stop never raises.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -346,7 +353,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     if watch is not None:
         watch.observe(0, live, S)
     bounds = None if box is None else (lo, hi)
-    coast = True  # until a block's image call raises
+    coast = True  # until a block raises or meets a float event
     k = 1
     while k <= nsteps:
         if watch is not None and watch.winner < cut:
@@ -359,14 +366,16 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             break
         # only a lone trial coasts: with several live, retirement between
         # trials could fall inside a block, and no search needs that case
-        v = policies[live[0]].velocity if coast and live.size == 1 else None
-        if v is not None and v.shape == (n,):
-            block = _coast(images, S, policies[live[0]], min(_BLOCK, nsteps - k + 1), step, bounds, backward)
+        policy = policies[live[0]] if coast and live.size == 1 else None
+        v = None if policy is None else policy.velocity
+        if policy is not None and (policy.rows is not None or v is not None and v.shape == (n,)):
+            block = _coast(images, S, policy, min(_BLOCK, nsteps - k + 1), step, bounds, backward)
             if block is None:
                 coast = False
             else:
-                T, taken, stop = block
-                history.extend((live, T[j:j + 1]) for j in range(1, taken + 1))
+                T, V, taken, stop = block
+                # one (1, n) view of the block per step, as a single step appends
+                history.extend(zip(repeat(live, taken), T[1:taken + 1, None]))
                 if watch is not None and taken:
                     watch.observe_run(k, int(live[0]), T[1:taken + 1])
                 if stop is None:
@@ -375,9 +384,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                 if stop == "exit":
                     exited[live] = True
                 elif on_infeasible == "raise":
-                    raise InfeasibleSelectionError(
-                        f"policy {policies[live[0]].name!r} chose velocity {v} outside the image at x={T[taken]}"
-                    )
+                    raise _infeasible(policy, V[taken], T[taken])
                 else:
                     truncated[live] = True
                 lengths[live] = k + taken
@@ -428,9 +435,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
         if feasible is not None:
             if on_infeasible == "raise":
                 i = int(np.argmin(feasible))
-                raise InfeasibleSelectionError(
-                    f"policy {policies[live[i]].name!r} chose velocity {V[i]} outside the image at x={S[i]}"
-                )
+                raise _infeasible(policies[live[i]], V[i], S[i])
             truncated[live[~feasible]] = True
             lengths[live[~feasible]] = k
             live, S, V, parts = live[feasible], S[feasible], V[feasible], None
@@ -451,38 +456,66 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     return _Run(X0, history, lengths, exited, truncated)
 
 
-def _coast(images, S, policy, size, step, bounds, backward):
-    """Up to ``size`` Euler steps of one trial from its (1, n) state ``S`` at
-    ``policy.velocity`` v, checked as single steps check them.
+def _infeasible(policy, v, x) -> InfeasibleSelectionError:
+    return InfeasibleSelectionError(
+        f"policy {policy.name!r} chose velocity {v.tolist()} outside the image at x={x.tolist()}"
+    )
 
-    Returns ``(T, taken, stop)``: T holds S then the states ``T[j] = T[j - 1]
-    + step * v`` (one left fold, rounded as the single steps round), of
-    which the trial takes the first ``taken``; ``stop`` is "exit" when the
-    last one taken leaves ``bounds`` (lo, hi), "infeasible" when v lies
-    outside the image at ``T[taken]``, else None.  Images are taken only at
-    states a single step would start from, in one call of ``images``;
-    returns None when that call raises.
+
+def _coast(images, S, policy, size, step, bounds, backward):
+    """Up to ``size`` Euler steps of one trial from its (1, n) state ``S``,
+    checked as single steps check them.
+
+    Returns ``(T, V, taken, stop)``: T holds S then the states ``T[j + 1] =
+    T[j] + step * V[j]``, of which the trial takes the first ``taken``;
+    ``stop`` is "exit" when the last one taken leaves ``bounds`` (lo, hi),
+    "infeasible" when ``V[taken]`` lies outside the image at ``T[taken]``,
+    else None.  A policy with a fixed ``velocity`` v folds the states in
+    one ``np.add.accumulate`` (the left fold of repeated ``+ step * v``);
+    any other takes ``V[j]`` from ``policy.rows`` at the (1, n) row
+    ``T[j]``, the call and the float expression of a single step.  Then
+    the block takes the images of the states its steps start from in one
+    call of ``images`` and checks ``V`` against them in one
+    :func:`contains_rows` call.  The block may compute states, velocities
+    and images that single steps never reach (past a stop or the block's
+    end), so it runs under ``np.errstate(all="raise")`` and returns None
+    on any exception or float event: single steps then raise or warn
+    where they do, and nowhere else.
     """
+    n = S.shape[1]
     v = policy.velocity
-    T = np.empty((size + 1, v.size))
-    T[0], T[1:] = S[0], step * v
-    T = np.add.accumulate(T)
-    taken, stop = size, None
-    if bounds is not None:
-        out = ((T[1:] < bounds[0]) | (T[1:] > bounds[1])).any(axis=1)
-        if np.count_nonzero(out):
-            taken, stop = int(np.argmax(out)) + 1, "exit"
+    if v is not None and v.shape != (n,):
+        v = None
     try:
-        points, counts, radii = images(T[:taken])
+        with np.errstate(all="raise"):
+            T = np.empty((size + 1, n))
+            T[0] = S[0]
+            if v is not None:
+                T[1:] = step * v
+                T = np.add.accumulate(T)
+                V = v[None].repeat(size, axis=0)
+            else:
+                V = np.empty((size, n))
+                rows = policy.rows
+                for j in range(size):
+                    x = T[j:j + 1]
+                    V[j:j + 1] = rows(x)
+                    T[j + 1:j + 2] = x + step * V[j:j + 1]
+            taken, stop = size, None
+            if bounds is not None:
+                out = ((T[1:] < bounds[0]) | (T[1:] > bounds[1])).any(axis=1)
+                if np.count_nonzero(out):
+                    taken, stop = int(np.argmax(out)) + 1, "exit"
+            points, counts, radii = images(T[:taken])
+            if policy.verify:
+                if backward:
+                    points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
+                ok = contains_rows(points, counts, radii, V[:taken], _FEASIBILITY_TOL)
+                if np.count_nonzero(ok) < taken:
+                    return T, V, int(np.argmin(ok)), "infeasible"
     except Exception:  # noqa: BLE001 - single steps raise it, or not, where they should
         return None
-    if policy.verify:
-        if backward:
-            points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
-        ok = contains_rows(points, counts, radii, v[None].repeat(taken, axis=0), _FEASIBILITY_TOL)
-        if np.count_nonzero(ok) < taken:
-            return T, int(np.argmin(ok)), "infeasible"
-    return T, taken, stop
+    return T, V, taken, stop
 
 
 def integrate(

@@ -516,3 +516,33 @@ def test_prune_calls_qhull_through_the_module_level_name(monkeypatch):
     kept = convexset.pruned(cloud)
     assert calls == [(200, 2)]
     assert kept.shape[0] < 200
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sliced_containment_equals_the_unsliced_call_and_the_set_method(n, monkeypatch):
+    """Row counts below, at and above one slice, under the default budget
+    and under one that cuts slices of three rows; mixed point counts and
+    radii of zero and above."""
+    from inclusafe import convexset
+    from inclusafe.convexset import contains_rows, extreme_rows
+
+    rng = np.random.default_rng(520 + n)
+    points, counts, radii = _padded_stack(rng, 400, n, most=9)
+    assert len(set(counts.tolist())) > 1 and (radii == 0.0).any() and (radii > 0.0).any()
+    sets = [ConvexCompactSet(p[:c], r) for p, c, r in zip(points, counts, radii)]
+    edge = extreme_rows(points, radii, rng.standard_normal((400, n)))
+    V = np.vstack([edge[:150], edge[150:300] * 0.5, edge[300:] * 2.0 + 0.1])
+    want = {tol: [contains(s, v, tol) for s, v in zip(sets, V)] for tol in (0.0, 1e-9)}
+    assert 0 < sum(want[0.0]) < sum(want[1e-9]) < 400
+    width = points.shape[1] * unit_directions(n).shape[0]
+    size = convexset._CONTAINS_ELEMENTS // width
+    assert 1 < size < 400
+    for budget, rows in ((convexset._CONTAINS_ELEMENTS, size), (3 * width, 3)):
+        monkeypatch.setattr(convexset, "_CONTAINS_ELEMENTS", budget)
+        for m in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 400):
+            for tol in (0.0, 1e-9):
+                got = contains_rows(points[:m], counts[:m], radii[:m], V[:m], tol)
+                assert got.tolist() == want[tol][:m]
+    monkeypatch.setattr(convexset, "_CONTAINS_ELEMENTS", 1 << 62)  # one slice
+    for tol in (0.0, 1e-9):
+        assert contains_rows(points, counts, radii, V, tol).tolist() == want[tol]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from inclusafe import (
     Hint,
     InfeasibleSelectionError,
     PerturbedSystem,
+    SelectionPolicy,
     SetValuedMap,
     affine_piece,
     b_ascent,
@@ -468,11 +470,12 @@ def test_b_ascent_names_the_first_row_where_the_gradient_oracle_raises(partial_o
 
 
 # ----------------------------------------------------------------------- #
-# coasting: a lone fixed-velocity trial advances in blocks of steps
+# coasting: a lone trial of a policy with ``rows`` advances in blocks of steps
 def _single_steps(policy):
-    """The same velocity through a policy without ``velocity``, which the
-    loop takes one step at a time."""
-    return custom_policy(lambda x, image, rng: policy.velocity, name=policy.name, verify=True)
+    """The same velocity, the (1, n) ``rows`` call of a single step, through
+    a policy without ``rows`` or ``velocity``, which the loop takes one step
+    at a time."""
+    return custom_policy(lambda x, image, rng: policy.rows(x[None])[0], name=policy.name, verify=policy.verify)
 
 
 def _run_both(system, x0, policy, *, nsteps, step, box=None, backward=False, watch=None,
@@ -481,7 +484,7 @@ def _run_both(system, x0, policy, *, nsteps, step, box=None, backward=False, wat
     asserted equal bit for bit: history, lengths, stop flags and watch."""
     from inclusafe.flow import _Watch
 
-    assert policy.velocity is not None
+    assert policy.rows is not None
     runs, watches = [], []
     for p in (policy, _single_steps(policy)):
         w = None if watch is None else _Watch(*watch, 1)
@@ -637,7 +640,8 @@ def test_coast_raises_the_infeasible_selection_text_of_single_steps():
     c = _states(45)[-1]
     text = _raised_by_both(_until(c), [0.0], constant_policy([_V]), InfeasibleSelectionError,
                            nsteps=150, step=_STEP, on_infeasible="raise")
-    assert text == f"policy 'constant(0.7)' chose velocity [0.7] outside the image at x={np.array([c])}"
+    assert text == f"policy 'constant(0.7)' chose velocity [0.7] outside the image at x={[c]}"
+    assert text.endswith("x=[0.03149999999999998]")
 
 
 def test_coast_of_an_expression_policy_with_constant_components(example2):
@@ -659,6 +663,190 @@ def test_falsify_example1_with_a_coasting_hint_equals_single_steps(example1, eps
     coasted = falsify(example1.scenario, eps, budget, hints=[hint])
     single = falsify(example1.scenario, eps, budget,
                      hints=[Hint(hint.x0, _single_steps(hint.policy), hint.label)])
+    assert coasted.found and coasted.to_dict() == single.to_dict()
+    assert coasted.trajectory.states.tobytes() == single.trajectory.states.tobytes()
+    assert coasted.trajectory.values.tobytes() == single.trajectory.values.tobytes()
+
+
+# a lone state-feedback trial coasts too: its velocities come row by row,
+# then one image call and one feasibility call cover the block
+_FEEDBACK = ["0.7 + 0.1*x2*x2", "x1 - 0.5*x2"]  # x1 rises every step
+_X0 = [0.0, 0.25]
+_SQUARE = [[-10.0, -10.0], [10.0, -10.0], [10.0, 10.0], [-10.0, 10.0]]
+_UNIT_BOX = [[-1.0, 1.0], [-1.0, 1.0]]
+
+
+def _feedback(components=_FEEDBACK):
+    policy = expression_policy(components, 2, name="feedback")
+    assert policy.velocity is None and policy.rows is not None
+    return policy
+
+
+def _feedback_x1(nsteps):
+    """x1 of the feedback policy's single steps from _X0, by hand."""
+    rows, X, out = _feedback().rows, np.array([_X0]), [_X0[0]]
+    for _ in range(nsteps):
+        X = X + _STEP * rows(X)
+        out.append(float(X[0, 0]))
+    return out
+
+
+def _square_until(c, square=_SQUARE):
+    """Image ``square`` left of x1 = c, {(-1, -1)} from c on: the feedback
+    velocity turns infeasible at the first state at or past c."""
+    return SetValuedMap(2, [constant_piece(lambda x: x[0] < c, square),
+                            constant_piece(lambda x: x[0] >= c, [[-1.0, -1.0]])])
+
+
+def _box_before(stop):
+    """The unit box cut between the states stop - 1 and stop of the
+    feedback policy, so that state stop is the first outside it."""
+    x1 = _feedback_x1(stop)
+    return [[-1.0, 0.5 * (x1[-1] + x1[-2])], [-1.0, 1.0]]
+
+
+@pytest.fixture()
+def blocks(monkeypatch):
+    """The steps each coasted block took, or None where it fell back to
+    single steps."""
+    from inclusafe import flow
+
+    taken, coast = [], flow._coast
+
+    def recording(*args):
+        block = coast(*args)
+        taken.append(None if block is None else block[2])
+        return block
+
+    monkeypatch.setattr(flow, "_coast", recording)
+    return taken
+
+
+@pytest.mark.parametrize("stop", [30, 63, 64, 65, 129])
+def test_feedback_coast_truncates_as_single_steps_mid_block_and_at_block_edges(stop, blocks):
+    # the step that starts from state `stop` is infeasible
+    run, _ = _run_both(_square_until(_feedback_x1(stop)[-1]), _X0, _feedback(), nsteps=150, step=_STEP,
+                       box=_UNIT_BOX)
+    assert run.truncated[0] and run.lengths[0] == stop + 1 == len(run.history) + 1
+    assert None not in blocks and sum(blocks) == stop
+
+
+@pytest.mark.parametrize("stop", [30, 64, 65, 128, 129])
+def test_feedback_coast_leaves_the_box_as_single_steps_mid_block_and_at_block_edges(stop, blocks):
+    run, _ = _run_both(_square_until(1.0), _X0, _feedback(), nsteps=150, step=_STEP, box=_box_before(stop))
+    assert run.exited[0] and run.lengths[0] == stop + 1 == len(run.history) + 1
+    assert None not in blocks and sum(blocks) == stop
+
+
+@pytest.mark.parametrize("nsteps", [1, 63, 64, 150])
+def test_feedback_coast_reaches_horizons_on_and_off_the_block(nsteps, blocks):
+    run, _ = _run_both(_square_until(1.0), _X0, _feedback(), nsteps=nsteps, step=_STEP, box=_UNIT_BOX)
+    assert run.lengths[0] == nsteps + 1 and not (run.exited[0] or run.truncated[0])
+    assert run.history[-1][1][0, 0] == _feedback_x1(nsteps)[-1]
+    assert blocks == [min(64, nsteps - j) for j in range(0, nsteps, 64)]
+
+
+def test_feedback_coast_hits_inside_a_block_as_single_steps(blocks):
+    x1 = _feedback_x1(150)
+    watch = (lambda S: S[:, 0] > x1[40], lambda S: S[:, 0] - x1[40], x1[100] - x1[40])
+    _, watch = _run_both(_square_until(1.0), _X0, _feedback(), nsteps=150, step=_STEP, watch=watch)
+    assert watch.hit.tolist() == [100] and watch.winner == 0
+    assert watch.depth[0] == x1[150] - x1[40]
+    assert None not in blocks
+
+
+def test_feedback_coast_backward_negates_the_image_as_single_steps(blocks):
+    # x1 velocities of at least 0.7 lie in the negated image, not in the image
+    left = [[-10.0, -10.0], [-0.1, -10.0], [-0.1, 10.0], [-10.0, 10.0]]
+    system = _square_until(_feedback_x1(90)[-1], left)
+    run, _ = _run_both(system, _X0, _feedback(), nsteps=150, step=_STEP, backward=True)
+    assert run.truncated[0] and run.lengths[0] == 91
+    run, _ = _run_both(system, _X0, _feedback(), nsteps=150, step=_STEP)
+    assert run.truncated[0] and run.lengths[0] == 1
+    assert None not in blocks
+
+
+def _raising(c):
+    """The feedback policy, whose ``rows`` raises from x1 >= c on."""
+    feedback = _feedback()
+
+    def rows(X):
+        if X[0, 0] >= c:
+            raise ValueError(f"no velocity at x={X[0].tolist()}")
+        return feedback.rows(X)
+
+    return SelectionPolicy("raising", lambda x, image, rng: rows(x[None])[0], verify=True, rows=rows)
+
+
+def _overflowing(c):
+    """The feedback policy, whose x1 velocity overflows to inf (with a
+    numpy warning) at x1 > c."""
+    return _feedback([f"0.7 + 0.1*x2*x2 + x1 * 1e308 * (x1 > {c!r}) * 1e3", _FEEDBACK[1]])
+
+
+@pytest.mark.parametrize("policy", [_raising, _overflowing])
+@pytest.mark.parametrize("stop", ["exit", "truncate"])
+def test_feedback_coast_past_its_stop_neither_raises_nor_warns(policy, stop, blocks):
+    # the trial stops at state 40; the velocity fails from state 43 on
+    x1 = _feedback_x1(43)
+    system = _square_until(x1[40] if stop == "truncate" else 1.0)
+    box = _box_before(40) if stop == "exit" else _UNIT_BOX
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run, _ = _run_both(system, _X0, policy(x1[42]), nsteps=150, step=_STEP, box=box)
+    assert caught == []
+    assert run.lengths[0] == 41 and run.exited[0] == (stop == "exit") and run.truncated[0] == (stop == "truncate")
+    assert blocks == [None]  # the block met the failure and took single steps
+
+
+def test_feedback_coast_raises_before_its_stop_where_single_steps_raise(blocks):
+    x1 = _feedback_x1(100)
+    text = _raised_by_both(_square_until(1.0), _X0, _raising(x1[70]), ValueError,
+                           nsteps=150, step=_STEP, box=np.array(_UNIT_BOX), on_infeasible="truncate")
+    assert text.startswith(f"no velocity at x=[{x1[70]!r}, ")
+    assert blocks == [64, None]
+
+
+def test_feedback_coast_warns_before_its_stop_where_single_steps_warn(blocks):
+    # x1 first exceeds c at state 50: the overflowing velocity truncates there
+    x1 = _feedback_x1(50)
+    policy = _overflowing(x1[49])
+    seen = []
+    for p in (policy, _single_steps(policy)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = _lockstep(_square_until(1.0), np.array([_X0]), [p], [np.random.default_rng(0)],
+                            nsteps=150, step=_STEP, on_infeasible="truncate")
+        seen.append(([(w.category, str(w.message)) for w in caught], run.lengths.tolist(),
+                     run.truncated.tolist(), [S.tobytes() for _, S in run.history]))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == [(RuntimeWarning, "overflow encountered in multiply")]
+    assert seen[0][1:3] == ([51], [True])
+    assert blocks == [None]
+
+
+def test_feedback_coast_raises_the_infeasible_selection_text_of_single_steps(blocks):
+    x1 = _feedback_x1(45)
+    text = _raised_by_both(_square_until(x1[45]), _X0, _feedback(), InfeasibleSelectionError,
+                           nsteps=150, step=_STEP, on_infeasible="raise")
+    assert text.startswith("policy 'feedback' chose velocity [0.7") and f"at x=[{x1[45]!r}, " in text
+    assert blocks == [45]
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.1])
+def test_coast_of_example2s_hint_equals_single_steps(example2, eps, blocks):
+    from inclusafe import expressions
+
+    sc, hint = example2.scenario, example2.hints(eps)[0]
+    assert hint.policy.velocity is None
+    system = PerturbedSystem(sc.dynamics, eps, "strong")
+    watch = (expressions.rows_of(sc.unsafe, bool), expressions.rows_of(sc.depth), 0.5)
+    run, watch = _run_both(system, hint.x0, hint.policy, nsteps=1000, step=eps / 50.0, box=sc.box, watch=watch)
+    assert run.exited[0] and 64 < run.lengths[0] < 1000 and watch.hit[0] > 0
+    assert None not in blocks
+    budget = FalsifyBudget(starts=1, horizon=0.5)
+    coasted = falsify(sc, eps, budget, hints=[hint])
+    single = falsify(sc, eps, budget, hints=[Hint(hint.x0, _single_steps(hint.policy), hint.label)])
     assert coasted.found and coasted.to_dict() == single.to_dict()
     assert coasted.trajectory.states.tobytes() == single.trajectory.states.tobytes()
     assert coasted.trajectory.values.tobytes() == single.trajectory.values.tobytes()

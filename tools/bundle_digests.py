@@ -23,8 +23,10 @@ beside a margin stage, a nonzero ``--seed``, ``--eps`` on a config that has
 its own perturbation, ``--eps`` with ``--mode``, ``--box-scale``, and
 ``falsify`` with ``--eps`` and ``--mode none``.  Then ``falsify --eps 0.5`` on
 example1's config under another name, whose hint so comes from the config
-as an expression policy, not from the builtin's hint builder.  Every other
-run uses seed 0.
+as an expression policy, not from the builtin's hint builder, and
+``falsify --eps 0.04`` on example2's config under another name with a
+config hint: the start (5, 0) and the state-feedback velocity of the
+builtin's cone-escape hint at that eps.  Every other run uses seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
 witness trajectory) gets one more line: its sha256 and its file name, after
@@ -201,6 +203,11 @@ def main() -> int:
         with open(renamed, "w", encoding="utf-8") as fh:
             json.dump(dict(scenarios.builtin_config("example1"), name="example1-renamed"), fh)
         print(_line(tmp, renamed, "falsify", "falsify example1-renamed --eps 0.5", eps=0.5), flush=True)
+        hinted = os.path.join(tmp, "example2-hinted.json")
+        with open(hinted, "w", encoding="utf-8") as fh:
+            json.dump(dict(scenarios.builtin_config("example2"), name="example2-hinted", hints=[
+                {"x0": [5.0, 0.0], "velocity": ["0", "-1 + x1**2*(x2 + 0.04) + 0.04"], "label": "cone-escape"}]), fh)
+        print(_line(tmp, hinted, "falsify", "falsify example2-hinted --eps 0.04", eps=0.04), flush=True)
     return 0
 
 

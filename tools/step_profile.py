@@ -19,8 +19,11 @@ trial retires on a hit.  Last, the five ``find`` commands of that workload,
 each the lockstep run that ``falsify`` makes for it through ``cli.run``,
 caught on its way in and run again as it is: the whole horizon and the real
 exit threshold, so the winner's hit retires the trials after it and its
-tail runs alone (a hint of fixed velocity coasts through blocks of steps).
-A step is one pass of the loop, however many trials are live.
+tail runs alone.  A lone trial of a policy with ``rows`` coasts through
+blocks of steps, whether its velocity is fixed (example1's hint) or state
+feedback (example2's): the one-trial hint rows and the find rows time it.
+A step is one pass of the loop, however many trials are live, and a
+coasted block counts as the steps it took.
 
 One line per case and N: microseconds per step (the median of 11 timed runs
 after one warm-up run) and Python calls per step, the ``call`` events that
