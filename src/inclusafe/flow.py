@@ -68,7 +68,11 @@ class SelectionPolicy:
     other policies leave it None.  The integrator coasts a lone trial of
     any policy with ``rows`` or ``velocity`` through blocks of steps,
     which may call ``rows`` at states past the trial's stop, so ``rows``
-    must depend on the state alone and have no side effects.
+    must depend on the state alone and have no side effects.  It also
+    advances trials of extreme-point policies in blocks of steps, which
+    may call ``directions`` at states past a trial's stop, so
+    ``directions`` must depend on the states and the generators alone, and
+    may draw from a trial's generator past its stop.
     """
 
     name: str
@@ -246,25 +250,63 @@ class _Watch:
             self.hit[trials[new]] = k
             self.winner = min(self.winner, int(trials[new].min()))
 
-    def observe_run(self, k: int, trial: int, S: np.ndarray) -> None:
-        """Record the states ``S[j]`` that trial ``trial`` reached at steps
-        k + j, as one :meth:`observe` per step would: the depth folds in
-        step order with the same strict ``>``, so the first of equal values
-        stays and a NaN is never stored."""
-        unsafe = np.flatnonzero(self.unsafe(S))
+    def scan(self, T: np.ndarray, ends: np.ndarray) -> tuple:
+        """The unsafe states of a block of steps: the states ``T[i, c]``
+        with i < ``ends[c]`` of a (b, m, n) block, as ``(steps, columns,
+        depths)`` arrays in step order."""
+        b, m, n = T.shape
+        flat, rows = T.reshape(b * m, n), None
+        if ends.min() < b:
+            rows = (np.arange(b)[:, None] < ends).ravel().nonzero()[0]
+            if not rows.size:
+                return rows, rows, rows
+            flat = flat[rows]
+        unsafe = np.flatnonzero(self.unsafe(flat))
         if not unsafe.size:
-            return
-        d = self.depth_fn(S[unsafe])
-        deepest = self.depth[trial]
-        for v in d.tolist():
-            if v > deepest:
-                deepest = v
-        self.depth[trial] = deepest
-        if self.hit[trial] < 0:
-            crossed = np.flatnonzero(d >= self.threshold)
+            return unsafe, unsafe, unsafe
+        d = self.depth_fn(flat[unsafe])
+        steps, columns = np.divmod(unsafe if rows is None else rows[unsafe], m)
+        return steps, columns, d
+
+    def observe_block(self, k: int, trials: np.ndarray, seen: tuple, ends: np.ndarray) -> np.ndarray:
+        """Record a block of steps from its :meth:`scan` ``seen``: trial
+        ``trials[c]`` reached its block state i at step k + i for every i <
+        ``ends[c]``.  The result is that of one :meth:`observe` per step
+        with the loop's retirement between steps: a trial's first hit at
+        step k + i retires every trial of higher index still running after
+        that step, so its end shortens to i + 1 (a trial whose own stop
+        falls on that step keeps it).  Depths fold in step order with the
+        same strict ``>``, so the first of equal values stays and a NaN is
+        never stored.  Returns the ends after retirement."""
+        steps, columns, d = seen
+        if not steps.size:
+            return ends
+        fresh = self.hit[trials] < 0  # per column: no hit before the block
+        if fresh.any():
+            crossed = ((d >= self.threshold) & fresh[columns]).nonzero()[0]
             if crossed.size:
-                self.hit[trial] = k + int(unsafe[crossed[0]])
-                self.winner = min(self.winner, trial)
+                first = {}  # each crossing trial's first crossing, by column
+                for i, c in zip(steps[crossed].tolist(), columns[crossed].tolist()):
+                    first.setdefault(c, i)
+                ends = ends.copy()
+                # a hitter may only be retired by hitters of lower index
+                for c in sorted(first, key=trials.__getitem__):
+                    i, trial = first[c], int(trials[c])
+                    if i < ends[c]:
+                        self.hit[trial] = k + i
+                        self.winner = min(self.winner, trial)
+                        ends[(trials > trial) & (ends > i + 1)] = i + 1
+                kept = steps < ends[columns]
+                steps, columns, d = steps[kept], columns[kept], d[kept]
+        # a value not above the trial's depth so far never moves the fold,
+        # which ends at the first of the trial's deepest values
+        deeper = d > self.depth[trials][columns]
+        if deeper.any():
+            columns, d = columns[deeper], d[deeper]
+            for c in set(columns.tolist()):
+                v = d[columns == c]
+                self.depth[trials[c]] = v[v.argmax()]
+        return ends
 
 
 @dataclass
@@ -299,7 +341,7 @@ class _Run:
 _FEASIBILITY_TOL = 1e-9
 
 #: steps of standard normal draws that a trial of a ``normals`` policy
-#: takes from its generator at a time, and most steps of a coasted block
+#: takes from its generator at a time, and most steps of a block
 _BLOCK = 64
 
 
@@ -314,15 +356,30 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     image (with ``on_infeasible="truncate"``), or when ``watch`` retires it.
     A trial of a ``normals`` policy draws ``standard_normal((b, n))`` with
     b = min(64, steps left) every 64 steps, the same numbers as one
-    ``standard_normal(n)`` per step; a trial that stops early may so leave
-    up to 63 draws unused.  A lone live trial of a policy with ``rows``
-    (state feedback) or a ``velocity`` (fixed) coasts through blocks of up
-    to 64 steps (:func:`_coast`): the velocities and states first, then one
-    image call and one feasibility call for the block, with every state,
-    stop, history entry and watch value as single steps give them.  If
-    anything in a block raises or meets a float event, the trial takes
-    single steps for the rest of the run, so an error or warning surfaces
-    where they raise it and a state past a stop never raises.
+    ``standard_normal(n)`` per step.
+
+    The loop advances in blocks of steps where it can: when every live
+    trial has an extreme-point policy (``directions``), all of them to the
+    end of the current 64-step window of normals (:func:`_steer`), and a
+    lone live trial of a policy with ``rows`` (state feedback) or a
+    ``velocity`` (fixed) through up to 64 steps (:func:`_coast`).  A block
+    first makes every trial's states to its end, then takes per trial the
+    steps single steps would take: its first box exit or infeasible
+    velocity, and the retirement that a hit of a lower-index trial inside
+    the block brings (:meth:`_Watch.observe_block`), so a trial that stops
+    drops only its own tail and the others keep the states they made.
+    History entries, watch values, stops and lengths are those of single
+    steps, bit for bit, and a trial that goes on has drawn from its
+    generator exactly what single steps draw; a trial that stops early may
+    have drawn past its stop (up to 63 normals, and any draw its policy
+    makes at the block's states past the stop).  A block may compute
+    states, directions, velocities and images that single steps never reach
+    (past a trial's stop), so it runs, with the watch's look at its
+    states, under ``np.errstate(all="raise")``: if anything in it raises or
+    meets a float event, the generators are put back as they were before
+    the block and the loop takes single steps for the rest of the run, so
+    an error or warning surfaces where single steps raise it, and a state
+    past a stop never raises or warns.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -353,7 +410,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     if watch is not None:
         watch.observe(0, live, S)
     bounds = None if box is None else (lo, hi)
-    coast = True  # until a block raises or meets a float event
+    blocks = True  # until a block raises or meets a float event
     k = 1
     while k <= nsteps:
         if watch is not None and watch.winner < cut:
@@ -364,43 +421,68 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                 live, S, parts = live[keep], S[keep], None
         if not live.size:
             break
-        # only a lone trial coasts: with several live, retirement between
-        # trials could fall inside a block, and no search needs that case
-        policy = policies[live[0]] if coast and live.size == 1 else None
-        v = None if policy is None else policy.velocity
-        if policy is not None and (policy.rows is not None or v is not None and v.shape == (n,)):
-            block = _coast(images, S, policy, min(_BLOCK, nsteps - k + 1), step, bounds, backward)
-            if block is None:
-                coast = False
-            else:
-                T, V, taken, stop = block
-                # one (1, n) view of the block per step, as a single step appends
-                history.extend(zip(repeat(live, taken), T[1:taken + 1, None]))
-                if watch is not None and taken:
-                    watch.observe_run(k, int(live[0]), T[1:taken + 1])
-                if stop is None:
-                    k, S = k + taken, T[taken:]
-                    continue
-                if stop == "exit":
-                    exited[live] = True
-                elif on_infeasible == "raise":
-                    raise _infeasible(policy, V[taken], T[taken])
-                else:
-                    truncated[live] = True
-                lengths[live] = k + taken
-                break
         if parts is None:
-            ends = np.cumsum(np.bincount(group[live], minlength=len(order))).tolist()
+            edges = np.cumsum(np.bincount(group[live], minlength=len(order))).tolist()
             parts = [(p, slice(a, b), block_row[live[a:b]] if p.normals is not None
                       else None if p.rows is not None else streams[live[a:b]])
-                     for p, a, b in zip(order, [0] + ends, ends) if b > a]
+                     for p, a, b in zip(order, [0] + edges, edges) if b > a]
             steered = all(p.directions is not None for p, _, _ in parts)
+            lone = parts[0][0] if live.size == 1 else None
+            coasts = lone is not None and not steered and (
+                lone.rows is not None or lone.velocity is not None and lone.velocity.shape == (n,))
         j = (k - 1) % _BLOCK
         if j == 0:
             size = min(_BLOCK, nsteps - k + 1)
             for p, sel, source in parts:
                 if p.normals is not None:
                     normals[source, :size] = [rng.standard_normal((size, n)) for rng in streams[live[sel]]]
+        if blocks and (steered or coasts):
+            # the generators that directions may draw on inside the block
+            saved = [(rng, rng.bit_generator.state) for p, _, source in parts
+                     if p.normals is None and source is not None for rng in source] if steered else ()
+            try:
+                with np.errstate(all="raise"):
+                    if steered:
+                        T, ends, left, V = _steer(images, S, parts, normals[:, j:], min(_BLOCK - j, nsteps - k + 1),
+                                                  step, bounds, backward)
+                    else:
+                        T, ends, left, V = _coast(images, S, lone, min(_BLOCK, nsteps - k + 1),
+                                                  step, bounds, backward)
+                    seen = None if watch is None else watch.scan(T[1:], ends)
+            except Exception:  # noqa: BLE001 - single steps raise it, or not, where they should
+                for rng, state in saved:
+                    rng.bit_generator.state = state
+                blocks = False
+            else:
+                b = T.shape[0] - 1
+                kept = ends if seen is None else watch.observe_block(k, live, seen, ends)
+                stop = (kept < b) | left
+                if not stop.any():
+                    # one (m, n) view of the block per step, as single steps append
+                    history.extend(zip(repeat(live, b), T[1:]))
+                    k, S = k + b, T[b]
+                    continue
+                # only a lone trial can meet an infeasible velocity in a
+                # block, and retirement needs another, so the two never meet
+                retired = kept < ends
+                left = left & ~retired
+                infeasible = (ends < b) & ~left & ~retired
+                if on_infeasible == "raise" and infeasible.any():
+                    c = int(np.argmax(infeasible))
+                    raise _infeasible(policies[live[c]], V[ends[c], c], T[ends[c], c])
+                # per step, the states of the trials still running then
+                start = 0
+                for end in sorted(set(kept.tolist())):
+                    if end > start:
+                        on = kept >= end
+                        history.extend(zip(repeat(live[on], end - start), T[start + 1:end + 1, on]))
+                        start = end
+                lengths[live[stop]] = k + kept[stop]
+                exited[live[left]] = True
+                truncated[live[infeasible]] = True
+                live, S, parts = live[~stop], T[b, ~stop], None
+                k += b
+                continue
         points, counts, radii = images(S)
         if backward:
             points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
@@ -462,60 +544,103 @@ def _infeasible(policy, v, x) -> InfeasibleSelectionError:
     )
 
 
+def _exits(T, bounds):
+    """Per column of the (b + 1, m, n) block T: the steps to its first
+    state ``T[i]`` (i >= 1) outside ``bounds`` (lo, hi), that state
+    included, else b; and whether it left."""
+    b, m = T.shape[0] - 1, T.shape[1]
+    if bounds is None:
+        return np.array([b] * m), np.zeros(m, dtype=bool)
+    out = ((T[1:] < bounds[0]) | (T[1:] > bounds[1])).any(axis=2)
+    left = out.any(axis=0)
+    return np.where(left, out.argmax(axis=0) + 1, b), left
+
+
+def _steer(images, S, parts, normals, size, step, bounds, backward):
+    """``size`` Euler steps of every live trial from its state in the (m,
+    n) array ``S``, every policy in ``parts`` an extreme-point one, each
+    step as a single step makes it: the image kernel's call on the states,
+    each policy's directions, from its rows of the window ``normals`` (one
+    ``normals`` call for the block) or from ``directions`` at the states,
+    and the extreme points.  No trial stops inside: the states run to the
+    block's end whatever happens to a trial on the way.
+
+    Returns ``(T, ends, left, None)``: T holds S then the (m, n) states of
+    each step, ``ends`` and ``left`` per trial as :func:`_exits` gives
+    them."""
+    m, n = S.shape
+    T = np.empty((size + 1, m, n))
+    T[0] = S
+    steer = []  # (rows, directions of the block or None, directions, generators)
+    for p, sel, source in parts:
+        if p.normals is not None:
+            W = normals[source, :size].swapaxes(0, 1).reshape(-1, n)
+            steer.append((sel, p.normals(W).reshape(size, -1, n), None, None))
+        else:
+            steer.append((sel, None, p.directions, source))
+    D = np.empty((m, n))
+    for i in range(size):
+        X = T[i]
+        points, _, radii = images(X)
+        if backward:
+            points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
+        for sel, W, directions, source in steer:
+            D[sel] = W[i] if W is not None else directions(X[sel], source)
+        T[i + 1] = X + step * extreme_rows(points, radii, D)
+    return (T, *_exits(T, bounds), None)
+
+
 def _coast(images, S, policy, size, step, bounds, backward):
     """Up to ``size`` Euler steps of one trial from its (1, n) state ``S``,
     checked as single steps check them.
 
-    Returns ``(T, V, taken, stop)``: T holds S then the states ``T[j + 1] =
-    T[j] + step * V[j]``, of which the trial takes the first ``taken``;
-    ``stop`` is "exit" when the last one taken leaves ``bounds`` (lo, hi),
-    "infeasible" when ``V[taken]`` lies outside the image at ``T[taken]``,
-    else None.  A policy with a fixed ``velocity`` v folds the states in
-    one ``np.add.accumulate`` (the left fold of repeated ``+ step * v``);
-    any other takes ``V[j]`` from ``policy.rows`` at the (1, n) row
-    ``T[j]``, the call and the float expression of a single step.  Then
-    the block takes the images of the states its steps start from in one
-    call of ``images`` and checks ``V`` against them in one
-    :func:`contains_rows` call.  The block may compute states, velocities
-    and images that single steps never reach (past a stop or the block's
-    end), so it runs under ``np.errstate(all="raise")`` and returns None
-    on any exception or float event: single steps then raise or warn
-    where they do, and nowhere else.
+    Returns ``(T, ends, left, V)``: the (b + 1, 1, n) block T holds S then
+    the states ``T[j + 1] = T[j] + step * V[j]``, of which the trial takes
+    the first ``ends[0]``; ``left[0]`` is set when the last one taken leaves
+    ``bounds`` (lo, hi), and ``ends[0] < b`` without it means that
+    ``V[ends[0]]`` lies outside the image at ``T[ends[0]]``.  A policy with
+    a fixed ``velocity`` v folds the states in one ``np.add.accumulate``
+    (the left fold of repeated ``+ step * v``); any other takes ``V[j]``
+    from ``policy.rows`` at the (1, n) row ``T[j]``, the call and the float
+    expression of a single step, and looks for a box exit every 8 steps,
+    so it stops within 8 steps of the first exit.  Then the block takes
+    the images of the states its steps start from in one call of
+    ``images`` and checks ``V`` against them in one :func:`contains_rows`
+    call.
     """
     n = S.shape[1]
     v = policy.velocity
     if v is not None and v.shape != (n,):
         v = None
-    try:
-        with np.errstate(all="raise"):
-            T = np.empty((size + 1, n))
-            T[0] = S[0]
-            if v is not None:
-                T[1:] = step * v
-                T = np.add.accumulate(T)
-                V = v[None].repeat(size, axis=0)
-            else:
-                V = np.empty((size, n))
-                rows = policy.rows
-                for j in range(size):
-                    x = T[j:j + 1]
-                    V[j:j + 1] = rows(x)
-                    T[j + 1:j + 2] = x + step * V[j:j + 1]
-            taken, stop = size, None
-            if bounds is not None:
-                out = ((T[1:] < bounds[0]) | (T[1:] > bounds[1])).any(axis=1)
-                if np.count_nonzero(out):
-                    taken, stop = int(np.argmax(out)) + 1, "exit"
-            points, counts, radii = images(T[:taken])
-            if policy.verify:
-                if backward:
-                    points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
-                ok = contains_rows(points, counts, radii, V[:taken], _FEASIBILITY_TOL)
-                if np.count_nonzero(ok) < taken:
-                    return T, V, int(np.argmin(ok)), "infeasible"
-    except Exception:  # noqa: BLE001 - single steps raise it, or not, where they should
-        return None
-    return T, V, taken, stop
+    T = np.empty((size + 1, n))
+    T[0] = S[0]
+    if v is not None:
+        T[1:] = step * v
+        T = np.add.accumulate(T)
+        V = v[None].repeat(size, axis=0)
+    else:
+        V = np.empty((size, n))
+        rows = policy.rows
+        for j in range(size):
+            x = T[j:j + 1]
+            V[j:j + 1] = rows(x)
+            T[j + 1:j + 2] = x + step * V[j:j + 1]
+            if j % 8 == 7 and bounds is not None:
+                made = T[j - 6:j + 2]
+                if ((made < bounds[0]) | (made > bounds[1])).any():
+                    T, V = T[:j + 2], V[:j + 1]
+                    break
+    T, V = T[:, None], V[:, None]
+    ends, left = _exits(T, bounds)
+    taken = int(ends[0])
+    points, counts, radii = images(T[:taken, 0])
+    if policy.verify:
+        if backward:
+            points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
+        ok = contains_rows(points, counts, radii, V[:taken, 0], _FEASIBILITY_TOL)
+        if np.count_nonzero(ok) < taken:
+            ends[0], left[0] = int(np.argmin(ok)), False
+    return T, ends, left, V
 
 
 def integrate(
@@ -537,11 +662,14 @@ def integrate(
     ``backward`` integrates the time-reversed inclusion (image negated).
     ``on_infeasible`` is "raise" or "truncate" and only matters for policies
     with ``verify`` set.  Leaving ``box`` stops the run with the offending
-    state recorded and ``exited_box`` set.  A policy with ``normals`` (such
-    as :func:`random_extreme`) draws from ``rng`` in blocks of up to 64
-    steps: a run that reaches ``horizon`` leaves ``rng`` as one draw per
-    step would, but one that stops early may have drawn up to 63 more
-    normals from it.
+    state recorded and ``exited_box`` set.  The trial advances in blocks
+    of up to 64 steps where its policy allows (see :func:`_lockstep`), and
+    a policy with ``normals`` (such as :func:`random_extreme`) draws from
+    ``rng`` in blocks of up to 64 steps: a run that reaches ``horizon``
+    leaves ``rng`` as single steps would, but one that stops early may
+    have drawn past its stop: up to 63 more normals, or the draws that
+    :func:`b_ascent` makes where the gradient vanishes at the states of its
+    block past the stop.
     """
     if step <= 0.0 or horizon <= 0.0:
         raise ValueError("horizon and step must be positive")
@@ -759,12 +887,14 @@ def falsify(
 
 
 def reach_interval_1d(system, interval, *, horizon: float, step: float, samples: int = 65) -> np.ndarray:
-    """Over-approximate reach tube of a one-dimensional inclusion.
+    """Sampled reach tube of a one-dimensional inclusion.
 
-    Each step maps every sampled point x of the current interval through
-    ``x + h * [min F(x), max F(x)]`` and unions the results with the current
-    interval (the tube is nondecreasing).  Endpoints are always sampled.
-    Returns an array of shape (steps + 1, 2) of interval bounds per time.
+    Each step maps ``samples`` (65 by default) evenly spaced points x of
+    the current interval, endpoints included, through ``x + h * [min F(x),
+    max F(x)]`` and unions the results with the current interval (the tube
+    is nondecreasing).  It is a sampled tube, not an enclosure: an image
+    that reaches farther between two samples is missed.  Returns an array
+    of shape (steps + 1, 2) of interval bounds per time.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi < lo:

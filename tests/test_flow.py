@@ -493,17 +493,22 @@ def _run_both(system, x0, policy, *, nsteps, step, box=None, backward=False, wat
                               box=None if box is None else np.asarray(box, dtype=float),
                               backward=backward, on_infeasible=on_infeasible, watch=w))
         watches.append(w)
-    coasted, single = runs
-    assert len(coasted.history) == len(single.history)
-    for (ta, Sa), (tb, Sb) in zip(coasted.history, single.history):
+    _assert_same_runs(runs, watches)
+    return runs[0], watches[0]
+
+
+def _assert_same_runs(runs, watches):
+    """Two runs equal bit for bit: history, lengths, stop flags and watch."""
+    a, b = runs
+    assert len(a.history) == len(b.history)
+    for (ta, Sa), (tb, Sb) in zip(a.history, b.history):
         assert ta.tolist() == tb.tolist() and Sa.shape == Sb.shape and Sa.tobytes() == Sb.tobytes()
     for field in ("lengths", "exited", "truncated"):
-        assert getattr(coasted, field).tolist() == getattr(single, field).tolist()
-    if watch is not None:
+        assert getattr(a, field).tolist() == getattr(b, field).tolist()
+    if watches[0] is not None:
         assert watches[0].depth.tobytes() == watches[1].depth.tobytes()
         assert watches[0].hit.tolist() == watches[1].hit.tolist()
         assert watches[0].winner == watches[1].winner
-    return coasted, watches[0]
 
 
 def _raised_by_both(system, x0, policy, error, **kw):
@@ -707,18 +712,25 @@ def _box_before(stop):
 
 @pytest.fixture()
 def blocks(monkeypatch):
-    """The steps each coasted block took, or None where it fell back to
-    single steps."""
+    """The steps each block of steps took (its longest-running trial's,
+    before retirement), or None where it fell back to single steps."""
     from inclusafe import flow
 
-    taken, coast = [], flow._coast
+    taken = []
 
-    def recording(*args):
-        block = coast(*args)
-        taken.append(None if block is None else block[2])
-        return block
+    def recording(advance):
+        def recorded(*args):
+            try:
+                made = advance(*args)
+            except Exception:
+                taken.append(None)
+                raise
+            taken.append(int(made[1].max()))
+            return made
+        return recorded
 
-    monkeypatch.setattr(flow, "_coast", recording)
+    for name in ("_coast", "_steer"):
+        monkeypatch.setattr(flow, name, recording(getattr(flow, name)))
     return taken
 
 
@@ -787,15 +799,16 @@ def _overflowing(c):
 @pytest.mark.parametrize("policy", [_raising, _overflowing])
 @pytest.mark.parametrize("stop", ["exit", "truncate"])
 def test_feedback_coast_past_its_stop_neither_raises_nor_warns(policy, stop, blocks):
-    # the trial stops at state 40; the velocity fails from state 43 on
-    x1 = _feedback_x1(43)
-    system = _square_until(x1[40] if stop == "truncate" else 1.0)
-    box = _box_before(40) if stop == "exit" else _UNIT_BOX
+    # the trial stops at state 37; the velocity fails from state 38 (raising)
+    # or 39 (overflowing) on, before the box check after step 40 ends the fold
+    x1 = _feedback_x1(39)
+    system = _square_until(x1[37] if stop == "truncate" else 1.0)
+    box = _box_before(37) if stop == "exit" else _UNIT_BOX
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run, _ = _run_both(system, _X0, policy(x1[42]), nsteps=150, step=_STEP, box=box)
+        run, _ = _run_both(system, _X0, policy(x1[38]), nsteps=150, step=_STEP, box=box)
     assert caught == []
-    assert run.lengths[0] == 41 and run.exited[0] == (stop == "exit") and run.truncated[0] == (stop == "truncate")
+    assert run.lengths[0] == 38 and run.exited[0] == (stop == "exit") and run.truncated[0] == (stop == "truncate")
     assert blocks == [None]  # the block met the failure and took single steps
 
 
@@ -850,3 +863,278 @@ def test_coast_of_example2s_hint_equals_single_steps(example2, eps, blocks):
     assert coasted.found and coasted.to_dict() == single.to_dict()
     assert coasted.trajectory.states.tobytes() == single.trajectory.states.tobytes()
     assert coasted.trajectory.values.tobytes() == single.trajectory.values.tobytes()
+
+
+def test_feedback_coast_stops_its_fold_within_8_steps_of_the_box_exit(example2):
+    # the exit is looked for after every 8th folded step, so few rows calls
+    # fall past it: the eps = 0.04 find leaves the box after 326 steps and
+    # the eps = 0.1 find after 464
+    sc = example2.scenario
+    for eps, steps in ((0.04, 326), (0.1, 464)):
+        hint = example2.hints(eps)[0]
+        calls = []
+
+        def rows(X, rows=hint.policy.rows):
+            calls.append(X.shape[0])
+            return rows(X)
+
+        counted = SelectionPolicy(hint.policy.name, hint.policy.select, verify=True, rows=rows)
+        res = falsify(sc, eps, FalsifyBudget(starts=1, horizon=0.5), hints=[Hint(hint.x0, counted, hint.label)])
+        assert res.found and len(res.trajectory) == steps + 1 and res.trajectory.exited_box
+        assert set(calls) == {1} and steps <= len(calls) < steps + 8
+
+
+# ----------------------------------------------------------------------- #
+# steered blocks: when every live trial has an extreme-point policy, the
+# loop advances all of them to the end of the 64-step window of normals
+def _one_at_a_time(policies):
+    """Each distinct policy as a custom policy with the same ``select``,
+    which the loop steps one step at a time."""
+    wrapped = {}
+    return [wrapped.setdefault(id(p), custom_policy(p.select, name=p.name)) for p in policies]
+
+
+def _streams(count, seed=5):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+def _steer_both(system, X0, policies, *, nsteps, step=1e-3, box=None, backward=False, watch=None):
+    """The blocked run and the one-step-at-a-time run of ``policies``,
+    asserted equal bit for bit (:func:`_assert_same_runs`), and so are the
+    generators of the trials that reach the horizon.  Returns the blocked
+    run, its watch and its generators."""
+    from inclusafe.flow import _Watch
+
+    X0 = np.asarray(X0, dtype=float)
+    runs, watches, streams = [], [], []
+    for ps in (policies, _one_at_a_time(policies)):
+        rngs = _streams(len(ps))
+        w = None if watch is None else _Watch(*watch, len(ps))
+        runs.append(_lockstep(system, X0, ps, rngs, nsteps=nsteps, step=step,
+                              box=None if box is None else np.asarray(box, dtype=float),
+                              backward=backward, on_infeasible="truncate", watch=w))
+        watches.append(w)
+        streams.append(rngs)
+    _assert_same_runs(runs, watches)
+    run = runs[0]
+    on = (run.lengths == nsteps + 1) & ~run.exited
+    for i in np.flatnonzero(on).tolist():
+        assert streams[0][i].bit_generator.state == streams[1][i].bit_generator.state
+    return run, watches[0], streams[0]
+
+
+@pytest.mark.parametrize("name, eps, mode, trials, nsteps", [
+    ("linear-stable", 0.1, "strong", 1, 150),
+    ("linear-stable", 0.1, "strong", 4, 64),
+    ("linear-stable", 0.1, "strong", 5, 150),
+    ("noisy-loop", None, None, 4, 63),
+    ("example1", 1.0, "image", 1, 128),
+    ("example1", 1.0, "image", 4, 150),
+    ("example1", 0.1, "strong", 5, 1),
+    ("example2", 0.04, "strong", 4, 150),
+    ("example2", 0.04, "strong", 5, 65),
+])
+def test_steered_blocks_equal_single_steps(name, eps, mode, trials, nsteps, blocks):
+    sc = scenarios.build(name).scenario
+    system = sc.dynamics if eps is None else PerturbedSystem(sc.dynamics, eps, mode)
+    pool = sc.initial_samples()
+    X0 = pool[np.linspace(0, pool.shape[0] - 1, trials).astype(int)]
+    pair = [b_ascent(sc.barrier), random_extreme()]
+    run, _, _ = _steer_both(system, X0, [pair[i % 2] for i in range(trials)], nsteps=nsteps, box=sc.box)
+    assert None not in blocks
+    if name == "example2":  # planar trials leave the box at different steps
+        assert run.exited.any() and len(set(run.lengths.tolist())) > 2
+    else:
+        assert (run.lengths == nsteps + 1).all()
+        assert blocks == [min(64, nsteps - j) for j in range(0, nsteps, 64)]
+
+
+def _drift(x2_exit=None, trials=5):
+    """A planar drift: every velocity is (1, 1), and with the step 1/128
+    and starts on a grid of 1/256 every state is exact.  Trial i starts at
+    x1 = -i / 8 and x2 = 0, but trial 3 at x2 just below the box's upper
+    edge 10 so that it leaves through it after step ``x2_exit``."""
+    X0 = np.zeros((trials, 2))
+    X0[:, 0] = -np.arange(trials) / 8.0
+    if x2_exit is not None:
+        X0[3, 1] = 10.0 - (x2_exit - 0.5) / 128.0
+    system = SetValuedMap(2, [constant_piece(lambda x: True, [[1.0, 1.0]])])
+    ascent = b_ascent(_candidate(["1", "0"], 2))
+    return system, X0, [ascent, random_extreme(), ascent, random_extreme(), ascent][:trials]
+
+
+_DRIFT_BOX = [[-20.0, 20.0], [-20.0, 10.0]]
+
+
+@pytest.mark.parametrize("stop", [1, 30, 64, 65, 128, 129])
+def test_steered_block_drops_only_the_tail_of_a_trial_that_leaves_the_box(stop, blocks):
+    def depth(S):
+        # the watch never sees a state past the exit, whose x2 is 10 + 0.5/128
+        if (S[:, 1] > 10.05).any():
+            raise ValueError("a state past the exit")
+        return S[:, 0]
+
+    system, X0, policies = _drift(stop)
+    run, _, _ = _steer_both(system, X0, policies, nsteps=150, step=1 / 128, box=_DRIFT_BOX,
+                            watch=(lambda S: S[:, 0] > -100.0, depth, math.inf))
+    assert run.lengths.tolist() == [151, 151, 151, stop + 1, 151]
+    assert run.exited.tolist() == [False, False, False, True, False]
+    assert None not in blocks and len(blocks) == 3
+
+
+@pytest.mark.parametrize("first, second, leaves", [
+    (70, 100, None),  # both hits inside the second block
+    (30, 60, None),   # both inside the first
+    (64, 65, None),   # the first on a block's last step, the second on the next block's first
+    (30, 128, None),
+    (70, 100, 70),    # trial 3 leaves the box on the step that retires it: it exits
+    (70, 100, 71),    # ... or one step later: it retires first
+    (70, 100, 40),    # ... or before any hit
+])
+def test_steered_block_retires_trials_after_each_lower_index_hit_as_single_steps(first, second, leaves, blocks):
+    # trial 2 reaches the unsafe depth 0.5 at step `first`, which retires
+    # trials 3 and 4; trial 0 reaches it at step `second`, which retires
+    # trials 1 and 2; trials 1 and 3 would hit 10 and 5 steps after them
+    system, X0, policies = _drift(leaves)
+    X0[:4, 0] = 0.5 - np.array([second, second + 10, first, first + 5]) / 128.0
+    X0[4, 0] = -10.0
+    watch = (lambda S: S[:, 0] > 0.0, lambda S: S[:, 0], 0.5)
+    run, watch, _ = _steer_both(system, X0, policies, nsteps=150, step=1 / 128, box=_DRIFT_BOX, watch=watch)
+    assert watch.hit.tolist() == [second, -1, first, -1, -1] and watch.winner == 0
+    three = first + 1 if leaves is None else min(first, leaves) + 1
+    assert run.lengths.tolist() == [151, second + 1, second + 1, three, first + 1]
+    assert run.exited.tolist() == [False, False, False, leaves is not None and leaves <= first, False]
+    assert watch.depth[1] == 0.5 - 10 / 128 and watch.depth[0] == 0.5 + (150 - second) / 128
+    assert None not in blocks
+
+
+def test_steered_block_backward_negates_the_image_as_single_steps(linear_stable, blocks):
+    # backward, the contraction pushes away from 0 and the trials leave the box
+    sc = linear_stable.scenario
+    system = PerturbedSystem(sc.dynamics, 0.1, "strong")
+    X0 = np.array([[0.5], [0.4], [-0.3], [0.05]])
+    run, _, _ = _steer_both(system, X0, [b_ascent(sc.barrier), random_extreme()] * 2, nsteps=300, step=1e-2,
+                            box=sc.box, backward=True)
+    assert run.exited.any() and len(set(run.lengths.tolist())) > 2
+    assert None not in blocks
+
+
+def _vanishing(gradient="2*x1 + 2"):
+    """Three trials of example1's map in mode image with eps = 1 (velocities
+    1 to 3) on the box x1 <= -0.25, step 1/128: b-ascent trial 0 moves at 3
+    and leaves the box after step 20; b-ascent trial 1 moves at 1 from
+    x1 = -1 - 10/128 to -1, where the gradient 2*x1 + 2 vanishes, so at step
+    11 it draws its direction from its generator, and it stays in the box
+    for 40 steps; random-extreme trial 2 stays in it too."""
+    sc = scenarios.build("example1").scenario
+    system = PerturbedSystem(sc.dynamics, 1.0, "image")
+    ascent = b_ascent(_candidate([gradient], 1))
+    X0 = np.array([[-0.25 - 19.5 * 3 / 128], [-1.0 - 10 / 128], [-2.0]])
+    return system, X0, [ascent, ascent, random_extreme()], [[-3.0, -0.25]]
+
+
+def test_steered_block_keeps_the_draw_of_a_vanishing_gradient_beside_a_trial_that_leaves(blocks):
+    system, X0, policies, box = _vanishing()
+    run, _, streams = _steer_both(system, X0, policies, nsteps=40, step=1 / 128, box=box)
+    assert run.lengths.tolist() == [21, 41, 41] and run.exited.tolist() == [True, False, False]
+    assert run.trajectory(1, 1 / 128, "").states[10, 0] == -1.0
+    # trial 1 drew once, after trial 0 had left: the same draw as single steps
+    fresh = _streams(3)[1]
+    assert streams[1].bit_generator.state != fresh.bit_generator.state
+    fresh.standard_normal(1)
+    assert streams[1].bit_generator.state == fresh.bit_generator.state
+    assert blocks == [40]
+
+
+def _overflowing_past(c):
+    # past x1 = c a term of the gradient overflows with a numpy warning, and
+    # the gradient is still 2*x1 + 2
+    return f"2*x1 + 2 + min((x1 > {c!r}) * 1e308 * 10, 0)"
+
+
+def _raising_past(c):
+    # past x1 = c the gradient oracle raises (a square root of a negative)
+    return f"2*x1 + 2 + 0*sqrt({c!r} - x1)"
+
+
+@pytest.mark.parametrize("gradient", [_overflowing_past, _raising_past])
+def test_steered_block_past_a_stop_neither_raises_nor_warns(gradient, blocks):
+    # trial 0 leaves the box after step 20 and passes x1 = -0.2 at step 22,
+    # inside the block; the others never reach -0.2
+    system, X0, policies, box = _vanishing(gradient(-0.2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run, _, _ = _steer_both(system, X0, policies, nsteps=40, step=1 / 128, box=box)
+    assert caught == []
+    assert run.lengths.tolist() == [21, 41, 41]
+    # the block met the failure after trial 1's draw at step 11, put its
+    # generator back, and the steps were taken one by one
+    assert blocks == [None]
+
+
+@pytest.fixture()
+def one_by_one(monkeypatch):
+    """Runs whose steered blocks all fail before their first step, so the
+    loop takes single steps from the start: the reference for the errors
+    and warnings of a block that falls back."""
+    from inclusafe import flow
+
+    def runs(call):
+        with monkeypatch.context() as m:
+            m.setattr(flow, "_steer", lambda *args: 1 / 0)
+            return call()
+    return runs
+
+
+def test_steered_block_warns_before_a_stop_where_single_steps_warn(one_by_one, blocks):
+    # trial 0 passes x1 = -0.45 at step 11, after trial 1's draw at step
+    # 11, and warns on every later step until it leaves the box
+    system, X0, policies, box = _vanishing(_overflowing_past(-0.45))
+    seen = []
+    for call in (lambda f: f(), one_by_one):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            streams = _streams(3)
+            run = call(lambda: _lockstep(system, X0, policies, streams, nsteps=40, step=1 / 128,
+                                         box=np.array(box), on_infeasible="truncate"))
+        seen.append(([(w.category, str(w.message)) for w in caught], run.lengths.tolist(),
+                     [S.tobytes() for _, S in run.history], [g.bit_generator.state for g in streams]))
+    assert seen[0] == seen[1]
+    # trial 0 warns on its steps 12 to 20, trial 1 on its last few steps
+    assert set(seen[0][0]) == {(RuntimeWarning, "overflow encountered in multiply")} and len(seen[0][0]) > 9
+    assert seen[0][1] == [21, 41, 41]
+    assert blocks == [None]
+    assert seen[0][3][1] != _streams(3)[1].bit_generator.state  # trial 1 drew
+
+
+def test_steered_block_raises_before_a_stop_where_single_steps_raise(one_by_one, blocks):
+    system, X0, policies, box = _vanishing(_raising_past(-0.45))
+    texts, states = [], []
+    for call, ps in ((lambda f: f(), policies), (one_by_one, policies), (lambda f: f(), _one_at_a_time(policies))):
+        streams = _streams(3)
+        with pytest.raises(GradientOracleError) as info:
+            call(lambda: _lockstep(system, X0, ps, streams, nsteps=40, step=1 / 128, box=np.array(box),
+                                   on_infeasible="truncate"))
+        texts.append(str(info.value))
+        states.append([g.bit_generator.state for g in streams])
+    assert texts[0] == texts[1] == texts[2] and texts[0].startswith("the gradient oracle raises at x=[-0.4")
+    # put back after the block: trial 1's draw, then nothing past the raise
+    # (the one-at-a-time run draws its random-extreme normals step by step)
+    assert states[0] == states[1] and states[0][:2] == states[2][:2]
+    assert blocks == [None]
+
+
+@pytest.mark.parametrize("name, eps, mode, starts", [
+    ("linear-stable", 0.1, "strong", 2),
+    ("noisy-loop", None, "strong", 2),
+    ("example1", 1.0, "image", 3),
+])
+def test_exhaust_searches_of_the_benchmark_run_in_steered_blocks(name, eps, mode, starts, blocks):
+    # the falsify-search workload's exhaust commands: 1,000 steps each; the
+    # example1 hint truncates at its second step, then every trial steers
+    bundle = scenarios.build(name)
+    res = falsify(bundle.scenario, eps, FalsifyBudget(starts=starts, horizon=1.0), mode=mode,
+                  hints=bundle.hints(eps))
+    assert not res.found
+    assert None not in blocks and len(blocks) == 16
+    assert sum(blocks) == (998 if name == "example1" else 1000)

@@ -26,7 +26,14 @@ example1's config under another name, whose hint so comes from the config
 as an expression policy, not from the builtin's hint builder, and
 ``falsify --eps 0.04`` on example2's config under another name with a
 config hint: the start (5, 0) and the state-feedback velocity of the
-builtin's cone-escape hint at that eps.  Every other run uses seed 0.
+builtin's cone-escape hint at that eps.  Then two searches of
+extreme-point trials only, which the loop advances in steered blocks:
+``falsify linear-stable --eps 0.6``, where the first trial (b-ascent) hits
+after 1,923 steps and the 399 trials after it retire, and ``falsify --eps
+0.04`` on example2's config under another name, so without its hint, with
+12 starts and a horizon of 2, where planar trials leave the box and the
+fifth trial hits inside the first block.  Every other run
+uses seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
 witness trajectory) gets one more line: its sha256 and its file name, after
@@ -208,6 +215,12 @@ def main() -> int:
             json.dump(dict(scenarios.builtin_config("example2"), name="example2-hinted", hints=[
                 {"x0": [5.0, 0.0], "velocity": ["0", "-1 + x1**2*(x2 + 0.04) + 0.04"], "label": "cone-escape"}]), fh)
         print(_line(tmp, hinted, "falsify", "falsify example2-hinted --eps 0.04", eps=0.04), flush=True)
+        print(_line(tmp, "linear-stable", "falsify", "falsify linear-stable --eps 0.6", eps=0.6), flush=True)
+        unhinted = os.path.join(tmp, "example2-unhinted.json")
+        with open(unhinted, "w", encoding="utf-8") as fh:
+            json.dump(dict(scenarios.builtin_config("example2"), name="example2-unhinted",
+                           falsify={"starts": 12, "horizon": 2.0}), fh)
+        print(_line(tmp, unhinted, "falsify", "falsify example2-unhinted --eps 0.04", eps=0.04), flush=True)
     return 0
 
 

@@ -22,15 +22,22 @@ exit threshold, so the winner's hit retires the trials after it and its
 tail runs alone.  A lone trial of a policy with ``rows`` coasts through
 blocks of steps, whether its velocity is fixed (example1's hint) or state
 feedback (example2's): the one-trial hint rows and the find rows time it.
-A step is one pass of the loop, however many trials are live, and a
-coasted block counts as the steps it took.
+When every live trial has an extreme-point policy (b-ascent,
+random-extreme), the loop advances all of them together in steered blocks
+to the end of each 64-step window of normals: the exhaust rows and the
+non-hinted case rows time it.  A step is one Euler step of the live
+trials, however many there are, and a block counts as the steps it took.
 
 One line per case and N: microseconds per step (the median of 11 timed runs
-after one warm-up run) and Python calls per step, the ``call`` events that
-``sys.setprofile`` sees in one run.  The call count repeats exactly from run
-to run; the script checks that it does on a second profiled run.  It
-compares two versions of the program, not their speed.  The program is
-imported from ``src/`` of the checkout that holds this file.
+after one warm-up run), Python calls per step, the ``call`` events that
+``sys.setprofile`` sees in one run, and steps per block: the steps over the
+loop's passes that advanced the trials, a block and a single step each
+counting as one pass, so 1.0 means single steps only, and a silent
+fall-back from blocks to single steps shows as such, not only as a slower
+step.  The call count repeats exactly from run to run; the script checks
+that it does on a second profiled run.  It compares two versions of the
+program, not their speed.  The program is imported from ``src/`` of the
+checkout that holds this file.
 """
 from __future__ import annotations
 
@@ -123,6 +130,21 @@ def _caught(cmd):
     return caught[0]
 
 
+class _Passes(_Watch):
+    """A watch that counts the loop's passes that advanced the trials: the
+    loop observes each single step and each block once."""
+
+    passes = 0
+
+    def observe(self, k, trials, S):
+        self.passes += k > 0  # step 0 is the starts
+        super().observe(k, trials, S)
+
+    def observe_block(self, k, trials, seen, ends):
+        self.passes += 1
+        return super().observe_block(k, trials, seen, ends)
+
+
 def _run(args) -> int:
     """One lockstep run on fresh generators and a fresh watch; returns the
     number of steps it took."""
@@ -131,6 +153,15 @@ def _run(args) -> int:
     run = _lockstep(system, X0, policies, [np.random.default_rng(s) for s in seeds],
                     **dict(settings, watch=_Watch(unsafe, depth, threshold, X0.shape[0])))
     return len(run.history)
+
+
+def _steps_per_pass(args) -> float:
+    """Steps over the loop's passes that advanced the trials, in one run."""
+    system, X0, policies, seeds, settings = args
+    watch = _Passes(*settings["watch"], X0.shape[0])
+    run = _lockstep(system, X0, policies, [np.random.default_rng(s) for s in seeds],
+                    **dict(settings, watch=watch))
+    return len(run.history) / watch.passes
 
 
 def _calls(args) -> tuple[int, int]:
@@ -169,7 +200,7 @@ def _cases():
 
 
 def main() -> int:
-    print(f"{'case':36} {'N':>2} {'steps':>5} {'us/step':>8} {'calls/step':>10}")
+    print(f"{'case':36} {'N':>2} {'steps':>5} {'us/step':>8} {'calls/step':>10} {'steps/block':>11}")
     for label, args in _cases():
         trials = args[1].shape[0]
         _run(args)  # fills the caches a run uses
@@ -181,7 +212,8 @@ def main() -> int:
         count, steps = _calls(args)
         if _calls(args) != (count, steps):
             raise SystemExit(f"{label} N={trials}: the call count did not repeat")
-        print(f"{label:36} {trials:>2} {steps:>5} {1e6 * statistics.median(times):8.1f} {count / steps:10.1f}")
+        print(f"{label:36} {trials:>2} {steps:>5} {1e6 * statistics.median(times):8.1f} {count / steps:10.1f}"
+              f" {_steps_per_pass(args):11.1f}")
     return 0
 
 
