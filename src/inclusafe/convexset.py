@@ -23,6 +23,15 @@ stack takes one such product per point count, each row in the shape of
 its own set.  The support and distance kernels raise ValueError, as
 building the sets would, if a row is not finite.
 
+In n >= 2, :func:`contains_rows` first tries a nearest-point certificate on
+each row: v passes at once if some point p of the row has ‖v − p‖ <= r +
+tol − δ, where δ = 64 (n + 4) u times a bound on ‖v‖ + max ‖p‖ + r + tol
+(u = 2⁻⁵³) covers the rounding of the certificate and of the sampled check.
+For every sampled direction d, d·v <= d·p + ‖d‖ ‖v − p‖, so a certified row
+passes the sampled check too; only the rows it leaves go to the
+256-direction product.  The verdict is :func:`contains`'s on every row; the
+proof, with its constants, is in the docstring of :func:`contains_rows`.
+
 scipy is imported only on the first call that needs Qhull: the hull of more
 than :data:`PRUNE_THRESHOLD` points in two or more dimensions.  Qhull is
 reached through the module-level name :func:`ConvexHull`, which tracers
@@ -449,24 +458,110 @@ def contains(s: ConvexCompactSet, x, tol: float = 0.0) -> bool:
 
 
 #: elements of the (rows, width, directions) support product that one
-#: slice of :func:`contains_rows` builds at most
+#: slice of :func:`_sampled` builds at most
 _CONTAINS_ELEMENTS = 1 << 16
+
+#: the absolute floor in the scale of the nearest-point certificate, which
+#: covers gradual underflow (see :func:`contains_rows`)
+_FLOOR = 2.0 ** -450
 
 
 def contains_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: np.ndarray,
                   tol: float = 0.0) -> np.ndarray:
     """:func:`contains` of ``V[i]`` in row i of a padded stack, for every
-    row.  It does not check that the rows are finite.  In two or more
-    dimensions the rows go in slices whose support product holds at most
-    ``_CONTAINS_ELEMENTS`` elements; each row's products are its own, so
-    slicing changes no bit."""
+    row.  It does not check that the rows are finite.
+
+    In one dimension it compares interval endpoints.  In n >= 2 a
+    nearest-point certificate settles every row it can, and only the rest
+    go to :func:`_sampled`, the 256-direction product of :func:`contains`.
+    Row i, with velocity v, radius r and points p_k (its padding repeats
+    them), passes at once if some p_k has
+
+        ‖v − p_k‖ <= r + tol − δ,
+        δ = 64 (n + 4) u (2‖v‖ + max_k ‖v − p_k‖ + r + tol + 2⁻⁴⁵⁰),
+
+    u = 2⁻⁵³, each term as float64 computes it (:func:`_certified`); the
+    scale bounds ‖v‖ + max_k ‖p_k‖ + r + tol.  A certified row passes the
+    product too, and an uncertified one is decided by it, so the verdict is
+    :func:`contains`'s on every row.  A row with a NaN or infinite
+    velocity, point, radius or ``tol``, or a square that overflows, makes
+    the certificate NaN or its threshold −inf and is never certified.
+
+    Proof, for r, tol >= 0, with γ_k = ku / (1 − ku) and the dot-product
+    bound |fl(x·y) − x·y| <= γ_n Σ|x_j y_j| <= γ_n ‖x‖ ‖y‖ (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.1).
+    Take a sampled direction d and a certifying point p, ρ = ‖v − p‖.  The
+    product tests ĉ <= t̂ with ĉ = fl(d·v) and t̂ = fl(fl(m + fl(r ν̂)) + tol),
+    m the max of the computed d·p_k over the row's points and ν̂ = fl(‖d‖);
+    the ball term is left out when r = 0.
+
+    1. The directions have |‖d‖ − 1| <= η = 4 (n + 4) u (a test checks
+       |ν̂ − 1| <= 2 (n + 4) u, and |ν̂ − ‖d‖| <= γ_(n+1)).
+    2. ĉ <= d·v + γ_n ‖d‖ ‖v‖, and d·v <= d·p + ‖d‖ ρ.
+    3. m >= fl(d·p) >= d·p − γ_n ‖d‖ ‖p‖ and fl(r ν̂) >= r ‖d‖ (1 − γ_(n+2)).
+       Rounding is monotone, so the two additions lose at most
+       3u ‖d‖ (‖p‖ + r) + u tol more: t̂ >= d·p + r ‖d‖ + tol
+       − γ_(n+5) ‖d‖ (‖p‖ + r) − u tol.
+    4. By 1–3, ĉ <= t̂ whenever ‖d‖ ρ <= r ‖d‖ + tol − γ_(n+5) (1 + η)
+       (‖v‖ + ‖p‖ + r) − u tol.  ρ <= r + tol − δ' implies it, with
+       δ' = 5 (n + 4) u S' and S' = ‖v‖ + ‖p‖ + r + tol, as
+       ‖d‖ tol <= tol + η tol and (1 − η) δ' >= (η + u) tol
+       + (1 + η) γ_(n+5) (‖v‖ + ‖p‖ + r).
+    5. The certificate's own rounding: the computed distance ρ̂ has
+       ρ <= ρ̂ / (1 − γ_(n+3)), the computed scale is at least
+       (1 − γ_(n+6)) times the exact one, which is at least S', and
+       fl(r + tol) <= (r + tol)(1 + u).  So ρ̂ <= fl(fl(r + tol) − fl(δ))
+       gives ρ <= r + tol − (64 (n + 4) u (1 − γ_(n+7)) − γ_(n+7)) S',
+       and that margin exceeds δ' more than tenfold.
+    6. Gradual underflow adds absolute errors below √n 2⁻⁵³⁶ to a computed
+       distance or norm and below n 2⁻¹⁰⁷⁴ to a dot product; the floor
+       2⁻⁴⁵⁰ puts more than 2⁻⁴⁹⁵ into δ, which covers them.  A certified
+       row has ‖v‖² and every ‖v − p_k‖² finite, so of the product only t̂
+       can overflow, and t̂ = +inf passes.
+    """
     if V.shape[1] == 1:
         lo, hi = interval_rows(points, radii)
         return (lo - tol <= V[:, 0]) & (V[:, 0] <= hi + tol)
+    ok = _certified(points, radii, V, tol)
+    if np.logical_and.reduce(ok):
+        return ok
+    rest = ~ok
+    ok[rest] = _sampled(points[rest], counts[rest], radii[rest], V[rest], tol)
+    return ok
+
+
+def _certified(points: np.ndarray, radii: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of a padded stack that the nearest-point certificate of
+    :func:`contains_rows` settles: some point of row i lies within
+    ``radii[i] + tol − δ`` of ``V[i]``.  It raises and warns on no float
+    event: a row it refuses warns, or not, in the sampled check."""
+    with np.errstate(all="ignore"):
+        gap = points - V[:, None, :]
+        gap *= gap
+        squares = np.add.reduce(gap, axis=2)  # ‖v − p_k‖², (m, K)
+        scale = np.sqrt(np.add.reduce(V * V, axis=1))
+        scale += scale
+        scale += np.sqrt(np.maximum.reduce(squares, axis=1))
+        reach = radii + tol
+        scale += reach
+        scale += _FLOOR
+        scale *= 64 * (V.shape[1] + 4) * 2.0 ** -53
+        reach -= scale
+        return np.sqrt(np.minimum.reduce(squares, axis=1)) <= reach
+
+
+def _sampled(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: np.ndarray,
+             tol: float) -> np.ndarray:
+    """:func:`contains` of ``V[i]`` in row i, n >= 2, by its 256 sampled
+    support inequalities.  The rows go in slices whose support product
+    holds at most ``_CONTAINS_ELEMENTS`` elements; each row's products are
+    its own, so slicing changes no bit."""
     dirs = unit_directions(V.shape[1])
+    norms = _unit_norms(V.shape[1])
     size = max(1, _CONTAINS_ELEMENTS // (points.shape[1] * dirs.shape[0]))
-    if V.shape[0] > size:
-        return np.concatenate([contains_rows(points[a:a + size], counts[a:a + size], radii[a:a + size],
-                                             V[a:a + size], tol) for a in range(0, V.shape[0], size)])
-    support = _supports(points, counts, radii, dirs, _unit_norms(V.shape[1]))
-    return (np.matmul(dirs, V[:, :, None])[:, :, 0] <= support + tol).all(axis=1)
+    ok = np.empty(V.shape[0], dtype=bool)
+    for a in range(0, V.shape[0], size):
+        rows = slice(a, a + size)
+        support = _supports(points[rows], counts[rows], radii[rows], dirs, norms)
+        ok[rows] = (np.matmul(dirs, V[rows, :, None])[:, :, 0] <= support + tol).all(axis=1)
+    return ok

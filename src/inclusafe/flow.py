@@ -377,9 +377,11 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     (past a trial's stop), so it runs, with the watch's look at its
     states, under ``np.errstate(all="raise")``: if anything in it raises or
     meets a float event, the generators are put back as they were before
-    the block and the loop takes single steps for the rest of the run, so
-    an error or warning surfaces where single steps raise it, and a state
-    past a stop never raises or warns.
+    the block and the loop takes single steps to the end of the current
+    64-step window, then tries blocks again.  So an error or warning
+    surfaces where single steps raise it, a state past a stop never raises
+    or warns, and a failure past a trial's stop costs blocks for one window
+    only.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -410,7 +412,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     if watch is not None:
         watch.observe(0, live, S)
     bounds = None if box is None else (lo, hi)
-    blocks = True  # until a block raises or meets a float event
+    retry = 1  # the first step that may start a block
     k = 1
     while k <= nsteps:
         if watch is not None and watch.winner < cut:
@@ -436,7 +438,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             for p, sel, source in parts:
                 if p.normals is not None:
                     normals[source, :size] = [rng.standard_normal((size, n)) for rng in streams[live[sel]]]
-        if blocks and (steered or coasts):
+        if k >= retry and (steered or coasts):
             # the generators that directions may draw on inside the block
             saved = [(rng, rng.bit_generator.state) for p, _, source in parts
                      if p.normals is None and source is not None for rng in source] if steered else ()
@@ -452,7 +454,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             except Exception:  # noqa: BLE001 - single steps raise it, or not, where they should
                 for rng, state in saved:
                     rng.bit_generator.state = state
-                blocks = False
+                retry = k - j + _BLOCK  # the next window
             else:
                 b = T.shape[0] - 1
                 kept = ends if seen is None else watch.observe_block(k, live, seen, ends)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -537,12 +538,113 @@ def test_sliced_containment_equals_the_unsliced_call_and_the_set_method(n, monke
     width = points.shape[1] * unit_directions(n).shape[0]
     size = convexset._CONTAINS_ELEMENTS // width
     assert 1 < size < 400
+    reached = []  # the rows of each call of the sampled check
+
+    def sampled(points, counts, radii, V, tol, sampled=convexset._sampled):
+        reached.append(V.shape[0])
+        return sampled(points, counts, radii, V, tol)
+
+    monkeypatch.setattr(convexset, "_sampled", sampled)
     for budget, rows in ((convexset._CONTAINS_ELEMENTS, size), (3 * width, 3)):
         monkeypatch.setattr(convexset, "_CONTAINS_ELEMENTS", budget)
+        reached.clear()
         for m in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 400):
             for tol in (0.0, 1e-9):
                 got = contains_rows(points[:m], counts[:m], radii[:m], V[:m], tol)
                 assert got.tolist() == want[tol][:m]
+        # the rows the certificate leaves still fill several slices
+        assert max(reached) > 2 * rows
     monkeypatch.setattr(convexset, "_CONTAINS_ELEMENTS", 1 << 62)  # one slice
     for tol in (0.0, 1e-9):
         assert contains_rows(points, counts, radii, V, tol).tolist() == want[tol]
+
+
+# ----------------------------------------------------------------------- #
+# the nearest-point certificate of contains_rows
+_U = 2.0 ** -53
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_unit_direction_norms_are_within_the_certificates_bound(n):
+    # step 1 of the proof in contains_rows' docstring rests on this
+    from inclusafe.convexset import _unit_norms
+
+    assert np.abs(_unit_norms(n) - 1.0).max() <= 2 * (n + 4) * _U
+
+
+def _near_the_reach(rng, n, tol, centre):
+    """A padded stack around ``centre`` with a velocity per row placed from
+    one of its points p along a unit vector w (a sampled direction, where
+    the sampled check is tight, or a random one), in four kinds by row:
+    p + r w (the shape of example2's hint velocities), a distance of r +
+    tol give or take a few ulps of the scale, a distance within a factor
+    of two of the certificate's threshold r + tol − δ, and a random
+    distance up to 1.5 (r + tol)."""
+    m = 240
+    points, counts, radii = _padded_stack(rng, m, n, most=9)
+    points += centre
+    dirs = unit_directions(n)
+    V = np.empty((m, n))
+    for i in range(m):
+        p = points[i, rng.integers(counts[i])]
+        w = dirs[rng.integers(dirs.shape[0])] if i % 8 < 4 else rng.standard_normal(n)
+        w = w / np.linalg.norm(w)
+        reach = radii[i] + tol
+        scale = 2.0 * np.linalg.norm(p) + reach
+        distance = (radii[i],
+                    reach + int(rng.integers(-6, 7)) * _U * scale,
+                    reach - 64 * (n + 4) * _U * scale * rng.uniform(0.5, 2.0),
+                    reach * rng.uniform(0.0, 1.5))[i % 4]
+        V[i] = p + distance * w
+    return points, counts, radii, V
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_certified_containment_equals_the_set_method(n, tol):
+    from inclusafe import convexset
+    from inclusafe.convexset import contains_rows
+
+    rng = np.random.default_rng(940 + 10 * n + (tol > 0.0))
+    for centre in (0.0, 1e6):
+        points, counts, radii, V = _near_the_reach(rng, n, tol, centre)
+        sets = [ConvexCompactSet(p[:c], r) for p, c, r in zip(points, counts, radii)]
+        want = [contains(s, v, tol) for s, v in zip(sets, V)]
+        assert contains_rows(points, counts, radii, V, tol).tolist() == want
+        certified = convexset._certified(points, radii, V, tol)
+        # rows settled at once, rows left to the sampled check in and out
+        assert certified.any() and (~certified & want).any() and not all(want)
+        assert not (certified & ~np.array(want)).any()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_non_finite_rows_are_never_certified(n):
+    from inclusafe import convexset
+    from inclusafe.convexset import contains_rows
+
+    rng = np.random.default_rng(960 + n)
+    points, counts, radii = _padded_stack(rng, 40, n)
+    V = points[:, 0].copy()  # a point of each row
+    bad = np.zeros(40, dtype=bool)
+    for i, value in zip(range(0, 36, 4), itertools.cycle((np.nan, np.inf, -np.inf))):
+        V[i, i % n] = value
+        points[i + 1, 0, i % n] = value
+        points[i + 2, counts[i + 2] - 1, 0] = value
+        radii[i + 3] = abs(value)
+        bad[i:i + 4] = True
+    for tol in (0.0, 1e-9, np.nan):
+        certified = convexset._certified(points, radii, V, tol)
+        # a finite row is certified where its radius plus tol is positive
+        assert certified.tolist() == (~bad & ((radii > 0.0) | (tol > 0.0)) & (tol == tol)).tolist()
+        seen = []  # verdicts and the warnings met on the way
+        for check in (contains_rows, convexset._sampled):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                seen.append((check(points, counts, radii, V, tol).tolist(), {str(w.message) for w in caught}))
+        assert seen[0] == seen[1]
+        got = seen[0][0]
+        if tol == tol:
+            finite = [i for i in range(40) if np.isfinite(points[i]).all() and np.isfinite(radii[i])]
+            with np.errstate(all="ignore"):  # the sampled check's warnings, seen above
+                want = [contains(ConvexCompactSet(points[i, :counts[i]], radii[i]), V[i], tol) for i in finite]
+            assert [got[i] for i in finite] == want

@@ -884,6 +884,43 @@ def test_feedback_coast_stops_its_fold_within_8_steps_of_the_box_exit(example2):
         assert set(calls) == {1} and steps <= len(calls) < steps + 8
 
 
+@pytest.fixture()
+def feasibility_rows(monkeypatch):
+    """The rows of each 2-D containment check (``checked``), and those of
+    them that the nearest-point certificate leaves to the 256-direction
+    product (``sampled``)."""
+    from inclusafe import convexset
+
+    rows = {"checked": [], "sampled": []}
+    for key, name in (("checked", "_certified"), ("sampled", "_sampled")):
+        def recorded(points, *args, seen=rows[key], check=getattr(convexset, name)):
+            seen.append(points.shape[0])
+            return check(points, *args)
+        monkeypatch.setattr(convexset, name, recorded)
+    return rows
+
+
+@pytest.mark.parametrize("eps, steps", [(0.04, 326), (0.1, 464)])
+def test_example2_finds_settle_every_velocity_by_the_certificate(example2, eps, steps, feasibility_rows):
+    # each hint velocity is f(x + (0, eps)) + (0, eps), and (0, eps) is an
+    # offset of the strong image's lattice, so it lies eps from a point
+    hint = example2.hints(eps)[0]
+    res = falsify(example2.scenario, eps, FalsifyBudget(starts=1, horizon=0.5), hints=[hint])
+    assert res.found and len(res.trajectory) == steps + 1
+    assert sum(feasibility_rows["checked"]) == steps and feasibility_rows["sampled"] == []
+
+
+def test_an_infeasible_planar_hint_reaches_the_sampled_check_and_truncates_first(example2, feasibility_rows):
+    sc = example2.scenario
+    policy = expression_policy(["0", "100"], 2, name="infeasible")
+    assert policy.velocity is not None and policy.verify
+    run, _ = _run_both(PerturbedSystem(sc.dynamics, 0.04, "strong"), [5.0, 0.0], policy, nsteps=1000,
+                       step=0.04 / 50.0, box=sc.box)
+    assert run.truncated[0] and run.lengths[0] == 1 and not run.exited[0]
+    # the coasting block's rows up to its box exit, then the single step's one
+    assert feasibility_rows["sampled"] == feasibility_rows["checked"] == [13, 1]
+
+
 # ----------------------------------------------------------------------- #
 # steered blocks: when every live trial has an extreme-point policy, the
 # loop advances all of them to the end of the 64-step window of normals
@@ -1060,16 +1097,18 @@ def _raising_past(c):
 @pytest.mark.parametrize("gradient", [_overflowing_past, _raising_past])
 def test_steered_block_past_a_stop_neither_raises_nor_warns(gradient, blocks):
     # trial 0 leaves the box after step 20 and passes x1 = -0.2 at step 22,
-    # inside the block; the others never reach -0.2
+    # inside the first block; the others never reach -0.2, and trial 1
+    # leaves the box after step 43
     system, X0, policies, box = _vanishing(gradient(-0.2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run, _, _ = _steer_both(system, X0, policies, nsteps=40, step=1 / 128, box=box)
+        run, _, _ = _steer_both(system, X0, policies, nsteps=100, step=1 / 128, box=box)
     assert caught == []
-    assert run.lengths.tolist() == [21, 41, 41]
+    assert run.lengths.tolist() == [21, 44, 101] and run.exited.tolist() == [True, True, False]
     # the block met the failure after trial 1's draw at step 11, put its
-    # generator back, and the steps were taken one by one
-    assert blocks == [None]
+    # generator back, and the window's steps were taken one by one; blocks
+    # resume with the next window
+    assert blocks == [None, 36]
 
 
 @pytest.fixture()

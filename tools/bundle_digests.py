@@ -26,7 +26,10 @@ example1's config under another name, whose hint so comes from the config
 as an expression policy, not from the builtin's hint builder, and
 ``falsify --eps 0.04`` on example2's config under another name with a
 config hint: the start (5, 0) and the state-feedback velocity of the
-builtin's cone-escape hint at that eps.  Then two searches of
+builtin's cone-escape hint at that eps, and the same on another name with
+the hint velocity (0, 100), which lies outside the image, so the hint is
+truncated at its first step by the 256-direction containment product.
+Then two searches of
 extreme-point trials only, which the loop advances in steered blocks:
 ``falsify linear-stable --eps 0.6``, where the first trial (b-ascent) hits
 after 1,923 steps and the 399 trials after it retire, and ``falsify --eps
@@ -215,6 +218,11 @@ def main() -> int:
             json.dump(dict(scenarios.builtin_config("example2"), name="example2-hinted", hints=[
                 {"x0": [5.0, 0.0], "velocity": ["0", "-1 + x1**2*(x2 + 0.04) + 0.04"], "label": "cone-escape"}]), fh)
         print(_line(tmp, hinted, "falsify", "falsify example2-hinted --eps 0.04", eps=0.04), flush=True)
+        infeasible = os.path.join(tmp, "example2-infeasible.json")
+        with open(infeasible, "w", encoding="utf-8") as fh:
+            json.dump(dict(scenarios.builtin_config("example2"), name="example2-infeasible", hints=[
+                {"x0": [5.0, 0.0], "velocity": ["0", "100"], "label": "infeasible"}]), fh)
+        print(_line(tmp, infeasible, "falsify", "falsify example2-infeasible --eps 0.04", eps=0.04), flush=True)
         print(_line(tmp, "linear-stable", "falsify", "falsify linear-stable --eps 0.6", eps=0.6), flush=True)
         unhinted = os.path.join(tmp, "example2-unhinted.json")
         with open(unhinted, "w", encoding="utf-8") as fh:

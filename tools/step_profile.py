@@ -30,14 +30,18 @@ trials, however many there are, and a block counts as the steps it took.
 
 One line per case and N: microseconds per step (the median of 11 timed runs
 after one warm-up run), Python calls per step, the ``call`` events that
-``sys.setprofile`` sees in one run, and steps per block: the steps over the
+``sys.setprofile`` sees in one run, steps per block: the steps over the
 loop's passes that advanced the trials, a block and a single step each
 counting as one pass, so 1.0 means single steps only, and a silent
 fall-back from blocks to single steps shows as such, not only as a slower
-step.  The call count repeats exactly from run to run; the script checks
-that it does on a second profiled run.  It compares two versions of the
-program, not their speed.  The program is imported from ``src/`` of the
-checkout that holds this file.
+step; and full rows per step: the rows of the feasibility checks that the
+nearest-point certificate of ``convexset.contains_rows`` leaves to the
+256-direction product, so a certificate that stops settling rows shows as
+a number too.  The last two come from runs of their own.  The call count
+repeats exactly from run to run; the script checks that it does on a
+second profiled run.  It compares two versions of the program, not their
+speed.  The program is imported from ``src/`` of the checkout that holds
+this file.
 """
 from __future__ import annotations
 
@@ -54,7 +58,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import numpy as np  # noqa: E402
 
-from inclusafe import cli, expressions, flow, scenarios  # noqa: E402
+from inclusafe import cli, convexset, expressions, flow, scenarios  # noqa: E402
 from inclusafe.flow import FalsifyBudget, _lockstep, _trials, _Watch, b_ascent, random_extreme  # noqa: E402
 from inclusafe.svmap import PerturbedSystem, unperturbed  # noqa: E402
 import workloads  # noqa: E402
@@ -164,6 +168,25 @@ def _steps_per_pass(args) -> float:
     return len(run.history) / watch.passes
 
 
+def _full_rows(args) -> float:
+    """Rows that reach the 256-direction containment product, per step, in
+    one run."""
+    rows = 0
+    sampled = convexset._sampled
+
+    def counted(points, *rest):
+        nonlocal rows
+        rows += points.shape[0]
+        return sampled(points, *rest)
+
+    convexset._sampled = counted
+    try:
+        steps = _run(args)
+    finally:
+        convexset._sampled = sampled
+    return rows / steps
+
+
 def _calls(args) -> tuple[int, int]:
     """Python call events of one run, and its steps."""
     count = 0
@@ -200,7 +223,8 @@ def _cases():
 
 
 def main() -> int:
-    print(f"{'case':36} {'N':>2} {'steps':>5} {'us/step':>8} {'calls/step':>10} {'steps/block':>11}")
+    print(f"{'case':36} {'N':>2} {'steps':>5} {'us/step':>8} {'calls/step':>10} {'steps/block':>11}"
+          f" {'full rows/step':>14}")
     for label, args in _cases():
         trials = args[1].shape[0]
         _run(args)  # fills the caches a run uses
@@ -213,7 +237,7 @@ def main() -> int:
         if _calls(args) != (count, steps):
             raise SystemExit(f"{label} N={trials}: the call count did not repeat")
         print(f"{label:36} {trials:>2} {steps:>5} {1e6 * statistics.median(times):8.1f} {count / steps:10.1f}"
-              f" {_steps_per_pass(args):11.1f}")
+              f" {_steps_per_pass(args):11.1f} {_full_rows(args):14.2f}")
     return 0
 
 
