@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .convexset import contains_rows, extreme_rows, interval_rows, row_norms, row_set
-from .svmap import PerturbedSystem, _image_kernel, unperturbed
+from .svmap import PerturbedSystem, unperturbed
 from . import expressions
 
 __all__ = [
@@ -350,6 +350,9 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
               watch: Optional[_Watch] = None) -> _Run:
     """Explicit Euler steps of every trial i from ``X0[i]``, with velocities
     from ``policies[i]`` drawing on ``rngs[i]``, all advanced together.
+    Every step takes its images from one ``system.images`` call on the
+    states, negated when ``backward`` is set; what those images resolve once
+    per map, not per step, is in :mod:`svmap`.
 
     A trial stops at ``nsteps``, after the step that leaves ``box`` (that
     state is kept), before a step whose verified velocity lies outside the
@@ -408,7 +411,11 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     # trials in the block for a normals policy, else their generators)
     parts = None
     cut = N  # the winner whose higher-index trials have retired (N: none)
-    images = _image_kernel(system)
+    images = system.images
+    if backward:
+        def images(S, forward=system.images):
+            points, counts, radii = forward(S)
+            return points * -1.0, counts, radii * 1.0  # ConvexCompactSet.scale(-1.0)
     if watch is not None:
         watch.observe(0, live, S)
     bounds = None if box is None else (lo, hi)
@@ -446,10 +453,9 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                 with np.errstate(all="raise"):
                     if steered:
                         T, ends, left, V = _steer(images, S, parts, normals[:, j:], min(_BLOCK - j, nsteps - k + 1),
-                                                  step, bounds, backward)
+                                                  step, bounds)
                     else:
-                        T, ends, left, V = _coast(images, S, lone, min(_BLOCK, nsteps - k + 1),
-                                                  step, bounds, backward)
+                        T, ends, left, V = _coast(images, S, lone, min(_BLOCK, nsteps - k + 1), step, bounds)
                     seen = None if watch is None else watch.scan(T[1:], ends)
             except Exception:  # noqa: BLE001 - single steps raise it, or not, where they should
                 for rng, state in saved:
@@ -486,8 +492,6 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                 k += b
                 continue
         points, counts, radii = images(S)
-        if backward:
-            points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
         if steered:
             D = np.empty(S.shape)
         else:
@@ -558,10 +562,10 @@ def _exits(T, bounds):
     return np.where(left, out.argmax(axis=0) + 1, b), left
 
 
-def _steer(images, S, parts, normals, size, step, bounds, backward):
+def _steer(images, S, parts, normals, size, step, bounds):
     """``size`` Euler steps of every live trial from its state in the (m,
     n) array ``S``, every policy in ``parts`` an extreme-point one, each
-    step as a single step makes it: the image kernel's call on the states,
+    step as a single step makes it: the run's ``images`` call on the states,
     each policy's directions, from its rows of the window ``normals`` (one
     ``normals`` call for the block) or from ``directions`` at the states,
     and the extreme points.  No trial stops inside: the states run to the
@@ -584,15 +588,13 @@ def _steer(images, S, parts, normals, size, step, bounds, backward):
     for i in range(size):
         X = T[i]
         points, _, radii = images(X)
-        if backward:
-            points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
         for sel, W, directions, source in steer:
             D[sel] = W[i] if W is not None else directions(X[sel], source)
         T[i + 1] = X + step * extreme_rows(points, radii, D)
     return (T, *_exits(T, bounds), None)
 
 
-def _coast(images, S, policy, size, step, bounds, backward):
+def _coast(images, S, policy, size, step, bounds):
     """Up to ``size`` Euler steps of one trial from its (1, n) state ``S``,
     checked as single steps check them.
 
@@ -637,8 +639,6 @@ def _coast(images, S, policy, size, step, bounds, backward):
     taken = int(ends[0])
     points, counts, radii = images(T[:taken, 0])
     if policy.verify:
-        if backward:
-            points, radii = points * -1.0, radii * 1.0  # ConvexCompactSet.scale(-1.0)
         ok = contains_rows(points, counts, radii, V[:taken, 0], _FEASIBILITY_TOL)
         if np.count_nonzero(ok) < taken:
             ends[0], left[0] = int(np.argmin(ok)), False

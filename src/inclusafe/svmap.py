@@ -14,6 +14,19 @@ ball hulls) are the same pass over every row's ball
 lattice, merged per row; :meth:`SetValuedMap.ball_hull` and
 :meth:`PerturbedSystem.image` are the one-row case.  The per-point
 :meth:`SetValuedMap.image` is the oracle they must match bit for bit.
+
+What no call can change is resolved once per map, not per call:
+
+- a map that is one batched piece holding everywhere takes the piece's
+  rows, with read-only ``(counts, radii)`` kept per row shape;
+- a map of at most 12 pieces whose images are fixed (:attr:`Piece.fixed`)
+  keeps a table of the image of each pattern of active pieces met, which
+  holds at any slack, since such an image does not depend on the point;
+- a perturbed system keeps its checked constant margins and its lattice
+  offsets, and its image margin goes into those cached radii and into the
+  table's.
+
+Cached arrays are read-only, and every caller gets them as they are.
 """
 from __future__ import annotations
 
@@ -113,21 +126,6 @@ def polynomial_piece(predicate, components: Sequence[str], dimension: int, radiu
     return Piece(predicate, image, label, rows)
 
 
-def _concatenated(pts: np.ndarray, radius: float, group: int):
-    """The run hulls when every row i holds the points ``pts[i]`` with one
-    radius: each run concatenates its rows' points, unless that leaves more
-    than :data:`PRUNE_THRESHOLD` points to prune (then :func:`_merge_runs`
-    prunes them)."""
-    m, c, _ = pts.shape
-    G, size = m // group, c * group
-    if group > 1 and size > PRUNE_THRESHOLD:
-        return _merge_runs(pts, np.full(m, c), np.full(m, float(radius)), group)
-    counts, radii = np.empty(G, dtype=int), np.empty(G)
-    counts.fill(size)
-    radii.fill(radius)
-    return pts.reshape(G, size, pts.shape[2]), counts, radii
-
-
 def _overlap(pieces: Sequence[Piece], X: np.ndarray):
     """The :func:`merge_parts` hulls of the pieces' images at every row of
     X as ``(points, radius)``, in one pass when that rule just concatenates
@@ -183,6 +181,64 @@ def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, group: in
     return points, sizes, rmax
 
 
+#: the most pieces whose patterns of active pieces a map tables (it keeps
+#: one slot for each of the 2 ** pieces patterns)
+_PATTERN_PIECES = 12
+
+
+class _PatternTable:
+    """The single-row images of a map whose every piece has a fixed image
+    (:attr:`Piece.fixed`): a row's image depends only on its pattern of
+    active pieces, whatever the row and the slack.  Each pattern, when first
+    met, gets :meth:`SetValuedMap._assemble` of one row of it; a lookup is
+    the active pieces, one pattern code per row and three gathers, padded
+    as ``_assemble`` pads."""
+
+    def __init__(self, pieces: int):
+        self.weights = 1 << np.arange(pieces)
+        # the table row of each pattern code; -1, a pattern not met yet,
+        # takes the table's last row, whose count 0 no pattern has
+        self.slot = np.full(1 << pieces, -1)
+        self.entries = []  # (points, count, radius) of one row of each pattern met
+        self.counts = np.zeros(1, dtype=int)
+        self.radii = self.points = None
+        self.widths = {}  # the table's points cut to each width met
+        self.shifted = (None, None)  # the last image margin asked for and the radii plus it
+
+    def stack(self, f: "SetValuedMap", X: np.ndarray, slack: float, eps: Optional[float]):
+        """:meth:`SetValuedMap._hulls` of the single rows of X."""
+        codes = self.weights @ f._active(X, slack)
+        index = self.slot[codes]
+        sizes = self.counts[index].tolist()
+        if min(sizes) == 0:
+            # code 0 comes first: _assemble raises at the first row where no
+            # piece holds, as it raises on all of X
+            for code in sorted(set(codes[index < 0].tolist())):
+                i = int(np.argmax(codes == code))
+                pts, c, r = f._assemble(X[i:i + 1], slack, 1)
+                self.slot[code] = len(self.entries)
+                self.entries.append((pts[0], int(c[0]), r[0]))
+            self.points = np.empty((len(self.entries) + 1, max(c for _, c, _ in self.entries), X.shape[1]))
+            for k, (pts, c, _) in enumerate(self.entries):
+                self.points[k, :c] = pts
+                self.points[k, c:] = pts[-1]
+            self.counts = np.array([c for _, c, _ in self.entries] + [0])
+            self.radii = np.array([r for _, _, r in self.entries] + [0.0])
+            self.widths, self.shifted = {}, (None, None)
+            index = self.slot[codes]
+            sizes = self.counts[index].tolist()
+        width = max(sizes)
+        cut = self.widths.get(width)
+        if cut is None:
+            cut = self.widths[width] = np.ascontiguousarray(self.points[:, :width])
+        radii = self.radii
+        if eps is not None:
+            if self.shifted[0] != eps:
+                self.shifted = (eps, radii + eps)
+            radii = self.shifted[1]
+        return cut[index], self.counts[index], radii[index]
+
+
 class SetValuedMap:
     """Piecewise set-valued map on R^n."""
 
@@ -202,6 +258,11 @@ class SetValuedMap:
         sole = pieces[0]
         always = len(pieces) == 1 and self._predicates[0][0] is True
         self._sole = sole if always and sole.rows is not None else None
+        tabled = self._sole is None and len(pieces) <= _PATTERN_PIECES and all(p.fixed for p in pieces)
+        self._table = _PatternTable(len(pieces)) if tabled else None
+        # per (runs, points per run): the last (radius, image margin, counts,
+        # radii) that _concatenated made
+        self._arrays = {}
 
     def _probes(self, X: np.ndarray, slack: float) -> np.ndarray:
         """Predicate probe points of each row of X as an (m, 1 + 2n, n)
@@ -257,33 +318,69 @@ class SetValuedMap:
             active[k] = hit if slack <= 0.0 else hit.reshape(m, -1).any(axis=1)
         return active
 
-    def _hulls(self, X: np.ndarray, slack: float, group: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _hulls(self, X: np.ndarray, slack: float, group: int,
+               eps: Optional[float] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Hull of the images over each run of ``group`` consecutive rows of
         X, merged as ``hull_union_many([self.image(x, slack) for x in run])``:
         rows where several pieces hold are merged first, then the rows of
         a run in order.  Returns the G hulls as a padded stack (see
-        :mod:`convexset`).
+        :mod:`convexset`), with the image margin ``eps`` (a checked constant
+        margin, or None for none) added to every radius.
+
+        A map that is one batched piece holding everywhere takes the piece's
+        rows (:meth:`_concatenated`), and the single rows of a map of at
+        most 12 pieces with fixed images come from its pattern table
+        (:class:`_PatternTable`); anything else is :meth:`_assemble`.
+        """
+        if self._sole is not None:
+            return self._concatenated(*self._sole.rows(X), group, eps)
+        if group == 1 and self._table is not None:
+            return self._table.stack(self, X, slack, eps)
+        return self._assemble(X, slack, group, eps)
+
+    def _concatenated(self, pts: np.ndarray, radius: float, group: int, eps: Optional[float]):
+        """The :meth:`_hulls` of runs whose every row i holds the points
+        ``pts[i]`` with one radius: each run concatenates its rows' points,
+        unless that leaves more than :data:`PRUNE_THRESHOLD` points to prune
+        (then :func:`_merge_runs` prunes them).  The read-only counts and
+        radii (``eps`` added) are made once per shape, and again only when
+        the radius object or ``eps`` changes."""
+        m, c, n = pts.shape
+        G, size = m // group, c * group
+        if group > 1 and size > PRUNE_THRESHOLD:
+            points, counts, radii = _merge_runs(pts, np.full(m, c), np.full(m, float(radius)), group)
+            return points, counts, radii if eps is None else radii + eps
+        made = self._arrays.get((G, size))
+        if made is None or made[0] is not radius or made[1] != eps:
+            counts, radii = np.full(G, size), np.full(G, radius, dtype=float)
+            if eps is not None:
+                radii = radii + eps
+            counts.setflags(write=False)
+            radii.setflags(write=False)
+            if len(self._arrays) >= 64:
+                self._arrays.clear()
+            made = self._arrays[G, size] = (radius, eps, counts, radii)
+        return pts.reshape(G, size, n), made[2], made[3]
+
+    def _assemble(self, X: np.ndarray, slack: float, group: int, eps: Optional[float] = None):
+        """:meth:`_hulls` of any map.
 
         A row where one piece with a batched form holds takes that piece's
         row.  Rows where several pieces hold are taken by their pattern of
         active pieces: a pattern whose merge just concatenates batched
         points (see :func:`_overlap`) is one pass, and the other rows are
         merged through the per-point rule.  When every row then holds one
-        point count and one radius, the rows go to :func:`_concatenated` as
+        point count and one radius, the rows go to :meth:`_concatenated` as
         one array.  Otherwise runs whose rows all share the largest radius
         or have radius 0 (the rule then just concatenates points) are
         assembled as arrays; the others go through the per-point rule too.
         """
         m, n = X.shape
-        piece = self._sole
-        if piece is None:
-            active = self._active(X, slack)
-            held = active.sum(axis=1).tolist()  # rows on which each piece holds
-            if sum(held) == m and m in held and self.pieces[held.index(m)].rows is not None:
-                # one piece holds on every row and no other piece anywhere
-                piece = self.pieces[held.index(m)]
-        if piece is not None:
-            return _concatenated(*piece.rows(X), group)
+        active = self._active(X, slack)
+        held = active.sum(axis=1).tolist()  # rows on which each piece holds
+        if sum(held) == m and m in held and self.pieces[held.index(m)].rows is not None:
+            # one piece holds on every row and no other piece anywhere
+            return self._concatenated(*self.pieces[held.index(m)].rows(X), group, eps)
         hits = active.sum(axis=0)
         if np.count_nonzero(hits) < m:
             x = X[np.argmin(hits)]
@@ -323,7 +420,7 @@ class SetValuedMap:
             A = np.empty((m, *fills[0][1].shape[1:]))
             for rows, pts, _ in fills:
                 A[rows] = pts
-            return _concatenated(A, fills[0][2], group)
+            return self._concatenated(A, fills[0][2], group, eps)
         width = max([pts.shape[1] for _, pts, _ in fills] + [len(p) for p, _ in merged.values()])
         A = np.empty((m, width, n))
         counts = np.empty(m, dtype=int)
@@ -340,9 +437,9 @@ class SetValuedMap:
             A[i, len(pts):] = pts[-1]
             counts[i] = len(pts)
             radius[i] = r
-        if group == 1:
-            return A, counts, radius
-        return _merge_runs(A, counts, radius, group)
+        if group > 1:
+            A, counts, radius = _merge_runs(A, counts, radius, group)
+        return A, counts, radius if eps is None else radius + eps
 
     def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The image at every row of an (m, n) array X in one pass.
@@ -359,13 +456,8 @@ class SetValuedMap:
         radius ``radii[i]`` for row i (or one radius for all), in one pass;
         returned as by :meth:`images`."""
         n = self.dimension
-        centers = np.asarray(centers, dtype=float).reshape(-1, 1, n)
-        radii = np.asarray(radii, dtype=float)
-        if radii.ndim == 0 and radii != 0.0:  # the cache would not keep a zero's sign
-            offsets = _ball_offsets(n, density, float(radii))
-        else:
-            offsets = _ball_offsets(n, density, 1.0) * radii.reshape(-1, 1, 1)
-        X = centers + offsets
+        offsets = _offsets(n, density, radii)
+        X = np.asarray(centers, dtype=float).reshape(-1, 1, n) + offsets
         return self._hulls(X.reshape(-1, n), slack, offsets.shape[-2])
 
     def ball_hull(self, center, radius: float, density: int, slack: float = 0.0) -> ConvexCompactSet:
@@ -429,8 +521,7 @@ def unit_ball_lattice(dimension: int, density: int = 9) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _ball_offsets(dimension: int, density: int, radius: float) -> np.ndarray:
     """:func:`unit_ball_lattice` times one radius, refused when it holds no
-    point; :meth:`SetValuedMap.ball_hulls` takes it on every call of a run
-    with a constant argument margin."""
+    point."""
     L = unit_ball_lattice(dimension, density)
     if L.shape[0] == 0:
         raise ValueError(f"the {dimension}-D ball lattice of density {density} is empty")
@@ -439,14 +530,25 @@ def _ball_offsets(dimension: int, density: int, radius: float) -> np.ndarray:
     return out
 
 
+def _offsets(dimension: int, density: int, radii) -> np.ndarray:
+    """The argument-ball lattice offsets of radius ``radii``: one (L, n)
+    array for one nonzero radius, else (m, L, n) with radius ``radii[i]``
+    for row i."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim == 0 and radii != 0.0:  # the cache would not keep a zero's sign
+        return _ball_offsets(dimension, density, float(radii))
+    return _ball_offsets(dimension, density, 1.0) * radii.reshape(-1, 1, 1)
+
+
 MarginFn = Union[float, Callable[[np.ndarray], float]]
 
 
-def _margin_value(margin: MarginFn, x) -> float:
-    if callable(margin):
-        v = float(margin(np.asarray(x, dtype=float).reshape(-1)))
-    else:
-        v = float(margin)
+def _margin_value(margin: MarginFn, x, what: Optional[str]) -> float:
+    """The margin at x, refused unless it is positive and finite when
+    ``what`` names it."""
+    v = float(margin(np.asarray(x, dtype=float).reshape(-1))) if callable(margin) else float(margin)
+    if what is not None and not 0.0 < v < math.inf:
+        raise ValueError(f"{what} margin must be {'positive' if v <= 0.0 else 'finite'}, got {v} at x={x}")
     return v
 
 
@@ -483,191 +585,64 @@ class PerturbedSystem:
         self.mode = mode
         self.density = int(density)
         self.sense_margin = sense_margin
-        self._constant = {}  # checked constant margins, by "sensing or not"
+        # (image margin, argument-ball offsets or None) when the margins are
+        # constant: checked on first use, then reused
+        self._resolved = None
 
     @property
     def dimension(self) -> int:
         return self.base.dimension
 
     def margin_at(self, x) -> float:
-        v = _margin_value(self.margin, x)
-        if self.mode != "none" and v <= 0.0:
-            raise ValueError(f"perturbation margin must be positive, got {v} at x={x}")
-        return v
+        return _margin_value(self.margin, x, None if self.mode == "none" else "perturbation")
 
     def sense_margin_at(self, x) -> float:
         if self.sense_margin is None:
             return self.margin_at(x)
-        v = _margin_value(self.sense_margin, x)
-        if v <= 0.0:
-            raise ValueError(f"sensing margin must be positive, got {v} at x={x}")
-        return v
+        return _margin_value(self.sense_margin, x, "sensing")
 
     def _margins(self, X: np.ndarray, sensing: bool):
         """:meth:`margin_at` (or :meth:`sense_margin_at`) at every row of X;
-        one float when the margin is constant, checked on first use and
-        then reused."""
+        one float, checked at the first row, when the margin is constant."""
         at = self.sense_margin_at if sensing else self.margin_at
         margin = self.sense_margin if sensing else self.margin
-        if callable(margin):
-            return np.array([at(x) for x in X])
-        value = self._constant.get(sensing)
-        if value is None:
-            value = self._constant[sensing] = at(X[0])
-        return value
+        return np.array([at(x) for x in X]) if callable(margin) else at(X[0])
+
+    def _resolve(self, X: np.ndarray):
+        """The image margins at the rows of X and, in mode strong, the
+        argument-ball offsets (see :func:`_offsets`), whose radii are the
+        image margins unless a sensing margin is set; kept for every later
+        call when neither depends on the state."""
+        eps, offsets = self._margins(X, False), None
+        if self.mode == "strong":
+            offsets = _offsets(self.base.dimension, self.density,
+                               eps if self.sense_margin is None else self._margins(X, True))
+        if not (callable(self.margin) or offsets is not None and callable(self.sense_margin)):
+            self._resolved = (eps, offsets)
+        return eps, offsets
 
     def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The perturbed image at every row of an (m, n) array X in one pass,
-        returned as by :meth:`SetValuedMap.images`."""
-        X = np.asarray(X, dtype=float).reshape(-1, self.dimension)
+        returned as by :meth:`SetValuedMap.images`.  A constant image margin
+        goes into the base map's cached radii and pattern table."""
+        base = self.base
+        X = np.asarray(X, dtype=float).reshape(-1, base.dimension)
         if self.mode == "none":
-            return self.base.images(X, slack)
-        eps_img = self._margins(X, False)
-        if self.mode == "image":
-            points, counts, radii = self.base.images(X, slack)
-        else:
-            # strong: hull over each row's argument-ball lattice, whose radii
-            # are the image margins unless a sensing margin is set
-            eps_arg = eps_img if self.sense_margin is None else self._margins(X, True)
-            points, counts, radii = self.base.ball_hulls(X, eps_arg, self.density, slack)
-        return points, counts, radii + eps_img
+            return base.images(X, slack)
+        eps, offsets = self._resolved or self._resolve(X)
+        group = 1
+        if offsets is not None:
+            # strong: hull over each row's argument-ball lattice
+            group = offsets.shape[-2]
+            X = (X[:, None, :] + offsets).reshape(-1, base.dimension)
+        if isinstance(eps, float):
+            return base._hulls(X, slack, group, eps)
+        points, counts, radii = base._hulls(X, slack, group)
+        return points, counts, radii + eps
 
     def image(self, x, slack: float = 0.0) -> ConvexCompactSet:
         """The perturbed image at x: the one-row case of :meth:`images`."""
         return row_set(self.images(x, slack), 0)
-
-
-#: the most pieces whose patterns of active pieces an image kernel tables
-#: (it keeps one slot for each of the 2 ** pieces patterns)
-_PATTERN_PIECES = 12
-
-
-def _image_kernel(system) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A callable equal bit for bit to ``system.images(S)`` at every (m, n)
-    float array S, for one run of Euler steps: what no step can change is
-    resolved once, on the first call.
-
-    - A map that is one batched piece holding everywhere, with constant
-      margins: the margins (checked on the first call, as
-      :meth:`PerturbedSystem.images` checks them), the argument-ball
-      offsets, and per row count the read-only ``(counts, radii)``, margin
-      added.  A call is the piece's rows and one reshape.
-    - A map whose every piece has a fixed image, unperturbed or in mode
-      image with a constant margin: the image at a row depends only on its
-      pattern of active pieces.  Each pattern, when first met, gets
-      :meth:`SetValuedMap._hulls` of one row of it; a call is the active
-      pieces, one pattern code per row and three gathers from that table,
-      padded as ``_hulls`` pads.  A row where no piece holds raises as
-      ``system.images`` raises.
-    - Anything else: ``system.images`` itself.
-    """
-    if isinstance(system, PerturbedSystem):
-        base, mode = system.base, system.mode
-    elif isinstance(system, SetValuedMap):
-        base, mode = system, "none"
-    else:
-        return system.images
-    if mode != "none" and (callable(system.margin) or mode == "strong" and callable(system.sense_margin)):
-        return system.images
-    if base._sole is not None:
-        return _sole_kernel(system, base._sole, mode)
-    if mode != "strong" and len(base.pieces) <= _PATTERN_PIECES and all(p.fixed for p in base.pieces):
-        return _pattern_kernel(system, base, mode)
-    return system.images
-
-
-def _checked_margins(system, mode: str, S: np.ndarray):
-    """The image margin (None when unperturbed) and the argument-ball radius
-    (None unless strong) of a run with constant margins, checked at S as
-    :meth:`PerturbedSystem.images` checks them."""
-    if mode == "none":
-        return None, None
-    eps = system._margins(S, False)
-    if mode == "image":
-        return eps, None
-    return eps, eps if system.sense_margin is None else system._margins(S, True)
-
-
-def _sole_kernel(system, piece: Piece, mode: str):
-    """The image kernel of a map that is one batched piece holding
-    everywhere (see :func:`_image_kernel`)."""
-    n = system.dimension
-    resolved = None  # (image margin, ball offsets, lattice rows per row)
-    arrays = {}  # (rows, points per row) -> (piece radius, counts, radii)
-
-    def kernel(S):
-        nonlocal resolved
-        if resolved is None:
-            eps, eps_arg = _checked_margins(system, mode, S)
-            offsets = None if eps_arg is None else _ball_offsets(n, system.density, float(eps_arg))
-            resolved = eps, offsets, 1 if offsets is None else offsets.shape[0]
-        eps, offsets, group = resolved
-        m = S.shape[0]
-        pts, r = piece.rows(S if offsets is None else (S[:, None, :] + offsets).reshape(-1, n))
-        size = pts.shape[1] * group
-        if group > 1 and size > PRUNE_THRESHOLD:
-            points, counts, radii = _concatenated(pts, r, group)
-            return points, counts, radii if eps is None else radii + eps
-        entry = arrays.get((m, size))
-        if entry is None or entry[0] is not r:
-            counts, radii = np.full(m, size), np.full(m, r, dtype=float)
-            if eps is not None:
-                radii = radii + eps
-            counts.setflags(write=False)
-            radii.setflags(write=False)
-            entry = arrays[m, size] = (r, counts, radii)
-        return pts.reshape(m, size, n), entry[1], entry[2]
-
-    return kernel
-
-
-def _pattern_kernel(system, base: SetValuedMap, mode: str):
-    """The image kernel of a map whose every piece has a fixed image (see
-    :func:`_image_kernel`)."""
-    n = system.dimension
-    weights = 1 << np.arange(len(base.pieces))
-    # the table row of each pattern code; -1, a pattern not met yet, takes
-    # the table's last row, whose count 0 no pattern has
-    slot = np.full(1 << len(base.pieces), -1)
-    entries = []  # (points, count, radius) of one row of each pattern met
-    eps = None  # the image margin
-    counts = np.zeros(1, dtype=int)
-    radii = points = widths = None  # the padded table; its points cut to each width met
-
-    def kernel(S):
-        nonlocal eps, counts, radii, points, widths
-        if mode == "image" and eps is None:
-            eps = _checked_margins(system, mode, S)[0]
-        codes = weights @ base._active(S, 0.0)
-        index = slot[codes]
-        sizes = counts[index].tolist()
-        if min(sizes) == 0:
-            # code 0 comes first: _hulls raises at the first row where no
-            # piece holds, as images does
-            for code in sorted(set(codes[index < 0].tolist())):
-                i = int(np.argmax(codes == code))
-                pts, c, r = base._hulls(S[i:i + 1], 0.0, 1)
-                slot[code] = len(entries)
-                entries.append((pts[0], int(c[0]), r[0]))
-            width = max(c for _, c, _ in entries)
-            points = np.empty((len(entries) + 1, width, n))
-            for k, (pts, c, _) in enumerate(entries):
-                points[k, :c] = pts
-                points[k, c:] = pts[-1]
-            counts = np.array([c for _, c, _ in entries] + [0])
-            radii = np.array([r for _, _, r in entries] + [0.0])
-            if eps is not None:
-                radii = radii + eps
-            widths = {}
-            index = slot[codes]
-            sizes = counts[index].tolist()
-        width = max(sizes)
-        cut = widths.get(width)
-        if cut is None:
-            cut = widths[width] = np.ascontiguousarray(points[:, :width])
-        return cut[index], counts[index], radii[index]
-
-    return kernel
 
 
 def unperturbed(dynamics):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from inclusafe import (
     unit_directions,
 )
 from inclusafe.convexset import PRUNE_THRESHOLD
-from inclusafe.svmap import _image_kernel
 
 
 def _example1_map():
@@ -495,16 +495,62 @@ def test_batched_images_raise_when_no_piece_covers_a_row():
 
 
 # ----------------------------------------------------------------------- #
-# per-run image kernels
+# what images resolve once per map: the rows of a sole batched piece with
+# cached counts and radii, and the pattern table of fixed pieces
 def _assert_same_stack(got, want):
     for a, b in zip(got, want):
         assert (a.shape, a.dtype) == (b.shape, b.dtype)
         assert a.tobytes() == b.tobytes()
 
 
-def _kernel_systems(name):
-    """The systems a falsification of builtin ``name`` can step through:
-    its base map bare and in each mode, and its own dynamics."""
+def _general(f):
+    """f with the same pieces, none of which holds by a constant predicate
+    or has a fixed image, so that its images take the general assembly."""
+    return SetValuedMap(f.dimension, [dataclasses.replace(p, predicate=lambda x, _p=p.predicate: _p(x), fixed=False)
+                                      for p in f.pieces])
+
+
+def _general_system(system):
+    """The general assembly of ``system``'s images: its base map made
+    :func:`_general`, with callable margins of the same values."""
+    if isinstance(system, SetValuedMap):
+        return _general(system)
+    def varying(margin):
+        return margin if callable(margin) else lambda x: margin
+
+    sense = system.sense_margin
+    return PerturbedSystem(_general(system.base), varying(system.margin), system.mode, system.density,
+                           None if sense is None else varying(sense))
+
+
+def _assert_images_resolved(system, S, slack=0.0):
+    """``system.images(S, slack)`` equals the per-point images row by row
+    and the general assembly's padded stack byte for byte."""
+    got = system.images(S, slack)
+    if isinstance(system, SetValuedMap):
+        want = [system.image(x, slack) for x in S]
+    else:
+        want = [_per_point_perturbed(system, x, slack) for x in S]
+    _assert_rows_are_per_point(got, want)
+    _assert_same_stack(got, _general_system(system).images(S, slack))
+    return got
+
+
+@pytest.fixture()
+def assembled(monkeypatch):
+    """The row counts of every general assembly made."""
+    import inclusafe.svmap as svmap
+
+    rows = []
+    assemble = svmap.SetValuedMap._assemble
+    monkeypatch.setattr(svmap.SetValuedMap, "_assemble",
+                        lambda self, X, *args: rows.append(X.shape[0]) or assemble(self, X, *args))
+    return rows
+
+
+def _systems_of(name):
+    """The systems a run of builtin ``name`` can take its images from: its
+    base map bare and in each mode, and its own dynamics."""
     dyn = scenarios.build(name).scenario.dynamics
     base = dyn.base if isinstance(dyn, PerturbedSystem) else dyn
     systems = {"bare": base, "own": dyn}
@@ -515,36 +561,41 @@ def _kernel_systems(name):
 
 
 @pytest.mark.parametrize("name", scenarios.BUILTIN)
-def test_image_kernel_equals_images_bit_for_bit(name):
+def test_images_of_each_builtin_equal_per_point_and_general_images(name, assembled):
     sc = scenarios.build(name).scenario
     rng = np.random.default_rng(sum(map(ord, name)))
-    for label, system in _kernel_systems(name).items():
-        kernel = _image_kernel(system)
-        # the builtins take a resolved kernel, but example1's strong images
-        fast = not (name == "example1" and getattr(system, "mode", "none") == "strong")
-        assert (kernel != system.images) == fast, label
+    for label, system in _systems_of(name).items():
+        # the builtins resolve their images, but example1's strong images
+        general = name == "example1" and getattr(system, "mode", "none") == "strong"
         # a run whose row count shrinks, then grows: random states of the
         # box, and states on example1's piece interface and beside it
         for m in (6, 6, 4, 1, 3, 5):
             S = rng.uniform(sc.box[:, 0], sc.box[:, 1], (m, sc.dimension))
             if m > 3:
                 S[:3, 0] = [0.0, -0.0, rng.choice([-1e-12, 1e-12])]
-            _assert_same_stack(kernel(S), system.images(S))
+            assembled.clear()
+            system.images(S)
+            assert bool(assembled) == general or assembled == [1] * len(assembled), label
+            _assert_images_resolved(system, S)
 
 
-def test_image_kernel_meets_a_pattern_after_step_64():
+def test_pattern_table_meets_a_pattern_after_step_64(assembled):
     system = PerturbedSystem(_example1_map(), 1.0, "image")
-    kernel = _image_kernel(system)
     S = np.array([[-1.0], [-0.5], [-0.25]])
     for k in range(70):  # the left piece alone
-        _assert_same_stack(kernel(S - 1e-3 * k), system.images(S - 1e-3 * k))
+        _assert_images_resolved(system, S - 1e-3 * k)
     # the interface row widens every row's padding, and then right rows
     for S in ([[-1.0], [0.0], [0.5]], [[0.5], [0.25]], [[-1.0], [0.75]], [[0.0]], [[-0.5], [-0.25]]):
         S = np.array(S)
-        _assert_same_stack(kernel(S), system.images(S))
+        for _ in range(2):
+            assembled.clear()
+            system.images(S)
+            assert set(assembled) <= {1}  # one row of each pattern met first
+        assert assembled == []
+        _assert_images_resolved(system, S)
 
 
-def test_image_kernel_of_overlapping_fixed_pieces():
+def test_pattern_table_of_overlapping_fixed_pieces():
     ring = unit_directions(2, 60)
     assert 2 * len(ring) > PRUNE_THRESHOLD
     f = SetValuedMap(2, [
@@ -555,29 +606,56 @@ def test_image_kernel_of_overlapping_fixed_pieces():
         constant_piece(lambda x: x[1] <= -0.5 and x[0] >= 0.0, 0.5 * ring + 0.25),
         constant_piece(lambda x: x[1] >= 0.5, [[-0.0, 0.0]], radius=-0.0),
     ])
+    assert f._table is not None
     rng = np.random.default_rng(9)
-    for mode, system in (("bare", f), ("none", PerturbedSystem(f, 0.0, "none")),
-                         ("image", PerturbedSystem(f, 0.2, "image"))):
-        kernel = _image_kernel(system)
-        assert kernel != system.images, mode
+    for system in (f, PerturbedSystem(f, 0.0, "none"), PerturbedSystem(f, 0.2, "image")):
         for m in (8, 8, 5, 2, 7):
             S = rng.uniform(-1.0, 1.0, (m, 2))
             S[: m // 2, rng.integers(2)] = 0.0
-            _assert_same_stack(kernel(S), system.images(S))
+            _assert_images_resolved(system, S)
 
 
-def test_image_kernel_raises_where_images_raises():
+def test_pattern_table_raises_where_no_piece_holds():
     f = SetValuedMap(1, [constant_piece(lambda x: x[0] <= 0.0, [[1.0]]),
                          constant_piece(lambda x: x[0] >= 1.0, [[2.0]])])
-    kernel = _image_kernel(f)
-    with pytest.raises(NoMatchingPieceError, match=r"no piece matches at x=\[0\.5\]"):
-        kernel(np.array([[-1.0], [0.5], [0.75]]))
-    _assert_same_stack(kernel(np.array([[-1.0], [2.0]])), f.images(np.array([[-1.0], [2.0]])))
+    for g in (f, _general(f)):
+        with pytest.raises(NoMatchingPieceError, match=r"no piece matches at x=\[0\.5\]"):
+            g.images(np.array([[-1.0], [0.5], [0.75]]))
+    _assert_images_resolved(f, np.array([[-1.0], [2.0]]))
     with pytest.raises(NoMatchingPieceError, match=r"no piece matches at x=\[0\.25\]"):
-        kernel(np.array([[-1.0], [0.25]]))
+        f.images(np.array([[-1.0], [0.25]]))
 
 
-def test_image_kernel_checks_constant_margins_on_the_first_call():
+def test_pattern_table_at_slack_on_example1_interface_rows(assembled):
+    # beside x1 = 0 the slack probes reach the other side: the table is
+    # keyed by the pattern of active pieces, whatever slack found it
+    f = _example1_map()
+    S = np.array([[1e-8], [-1e-8], [0.0], [-0.0], [5e-7], [2e-6], [-0.5]])
+    for system in (f, PerturbedSystem(f, 0.5, "image")):
+        for slack in (0.0, 1e-6, 0.0, 1e-6):
+            got = _assert_images_resolved(system, S, slack)
+            assert got[1][:5].tolist() == ([2, 2, 4, 4, 2] if slack else [1, 1, 4, 4, 1])
+    assembled.clear()
+    f.images(S, 1e-6)
+    assert assembled == []
+
+
+def test_one_base_map_shared_by_two_margins():
+    # each system's margin goes into its own radii: a cache of the base map
+    # that did not key its radii by the margin would hand one system's
+    # radii to the other
+    always = expressions.predicate_fn("True", 1)
+    S = np.array([[-0.5], [0.0], [0.25]])
+    for base in (_example1_map(), SetValuedMap(1, [affine_piece(always, [[-1.0]], [0.0])])):
+        modes = ("image", "strong") if base._sole is not None else ("image",)
+        for mode in modes:
+            small, large = PerturbedSystem(base, 0.1, mode), PerturbedSystem(base, 0.3, mode)
+            for _ in range(3):
+                for system in (small, large, base):
+                    _assert_images_resolved(system, S)
+
+
+def test_constant_margins_are_refused_on_every_call():
     f = SetValuedMap(1, [affine_piece(expressions.predicate_fn("True", 1), [[-1.0]], [0.0])])
     fixed = _example1_map()
     X = np.array([[0.5], [-0.25]])
@@ -587,23 +665,45 @@ def test_image_kernel_checks_constant_margins_on_the_first_call():
         (PerturbedSystem(f, 0.1, "strong", sense_margin=0.0), "sensing margin must be positive, got 0.0"),
         (PerturbedSystem(fixed, 0.0, "image"), r"perturbation margin must be positive, got 0.0 at x=\[0.5\]"),
     ):
-        kernel = _image_kernel(system)
-        assert kernel != system.images
-        for _ in range(2):  # refused on every call, as images refuses it
+        for _ in range(2):
             with pytest.raises(ValueError, match=message):
-                kernel(X)
-    # a callable margin is the system's own images, evaluated every call
+                system.images(X)
+    # callable margins are evaluated on every call; a map with a piece whose
+    # image moves with the point has no table
+    moving = SetValuedMap(1, [*fixed.pieces[:2], affine_piece(lambda x: x[0] >= 0.0, [[-1.0]], [0.0])])
+    assert moving._table is None
     for system in (PerturbedSystem(f, lambda x: 0.1, "strong"),
                    PerturbedSystem(f, 0.1, "strong", sense_margin=lambda x: 0.05),
-                   PerturbedSystem(fixed, lambda x: 0.1, "image")):
-        assert _image_kernel(system) == system.images
-    # a map with a piece whose image moves with the point has no table
-    moving = SetValuedMap(1, [*fixed.pieces[:2], affine_piece(lambda x: x[0] >= 0.0, [[-1.0]], [0.0])])
-    system = PerturbedSystem(moving, 0.1, "image")
-    assert _image_kernel(system) == system.images
+                   PerturbedSystem(fixed, lambda x: 0.1, "image"),
+                   PerturbedSystem(moving, 0.1, "image")):
+        for _ in range(2):
+            _assert_images_resolved(system, X)
 
 
-def test_image_kernel_of_one_piece_holding_everywhere():
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_margins_are_refused(bad):
+    f = SetValuedMap(1, [affine_piece(expressions.predicate_fn("True", 1), [[-1.0]], [0.0])])
+    X = np.array([[0.5], [-0.25]])
+    word = "positive" if bad < 0.0 else "finite"
+    for system, message in (
+        (PerturbedSystem(f, bad, "image"), f"perturbation margin must be {word}, got {bad} at x="),
+        (PerturbedSystem(f, bad, "strong"), f"perturbation margin must be {word}, got {bad} at x="),
+        (PerturbedSystem(_example1_map(), bad, "image"), f"perturbation margin must be {word}, got {bad} at x="),
+        (PerturbedSystem(f, lambda x: bad, "image"), f"perturbation margin must be {word}, got {bad} at x="),
+        (PerturbedSystem(f, 0.1, "strong", sense_margin=bad), f"sensing margin must be {word}, got {bad} at x="),
+        (PerturbedSystem(f, 0.1, "strong", sense_margin=lambda x: bad),
+         f"sensing margin must be {word}, got {bad} at x="),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                system.images(X)
+    with pytest.raises(ValueError, match="perturbation margin must be"):
+        PerturbedSystem(f, bad, "image").margin_at(X[0])
+    with pytest.raises(ValueError, match="sensing margin must be"):
+        PerturbedSystem(f, 0.1, "image", sense_margin=bad).sense_margin_at(X[0])
+
+
+def test_images_of_one_piece_holding_everywhere(assembled):
     always = expressions.predicate_fn("True", 2)
     maps = {
         # three points on each of 49 lattice rows: more than PRUNE_THRESHOLD
@@ -612,17 +712,22 @@ def test_image_kernel_of_one_piece_holding_everywhere():
         "polynomial": SetValuedMap(2, [polynomial_piece(always, ["x1*x2", "x1 - x2**2"], 2, radius=-0.0)]),
         "affine": SetValuedMap(2, [affine_piece(always, [[0.3, 1.0], [-1.0, 0.7]], [1.0, -0.0], radius=0.5)]),
         # a batched form whose radius moves from call to call
-        "moving-radius": SetValuedMap(2, [Piece(always, None, rows=lambda X: (X[:, None, :], float(X[0, 0] > 0.0)))]),
+        "moving-radius": SetValuedMap(2, [Piece(always, lambda x: ConvexCompactSet([x], float(x[0] > 0.0)),
+                                                rows=lambda X: (X[:, None, :], float(X[0, 0] > 0.0)))]),
     }
     assert 3 * unit_ball_lattice(2, 9).shape[0] > PRUNE_THRESHOLD
     rng = np.random.default_rng(12)
     for name, f in maps.items():
         for system in (f, PerturbedSystem(f, 0.1, "image"), PerturbedSystem(f, 0.1, "strong"),
                        PerturbedSystem(f, 0.1, "strong", density=5, sense_margin=0.3)):
-            kernel = _image_kernel(system)
-            assert kernel != system.images, name
-            for m in (4, 4, 2, 3):
+            for k, m in enumerate((4, 4, 2, 2, 3)):
                 S = rng.uniform(-1.0, 1.0, (m, 2))
-                _assert_same_stack(kernel(S), system.images(S))
+                # the moving radius follows the side of x1 = 0, which flips
+                # from call to call, each ball on one side
+                S[:, 0] = np.abs(S[:, 0]) + 0.5 if k % 2 else -np.abs(S[:, 0]) - 0.5
+                assembled.clear()
+                system.images(S)
+                assert assembled == [], name
+                _assert_images_resolved(system, S)
     # the radius keeps its sign: the polynomial piece's is -0.0
-    assert np.signbit(_image_kernel(maps["polynomial"])(np.zeros((2, 2)))[2]).all()
+    assert np.signbit(maps["polynomial"].images(np.zeros((2, 2)))[2]).all()
