@@ -65,14 +65,13 @@ class SelectionPolicy:
     velocity is the same at every state gives it as ``velocity``, a
     read-only (n,) array: :func:`constant_policy` and
     :func:`expression_policy` with components that read no state set it;
-    other policies leave it None.  The integrator coasts a lone trial of
-    any policy with ``rows`` or ``velocity`` through blocks of steps,
-    which may call ``rows`` at states past the trial's stop, so ``rows``
-    must depend on the state alone and have no side effects.  It also
-    advances trials of extreme-point policies in blocks of steps, which
-    may call ``directions`` at states past a trial's stop, so
-    ``directions`` must depend on the states and the generators alone, and
-    may draw from a trial's generator past its stop.
+    other policies leave it None.  The integrator advances the live trials
+    in blocks of steps whenever each of their policies has ``directions``,
+    ``rows`` or ``velocity``.  A block may call ``rows`` and
+    ``directions`` at states past a trial's stop, so ``rows`` must depend
+    on the state alone and have no side effects, and ``directions`` on the
+    states and the generators alone; it may draw from a trial's generator
+    past its stop.
     """
 
     name: str
@@ -234,21 +233,11 @@ class _Watch:
         self.hit = np.full(trials, -1)  # step of each trial's first crossing (-1: none)
         self.winner = trials  # index of the lowest hitter so far (trials: none)
 
-    def observe(self, k: int, trials: np.ndarray, S: np.ndarray) -> None:
-        """Record the states ``S`` that ``trials`` reached at step k."""
+    def crosses(self, S: np.ndarray) -> bool:
+        """Whether some state of the (m, n) array S is unsafe at least
+        ``threshold`` deep."""
         unsafe = self.unsafe(S)
-        held = np.count_nonzero(unsafe)
-        if not held:
-            return
-        if held < unsafe.size:
-            trials, S = trials[unsafe], S[unsafe]
-        d = self.depth_fn(S)
-        deeper = d > self.depth[trials]
-        self.depth[trials[deeper]] = d[deeper]
-        new = (d >= self.threshold) & (self.hit[trials] < 0)
-        if np.count_nonzero(new):
-            self.hit[trials[new]] = k
-            self.winner = min(self.winner, int(trials[new].min()))
+        return bool(np.count_nonzero(unsafe)) and bool((self.depth_fn(S[unsafe]) >= self.threshold).any())
 
     def scan(self, T: np.ndarray, ends: np.ndarray) -> tuple:
         """The unsafe states of a block of steps: the states ``T[i, c]``
@@ -271,13 +260,14 @@ class _Watch:
     def observe_block(self, k: int, trials: np.ndarray, seen: tuple, ends: np.ndarray) -> np.ndarray:
         """Record a block of steps from its :meth:`scan` ``seen``: trial
         ``trials[c]`` reached its block state i at step k + i for every i <
-        ``ends[c]``.  The result is that of one :meth:`observe` per step
+        ``ends[c]``.  The result is that of recording one step at a time
         with the loop's retirement between steps: a trial's first hit at
         step k + i retires every trial of higher index still running after
         that step, so its end shortens to i + 1 (a trial whose own stop
         falls on that step keeps it).  Depths fold in step order with the
         same strict ``>``, so the first of equal values stays and a NaN is
-        never stored.  Returns the ends after retirement."""
+        never stored.  Returns the ends after retirement.  The loop records
+        the starts and each single step as a block of one step."""
         steps, columns, d = seen
         if not steps.size:
             return ends
@@ -350,7 +340,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
               watch: Optional[_Watch] = None) -> _Run:
     """Explicit Euler steps of every trial i from ``X0[i]``, with velocities
     from ``policies[i]`` drawing on ``rngs[i]``, all advanced together.
-    Every step takes its images from one ``system.images`` call on the
+    A single step takes its images from one ``system.images`` call on the
     states, negated when ``backward`` is set; what those images resolve once
     per map, not per step, is in :mod:`svmap`.
 
@@ -361,16 +351,17 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     b = min(64, steps left) every 64 steps, the same numbers as one
     ``standard_normal(n)`` per step.
 
-    The loop advances in blocks of steps where it can: when every live
-    trial has an extreme-point policy (``directions``), all of them to the
-    end of the current 64-step window of normals (:func:`_steer`), and a
-    lone live trial of a policy with ``rows`` (state feedback) or a
-    ``velocity`` (fixed) through up to 64 steps (:func:`_coast`).  A block
-    first makes every trial's states to its end, then takes per trial the
-    steps single steps would take: its first box exit or infeasible
-    velocity, and the retirement that a hit of a lower-index trial inside
-    the block brings (:meth:`_Watch.observe_block`), so a trial that stops
-    drops only its own tail and the others keep the states they made.
+    The loop advances in blocks of steps when every live trial's policy
+    has ``directions`` (extreme point), ``rows`` (state feedback) or a
+    fixed ``velocity``: all of them together to the end of the current
+    64-step window of normals, or less (:func:`_block`).  A block first
+    makes every trial's states, then takes per trial the steps single
+    steps would take: its first box exit or infeasible velocity, and the
+    retirement that a hit of a lower-index trial inside the block brings
+    (:meth:`_Watch.observe_block`; a hit on the step before an infeasible
+    velocity retires the trial, as single steps check retirement first),
+    so a trial that stops drops only its own tail and the others keep the
+    states they made.
     History entries, watch values, stops and lengths are those of single
     steps, bit for bit, and a trial that goes on has drawn from its
     generator exactly what single steps draw; a trial that stops early may
@@ -417,7 +408,8 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             points, counts, radii = forward(S)
             return points * -1.0, counts, radii * 1.0  # ConvexCompactSet.scale(-1.0)
     if watch is not None:
-        watch.observe(0, live, S)
+        one = np.ones(N, dtype=int)  # the starts, recorded as a block of one step
+        watch.observe_block(0, live, watch.scan(S[None], one), one)
     bounds = None if box is None else (lo, hi)
     retry = 1  # the first step that may start a block
     k = 1
@@ -435,27 +427,26 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             parts = [(p, slice(a, b), block_row[live[a:b]] if p.normals is not None
                       else None if p.rows is not None else streams[live[a:b]])
                      for p, a, b in zip(order, [0] + edges, edges) if b > a]
-            steered = all(p.directions is not None for p, _, _ in parts)
-            lone = parts[0][0] if live.size == 1 else None
-            coasts = lone is not None and not steered and (
-                lone.rows is not None or lone.velocity is not None and lone.velocity.shape == (n,))
+            blocks = all(p.directions is not None or p.rows is not None
+                         or p.velocity is not None and p.velocity.shape == (n,) for p, _, _ in parts)
+            # the trials whose first hit would retire another
+            fresh = None if watch is None else (watch.hit[live] < 0) & (live < live.max())
+            hunt = None if fresh is None or not fresh.any() else \
+                lambda made, fresh=fresh: watch.crosses(made[:, fresh].reshape(-1, n))
         j = (k - 1) % _BLOCK
         if j == 0:
             size = min(_BLOCK, nsteps - k + 1)
             for p, sel, source in parts:
                 if p.normals is not None:
                     normals[source, :size] = [rng.standard_normal((size, n)) for rng in streams[live[sel]]]
-        if k >= retry and (steered or coasts):
+        if k >= retry and blocks:
             # the generators that directions may draw on inside the block
             saved = [(rng, rng.bit_generator.state) for p, _, source in parts
-                     if p.normals is None and source is not None for rng in source] if steered else ()
+                     if p.directions is not None and p.normals is None for rng in source]
             try:
                 with np.errstate(all="raise"):
-                    if steered:
-                        T, ends, left, V = _steer(images, S, parts, normals[:, j:], min(_BLOCK - j, nsteps - k + 1),
-                                                  step, bounds)
-                    else:
-                        T, ends, left, V = _coast(images, S, lone, min(_BLOCK, nsteps - k + 1), step, bounds)
+                    T, ends, left, bad, V = _block(images, S, parts, normals[:, j:], min(_BLOCK - j, nsteps - k + 1),
+                                                   step, bounds, hunt)
                     seen = None if watch is None else watch.scan(T[1:], ends)
             except Exception:  # noqa: BLE001 - single steps raise it, or not, where they should
                 for rng, state in saved:
@@ -463,20 +454,22 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                 retry = k - j + _BLOCK  # the next window
             else:
                 b = T.shape[0] - 1
-                kept = ends if seen is None else watch.observe_block(k, live, seen, ends)
-                stop = (kept < b) | left
+                # single steps retire a trial before they check its velocity,
+                # so a hit on the step before an infeasible velocity retires it
+                reach = ends + bad
+                kept = reach if seen is None else watch.observe_block(k, live, seen, reach)
+                stop = (kept < b) | left | bad
                 if not stop.any():
                     # one (m, n) view of the block per step, as single steps append
                     history.extend(zip(repeat(live, b), T[1:]))
                     k, S = k + b, T[b]
                     continue
-                # only a lone trial can meet an infeasible velocity in a
-                # block, and retirement needs another, so the two never meet
-                retired = kept < ends
-                left = left & ~retired
-                infeasible = (ends < b) & ~left & ~retired
-                if on_infeasible == "raise" and infeasible.any():
-                    c = int(np.argmax(infeasible))
+                retired = kept < reach
+                kept = np.minimum(kept, ends)
+                left &= ~retired
+                bad &= ~retired
+                if on_infeasible == "raise" and bad.any():
+                    c = int(np.flatnonzero(bad)[np.argmin(ends[bad])])  # the first to meet one
                     raise _infeasible(policies[live[c]], V[ends[c], c], T[ends[c], c])
                 # per step, the states of the trials still running then
                 start = 0
@@ -487,24 +480,18 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                         start = end
                 lengths[live[stop]] = k + kept[stop]
                 exited[live[left]] = True
-                truncated[live[infeasible]] = True
+                truncated[live[bad]] = True
                 live, S, parts = live[~stop], T[b, ~stop], None
                 k += b
                 continue
         points, counts, radii = images(S)
-        if steered:
-            D = np.empty(S.shape)
-        else:
-            V = np.empty(S.shape)
+        V = np.empty(S.shape)
         feasible = None
         for policy, sel, source in parts:
             if policy.directions is not None:
                 d = policy.normals(normals[source, j]) if policy.normals is not None \
                     else policy.directions(S[sel], source)
-                if steered:
-                    D[sel] = d
-                else:
-                    V[sel] = extreme_rows(points[sel], radii[sel], d)
+                V[sel] = extreme_rows(points[sel], radii[sel], d)
                 continue
             if policy.rows is not None:
                 V[sel] = policy.rows(S[sel])
@@ -518,8 +505,6 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                     if feasible is None:
                         feasible = np.ones(live.size, dtype=bool)
                     feasible[sel] = ok
-        if steered:
-            V = extreme_rows(points, radii, D)
         if feasible is not None:
             if on_infeasible == "raise":
                 i = int(np.argmin(feasible))
@@ -532,7 +517,8 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
         S = S + step * V
         history.append((live, S))
         if watch is not None:
-            watch.observe(k, live, S)
+            one = np.ones(live.size, dtype=int)
+            watch.observe_block(k, live, watch.scan(S[None], one), one)
         if box is not None:
             out = (S < lo) | (S > hi)
             if np.count_nonzero(out):
@@ -557,92 +543,103 @@ def _exits(T, bounds):
     b, m = T.shape[0] - 1, T.shape[1]
     if bounds is None:
         return np.array([b] * m), np.zeros(m, dtype=bool)
-    out = ((T[1:] < bounds[0]) | (T[1:] > bounds[1])).any(axis=2)
-    left = out.any(axis=0)
+    out = np.logical_or.reduce((T[1:] < bounds[0]) | (T[1:] > bounds[1]), axis=2)
+    left = np.logical_or.reduce(out)
     return np.where(left, out.argmax(axis=0) + 1, b), left
 
 
-def _steer(images, S, parts, normals, size, step, bounds):
-    """``size`` Euler steps of every live trial from its state in the (m,
-    n) array ``S``, every policy in ``parts`` an extreme-point one, each
-    step as a single step makes it: the run's ``images`` call on the states,
-    each policy's directions, from its rows of the window ``normals`` (one
-    ``normals`` call for the block) or from ``directions`` at the states,
-    and the extreme points.  No trial stops inside: the states run to the
-    block's end whatever happens to a trial on the way.
+def _block(images, S, parts, normals, size, step, bounds, hunt=None):
+    """Up to ``size`` Euler steps of every live trial from its state in the
+    (m, n) array ``S``, each as a single step makes it; every policy in
+    ``parts`` has ``directions``, ``rows`` or a fixed ``velocity``.  Per
+    step: one ``images`` and one ``extreme_rows`` call on the rows of the
+    extreme-point policies, whose directions come from the window
+    ``normals`` (one ``normals`` call per block) or from ``directions`` at
+    the states; one ``rows`` call per state-feedback policy; ``+ step *
+    v`` for a fixed velocity v.  When every velocity is fixed, the states
+    fold in one ``np.add.accumulate`` (the left fold of repeated ``+ step
+    * v``).  No trial stops inside, but a block that holds a trial without
+    ``directions`` looks at its last 8 states after every 8th step and
+    ends there when every trial has left ``bounds`` (lo, hi) among them,
+    or ``hunt`` finds among them a hit that retires a trial.  The
+    velocities of the trials without ``directions`` are then checked
+    against the images of the states their steps start from, up to each
+    one's first box exit, in one ``images`` and one :func:`contains_rows`
+    call.
 
-    Returns ``(T, ends, left, None)``: T holds S then the (m, n) states of
-    each step, ``ends`` and ``left`` per trial as :func:`_exits` gives
-    them."""
+    Returns ``(T, ends, left, bad, V)``: the (b + 1, m, n) block T holds S
+    then the states of each step, of which trial c takes the first
+    ``ends[c]``; ``left[c]`` is set when the last one taken leaves
+    ``bounds``, and ``bad[c]`` when ``V[ends[c], c]`` lies outside the
+    image at ``T[ends[c], c]``.  V holds the (b, m, n) velocities, or is
+    None when every trial steers."""
     m, n = S.shape
     T = np.empty((size + 1, m, n))
     T[0] = S
-    steer = []  # (rows, directions of the block or None, directions, generators)
+    steering, feedback, at = [], [], 0
+    V = None  # the velocities, when some trial does not steer
     for p, sel, source in parts:
-        if p.normals is not None:
-            W = normals[source, :size].swapaxes(0, 1).reshape(-1, n)
-            steer.append((sel, p.normals(W).reshape(size, -1, n), None, None))
+        if p.directions is not None:
+            W = None if p.normals is None else \
+                p.normals(normals[source, :size].swapaxes(0, 1).reshape(-1, n)).reshape(size, -1, n)
+            steering.append((slice(at, at + sel.stop - sel.start), W, p.directions, source))
+            at += sel.stop - sel.start
+            continue
+        if V is None:
+            V = np.empty((size, m, n))
+        if p.velocity is not None and p.velocity.shape == (n,):
+            V[:, sel] = p.velocity
         else:
-            steer.append((sel, None, p.directions, source))
-    D = np.empty((m, n))
-    for i in range(size):
-        X = T[i]
-        points, _, radii = images(X)
-        for sel, W, directions, source in steer:
-            D[sel] = W[i] if W is not None else directions(X[sel], source)
-        T[i + 1] = X + step * extreme_rows(points, radii, D)
-    return (T, *_exits(T, bounds), None)
-
-
-def _coast(images, S, policy, size, step, bounds):
-    """Up to ``size`` Euler steps of one trial from its (1, n) state ``S``,
-    checked as single steps check them.
-
-    Returns ``(T, ends, left, V)``: the (b + 1, 1, n) block T holds S then
-    the states ``T[j + 1] = T[j] + step * V[j]``, of which the trial takes
-    the first ``ends[0]``; ``left[0]`` is set when the last one taken leaves
-    ``bounds`` (lo, hi), and ``ends[0] < b`` without it means that
-    ``V[ends[0]]`` lies outside the image at ``T[ends[0]]``.  A policy with
-    a fixed ``velocity`` v folds the states in one ``np.add.accumulate``
-    (the left fold of repeated ``+ step * v``); any other takes ``V[j]``
-    from ``policy.rows`` at the (1, n) row ``T[j]``, the call and the float
-    expression of a single step, and looks for a box exit every 8 steps,
-    so it stops within 8 steps of the first exit.  Then the block takes
-    the images of the states its steps start from in one call of
-    ``images`` and checks ``V`` against them in one :func:`contains_rows`
-    call.
-    """
-    n = S.shape[1]
-    v = policy.velocity
-    if v is not None and v.shape != (n,):
-        v = None
-    T = np.empty((size + 1, n))
-    T[0] = S[0]
-    if v is not None:
-        T[1:] = step * v
+            feedback.append((T[:, sel], V[:, sel], p.rows))
+    steer = None  # the rows of the steering trials, when not all rows
+    if steering and V is not None:
+        steer = np.concatenate([np.arange(sel.start, sel.stop) for p, sel, _ in parts if p.directions is not None])
+        if steer[-1] - steer[0] + 1 == steer.size:
+            steer = slice(steer[0], steer[-1] + 1)
+    if V is not None and not (steering or feedback):
+        T[1:] = step * V
         T = np.add.accumulate(T)
-        V = v[None].repeat(size, axis=0)
     else:
-        V = np.empty((size, n))
-        rows = policy.rows
-        for j in range(size):
-            x = T[j:j + 1]
-            V[j:j + 1] = rows(x)
-            T[j + 1:j + 2] = x + step * V[j:j + 1]
-            if j % 8 == 7 and bounds is not None:
-                made = T[j - 6:j + 2]
-                if ((made < bounds[0]) | (made > bounds[1])).any():
-                    T, V = T[:j + 2], V[:j + 1]
+        D = np.empty((at, n))
+        for i in range(size):
+            X = T[i]
+            if steering:
+                Y = X if steer is None else X[steer]
+                points, _, radii = images(Y)
+                for pos, W, directions, source in steering:
+                    D[pos] = W[i] if W is not None else directions(Y[pos], source)
+                if V is None:
+                    T[i + 1] = X + step * extreme_rows(points, radii, D)
+                    continue
+                V[i, steer] = extreme_rows(points, radii, D)
+            for Xs, Vs, rows in feedback:
+                Vs[i] = rows(Xs[i])
+            T[i + 1] = X + step * V[i]
+            if i % 8 == 7:
+                made = T[i - 6:i + 2]
+                gone = bounds is not None and np.logical_and.reduce(  # every trial has left the box
+                    np.logical_or.reduce((made < bounds[0]) | (made > bounds[1]), axis=(0, 2)))
+                if gone or hunt is not None and hunt(made):
+                    T, V = T[:i + 2], V[:i + 1]
                     break
-    T, V = T[:, None], V[:, None]
     ends, left = _exits(T, bounds)
-    taken = int(ends[0])
-    points, counts, radii = images(T[:taken, 0])
-    if policy.verify:
-        ok = contains_rows(points, counts, radii, V[:taken, 0], _FEASIBILITY_TOL)
-        if np.count_nonzero(ok) < taken:
-            ends[0], left[0] = int(np.argmin(ok)), False
-    return T, ends, left, V
+    bad = np.zeros(m, dtype=bool)
+    if V is None:
+        return T, ends, left, bad, V
+    taken = np.arange(T.shape[0] - 1)[:, None] < ends  # the steps each trial takes
+    if steering:
+        taken[:, steer] = False
+    points, counts, radii = images(T[:-1][taken])
+    ok = contains_rows(points, counts, radii, V[taken], _FEASIBILITY_TOL)
+    if np.count_nonzero(ok) < ok.size:
+        steps, cols = np.nonzero(taken)
+        verify = np.zeros(m, dtype=bool)
+        for p, sel, _ in parts:
+            verify[sel] = p.verify
+        out = ~ok & verify[cols]
+        np.minimum.at(ends, cols[out], steps[out])  # each trial's first
+        bad[cols[out]], left[cols[out]] = True, False
+    return T, ends, left, bad, V
 
 
 def integrate(

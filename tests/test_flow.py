@@ -379,6 +379,9 @@ def test_lower_index_hitter_wins_although_a_higher_one_crosses_first():
 
 
 def test_watch_observe_equals_a_per_row_loop():
+    # the watch records one-step and multi-step blocks as a per-row loop
+    # records their states step by step, with the loop's retirement between
+    # steps: from a trial's first hit on, the trials of higher index stop
     from inclusafe.flow import _Watch
 
     def unsafe(S):
@@ -388,27 +391,51 @@ def test_watch_observe_equals_a_per_row_loop():
         return S[:, 0] + S[:, 1]
 
     N, threshold = 8, 1.0
-    rng = np.random.default_rng(31)
-    watch = _Watch(unsafe, depth, threshold, N)
+    rng = np.random.default_rng(56)
+    single, blocked = _Watch(unsafe, depth, threshold, N), _Watch(unsafe, depth, threshold, N)
     want_depth, want_hit, want_winner = [-math.inf] * N, [-1] * N, N
-    for k, kind in enumerate(["none", "some", "all", "some", "all", "none", "all"] * 3):
+    k = retiring = 0
+    for kind in ["none", "some", "all", "some", "all", "none", "all"] * 8:
+        # a block of b steps: trial trials[c] reaches T[i, c] at step k + i for i < ends[c]
         trials = np.sort(rng.choice(N, int(rng.integers(1, N + 1)), replace=False))
-        S = rng.uniform(-1.0, 1.0, (trials.size, 2))
+        trials = trials[trials <= blocked.winner]  # the loop retires the others first
+        if not trials.size:
+            continue
+        b = int(rng.integers(1, 7))
+        T = rng.uniform(-1.0, 1.0, (b, trials.size, 2))
         if kind != "some":
-            S[:, 0] = np.abs(S[:, 0]) + 1e-3
-            S[:, 0] *= 1.0 if kind == "all" else -1.0
-        watch.observe(k, trials, S)
-        for t, s in zip(trials.tolist(), S):
-            if s[0] > 0.0:
-                d = s[0] + s[1]
-                want_depth[t] = max(want_depth[t], d)
-                if d >= threshold and want_hit[t] < 0:
-                    want_hit[t] = k
-                    want_winner = min(want_winner, t)
-        assert watch.depth.tolist() == want_depth
-        assert watch.hit.tolist() == want_hit
-        assert watch.winner == want_winner
+            T[:, :, 0] = np.abs(T[:, :, 0]) + 1e-3
+            T[:, :, 0] *= 1.0 if kind == "all" else -1.0
+        T[:, :, 1] -= (N - 1 - trials) / 8.0  # lower-index trials hit less often
+        ends = rng.integers(1, b + 1, trials.size)
+        kept = blocked.observe_block(k, trials, blocked.scan(T, ends), ends)
+        want_ends = ends.copy()
+        for i in range(b):
+            hitters = []
+            for c, t in enumerate(trials.tolist()):
+                if i < want_ends[c] and T[i, c, 0] > 0.0:
+                    d = T[i, c, 0] + T[i, c, 1]
+                    want_depth[t] = max(want_depth[t], d)
+                    if d >= threshold and want_hit[t] < 0:
+                        want_hit[t] = k + i
+                        want_winner = min(want_winner, t)
+                        hitters.append(t)
+            # ... and retire the higher-index trials still running after step i
+            for t in hitters:
+                want_ends[(trials > t) & (want_ends > i + 1)] = i + 1
+            on = i < want_ends
+            if on.any():
+                one = np.ones(int(on.sum()), dtype=int)
+                single.observe_block(k + i, trials[on], single.scan(T[i:i + 1, on], one), one)
+        assert kept.tolist() == want_ends.tolist()
+        retiring += kept.tolist() != ends.tolist()
+        for watch in (single, blocked):
+            assert watch.depth.tolist() == want_depth
+            assert watch.hit.tolist() == want_hit
+            assert watch.winner == want_winner
+        k += b
     assert want_winner < N and -1 in want_hit  # some trials hit, not all
+    assert retiring >= 3  # hits retire trials inside multi-step blocks
 
 
 def test_hint_outside_the_box_is_counted_but_not_integrated(example2):
@@ -729,8 +756,7 @@ def blocks(monkeypatch):
             return made
         return recorded
 
-    for name in ("_coast", "_steer"):
-        monkeypatch.setattr(flow, name, recording(getattr(flow, name)))
+    monkeypatch.setattr(flow, "_block", recording(flow._block))
     return taken
 
 
@@ -922,13 +948,14 @@ def test_an_infeasible_planar_hint_reaches_the_sampled_check_and_truncates_first
 
 
 # ----------------------------------------------------------------------- #
-# steered blocks: when every live trial has an extreme-point policy, the
-# loop advances all of them to the end of the 64-step window of normals
+# blocks of several trials: when every live trial's policy is an
+# extreme-point, state-feedback or fixed-velocity one, in any mix, the loop
+# advances all of them to the end of the 64-step window of normals
 def _one_at_a_time(policies):
-    """Each distinct policy as a custom policy with the same ``select``,
-    which the loop steps one step at a time."""
+    """Each distinct policy as a custom policy with the same ``select`` and
+    ``verify``, which the loop steps one step at a time."""
     wrapped = {}
-    return [wrapped.setdefault(id(p), custom_policy(p.select, name=p.name)) for p in policies]
+    return [wrapped.setdefault(id(p), custom_policy(p.select, name=p.name, verify=p.verify)) for p in policies]
 
 
 def _streams(count, seed=5):
@@ -960,30 +987,91 @@ def _steer_both(system, X0, policies, *, nsteps, step=1e-3, box=None, backward=F
     return run, watches[0], streams[0]
 
 
-@pytest.mark.parametrize("name, eps, mode, trials, nsteps", [
-    ("linear-stable", 0.1, "strong", 1, 150),
-    ("linear-stable", 0.1, "strong", 4, 64),
-    ("linear-stable", 0.1, "strong", 5, 150),
-    ("noisy-loop", None, None, 4, 63),
-    ("example1", 1.0, "image", 1, 128),
-    ("example1", 1.0, "image", 4, 150),
-    ("example1", 0.1, "strong", 5, 1),
-    ("example2", 0.04, "strong", 4, 150),
-    ("example2", 0.04, "strong", 5, 65),
+@pytest.mark.parametrize("name, eps, mode, trials, nsteps, hinted", [
+    ("linear-stable", 0.1, "strong", 1, 150, None),
+    ("linear-stable", 0.1, "strong", 4, 64, None),
+    ("linear-stable", 0.1, "strong", 5, 150, None),
+    ("noisy-loop", None, None, 4, 63, None),
+    ("example1", 1.0, "image", 1, 128, None),
+    ("example1", 1.0, "image", 4, 150, None),
+    ("example1", 0.1, "strong", 5, 1, None),
+    ("example2", 0.04, "strong", 4, 150, None),
+    ("example2", 0.04, "strong", 5, 65, None),
+    # the fixed-velocity hint first, then b-ascent and random-extreme
+    # trials, as the finds run: its hit retires the others
+    ("example1", 0.5, "strong", 5, 150, "beside"),
+    # state-feedback hints only, from starts 0.2 apart in x1
+    ("example2", 0.04, "strong", 4, 400, "copies"),
 ])
-def test_steered_blocks_equal_single_steps(name, eps, mode, trials, nsteps, blocks):
-    sc = scenarios.build(name).scenario
+def test_steered_blocks_equal_single_steps(name, eps, mode, trials, nsteps, hinted, blocks):
+    bundle = scenarios.build(name)
+    sc = bundle.scenario
     system = sc.dynamics if eps is None else PerturbedSystem(sc.dynamics, eps, mode)
     pool = sc.initial_samples()
     X0 = pool[np.linspace(0, pool.shape[0] - 1, trials).astype(int)]
     pair = [b_ascent(sc.barrier), random_extreme()]
-    run, _, _ = _steer_both(system, X0, [pair[i % 2] for i in range(trials)], nsteps=nsteps, box=sc.box)
+    policies = [pair[i % 2] for i in range(trials)]
+    step, watch = 1e-3, None
+    if hinted is not None:
+        hint = bundle.hints(eps)[0]
+        copies = 1 if hinted == "beside" else trials
+        X0[:copies] = hint.x0
+        X0[:copies, 0] -= 0.2 * np.arange(copies)
+        policies[:copies] = [hint.policy] * copies
+        step = min(1e-3, eps / 50.0)
+        threshold = falsify(sc, eps, FalsifyBudget(starts=1, horizon=step), hints=[hint]).threshold
+        watch = (expressions.rows_of(sc.unsafe, bool), expressions.rows_of(sc.depth), threshold)
+    run, watch, _ = _steer_both(system, X0, policies, nsteps=nsteps, step=step, box=sc.box, watch=watch)
     assert None not in blocks
-    if name == "example2":  # planar trials leave the box at different steps
+    if hinted is not None:
+        # the hint of trial 0 wins, and the trials after it that are still
+        # in the box then retire (example2's copies 2 and 3 leave it first)
+        assert watch.winner == 0 and 0 < watch.hit[0] < nsteps and not run.truncated.any()
+        retired = ~run.exited[1:]
+        assert retired.any() and (run.lengths[1:][retired] == watch.hit[0] + 1).all()
+        assert (run.lengths[1:] <= watch.hit[0] + 1).all()
+    elif name == "example2":  # planar trials leave the box at different steps
         assert run.exited.any() and len(set(run.lengths.tolist())) > 2
     else:
         assert (run.lengths == nsteps + 1).all()
         assert blocks == [min(64, nsteps - j) for j in range(0, nsteps, 64)]
+
+
+def test_fixed_velocity_blocks_equal_single_steps(blocks):
+    # four constant velocities in the image [-1, 1] left of c, {-5} from c
+    # on: trial 0 (0.7) truncates after step 41, trial 1 (-0.5) leaves the
+    # box after step 71, and the slow trials 2 and 3 run to the horizon
+    c = 0.02805
+    system = SetValuedMap(1, [constant_piece(lambda x: x[0] < c, [[-1.0], [1.0]]),
+                              constant_piece(lambda x: x[0] >= c, [[-5.0]])])
+    X0 = np.array([[0.0], [0.0], [-0.02], [0.005]])
+    policies = [constant_policy([v]) for v in (0.7, -0.5, 0.3, 0.1)]
+    run, _, _ = _steer_both(system, X0, policies, nsteps=150, box=[[-0.0351, 1.0]])
+    assert run.lengths.tolist() == [42, 72, 151, 151]
+    assert run.truncated.tolist() == [True, False, False, False]
+    assert run.exited.tolist() == [False, True, False, False]
+    assert None not in blocks and blocks == [64, 64, 22]
+
+
+@pytest.mark.parametrize("h", [30, 63, 64])
+@pytest.mark.parametrize("late", [0, 1, 2])
+def test_a_hit_on_the_step_before_an_infeasible_velocity_retires_the_trial(h, late, blocks):
+    # two fixed velocities on a drift with step 1/128, whose states are
+    # exact: trial 0 from -10 reaches the unsafe depth h / 128 at step h;
+    # trial 1's velocity turns infeasible at step h + late, where single
+    # steps retire a trial before they check its velocity
+    s = h + late
+    system = SetValuedMap(1, [constant_piece(lambda x: x[0] < 0.0, [[1.0]]),
+                              constant_piece(lambda x: x[0] >= 0.0, [[-1.0]])])
+    X0 = np.array([[-10.0], [-(s - 1) / 128.0]])
+    policy = constant_policy([1.0])
+    watch = (lambda S: S[:, 0] < -5.0, lambda S: S[:, 0] + 10.0, h / 128.0)
+    run, watch, _ = _steer_both(system, X0, [policy, policy], nsteps=150, step=1 / 128, box=[[-20.0, 20.0]],
+                                watch=watch)
+    assert watch.hit.tolist() == [h, -1] and watch.winner == 0
+    assert run.lengths.tolist() == [151, h if late == 0 else h + 1]
+    assert run.truncated.tolist() == [False, late == 0]
+    assert None not in blocks
 
 
 def _drift(x2_exit=None, trials=5):
@@ -1113,14 +1201,14 @@ def test_steered_block_past_a_stop_neither_raises_nor_warns(gradient, blocks):
 
 @pytest.fixture()
 def one_by_one(monkeypatch):
-    """Runs whose steered blocks all fail before their first step, so the
+    """Runs whose blocks all fail before their first step, so the
     loop takes single steps from the start: the reference for the errors
     and warnings of a block that falls back."""
     from inclusafe import flow
 
     def runs(call):
         with monkeypatch.context() as m:
-            m.setattr(flow, "_steer", lambda *args: 1 / 0)
+            m.setattr(flow, "_block", lambda *args: 1 / 0)
             return call()
     return runs
 
@@ -1170,10 +1258,12 @@ def test_steered_block_raises_before_a_stop_where_single_steps_raise(one_by_one,
 ])
 def test_exhaust_searches_of_the_benchmark_run_in_steered_blocks(name, eps, mode, starts, blocks):
     # the falsify-search workload's exhaust commands: 1,000 steps each; the
-    # example1 hint truncates at its second step, then every trial steers
+    # example1 hint truncates at its second step inside the first block,
+    # and its states past the truncation cross the exit threshold, which
+    # ends that block after 32 steps; then every trial steers
     bundle = scenarios.build(name)
     res = falsify(bundle.scenario, eps, FalsifyBudget(starts=starts, horizon=1.0), mode=mode,
                   hints=bundle.hints(eps))
     assert not res.found
-    assert None not in blocks and len(blocks) == 16
-    assert sum(blocks) == (998 if name == "example1" else 1000)
+    assert None not in blocks and len(blocks) == (17 if name == "example1" else 16)
+    assert sum(blocks) == 1000

@@ -19,14 +19,15 @@ trial retires on a hit.  Last, the five ``find`` commands of that workload,
 each the lockstep run that ``falsify`` makes for it through ``cli.run``,
 caught on its way in and run again as it is: the whole horizon and the real
 exit threshold, so the winner's hit retires the trials after it and its
-tail runs alone.  A lone trial of a policy with ``rows`` coasts through
-blocks of steps, whether its velocity is fixed (example1's hint) or state
-feedback (example2's): the one-trial hint rows and the find rows time it.
-When every live trial has an extreme-point policy (b-ascent,
-random-extreme), the loop advances all of them together in steered blocks
-to the end of each 64-step window of normals: the exhaust rows and the
-non-hinted case rows time it.  A step is one Euler step of the live
-trials, however many there are, and a block counts as the steps it took.
+tail runs alone.  The loop advances the live trials in blocks of steps,
+all together, whenever each of their policies is an extreme-point one
+(b-ascent, random-extreme), state feedback (example2's hint) or a fixed
+velocity (example1's hint), in any mix: the non-hinted case rows and the
+exhaust rows time blocks of extreme-point trials, the hinted case rows
+blocks of hints alone at 1 and 4 trials, the example1 find rows a hint
+beside extreme-point trials until its hit retires them, and the example2
+find rows a lone hint.  A step is one Euler step of the live trials,
+however many there are, and a block counts as the steps it took.
 
 One line per case and N: microseconds per step (the median of 11 timed runs
 after one warm-up run), Python calls per step, the ``call`` events that
@@ -136,16 +137,12 @@ def _caught(cmd):
 
 class _Passes(_Watch):
     """A watch that counts the loop's passes that advanced the trials: the
-    loop observes each single step and each block once."""
+    loop records each single step and each block once, as a block."""
 
     passes = 0
 
-    def observe(self, k, trials, S):
-        self.passes += k > 0  # step 0 is the starts
-        super().observe(k, trials, S)
-
     def observe_block(self, k, trials, seen, ends):
-        self.passes += 1
+        self.passes += k > 0  # step 0 is the starts
         return super().observe_block(k, trials, seen, ends)
 
 
