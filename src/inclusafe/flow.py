@@ -67,11 +67,12 @@ class SelectionPolicy:
     :func:`expression_policy` with components that read no state set it;
     other policies leave it None.  The integrator advances the live trials
     in blocks of steps whenever each of their policies has ``directions``,
-    ``rows`` or ``velocity``.  A block may call ``rows`` and
-    ``directions`` at states past a trial's stop, so ``rows`` must depend
-    on the state alone and have no side effects, and ``directions`` on the
-    states and the generators alone; it may draw from a trial's generator
-    past its stop.
+    ``rows`` or ``velocity``, and in blocks of one step otherwise, which
+    call a policy only at the states its trial reaches.  A longer block may
+    call ``rows`` and ``directions`` at states past a trial's stop, so
+    ``rows`` must depend on the state alone and have no side effects, and
+    ``directions`` on the states and the generators alone; it may draw from
+    a trial's generator past its stop.
     """
 
     name: str
@@ -267,7 +268,7 @@ class _Watch:
         falls on that step keeps it).  Depths fold in step order with the
         same strict ``>``, so the first of equal values stays and a NaN is
         never stored.  Returns the ends after retirement.  The loop records
-        the starts and each single step as a block of one step."""
+        the starts as a block of one step, then every block it makes."""
         steps, columns, d = seen
         if not steps.size:
             return ends
@@ -340,9 +341,9 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
               watch: Optional[_Watch] = None) -> _Run:
     """Explicit Euler steps of every trial i from ``X0[i]``, with velocities
     from ``policies[i]`` drawing on ``rngs[i]``, all advanced together.
-    A single step takes its images from one ``system.images`` call on the
-    states, negated when ``backward`` is set; what those images resolve once
-    per map, not per step, is in :mod:`svmap`.
+    Images come from ``system.images`` calls on the states, negated when
+    ``backward`` is set; what those images resolve once per map, not per
+    step, is in :mod:`svmap`.
 
     A trial stops at ``nsteps``, after the step that leaves ``box`` (that
     state is kept), before a step whose verified velocity lies outside the
@@ -351,31 +352,32 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     b = min(64, steps left) every 64 steps, the same numbers as one
     ``standard_normal(n)`` per step.
 
-    The loop advances in blocks of steps when every live trial's policy
-    has ``directions`` (extreme point), ``rows`` (state feedback) or a
-    fixed ``velocity``: all of them together to the end of the current
-    64-step window of normals, or less (:func:`_block`).  A block first
-    makes every trial's states, then takes per trial the steps single
-    steps would take: its first box exit or infeasible velocity, and the
+    Every pass of the loop makes one block of steps of the live trials
+    (:func:`_block`), then takes per trial the steps that one step at a
+    time takes: its first box exit or infeasible velocity, and the
     retirement that a hit of a lower-index trial inside the block brings
     (:meth:`_Watch.observe_block`; a hit on the step before an infeasible
-    velocity retires the trial, as single steps check retirement first),
-    so a trial that stops drops only its own tail and the others keep the
-    states they made.
-    History entries, watch values, stops and lengths are those of single
-    steps, bit for bit, and a trial that goes on has drawn from its
-    generator exactly what single steps draw; a trial that stops early may
-    have drawn past its stop (up to 63 normals, and any draw its policy
-    makes at the block's states past the stop).  A block may compute
-    states, directions, velocities and images that single steps never reach
-    (past a trial's stop), so it runs, with the watch's look at its
-    states, under ``np.errstate(all="raise")``: if anything in it raises or
-    meets a float event, the generators are put back as they were before
-    the block and the loop takes single steps to the end of the current
-    64-step window, then tries blocks again.  So an error or warning
-    surfaces where single steps raise it, a state past a stop never raises
-    or warns, and a failure past a trial's stop costs blocks for one window
-    only.
+    velocity retires the trial, as the loop checks retirement first), so a
+    trial that stops drops only its own tail and the others keep the states
+    they made.  When every live trial's policy has ``directions`` (extreme
+    point), ``rows`` (state feedback) or a fixed ``velocity``, the block is
+    a guarded one, to the end of the current 64-step window of normals or
+    less; otherwise (a custom policy, whose ``select`` may have side
+    effects) it is a block of one step.  History entries, watch values,
+    stops and lengths are those of blocks of one step, bit for bit, and a
+    trial that goes on has drawn from its generator exactly what they draw;
+    a trial that stops early may have drawn past its stop (up to 63
+    normals, and any draw its policy makes at the block's states past the
+    stop).  A guarded block may compute states, directions, velocities and
+    images that one step at a time never reaches (past a trial's stop), so
+    it runs, with the watch's look at its states, under
+    ``np.errstate(all="raise")``: if anything in it raises or meets a float
+    event, the generators are put back as they were before the block and
+    the loop takes blocks of one step, outside the guard, to the end of the
+    current 64-step window, then tries guarded blocks again.  So an error
+    or warning surfaces where one step at a time raises it, a state past a
+    stop never raises or warns, and a failure past a trial's stop costs
+    guarded blocks for one window only.
     """
     X0 = np.asarray(X0, dtype=float)
     N, n = X0.shape
@@ -388,8 +390,6 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     blocked = np.array([p.normals is not None for p in policies], dtype=bool)
     block_row = np.cumsum(blocked) - 1
     normals = np.empty((int(np.count_nonzero(blocked)), min(_BLOCK, nsteps), n))
-    if box is not None:
-        lo, hi = box[:, 0].copy(), box[:, 1].copy()
     lengths = np.full(N, nsteps + 1)
     exited = np.zeros(N, dtype=bool)
     truncated = np.zeros(N, dtype=bool)
@@ -410,7 +410,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     if watch is not None:
         one = np.ones(N, dtype=int)  # the starts, recorded as a block of one step
         watch.observe_block(0, live, watch.scan(S[None], one), one)
-    bounds = None if box is None else (lo, hi)
+    bounds = None if box is None else (box[:, 0].copy(), box[:, 1].copy())
     retry = 1  # the first step that may start a block
     k = 1
     while k <= nsteps:
@@ -439,7 +439,8 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
             for p, sel, source in parts:
                 if p.normals is not None:
                     normals[source, :size] = [rng.standard_normal((size, n)) for rng in streams[live[sel]]]
-        if k >= retry and blocks:
+        guarded = k >= retry and blocks
+        if guarded:
             # the generators that directions may draw on inside the block
             saved = [(rng, rng.bit_generator.state) for p, _, source in parts
                      if p.directions is not None and p.normals is None for rng in source]
@@ -448,85 +449,44 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
                     T, ends, left, bad, V = _block(images, S, parts, normals[:, j:], min(_BLOCK - j, nsteps - k + 1),
                                                    step, bounds, hunt)
                     seen = None if watch is None else watch.scan(T[1:], ends)
-            except Exception:  # noqa: BLE001 - single steps raise it, or not, where they should
+            except Exception:  # noqa: BLE001 - a block of one step raises it, or not, where it should
                 for rng, state in saved:
                     rng.bit_generator.state = state
                 retry = k - j + _BLOCK  # the next window
-            else:
-                b = T.shape[0] - 1
-                # single steps retire a trial before they check its velocity,
-                # so a hit on the step before an infeasible velocity retires it
-                reach = ends + bad
-                kept = reach if seen is None else watch.observe_block(k, live, seen, reach)
-                stop = (kept < b) | left | bad
-                if not stop.any():
-                    # one (m, n) view of the block per step, as single steps append
-                    history.extend(zip(repeat(live, b), T[1:]))
-                    k, S = k + b, T[b]
-                    continue
-                retired = kept < reach
-                kept = np.minimum(kept, ends)
-                left &= ~retired
-                bad &= ~retired
-                if on_infeasible == "raise" and bad.any():
-                    c = int(np.flatnonzero(bad)[np.argmin(ends[bad])])  # the first to meet one
-                    raise _infeasible(policies[live[c]], V[ends[c], c], T[ends[c], c])
-                # per step, the states of the trials still running then
-                start = 0
-                for end in sorted(set(kept.tolist())):
-                    if end > start:
-                        on = kept >= end
-                        history.extend(zip(repeat(live[on], end - start), T[start + 1:end + 1, on]))
-                        start = end
-                lengths[live[stop]] = k + kept[stop]
-                exited[live[left]] = True
-                truncated[live[bad]] = True
-                live, S, parts = live[~stop], T[b, ~stop], None
-                k += b
-                continue
-        points, counts, radii = images(S)
-        V = np.empty(S.shape)
-        feasible = None
-        for policy, sel, source in parts:
-            if policy.directions is not None:
-                d = policy.normals(normals[source, j]) if policy.normals is not None \
-                    else policy.directions(S[sel], source)
-                V[sel] = extreme_rows(points[sel], radii[sel], d)
-                continue
-            if policy.rows is not None:
-                V[sel] = policy.rows(S[sel])
-            else:
-                for i in range(sel.start, sel.stop):
-                    image = row_set((points, counts, radii), i)
-                    V[i] = np.asarray(policy(S[i].copy(), image, source[i - sel.start]), dtype=float).reshape(-1)
-            if policy.verify:
-                ok = contains_rows(points[sel], counts[sel], radii[sel], V[sel], _FEASIBILITY_TOL)
-                if np.count_nonzero(ok) < ok.size:
-                    if feasible is None:
-                        feasible = np.ones(live.size, dtype=bool)
-                    feasible[sel] = ok
-        if feasible is not None:
-            if on_infeasible == "raise":
-                i = int(np.argmin(feasible))
-                raise _infeasible(policies[live[i]], V[i], S[i])
-            truncated[live[~feasible]] = True
-            lengths[live[~feasible]] = k
-            live, S, V, parts = live[feasible], S[feasible], V[feasible], None
-            if not live.size:
-                break
-        S = S + step * V
-        history.append((live, S))
-        if watch is not None:
-            one = np.ones(live.size, dtype=int)
-            watch.observe_block(k, live, watch.scan(S[None], one), one)
-        if box is not None:
-            out = (S < lo) | (S > hi)
-            if np.count_nonzero(out):
-                out = out.any(axis=1)
-                exited[live[out]] = True
-                lengths[live[out]] = k + 1
-                live, S, parts = live[~out], S[~out], None
-        k += 1
+                guarded = False
+        if not guarded:  # a custom policy, or the window after a failed block
+            T, ends, left, bad, V = _block(images, S, parts, normals[:, j:], 1, step, bounds)
+            seen = None if watch is None else watch.scan(T[1:], ends)
+        b = T.shape[0] - 1
+        # a trial retires before its velocity is checked, so a hit on the
+        # step before an infeasible velocity retires it
+        reach = ends + bad
+        kept = reach if seen is None else watch.observe_block(k, live, seen, reach)
+        stop = (kept < b) | left | bad
+        if not stop.any():
+            # one (m, n) view of the block per step
+            history.extend(zip(repeat(live, b), T[1:]))
+            k, S = k + b, T[b]
+            continue
+        retired = kept < reach
+        kept = np.minimum(kept, ends)
+        left &= ~retired
+        bad &= ~retired
+        if on_infeasible == "raise" and bad.any():
+            c = int(np.flatnonzero(bad)[np.argmin(ends[bad])])  # the first to meet one
+            raise _infeasible(policies[live[c]], V[ends[c], c], T[ends[c], c])
+        # per step, the states of the trials still running then
+        start = 0
+        for end in sorted(set(kept.tolist())):
+            if end > start:
+                on = kept >= end
+                history.extend(zip(repeat(live[on], end - start), T[start + 1:end + 1, on]))
+                start = end
+        lengths[live[stop]] = k + kept[stop]
+        exited[live[left]] = True
+        truncated[live[bad]] = True
+        live, S, parts = live[~stop], T[b, ~stop], None
+        k += b
     return _Run(X0, history, lengths, exited, truncated)
 
 
@@ -550,22 +510,24 @@ def _exits(T, bounds):
 
 def _block(images, S, parts, normals, size, step, bounds, hunt=None):
     """Up to ``size`` Euler steps of every live trial from its state in the
-    (m, n) array ``S``, each as a single step makes it; every policy in
-    ``parts`` has ``directions``, ``rows`` or a fixed ``velocity``.  Per
-    step: one ``images`` and one ``extreme_rows`` call on the rows of the
-    extreme-point policies, whose directions come from the window
-    ``normals`` (one ``normals`` call per block) or from ``directions`` at
-    the states; one ``rows`` call per state-feedback policy; ``+ step *
-    v`` for a fixed velocity v.  When every velocity is fixed, the states
-    fold in one ``np.add.accumulate`` (the left fold of repeated ``+ step
-    * v``).  No trial stops inside, but a block that holds a trial without
+    (m, n) array ``S``.  Per step: one ``images`` and one ``extreme_rows``
+    call on the rows of the extreme-point policies, whose directions come
+    from the window ``normals`` (one ``normals`` call per block) or from
+    ``directions`` at the states; one ``rows`` call per state-feedback
+    policy; ``+ step * v`` for a fixed velocity v; and for a policy with
+    none of these, one ``images`` call on its rows and a call of the
+    policy per row, on a copy of the state, the row's image and the
+    trial's generator.  When every velocity is fixed, the states fold in
+    one ``np.add.accumulate`` (the left fold of repeated ``+ step * v``).
+    No trial stops inside, but a block that holds a trial without
     ``directions`` looks at its last 8 states after every 8th step and
     ends there when every trial has left ``bounds`` (lo, hi) among them,
-    or ``hunt`` finds among them a hit that retires a trial.  The
-    velocities of the trials without ``directions`` are then checked
-    against the images of the states their steps start from, up to each
-    one's first box exit, in one ``images`` and one :func:`contains_rows`
-    call.
+    or ``hunt`` finds among them a hit that retires a trial.  Then one
+    ``images`` call takes the images of the states that the steps of the
+    trials without ``directions`` start from, up to each one's first box
+    exit, so a missing piece raises there, and one :func:`contains_rows`
+    call checks the velocities of the policies with ``verify`` against
+    them.
 
     Returns ``(T, ends, left, bad, V)``: the (b + 1, m, n) block T holds S
     then the states of each step, of which trial c takes the first
@@ -576,7 +538,7 @@ def _block(images, S, parts, normals, size, step, bounds, hunt=None):
     m, n = S.shape
     T = np.empty((size + 1, m, n))
     T[0] = S
-    steering, feedback, at = [], [], 0
+    steering, feedback, unchecked, at = [], [], [], 0
     V = None  # the velocities, when some trial does not steer
     for p, sel, source in parts:
         if p.directions is not None:
@@ -587,10 +549,12 @@ def _block(images, S, parts, normals, size, step, bounds, hunt=None):
             continue
         if V is None:
             V = np.empty((size, m, n))
+        if not p.verify:
+            unchecked.append(sel)
         if p.velocity is not None and p.velocity.shape == (n,):
             V[:, sel] = p.velocity
         else:
-            feedback.append((T[:, sel], V[:, sel], p.rows))
+            feedback.append((T[:, sel], V[:, sel], p, source))
     steer = None  # the rows of the steering trials, when not all rows
     if steering and V is not None:
         steer = np.concatenate([np.arange(sel.start, sel.stop) for p, sel, _ in parts if p.directions is not None])
@@ -612,8 +576,13 @@ def _block(images, S, parts, normals, size, step, bounds, hunt=None):
                     T[i + 1] = X + step * extreme_rows(points, radii, D)
                     continue
                 V[i, steer] = extreme_rows(points, radii, D)
-            for Xs, Vs, rows in feedback:
-                Vs[i] = rows(Xs[i])
+            for Xs, Vs, p, source in feedback:
+                if p.rows is not None:
+                    Vs[i] = p.rows(Xs[i])
+                    continue
+                stack = images(Xs[i])
+                for r, rng in enumerate(source):
+                    Vs[i, r] = np.asarray(p(Xs[i, r].copy(), row_set(stack, r), rng), dtype=float).reshape(-1)
             T[i + 1] = X + step * V[i]
             if i % 8 == 7:
                 made = T[i - 6:i + 2]
@@ -630,13 +599,17 @@ def _block(images, S, parts, normals, size, step, bounds, hunt=None):
     if steering:
         taken[:, steer] = False
     points, counts, radii = images(T[:-1][taken])
-    ok = contains_rows(points, counts, radii, V[taken], _FEASIBILITY_TOL)
+    checked = taken
+    if unchecked:
+        checked = taken.copy()
+        for sel in unchecked:
+            checked[:, sel] = False
+        on = checked[taken]
+        points, counts, radii = points[on], counts[on], radii[on]
+    ok = contains_rows(points, counts, radii, V[checked], _FEASIBILITY_TOL)
     if np.count_nonzero(ok) < ok.size:
-        steps, cols = np.nonzero(taken)
-        verify = np.zeros(m, dtype=bool)
-        for p, sel, _ in parts:
-            verify[sel] = p.verify
-        out = ~ok & verify[cols]
+        steps, cols = np.nonzero(checked)
+        out = ~ok
         np.minimum.at(ends, cols[out], steps[out])  # each trial's first
         bad[cols[out]], left[cols[out]] = True, False
     return T, ends, left, bad, V
@@ -665,7 +638,7 @@ def integrate(
     of up to 64 steps where its policy allows (see :func:`_lockstep`), and
     a policy with ``normals`` (such as :func:`random_extreme`) draws from
     ``rng`` in blocks of up to 64 steps: a run that reaches ``horizon``
-    leaves ``rng`` as single steps would, but one that stops early may
+    leaves ``rng`` as one step at a time would, but one that stops early may
     have drawn past its stop: up to 63 more normals, or the draws that
     :func:`b_ascent` makes where the gradient vanishes at the states of its
     block past the stop.

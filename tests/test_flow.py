@@ -109,6 +109,17 @@ def test_unverified_policy_skips_feasibility():
     assert traj.final[0] == pytest.approx(1.5)
 
 
+def test_an_unverified_infinite_velocity_is_never_checked_and_never_warns():
+    # a containment check of (inf, inf) would warn on its products
+    system = SetValuedMap(2, [constant_piece(lambda x: True, [[1.0, 0.0], [0.0, 1.0]])])
+    policy = custom_policy(lambda x, image, rng: np.array([np.inf, np.inf]), name="free")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run = _lockstep(system, np.zeros((1, 2)), [policy], [np.random.default_rng(0)], nsteps=3, step=0.1)
+    assert caught == []
+    assert run.lengths.tolist() == [4] and not run.truncated.any()
+
+
 def test_trajectory_helpers():
     traj = integrate(_linear_map(), [1.0], horizon=0.2, step=0.1,
                      policy=b_ascent_dummy())
@@ -306,7 +317,8 @@ def _euler_by_hand(system, x0, kind, rng, barrier, nsteps, step, box, velocity=N
 
 @pytest.mark.parametrize("name", scenarios.BUILTIN)
 @pytest.mark.parametrize("mode", ["none", "image", "strong"])
-def test_lockstep_equals_an_euler_loop_by_hand_byte_for_byte(name, mode):
+@pytest.mark.parametrize("steps", ["blocks", "one-step"])
+def test_lockstep_equals_an_euler_loop_by_hand_byte_for_byte(name, mode, steps):
     sc = scenarios.build(name).scenario
     base = sc.dynamics.base if isinstance(sc.dynamics, PerturbedSystem) else sc.dynamics
     system = sc.dynamics if mode == "none" else PerturbedSystem(base, 0.1, mode)
@@ -326,7 +338,10 @@ def test_lockstep_equals_an_euler_loop_by_hand_byte_for_byte(name, mode):
                 if not free[:k, j].min() <= free[k, j] <= free[:k, j].max())
     side = int(free[k, j] > free[:k, j].max())
     box[j, side] = 0.5 * (free[k, j] + (free[:k, j].max() if side else free[:k, j].min()))
-    run = _lockstep(system, np.array([x0 for x0, _, _ in trials]), [p for _, _, p in trials],
+    policies = [p for _, _, p in trials]
+    if steps == "one-step":  # custom policies, stepped by blocks of one step
+        policies = _one_at_a_time(policies)
+    run = _lockstep(system, np.array([x0 for x0, _, _ in trials]), policies,
                     [np.random.default_rng(i) for i in range(len(trials))],
                     nsteps=nsteps, step=step, box=box, on_infeasible="truncate")
     assert run.exited.any() and run.truncated.any() and run.lengths.max() > 65
@@ -739,14 +754,17 @@ def _box_before(stop):
 
 @pytest.fixture()
 def blocks(monkeypatch):
-    """The steps each block of steps took (its longest-running trial's,
-    before retirement), or None where it fell back to single steps."""
+    """The steps each guarded block of steps took (its longest-running
+    trial's, before retirement), or None where it fell back to blocks of
+    one step; those, run outside the guard, are not recorded."""
     from inclusafe import flow
 
     taken = []
 
     def recording(advance):
         def recorded(*args):
+            if np.geterr()["invalid"] != "raise":
+                return advance(*args)
             try:
                 made = advance(*args)
             except Exception:
@@ -1201,14 +1219,19 @@ def test_steered_block_past_a_stop_neither_raises_nor_warns(gradient, blocks):
 
 @pytest.fixture()
 def one_by_one(monkeypatch):
-    """Runs whose blocks all fail before their first step, so the
-    loop takes single steps from the start: the reference for the errors
-    and warnings of a block that falls back."""
+    """Runs whose guarded blocks all fail before their first step, so the
+    loop takes blocks of one step from the start: the reference for the
+    errors and warnings of a block that falls back."""
     from inclusafe import flow
 
     def runs(call):
+        advance = flow._block
+
+        def failing(*args):
+            return 1 / 0 if np.geterr()["invalid"] == "raise" else advance(*args)
+
         with monkeypatch.context() as m:
-            m.setattr(flow, "_block", lambda *args: 1 / 0)
+            m.setattr(flow, "_block", failing)
             return call()
     return runs
 

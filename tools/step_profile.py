@@ -8,41 +8,45 @@ eps = 0.1, ``noisy-loop`` with its own perturbation, ``example1`` image at
 eps = 1, ``example1`` strong at eps = 0.5 with its hint, and ``example2``
 strong at eps = 0.04 with its hint.  A hinted case runs N copies of the
 hint's start and policy; the others run N starts of the initial set with
-b-ascent and random-extreme in turn.  Then the three ``exhaust`` commands
-of the benchmark's falsify-search workload (``perfbench/workloads.py``),
-each with the trials ``falsify`` makes from the command's config at seed 0:
-its hints and sampled starts, so N is the command's trial count.  Each run
-is ``flow._lockstep`` as ``falsify`` calls it (the domain box, infeasible
+b-ascent and random-extreme in turn.  The ``linear-stable`` case and the
+``example1`` hint case run again at N = 4 (the ``custom`` rows) with every
+policy wrapped as ``custom_policy(p.select, name=p.name,
+verify=p.verify)``.  Then the three ``exhaust`` commands of the
+benchmark's falsify-search workload (``perfbench/workloads.py``), each
+with the trials ``falsify`` makes from the command's config at seed 0: its
+hints and sampled starts, so N is the command's trial count.  Each run is
+``flow._lockstep`` as ``falsify`` calls it (the domain box, infeasible
 velocities truncated and a watch on the unsafe set), for 200 steps at
 ``falsify``'s step size, with an exit threshold no trial reaches, so no
-trial retires on a hit.  Last, the five ``find`` commands of that workload,
-each the lockstep run that ``falsify`` makes for it through ``cli.run``,
-caught on its way in and run again as it is: the whole horizon and the real
-exit threshold, so the winner's hit retires the trials after it and its
-tail runs alone.  The loop advances the live trials in blocks of steps,
-all together, whenever each of their policies is an extreme-point one
-(b-ascent, random-extreme), state feedback (example2's hint) or a fixed
-velocity (example1's hint), in any mix: the non-hinted case rows and the
-exhaust rows time blocks of extreme-point trials, the hinted case rows
-blocks of hints alone at 1 and 4 trials, the example1 find rows a hint
-beside extreme-point trials until its hit retires them, and the example2
-find rows a lone hint.  A step is one Euler step of the live trials,
-however many there are, and a block counts as the steps it took.
+trial retires on a hit.  Last, the five ``find`` commands of that
+workload, each the lockstep run that ``falsify`` makes for it through
+``cli.run``, caught on its way in and run again as it is: the whole
+horizon and the real exit threshold, so the winner's hit retires the
+trials after it and its tail runs alone.  The loop advances the live
+trials in blocks of steps, all together, whenever each of their policies
+is an extreme-point one (b-ascent, random-extreme), state feedback
+(example2's hint) or a fixed velocity (example1's hint), in any mix, and
+in blocks of one step otherwise: the non-hinted case rows and the exhaust
+rows time blocks of extreme-point trials, the hinted case rows blocks of
+hints alone at 1 and 4 trials, the custom rows blocks of one step, the
+example1 find rows a hint beside extreme-point trials until its hit
+retires them, and the example2 find rows a lone hint.  A step is one
+Euler step of the live trials, however many there are, and a block counts
+as the steps it took.
 
-One line per case and N: microseconds per step (the median of 11 timed runs
-after one warm-up run), Python calls per step, the ``call`` events that
-``sys.setprofile`` sees in one run, steps per block: the steps over the
-loop's passes that advanced the trials, a block and a single step each
-counting as one pass, so 1.0 means single steps only, and a silent
-fall-back from blocks to single steps shows as such, not only as a slower
-step; and full rows per step: the rows of the feasibility checks that the
-nearest-point certificate of ``convexset.contains_rows`` leaves to the
-256-direction product, so a certificate that stops settling rows shows as
-a number too.  The last two come from runs of their own.  The call count
-repeats exactly from run to run; the script checks that it does on a
-second profiled run.  It compares two versions of the program, not their
-speed.  The program is imported from ``src/`` of the checkout that holds
-this file.
+One line per case and N: microseconds per step (the median of 11 timed
+runs after one warm-up run), Python calls per step, the ``call`` events
+that ``sys.setprofile`` sees in one run, steps per block: the steps over
+the loop's passes that advanced the trials, one pass per block, so 1.0
+means blocks of one step only, and a silent fall-back to them shows as
+such, not only as a slower step; and full rows per step: the rows of the
+feasibility checks that the nearest-point certificate of
+``convexset.contains_rows`` leaves to the 256-direction product, so a
+certificate that stops settling rows shows as a number too.  The last two
+come from runs of their own.  The call count repeats exactly from run to
+run; the script checks that it does on a second profiled run.  It
+compares two versions of the program, not their speed.  The program is
+imported from ``src/`` of the checkout that holds this file.
 """
 from __future__ import annotations
 
@@ -60,21 +64,26 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import numpy as np  # noqa: E402
 
 from inclusafe import cli, convexset, expressions, flow, scenarios  # noqa: E402
-from inclusafe.flow import FalsifyBudget, _lockstep, _trials, _Watch, b_ascent, random_extreme  # noqa: E402
+from inclusafe.flow import (  # noqa: E402
+    FalsifyBudget, _lockstep, _trials, _Watch, b_ascent, custom_policy, random_extreme,
+)
 from inclusafe.svmap import PerturbedSystem, unperturbed  # noqa: E402
 import workloads  # noqa: E402
 
 STEPS = 200
 RUNS = 11
 
-#: (label, scenario, eps, mode, hinted); eps None integrates the scenario's
-#: own dynamics
+#: (label, scenario, eps, mode, hinted, custom); eps None integrates the
+#: scenario's own dynamics; a custom case wraps every policy as a custom
+#: policy and runs at N = 4 only
 CASES = [
-    ("linear-stable strong eps=0.1", "linear-stable", 0.1, "strong", False),
-    ("noisy-loop native", "noisy-loop", None, None, False),
-    ("example1 image eps=1", "example1", 1.0, "image", False),
-    ("example1 strong eps=0.5 hint", "example1", 0.5, "strong", True),
-    ("example2 strong eps=0.04 hint", "example2", 0.04, "strong", True),
+    ("linear-stable strong eps=0.1", "linear-stable", 0.1, "strong", False, False),
+    ("noisy-loop native", "noisy-loop", None, None, False, False),
+    ("example1 image eps=1", "example1", 1.0, "image", False, False),
+    ("example1 strong eps=0.5 hint", "example1", 0.5, "strong", True, False),
+    ("example2 strong eps=0.04 hint", "example2", 0.04, "strong", True, False),
+    ("linear-stable strong eps=0.1 custom", "linear-stable", 0.1, "strong", False, True),
+    ("example1 strong eps=0.5 hint custom", "example1", 0.5, "strong", True, True),
 ]
 
 
@@ -137,7 +146,7 @@ def _caught(cmd):
 
 class _Passes(_Watch):
     """A watch that counts the loop's passes that advanced the trials: the
-    loop records each single step and each block once, as a block."""
+    loop records each block once."""
 
     passes = 0
 
@@ -208,9 +217,15 @@ def _label(role, cmd):
 
 def _cases():
     """(label, arguments of one lockstep run) of every case."""
-    for label, name, eps, mode, hinted in CASES:
-        for trials in (1, 4):
-            yield label, _setup(scenarios.build(name), eps, mode, hinted, trials)
+    for label, name, eps, mode, hinted, custom in CASES:
+        for trials in (4,) if custom else (1, 4):
+            args = _setup(scenarios.build(name), eps, mode, hinted, trials)
+            if custom:
+                wrapped = {}  # one custom policy per policy, so the trials keep their groups
+                policies = [wrapped.setdefault(id(p), custom_policy(p.select, name=p.name, verify=p.verify))
+                            for p in args[2]]
+                args = args[:2] + (policies,) + args[3:]
+            yield label, args
     for cmd in EXHAUST:
         cfg = workloads.make_config(cmd, 0)
         yield _label("exhaust", cmd), _setup(scenarios.bundle_from_config(cfg), cmd.flags.get("eps"),
