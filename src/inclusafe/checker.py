@@ -31,7 +31,7 @@ from .barrier import (
     clarke_gradient,
     collar_width,
 )
-from .convexset import row_norms, row_set, support_pairs
+from .convexset import inflate_rows, row_norms, row_set, support_pairs
 from .numerics import largest_feasible_rows
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .svmap import unperturbed
@@ -230,7 +230,7 @@ def _sample(spec: CheckSpec, scenario: SafetyScenario, grid: BoundaryGrid, syste
         return _Minimum(math.inf, None, None, 0)
     rep, zetas, norms = _pairs(scenario, region, spec.zeta)
     stack = provider.images(region, _slack(scenario))
-    value = -support_pairs(*stack, rep, zetas, norms)
+    value = -support_pairs(stack, rep, zetas, norms)
     if spec.normalized:
         if (norms < 1e-12).any():
             raise DegenerateGradientError("gradient norm below 1e-12 in normalized check")
@@ -454,8 +454,8 @@ def synthesize_margin(
         row[cells] = np.arange(len(cells))
         at = row[rep_of]  # each pair's stack row, -1 where its cell is closed
         pairs = np.flatnonzero(at >= 0)
-        points, counts, radii = base.ball_hulls(X[cells], deltas, density, _slack(scenario))
-        support = support_pairs(points, counts, radii + deltas, at[pairs], zetas[pairs], norms[pairs])
+        stack = inflate_rows(base.ball_hulls(X[cells], deltas, density, _slack(scenario)), deltas)
+        support = support_pairs(stack, at[pairs], zetas[pairs], norms[pairs])
         bad = np.zeros(len(cells), dtype=bool)
         bad[at[pairs][-support <= tol.tol_strict]] = True
         return [tuple(X[c]) if b else None for c, b in zip(cells.tolist(), bad)]

@@ -1,47 +1,49 @@
-"""Geometry kernel: convex compact sets as point hulls inflated by a ball.
+"""Geometry kernel: convex compact sets as hulls of unions of balls.
 
-A set is represented as ``co{points} + radius * B`` with ``B`` the closed
-Euclidean unit ball.  This representation is closed under Minkowski sums and
-under outer hulls of unions, which is all the set arithmetic the rest of the
-package needs.  Support values are exact for the stored representation;
+A set is ``co ∪ₖ (pₖ + rₖ B)``, B the closed Euclidean unit ball: points
+with a radius each, stored as the largest radius R and, only when the radii
+differ, each point's shortfall sₖ = R − rₖ.  Its support
+maxₖ (pₖ·d − sₖ‖d‖) + R‖d‖ is exact, since the support of the hull of a
+union is the max of the supports (Rockafellar, *Convex Analysis*, §13).
+Minkowski sums add radii pairwise and hulls of unions concatenate points,
+each keeping its radius, so both are exact; inflating adds to R alone.
 Hausdorff distance and membership are exact in one dimension and
 direction-sampled in higher dimensions.
 
 Many sets travel as one padded stack ``(points, counts, radii)`` of shapes
-(m, K, n), (m,) and (m,): row i is ``co{points[i, :counts[i]]} + radii[i] *
-B``, and the rest of the row repeats points of that row.  This module is the
-only one that reads that layout.  Its row kernels equal, bit for bit, the
-per-set methods that the tests keep as their oracles: :func:`row_set` builds
-a row's set, and :func:`support_rows` is ``support_many``,
-:func:`support_pairs` ``support``, :func:`extreme_rows` ``extreme_point``,
-:func:`interval_rows` ``interval_bounds``, :func:`contains_rows`
-:func:`contains`, :func:`hausdorff_rows` :func:`hausdorff`, and
-:func:`row_norms` ``np.linalg.norm`` of each vector.  Support values are
-point-major in both forms: a set's product is ``points @ D.T``, one row per
-point, and its support is the max over those rows, a tied zero as +0.0; a
-stack takes one such product per point count, each row in the shape of
-its own set.  The support and distance kernels raise ValueError, as
-building the sets would, if a row is not finite.
+(m, K, n), (m,) and (m,), and a fourth field, the (m, K) shortfalls, only
+when some row mixes radii: row i is ``points[i, :counts[i]]`` with largest
+radius ``radii[i]``, and the rest of the row repeats points of that row,
+with their shortfalls.  A stack without shortfalls runs the arithmetic of
+one radius per row.  This module is the only one that reads that layout:
+the others take rows (:func:`take_rows`), inflate (:func:`inflate_rows`) and
+scale (:func:`scale_rows`) stacks through it.  Its row kernels equal, bit
+for bit, the per-set methods that the tests keep as their oracles:
+:func:`row_set` builds a row's set, and :func:`support_rows` is
+``support_many``, :func:`support_pairs` ``support``, :func:`extreme_rows`
+``extreme_point``, :func:`interval_rows` ``interval_bounds``,
+:func:`contains_rows` :func:`contains`, :func:`hausdorff_rows`
+:func:`hausdorff`, and :func:`row_norms` ``np.linalg.norm`` of each vector.
+Support values are point-major in both forms: a set's product is ``points
+@ D.T``, less the shortfalls times the norms, and its support is the max
+over its rows, a tied zero as +0.0; a stack takes one such product per
+point count, each row in the shape of its own set.  The support and
+distance kernels raise ValueError, as building the sets would, if a row is
+not finite.
 
 In n >= 2, :func:`contains_rows` first tries a nearest-point certificate on
-each row: v passes at once if some point p of the row has ‖v − p‖ <= r +
-tol − δ, where δ = 64 (n + 4) u times a bound on ‖v‖ + max ‖p‖ + r + tol
-(u = 2⁻⁵³) covers the rounding of the certificate and of the sampled check.
-For every sampled direction d, d·v <= d·p + ‖d‖ ‖v − p‖, so a certified row
-passes the sampled check too; only the rows it leaves go to the
-256-direction product.  The verdict is :func:`contains`'s on every row; the
-proof, with its constants, is in the docstring of :func:`contains_rows`.
-
-scipy is imported only on the first call that needs Qhull: the hull of more
-than :data:`PRUNE_THRESHOLD` points in two or more dimensions.  Qhull is
-reached through the module-level name :func:`ConvexHull`, which tracers
-patch to count hull calls, so :func:`_prune` looks it up at call time.
+each row: v passes at once if some point p of radius r has ‖v − p‖ <= r +
+tol − δ, where δ covers the rounding of the certificate and of the sampled
+check.  For every sampled direction d, d·v <= d·p + ‖d‖ ‖v − p‖, so a
+certified row passes the sampled check too; only the rows it leaves go to
+the 256-direction product.  The proof is in :func:`contains_rows`.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -52,31 +54,25 @@ __all__ = [
     "minkowski_sum",
     "hull_union",
     "hull_union_many",
-    "merge_parts",
-    "pruned",
     "hausdorff",
     "row_set",
+    "take_rows",
+    "inflate_rows",
+    "scale_rows",
     "row_norms",
     "support_rows",
     "support_pairs",
     "extreme_rows",
     "interval_rows",
+    "norm_bounds",
     "contains_rows",
     "hausdorff_rows",
     "contains",
     "DEFAULT_DIRECTIONS",
-    "HULL_MERGE_ANGLE",
-    "PRUNE_THRESHOLD",
 ]
 
 #: default number of sampled support directions for n >= 2
 DEFAULT_DIRECTIONS = 256
-
-#: angular resolution used when merging hulls of unequal ball radii (2-D)
-HULL_MERGE_ANGLE = math.pi / 32
-
-#: point count above which intermediate hulls are pruned to their vertices
-PRUNE_THRESHOLD = 96
 
 
 class DimensionMismatchError(ValueError):
@@ -127,11 +123,12 @@ def unit_directions(dimension: int, count: int = DEFAULT_DIRECTIONS) -> np.ndarr
 
 
 class ConvexCompactSet:
-    """Nonempty convex compact set ``co{points} + radius * unit ball``."""
+    """Nonempty convex compact set ``co ∪ₖ (pointsₖ + rₖ * unit ball)``:
+    ``radius`` is the largest rₖ, ``shortfalls`` each ``radius − rₖ`` or None."""
 
-    __slots__ = ("points", "radius")
+    __slots__ = ("points", "radius", "shortfalls")
 
-    def __init__(self, points, radius: float = 0.0):
+    def __init__(self, points, radius: float = 0.0, shortfalls=None):
         pts = np.array(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
@@ -142,9 +139,15 @@ class ConvexCompactSet:
         radius = float(radius)
         if not math.isfinite(radius) or radius < 0.0:
             raise ValueError(f"radius must be finite and >= 0, got {radius}")
+        if shortfalls is not None:
+            shortfalls = np.array(shortfalls, dtype=float).reshape(-1)
+            if shortfalls.shape != pts.shape[:1] or not (np.isfinite(shortfalls) & (shortfalls >= 0.0)).all():
+                raise ValueError("shortfalls must be finite and >= 0, one per point")
+            shortfalls.setflags(write=False)
         pts.setflags(write=False)
         self.points = pts
         self.radius = radius
+        self.shortfalls = shortfalls if shortfalls is not None and shortfalls.any() else None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -163,13 +166,14 @@ class ConvexCompactSet:
         return self.points.shape[1]
 
     def support(self, direction) -> float:
-        """Exact support value ``max_p <p, d> + radius * |d|``."""
+        """Exact support value ``max_k (<p_k, d> - s_k |d|) + radius * |d|``."""
         d = np.asarray(direction, dtype=float).reshape(-1)
         if d.shape[0] != self.dimension:
             raise DimensionMismatchError(
                 f"direction has dimension {d.shape[0]}, set has {self.dimension}"
             )
-        return float((self.points @ d).max() + self.radius * np.linalg.norm(d))
+        norm = np.linalg.norm(d)
+        return float(self._terms(d, norm).max() + self.radius * norm)
 
     def support_many(self, directions: np.ndarray) -> np.ndarray:
         """Support values for each row of ``directions``."""
@@ -178,36 +182,42 @@ class ConvexCompactSet:
             raise DimensionMismatchError(
                 f"directions have dimension {D.shape[1]}, set has {self.dimension}"
             )
-        vals = (self.points @ D.T).max(axis=0) + 0.0  # a tied zero as +0.0
-        if self.radius > 0.0:
-            vals = vals + self.radius * np.linalg.norm(D, axis=1)
-        return vals
+        norms = np.linalg.norm(D, axis=1)
+        vals = self._terms(D.T, norms).max(axis=0) + 0.0  # a tied zero as +0.0
+        return vals + self.radius * norms if self.radius > 0.0 else vals
 
     def extreme_point(self, direction) -> np.ndarray:
-        """A maximizer of ``<., d>`` over the set (hull vertex plus ball offset)."""
+        """A maximizer of ``<., d>`` over the set: a point plus its ball's offset."""
         d = np.asarray(direction, dtype=float).reshape(-1)
-        idx = int(np.argmax(self.points @ d))
-        p = self.points[idx].copy()
         norm = np.linalg.norm(d)
-        if self.radius > 0.0 and norm > 1e-300:
-            p = p + self.radius * d / norm
+        dots = self.points @ d  # not _terms: custom policies call this once per row and step
+        idx = int(np.argmax(dots if self.shortfalls is None else dots - self.shortfalls * norm))
+        p = self.points[idx].copy()
+        r = self.radius if self.shortfalls is None else self.radius - self.shortfalls[idx]
+        if r > 0.0 and norm > 1e-300:
+            p = p + r * d / norm
         return p
+
+    def _terms(self, D, norms):
+        """``points @ D`` less each point's shortfall times ``norms``."""
+        dots = self.points @ D
+        return dots if self.shortfalls is None else dots - np.multiply.outer(self.shortfalls, norms)
 
     def inflate(self, margin: float) -> "ConvexCompactSet":
         if margin == 0.0:
             return self
-        return ConvexCompactSet(self.points, self.radius + float(margin))
+        return ConvexCompactSet(self.points, self.radius + float(margin), self.shortfalls)
 
     def scale(self, factor: float) -> "ConvexCompactSet":
         f = float(factor)
-        return ConvexCompactSet(self.points * f, self.radius * abs(f))
+        return ConvexCompactSet(self.points * f, self.radius * abs(f), _shortfalls(self) * abs(f))
 
     def interval_bounds(self) -> tuple[float, float]:
-        """(lo, hi) endpoints; exact, only defined in one dimension."""
+        """(lo, hi) = ``min(p - r), max(p + r)``; exact, only in one dimension."""
         if self.dimension != 1:
             raise DimensionMismatchError("interval_bounds is only defined for 1-D sets")
-        col = self.points[:, 0]
-        return float(col.min() - self.radius), float(col.max() + self.radius)
+        col, r = self.points[:, 0], self.radius - _shortfalls(self)
+        return float((col - r).min()), float((col + r).max())
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ConvexCompactSet({self.points.shape[0]} pts, n={self.dimension}, r={self.radius:g})"
@@ -217,28 +227,10 @@ class ConvexCompactSet:
 def ConvexHull(points: np.ndarray):
     """``scipy.spatial.ConvexHull(points)``, with scipy imported on the first
     call rather than with this module."""
+    # only the benchmark's tracer reads this name; no function of the package calls it
     from scipy.spatial import ConvexHull as qhull
 
     return qhull(points)
-
-
-def _prune(points: np.ndarray) -> np.ndarray:
-    """Drop points interior to the hull.  Exact: support values are unchanged."""
-    points = np.unique(points, axis=0)
-    n = points.shape[1]
-    if n == 1:
-        return np.array([[points[:, 0].min()], [points[:, 0].max()]])
-    if points.shape[0] <= n + 1:
-        return points
-    from scipy.spatial import QhullError
-
-    try:
-        hull = ConvexHull(points)
-    except QhullError:
-        # degenerate (e.g. collinear) input: keep everything rather than risk
-        # dropping a true extreme point under joggling
-        return points
-    return points[np.sort(hull.vertices)]
 
 
 def _check_same_dimension(sets: Sequence[ConvexCompactSet]):
@@ -251,58 +243,34 @@ def minkowski_sum(a: ConvexCompactSet, b: ConvexCompactSet) -> ConvexCompactSet:
     """Exact Minkowski sum: pairwise point sums, radii added."""
     _check_same_dimension((a, b))
     pts = (a.points[:, None, :] + b.points[None, :, :]).reshape(-1, a.dimension)
-    return ConvexCompactSet(pruned(pts), a.radius + b.radius)
+    return ConvexCompactSet(pts, a.radius + b.radius, (_shortfalls(a)[:, None] + _shortfalls(b)).reshape(-1))
 
 
-#: boundary points of a 2-D ring in a merge, HULL_MERGE_ANGLE apart
-_MERGE_RING = int(math.ceil(2.0 * math.pi / HULL_MERGE_ANGLE))
+def _shortfalls(s: ConvexCompactSet) -> np.ndarray:
+    """The shortfall of each point of s, zeros when it has none."""
+    return np.zeros(len(s.points)) if s.shortfalls is None else s.shortfalls
 
 
 def hull_union_many(sets: Sequence[ConvexCompactSet]) -> ConvexCompactSet:
-    """Outer approximation of ``co(union of sets)``.
-
-    With equal radii the result is exact (point lists concatenate).  With
-    unequal radii, each smaller-radius operand is replaced by points on its
-    boundary (in 2-D at the angular resolution :data:`HULL_MERGE_ANGLE`)
-    and the result carries the largest radius; this keeps the result a
-    superset of every operand since the radius step exceeds the sampled-ring
-    deficit r*(1 - cos(HULL_MERGE_ANGLE/2)).
-    """
+    """Exact ``co(union of sets)``: the operands' points in order, each
+    keeping its radius r = R_i − s (its operand's radius less its shortfall)
+    as the shortfall ``R − r`` from R, the first largest R_i; none when
+    every operand has radius R and no shortfalls."""
     sets = list(sets)
     if not sets:
         raise ValueError("hull_union_many needs at least one set")
     if len(sets) == 1:
         return sets[0]
     _check_same_dimension(sets)
-    return ConvexCompactSet(*merge_parts([(s.points, s.radius) for s in sets]))
-
-
-def merge_parts(parts: Sequence[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float]:
-    """The :func:`hull_union_many` rule on raw ``(points, radius)`` pairs of
-    one dimension: returns the merged ``(points, radius)`` without building
-    a set per operand.  A single pair is returned unchanged."""
-    if len(parts) == 1:
-        return parts[0]
-    rmax = max(r for _, r in parts)
-    dimension = parts[0][0].shape[1]
-    merged = []
-    for pts, r in parts:
-        if r == rmax or r == 0.0:
-            merged.append(pts)
-        else:
-            ring = unit_directions(dimension, _MERGE_RING if dimension == 2 else DEFAULT_DIRECTIONS)
-            merged.append((pts[:, None, :] + r * ring[None, :, :]).reshape(-1, dimension))
-    return pruned(np.concatenate(merged)), rmax
-
-
-def pruned(points: np.ndarray) -> np.ndarray:
-    """The points a merge keeps of its concatenated operands: all of them,
-    or the hull vertices above :data:`PRUNE_THRESHOLD` points."""
-    return _prune(points) if points.shape[0] > PRUNE_THRESHOLD else points
+    rmax = max(s.radius for s in sets)
+    points = np.concatenate([s.points for s in sets])
+    if all(s.radius == rmax and s.shortfalls is None for s in sets):
+        return ConvexCompactSet(points, rmax)
+    return ConvexCompactSet(points, rmax, np.concatenate([rmax - (s.radius - _shortfalls(s)) for s in sets]))
 
 
 def hull_union(a: ConvexCompactSet, b: ConvexCompactSet) -> ConvexCompactSet:
-    """Outer approximation of ``co(A u B)``; see :func:`hull_union_many`."""
+    """Exact ``co(A u B)``; see :func:`hull_union_many`."""
     return hull_union_many([a, b])
 
 
@@ -322,9 +290,10 @@ def hausdorff(a: ConvexCompactSet, b: ConvexCompactSet, *, directions: int = DEF
     return float(np.abs(a.support_many(dirs) - b.support_many(dirs)).max())
 
 
-def _check_rows(points: np.ndarray, radii: np.ndarray) -> None:
+def _check_rows(stack: tuple) -> None:
     """Raise as :class:`ConvexCompactSet` would for any row of a padded
     stack (the padding repeats points of its row, so reading it is safe)."""
+    points, radii = stack[0], stack[2]
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
     bad = ~(np.isfinite(radii) & (radii >= 0.0))
@@ -333,9 +302,27 @@ def _check_rows(points: np.ndarray, radii: np.ndarray) -> None:
 
 
 def row_set(stack: tuple, i: int) -> ConvexCompactSet:
-    """The set of row i of a padded ``(points, counts, radii)`` stack."""
-    points, counts, radii = stack
-    return ConvexCompactSet(points[i, :counts[i]], radii[i])
+    """The set of row i of a padded stack."""
+    points, counts, radii, shortfalls = stack if len(stack) == 4 else (*stack, None)
+    c = counts[i]
+    return ConvexCompactSet(points[i, :c], radii[i], None if shortfalls is None else shortfalls[i, :c])
+
+
+def take_rows(stack: tuple, rows) -> tuple:
+    """The stack of the given rows (an index array, mask or slice)."""
+    return tuple(map(itemgetter(rows), stack))
+
+
+def inflate_rows(stack: tuple, margins) -> tuple:
+    """:meth:`ConvexCompactSet.inflate` of row i by ``margins[i]`` (or of all by one)."""
+    return (stack[0], stack[1], stack[2] + margins, *stack[3:])
+
+
+def scale_rows(stack: tuple, factor: float) -> tuple:
+    """:meth:`ConvexCompactSet.scale` of every row."""
+    f = float(factor)
+    scaled = (stack[0] * f, stack[1], stack[2] * abs(f))
+    return scaled if len(stack) == 3 else (*scaled, stack[3] * abs(f))
 
 
 def _dots(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -352,22 +339,23 @@ def row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(D[:, None, :], D)[:, 0])
 
 
-def _supports(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, D: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _supports(stack: tuple, D: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """:func:`support_rows` without the finiteness check, given the norms of
     the directions.  Each row's product is point-major, ``points @ D.T`` of
-    its own K points as in ``support_many``, and its max over those points;
-    rows of one point count share one stacked product.  A product over the
-    padded width rounds differently: BLAS may round a padding copy apart
-    from its original.  With one point count, and with a ball on every row
-    or on none, no row mask is built."""
+    its own K points as in ``support_many``, less the shortfalls times the
+    norms, and its max over those points; rows of one point count share one
+    stacked product.  A product over the padded width rounds differently:
+    BLAS may round a padding copy apart from its original.  With one point
+    count, and with a ball on every row or on none, no row mask is built."""
+    points, counts, radii, shortfalls = stack if len(stack) == 4 else (*stack, None)
     sizes = set(counts.tolist())
-    if len(sizes) == 1:
-        out = np.matmul(points[:, :sizes.pop()], D.T).max(axis=1)
-    else:
-        out = np.empty((len(counts), D.shape[0]))
-        for c in sizes:
-            rows = counts == c
-            out[rows] = np.matmul(points[rows, :c], D.T).max(axis=1)
+    out = np.empty((len(counts), D.shape[0]))
+    for c in sizes:
+        rows = counts == c if len(sizes) > 1 else slice(None)
+        dots = np.matmul(points[rows, :c], D.T)
+        if shortfalls is not None:
+            dots -= shortfalls[rows, :c, None] * norms
+        out[rows] = dots.max(axis=1)
     out += 0.0  # a tied zero as +0.0, as in support_many
     ball = radii > 0.0
     if ball.all():
@@ -377,15 +365,14 @@ def _supports(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, D: np.n
     return out
 
 
-def support_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, directions: np.ndarray) -> np.ndarray:
+def support_rows(stack: tuple, directions: np.ndarray) -> np.ndarray:
     """``support_many`` of every set of a padded stack, as an (m, d) array."""
-    _check_rows(points, radii)
+    _check_rows(stack)
     D = np.asarray(directions, dtype=float)
-    return _supports(points, counts, radii, D, np.linalg.norm(D, axis=1))
+    return _supports(stack, D, np.linalg.norm(D, axis=1))
 
 
-def support_pairs(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, rows: np.ndarray,
-                  directions: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def support_pairs(stack: tuple, rows: np.ndarray, directions: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Support value of set ``rows[j]`` of a padded stack in direction
     ``directions[j]``, for every j.
 
@@ -395,21 +382,30 @@ def support_pairs(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, row
     matrix-vector product (a batched ``einsum`` or a row-wise norm rounds
     differently).
     """
-    _check_rows(points, radii)
+    _check_rows(stack)
+    points, counts, radii, shortfalls = stack if len(stack) == 4 else (*stack, None)
     out = np.empty(len(rows))
     sizes = counts[rows]
     for c in np.unique(sizes).tolist():
         sel = np.flatnonzero(sizes == c)
-        out[sel] = np.matmul(points[rows[sel], :c], directions[sel, :, None])[:, :, 0].max(axis=1)
+        dots = np.matmul(points[rows[sel], :c], directions[sel, :, None])[:, :, 0]
+        if shortfalls is not None:
+            dots -= shortfalls[rows[sel], :c] * norms[sel, None]
+        out[sel] = dots.max(axis=1)
     return out + radii[rows] * norms
 
 
-def extreme_rows(points: np.ndarray, radii: np.ndarray, D: np.ndarray) -> np.ndarray:
+def extreme_rows(stack: tuple, D: np.ndarray) -> np.ndarray:
     """:meth:`ConvexCompactSet.extreme_point` of every row of a padded stack
     in the direction ``D[i]``, as an (m, n) array."""
-    idx = _dots(points, D).argmax(axis=1)
-    V = points[np.arange(D.shape[0]), idx]
-    norm = row_norms(D)
+    points, _, radii, shortfalls = stack if len(stack) == 4 else (*stack, None)
+    norm, dots, rows = row_norms(D), _dots(points, D), np.arange(D.shape[0])
+    if shortfalls is not None:
+        dots -= shortfalls * norm[:, None]
+    idx = dots.argmax(axis=1)
+    V = points[rows, idx]
+    if shortfalls is not None:
+        radii = radii - shortfalls[rows, idx]
     grow = (radii > 0.0) & (norm > 1e-300)
     c = np.count_nonzero(grow)
     if c == grow.size:
@@ -419,25 +415,38 @@ def extreme_rows(points: np.ndarray, radii: np.ndarray, D: np.ndarray) -> np.nda
     return V
 
 
-def interval_rows(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def interval_rows(stack: tuple) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`ConvexCompactSet.interval_bounds` of every row of a 1-D
     padded stack, as arrays (lo, hi)."""
+    points, _, radii, shortfalls = stack if len(stack) == 4 else (*stack, None)
     col = points[:, :, 0]
-    return np.minimum.reduce(col, axis=1) - radii, np.maximum.reduce(col, axis=1) + radii
+    if shortfalls is None:
+        return np.minimum.reduce(col, axis=1) - radii, np.maximum.reduce(col, axis=1) + radii
+    r = radii[:, None] - shortfalls
+    return np.minimum.reduce(col - r, axis=1), np.maximum.reduce(col + r, axis=1)
+
+
+def norm_bounds(stack: tuple) -> np.ndarray:
+    """A bound on ``‖v‖`` over the set of every row: the largest ``|v|`` in
+    one dimension, else the largest point norm plus the largest radius."""
+    if stack[0].shape[2] == 1:
+        lo, hi = interval_rows(stack)
+        return np.fmax(np.abs(lo), np.abs(hi))
+    return np.linalg.norm(stack[0], axis=2).max(axis=1) + stack[2]
 
 
 def hausdorff_rows(a: tuple, b: tuple, *, directions: int = DEFAULT_DIRECTIONS) -> np.ndarray:
     """:func:`hausdorff` between row i of two padded stacks with the same
     number of rows, for every row: interval endpoints in one dimension,
     sampled support values (:func:`support_rows`) otherwise."""
-    (pa, ca, ra), (pb, cb, rb) = a, b
-    if pa.shape[2] == 1:
-        _check_rows(pa, ra)
-        _check_rows(pb, rb)
-        (alo, ahi), (blo, bhi) = interval_rows(pa, ra), interval_rows(pb, rb)
+    n = a[0].shape[2]
+    if n == 1:
+        _check_rows(a)
+        _check_rows(b)
+        (alo, ahi), (blo, bhi) = interval_rows(a), interval_rows(b)
         return np.maximum(np.abs(alo - blo), np.abs(ahi - bhi))
-    dirs = unit_directions(pa.shape[2], directions)
-    return np.abs(support_rows(pa, ca, ra, dirs) - support_rows(pb, cb, rb, dirs)).max(axis=1)
+    dirs = unit_directions(n, directions)
+    return np.abs(support_rows(a, dirs) - support_rows(b, dirs)).max(axis=1)
 
 
 def contains(s: ConvexCompactSet, x, tol: float = 0.0) -> bool:
@@ -466,53 +475,53 @@ _CONTAINS_ELEMENTS = 1 << 16
 _FLOOR = 2.0 ** -450
 
 
-def contains_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: np.ndarray,
-                  tol: float = 0.0) -> np.ndarray:
+def contains_rows(stack: tuple, V: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """:func:`contains` of ``V[i]`` in row i of a padded stack, for every
     row.  It does not check that the rows are finite.
 
     In one dimension it compares interval endpoints.  In n >= 2 a
     nearest-point certificate settles every row it can, and only the rest
     go to :func:`_sampled`, the 256-direction product of :func:`contains`.
-    Row i, with velocity v, radius r and points p_k (its padding repeats
-    them), passes at once if some p_k has
+    Row i, with velocity v, largest radius R and points p_k of shortfalls
+    s_k (zero in a stack without them), passes at once if some p_k has
 
-        ‖v − p_k‖ <= r + tol − δ,
-        δ = 64 (n + 4) u (2‖v‖ + max_k ‖v − p_k‖ + r + tol + 2⁻⁴⁵⁰),
+        ‖v − p_k‖ + s_k <= R + tol − δ,
+        δ = 64 (n + 4) u (2‖v‖ + max_k ‖v − p_k‖ + R + tol + 2⁻⁴⁵⁰),
 
     u = 2⁻⁵³, each term as float64 computes it (:func:`_certified`); the
-    scale bounds ‖v‖ + max_k ‖p_k‖ + r + tol.  A certified row passes the
+    scale bounds ‖v‖ + max_k ‖p_k‖ + R + tol.  A certified row passes the
     product too, and an uncertified one is decided by it, so the verdict is
     :func:`contains`'s on every row.  A row with a NaN or infinite
     velocity, point, radius or ``tol``, or a square that overflows, makes
     the certificate NaN or its threshold −inf and is never certified.
 
-    Proof, for r, tol >= 0, with γ_k = ku / (1 − ku) and the dot-product
-    bound |fl(x·y) − x·y| <= γ_n Σ|x_j y_j| <= γ_n ‖x‖ ‖y‖ (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.1).
-    Take a sampled direction d and a certifying point p, ρ = ‖v − p‖.  The
-    product tests ĉ <= t̂ with ĉ = fl(d·v) and t̂ = fl(fl(m + fl(r ν̂)) + tol),
-    m the max of the computed d·p_k over the row's points and ν̂ = fl(‖d‖);
-    the ball term is left out when r = 0.
+    Proof, for R, tol >= 0 and 0 <= s <= R, with γ_k = ku / (1 − ku) and
+    the dot-product bound |fl(x·y) − x·y| <= γ_n Σ|x_j y_j| <= γ_n ‖x‖ ‖y‖
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    §3.1).  Take a sampled direction d and a certifying point p of shortfall
+    s and radius r = R − s, ρ = ‖v − p‖.  The product tests ĉ <= t̂ with
+    ĉ = fl(d·v) and t̂ = fl(fl(m + fl(R ν̂)) + tol), m the max over the
+    row's points of the computed fl(d·p_k − s_k ν̂) (d·p_k alone without
+    shortfalls) and ν̂ = fl(‖d‖); the ball term is left out when R = 0.
 
     1. The directions have |‖d‖ − 1| <= η = 4 (n + 4) u (a test checks
        |ν̂ − 1| <= 2 (n + 4) u, and |ν̂ − ‖d‖| <= γ_(n+1)).
     2. ĉ <= d·v + γ_n ‖d‖ ‖v‖, and d·v <= d·p + ‖d‖ ρ.
-    3. m >= fl(d·p) >= d·p − γ_n ‖d‖ ‖p‖ and fl(r ν̂) >= r ‖d‖ (1 − γ_(n+2)).
-       Rounding is monotone, so the two additions lose at most
-       3u ‖d‖ (‖p‖ + r) + u tol more: t̂ >= d·p + r ‖d‖ + tol
-       − γ_(n+5) ‖d‖ (‖p‖ + r) − u tol.
-    4. By 1–3, ĉ <= t̂ whenever ‖d‖ ρ <= r ‖d‖ + tol − γ_(n+5) (1 + η)
-       (‖v‖ + ‖p‖ + r) − u tol.  ρ <= r + tol − δ' implies it, with
-       δ' = 5 (n + 4) u S' and S' = ‖v‖ + ‖p‖ + r + tol, as
+    3. fl(d·p) >= d·p − γ_n ‖d‖ ‖p‖ and fl(R ν̂) >= R ‖d‖ (1 − γ_(n+2)),
+       fl(s ν̂) <= s ‖d‖ (1 + γ_(n+2)).  Rounding is monotone, so the
+       three additions lose at most 4u ‖d‖ (‖p‖ + 2R) + u tol more:
+       t̂ >= d·p + r ‖d‖ + tol − γ_(n+6) ‖d‖ (‖p‖ + 2R) − u tol.
+    4. By 1–3, ĉ <= t̂ whenever ‖d‖ ρ <= r ‖d‖ + tol − γ_(n+6) (1 + η)
+       (‖v‖ + ‖p‖ + 2R) − u tol.  ρ <= r + tol − δ' implies it, with
+       δ' = 6 (n + 4) u S' and S' = ‖v‖ + ‖p‖ + R + tol, as
        ‖d‖ tol <= tol + η tol and (1 − η) δ' >= (η + u) tol
-       + (1 + η) γ_(n+5) (‖v‖ + ‖p‖ + r).
+       + 2 (1 + η) γ_(n+6) (‖v‖ + ‖p‖ + R).
     5. The certificate's own rounding: the computed distance ρ̂ has
        ρ <= ρ̂ / (1 − γ_(n+3)), the computed scale is at least
        (1 − γ_(n+6)) times the exact one, which is at least S', and
-       fl(r + tol) <= (r + tol)(1 + u).  So ρ̂ <= fl(fl(r + tol) − fl(δ))
-       gives ρ <= r + tol − (64 (n + 4) u (1 − γ_(n+7)) − γ_(n+7)) S',
-       and that margin exceeds δ' more than tenfold.
+       fl(R + tol) <= (R + tol)(1 + u).  So fl(ρ̂ + s) <= fl(fl(R + tol)
+       − fl(δ)) gives ρ <= r + tol − (64 (n + 4) u (1 − γ_(n+8))
+       − γ_(n+8)) S', and that margin exceeds δ' more than ninefold.
     6. Gradual underflow adds absolute errors below √n 2⁻⁵³⁶ to a computed
        distance or norm and below n 2⁻¹⁰⁷⁴ to a dot product; the floor
        2⁻⁴⁵⁰ puts more than 2⁻⁴⁹⁵ into δ, which covers them.  A certified
@@ -520,21 +529,22 @@ def contains_rows(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: 
        can overflow, and t̂ = +inf passes.
     """
     if V.shape[1] == 1:
-        lo, hi = interval_rows(points, radii)
+        lo, hi = interval_rows(stack)
         return (lo - tol <= V[:, 0]) & (V[:, 0] <= hi + tol)
-    ok = _certified(points, radii, V, tol)
+    ok = _certified(stack, V, tol)
     if np.logical_and.reduce(ok):
         return ok
     rest = ~ok
-    ok[rest] = _sampled(points[rest], counts[rest], radii[rest], V[rest], tol)
+    ok[rest] = _sampled(take_rows(stack, rest), V[rest], tol)
     return ok
 
 
-def _certified(points: np.ndarray, radii: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
+def _certified(stack: tuple, V: np.ndarray, tol: float) -> np.ndarray:
     """The rows of a padded stack that the nearest-point certificate of
-    :func:`contains_rows` settles: some point of row i lies within
-    ``radii[i] + tol − δ`` of ``V[i]``.  It raises and warns on no float
+    :func:`contains_rows` settles: some point of row i lies within its own
+    radius plus ``tol − δ`` of ``V[i]``.  It raises and warns on no float
     event: a row it refuses warns, or not, in the sampled check."""
+    points, _, radii, shortfalls = stack if len(stack) == 4 else (*stack, None)
     with np.errstate(all="ignore"):
         gap = points - V[:, None, :]
         gap *= gap
@@ -547,21 +557,22 @@ def _certified(points: np.ndarray, radii: np.ndarray, V: np.ndarray, tol: float)
         scale += _FLOOR
         scale *= 64 * (V.shape[1] + 4) * 2.0 ** -53
         reach -= scale
-        return np.sqrt(np.minimum.reduce(squares, axis=1)) <= reach
+        if shortfalls is None:
+            return np.sqrt(np.minimum.reduce(squares, axis=1)) <= reach
+        return np.minimum.reduce(np.sqrt(squares) + shortfalls, axis=1) <= reach
 
 
-def _sampled(points: np.ndarray, counts: np.ndarray, radii: np.ndarray, V: np.ndarray,
-             tol: float) -> np.ndarray:
+def _sampled(stack: tuple, V: np.ndarray, tol: float) -> np.ndarray:
     """:func:`contains` of ``V[i]`` in row i, n >= 2, by its 256 sampled
     support inequalities.  The rows go in slices whose support product
     holds at most ``_CONTAINS_ELEMENTS`` elements; each row's products are
     its own, so slicing changes no bit."""
     dirs = unit_directions(V.shape[1])
     norms = _unit_norms(V.shape[1])
-    size = max(1, _CONTAINS_ELEMENTS // (points.shape[1] * dirs.shape[0]))
+    size = max(1, _CONTAINS_ELEMENTS // (stack[0].shape[1] * dirs.shape[0]))
     ok = np.empty(V.shape[0], dtype=bool)
     for a in range(0, V.shape[0], size):
         rows = slice(a, a + size)
-        support = _supports(points[rows], counts[rows], radii[rows], dirs, norms)
+        support = _supports(take_rows(stack, rows), dirs, norms)
         ok[rows] = (np.matmul(dirs, V[rows, :, None])[:, :, 0] <= support + tol).all(axis=1)
     return ok

@@ -20,7 +20,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .convexset import contains_rows, extreme_rows, interval_rows, row_norms, row_set
+from .convexset import (
+    contains_rows, extreme_rows, interval_rows, norm_bounds, row_norms, row_set, scale_rows, take_rows,
+)
 from .svmap import PerturbedSystem, unperturbed
 from . import expressions
 
@@ -405,8 +407,7 @@ def _lockstep(system, X0, policies, rngs, *, nsteps: int, step: float, box=None,
     images = system.images
     if backward:
         def images(S, forward=system.images):
-            points, counts, radii = forward(S)
-            return points * -1.0, counts, radii * 1.0  # ConvexCompactSet.scale(-1.0)
+            return scale_rows(forward(S), -1.0)
     if watch is not None:
         one = np.ones(N, dtype=int)  # the starts, recorded as a block of one step
         watch.observe_block(0, live, watch.scan(S[None], one), one)
@@ -514,20 +515,21 @@ def _block(images, S, parts, normals, size, step, bounds, hunt=None):
     call on the rows of the extreme-point policies, whose directions come
     from the window ``normals`` (one ``normals`` call per block) or from
     ``directions`` at the states; one ``rows`` call per state-feedback
-    policy; ``+ step * v`` for a fixed velocity v; and for a policy with
-    none of these, one ``images`` call on its rows and a call of the
-    policy per row, on a copy of the state, the row's image and the
-    trial's generator.  When every velocity is fixed, the states fold in
-    one ``np.add.accumulate`` (the left fold of repeated ``+ step * v``).
-    No trial stops inside, but a block that holds a trial without
-    ``directions`` looks at its last 8 states after every 8th step and
-    ends there when every trial has left ``bounds`` (lo, hi) among them,
-    or ``hunt`` finds among them a hit that retires a trial.  Then one
-    ``images`` call takes the images of the states that the steps of the
-    trials without ``directions`` start from, up to each one's first box
-    exit, so a missing piece raises there, and one :func:`contains_rows`
-    call checks the velocities of the policies with ``verify`` against
-    them.
+    policy; ``+ step * v`` for a fixed velocity v; and for a custom
+    policy, with none of these, one ``images`` call on its rows, a call of
+    the policy per row, on a copy of the state, the row's image and the
+    trial's generator, and with ``verify`` one :func:`contains_rows` call
+    on the velocities and those images.  When every velocity is fixed, the
+    states fold in one ``np.add.accumulate`` (the left fold of repeated
+    ``+ step * v``).  No trial stops inside, but a block that holds a
+    trial without ``directions`` looks at its last 8 states after every
+    8th step and ends there when every trial has left ``bounds`` (lo, hi)
+    among them, or ``hunt`` finds among them a hit that retires a trial.
+    Then one ``images`` call takes the images of the states that the steps
+    of the state-feedback and fixed-velocity trials start from, up to each
+    one's first box exit, so a missing piece raises there, and one
+    :func:`contains_rows` call checks the velocities of those policies
+    with ``verify`` against them.
 
     Returns ``(T, ends, left, bad, V)``: the (b + 1, m, n) block T holds S
     then the states of each step, of which trial c takes the first
@@ -540,6 +542,7 @@ def _block(images, S, parts, normals, size, step, bounds, hunt=None):
     T[0] = S
     steering, feedback, unchecked, at = [], [], [], 0
     V = None  # the velocities, when some trial does not steer
+    custom, outside = [], None  # the rows of the custom policies; their velocities outside their images
     for p, sel, source in parts:
         if p.directions is not None:
             W = None if p.normals is None else \
@@ -553,8 +556,11 @@ def _block(images, S, parts, normals, size, step, bounds, hunt=None):
             unchecked.append(sel)
         if p.velocity is not None and p.velocity.shape == (n,):
             V[:, sel] = p.velocity
-        else:
-            feedback.append((T[:, sel], V[:, sel], p, source))
+            continue
+        if p.rows is None:
+            custom.append(sel)
+            outside = np.zeros((size, m), dtype=bool) if outside is None and p.verify else outside
+        feedback.append((T[:, sel], V[:, sel], outside[:, sel] if p.rows is None and p.verify else None, p, source))
     steer = None  # the rows of the steering trials, when not all rows
     if steering and V is not None:
         steer = np.concatenate([np.arange(sel.start, sel.stop) for p, sel, _ in parts if p.directions is not None])
@@ -569,20 +575,22 @@ def _block(images, S, parts, normals, size, step, bounds, hunt=None):
             X = T[i]
             if steering:
                 Y = X if steer is None else X[steer]
-                points, _, radii = images(Y)
+                stack = images(Y)
                 for pos, W, directions, source in steering:
                     D[pos] = W[i] if W is not None else directions(Y[pos], source)
                 if V is None:
-                    T[i + 1] = X + step * extreme_rows(points, radii, D)
+                    T[i + 1] = X + step * extreme_rows(stack, D)
                     continue
-                V[i, steer] = extreme_rows(points, radii, D)
-            for Xs, Vs, p, source in feedback:
+                V[i, steer] = extreme_rows(stack, D)
+            for Xs, Vs, Os, p, source in feedback:
                 if p.rows is not None:
                     Vs[i] = p.rows(Xs[i])
                     continue
                 stack = images(Xs[i])
                 for r, rng in enumerate(source):
                     Vs[i, r] = np.asarray(p(Xs[i, r].copy(), row_set(stack, r), rng), dtype=float).reshape(-1)
+                if Os is not None:
+                    Os[i] = ~contains_rows(stack, Vs[i], _FEASIBILITY_TOL)
             T[i + 1] = X + step * V[i]
             if i % 8 == 7:
                 made = T[i - 6:i + 2]
@@ -596,22 +604,27 @@ def _block(images, S, parts, normals, size, step, bounds, hunt=None):
     if V is None:
         return T, ends, left, bad, V
     taken = np.arange(T.shape[0] - 1)[:, None] < ends  # the steps each trial takes
+    wrong = None if outside is None else outside[:T.shape[0] - 1] & taken  # velocities outside their images
     if steering:
         taken[:, steer] = False
-    points, counts, radii = images(T[:-1][taken])
-    checked = taken
-    if unchecked:
-        checked = taken.copy()
-        for sel in unchecked:
-            checked[:, sel] = False
-        on = checked[taken]
-        points, counts, radii = points[on], counts[on], radii[on]
-    ok = contains_rows(points, counts, radii, V[checked], _FEASIBILITY_TOL)
-    if np.count_nonzero(ok) < ok.size:
-        steps, cols = np.nonzero(checked)
-        out = ~ok
-        np.minimum.at(ends, cols[out], steps[out])  # each trial's first
-        bad[cols[out]], left[cols[out]] = True, False
+    for sel in custom:
+        taken[:, sel] = False
+    if not custom or np.count_nonzero(taken):
+        stack = images(T[:-1][taken])
+        checked = taken
+        if unchecked:
+            checked = taken.copy()
+            for sel in unchecked:
+                checked[:, sel] = False
+            stack = take_rows(stack, checked[taken])
+        ok = contains_rows(stack, V[checked], _FEASIBILITY_TOL)
+        if np.count_nonzero(ok) < ok.size:
+            wrong = np.zeros(taken.shape, dtype=bool) if wrong is None else wrong
+            wrong[checked] = ~ok
+    if wrong is not None:
+        steps, cols = np.nonzero(wrong)
+        np.minimum.at(ends, cols, steps)  # each trial's first
+        bad[cols], left[cols] = True, False
     return T, ends, left, bad, V
 
 
@@ -713,12 +726,7 @@ class FalsificationResult:
 
 def _velocity_bound(system, points) -> float:
     """Coarse bound on image magnitudes over sample points."""
-    P, _, R = system.images(points)
-    if P.shape[2] == 1:
-        vals = np.abs(np.concatenate(interval_rows(P, R)))
-    else:
-        vals = np.linalg.norm(P, axis=2).max(axis=1) + R
-    return float(np.fmax.reduce(vals, initial=0.0))
+    return float(np.fmax.reduce(norm_bounds(system.images(points)), initial=0.0))
 
 
 def _trials(scenario, budget: FalsifyBudget, hints: Sequence[Hint], grid: np.ndarray) -> list:
@@ -877,8 +885,7 @@ def reach_interval_1d(system, interval, *, horizon: float, step: float, samples:
     nsteps = int(round(horizon / step))
     for _ in range(nsteps):
         xs = np.linspace(lo, hi, samples)
-        P, _, R = system.images(xs[:, None])
-        low, high = interval_rows(P, R)
+        low, high = interval_rows(system.images(xs[:, None]))
         lo = min([lo, *(xs + step * low).tolist()])
         hi = max([hi, *(xs + step * high).tolist()])
         out.append((lo, hi))

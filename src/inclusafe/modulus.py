@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convexset import ConvexCompactSet, hausdorff, hausdorff_rows, row_norms, support_rows, unit_directions
+from .convexset import ConvexCompactSet, hausdorff, hausdorff_rows, row_norms, support_rows, take_rows, unit_directions
 from .expressions import rows_of
 from .numerics import box_array
 from .svmap import unit_ball_lattice
@@ -234,11 +234,6 @@ def log_grid_steps(log_range: float, log_step: float) -> int:
     return int(round(steps))
 
 
-def _take(stack: tuple, rows: np.ndarray) -> tuple:
-    """The given rows of a ``(points, counts, radii)`` stack."""
-    return tuple(a[rows] for a in stack)
-
-
 #: ring points per ring radius of :func:`build_modulus` in n >= 2
 _RING_POINTS = 8
 
@@ -299,7 +294,7 @@ def build_modulus(
     def direct_rows(ds: np.ndarray) -> np.ndarray:
         """The direct spread term |F(s*B) - F(0)|_H at each radius s > 0."""
         return hausdorff_rows(f_map.ball_hulls(np.zeros((len(ds), n)), ds, density),
-                              _take(f0, np.zeros(len(ds), dtype=int)), directions=_DIRECTIONS)
+                              take_rows(f0, np.zeros(len(ds), dtype=int)), directions=_DIRECTIONS)
 
     direct_vals = direct_rows(radii)
 
@@ -313,7 +308,7 @@ def build_modulus(
         ys = (rs[:, None, None] * ring).reshape(-1, n)
         point = np.repeat(np.arange(len(ys)), count)
         spread = hausdorff_rows(f_map.ball_hulls(ys[point], np.tile(radii, len(ys)), density),
-                                _take(f_map.images(ys), point), directions=_DIRECTIONS)
+                                take_rows(f_map.images(ys), point), directions=_DIRECTIONS)
         gaps = spread.reshape(len(rs), len(ring), count) - direct_vals
         raw[lo:lo + len(rs)] = np.maximum(raw[lo:lo + len(rs)], gaps.max(axis=1))
 
@@ -471,8 +466,8 @@ def verify_modulus(
     worst = None
     for lo in range(0, samples, block):
         x, delta = xs[lo:lo + block], deltas[lo:lo + block]
-        base = support_rows(*f_map.images(x), dirs)
-        big = support_rows(*f_map.ball_hulls(x, delta, _DENSITY), dirs)
+        base = support_rows(f_map.images(x), dirs)
+        big = support_rows(f_map.ball_hulls(x, delta, _DENSITY), dirs)
         flat = delta <= 0.0  # a zero-radius ball: the hull is F(x) itself
         big[flat] = base[flat]
         slacks = (base + pair._bounds(x, delta)[:, None] - big).min(axis=1)

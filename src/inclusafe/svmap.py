@@ -2,17 +2,18 @@
 
 A map is a list of (predicate, image) pieces; at points where several
 predicates hold the image is the hull of all matching piece images, which
-makes the evaluated map closed at piece interfaces.  Perturbed variants add
-a state-dependent margin either to the image alone or to both the argument
-(via an inscribed ball lattice) and the image.
+makes the evaluated map closed at piece interfaces; the hull keeps each
+piece's radius, so it is exact.  Perturbed variants add a state-dependent
+margin either to the image alone or to both the argument (via an inscribed
+ball lattice) and the image.
 
 Images at many points are evaluated in one pass by :meth:`SetValuedMap.images`
 and :meth:`PerturbedSystem.images`: predicates and pieces run on the whole
-(N, n) array and every row's image comes back as a padded (N, K, n) point
-stack with (N,) radii.  Hulls over an argument ball (strong images, modulus
-ball hulls) are the same pass over every row's ball
-lattice, merged per row; :meth:`SetValuedMap.ball_hull` and
-:meth:`PerturbedSystem.image` are the one-row case.  The per-point
+(N, n) array and every row's image comes back as a padded stack (see
+:mod:`convexset`).  Hulls over an argument ball (strong images, modulus
+ball hulls) are the same pass over every row's ball lattice, merged per
+row; :meth:`SetValuedMap.ball_hull` and :meth:`PerturbedSystem.image` are
+the one-row case.  The per-point
 :meth:`SetValuedMap.image` is the oracle they must match bit for bit.
 
 What no call can change is resolved once per map, not per call:
@@ -37,14 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .convexset import (
-    PRUNE_THRESHOLD,
-    ConvexCompactSet,
-    hull_union_many,
-    merge_parts,
-    pruned,
-    row_set,
-)
+from .convexset import ConvexCompactSet, hull_union_many, inflate_rows, row_set
 from . import expressions
 
 __all__ = [
@@ -127,58 +121,48 @@ def polynomial_piece(predicate, components: Sequence[str], dimension: int, radiu
 
 
 def _overlap(pieces: Sequence[Piece], X: np.ndarray):
-    """The :func:`merge_parts` hulls of the pieces' images at every row of
-    X as ``(points, radius)``, in one pass when that rule just concatenates
-    the pieces' points in order: each radius is the largest or zero, and
-    there are at most :data:`PRUNE_THRESHOLD` points.  Otherwise (or when a
-    piece has no batched form) None."""
+    """The :func:`hull_union_many` hulls of the pieces' images at every row
+    of X, in one pass: ``(points, radius, shortfalls)``, the pieces' points
+    in order with the first largest radius, and the (m, K) shortfalls, or
+    None when the radii are equal.  None when a piece has no batched form."""
     if any(piece.rows is None for piece in pieces):
         return None
     parts = [piece.rows(X) for piece in pieces]
     radii = [float(r) for _, r in parts]
     rmax = max(radii)
-    if any(r != rmax and r != 0.0 for r in radii) or sum(pts.shape[1] for pts, _ in parts) > PRUNE_THRESHOLD:
-        return None
-    return np.concatenate([pts for pts, _ in parts], axis=1), rmax
+    points = np.concatenate([pts for pts, _ in parts], axis=1)
+    if all(r == rmax for r in radii):
+        return points, rmax, None
+    short = np.concatenate([np.full(pts.shape[1], rmax - r) for (pts, _), r in zip(parts, radii)])
+    return points, rmax, np.tile(short, (X.shape[0], 1))
 
 
-def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, group: int):
+def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, shortfalls, group: int) -> tuple:
     """The hulls of runs of ``group`` consecutive rows of the padded row
-    hulls ``(A, counts, radius)`` under the :func:`merge_parts` rule, in
-    the layout of :meth:`SetValuedMap._hulls`."""
+    hulls ``(A, counts, radius, shortfalls or None)`` under the
+    :func:`hull_union_many` rule, in that layout."""
     m, width, n = A.shape
     G = m // group
     radii = radius.reshape(G, group)
     # the first largest radius of each run, as Python's max takes it in
-    # merge_parts: numpy's max may return either zero of a tie of 0.0 and -0.0
+    # hull_union_many: numpy's max may return either zero of a tie of 0.0 and -0.0
     rmax = radii[np.arange(G), radii.argmax(axis=1)]
-    plain = ((radii == rmax[:, None]) | (radii == 0.0)).all(axis=1)
     sizes = counts.reshape(G, group).sum(axis=1)
     points = A.reshape(G, group * width, n)
+    short = None
+    if shortfalls is not None or (radii != rmax[:, None]).any():
+        # each point's radius, and its shortfall from its run's largest
+        own = radius[:, None] if shortfalls is None else radius[:, None] - shortfalls
+        short = np.broadcast_to(rmax.repeat(group)[:, None] - own, (m, width)).reshape(G, group * width)
     if np.count_nonzero(counts != width):
         # move each run's points to its front, in order; the rows' padding
         # follows and repeats points of the run
         filled = (np.arange(width) < counts[:, None]).reshape(G, -1)
         order = np.argsort(~filled, axis=1, kind="stable")
         points = np.take_along_axis(points, order[:, :, None], axis=1)[:, :sizes.max()]
-    special = {g: (pruned(points[g, :sizes[g]]), rmax[g])
-               for g in (plain & (sizes > PRUNE_THRESHOLD)).nonzero()[0].tolist()}
-    for g in (~plain).nonzero()[0].tolist():
-        rows = range(g * group, (g + 1) * group)
-        special[g] = merge_parts([(A[i, :counts[i]], radius[i]) for i in rows])
-    if not special:
-        return points, sizes, rmax
-    size = max(len(pts) for pts, _ in special.values())
-    if size > points.shape[1]:
-        points = np.concatenate([points, np.repeat(points[:, -1:], size - points.shape[1], axis=1)], axis=1)
-    else:
-        points = points.copy()  # it may still view A, the caller's rows
-    for g, (pts, r) in special.items():
-        points[g, :len(pts)] = pts
-        points[g, len(pts):] = pts[-1]
-        sizes[g] = len(pts)
-        rmax[g] = r
-    return points, sizes, rmax
+        if short is not None:
+            short = np.take_along_axis(short, order, axis=1)[:, :sizes.max()]
+    return points, sizes, rmax, short
 
 
 #: the most pieces whose patterns of active pieces a map tables (it keeps
@@ -191,18 +175,18 @@ class _PatternTable:
     (:attr:`Piece.fixed`): a row's image depends only on its pattern of
     active pieces, whatever the row and the slack.  Each pattern, when first
     met, gets :meth:`SetValuedMap._assemble` of one row of it; a lookup is
-    the active pieces, one pattern code per row and three gathers, padded
-    as ``_assemble`` pads."""
+    the active pieces, one pattern code per row and three gathers (four
+    when some pattern mixes radii), padded as ``_assemble`` pads."""
 
     def __init__(self, pieces: int):
         self.weights = 1 << np.arange(pieces)
         # the table row of each pattern code; -1, a pattern not met yet,
         # takes the table's last row, whose count 0 no pattern has
         self.slot = np.full(1 << pieces, -1)
-        self.entries = []  # (points, count, radius) of one row of each pattern met
+        self.entries = []  # the set of one row of each pattern met
         self.counts = np.zeros(1, dtype=int)
-        self.radii = self.points = None
-        self.widths = {}  # the table's points cut to each width met
+        self.radii = self.points = self.shortfalls = None
+        self.widths = {}  # the table's points (and shortfalls) cut to each width met
         self.shifted = (None, None)  # the last image margin asked for and the radii plus it
 
     def stack(self, f: "SetValuedMap", X: np.ndarray, slack: float, eps: Optional[float]):
@@ -215,28 +199,33 @@ class _PatternTable:
             # piece holds, as it raises on all of X
             for code in sorted(set(codes[index < 0].tolist())):
                 i = int(np.argmax(codes == code))
-                pts, c, r = f._assemble(X[i:i + 1], slack, 1)
+                entry = row_set(f._assemble(X[i:i + 1], slack, 1), 0)
                 self.slot[code] = len(self.entries)
-                self.entries.append((pts[0], int(c[0]), r[0]))
-            self.points = np.empty((len(self.entries) + 1, max(c for _, c, _ in self.entries), X.shape[1]))
-            for k, (pts, c, _) in enumerate(self.entries):
-                self.points[k, :c] = pts
-                self.points[k, c:] = pts[-1]
-            self.counts = np.array([c for _, c, _ in self.entries] + [0])
-            self.radii = np.array([r for _, _, r in self.entries] + [0.0])
+                self.entries.append(entry)
+            width = max(len(e.points) for e in self.entries)
+            at = [np.minimum(np.arange(width), len(e.points) - 1) for e in self.entries]  # padded with the last point
+            self.points = np.array([e.points[a] for e, a in zip(self.entries, at)] + [np.zeros((width, X.shape[1]))])
+            self.shortfalls = None if all(e.shortfalls is None for e in self.entries) else np.array(
+                [np.zeros(width) if e.shortfalls is None else e.shortfalls[a] for e, a in zip(self.entries, at)]
+                + [np.zeros(width)])
+            self.counts = np.array([len(e.points) for e in self.entries] + [0])
+            self.radii = np.array([e.radius for e in self.entries] + [0.0])
             self.widths, self.shifted = {}, (None, None)
             index = self.slot[codes]
             sizes = self.counts[index].tolist()
         width = max(sizes)
         cut = self.widths.get(width)
         if cut is None:
-            cut = self.widths[width] = np.ascontiguousarray(self.points[:, :width])
+            cut = self.widths[width] = tuple(np.ascontiguousarray(a[:, :width])
+                                             for a in (self.points, self.shortfalls) if a is not None)
         radii = self.radii
         if eps is not None:
             if self.shifted[0] != eps:
                 self.shifted = (eps, radii + eps)
             radii = self.shifted[1]
-        return cut[index], self.counts[index], radii[index]
+        if len(cut) == 1:
+            return cut[0][index], self.counts[index], radii[index]
+        return cut[0][index], self.counts[index], radii[index], cut[1][index]
 
 
 class SetValuedMap:
@@ -318,8 +307,7 @@ class SetValuedMap:
             active[k] = hit if slack <= 0.0 else hit.reshape(m, -1).any(axis=1)
         return active
 
-    def _hulls(self, X: np.ndarray, slack: float, group: int,
-               eps: Optional[float] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _hulls(self, X: np.ndarray, slack: float, group: int, eps: Optional[float] = None) -> tuple:
         """Hull of the images over each run of ``group`` consecutive rows of
         X, merged as ``hull_union_many([self.image(x, slack) for x in run])``:
         rows where several pieces hold are merged first, then the rows of
@@ -340,16 +328,11 @@ class SetValuedMap:
 
     def _concatenated(self, pts: np.ndarray, radius: float, group: int, eps: Optional[float]):
         """The :meth:`_hulls` of runs whose every row i holds the points
-        ``pts[i]`` with one radius: each run concatenates its rows' points,
-        unless that leaves more than :data:`PRUNE_THRESHOLD` points to prune
-        (then :func:`_merge_runs` prunes them).  The read-only counts and
-        radii (``eps`` added) are made once per shape, and again only when
-        the radius object or ``eps`` changes."""
+        ``pts[i]`` with one radius: each run concatenates its rows' points.
+        The read-only counts and radii (``eps`` added) are made once per
+        shape, and again only when the radius object or ``eps`` changes."""
         m, c, n = pts.shape
         G, size = m // group, c * group
-        if group > 1 and size > PRUNE_THRESHOLD:
-            points, counts, radii = _merge_runs(pts, np.full(m, c), np.full(m, float(radius)), group)
-            return points, counts, radii if eps is None else radii + eps
         made = self._arrays.get((G, size))
         if made is None or made[0] is not radius or made[1] != eps:
             counts, radii = np.full(G, size), np.full(G, radius, dtype=float)
@@ -367,13 +350,12 @@ class SetValuedMap:
 
         A row where one piece with a batched form holds takes that piece's
         row.  Rows where several pieces hold are taken by their pattern of
-        active pieces: a pattern whose merge just concatenates batched
-        points (see :func:`_overlap`) is one pass, and the other rows are
-        merged through the per-point rule.  When every row then holds one
-        point count and one radius, the rows go to :meth:`_concatenated` as
-        one array.  Otherwise runs whose rows all share the largest radius
-        or have radius 0 (the rule then just concatenates points) are
-        assembled as arrays; the others go through the per-point rule too.
+        active pieces: a pattern of pieces with batched forms is one pass
+        (see :func:`_overlap`), and the other rows are merged through the
+        per-point rule.  When every row then holds one point count and one
+        radius, the rows go to :meth:`_concatenated` as one array.
+        Otherwise the rows are assembled as arrays, and runs of them merged
+        by :func:`_merge_runs`.
         """
         m, n = X.shape
         active = self._active(X, slack)
@@ -386,7 +368,7 @@ class SetValuedMap:
             x = X[np.argmin(hits)]
             raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
         own = active & (hits == 1)  # the rows where each piece holds alone
-        fills = []  # (rows, points, radius) of pieces evaluated in one pass
+        fills = []  # (rows, points, radius, shortfalls or None) of the rows, a pass or a merge each
         filled = 0
         for piece, mask in zip(self.pieces, own):
             if piece.rows is None:
@@ -394,14 +376,14 @@ class SetValuedMap:
             rows = mask.nonzero()[0]
             if rows.size:
                 pts, r = piece.rows(X[rows])
-                fills.append((rows, pts, float(r)))
+                fills.append((rows, pts, float(r), None))
                 filled += rows.size
         # what is left: rows where several pieces hold or a piece has no
         # batched form, taken by their pattern of active pieces
-        merged = {}
+        mixed = merged = False  # some row mixes radii; some row took the per-point rule
         if filled < m:
             left = np.ones(m, dtype=bool)
-            for rows, _, _ in fills:
+            for rows, *_ in fills:
                 left[rows] = False
             rest = np.flatnonzero(left)
             patterns, which = np.unique(active[:, rest], axis=1, return_inverse=True)
@@ -412,46 +394,49 @@ class SetValuedMap:
                 overlap = _overlap(pieces, X[rows])
                 if overlap is not None:
                     fills.append((rows, *overlap))
+                    mixed = mixed or overlap[2] is not None
                     continue
+                merged = True
                 for i in rows.tolist():
-                    merged[i] = merge_parts([(s.points, s.radius) for s in (piece.image(X[i]) for piece in pieces)])
-        if not merged and len({(pts.shape[1], r, math.copysign(1.0, r)) for _, pts, r in fills}) == 1:
+                    h = hull_union_many([piece.image(X[i]) for piece in pieces])
+                    fills.append(([i], h.points[None], h.radius, None if h.shortfalls is None else h.shortfalls[None]))
+                    mixed = mixed or h.shortfalls is not None
+        if not (merged or mixed) and len({(pts.shape[1], r, math.copysign(1.0, r)) for _, pts, r, _ in fills}) == 1:
             # one point count and one radius, to its sign, on every row
             A = np.empty((m, *fills[0][1].shape[1:]))
-            for rows, pts, _ in fills:
+            for rows, pts, _, _ in fills:
                 A[rows] = pts
             return self._concatenated(A, fills[0][2], group, eps)
-        width = max([pts.shape[1] for _, pts, _ in fills] + [len(p) for p, _ in merged.values()])
+        width = max([pts.shape[1] for _, pts, _, _ in fills])
         A = np.empty((m, width, n))
         counts = np.empty(m, dtype=int)
         radius = np.empty(m)
-        for rows, pts, r in fills:
+        S = np.zeros((m, width)) if mixed else None
+        for rows, pts, r, short in fills:
             c = pts.shape[1]
             A[rows, :c] = pts
-            if c < width:
-                A[rows, c:] = pts[:, -1:]
+            A[rows, c:] = pts[:, -1:]
             counts[rows] = c
             radius[rows] = r
-        for i, (pts, r) in merged.items():
-            A[i, :len(pts)] = pts
-            A[i, len(pts):] = pts[-1]
-            counts[i] = len(pts)
-            radius[i] = r
+            if short is not None:
+                S[rows, :c] = short
+                S[rows, c:] = short[:, -1:]
         if group > 1:
-            A, counts, radius = _merge_runs(A, counts, radius, group)
-        return A, counts, radius if eps is None else radius + eps
+            A, counts, radius, S = _merge_runs(A, counts, radius, S, group)
+        if eps is not None:
+            radius = radius + eps
+        return (A, counts, radius) if S is None else (A, counts, radius, S)
 
-    def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def images(self, X, slack: float = 0.0) -> tuple:
         """The image at every row of an (m, n) array X in one pass.
 
-        Returns a padded ``(points, counts, radii)`` stack (see
-        :mod:`convexset`) whose row i equals ``self.image(X[i], slack)``
-        bit for bit.
+        Returns a padded stack (see :mod:`convexset`) whose row i equals
+        ``self.image(X[i], slack)`` bit for bit.
         """
         X = np.asarray(X, dtype=float).reshape(-1, self.dimension)
         return self._hulls(X, slack, 1)
 
-    def ball_hulls(self, centers, radii, density: int, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def ball_hulls(self, centers, radii, density: int, slack: float = 0.0) -> tuple:
         """:meth:`ball_hull` at every row of an (m, n) array of centers, with
         radius ``radii[i]`` for row i (or one radius for all), in one pass;
         returned as by :meth:`images`."""
@@ -621,7 +606,7 @@ class PerturbedSystem:
             self._resolved = (eps, offsets)
         return eps, offsets
 
-    def images(self, X, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def images(self, X, slack: float = 0.0) -> tuple:
         """The perturbed image at every row of an (m, n) array X in one pass,
         returned as by :meth:`SetValuedMap.images`.  A constant image margin
         goes into the base map's cached radii and pattern table."""
@@ -637,8 +622,7 @@ class PerturbedSystem:
             X = (X[:, None, :] + offsets).reshape(-1, base.dimension)
         if isinstance(eps, float):
             return base._hulls(X, slack, group, eps)
-        points, counts, radii = base._hulls(X, slack, group)
-        return points, counts, radii + eps
+        return inflate_rows(base._hulls(X, slack, group), eps)
 
     def image(self, x, slack: float = 0.0) -> ConvexCompactSet:
         """The perturbed image at x: the one-row case of :meth:`images`."""

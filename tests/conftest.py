@@ -27,6 +27,19 @@ def noisy_loop():
     return scenarios.build("noisy-loop")
 
 
+@pytest.fixture()
+def two_radii():
+    """linear-stable's barrier under two pieces that hold everywhere, {-0.1}
+    and {-1} + 0.5 B, with the unsafe set x1 > 1.02: the image is
+    [-1.5, -0.1] at every x, so the barrier's rate is at most -0.1."""
+    cfg = scenarios.builtin_config("linear-stable")
+    cfg.update(name="two-radii", unsafe="x1 > 1.02", depth="x1 - 1.02", dynamics={"pieces": [
+        {"when": "True", "image": {"kind": "constant", "points": [[-0.1]]}},
+        {"when": "True", "image": {"kind": "constant", "points": [[-1.0]], "radius": 0.5}},
+    ]})
+    return cfg
+
+
 @pytest.fixture(scope="session")
 def lipschitz_2d():
     """A planar polyhedral-norm candidate without a gradient oracle under a

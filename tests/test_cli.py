@@ -347,6 +347,23 @@ def test_falsify_example2_hinted_escape_exits_1(tmp_path, eps):
     assert bundle["falsification"]["found"] is True
 
 
+def test_unequal_radii_recipe_verdicts(tmp_path, two_radii):
+    # every image is [-1.5, -0.1]: no velocity reaches the unsafe set, the
+    # strict decrease holds up to eps = 0.1, and margin finds that eps
+    # ten trials: with every operand inflated to the largest radius, the ninth escapes
+    two_radii["falsify"] = {"starts": 5, "horizon": 2.0}
+    path = _write_cfg(tmp_path, two_radii)
+    bundle, code = run(path, "falsify", eps=0.01, out=str(tmp_path))
+    assert code == 0 and bundle["falsification"]["found"] is False
+    assert bundle["falsification"]["tried"] == 10
+    bundle, code = run(path, "verify", eps=0.05, check="robust-strict", out=str(tmp_path))
+    assert code == 0 and bundle["checks"][0]["verdict"] == "pass-numeric"
+    assert bundle["checks"][0]["margin"] == pytest.approx(0.05, abs=1e-12)
+    bundle, code = run(path, "margin", out=str(tmp_path))
+    # the bisection's relative tolerance is 1e-3, and 0.1 itself fails tol_strict
+    assert code == 0 and 0.1 * (1.0 - 1e-3) <= bundle["margin"]["eps_star"] < 0.1
+
+
 def test_falsify_requires_eps_or_perturbation(tmp_path):
     with pytest.raises(ConfigError, match="falsify needs"):
         run("linear-stable", "falsify", out=str(tmp_path))
@@ -487,8 +504,8 @@ def test_margin_with_tolerance_below_float_spacing_returns(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy serves only Qhull, which no command reaches below the pruning
-    # threshold; importing it would double every command's start-up time
+    # the package needs numpy only; importing scipy would double every
+    # command's start-up time
     code = "import sys, inclusafe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, timeout=60)

@@ -180,17 +180,53 @@ def test_hull_union_equal_radii_is_exact_max_support():
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-def test_hull_union_unequal_radii_is_outer():
-    # smaller-radius operand gets ring-sampled; result must still cover both
+def test_hull_union_unequal_radii_is_exact():
+    # each operand keeps its radius: the hull's support is the max of the
+    # operands' supports, and no ring points are made
     a = ConvexCompactSet([[0.0, 0.0]], 1.0)
     b = ConvexCompactSet([[3.0, 0.0]], 0.25)
     u = hull_union(a, b)
+    assert u.points.tolist() == [[0.0, 0.0], [3.0, 0.0]]
+    assert u.radius == 1.0 and u.shortfalls.tolist() == [0.0, 0.75]
     dirs = unit_directions(2, 512)
-    assert np.all(u.support_many(dirs) >= a.support_many(dirs) - 1e-12)
-    assert np.all(u.support_many(dirs) >= b.support_many(dirs) - 1e-12)
-    # and it should not blow up: within one radius step of the true union hull
     true_sup = np.maximum(a.support_many(dirs), b.support_many(dirs))
-    assert np.all(u.support_many(dirs) <= true_sup + 1.0 + 1e-12)
+    assert np.abs(u.support_many(dirs) - true_sup).max() <= 1e-12
+    # the extreme point lies on the operand that attains the support
+    for d in dirs[::16]:
+        assert np.dot(u.extreme_point(d), d) == pytest.approx(max(a.support(d), b.support(d)), abs=1e-12)
+
+
+def test_hull_union_of_unequal_intervals_is_exact():
+    # the 1-D recipe: {-0.1} and {-1} + 0.5 B, whose hull is [-1.5, -0.1]
+    u = hull_union(ConvexCompactSet([[-0.1]]), ConvexCompactSet([[-1.0]], 0.5))
+    assert u.interval_bounds() == (-1.5, -0.1)
+    # the support subtracts a shortfall and adds the radius: one rounding each
+    assert (u.support([1.0]), u.support([-1.0])) == (pytest.approx(-0.1, abs=1e-15), 1.5)
+    assert contains(u, [-0.1]) and not contains(u, [-0.05])
+    # inflation adds to the largest radius and keeps the shortfalls
+    assert u.inflate(0.25).interval_bounds() == (-1.75, 0.15)
+    assert u.scale(-2.0).interval_bounds() == (0.2, 3.0)
+
+
+def test_shortfalls_are_checked_and_zeros_dropped():
+    assert ConvexCompactSet([[0.0], [1.0]], 0.5, [0.0, 0.0]).shortfalls is None
+    with pytest.raises(ValueError, match="shortfalls"):
+        ConvexCompactSet([[0.0], [1.0]], 0.5, [0.1])
+    with pytest.raises(ValueError, match="shortfalls"):
+        ConvexCompactSet([[0.0], [1.0]], 0.5, [0.1, -0.1])
+    with pytest.raises(ValueError, match="shortfalls"):
+        ConvexCompactSet([[0.0], [1.0]], 0.5, [0.1, np.nan])
+
+
+def test_minkowski_sum_of_unequal_radii_is_exact():
+    rng = np.random.default_rng(31)
+    dirs = unit_directions(2, 128)
+    for _ in range(50):
+        a = hull_union(ConvexCompactSet(rng.normal(size=(2, 2)), 0.3), ConvexCompactSet(rng.normal(size=(3, 2))))
+        b = hull_union(ConvexCompactSet(rng.normal(size=(2, 2)), 0.1), ConvexCompactSet(rng.normal(size=(1, 2)), 0.4))
+        for x, y in ((a, b), (a, ConvexCompactSet(rng.normal(size=(2, 2)), 0.2))):
+            got = minkowski_sum(x, y).support_many(dirs)
+            assert np.abs(got - x.support_many(dirs) - y.support_many(dirs)).max() <= 1e-12
 
 
 def test_hull_union_many_single_and_empty():
@@ -264,7 +300,7 @@ def test_row_forms_equal_per_set_values_bit_for_bit(n):
         sets_a = [ConvexCompactSet(p[:c], r) for p, c, r in zip(*a)]
         sets_b = [ConvexCompactSet(p[:c], r) for p, c, r in zip(*b)]
         want = np.array([s.support_many(dirs) for s in sets_a])
-        assert support_rows(*a, dirs).tobytes() == want.tobytes()
+        assert support_rows(a, dirs).tobytes() == want.tobytes()
         want = np.array([hausdorff(sa, sb, directions=directions) for sa, sb in zip(sets_a, sets_b)])
         assert hausdorff_rows(a, b, directions=directions).tobytes() == want.tobytes()
 
@@ -281,7 +317,7 @@ def test_support_pairs_equal_per_set_support_bit_for_bit(n):
     norms = np.array([np.linalg.norm(d) for d in directions])
     sets = [ConvexCompactSet(p[:c], r) for p, c, r in zip(*stack)]
     want = np.array([sets[i].support(d) for i, d in zip(rows, directions)])
-    assert support_pairs(*stack, rows, directions, norms).tobytes() == want.tobytes()
+    assert support_pairs(stack, rows, directions, norms).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -296,9 +332,9 @@ def test_row_forms_reject_non_finite_rows(n):
         points[3, 0, 0] = value
         bad = (points, good[1], good[2])
         with pytest.raises(ValueError, match="points must be finite"):
-            support_rows(*bad, dirs)
+            support_rows(bad, dirs)
         with pytest.raises(ValueError, match="points must be finite"):
-            support_pairs(*bad, np.array([0]), dirs[:1], np.ones(1))
+            support_pairs(bad, np.array([0]), dirs[:1], np.ones(1))
         with pytest.raises(ValueError, match="points must be finite"):
             hausdorff_rows(good, bad, directions=16)
         radii = good[2].copy()
@@ -316,13 +352,13 @@ def test_batched_extreme_points_and_containment_match_the_set_methods(n):
     sets = [ConvexCompactSet(p[:c], r) for p, c, r in zip(points, counts, radii)]
     D = rng.normal(size=(len(sets), n))
     D[:10] = 0.0  # a zero direction keeps the hull vertex
-    got = extreme_rows(points, radii, D)
+    got = extreme_rows((points, counts, radii), D)
     want = np.array([s.extreme_point(d) for s, d in zip(sets, D)])
     assert got.tobytes() == want.tobytes()
     # points on the boundary (the extreme points), inside and outside
     V = np.vstack([want[:100], want[100:200] * 0.5, want[200:] * 2.0 + 0.1])
     for tol in (0.0, 1e-9):
-        got = contains_rows(points, counts, radii, V, tol)
+        got = contains_rows((points, counts, radii), V, tol)
         assert got.tolist() == [contains(s, v, tol) for s, v in zip(sets, V)]
 
 
@@ -340,21 +376,21 @@ def test_row_kernels_are_exact_on_wide_stacks(n):
     sets_b = [ConvexCompactSet(p[:c], r) for p, c, r in zip(*b)]
     dirs = unit_directions(n, 256)
     want = np.array([s.support_many(dirs) for s in sets_a])
-    assert support_rows(*a, dirs).tobytes() == want.tobytes()
+    assert support_rows(a, dirs).tobytes() == want.tobytes()
     want = np.array([hausdorff(sa, sb) for sa, sb in zip(sets_a, sets_b)])
     assert hausdorff_rows(a, b).tobytes() == want.tobytes()
     rows = rng.integers(0, 60, 600)
     D = rng.standard_normal((600, n))
     norms = np.array([np.linalg.norm(d) for d in D])
     want = np.array([sets_a[i].support(d) for i, d in zip(rows, D)])
-    assert support_pairs(*a, rows, D, norms).tobytes() == want.tobytes()
+    assert support_pairs(a, rows, D, norms).tobytes() == want.tobytes()
     D = D[:60]
     want = np.array([s.extreme_point(d) for s, d in zip(sets_a, D)])
-    assert extreme_rows(a[0], a[2], D).tobytes() == want.tobytes()
+    assert extreme_rows(a, D).tobytes() == want.tobytes()
     # every row's own support points are on its sampled boundary
     V = np.array([s.extreme_point(d) for s, d in zip(sets_a, np.tile(dirs[:1], (60, 1)))])
     for tol in (0.0, 1e-9):
-        assert contains_rows(*a, V, tol).tolist() == [contains(s, v, tol) for s, v in zip(sets_a, V)]
+        assert contains_rows(a, V, tol).tolist() == [contains(s, v, tol) for s, v in zip(sets_a, V)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -374,7 +410,7 @@ def test_supports_equal_per_set_values_bit_for_bit(n):
             mixed[0] = K
             for counts in (np.full(m, K), mixed):
                 for radii in (np.zeros(m), rng.uniform(0.1, 2.0, m), np.where(np.arange(m) % 2, 0.5, 0.0)):
-                    got = _supports(points, counts, radii, dirs, norms)
+                    got = _supports((points, counts, radii), dirs, norms)
                     want = np.array([ConvexCompactSet(p[:c], r).support_many(dirs)
                                      for p, c, r in zip(points, counts, radii)])
                     assert got.tobytes() == want.tobytes(), (K, m, counts.tolist(), radii.tolist())
@@ -395,7 +431,7 @@ def test_supports_make_a_tied_zero_positive(n):
             dirs = np.where(rng.random((d, n)) < 0.5, 1e-200, -0.0)
             norms = np.linalg.norm(dirs, axis=1)
             for counts in (np.full(4, K), rng.integers(1, K + 1, 4)):
-                got = _supports(points, counts, np.zeros(4), dirs, norms)
+                got = _supports((points, counts, np.zeros(4)), dirs, norms)
                 want = np.array([ConvexCompactSet(p[:c]).support_many(dirs) for p, c in zip(points, counts)])
                 assert got.tobytes() == want.tobytes(), (K, d)
                 assert not np.signbit(got[got == 0.0]).any(), (K, d)
@@ -405,7 +441,7 @@ def test_interval_rows_equal_interval_bounds():
     from inclusafe.convexset import interval_rows
 
     points, counts, radii = _padded_stack(np.random.default_rng(11), 200, 1)
-    lo, hi = interval_rows(points, radii)
+    lo, hi = interval_rows((points, counts, radii))
     want = np.array([ConvexCompactSet(p[:c], r).interval_bounds() for p, c, r in zip(points, counts, radii)])
     assert np.column_stack([lo, hi]).tobytes() == want.tobytes()
 
@@ -431,92 +467,71 @@ def test_row_set_builds_the_rows_set():
         assert got.points.tobytes() == want.points.tobytes() and got.radius == want.radius
 
 
-# ----------------------------------------------------------------------- #
-# pruning through Qhull
-def _brute_force_extreme(points):
-    """Mask of the points that lie on a line (n = 2) or plane (n = 3)
-    through n of the points with every other point strictly on one side.
-    For a cloud in general position these are exactly the hull's vertices."""
-    m, n = points.shape
-    keep = np.zeros(m, dtype=bool)
-    combos = np.array(list(itertools.combinations(range(m), n)))
-    for block in np.array_split(combos, max(1, len(combos) // 4096)):
-        base = points[block]  # (k, n, n)
-        if n == 2:
-            d = base[:, 1] - base[:, 0]
-            normal = np.column_stack([-d[:, 1], d[:, 0]])
-        else:
-            normal = np.cross(base[:, 1] - base[:, 0], base[:, 2] - base[:, 0])
-        side = ((points[None, :, :] - base[:, :1, :]) * normal[:, None, :]).sum(axis=2)
-        side[np.arange(len(block))[:, None], block] = 0.0
-        facet = (side >= 0.0).all(axis=1) | (side <= 0.0).all(axis=1)
-        keep[block[facet].ravel()] = True
-    return keep
-
-
-def _supports(points, directions):
-    return (points[:, None, :] * directions[None, :, :]).sum(axis=2).max(axis=0)
-
-
-@pytest.mark.parametrize("n, m", [(2, 150), (3, 110)])
-def test_pruned_keeps_exactly_the_extreme_points(n, m):
-    from inclusafe.convexset import PRUNE_THRESHOLD, pruned
-
-    rng = np.random.default_rng(500 + n)
-    cloud = rng.standard_normal((m, n))
-    cloud = np.concatenate([cloud, cloud[rng.integers(0, m, 20)]])  # duplicates
-    assert cloud.shape[0] > PRUNE_THRESHOLD
-    unique = np.unique(cloud, axis=0)
-    want = unique[_brute_force_extreme(unique)]
-    assert 2 * n < want.shape[0] < m
-    got = pruned(cloud)
-    # np.unique's row order, which the pruned points keep
-    assert got.tobytes() == want.tobytes()
-    directions = np.concatenate([unit_directions(n), rng.standard_normal((100, n))])
-    assert _supports(got, directions).tobytes() == _supports(cloud, directions).tobytes()
-
-
-def test_pruned_keeps_every_point_of_collinear_input():
-    # Qhull refuses a flat input; the prune then keeps all unique points
-    # rather than risk dropping a true extreme point under joggling
-    from inclusafe.convexset import PRUNE_THRESHOLD, pruned
-
-    t = np.random.default_rng(7).integers(-50, 50, PRUNE_THRESHOLD + 20).astype(float)
-    line = np.column_stack([t, 2.0 * t - 3.0])
-    got = pruned(line)
-    assert got.tobytes() == np.unique(line, axis=0).tobytes()
-    assert got.shape[0] > 2
+def _mixed_stack(rng, m, n, most=6):
+    """m random sets of at most ``most`` points as a padded stack with
+    shortfalls: rows of mixed radii (shortfalls up to the row's radius,
+    some zero), every third row of one radius, about a quarter of the rows
+    of radius 0, some signed-zero coordinates, and the padding of each row
+    repeating random points of that row with their shortfalls."""
+    counts = rng.integers(1, most + 1, m)
+    width = int(counts.max()) + 2
+    points = np.empty((m, width, n))
+    shortfalls = np.zeros((m, width))
+    radii = np.where(rng.random(m) < 0.25, 0.0, rng.uniform(0.1, 2.0, m))
+    for i, c in enumerate(counts):
+        own = rng.standard_normal((c, n)) * 10.0 ** rng.uniform(-2, 2)
+        own[rng.random((c, n)) < 0.1] = -0.0
+        short = np.where(rng.random(c) < 0.7, rng.uniform(0.0, 1.0, c) * radii[i], 0.0) if i % 3 else np.zeros(c)
+        pick = np.concatenate([np.arange(c), rng.integers(0, c, width - c)])
+        points[i], shortfalls[i] = own[pick], short[pick]
+    return points, counts, radii, shortfalls
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_pruned_leaves_small_inputs_unchanged(n):
-    from inclusafe.convexset import PRUNE_THRESHOLD, pruned
-
-    rng = np.random.default_rng(600 + n)
-    for m in (1, n + 1, PRUNE_THRESHOLD):
-        points = rng.standard_normal((m, n))
-        points[m // 2:] = points[0]  # duplicates and interior points stay
-        assert pruned(points) is points
-
-
-def test_prune_calls_qhull_through_the_module_level_name(monkeypatch):
-    # the benchmark's tracer counts hull calls by patching this name
+def test_row_kernels_with_shortfalls_equal_the_set_methods(n):
+    """Every row kernel on a stack that mixes radii, bit for bit against the
+    methods of each row's set; a row whose shortfalls are all zero is a set
+    of one radius."""
     from inclusafe import convexset
+    from inclusafe.convexset import (
+        contains_rows, extreme_rows, hausdorff_rows, interval_rows, row_set, support_pairs, support_rows,
+    )
 
-    calls = []
-    qhull = convexset.ConvexHull
-
-    def counted(points):
-        calls.append(points.shape)
-        return qhull(points)
-
-    monkeypatch.setattr(convexset, "ConvexHull", counted)
-    cloud = np.random.default_rng(8).standard_normal((200, 2))
-    convexset.pruned(cloud[: convexset.PRUNE_THRESHOLD])
-    assert calls == []
-    kept = convexset.pruned(cloud)
-    assert calls == [(200, 2)]
-    assert kept.shape[0] < 200
+    rng = np.random.default_rng(700 + n)
+    a, b = _mixed_stack(rng, 300, n), _mixed_stack(rng, 300, n)
+    sets_a = [ConvexCompactSet(p[:c], r, s[:c]) for p, c, r, s in zip(*a)]
+    sets_b = [ConvexCompactSet(p[:c], r, s[:c]) for p, c, r, s in zip(*b)]
+    assert any(s.shortfalls is None for s in sets_a) and any(s.shortfalls is not None for s in sets_a)
+    for i, want in enumerate(sets_a):
+        got = row_set(a, i)
+        assert got.points.tobytes() == want.points.tobytes() and got.radius == want.radius
+        assert (got.shortfalls is None) == (want.shortfalls is None)
+    dirs = unit_directions(n, 64)
+    want = np.array([s.support_many(dirs) for s in sets_a])
+    assert support_rows(a, dirs).tobytes() == want.tobytes()
+    want = np.array([hausdorff(sa, sb, directions=64) for sa, sb in zip(sets_a, sets_b)])
+    assert hausdorff_rows(a, b, directions=64).tobytes() == want.tobytes()
+    rows = rng.integers(0, 300, 1000)
+    D = rng.standard_normal((1000, n)) * 10.0 ** rng.uniform(-2, 2, (1000, 1))
+    norms = np.array([np.linalg.norm(d) for d in D])
+    want = np.array([sets_a[i].support(d) for i, d in zip(rows, D)])
+    assert support_pairs(a, rows, D, norms).tobytes() == want.tobytes()
+    D = D[:300]
+    D[:10] = 0.0  # a zero direction keeps the first largest point
+    edge = extreme_rows(a, D)
+    assert edge.tobytes() == np.array([s.extreme_point(d) for s, d in zip(sets_a, D)]).tobytes()
+    if n == 1:
+        lo, hi = interval_rows(a)
+        want = np.array([s.interval_bounds() for s in sets_a])
+        assert np.column_stack([lo, hi]).tobytes() == want.tobytes()
+    # points on the boundary (the extreme points), inside and outside
+    V = np.vstack([edge[:100], edge[100:200] * 0.5, edge[200:] * 2.0 + 0.1])
+    for tol in (0.0, 1e-9):
+        want = [contains(s, v, tol) for s, v in zip(sets_a, V)]
+        assert contains_rows(a, V, tol).tolist() == want
+        if n > 1:
+            certified = convexset._certified(a, V, tol)
+            assert certified.any() and not (certified & ~np.array(want)).any()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -531,7 +546,7 @@ def test_sliced_containment_equals_the_unsliced_call_and_the_set_method(n, monke
     points, counts, radii = _padded_stack(rng, 400, n, most=9)
     assert len(set(counts.tolist())) > 1 and (radii == 0.0).any() and (radii > 0.0).any()
     sets = [ConvexCompactSet(p[:c], r) for p, c, r in zip(points, counts, radii)]
-    edge = extreme_rows(points, radii, rng.standard_normal((400, n)))
+    edge = extreme_rows((points, counts, radii), rng.standard_normal((400, n)))
     V = np.vstack([edge[:150], edge[150:300] * 0.5, edge[300:] * 2.0 + 0.1])
     want = {tol: [contains(s, v, tol) for s, v in zip(sets, V)] for tol in (0.0, 1e-9)}
     assert 0 < sum(want[0.0]) < sum(want[1e-9]) < 400
@@ -540,9 +555,9 @@ def test_sliced_containment_equals_the_unsliced_call_and_the_set_method(n, monke
     assert 1 < size < 400
     reached = []  # the rows of each call of the sampled check
 
-    def sampled(points, counts, radii, V, tol, sampled=convexset._sampled):
+    def sampled(stack, V, tol, sampled=convexset._sampled):
         reached.append(V.shape[0])
-        return sampled(points, counts, radii, V, tol)
+        return sampled(stack, V, tol)
 
     monkeypatch.setattr(convexset, "_sampled", sampled)
     for budget, rows in ((convexset._CONTAINS_ELEMENTS, size), (3 * width, 3)):
@@ -550,13 +565,13 @@ def test_sliced_containment_equals_the_unsliced_call_and_the_set_method(n, monke
         reached.clear()
         for m in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 400):
             for tol in (0.0, 1e-9):
-                got = contains_rows(points[:m], counts[:m], radii[:m], V[:m], tol)
+                got = contains_rows((points[:m], counts[:m], radii[:m]), V[:m], tol)
                 assert got.tolist() == want[tol][:m]
         # the rows the certificate leaves still fill several slices
         assert max(reached) > 2 * rows
     monkeypatch.setattr(convexset, "_CONTAINS_ELEMENTS", 1 << 62)  # one slice
     for tol in (0.0, 1e-9):
-        assert contains_rows(points, counts, radii, V, tol).tolist() == want[tol]
+        assert contains_rows((points, counts, radii), V, tol).tolist() == want[tol]
 
 
 # ----------------------------------------------------------------------- #
@@ -610,8 +625,8 @@ def test_certified_containment_equals_the_set_method(n, tol):
         points, counts, radii, V = _near_the_reach(rng, n, tol, centre)
         sets = [ConvexCompactSet(p[:c], r) for p, c, r in zip(points, counts, radii)]
         want = [contains(s, v, tol) for s, v in zip(sets, V)]
-        assert contains_rows(points, counts, radii, V, tol).tolist() == want
-        certified = convexset._certified(points, radii, V, tol)
+        assert contains_rows((points, counts, radii), V, tol).tolist() == want
+        certified = convexset._certified((points, counts, radii), V, tol)
         # rows settled at once, rows left to the sampled check in and out
         assert certified.any() and (~certified & want).any() and not all(want)
         assert not (certified & ~np.array(want)).any()
@@ -633,14 +648,14 @@ def test_non_finite_rows_are_never_certified(n):
         radii[i + 3] = abs(value)
         bad[i:i + 4] = True
     for tol in (0.0, 1e-9, np.nan):
-        certified = convexset._certified(points, radii, V, tol)
+        certified = convexset._certified((points, counts, radii), V, tol)
         # a finite row is certified where its radius plus tol is positive
         assert certified.tolist() == (~bad & ((radii > 0.0) | (tol > 0.0)) & (tol == tol)).tolist()
         seen = []  # verdicts and the warnings met on the way
         for check in (contains_rows, convexset._sampled):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                seen.append((check(points, counts, radii, V, tol).tolist(), {str(w.message) for w in caught}))
+                seen.append((check((points, counts, radii), V, tol).tolist(), {str(w.message) for w in caught}))
         assert seen[0] == seen[1]
         got = seen[0][0]
         if tol == tol:

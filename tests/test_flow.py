@@ -120,6 +120,30 @@ def test_an_unverified_infinite_velocity_is_never_checked_and_never_warns():
     assert run.lengths.tolist() == [4] and not run.truncated.any()
 
 
+def test_a_custom_policy_step_takes_its_images_once():
+    """Each step of a custom policy takes the images of its rows once: a
+    verified policy's velocities are checked against those images, and an
+    unverified one's are not looked at again."""
+    system = SetValuedMap(1, [constant_piece(lambda x: True, [[-1.0], [1.0]])])
+    rows = []  # the rows of each images call
+    images = system.images
+    system.images = lambda X, slack=0.0: rows.append(len(X)) or images(X, slack)
+    inside = custom_policy(lambda x, image, rng: np.array([0.5]), name="inside", verify=True)
+    free = custom_policy(lambda x, image, rng: np.array([5.0]), name="free")
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    run = _lockstep(system, np.zeros((3, 1)), [inside, free, inside], rngs, nsteps=4, step=0.1)
+    assert sorted(rows) == [1] * 4 + [2] * 4
+    assert run.lengths.tolist() == [5, 5, 5] and not run.truncated.any()
+    # the velocity 2 at x = 0.2 lies outside [-1, 1]: the trial stops there
+    outside = custom_policy(lambda x, image, rng: np.array([2.0 if x[0] > 0.15 else 1.0]), name="out", verify=True)
+    rows.clear()
+    run = _lockstep(system, np.zeros((1, 1)), [outside], rngs[:1], nsteps=5, step=0.1, on_infeasible="truncate")
+    assert rows == [1] * 3
+    assert run.lengths.tolist() == [3] and run.truncated.tolist() == [True]
+    with pytest.raises(InfeasibleSelectionError, match="outside the image at x=\\[0.2\\]"):
+        _lockstep(system, np.zeros((1, 1)), [outside], rngs[:1], nsteps=5, step=0.1)
+
+
 def test_trajectory_helpers():
     traj = integrate(_linear_map(), [1.0], horizon=0.2, step=0.1,
                      policy=b_ascent_dummy())
@@ -937,9 +961,9 @@ def feasibility_rows(monkeypatch):
 
     rows = {"checked": [], "sampled": []}
     for key, name in (("checked", "_certified"), ("sampled", "_sampled")):
-        def recorded(points, *args, seen=rows[key], check=getattr(convexset, name)):
-            seen.append(points.shape[0])
-            return check(points, *args)
+        def recorded(stack, *args, seen=rows[key], check=getattr(convexset, name)):
+            seen.append(stack[0].shape[0])
+            return check(stack, *args)
         monkeypatch.setattr(convexset, name, recorded)
     return rows
 

@@ -22,7 +22,8 @@ from inclusafe import (
     unit_ball_lattice,
     unit_directions,
 )
-from inclusafe.convexset import PRUNE_THRESHOLD
+from inclusafe.convexset import interval_rows, row_set, support_rows, take_rows
+from inclusafe.svmap import unperturbed
 
 
 def _example1_map():
@@ -340,8 +341,8 @@ def test_ball_hull_unequal_piece_radii_keeps_two_level_merge():
 
 
 def test_ball_hull_of_one_piece_too_large_to_concatenate_leaves_its_rows_alone():
-    # three points at each of the 49 lattice rows exceed the pruning
-    # threshold, so the run is pruned; the piece's rows are read-only here
+    # three points at each of the 49 lattice rows, concatenated per run;
+    # the piece's rows are read-only here, so no merge may write into them
     piece = constant_piece(lambda x: True, [[1.0, 0.0], [0.0, 1.0], [-1.0, -0.5]], radius=0.1)
 
     def rows(X):
@@ -385,12 +386,14 @@ def test_multi_piece_ball_hulls_equal_per_point_hulls_bit_for_bit(monkeypatch):
     for f, centers, merged in cases:
         for slack in (0.0, 1e-6):
             calls.clear()
-            points, counts, radii = f.ball_hulls(centers, 0.5, 9, slack)
+            stack = f.ball_hulls(centers, 0.5, 9, slack)
+            points, counts, radii = stack[:3]
             assert bool(calls) == merged
             for i, center in enumerate(centers):
                 want = _per_point_hull(f, np.array(center), 0.5, 9, slack)
                 assert points[i, :counts[i]].tobytes() == want.points.tobytes()
                 assert radii[i:i + 1].tobytes() == np.float64(want.radius).tobytes()
+                _assert_same_shortfalls(row_set(stack, i), want)
 
 
 def test_ball_hull_raises_when_no_piece_covers_a_lattice_point():
@@ -418,15 +421,29 @@ def _per_point_perturbed(system, x, slack):
     return _per_point_hull(system.base, x, eps_arg, system.density, slack).inflate(system.margin_at(x))
 
 
+def _assert_same_shortfalls(got, want):
+    """The two sets have the same shortfalls, or both none."""
+    if want.shortfalls is None:
+        assert got.shortfalls is None
+    else:
+        assert got.shortfalls is not None and got.shortfalls.tobytes() == want.shortfalls.tobytes()
+
+
 def _assert_rows_are_per_point(got, want_sets):
-    points, counts, radii = got
+    points, counts, radii = got[:3]
+    assert len(got) in (3, 4)
     assert points.shape[0] == counts.shape[0] == radii.shape[0] == len(want_sets)
+    shortfalls = got[3] if len(got) == 4 else np.zeros(points.shape[:2])
     for i, want in enumerate(want_sets):
         c = counts[i]
         assert points[i, :c].tobytes() == want.points.tobytes()
         assert radii[i] == want.radius
-        # the padding repeats points of the row, so it moves no support value
-        assert all((want.points == p).all(axis=1).any() for p in points[i, c:])
+        _assert_same_shortfalls(row_set(got, i), want)
+        # the padding repeats points of the row with their shortfalls, so it
+        # moves no support value
+        own = np.column_stack([want.points, np.zeros(c) if want.shortfalls is None else want.shortfalls])
+        for p, short in zip(points[i, c:], shortfalls[i, c:]):
+            assert (own == np.append(p, short)).all(axis=1).any()
 
 
 def _batch_points(f, rng):
@@ -461,8 +478,7 @@ def test_batched_images_equal_per_point_images_bit_for_bit(name, mode):
 
 def test_batched_ball_hulls_with_unequal_radii_and_rowless_pieces():
     # rows where pieces of unequal radii overlap, a piece without a batched
-    # form, and overlaps of more than PRUNE_THRESHOLD points go through the
-    # per-point merge rule
+    # form, and overlaps of many points follow the per-point merge rule
     unequal = SetValuedMap(2, [
         constant_piece(lambda x: x[0] <= 0.0, [[1.0, 0.0], [0.0, 1.0]], radius=0.1),
         affine_piece(lambda x: x[0] >= 0.0, [[1.0, 0.5], [0.0, -1.0]], [0.0, 0.2], radius=0.3),
@@ -475,7 +491,6 @@ def test_batched_ball_hulls_with_unequal_radii_and_rowless_pieces():
         constant_piece(lambda x: x[0] <= 0.0, ring),
         constant_piece(lambda x: x[0] >= 0.0, 0.5 * ring + 0.25),
     ])
-    assert 2 * len(ring) > PRUNE_THRESHOLD
     rng = np.random.default_rng(5)
     centers = rng.uniform(-0.5, 0.5, (12, 2))
     radii = rng.uniform(0.05, 1.0, 15)
@@ -486,6 +501,51 @@ def test_batched_ball_hulls_with_unequal_radii_and_rowless_pieces():
             want = [_per_point_hull(f, c, r, density, 0.0) for c, r in zip(centers, radii)]
             _assert_rows_are_per_point(f.ball_hulls(centers, radii, density), want)
         _assert_rows_are_per_point(f.images(centers), [f.image(c) for c in centers])
+
+
+def test_images_of_pieces_of_unequal_radii_are_exact(two_radii):
+    f = unperturbed(scenarios.bundle_from_config(two_radii).scenario.dynamics)
+    X = np.array([[1.0], [-0.3], [0.0], [1.7], [-2.0]])
+    for x in X:
+        assert f.image(x).interval_bounds() == (-1.5, -0.1)
+    lo, hi = interval_rows(f.images(X))
+    assert lo.tolist() == [-1.5] * 5 and hi.tolist() == [-0.1] * 5
+    _assert_rows_are_per_point(f.images(X), [f.image(x) for x in X])
+    strong = PerturbedSystem(f, 0.05, "strong")
+    lo, hi = interval_rows(strong.images(X))
+    assert lo.tolist() == [-1.55] * 5 and np.allclose(hi, -0.05, rtol=0.0, atol=1e-15)
+
+
+def test_overlapping_pieces_of_radii_0_01_03_have_the_max_support():
+    centres = [[0.0, 0.0], [0.4, -0.2], [-0.3, 0.5]]
+    pieces = [constant_piece(lambda x, k=k: x[0] + 0.1 * k >= 0.0, [c], radius=r, label=f"p{k}")
+              for k, (c, r) in enumerate(zip(centres, (0.0, 0.1, 0.3)))]
+    f = SetValuedMap(2, pieces)
+    dirs = unit_directions(2, 512)
+    X = np.array([[0.5, 0.0], [2.0, -1.0], [-0.05, 0.3], [-0.15, 1.0]])  # three, three, two and one pieces
+    stack = f.images(X)
+    for i, x in enumerate(X):
+        held = [p.image(x) for p in pieces if p.predicate(x)]
+        want = np.max([s.support_many(dirs) for s in held], axis=0)
+        got = f.image(x).support_many(dirs)
+        assert np.abs(got - want).max() <= 1e-12
+        assert got.tobytes() == support_rows(take_rows(stack, [i]), dirs)[0].tobytes()
+    assert [len(f.matching(x)) for x in X] == [3, 3, 2, 1]
+
+
+def test_strong_image_of_one_point_piece_keeps_every_lattice_point():
+    # 113 lattice points at density 13: the hull of each row's ball is the
+    # images of all of them, in lattice order
+    f = SetValuedMap(2, [polynomial_piece(expressions.predicate_fn("True", 2), ["x1*x2", "x1 - x2**2"], 2)])
+    lattice = unit_ball_lattice(2, 13)
+    assert lattice.shape[0] == 113
+    system = PerturbedSystem(f, 0.04, "strong", density=13)
+    S = np.random.default_rng(13).uniform(-1.0, 1.0, (3, 2))
+    points, counts, radii = system.images(S)
+    assert counts.tolist() == [113] * 3 and radii.tolist() == [0.04] * 3
+    for i, x in enumerate(S):
+        want = np.array([f.image(x + u).points[0] for u in 0.04 * lattice])
+        assert points[i].tobytes() == want.tobytes()
 
 
 def test_batched_images_raise_when_no_piece_covers_a_row():
@@ -597,7 +657,6 @@ def test_pattern_table_meets_a_pattern_after_step_64(assembled):
 
 def test_pattern_table_of_overlapping_fixed_pieces():
     ring = unit_directions(2, 60)
-    assert 2 * len(ring) > PRUNE_THRESHOLD
     f = SetValuedMap(2, [
         constant_piece(lambda x: x[0] <= 0.0, [[1.0, 0.0], [0.0, 1.0]], radius=0.1),
         constant_piece(lambda x: x[0] >= 0.0, [[1.0, 0.5], [0.0, -1.0], [0.5, 0.5]], radius=0.3),
@@ -706,8 +765,7 @@ def test_non_finite_margins_are_refused(bad):
 def test_images_of_one_piece_holding_everywhere(assembled):
     always = expressions.predicate_fn("True", 2)
     maps = {
-        # three points on each of 49 lattice rows: more than PRUNE_THRESHOLD
-        # to concatenate, so each run is pruned
+        # three points on each of 49 lattice rows, concatenated per run
         "crowded": SetValuedMap(2, [constant_piece(always, [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]], 0.25)]),
         "polynomial": SetValuedMap(2, [polynomial_piece(always, ["x1*x2", "x1 - x2**2"], 2, radius=-0.0)]),
         "affine": SetValuedMap(2, [affine_piece(always, [[0.3, 1.0], [-1.0, 0.7]], [1.0, -0.0], radius=0.5)]),
@@ -715,7 +773,6 @@ def test_images_of_one_piece_holding_everywhere(assembled):
         "moving-radius": SetValuedMap(2, [Piece(always, lambda x: ConvexCompactSet([x], float(x[0] > 0.0)),
                                                 rows=lambda X: (X[:, None, :], float(X[0, 0] > 0.0)))]),
     }
-    assert 3 * unit_ball_lattice(2, 9).shape[0] > PRUNE_THRESHOLD
     rng = np.random.default_rng(12)
     for name, f in maps.items():
         for system in (f, PerturbedSystem(f, 0.1, "image"), PerturbedSystem(f, 0.1, "strong"),

@@ -35,7 +35,14 @@ extreme-point trials only, which the loop advances in steered blocks:
 after 1,923 steps and the 399 trials after it retire, and ``falsify --eps
 0.04`` on example2's config under another name, so without its hint, with
 12 starts and a horizon of 2, where planar trials leave the box and the
-fifth trial hits inside the first block.  Every other run
+fifth trial hits inside the first block.  Then three runs on
+``two-radii``, linear-stable's config with the unsafe set x1 > 1.02 and
+two pieces that hold everywhere, {-0.1} and {-1} + 0.5 B, so that every
+image is the hull of two radii, [-1.5, -0.1]: ``falsify --eps 0.01``,
+``verify --eps 0.05 --check robust-strict`` and ``margin``.  Last,
+``verify example2 --eps 0.05 --density 13`` and ``falsify example2 --eps
+0.04 --density 13``, whose strong images concatenate the images of the
+113 points of each row's argument-ball lattice.  Every other run
 uses seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
@@ -229,6 +236,24 @@ def main() -> int:
             json.dump(dict(scenarios.builtin_config("example2"), name="example2-unhinted",
                            falsify={"starts": 12, "horizon": 2.0}), fh)
         print(_line(tmp, unhinted, "falsify", "falsify example2-unhinted --eps 0.04", eps=0.04), flush=True)
+        two_radii = os.path.join(tmp, "two-radii.json")
+        with open(two_radii, "w", encoding="utf-8") as fh:
+            json.dump(dict(scenarios.builtin_config("linear-stable"), name="two-radii", unsafe="x1 > 1.02",
+                           depth="x1 - 1.02", dynamics={"pieces": [
+                               {"when": "True", "image": {"kind": "constant", "points": [[-0.1]]}},
+                               {"when": "True", "image": {"kind": "constant", "points": [[-1.0]], "radius": 0.5}},
+                           ]}), fh)
+        for command, label, flags in (
+            ("falsify", "--eps 0.01", {"eps": 0.01}),
+            ("verify", "--eps 0.05 --check robust-strict", {"eps": 0.05, "check": "robust-strict"}),
+            ("margin", "", {}),
+        ):
+            print(_line(tmp, two_radii, command, f"{command} two-radii {label}".rstrip(), **flags), flush=True)
+        for command, label, flags in (
+            ("verify", "--eps 0.05 --density 13", {"eps": 0.05, "density": 13}),
+            ("falsify", "--eps 0.04 --density 13", {"eps": 0.04, "density": 13}),
+        ):
+            print(_line(tmp, "example2", command, f"{command} example2 {label}", **flags), flush=True)
     return 0
 
 

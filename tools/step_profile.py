@@ -11,7 +11,10 @@ hint's start and policy; the others run N starts of the initial set with
 b-ascent and random-extreme in turn.  The ``linear-stable`` case and the
 ``example1`` hint case run again at N = 4 (the ``custom`` rows) with every
 policy wrapped as ``custom_policy(p.select, name=p.name,
-verify=p.verify)``.  Then the three ``exhaust`` commands of the
+verify=p.verify)``, and the ``example2`` hint case once more at N = 4 with
+its argument ball sampled at density 13 (the ``density=13`` row): each
+strong image then concatenates the images of 113 lattice points per row.
+Then the three ``exhaust`` commands of the
 benchmark's falsify-search workload (``perfbench/workloads.py``), each
 with the trials ``falsify`` makes from the command's config at seed 0: its
 hints and sampled starts, so N is the command's trial count.  Each run is
@@ -73,17 +76,19 @@ import workloads  # noqa: E402
 STEPS = 200
 RUNS = 11
 
-#: (label, scenario, eps, mode, hinted, custom); eps None integrates the
-#: scenario's own dynamics; a custom case wraps every policy as a custom
-#: policy and runs at N = 4 only
+#: (label, scenario, eps, mode, hinted, custom, density); eps None
+#: integrates the scenario's own dynamics; a custom case wraps every policy
+#: as a custom policy, and it and a case at another lattice density than
+#: the default 9 run at N = 4 only
 CASES = [
-    ("linear-stable strong eps=0.1", "linear-stable", 0.1, "strong", False, False),
-    ("noisy-loop native", "noisy-loop", None, None, False, False),
-    ("example1 image eps=1", "example1", 1.0, "image", False, False),
-    ("example1 strong eps=0.5 hint", "example1", 0.5, "strong", True, False),
-    ("example2 strong eps=0.04 hint", "example2", 0.04, "strong", True, False),
-    ("linear-stable strong eps=0.1 custom", "linear-stable", 0.1, "strong", False, True),
-    ("example1 strong eps=0.5 hint custom", "example1", 0.5, "strong", True, True),
+    ("linear-stable strong eps=0.1", "linear-stable", 0.1, "strong", False, False, 9),
+    ("noisy-loop native", "noisy-loop", None, None, False, False, 9),
+    ("example1 image eps=1", "example1", 1.0, "image", False, False, 9),
+    ("example1 strong eps=0.5 hint", "example1", 0.5, "strong", True, False, 9),
+    ("example2 strong eps=0.04 hint", "example2", 0.04, "strong", True, False, 9),
+    ("linear-stable strong eps=0.1 custom", "linear-stable", 0.1, "strong", False, True, 9),
+    ("example1 strong eps=0.5 hint custom", "example1", 0.5, "strong", True, True, 9),
+    ("example2 strong eps=0.04 hint density=13", "example2", 0.04, "strong", True, False, 13),
 ]
 
 
@@ -92,15 +97,16 @@ EXHAUST = [cmd for cmd in workloads.WORKLOADS["falsify-search"] if cmd.role == "
 FIND = [cmd for cmd in workloads.WORKLOADS["falsify-search"] if cmd.role == "find"]
 
 
-def _setup(bundle, eps, mode, starts, trials):
+def _setup(bundle, eps, mode, starts, trials, density=9):
     """The arguments of one lockstep run (see :func:`_run`): N = ``trials``
     copies of the hint (``starts`` True) or starts of the initial set
-    (False), or the trials ``falsify`` makes on the budget ``starts``."""
+    (False), or the trials ``falsify`` makes on the budget ``starts``; a
+    strong image samples its argument ball at ``density``."""
     scenario = bundle.scenario
     system = scenario.dynamics
     if eps is not None:
         sense = system.sense_margin if isinstance(system, PerturbedSystem) else None
-        system = PerturbedSystem(unperturbed(system), margin=eps, mode=mode, sense_margin=sense)
+        system = PerturbedSystem(unperturbed(system), margin=eps, mode=mode, density=density, sense_margin=sense)
     margin = system.margin if isinstance(system, PerturbedSystem) else 0.0
     step = 1e-3 if callable(margin) or not margin > 0.0 else min(1e-3, margin / 50.0)
     if isinstance(starts, FalsifyBudget):
@@ -180,10 +186,10 @@ def _full_rows(args) -> float:
     rows = 0
     sampled = convexset._sampled
 
-    def counted(points, *rest):
+    def counted(stack, *rest):
         nonlocal rows
-        rows += points.shape[0]
-        return sampled(points, *rest)
+        rows += stack[0].shape[0]
+        return sampled(stack, *rest)
 
     convexset._sampled = counted
     try:
@@ -217,9 +223,9 @@ def _label(role, cmd):
 
 def _cases():
     """(label, arguments of one lockstep run) of every case."""
-    for label, name, eps, mode, hinted, custom in CASES:
-        for trials in (4,) if custom else (1, 4):
-            args = _setup(scenarios.build(name), eps, mode, hinted, trials)
+    for label, name, eps, mode, hinted, custom, density in CASES:
+        for trials in (4,) if custom or density != 9 else (1, 4):
+            args = _setup(scenarios.build(name), eps, mode, hinted, trials, density)
             if custom:
                 wrapped = {}  # one custom policy per policy, so the trials keep their groups
                 policies = [wrapped.setdefault(id(p), custom_policy(p.select, name=p.name, verify=p.verify))
@@ -235,7 +241,7 @@ def _cases():
 
 
 def main() -> int:
-    print(f"{'case':36} {'N':>2} {'steps':>5} {'us/step':>8} {'calls/step':>10} {'steps/block':>11}"
+    print(f"{'case':40} {'N':>2} {'steps':>5} {'us/step':>8} {'calls/step':>10} {'steps/block':>11}"
           f" {'full rows/step':>14}")
     for label, args in _cases():
         trials = args[1].shape[0]
@@ -248,7 +254,7 @@ def main() -> int:
         count, steps = _calls(args)
         if _calls(args) != (count, steps):
             raise SystemExit(f"{label} N={trials}: the call count did not repeat")
-        print(f"{label:36} {trials:>2} {steps:>5} {1e6 * statistics.median(times):8.1f} {count / steps:10.1f}"
+        print(f"{label:40} {trials:>2} {steps:>5} {1e6 * statistics.median(times):8.1f} {count / steps:10.1f}"
               f" {_steps_per_pass(args):11.1f} {_full_rows(args):14.2f}")
     return 0
 
