@@ -21,13 +21,19 @@ What no call can change is resolved once per map, not per call:
 - a map that is one batched piece holding everywhere takes the piece's
   rows, with read-only ``(counts, radii)`` kept per row shape;
 - a map of at most 12 pieces whose images are fixed (:attr:`Piece.fixed`)
-  keeps a table of the image of each pattern of active pieces met, which
-  holds at any slack, since such an image does not depend on the point;
+  keeps a table of the image of each pattern of active pieces met, and of
+  the hull over each sequence of patterns met as a run of rows, which
+  hold at any slack, since such an image does not depend on the point;
+  only a map with a piece whose image moves, or of more pieces, takes
+  the general assembly;
 - a perturbed system keeps its checked constant margins and its lattice
   offsets, and its image margin goes into those cached radii and into the
   table's.
 
 Cached arrays are read-only, and every caller gets them as they are.
+Every stack follows one padding rule: a row, and a run merged from rows,
+repeats its last point and its shortfall up to the stack's width, so the
+table's stacks equal the general assembly's byte for byte.
 """
 from __future__ import annotations
 
@@ -155,13 +161,14 @@ def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, shortfall
         own = radius[:, None] if shortfalls is None else radius[:, None] - shortfalls
         short = np.broadcast_to(rmax.repeat(group)[:, None] - own, (m, width)).reshape(G, group * width)
     if np.count_nonzero(counts != width):
-        # move each run's points to its front, in order; the rows' padding
-        # follows and repeats points of the run
-        filled = (np.arange(width) < counts[:, None]).reshape(G, -1)
-        order = np.argsort(~filled, axis=1, kind="stable")
-        points = np.take_along_axis(points, order[:, :, None], axis=1)[:, :sizes.max()]
+        # each run's points in order, then its last point (and shortfall)
+        # again up to the widest run: the rows' points in order are the
+        # runs' points in order, run g's from the sum of the sizes before it
+        filled = (np.arange(width) < counts[:, None]).reshape(-1)
+        at = (sizes.cumsum() - sizes)[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+        points = points.reshape(-1, n)[filled][at]
         if short is not None:
-            short = np.take_along_axis(short, order, axis=1)[:, :sizes.max()]
+            short = short.reshape(-1)[filled][at]
     return points, sizes, rmax, short
 
 
@@ -169,63 +176,211 @@ def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, shortfall
 #: one slot for each of the 2 ** pieces patterns)
 _PATTERN_PIECES = 12
 
+#: the most bits a run key packs into one int64, pieces times rows per run:
+#: one fewer than the int64 holds, so that _NO_KEY is above every key
+_KEY_BITS = 62
 
-class _PatternTable:
-    """The single-row images of a map whose every piece has a fixed image
-    (:attr:`Piece.fixed`): a row's image depends only on its pattern of
-    active pieces, whatever the row and the slack.  Each pattern, when first
-    met, gets :meth:`SetValuedMap._assemble` of one row of it; a lookup is
-    the active pieces, one pattern code per row and three gathers (four
-    when some pattern mixes radii), padded as ``_assemble`` pads."""
+#: the most runs of a call whose stack a pattern table keeps
+_FEW_RUNS = 16
 
-    def __init__(self, pieces: int):
-        self.weights = 1 << np.arange(pieces)
-        # the table row of each pattern code; -1, a pattern not met yet,
-        # takes the table's last row, whose count 0 no pattern has
-        self.slot = np.full(1 << pieces, -1)
-        self.entries = []  # the set of one row of each pattern met
-        self.counts = np.zeros(1, dtype=int)
-        self.radii = self.points = self.shortfalls = None
-        self.widths = {}  # the table's points (and shortfalls) cut to each width met
+#: the most point coordinates the stacks it keeps hold together (8 MB)
+_KEPT = 1 << 20
+
+#: a key above every packed run key
+_NO_KEY = (1 << 63) - 1
+
+
+class _Stack:
+    """Sets kept as one padded stack (see :mod:`convexset`) that grows by
+    appending, each row padded with its last point and shortfall.  Row 0 is
+    an empty set: the row of a set not met yet."""
+
+    def __init__(self, dimension: int):
+        self.size = 1  # rows in use
+        self.points = np.zeros((8, 1, dimension))
+        self.counts = np.zeros(8, dtype=int)
+        self.radii = np.zeros(8)
+        self.shortfalls = None
+        self.cuts = {}  # the rows in use cut to each width asked for, contiguous
         self.shifted = (None, None)  # the last image margin asked for and the radii plus it
 
-    def stack(self, f: "SetValuedMap", X: np.ndarray, slack: float, eps: Optional[float]):
-        """:meth:`SetValuedMap._hulls` of the single rows of X."""
-        codes = self.weights @ f._active(X, slack)
-        index = self.slot[codes]
-        sizes = self.counts[index].tolist()
-        if min(sizes) == 0:
-            # code 0 comes first: _assemble raises at the first row where no
-            # piece holds, as it raises on all of X
-            for code in sorted(set(codes[index < 0].tolist())):
-                i = int(np.argmax(codes == code))
-                entry = row_set(f._assemble(X[i:i + 1], slack, 1), 0)
-                self.slot[code] = len(self.entries)
-                self.entries.append(entry)
-            width = max(len(e.points) for e in self.entries)
-            at = [np.minimum(np.arange(width), len(e.points) - 1) for e in self.entries]  # padded with the last point
-            self.points = np.array([e.points[a] for e, a in zip(self.entries, at)] + [np.zeros((width, X.shape[1]))])
-            self.shortfalls = None if all(e.shortfalls is None for e in self.entries) else np.array(
-                [np.zeros(width) if e.shortfalls is None else e.shortfalls[a] for e, a in zip(self.entries, at)]
-                + [np.zeros(width)])
-            self.counts = np.array([len(e.points) for e in self.entries] + [0])
-            self.radii = np.array([e.radius for e in self.entries] + [0.0])
-            self.widths, self.shifted = {}, (None, None)
-            index = self.slot[codes]
-            sizes = self.counts[index].tolist()
-        width = max(sizes)
-        cut = self.widths.get(width)
+    def extend(self, points, counts, radii, shortfalls=None) -> int:
+        """Append the rows of a padded stack; returns the first one's row.
+        Rows not in use are zeros, shortfalls included."""
+        first, wide = self.size, points.shape[1]
+        self.size += points.shape[0]
+        rows, width = self.points.shape[:2]
+        if self.size > rows or wide > width:
+            grown = max(self.size, 2 * rows) if self.size > rows else rows, max(width, wide)
+            self.points = _grown(self.points, *grown)
+            self.counts = np.concatenate([self.counts, np.zeros(grown[0] - rows, dtype=int)])
+            self.radii = np.concatenate([self.radii, np.zeros(grown[0] - rows)])
+            if self.shortfalls is not None:
+                self.shortfalls = _grown(self.shortfalls, *grown)
+        new = slice(first, self.size)
+        self.points[new, :wide], self.points[new, wide:] = points, points[:, -1:]
+        if shortfalls is not None:
+            if self.shortfalls is None:
+                self.shortfalls = np.zeros(self.points.shape[:2])
+            self.shortfalls[new, :wide], self.shortfalls[new, wide:] = shortfalls, shortfalls[:, -1:]
+        self.counts[new], self.radii[new] = counts, radii
+        self.cuts, self.shifted = {}, (None, None)
+        return first
+
+    def take(self, index: np.ndarray, eps: Optional[float]) -> tuple:
+        """The stack of the given rows, cut to the widest of them, with
+        ``eps`` (or nothing when None) added to every radius."""
+        counts = self.counts.take(index)
+        width = int(counts.max(initial=0))
+        cut = self.cuts.get(width)
         if cut is None:
-            cut = self.widths[width] = tuple(np.ascontiguousarray(a[:, :width])
-                                             for a in (self.points, self.shortfalls) if a is not None)
+            cut = self.cuts[width] = tuple(np.ascontiguousarray(a[:self.size, :width])
+                                           for a in (self.points, self.shortfalls) if a is not None)
         radii = self.radii
         if eps is not None:
             if self.shifted[0] != eps:
                 self.shifted = (eps, radii + eps)
             radii = self.shifted[1]
         if len(cut) == 1:
-            return cut[0][index], self.counts[index], radii[index]
-        return cut[0][index], self.counts[index], radii[index], cut[1][index]
+            return cut[0].take(index, axis=0), counts, radii.take(index)
+        return cut[0].take(index, axis=0), counts, radii.take(index), cut[1].take(index, axis=0)
+
+
+def _grown(a: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """a with rows of zeros added up to ``rows``, and each row widened to
+    ``width`` by repeating its last entry."""
+    out = np.zeros((rows, width, *a.shape[2:]))
+    out[:a.shape[0], :a.shape[1]] = a
+    out[:a.shape[0], a.shape[1]:] = a[:, -1:]
+    return out
+
+
+class _Runs:
+    """The hulls over the runs of one length met so far, by the key of
+    their sequence of pattern codes: the codes packed into one int64 when
+    they fit in 62 bits, else their bytes."""
+
+    def __init__(self, pieces: int, group: int, dimension: int):
+        self.group = group
+        self.packing = 1 << pieces * np.arange(group) if pieces * group <= _KEY_BITS else None
+        self.known = {}  # the row of each key met
+        self.stack = _Stack(dimension)
+        self.sorted = None  # the packed keys met in order and their rows, then a key no run has; None when stale
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each packed key, 0 where not met, by a binary search
+        of the keys met."""
+        if self.sorted is None:
+            met = sorted(self.known)
+            self.sorted = (np.array(met + [_NO_KEY]), np.array([self.known[key] for key in met] + [0]))
+        met, rows = self.sorted
+        at = np.searchsorted(met, keys)
+        index = rows[at]
+        index[met[at] != keys] = 0
+        return index
+
+    def add(self, table: "_PatternTable", keys: list, runs: np.ndarray) -> None:
+        """Table the hulls of the given runs of codes, under the given keys:
+        the rows' images merged in order by :func:`_merge_runs`."""
+        rows = table.rows.take(table.slot[runs].reshape(-1), None)
+        start = self.stack.extend(*_merge_runs(*rows[:3], rows[3] if len(rows) == 4 else None, self.group))
+        self.known.update(zip(keys, range(start, start + len(keys))))
+        self.sorted = None
+
+
+class _PatternTable:
+    """The images of a map whose every piece has a fixed image
+    (:attr:`Piece.fixed`): a row's image depends only on its pattern of
+    active pieces, and the hull over a run of rows only on the sequence of
+    their patterns, whatever the rows and the slack.
+
+    Each pattern, when first met, gets the hull of its pieces' images, and
+    each sequence of patterns, when first met as a run of ``group`` rows,
+    the hull of its rows' images in order (:func:`_merge_runs`): the
+    :func:`hull_union_many` rule of :meth:`SetValuedMap.image` and
+    :meth:`SetValuedMap.ball_hull`.  A call is the active pieces, one
+    pattern code per row, one key per run (see :class:`_Runs`), their
+    lookup and a few gathers.  A call of at most :data:`_FEW_RUNS` runs
+    keeps its read-only stack by its active pieces, run length and image
+    margin, and a later call with the same three gets it as it is; the
+    kept stacks are dropped together when they would hold more than
+    :data:`_KEPT` coordinates."""
+
+    def __init__(self, pieces: int, dimension: int):
+        self.pieces = pieces
+        self.weights = 1 << np.arange(pieces)
+        self.slot = np.zeros(1 << pieces, dtype=int)  # the row of each pattern code in rows; 0 not met
+        self.rows = _Stack(dimension)
+        self.runs = {}  # the _Runs of each run length met
+        self.made = {}  # the stack of each call of few runs, by run length, image margin and active pieces
+        self.kept = 0  # the point coordinates they hold
+
+    def stack(self, f: "SetValuedMap", X: np.ndarray, slack: float, group: int, eps: Optional[float]) -> tuple:
+        """:meth:`SetValuedMap._hulls` of X."""
+        active = f._active(X, slack)
+        few = X.shape[0] <= _FEW_RUNS * group
+        if few:
+            key = (group, eps, active.tobytes())
+            made = self.made.get(key)
+            if made is not None:
+                return made
+        codes = self.weights @ active
+        if group == 1:
+            table, index = self.rows, self.slot[codes]
+            if not index.all():
+                self._meet(f, X, codes)
+                index = self.slot[codes]
+        else:
+            table, index = self._runs(f, X, codes, group)
+        made = table.take(index, eps)
+        if few:
+            for a in made:
+                a.setflags(write=False)
+            self.kept += made[0].size
+            if self.kept > _KEPT:
+                self.made.clear()
+                self.kept = made[0].size
+            self.made[key] = made
+        return made
+
+    def _runs(self, f: "SetValuedMap", X: np.ndarray, codes: np.ndarray, group: int) -> tuple:
+        """The stack of the hulls over the runs of ``group`` rows of X
+        tabled, and each run's row in it."""
+        table = self.runs.get(group)
+        if table is None:
+            table = self.runs[group] = _Runs(self.pieces, group, X.shape[1])
+        runs = codes.reshape(-1, group)
+        if table.packing is None:
+            runs, which = np.unique(runs, axis=0, return_inverse=True)
+            keys = [run.tobytes() for run in runs]
+            index = np.array([table.known.get(key, 0) for key in keys])
+            if not index.all():
+                self._meet(f, X, codes)
+                table.add(self, [key for key, row in zip(keys, index) if row == 0], runs[index == 0])
+                index = np.array([table.known[key] for key in keys])
+            return table.stack, index[which.reshape(-1)]
+        keys = runs @ table.packing
+        index = table.find(keys)
+        if not index.all():
+            self._meet(f, X, codes)
+            missing = np.flatnonzero(index == 0)
+            lost = keys[missing].tolist()
+            new = dict(zip(reversed(lost), reversed(missing.tolist())))  # each key's first run
+            table.add(self, list(new), runs[list(new.values())])
+            index[missing] = [table.known[key] for key in lost]
+        return table.stack, index
+
+    def _meet(self, f: "SetValuedMap", X: np.ndarray, codes: np.ndarray) -> None:
+        """Add the image of each pattern of the rows of X not met yet, from
+        a row of it.  Code 0 comes first: the first row where no piece holds
+        raises, as :meth:`SetValuedMap._assemble` raises on all of X."""
+        for code in sorted(set(codes[self.slot[codes] == 0].tolist())):
+            x = X[int(np.argmax(codes == code))]
+            if code == 0:
+                raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
+            s = hull_union_many([piece.image(x) for k, piece in enumerate(f.pieces) if code >> k & 1])
+            self.slot[code] = self.rows.extend(s.points[None], len(s.points), s.radius,
+                                               None if s.shortfalls is None else s.shortfalls[None])
 
 
 class SetValuedMap:
@@ -248,7 +403,7 @@ class SetValuedMap:
         always = len(pieces) == 1 and self._predicates[0][0] is True
         self._sole = sole if always and sole.rows is not None else None
         tabled = self._sole is None and len(pieces) <= _PATTERN_PIECES and all(p.fixed for p in pieces)
-        self._table = _PatternTable(len(pieces)) if tabled else None
+        self._table = _PatternTable(len(pieces), self.dimension) if tabled else None
         # per (runs, points per run): the last (radius, image margin, counts,
         # radii) that _concatenated made
         self._arrays = {}
@@ -316,14 +471,14 @@ class SetValuedMap:
         margin, or None for none) added to every radius.
 
         A map that is one batched piece holding everywhere takes the piece's
-        rows (:meth:`_concatenated`), and the single rows of a map of at
+        rows (:meth:`_concatenated`), and the rows and runs of a map of at
         most 12 pieces with fixed images come from its pattern table
         (:class:`_PatternTable`); anything else is :meth:`_assemble`.
         """
         if self._sole is not None:
             return self._concatenated(*self._sole.rows(X), group, eps)
-        if group == 1 and self._table is not None:
-            return self._table.stack(self, X, slack, eps)
+        if self._table is not None:
+            return self._table.stack(self, X, slack, group, eps)
         return self._assemble(X, slack, group, eps)
 
     def _concatenated(self, pts: np.ndarray, radius: float, group: int, eps: Optional[float]):
@@ -350,8 +505,9 @@ class SetValuedMap:
 
         A row where one piece with a batched form holds takes that piece's
         row.  Rows where several pieces hold are taken by their pattern of
-        active pieces: a pattern of pieces with batched forms is one pass
-        (see :func:`_overlap`), and the other rows are merged through the
+        active pieces, sorted out only when they have more than one: a
+        pattern of pieces with batched forms is one pass (see
+        :func:`_overlap`), and the other rows are merged through the
         per-point rule.  When every row then holds one point count and one
         radius, the rows go to :meth:`_concatenated` as one array.
         Otherwise the rows are assembled as arrays, and runs of them merged
@@ -386,10 +542,13 @@ class SetValuedMap:
             for rows, *_ in fills:
                 left[rows] = False
             rest = np.flatnonzero(left)
-            patterns, which = np.unique(active[:, rest], axis=1, return_inverse=True)
-            which = which.reshape(-1)
-            for p, pattern in enumerate(patterns.T):
-                rows = rest[which == p]
+            kinds = active[:, rest]
+            if (kinds == kinds[:, :1]).all():  # one pattern on every row
+                patterns = [(kinds[:, 0], rest)]
+            else:
+                distinct, which = np.unique(kinds, axis=1, return_inverse=True)
+                patterns = [(pattern, rest[which.reshape(-1) == p]) for p, pattern in enumerate(distinct.T)]
+            for pattern, rows in patterns:
                 pieces = [self.pieces[k] for k in np.flatnonzero(pattern)]
                 overlap = _overlap(pieces, X[rows])
                 if overlap is not None:

@@ -355,10 +355,12 @@ def test_ball_hull_of_one_piece_too_large_to_concatenate_leaves_its_rows_alone()
 
 
 def test_multi_piece_ball_hulls_equal_per_point_hulls_bit_for_bit(monkeypatch):
-    """Lattice rows of several pieces: where every row holds one point count
-    and one radius (to its sign) each run just concatenates its rows, and
-    rows of other counts, radii or zero signs still reach ``_merge_runs``.
-    Every hull, the sign of a zero radius included, is the per-point one."""
+    """Lattice rows of several pieces: in the general assembly, where every
+    row holds one point count and one radius (to its sign) each run just
+    concatenates its rows, and rows of other counts, radii or zero signs
+    still reach ``_merge_runs``; the pattern table of these constant pieces
+    merges only the runs it has not met.  Every hull on both paths, the
+    sign of a zero radius included, is the per-point one."""
     import inclusafe.svmap as svmap
 
     calls = []
@@ -384,16 +386,18 @@ def test_multi_piece_ball_hulls_equal_per_point_hulls_bit_for_bit(monkeypatch):
         (halves(([[2.0]], -0.0), ([[-1.0]], 0.0)), straddle, True),
     ]
     for f, centers, merged in cases:
-        for slack in (0.0, 1e-6):
-            calls.clear()
-            stack = f.ball_hulls(centers, 0.5, 9, slack)
-            points, counts, radii = stack[:3]
-            assert bool(calls) == merged
-            for i, center in enumerate(centers):
-                want = _per_point_hull(f, np.array(center), 0.5, 9, slack)
-                assert points[i, :counts[i]].tobytes() == want.points.tobytes()
-                assert radii[i:i + 1].tobytes() == np.float64(want.radius).tobytes()
-                _assert_same_shortfalls(row_set(stack, i), want)
+        for g, reaches in ((f, False), (_general(f), merged)):
+            for slack in (0.0, 1e-6):
+                g.ball_hulls(centers, 0.5, 9, slack)
+                calls.clear()
+                stack = g.ball_hulls(centers, 0.5, 9, slack)
+                points, counts, radii = stack[:3]
+                assert bool(calls) == reaches
+                for i, center in enumerate(centers):
+                    want = _per_point_hull(f, np.array(center), 0.5, 9, slack)
+                    assert points[i, :counts[i]].tobytes() == want.points.tobytes()
+                    assert radii[i:i + 1].tobytes() == np.float64(want.radius).tobytes()
+                    _assert_same_shortfalls(row_set(stack, i), want)
 
 
 def test_ball_hull_raises_when_no_piece_covers_a_lattice_point():
@@ -625,8 +629,6 @@ def test_images_of_each_builtin_equal_per_point_and_general_images(name, assembl
     sc = scenarios.build(name).scenario
     rng = np.random.default_rng(sum(map(ord, name)))
     for label, system in _systems_of(name).items():
-        # the builtins resolve their images, but example1's strong images
-        general = name == "example1" and getattr(system, "mode", "none") == "strong"
         # a run whose row count shrinks, then grows: random states of the
         # box, and states on example1's piece interface and beside it
         for m in (6, 6, 4, 1, 3, 5):
@@ -635,7 +637,7 @@ def test_images_of_each_builtin_equal_per_point_and_general_images(name, assembl
                 S[:3, 0] = [0.0, -0.0, rng.choice([-1e-12, 1e-12])]
             assembled.clear()
             system.images(S)
-            assert bool(assembled) == general or assembled == [1] * len(assembled), label
+            assert assembled == [], label  # every builtin resolves its images
             _assert_images_resolved(system, S)
 
 
@@ -650,14 +652,15 @@ def test_pattern_table_meets_a_pattern_after_step_64(assembled):
         for _ in range(2):
             assembled.clear()
             system.images(S)
-            assert set(assembled) <= {1}  # one row of each pattern met first
-        assert assembled == []
+            assert assembled == []  # a pattern met first takes the hull of its pieces' images
         _assert_images_resolved(system, S)
 
 
-def test_pattern_table_of_overlapping_fixed_pieces():
+def _six_fixed_pieces():
+    """A planar map of six overlapping fixed pieces of four radii, two of
+    them 60-point rings."""
     ring = unit_directions(2, 60)
-    f = SetValuedMap(2, [
+    return SetValuedMap(2, [
         constant_piece(lambda x: x[0] <= 0.0, [[1.0, 0.0], [0.0, 1.0]], radius=0.1),
         constant_piece(lambda x: x[0] >= 0.0, [[1.0, 0.5], [0.0, -1.0], [0.5, 0.5]], radius=0.3),
         constant_piece(lambda x: x[1] >= 0.0, [[0.2, 0.2]], radius=0.3),
@@ -665,6 +668,10 @@ def test_pattern_table_of_overlapping_fixed_pieces():
         constant_piece(lambda x: x[1] <= -0.5 and x[0] >= 0.0, 0.5 * ring + 0.25),
         constant_piece(lambda x: x[1] >= 0.5, [[-0.0, 0.0]], radius=-0.0),
     ])
+
+
+def test_pattern_table_of_overlapping_fixed_pieces():
+    f = _six_fixed_pieces()
     assert f._table is not None
     rng = np.random.default_rng(9)
     for system in (f, PerturbedSystem(f, 0.0, "none"), PerturbedSystem(f, 0.2, "image")):
@@ -697,6 +704,121 @@ def test_pattern_table_at_slack_on_example1_interface_rows(assembled):
     assembled.clear()
     f.images(S, 1e-6)
     assert assembled == []
+
+
+@pytest.mark.parametrize("slack", [0.0, 1e-6])
+def test_strong_images_of_fixed_pieces_come_from_the_run_table(two_radii, slack, assembled):
+    # example1's interface and two pieces that hold everywhere with unequal
+    # radii, at a constant image margin (a float into the table) and a
+    # callable one (None into the table, then per-row balls), in calls of
+    # a few runs and of more than 16
+    maps = {"example1": _example1_map(),
+            "two-radii": unperturbed(scenarios.bundle_from_config(two_radii).scenario.dynamics)}
+    rng = np.random.default_rng(33)
+    for name, f in maps.items():
+        assert f._table is not None
+        for system in (PerturbedSystem(f, 0.1, "strong"), PerturbedSystem(f, lambda x: 0.1, "strong"),
+                       PerturbedSystem(f, 0.5, "strong", density=5, sense_margin=0.25)):
+            for m in (6, 6, 4, 1, 20, 20, 3):
+                S = rng.uniform(-1.0, 1.0, (m, 1))
+                if m > 3:
+                    S[:3, 0] = [0.0, -0.0625, 0.1]  # a lattice row on x1 = 0, and balls across it
+                assembled.clear()
+                system.images(S, slack)
+                assert assembled == [], name
+                _assert_images_resolved(system, S, slack)
+
+
+def test_ball_hulls_of_fixed_pieces_with_per_row_radii():
+    f = _example1_map()
+    centers = np.array([[-0.3], [0.1], [0.25], [-1.0], [0.0], [0.6], [-0.0]])
+    radii = np.array([0.5, 0.05, 0.25, 2.0, 1e-9, 0.6, 0.0])
+    rng = np.random.default_rng(7)
+    many = rng.uniform(-1.0, 1.0, (40, 1))
+    for C, R in ((centers, radii), (many, rng.uniform(0.0, 1.0, 40))):
+        for density in (3, 9):
+            for slack in (0.0, 1e-6):
+                got = f.ball_hulls(C, R, density, slack)
+                _assert_rows_are_per_point(got, [_per_point_hull(f, c, r, density, slack) for c, r in zip(C, R)])
+                _assert_same_stack(got, _general(f).ball_hulls(C, R, density, slack))
+
+
+def test_run_table_keys_long_runs_by_the_bytes_of_their_codes():
+    # six pieces: a 13-point lattice run overflows one int64 of codes, a
+    # 5-point one does not
+    f = _six_fixed_pieces()
+    rng = np.random.default_rng(10)
+    for density, packed in ((5, False), (3, True)):
+        system = PerturbedSystem(f, 0.3, "strong", density=density)
+        for m in (4, 4, 17):
+            S = rng.uniform(-1.0, 1.0, (m, 2))
+            S[: m // 2, rng.integers(2)] = 0.0
+            _assert_images_resolved(system, S)
+        runs = f._table.runs[unit_ball_lattice(2, density).shape[0]]
+        assert (runs.packing is not None) == packed
+
+
+def test_run_table_meets_a_run_after_many_hits(assembled):
+    f = _example1_map()
+    system = PerturbedSystem(f, 0.25, "strong")
+    sides = np.array([[-1.0], [1.0]])
+    rng = np.random.default_rng(5)
+    for _ in range(30):  # left and right balls in any order and number
+        S = sides[rng.integers(0, 2, rng.integers(1, 30))] * rng.uniform(0.5, 1.0)
+        _assert_images_resolved(system, S)
+    runs = f._table.runs[9]
+    assert len(runs.known) == 2
+    # a ball across x1 = 0 with three left rows and six right ones, then
+    # one with six and three: the same pieces in another sequence, met in
+    # a call of a few runs and in one of more than 16
+    for S, known in (([[-1.0], [0.1], [1.0]], 3), ([[-0.1], [1.0], [0.1], [-1.0]] * 5, 4)):
+        S = np.array(S)
+        assembled.clear()
+        system.images(S)
+        assert assembled == [] and len(runs.known) == known
+        _assert_images_resolved(system, S)
+
+
+def test_pattern_table_keeps_rows_and_runs_of_the_same_pieces_apart():
+    # nine rows left of x1 = 0, then one ball whose nine lattice rows are
+    # left of it too: the same active pieces, as nine rows and as one run
+    f = _example1_map()
+    X = np.linspace(-1.0, -0.5, 9)[:, None]
+    for _ in range(2):
+        assert _assert_images_resolved(f, X)[1].tolist() == [1] * 9
+        assert f.ball_hulls([[-0.75]], 0.25, 9)[1].tolist() == [9]
+        _assert_ball_hull_is_per_point(f, [-0.75], 0.25, 9, 0.0)
+
+
+def test_run_table_raises_at_the_first_row_where_no_piece_holds():
+    f = SetValuedMap(1, [constant_piece(lambda x: x[0] <= 0.0, [[1.0]]),
+                         constant_piece(lambda x: x[0] >= 1.0, [[2.0]])])
+    f.ball_hulls([[-1.0], [2.0]], 0.25, 9)  # runs met before
+    for centers in ([[-1.0], [0.5], [0.75], [2.0]], [[-1.0], [2.0]] * 10 + [[0.5], [0.75]]):
+        for g in (f, _general(f)):
+            with pytest.raises(NoMatchingPieceError, match=r"no piece matches at x=\[0\.25\]"):
+                g.ball_hulls(centers, 0.25, 9)
+    _assert_same_stack(f.ball_hulls([[2.0], [-1.0]], 0.25, 9), _general(f).ball_hulls([[2.0], [-1.0]], 0.25, 9))
+
+
+def test_general_assembly_takes_one_pattern_without_sorting(monkeypatch):
+    always = expressions.predicate_fn("True", 1)
+    two = SetValuedMap(1, [affine_piece(always, [[-1.0]], [0.5], radius=0.1),
+                           affine_piece(always, [[0.5]], [-1.0], radius=0.3)])
+    three = SetValuedMap(1, [*two.pieces[:1], affine_piece(lambda x: x[0] <= 0.0, [[2.0]], [0.0]),
+                             affine_piece(lambda x: x[0] >= 0.0, [[-2.0]], [1.0], radius=0.2)])
+    assert two._table is None and three._table is None
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+    S = np.random.default_rng(2).uniform(-1.0, 1.0, (6, 1))
+    for f, sorts in ((two, False), (three, True)):
+        for system in (f, PerturbedSystem(f, 0.1, "image"), PerturbedSystem(f, 0.1, "strong")):
+            calls.clear()
+            got = system.images(S)
+            assert bool(calls) == sorts
+            _assert_rows_are_per_point(got, [_per_point_perturbed(system, x, 0.0) if system is not f else f.image(x)
+                                             for x in S])
 
 
 def test_one_base_map_shared_by_two_margins():

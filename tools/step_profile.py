@@ -14,6 +14,10 @@ policy wrapped as ``custom_policy(p.select, name=p.name,
 verify=p.verify)``, and the ``example2`` hint case once more at N = 4 with
 its argument ball sampled at density 13 (the ``density=13`` row): each
 strong image then concatenates the images of 113 lattice points per row.
+Then ``two-radii`` strong at eps = 0.01 at N = 4: linear-stable's config
+with the unsafe set x1 > 1.02 and two pieces that hold everywhere, {-0.1}
+and {-1} + 0.5 B, so every lattice row mixes two radii, and a per-call
+sort of the rows' piece patterns would show in its time per step.
 Then the three ``exhaust`` commands of the
 benchmark's falsify-search workload (``perfbench/workloads.py``), each
 with the trials ``falsify`` makes from the command's config at seed 0: its
@@ -78,8 +82,8 @@ RUNS = 11
 
 #: (label, scenario, eps, mode, hinted, custom, density); eps None
 #: integrates the scenario's own dynamics; a custom case wraps every policy
-#: as a custom policy, and it and a case at another lattice density than
-#: the default 9 run at N = 4 only
+#: as a custom policy, and it, a case at another lattice density than the
+#: default 9 and a case on a config that is not a builtin run at N = 4 only
 CASES = [
     ("linear-stable strong eps=0.1", "linear-stable", 0.1, "strong", False, False, 9),
     ("noisy-loop native", "noisy-loop", None, None, False, False, 9),
@@ -89,7 +93,18 @@ CASES = [
     ("linear-stable strong eps=0.1 custom", "linear-stable", 0.1, "strong", False, True, 9),
     ("example1 strong eps=0.5 hint custom", "example1", 0.5, "strong", True, True, 9),
     ("example2 strong eps=0.04 hint density=13", "example2", 0.04, "strong", True, False, 13),
+    ("two-radii strong eps=0.01", "two-radii", 0.01, "strong", False, False, 9),
 ]
+
+
+def _two_radii():
+    """linear-stable's config with the unsafe set x1 > 1.02 and two pieces
+    that hold everywhere, {-0.1} and {-1} + 0.5 B."""
+    return dict(scenarios.builtin_config("linear-stable"), name="two-radii", unsafe="x1 > 1.02",
+                depth="x1 - 1.02", dynamics={"pieces": [
+                    {"when": "True", "image": {"kind": "constant", "points": [[-0.1]]}},
+                    {"when": "True", "image": {"kind": "constant", "points": [[-1.0]], "radius": 0.5}},
+                ]})
 
 
 #: the exhaust and find commands of the falsify-search workload
@@ -224,8 +239,10 @@ def _label(role, cmd):
 def _cases():
     """(label, arguments of one lockstep run) of every case."""
     for label, name, eps, mode, hinted, custom, density in CASES:
-        for trials in (4,) if custom or density != 9 else (1, 4):
-            args = _setup(scenarios.build(name), eps, mode, hinted, trials, density)
+        builtin = name in scenarios.BUILTIN
+        for trials in (4,) if custom or density != 9 or not builtin else (1, 4):
+            bundle = scenarios.build(name) if builtin else scenarios.bundle_from_config(_two_radii())
+            args = _setup(bundle, eps, mode, hinted, trials, density)
             if custom:
                 wrapped = {}  # one custom policy per policy, so the trials keep their groups
                 policies = [wrapped.setdefault(id(p), custom_policy(p.select, name=p.name, verify=p.verify))
