@@ -22,18 +22,23 @@ What no call can change is resolved once per map, not per call:
   rows, with read-only ``(counts, radii)`` kept per row shape;
 - a map of at most 12 pieces whose images are fixed (:attr:`Piece.fixed`)
   keeps a table of the image of each pattern of active pieces met, and of
-  the hull over each sequence of patterns met as a run of rows, which
-  hold at any slack, since such an image does not depend on the point;
-  only a map with a piece whose image moves, or of more pieces, takes
-  the general assembly;
+  the hull over each sequence of patterns met as a run of rows (when the
+  run's codes pack into one int64), which hold at any slack, since such
+  an image does not depend on the point, and hands a call with the
+  active pieces, run length and image margin of the last call of its run
+  length that call's stack; only a map with a piece whose image moves,
+  or of more pieces, or a run of longer codes, takes the general
+  assembly;
 - a perturbed system keeps its checked constant margins and its lattice
   offsets, and its image margin goes into those cached radii and into the
   table's.
 
 Cached arrays are read-only, and every caller gets them as they are.
 Every stack follows one padding rule: a row, and a run merged from rows,
-repeats its last point and its shortfall up to the stack's width, so the
-table's stacks equal the general assembly's byte for byte.
+repeats its last point and its shortfall up to the stack's width.  A
+stack carries shortfalls when one of its rows mixes radii, and a row that
+mixes none then holds the shortfalls the general assembly gives it, so
+the table's stacks equal the general assembly's byte for byte.
 """
 from __future__ import annotations
 
@@ -177,36 +182,37 @@ def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, shortfall
 _PATTERN_PIECES = 12
 
 #: the most bits a run key packs into one int64, pieces times rows per run:
-#: one fewer than the int64 holds, so that _NO_KEY is above every key
+#: one fewer than the int64 holds, so that _NO_KEY is above every key; the
+#: runs of longer keys take the general assembly
 _KEY_BITS = 62
-
-#: the most runs of a call whose stack a pattern table keeps
-_FEW_RUNS = 16
-
-#: the most point coordinates the stacks it keeps hold together (8 MB)
-_KEPT = 1 << 20
 
 #: a key above every packed run key
 _NO_KEY = (1 << 63) - 1
 
+#: the point count of a stack's row 0, which stands for a set not met yet:
+#: above every count, so that the widest row of a gather shows a miss
+_UNMET = np.iinfo(int).max
+
 
 class _Stack:
     """Sets kept as one padded stack (see :mod:`convexset`) that grows by
-    appending, each row padded with its last point and shortfall.  Row 0 is
-    an empty set: the row of a set not met yet."""
+    appending, each row padded with its last point and shortfall, and the
+    rows that mix radii.  Row 0 stands for a set not met yet."""
 
     def __init__(self, dimension: int):
         self.size = 1  # rows in use
         self.points = np.zeros((8, 1, dimension))
         self.counts = np.zeros(8, dtype=int)
+        self.counts[0] = _UNMET
         self.radii = np.zeros(8)
-        self.shortfalls = None
+        self.mixes = np.zeros(8, dtype=bool)
+        self.shortfalls = None  # None while every shortfall is +0.0
         self.cuts = {}  # the rows in use cut to each width asked for, contiguous
         self.shifted = (None, None)  # the last image margin asked for and the radii plus it
 
-    def extend(self, points, counts, radii, shortfalls=None) -> int:
-        """Append the rows of a padded stack; returns the first one's row.
-        Rows not in use are zeros, shortfalls included."""
+    def extend(self, points, counts, radii, shortfalls, mixes) -> int:
+        """Append the rows of a padded stack (shortfalls None for none), and
+        which of them mix radii; returns the first one's row."""
         first, wide = self.size, points.shape[1]
         self.size += points.shape[0]
         rows, width = self.points.shape[:2]
@@ -215,35 +221,19 @@ class _Stack:
             self.points = _grown(self.points, *grown)
             self.counts = np.concatenate([self.counts, np.zeros(grown[0] - rows, dtype=int)])
             self.radii = np.concatenate([self.radii, np.zeros(grown[0] - rows)])
+            self.mixes = np.concatenate([self.mixes, np.zeros(grown[0] - rows, dtype=bool)])
             if self.shortfalls is not None:
                 self.shortfalls = _grown(self.shortfalls, *grown)
         new = slice(first, self.size)
         self.points[new, :wide], self.points[new, wide:] = points, points[:, -1:]
-        if shortfalls is not None:
+        if shortfalls is not None and (self.shortfalls is not None or np.signbit(shortfalls).any()
+                                       or shortfalls.any()):
             if self.shortfalls is None:
                 self.shortfalls = np.zeros(self.points.shape[:2])
             self.shortfalls[new, :wide], self.shortfalls[new, wide:] = shortfalls, shortfalls[:, -1:]
-        self.counts[new], self.radii[new] = counts, radii
+        self.counts[new], self.radii[new], self.mixes[new] = counts, radii, mixes
         self.cuts, self.shifted = {}, (None, None)
         return first
-
-    def take(self, index: np.ndarray, eps: Optional[float]) -> tuple:
-        """The stack of the given rows, cut to the widest of them, with
-        ``eps`` (or nothing when None) added to every radius."""
-        counts = self.counts.take(index)
-        width = int(counts.max(initial=0))
-        cut = self.cuts.get(width)
-        if cut is None:
-            cut = self.cuts[width] = tuple(np.ascontiguousarray(a[:self.size, :width])
-                                           for a in (self.points, self.shortfalls) if a is not None)
-        radii = self.radii
-        if eps is not None:
-            if self.shifted[0] != eps:
-                self.shifted = (eps, radii + eps)
-            radii = self.shifted[1]
-        if len(cut) == 1:
-            return cut[0].take(index, axis=0), counts, radii.take(index)
-        return cut[0].take(index, axis=0), counts, radii.take(index), cut[1].take(index, axis=0)
 
 
 def _grown(a: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -257,19 +247,19 @@ def _grown(a: np.ndarray, rows: int, width: int) -> np.ndarray:
 
 class _Runs:
     """The hulls over the runs of one length met so far, by the key of
-    their sequence of pattern codes: the codes packed into one int64 when
-    they fit in 62 bits, else their bytes."""
+    their sequence of pattern codes packed into one int64."""
 
     def __init__(self, pieces: int, group: int, dimension: int):
         self.group = group
-        self.packing = 1 << pieces * np.arange(group) if pieces * group <= _KEY_BITS else None
+        self.packing = 1 << pieces * np.arange(group)
         self.known = {}  # the row of each key met
         self.stack = _Stack(dimension)
-        self.sorted = None  # the packed keys met in order and their rows, then a key no run has; None when stale
+        self.sorted = None  # the keys met in order and their rows, then a key no run has; None when stale
 
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The row of each packed key, 0 where not met, by a binary search
-        of the keys met."""
+    def find(self, runs: np.ndarray) -> tuple:
+        """The key of each run of codes, and its row, 0 where not met, by a
+        binary search of the keys met."""
+        keys = runs @ self.packing
         if self.sorted is None:
             met = sorted(self.known)
             self.sorted = (np.array(met + [_NO_KEY]), np.array([self.known[key] for key in met] + [0]))
@@ -277,14 +267,22 @@ class _Runs:
         at = np.searchsorted(met, keys)
         index = rows[at]
         index[met[at] != keys] = 0
-        return index
+        return keys, index
 
-    def add(self, table: "_PatternTable", keys: list, runs: np.ndarray) -> None:
-        """Table the hulls of the given runs of codes, under the given keys:
-        the rows' images merged in order by :func:`_merge_runs`."""
-        rows = table.rows.take(table.slot[runs].reshape(-1), None)
-        start = self.stack.extend(*_merge_runs(*rows[:3], rows[3] if len(rows) == 4 else None, self.group))
-        self.known.update(zip(keys, range(start, start + len(keys))))
+    def add(self, table: "_PatternTable", runs: np.ndarray, keys: np.ndarray, index: np.ndarray) -> None:
+        """Table the hulls of the runs of codes whose row is 0, each key once:
+        the rows' images merged in order by :func:`_merge_runs`, whose
+        shortfalls are those of a call where some row mixes radii."""
+        missing = np.flatnonzero(index == 0)
+        new = dict(zip(keys[missing].tolist(), missing.tolist()))  # a run of each key
+        slots = table.slot[runs[list(new.values())]]
+        rows, at = table.rows, slots.reshape(-1)
+        points, counts, radii = rows.points[at], rows.counts[at], rows.radii[at]
+        short = np.zeros(points.shape[:2]) if rows.shortfalls is None else rows.shortfalls[at]
+        kinds = radii.reshape(slots.shape)
+        mixes = rows.mixes[slots].any(axis=1) | (kinds != kinds[:, :1]).any(axis=1)
+        start = self.stack.extend(*_merge_runs(points, counts, radii, short, self.group), mixes)
+        self.known.update(zip(new, range(start, start + len(new))))
         self.sorted = None
 
 
@@ -300,11 +298,7 @@ class _PatternTable:
     :func:`hull_union_many` rule of :meth:`SetValuedMap.image` and
     :meth:`SetValuedMap.ball_hull`.  A call is the active pieces, one
     pattern code per row, one key per run (see :class:`_Runs`), their
-    lookup and a few gathers.  A call of at most :data:`_FEW_RUNS` runs
-    keeps its read-only stack by its active pieces, run length and image
-    margin, and a later call with the same three gets it as it is; the
-    kept stacks are dropped together when they would hold more than
-    :data:`_KEPT` coordinates."""
+    lookup and a few gathers."""
 
     def __init__(self, pieces: int, dimension: int):
         self.pieces = pieces
@@ -312,63 +306,54 @@ class _PatternTable:
         self.slot = np.zeros(1 << pieces, dtype=int)  # the row of each pattern code in rows; 0 not met
         self.rows = _Stack(dimension)
         self.runs = {}  # the _Runs of each run length met
-        self.made = {}  # the stack of each call of few runs, by run length, image margin and active pieces
-        self.kept = 0  # the point coordinates they hold
+        self.last = {}  # per run length, the last call's image margin, active pieces and stack
 
     def stack(self, f: "SetValuedMap", X: np.ndarray, slack: float, group: int, eps: Optional[float]) -> tuple:
-        """:meth:`SetValuedMap._hulls` of X."""
+        """:meth:`SetValuedMap._hulls` of X, for runs of at most
+        :data:`_KEY_BITS` bits: the tabled rows, or runs of ``group`` rows,
+        cut to the widest of them, ``eps`` (or nothing when None) added to
+        every radius, and with shortfalls when one of them mixes radii.  A
+        call with the run length, image margin and active pieces of the
+        last call of its run length gets that call's read-only stack as it
+        is; a call that meets a pattern or run first tables it and starts
+        again."""
         active = f._active(X, slack)
-        few = X.shape[0] <= _FEW_RUNS * group
-        if few:
-            key = (group, eps, active.tobytes())
-            made = self.made.get(key)
-            if made is not None:
-                return made
+        key = (eps, active.tobytes())
+        last = self.last.get(group)
+        if last is not None and last[0] == key:
+            return last[1]
         codes = self.weights @ active
         if group == 1:
             table, index = self.rows, self.slot[codes]
-            if not index.all():
-                self._meet(f, X, codes)
-                index = self.slot[codes]
         else:
-            table, index = self._runs(f, X, codes, group)
-        made = table.take(index, eps)
-        if few:
-            for a in made:
-                a.setflags(write=False)
-            self.kept += made[0].size
-            if self.kept > _KEPT:
-                self.made.clear()
-                self.kept = made[0].size
-            self.made[key] = made
-        return made
-
-    def _runs(self, f: "SetValuedMap", X: np.ndarray, codes: np.ndarray, group: int) -> tuple:
-        """The stack of the hulls over the runs of ``group`` rows of X
-        tabled, and each run's row in it."""
-        table = self.runs.get(group)
-        if table is None:
-            table = self.runs[group] = _Runs(self.pieces, group, X.shape[1])
-        runs = codes.reshape(-1, group)
-        if table.packing is None:
-            runs, which = np.unique(runs, axis=0, return_inverse=True)
-            keys = [run.tobytes() for run in runs]
-            index = np.array([table.known.get(key, 0) for key in keys])
-            if not index.all():
-                self._meet(f, X, codes)
-                table.add(self, [key for key, row in zip(keys, index) if row == 0], runs[index == 0])
-                index = np.array([table.known[key] for key in keys])
-            return table.stack, index[which.reshape(-1)]
-        keys = runs @ table.packing
-        index = table.find(keys)
-        if not index.all():
+            runs = self.runs.get(group)
+            if runs is None:
+                runs = self.runs[group] = _Runs(self.pieces, group, X.shape[1])
+            keys, index = runs.find(codes.reshape(-1, group))
+            table = runs.stack
+        counts = table.counts.take(index)
+        width = int(np.maximum.reduce(counts, initial=0))
+        if width == _UNMET:
             self._meet(f, X, codes)
-            missing = np.flatnonzero(index == 0)
-            lost = keys[missing].tolist()
-            new = dict(zip(reversed(lost), reversed(missing.tolist())))  # each key's first run
-            table.add(self, list(new), runs[list(new.values())])
-            index[missing] = [table.known[key] for key in lost]
-        return table.stack, index
+            if group > 1:
+                runs.add(self, codes.reshape(-1, group), keys, index)
+            return self.stack(f, X, slack, group, eps)
+        cut = table.cuts.get(width)
+        if cut is None:
+            cut = table.cuts[width] = tuple(np.ascontiguousarray(a[:table.size, :width])
+                                            for a in (table.points, table.shortfalls) if a is not None)
+        radii = table.radii
+        if eps is not None:
+            if table.shifted[0] != eps:
+                table.shifted = (eps, radii + eps)
+            radii = table.shifted[1]
+        made = cut[0].take(index, axis=0), counts, radii.take(index)
+        if len(cut) == 2 and np.logical_or.reduce(table.mixes.take(index)):
+            made += (cut[1].take(index, axis=0),)
+        for a in made:
+            a.setflags(write=False)
+        self.last[group] = (key, made)
+        return made
 
     def _meet(self, f: "SetValuedMap", X: np.ndarray, codes: np.ndarray) -> None:
         """Add the image of each pattern of the rows of X not met yet, from
@@ -380,7 +365,8 @@ class _PatternTable:
                 raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
             s = hull_union_many([piece.image(x) for k, piece in enumerate(f.pieces) if code >> k & 1])
             self.slot[code] = self.rows.extend(s.points[None], len(s.points), s.radius,
-                                               None if s.shortfalls is None else s.shortfalls[None])
+                                               None if s.shortfalls is None else s.shortfalls[None],
+                                               s.shortfalls is not None)
 
 
 class SetValuedMap:
@@ -471,13 +457,14 @@ class SetValuedMap:
         margin, or None for none) added to every radius.
 
         A map that is one batched piece holding everywhere takes the piece's
-        rows (:meth:`_concatenated`), and the rows and runs of a map of at
-        most 12 pieces with fixed images come from its pattern table
-        (:class:`_PatternTable`); anything else is :meth:`_assemble`.
+        rows (:meth:`_concatenated`), and the rows of a map of at most 12
+        pieces with fixed images, and its runs when pieces times ``group``
+        is at most 62, come from its pattern table (:class:`_PatternTable`);
+        anything else is :meth:`_assemble`.
         """
         if self._sole is not None:
             return self._concatenated(*self._sole.rows(X), group, eps)
-        if self._table is not None:
+        if self._table is not None and self._table.pieces * group <= _KEY_BITS:
             return self._table.stack(self, X, slack, group, eps)
         return self._assemble(X, slack, group, eps)
 

@@ -711,7 +711,7 @@ def test_strong_images_of_fixed_pieces_come_from_the_run_table(two_radii, slack,
     # example1's interface and two pieces that hold everywhere with unequal
     # radii, at a constant image margin (a float into the table) and a
     # callable one (None into the table, then per-row balls), in calls of
-    # a few runs and of more than 16
+    # one to twenty runs
     maps = {"example1": _example1_map(),
             "two-radii": unperturbed(scenarios.bundle_from_config(two_radii).scenario.dynamics)}
     rng = np.random.default_rng(33)
@@ -743,9 +743,9 @@ def test_ball_hulls_of_fixed_pieces_with_per_row_radii():
                 _assert_same_stack(got, _general(f).ball_hulls(C, R, density, slack))
 
 
-def test_run_table_keys_long_runs_by_the_bytes_of_their_codes():
-    # six pieces: a 13-point lattice run overflows one int64 of codes, a
-    # 5-point one does not
+def test_runs_of_six_fixed_pieces_too_long_to_pack_take_the_general_assembly(assembled):
+    # six pieces: the codes of a 13-point lattice run overflow one int64,
+    # those of a 5-point one do not
     f = _six_fixed_pieces()
     rng = np.random.default_rng(10)
     for density, packed in ((5, False), (3, True)):
@@ -753,9 +753,37 @@ def test_run_table_keys_long_runs_by_the_bytes_of_their_codes():
         for m in (4, 4, 17):
             S = rng.uniform(-1.0, 1.0, (m, 2))
             S[: m // 2, rng.integers(2)] = 0.0
+            assembled.clear()
+            system.images(S)
+            assert bool(assembled) != packed
             _assert_images_resolved(system, S)
-        runs = f._table.runs[unit_ball_lattice(2, density).shape[0]]
-        assert (runs.packing is not None) == packed
+
+
+def test_pattern_table_carries_shortfalls_only_when_a_row_mixes_radii():
+    # a row of pieces of radii 0.1 and 0.3, one of a single piece, then
+    # both: after the first, the table holds shortfalls, yet a call of
+    # rows that mix no radii gets none, as from the general assembly
+    f = _six_fixed_pieces()
+    for X, fields in (([[-0.5, 0.2]], 4), ([[-0.5, -0.2]], 3), ([[-0.5, -0.2], [-0.5, 0.2]], 4)):
+        got, want = f.images(X), _general(f).images(X)
+        assert len(got) == len(want) == fields
+        _assert_same_stack(got, want)
+
+
+def test_run_table_gives_a_run_that_mixes_no_radii_the_general_shortfalls():
+    # a ball across x1 = 0 holds rows of radius -0.0, then +0.0: beside a
+    # run of two radii its shortfalls are -0.0 - (0.0 - 0.0) = -0.0 on the
+    # right, as _merge_runs makes them, though the table met the run alone
+    f = SetValuedMap(1, [constant_piece(lambda x: x[0] <= 0.0, [[2.0]], radius=-0.0),
+                         constant_piece(lambda x: 0.0 < x[0] < 5.0, [[-1.0]]),
+                         constant_piece(lambda x: x[0] >= 5.0, [[0.5]], radius=0.3),
+                         constant_piece(lambda x: x[0] >= 5.0, [[1.5]], radius=0.1)])
+    for centers, fields in (([[-0.1]], 3), ([[-0.1], [7.0]], 4), ([[7.0]], 4), ([[-0.1]], 3)):
+        got, want = f.ball_hulls(centers, 0.5, 9), _general(f).ball_hulls(centers, 0.5, 9)
+        assert len(got) == len(want) == fields
+        _assert_same_stack(got, want)
+        if len(centers) == 2:
+            assert np.signbit(got[3][0]).any()
 
 
 def test_run_table_meets_a_run_after_many_hits(assembled):
@@ -770,13 +798,41 @@ def test_run_table_meets_a_run_after_many_hits(assembled):
     assert len(runs.known) == 2
     # a ball across x1 = 0 with three left rows and six right ones, then
     # one with six and three: the same pieces in another sequence, met in
-    # a call of a few runs and in one of more than 16
+    # a call of three runs and in one of twenty
     for S, known in (([[-1.0], [0.1], [1.0]], 3), ([[-0.1], [1.0], [0.1], [-1.0]] * 5, 4)):
         S = np.array(S)
         assembled.clear()
         system.images(S)
         assert assembled == [] and len(runs.known) == known
         _assert_images_resolved(system, S)
+
+
+def test_run_table_keys_runs_by_the_order_of_their_patterns():
+    # the lattice rows of a ball about 1 lie outside, inside, outside the
+    # interval (0, 2), those of a ball about -0.5 outside, outside, inside:
+    # the same patterns in another order, so another hull, its points in
+    # lattice order
+    f = SetValuedMap(1, [constant_piece(lambda x: x[0] <= 0.0 or x[0] >= 2.0, [[1.0]]),
+                         constant_piece(lambda x: 0.0 < x[0] < 2.0, [[2.0]])])
+    for center, radius, points in (([1.0], 1.5, [1.0, 2.0, 1.0]), ([-0.5], 1.0, [1.0, 1.0, 2.0])):
+        got = f.ball_hulls([center], radius, 3)
+        assert got[0][0, :got[1][0], 0].tolist() == points
+        _assert_same_stack(got, _general(f).ball_hulls([center], radius, 3))
+
+
+def test_pattern_table_hands_a_call_like_its_last_the_same_read_only_stack():
+    # other states with the same active pieces at every lattice row, then
+    # the rows in another order
+    f = _example1_map()
+    system = PerturbedSystem(f, 0.25, "strong")
+    S = np.array([[-0.5], [0.1]])
+    first = system.images(S)
+    again = system.images(S + 1e-3)
+    assert all(a is b for a, b in zip(first, again))
+    assert not any(a.flags.writeable for a in again)
+    other = system.images(S[::-1])
+    assert other[0] is not first[0] and other[1].tolist() == first[1].tolist()[::-1]
+    _assert_images_resolved(system, S + 1e-3)
 
 
 def test_pattern_table_keeps_rows_and_runs_of_the_same_pieces_apart():
