@@ -15,11 +15,14 @@ Many sets travel as one padded stack ``(points, counts, radii)`` of shapes
 when some row mixes radii: row i is ``points[i, :counts[i]]`` with largest
 radius ``radii[i]``, and the rest of the row repeats points of that row,
 with their shortfalls.  A stack without shortfalls runs the arithmetic of
-one radius per row.  This module is the only one that reads that layout:
-the others take rows (:func:`take_rows`), inflate (:func:`inflate_rows`) and
-scale (:func:`scale_rows`) stacks through it.  Its row kernels equal, bit
-for bit, the per-set methods that the tests keep as their oracles:
-:func:`row_set` builds a row's set, and :func:`support_rows` is
+one radius per row.  This module is the only one that builds and reads
+that layout: :func:`stack_of` builds a stack from parts, padding each row
+with its last point and shortfall, and :func:`merge_runs` merges runs of
+its rows; the others take rows (:func:`take_rows`), inflate
+(:func:`inflate_rows`) and scale (:func:`scale_rows`) stacks through it.
+Its row kernels equal, bit for bit, the per-set methods that the tests
+keep as their oracles: :func:`row_set` builds a row's set, and
+:func:`support_rows` is
 ``support_many``, :func:`support_pairs` ``support``, :func:`extreme_rows`
 ``extreme_point``, :func:`interval_rows` ``interval_bounds``,
 :func:`contains_rows` :func:`contains`, :func:`hausdorff_rows`
@@ -56,6 +59,8 @@ __all__ = [
     "hull_union_many",
     "hausdorff",
     "row_set",
+    "stack_of",
+    "merge_runs",
     "take_rows",
     "inflate_rows",
     "scale_rows",
@@ -306,6 +311,65 @@ def row_set(stack: tuple, i: int) -> ConvexCompactSet:
     points, counts, radii, shortfalls = stack if len(stack) == 4 else (*stack, None)
     c = counts[i]
     return ConvexCompactSet(points[i, :c], radii[i], None if shortfalls is None else shortfalls[i, :c])
+
+
+def stack_of(parts: Sequence[tuple], m: int) -> tuple:
+    """The padded stack of m rows made of parts ``(rows, points, counts,
+    radii[, shortfalls])``, such as ``(rows, *stack)``: ``points[j]`` of
+    shape (c, n), and ``shortfalls[j]`` when given and not None, go to row
+    ``rows[j]``, repeating their last entry up to the widest part, and the
+    counts and radii (one each, or one per row) beside them.  The stack
+    carries shortfalls when some part does, zeros on the rows of the
+    others."""
+    parts = [part if len(part) == 5 else (*part, None) for part in parts]
+    width = max(part[1].shape[1] for part in parts)
+    points = np.empty((m, width, parts[0][1].shape[2]))
+    counts = np.empty(m, dtype=int)
+    radii = np.empty(m)
+    short = None if all(part[4] is None for part in parts) else np.zeros((m, width))
+    for rows, pts, c, r, s in parts:
+        k = pts.shape[1]
+        points[rows, :k] = pts
+        counts[rows], radii[rows] = c, r
+        if s is not None:
+            short[rows, :k] = s
+        if k < width:
+            points[rows, k:] = pts[:, -1:]
+            if s is not None:
+                short[rows, k:] = s[:, -1:]
+    return (points, counts, radii) if short is None else (points, counts, radii, short)
+
+
+def merge_runs(stack: tuple, group: int) -> tuple:
+    """The hulls of the runs of ``group`` consecutive rows of a padded stack,
+    each as :func:`hull_union_many` of its rows' sets in order: their
+    points in order, then the run's last point (and shortfall) again up to
+    the largest run, and the first largest radius.  The hulls carry
+    shortfalls when the stack does or some run's radii differ."""
+    points, counts, radius, shortfalls = stack if len(stack) == 4 else (*stack, None)
+    m, width, n = points.shape
+    G = m // group
+    radii = radius.reshape(G, group)
+    # the first largest radius of each run, as Python's max takes it in
+    # hull_union_many: numpy's max may return either zero of a tie of 0.0 and -0.0
+    rmax = radii[np.arange(G), radii.argmax(axis=1)]
+    sizes = counts.reshape(G, group).sum(axis=1)
+    points = points.reshape(G, group * width, n)
+    short = None
+    if shortfalls is not None or (radii != rmax[:, None]).any():
+        # each point's radius, and its shortfall from its run's largest
+        own = radius[:, None] if shortfalls is None else radius[:, None] - shortfalls
+        short = np.broadcast_to(rmax.repeat(group)[:, None] - own, (m, width)).reshape(G, group * width)
+    if np.count_nonzero(counts != width):
+        # each run's points in order, then its last point (and shortfall)
+        # again up to the widest run: the rows' points in order are the
+        # runs' points in order, run g's from the sum of the sizes before it
+        filled = (np.arange(width) < counts[:, None]).reshape(-1)
+        at = (sizes.cumsum() - sizes)[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+        points = points.reshape(-1, n)[filled][at]
+        if short is not None:
+            short = short.reshape(-1)[filled][at]
+    return (points, sizes, rmax) if short is None else (points, sizes, rmax, short)
 
 
 def take_rows(stack: tuple, rows) -> tuple:

@@ -256,7 +256,6 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
 def build_modulus(
     f_map,
     *,
-    log_range: float = LOG_RANGE,
     log_step: Optional[float] = None,
     density: Optional[int] = None,
 ) -> ModulusPair:
@@ -281,8 +280,8 @@ def build_modulus(
     if density is None:
         density = 9 if n == 1 else 5
 
-    count = 2 * log_grid_steps(log_range, log_step) + 1
-    grid = np.linspace(-log_range, log_range, count)
+    count = 2 * log_grid_steps(LOG_RANGE, log_step) + 1
+    grid = np.linspace(-LOG_RANGE, LOG_RANGE, count)
     # math.exp and math.log per entry: numpy's exp and log round some
     # entries differently at its AVX-512 level
     radii = np.array([math.exp(g) for g in grid.tolist()])
@@ -324,7 +323,7 @@ def build_modulus(
     if M.max() <= 1e-10 * direct_scale:
         tables = {
             "kind": "degenerate",
-            "log_range": float(log_range),
+            "log_range": LOG_RANGE,
             "direct": direct_tab.to_dict(),
             "flags": {"degenerate": True},
         }
@@ -341,7 +340,7 @@ def build_modulus(
 
     C = np.array([[math.log(m) if m > 0.0 else LOG_FLOOR for m in row] for row in M.tolist()])
     c_at = _bilinear(grid, C)
-    A = float(log_range)
+    A = LOG_RANGE
 
     # onset: largest log radius where the unit-step log spread is still <= 0
     f_lo, f_hi = c_at(-A, 0.0), c_at(A, 0.0)
@@ -398,7 +397,7 @@ def build_modulus(
 
     tables = {
         "kind": "built",
-        "log_range": float(log_range),
+        "log_range": LOG_RANGE,
         "grid": [float(v) for v in grid],
         "log_gap": [[float(v) for v in row] for row in C],
         "onset": float(onset),

@@ -34,11 +34,6 @@ What no call can change is resolved once per map, not per call:
   table's.
 
 Cached arrays are read-only, and every caller gets them as they are.
-Every stack follows one padding rule: a row, and a run merged from rows,
-repeats its last point and its shortfall up to the stack's width.  A
-stack carries shortfalls when one of its rows mixes radii, and a row that
-mixes none then holds the shortfalls the general assembly gives it, so
-the table's stacks equal the general assembly's byte for byte.
 """
 from __future__ import annotations
 
@@ -49,7 +44,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .convexset import ConvexCompactSet, hull_union_many, inflate_rows, row_set
+from .convexset import (
+    ConvexCompactSet, hull_union_many, inflate_rows, merge_runs, row_set, stack_of, take_rows,
+)
 from . import expressions
 
 __all__ = [
@@ -133,9 +130,10 @@ def polynomial_piece(predicate, components: Sequence[str], dimension: int, radiu
 
 def _overlap(pieces: Sequence[Piece], X: np.ndarray):
     """The :func:`hull_union_many` hulls of the pieces' images at every row
-    of X, in one pass: ``(points, radius, shortfalls)``, the pieces' points
-    in order with the first largest radius, and the (m, K) shortfalls, or
-    None when the radii are equal.  None when a piece has no batched form."""
+    of X, in one pass: ``(points, count, radius, shortfalls)``, the pieces'
+    points in order, their count, the first largest radius, and the (m, K)
+    shortfalls, or None when the radii are equal.  None when a piece has no
+    batched form."""
     if any(piece.rows is None for piece in pieces):
         return None
     parts = [piece.rows(X) for piece in pieces]
@@ -143,38 +141,9 @@ def _overlap(pieces: Sequence[Piece], X: np.ndarray):
     rmax = max(radii)
     points = np.concatenate([pts for pts, _ in parts], axis=1)
     if all(r == rmax for r in radii):
-        return points, rmax, None
+        return points, points.shape[1], rmax, None
     short = np.concatenate([np.full(pts.shape[1], rmax - r) for (pts, _), r in zip(parts, radii)])
-    return points, rmax, np.tile(short, (X.shape[0], 1))
-
-
-def _merge_runs(A: np.ndarray, counts: np.ndarray, radius: np.ndarray, shortfalls, group: int) -> tuple:
-    """The hulls of runs of ``group`` consecutive rows of the padded row
-    hulls ``(A, counts, radius, shortfalls or None)`` under the
-    :func:`hull_union_many` rule, in that layout."""
-    m, width, n = A.shape
-    G = m // group
-    radii = radius.reshape(G, group)
-    # the first largest radius of each run, as Python's max takes it in
-    # hull_union_many: numpy's max may return either zero of a tie of 0.0 and -0.0
-    rmax = radii[np.arange(G), radii.argmax(axis=1)]
-    sizes = counts.reshape(G, group).sum(axis=1)
-    points = A.reshape(G, group * width, n)
-    short = None
-    if shortfalls is not None or (radii != rmax[:, None]).any():
-        # each point's radius, and its shortfall from its run's largest
-        own = radius[:, None] if shortfalls is None else radius[:, None] - shortfalls
-        short = np.broadcast_to(rmax.repeat(group)[:, None] - own, (m, width)).reshape(G, group * width)
-    if np.count_nonzero(counts != width):
-        # each run's points in order, then its last point (and shortfall)
-        # again up to the widest run: the rows' points in order are the
-        # runs' points in order, run g's from the sum of the sizes before it
-        filled = (np.arange(width) < counts[:, None]).reshape(-1)
-        at = (sizes.cumsum() - sizes)[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
-        points = points.reshape(-1, n)[filled][at]
-        if short is not None:
-            short = short.reshape(-1)[filled][at]
-    return points, sizes, rmax, short
+    return points, points.shape[1], rmax, np.tile(short, (X.shape[0], 1))
 
 
 #: the most pieces whose patterns of active pieces a map tables (it keeps
@@ -195,54 +164,29 @@ _UNMET = np.iinfo(int).max
 
 
 class _Stack:
-    """Sets kept as one padded stack (see :mod:`convexset`) that grows by
-    appending, each row padded with its last point and shortfall, and the
-    rows that mix radii.  Row 0 stands for a set not met yet."""
+    """Sets kept as one padded stack with shortfalls (see :mod:`convexset`)
+    that grows by appending, and the rows that mix radii.  Row 0 stands
+    for a set not met yet."""
 
     def __init__(self, dimension: int):
-        self.size = 1  # rows in use
-        self.points = np.zeros((8, 1, dimension))
-        self.counts = np.zeros(8, dtype=int)
-        self.counts[0] = _UNMET
-        self.radii = np.zeros(8)
-        self.mixes = np.zeros(8, dtype=bool)
-        self.shortfalls = None  # None while every shortfall is +0.0
-        self.cuts = {}  # the rows in use cut to each width asked for, contiguous
+        self.stack = (np.zeros((1, 1, dimension)), np.array([_UNMET]), np.zeros(1), np.zeros((1, 1)))
+        self.mixes = np.zeros(1, dtype=bool)
+        self.cuts = {}  # the fields cut to each width asked for, contiguous
         self.shifted = (None, None)  # the last image margin asked for and the radii plus it
 
-    def extend(self, points, counts, radii, shortfalls, mixes) -> int:
-        """Append the rows of a padded stack (shortfalls None for none), and
-        which of them mix radii; returns the first one's row."""
-        first, wide = self.size, points.shape[1]
-        self.size += points.shape[0]
-        rows, width = self.points.shape[:2]
-        if self.size > rows or wide > width:
-            grown = max(self.size, 2 * rows) if self.size > rows else rows, max(width, wide)
-            self.points = _grown(self.points, *grown)
-            self.counts = np.concatenate([self.counts, np.zeros(grown[0] - rows, dtype=int)])
-            self.radii = np.concatenate([self.radii, np.zeros(grown[0] - rows)])
-            self.mixes = np.concatenate([self.mixes, np.zeros(grown[0] - rows, dtype=bool)])
-            if self.shortfalls is not None:
-                self.shortfalls = _grown(self.shortfalls, *grown)
-        new = slice(first, self.size)
-        self.points[new, :wide], self.points[new, wide:] = points, points[:, -1:]
-        if shortfalls is not None and (self.shortfalls is not None or np.signbit(shortfalls).any()
-                                       or shortfalls.any()):
-            if self.shortfalls is None:
-                self.shortfalls = np.zeros(self.points.shape[:2])
-            self.shortfalls[new, :wide], self.shortfalls[new, wide:] = shortfalls, shortfalls[:, -1:]
-        self.counts[new], self.radii[new], self.mixes[new] = counts, radii, mixes
+    def extend(self, stacks: list, mixes) -> int:
+        """Append the rows of padded stacks (a count and a radius may stand
+        for those of every row), and which of them mix radii; returns the
+        first one's row."""
+        first = size = len(self.mixes)
+        parts = [(slice(0, first), *self.stack)]
+        for stack in stacks:
+            parts.append((slice(size, size + len(stack[0])), *stack))
+            size += len(stack[0])
+        self.stack = stack_of(parts, size)
+        self.mixes = np.append(self.mixes, mixes)
         self.cuts, self.shifted = {}, (None, None)
         return first
-
-
-def _grown(a: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """a with rows of zeros added up to ``rows``, and each row widened to
-    ``width`` by repeating its last entry."""
-    out = np.zeros((rows, width, *a.shape[2:]))
-    out[:a.shape[0], :a.shape[1]] = a
-    out[:a.shape[0], a.shape[1]:] = a[:, -1:]
-    return out
 
 
 class _Runs:
@@ -271,17 +215,15 @@ class _Runs:
 
     def add(self, table: "_PatternTable", runs: np.ndarray, keys: np.ndarray, index: np.ndarray) -> None:
         """Table the hulls of the runs of codes whose row is 0, each key once:
-        the rows' images merged in order by :func:`_merge_runs`, whose
-        shortfalls are those of a call where some row mixes radii."""
+        the rows' images merged in order by :func:`convexset.merge_runs`,
+        with the shortfalls of a call where some row mixes radii."""
         missing = np.flatnonzero(index == 0)
         new = dict(zip(keys[missing].tolist(), missing.tolist()))  # a run of each key
         slots = table.slot[runs[list(new.values())]]
-        rows, at = table.rows, slots.reshape(-1)
-        points, counts, radii = rows.points[at], rows.counts[at], rows.radii[at]
-        short = np.zeros(points.shape[:2]) if rows.shortfalls is None else rows.shortfalls[at]
-        kinds = radii.reshape(slots.shape)
+        rows = table.rows
+        kinds = rows.stack[2][slots]
         mixes = rows.mixes[slots].any(axis=1) | (kinds != kinds[:, :1]).any(axis=1)
-        start = self.stack.extend(*_merge_runs(points, counts, radii, short, self.group), mixes)
+        start = self.stack.extend([merge_runs(take_rows(rows.stack, slots.reshape(-1)), self.group)], mixes)
         self.known.update(zip(new, range(start, start + len(new))))
         self.sorted = None
 
@@ -294,7 +236,7 @@ class _PatternTable:
 
     Each pattern, when first met, gets the hull of its pieces' images, and
     each sequence of patterns, when first met as a run of ``group`` rows,
-    the hull of its rows' images in order (:func:`_merge_runs`): the
+    the hull of its rows' images in order (:func:`convexset.merge_runs`): the
     :func:`hull_union_many` rule of :meth:`SetValuedMap.image` and
     :meth:`SetValuedMap.ball_hull`.  A call is the active pieces, one
     pattern code per row, one key per run (see :class:`_Runs`), their
@@ -315,34 +257,37 @@ class _PatternTable:
         every radius, and with shortfalls when one of them mixes radii.  A
         call with the run length, image margin and active pieces of the
         last call of its run length gets that call's read-only stack as it
-        is; a call that meets a pattern or run first tables it and starts
-        again."""
+        is; a call that meets a pattern or run first tables it and looks its
+        rows up again."""
         active = f._active(X, slack)
         key = (eps, active.tobytes())
         last = self.last.get(group)
         if last is not None and last[0] == key:
             return last[1]
         codes = self.weights @ active
-        if group == 1:
-            table, index = self.rows, self.slot[codes]
-        else:
+        runs = None
+        if group > 1:
             runs = self.runs.get(group)
             if runs is None:
                 runs = self.runs[group] = _Runs(self.pieces, group, X.shape[1])
-            keys, index = runs.find(codes.reshape(-1, group))
-            table = runs.stack
-        counts = table.counts.take(index)
-        width = int(np.maximum.reduce(counts, initial=0))
-        if width == _UNMET:
+        table = self.rows if runs is None else runs.stack
+        while True:
+            if runs is None:
+                index = self.slot[codes]
+            else:
+                keys, index = runs.find(codes.reshape(-1, group))
+            counts = table.stack[1].take(index)
+            width = int(np.maximum.reduce(counts, initial=0))
+            if width != _UNMET:
+                break
             self._meet(f, X, codes)
-            if group > 1:
+            if runs is not None:
                 runs.add(self, codes.reshape(-1, group), keys, index)
-            return self.stack(f, X, slack, group, eps)
         cut = table.cuts.get(width)
-        if cut is None:
-            cut = table.cuts[width] = tuple(np.ascontiguousarray(a[:table.size, :width])
-                                            for a in (table.points, table.shortfalls) if a is not None)
-        radii = table.radii
+        if cut is None:  # the points, and the shortfalls when some row mixes radii
+            fields = (0, 3) if table.mixes.any() else (0,)
+            cut = table.cuts[width] = tuple(np.ascontiguousarray(table.stack[k][:, :width]) for k in fields)
+        radii = table.stack[2]
         if eps is not None:
             if table.shifted[0] != eps:
                 table.shifted = (eps, radii + eps)
@@ -359,14 +304,18 @@ class _PatternTable:
         """Add the image of each pattern of the rows of X not met yet, from
         a row of it.  Code 0 comes first: the first row where no piece holds
         raises, as :meth:`SetValuedMap._assemble` raises on all of X."""
-        for code in sorted(set(codes[self.slot[codes] == 0].tolist())):
+        met = sorted(set(codes[self.slot[codes] == 0].tolist()))
+        if not met:
+            return
+        hulls = []
+        for code in met:
             x = X[int(np.argmax(codes == code))]
             if code == 0:
                 raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
-            s = hull_union_many([piece.image(x) for k, piece in enumerate(f.pieces) if code >> k & 1])
-            self.slot[code] = self.rows.extend(s.points[None], len(s.points), s.radius,
-                                               None if s.shortfalls is None else s.shortfalls[None],
-                                               s.shortfalls is not None)
+            hulls.append(hull_union_many([piece.image(x) for k, piece in enumerate(f.pieces) if code >> k & 1]))
+        stacks = [(s.points[None], len(s.points), s.radius, None if s.shortfalls is None else s.shortfalls[None])
+                  for s in hulls]
+        self.slot[met] = self.rows.extend(stacks, [s.shortfalls is not None for s in hulls]) + np.arange(len(hulls))
 
 
 class SetValuedMap:
@@ -497,10 +446,10 @@ class SetValuedMap:
         :func:`_overlap`), and the other rows are merged through the
         per-point rule.  When every row then holds one point count and one
         radius, the rows go to :meth:`_concatenated` as one array.
-        Otherwise the rows are assembled as arrays, and runs of them merged
-        by :func:`_merge_runs`.
+        Otherwise the rows go to :func:`convexset.stack_of` as parts, and
+        runs of them to :func:`convexset.merge_runs`.
         """
-        m, n = X.shape
+        m = X.shape[0]
         active = self._active(X, slack)
         held = active.sum(axis=1).tolist()  # rows on which each piece holds
         if sum(held) == m and m in held and self.pieces[held.index(m)].rows is not None:
@@ -511,7 +460,7 @@ class SetValuedMap:
             x = X[np.argmin(hits)]
             raise NoMatchingPieceError(f"no piece matches at x={x.tolist()}")
         own = active & (hits == 1)  # the rows where each piece holds alone
-        fills = []  # (rows, points, radius, shortfalls or None) of the rows, a pass or a merge each
+        fills = []  # (rows, points, count, radius, shortfalls or None) of the rows, a pass or a merge each
         filled = 0
         for piece, mask in zip(self.pieces, own):
             if piece.rows is None:
@@ -519,11 +468,11 @@ class SetValuedMap:
             rows = mask.nonzero()[0]
             if rows.size:
                 pts, r = piece.rows(X[rows])
-                fills.append((rows, pts, float(r), None))
+                fills.append((rows, pts, pts.shape[1], float(r), None))
                 filled += rows.size
         # what is left: rows where several pieces hold or a piece has no
         # batched form, taken by their pattern of active pieces
-        mixed = merged = False  # some row mixes radii; some row took the per-point rule
+        merged = False  # some row took the per-point rule
         if filled < m:
             left = np.ones(m, dtype=bool)
             for rows, *_ in fills:
@@ -540,38 +489,23 @@ class SetValuedMap:
                 overlap = _overlap(pieces, X[rows])
                 if overlap is not None:
                     fills.append((rows, *overlap))
-                    mixed = mixed or overlap[2] is not None
                     continue
                 merged = True
                 for i in rows.tolist():
                     h = hull_union_many([piece.image(X[i]) for piece in pieces])
-                    fills.append(([i], h.points[None], h.radius, None if h.shortfalls is None else h.shortfalls[None]))
-                    mixed = mixed or h.shortfalls is not None
-        if not (merged or mixed) and len({(pts.shape[1], r, math.copysign(1.0, r)) for _, pts, r, _ in fills}) == 1:
+                    fills.append(([i], h.points[None], len(h.points), h.radius,
+                                  None if h.shortfalls is None else h.shortfalls[None]))
+        if (not merged and all(short is None for *_, short in fills)
+                and len({(c, r, math.copysign(1.0, r)) for _, _, c, r, _ in fills}) == 1):
             # one point count and one radius, to its sign, on every row
             A = np.empty((m, *fills[0][1].shape[1:]))
-            for rows, pts, _, _ in fills:
+            for rows, pts, *_ in fills:
                 A[rows] = pts
-            return self._concatenated(A, fills[0][2], group, eps)
-        width = max([pts.shape[1] for _, pts, _, _ in fills])
-        A = np.empty((m, width, n))
-        counts = np.empty(m, dtype=int)
-        radius = np.empty(m)
-        S = np.zeros((m, width)) if mixed else None
-        for rows, pts, r, short in fills:
-            c = pts.shape[1]
-            A[rows, :c] = pts
-            A[rows, c:] = pts[:, -1:]
-            counts[rows] = c
-            radius[rows] = r
-            if short is not None:
-                S[rows, :c] = short
-                S[rows, c:] = short[:, -1:]
+            return self._concatenated(A, fills[0][3], group, eps)
+        stack = stack_of(fills, m)
         if group > 1:
-            A, counts, radius, S = _merge_runs(A, counts, radius, S, group)
-        if eps is not None:
-            radius = radius + eps
-        return (A, counts, radius) if S is None else (A, counts, radius, S)
+            stack = merge_runs(stack, group)
+        return stack if eps is None else inflate_rows(stack, eps)
 
     def images(self, X, slack: float = 0.0) -> tuple:
         """The image at every row of an (m, n) array X in one pass.

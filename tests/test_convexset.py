@@ -575,6 +575,97 @@ def test_sliced_containment_equals_the_unsliced_call_and_the_set_method(n, monke
 
 
 # ----------------------------------------------------------------------- #
+# building and merging padded stacks
+def _row_parts(rng, m, n, most, mixed):
+    """The parts ``(rows, points, count, radii, shortfalls or None)`` of m
+    random rows, one part per point count of 1 to ``most``: radii 0.0, -0.0,
+    0.3 or 1.0 per row, and with ``mixed`` shortfalls up to the radius on
+    the parts of odd count."""
+    counts = rng.integers(1, most + 1, m)
+    radii = rng.choice([0.0, -0.0, 0.3, 1.0], m)
+    parts = []
+    for c in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == c)
+        points = rng.standard_normal((len(rows), c, n))
+        short = rng.uniform(0.0, 1.0, (len(rows), c)) * np.abs(radii[rows, None]) if mixed and c % 2 else None
+        parts.append((rows, points, c, radii[rows], short))
+    return parts
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_stack_of_pads_every_row_with_its_last_point_and_shortfall(n, mixed):
+    from inclusafe.convexset import stack_of
+
+    rng = np.random.default_rng(40 + n + 2 * mixed)
+    parts = _row_parts(rng, 30, n, 4, mixed)
+    # a part of one row with one radius, wider than the others
+    parts.append(([30], rng.standard_normal((1, 6, n)), 6, -0.0, None))
+    stack = stack_of(parts, 31)
+    assert len(stack) == 3 + mixed
+    assert stack[0].shape == (31, 6, n) and stack[1].dtype == int
+    for rows, points, c, radii, short in parts:
+        for j, i in enumerate(rows):
+            assert stack[0][i].tobytes() == np.concatenate([points[j]] + [points[j, -1:]] * (6 - c)).tobytes()
+            assert stack[1][i] == c
+            r = radii if np.ndim(radii) == 0 else radii[j]
+            assert stack[2][i:i + 1].tobytes() == np.float64(r).tobytes()
+            if mixed:
+                own = np.zeros(c) if short is None else short[j]
+                assert stack[3][i].tobytes() == np.concatenate([own, own[-1:].repeat(6 - c)]).tobytes()
+    # a stack is a part of itself, rows moved by a slice
+    again = stack_of([(slice(1, 32), *stack), ([0], stack[0][:1, :2], 2, 0.5)], 32)
+    for a, b in zip(again, stack):
+        assert a[1:].tobytes() == b.tobytes()
+    assert again[0][0].tobytes() == np.concatenate([stack[0][0, :2]] + [stack[0][0, 1:2]] * 4).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("group", [2, 3, 9])
+@pytest.mark.parametrize("most, mixed", [(1, False), (4, False), (1, True), (4, True)])
+def test_merged_runs_equal_hull_union_many_of_their_rows_bit_for_bit(n, group, most, mixed):
+    """Every run of ``group`` rows against ``hull_union_many`` of its rows'
+    sets: points, the radius to its zero's sign and the shortfalls, which,
+    where the stack carries them, are the raw ``R − (r − s)`` of every
+    point, a -0.0 included; rows of one count or of several, and runs of
+    -0.0 beside +0.0 radii."""
+    from inclusafe.convexset import merge_runs, row_set, stack_of
+
+    rng = np.random.default_rng(60 + n + 7 * group + 3 * most + mixed)
+    G = 12
+    parts = _row_parts(rng, G * group, n, most, mixed)
+    stack = stack_of(parts, G * group)
+    # runs 0 and 1 of zero radii of both signs, the first a -0.0, then a +0.0
+    odd = np.arange(group) % 2 == 1
+    stack[2][:2 * group] = np.where(np.concatenate([~odd, odd]), -0.0, 0.0)
+    if len(stack) == 4:
+        stack[3][:2 * group] = 0.0
+    merged = merge_runs(stack, group)
+    radii = stack[2].reshape(G, group)
+    assert len(merged) == 4 if len(stack) == 4 or (radii != radii[:, :1]).any() else 3
+    width = merged[0].shape[1]
+    assert merged[1].max() == width
+    for g in range(G):
+        run = range(g * group, (g + 1) * group)
+        want = hull_union_many([row_set(stack, i) for i in run])
+        got, c = row_set(merged, g), merged[1][g]
+        assert got.points.tobytes() == want.points.tobytes()
+        assert merged[2][g:g + 1].tobytes() == np.float64(want.radius).tobytes()
+        assert (got.shortfalls is None) == (want.shortfalls is None)
+        if want.shortfalls is not None:
+            assert got.shortfalls.tobytes() == want.shortfalls.tobytes()
+        assert (merged[0][g, c:] == merged[0][g, c - 1]).all()
+        if len(merged) == 4:
+            own = [stack[2][i] - (stack[3][i, :stack[1][i]] if len(stack) == 4 else np.zeros(stack[1][i]))
+                   for i in run]
+            assert merged[3][g, :c].tobytes() == (want.radius - np.concatenate(own)).tobytes()
+            assert (merged[3][g, c:] == merged[3][g, c - 1]).all()
+    assert np.signbit(merged[2][0]) and not np.signbit(merged[2][1])
+    if len(merged) == 4:
+        assert np.signbit(merged[3][0, stack[1][0]])  # row 1's first point: -0.0 - (0.0 - 0.0)
+
+
+# ----------------------------------------------------------------------- #
 # the nearest-point certificate of contains_rows
 _U = 2.0 ** -53
 

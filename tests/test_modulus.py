@@ -120,7 +120,7 @@ def test_factored_bound_dominates_gap_on_grid(corpus_pairs):
 
 def test_build_rejects_misaligned_log_grid():
     with pytest.raises(ValueError):
-        build_modulus(_corpus()["identity"], log_range=1.0, log_step=0.3)
+        build_modulus(_corpus()["identity"], log_step=0.3)  # 0.3 does not divide LOG_RANGE = 20
 
 
 # ----------------------------------------------------------------------- #

@@ -358,14 +358,14 @@ def test_multi_piece_ball_hulls_equal_per_point_hulls_bit_for_bit(monkeypatch):
     """Lattice rows of several pieces: in the general assembly, where every
     row holds one point count and one radius (to its sign) each run just
     concatenates its rows, and rows of other counts, radii or zero signs
-    still reach ``_merge_runs``; the pattern table of these constant pieces
+    still reach ``merge_runs``; the pattern table of these constant pieces
     merges only the runs it has not met.  Every hull on both paths, the
     sign of a zero radius included, is the per-point one."""
     import inclusafe.svmap as svmap
 
     calls = []
-    merge_runs = svmap._merge_runs
-    monkeypatch.setattr(svmap, "_merge_runs", lambda *args: calls.append(1) or merge_runs(*args))
+    merge_runs = svmap.merge_runs
+    monkeypatch.setattr(svmap, "merge_runs", lambda *args: calls.append(1) or merge_runs(*args))
 
     def halves(left, right):
         return SetValuedMap(1, [
@@ -562,6 +562,7 @@ def test_batched_images_raise_when_no_piece_covers_a_row():
 # what images resolve once per map: the rows of a sole batched piece with
 # cached counts and radii, and the pattern table of fixed pieces
 def _assert_same_stack(got, want):
+    assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.shape, a.dtype) == (b.shape, b.dtype)
         assert a.tobytes() == b.tobytes()
@@ -773,7 +774,7 @@ def test_pattern_table_carries_shortfalls_only_when_a_row_mixes_radii():
 def test_run_table_gives_a_run_that_mixes_no_radii_the_general_shortfalls():
     # a ball across x1 = 0 holds rows of radius -0.0, then +0.0: beside a
     # run of two radii its shortfalls are -0.0 - (0.0 - 0.0) = -0.0 on the
-    # right, as _merge_runs makes them, though the table met the run alone
+    # right, as merge_runs makes them, though the table met the run alone
     f = SetValuedMap(1, [constant_piece(lambda x: x[0] <= 0.0, [[2.0]], radius=-0.0),
                          constant_piece(lambda x: 0.0 < x[0] < 5.0, [[-1.0]]),
                          constant_piece(lambda x: x[0] >= 5.0, [[0.5]], radius=0.3),
