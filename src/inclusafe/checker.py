@@ -433,7 +433,8 @@ def synthesize_margin(
     and every sampled gradient vertex zeta at x satisfy
     max <zeta, co{F(x + delta*B)} + delta*B> < 0.  The overall margin is the
     minimum over cells; a cell that fails even the probe radius yields 0 and
-    an overall fail verdict with that cell's representative as witness.
+    an overall fail verdict, with the first such cell's representative as
+    witness.
 
     The cells bisect in lockstep (:func:`largest_feasible_rows`): each round
     takes the strong images at the representatives of every open cell, each
@@ -446,10 +447,9 @@ def synthesize_margin(
     X = grid.representatives
     rep_of, zetas, norms = _pairs(scenario, X, "clarke-vertices")
 
-    def violation(cells, deltas):
-        """For each cell, None when every vertex zeta at its representative x
-        satisfies -support(co{F(x + delta*B)} + delta*B, zeta) > tol_strict,
-        else x."""
+    def infeasible(cells, deltas):
+        """For each cell, whether some vertex zeta at its representative x
+        has -support(co{F(x + delta*B)} + delta*B, zeta) <= tol_strict."""
         row = np.full(len(X), -1)
         row[cells] = np.arange(len(cells))
         at = row[rep_of]  # each pair's stack row, -1 where its cell is closed
@@ -458,12 +458,12 @@ def synthesize_margin(
         support = support_pairs(stack, at[pairs], zetas[pairs], norms[pairs])
         bad = np.zeros(len(cells), dtype=bool)
         bad[at[pairs][-support <= tol.tol_strict]] = True
-        return [tuple(X[c]) if b else None for c, b in zip(cells.tolist(), bad)]
+        return bad
 
-    values, witnesses = largest_feasible_rows(violation, np.full(len(X), float(bracket)), rel_tol=rel_tol)
+    values, failed = largest_feasible_rows(infeasible, np.full(len(X), float(bracket)), rel_tol=rel_tol)
     margins = values.tolist()
-    witness_cell = next((ci for ci, w in enumerate(witnesses) if w is not None), None)
-    witness = None if witness_cell is None else witnesses[witness_cell]
+    witness_cell = int(failed.argmax()) if failed.any() else None
+    witness = None if witness_cell is None else tuple(X[witness_cell])
 
     eps_star = min(margins) if margins else 0.0
     box = scenario.box

@@ -339,7 +339,7 @@ def load_config(path: str) -> dict:
     log_step = cfg.get("modulus", {}).get("log_step")
     if log_step is not None:
         try:
-            log_grid_steps(LOG_RANGE, log_step)
+            log_grid_steps(log_step)
         except ValueError:
             raise ConfigError(f"invalid config:\n  /modulus/log_step: {log_step} does not divide "
                               f"the modulus log range {LOG_RANGE:g}") from None

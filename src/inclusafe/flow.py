@@ -866,10 +866,14 @@ def falsify(
     return best
 
 
-def reach_interval_1d(system, interval, *, horizon: float, step: float, samples: int = 65) -> np.ndarray:
+#: evenly spaced points per step of :func:`reach_interval_1d`
+_REACH_SAMPLES = 65
+
+
+def reach_interval_1d(system, interval, *, horizon: float, step: float) -> np.ndarray:
     """Sampled reach tube of a one-dimensional inclusion.
 
-    Each step maps ``samples`` (65 by default) evenly spaced points x of
+    Each step maps :data:`_REACH_SAMPLES` (65) evenly spaced points x of
     the current interval, endpoints included, through ``x + h * [min F(x),
     max F(x)]`` and unions the results with the current interval (the tube
     is nondecreasing).  It is a sampled tube, not an enclosure: an image
@@ -879,12 +883,10 @@ def reach_interval_1d(system, interval, *, horizon: float, step: float, samples:
     lo, hi = float(interval[0]), float(interval[1])
     if hi < lo:
         raise ValueError("interval must satisfy lo <= hi")
-    if samples < 2:
-        raise ValueError("need at least the two endpoint samples")
     out = [(lo, hi)]
     nsteps = int(round(horizon / step))
     for _ in range(nsteps):
-        xs = np.linspace(lo, hi, samples)
+        xs = np.linspace(lo, hi, _REACH_SAMPLES)
         low, high = interval_rows(system.images(xs[:, None]))
         lo = min([lo, *(xs + step * low).tolist()])
         hi = max([hi, *(xs + step * high).tolist()])

@@ -223,14 +223,14 @@ def _bilinear(grid: np.ndarray, values: np.ndarray):
     return interp
 
 
-def log_grid_steps(log_range: float, log_step: float) -> int:
-    """Steps of ``log_step`` from log radius 0 to ``log_range``.
+def log_grid_steps(log_step: float) -> int:
+    """Steps of ``log_step`` from log radius 0 to :data:`LOG_RANGE`.
 
     Raises ValueError unless the step divides the range.
     """
-    steps = log_range / log_step
+    steps = LOG_RANGE / log_step
     if abs(steps - round(steps)) > 1e-9:
-        raise ValueError("log_range must be an integer multiple of log_step")
+        raise ValueError("LOG_RANGE must be an integer multiple of log_step")
     return int(round(steps))
 
 
@@ -280,7 +280,7 @@ def build_modulus(
     if density is None:
         density = 9 if n == 1 else 5
 
-    count = 2 * log_grid_steps(LOG_RANGE, log_step) + 1
+    count = 2 * log_grid_steps(log_step) + 1
     grid = np.linspace(-LOG_RANGE, LOG_RANGE, count)
     # math.exp and math.log per entry: numpy's exp and log round some
     # entries differently at its AVX-512 level

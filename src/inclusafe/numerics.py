@@ -1,7 +1,7 @@
 """Small shared numeric helpers: box grids and threshold bisection."""
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -50,74 +50,58 @@ _PROBE_FRAC = 1e-3
 
 
 def largest_feasible(
-    violation: Callable[[float], Optional[object]],
+    infeasible: Callable[[float], bool],
     hi: float,
     *,
     rel_tol: float = 1e-3,
-) -> tuple[float, Optional[object]]:
-    """Largest value in (0, hi] for which ``violation`` returns None.
+) -> tuple[float, bool]:
+    """Largest value in (0, hi] at which ``infeasible`` is False.
 
-    ``violation(t)`` returns None when t is feasible, otherwise a witness
-    object.  The feasible region is assumed to be an interval containing 0.
-    Returns ``(0.0, witness)`` when even the probe value ``hi * _PROBE_FRAC``
-    fails; otherwise bisects down to relative tolerance and returns the last
-    known-feasible value (sound side) with witness None.  The one-bracket
-    case of :func:`largest_feasible_rows`.
+    The feasible region is assumed to be an interval containing 0.  Returns
+    ``(0.0, True)`` when even the probe value ``hi * _PROBE_FRAC`` is
+    infeasible; otherwise bisects down to relative tolerance and returns the
+    last known-feasible value (sound side) with False.  The one-bracket case
+    of :func:`largest_feasible_rows`.
     """
-    value, witness = largest_feasible_rows(
-        lambda rows, t: [violation(float(t[0]))], [float(hi)], rel_tol=rel_tol
+    value, failed = largest_feasible_rows(
+        lambda rows, t: [infeasible(float(t[0]))], [float(hi)], rel_tol=rel_tol
     )
-    return float(value[0]), witness[0]
+    return float(value[0]), bool(failed[0])
 
 
 def largest_feasible_rows(
-    violation: Callable[[np.ndarray, np.ndarray], Sequence[Optional[object]]],
+    infeasible: Callable[[np.ndarray, np.ndarray], np.ndarray],
     hi,
     *,
     rel_tol: float = 1e-3,
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`largest_feasible` on K brackets ``(0, hi[k]]`` in lockstep.
 
-    ``violation(rows, t)`` tests value ``t[j]`` on bracket ``rows[j]`` and
-    returns one entry per j: None when feasible, else a witness.  Each
-    round passes only the brackets still open, and every bracket sees the
-    probes it would see alone: ``hi * _PROBE_FRAC``, then ``hi``, then the
-    midpoints.  A bracket whose midpoint rounds to one of its ends is
-    closed at its feasible end, as bisection can make no more progress.
+    ``infeasible(rows, t)`` tests value ``t[j]`` on bracket ``rows[j]`` and
+    returns a bool per j, True where infeasible.  Each round passes only the
+    brackets still open, and every bracket sees the probes it would see
+    alone: ``hi * _PROBE_FRAC``, then ``hi``, then the midpoints.  After the
+    probe one loop makes the rest, with ``hi`` as its first test value; a
+    bracket closes at its feasible end once it is within ``rel_tol`` (at
+    once if feasible at ``hi``) or once its midpoint rounds to one of its
+    ends, as bisection can make no more progress.
 
-    Returns the (K,) values and a list holding, for each bracket that
-    failed its probe value (value 0), that probe's witness, else None.
+    Returns the (K,) values and the (K,) mask of the brackets infeasible at
+    their probe value, whose values are 0.
     """
     hi = np.array(hi, dtype=float).reshape(-1)
     if (hi <= 0.0).any():
         raise ValueError("bracket upper end must be positive")
-    value = np.zeros(hi.shape[0])
-    witness: list = []
-
-    def feasible(rows, t):
-        if not rows.size:
-            return np.zeros(0, dtype=bool)
-        found = violation(rows, t)
-        return np.array([w is None for w in found], dtype=bool)
-
-    lo = hi * _PROBE_FRAC
-    rows = np.arange(hi.shape[0])
-    if rows.size:
-        witness = list(violation(rows, lo))
-    rows = rows[np.array([w is None for w in witness], dtype=bool)]
-    capped = feasible(rows, hi[rows])
-    value[rows[capped]] = hi[rows[capped]]
-    rows = rows[~capped]
-    bisected, high = rows, hi.copy()
-    while True:
-        rows = rows[high[rows] - lo[rows] > rel_tol * high[rows]]
-        mid = 0.5 * (lo[rows] + high[rows])
-        moves = (mid != lo[rows]) & (mid != high[rows])
-        rows, mid = rows[moves], mid[moves]
-        if not rows.size:
-            break
-        ok = feasible(rows, mid)
-        lo[rows[ok]] = mid[ok]
-        high[rows[~ok]] = mid[~ok]
-    value[bisected] = lo[bisected]
-    return value, witness
+    lo, rows = hi * _PROBE_FRAC, np.arange(hi.shape[0])
+    failed = np.asarray(infeasible(rows, lo), dtype=bool) if rows.size else np.zeros(0, dtype=bool)
+    lo[failed] = 0.0
+    rows, t = rows[~failed], hi[~failed]
+    while rows.size:
+        bad = np.asarray(infeasible(rows, t), dtype=bool)
+        lo[rows[~bad]] = t[~bad]
+        hi[rows[bad]] = t[bad]
+        rows = rows[hi[rows] - lo[rows] > rel_tol * hi[rows]]
+        t = 0.5 * (lo[rows] + hi[rows])
+        moves = (t != lo[rows]) & (t != hi[rows])
+        rows, t = rows[moves], t[moves]
+    return lo, failed

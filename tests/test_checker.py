@@ -564,17 +564,14 @@ def _per_cell_margin(scenario, grid, bracket=1.0, *, density=9, rel_tol=1e-3) ->
     for ci, r in enumerate(grid.representatives):
         zetas = checker._clarke_vertices(scenario, r)
 
-        def violation(delta):
+        def infeasible(delta):
             img = PerturbedSystem(base, delta, "strong", density).image(r, tol.interface_slack)
-            for z in zetas:
-                if -img.support(z) <= tol.tol_strict:
-                    return tuple(r)
-            return None
+            return any(-img.support(z) <= tol.tol_strict for z in zetas)
 
-        delta, w = largest_feasible(violation, float(bracket), rel_tol=rel_tol)
+        delta, failed = largest_feasible(infeasible, float(bracket), rel_tol=rel_tol)
         margins.append(delta)
-        if delta == 0.0 and witness is None:
-            witness, witness_cell = w, ci
+        if failed and witness is None:
+            witness, witness_cell = tuple(r), ci
     box = scenario.box
     touches = any(np.any(lower <= box[:, 0] + 1e-12) or np.any(upper >= box[:, 1] - 1e-12)
                   for lower, upper in zip(grid.lower, grid.upper))

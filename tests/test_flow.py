@@ -276,8 +276,6 @@ def test_reach_tube_contains_sampled_solutions(example1, rng):
 def test_reach_tube_validation():
     with pytest.raises(ValueError):
         reach_interval_1d(_pm1_map(), [1.0, 0.0], horizon=1.0, step=0.1)
-    with pytest.raises(ValueError):
-        reach_interval_1d(_pm1_map(), [0.0, 1.0], horizon=1.0, step=0.1, samples=1)
 
 
 # ----------------------------------------------------------------------- #

@@ -10,12 +10,12 @@ from inclusafe.numerics import largest_feasible, largest_feasible_rows
 def _threshold(limit, seen=None):
     """Feasible up to ``limit``; records every probe in ``seen``."""
 
-    def violation(t):
+    def infeasible(t):
         if seen is not None:
             seen.append(t)
-        return None if t <= limit else ("above", t)
+        return t > limit
 
-    return violation
+    return infeasible
 
 
 # (limit, result, probes) of largest_feasible(., 2.4) at the default
@@ -38,10 +38,10 @@ PROBES = {
 def test_largest_feasible_probe_sequence(case):
     limit, value, probes = PROBES[case]
     seen = []
-    got, witness = largest_feasible(_threshold(limit, seen), 2.4)
+    got, failed = largest_feasible(_threshold(limit, seen), 2.4)
     assert seen == probes
     assert got == value and type(got) is float
-    assert witness == (("above", 0.0024) if value == 0.0 else None)
+    assert failed is (value == 0.0)
 
 
 def test_rows_make_each_brackets_own_probes():
@@ -50,21 +50,20 @@ def test_rows_make_each_brackets_own_probes():
     seen = {k: [] for k in range(len(limits))}
     rounds = []
 
-    def violation(rows, t):
+    def infeasible(rows, t):
         rounds.append(rows.tolist())
-        out = []
         for k, v in zip(rows.tolist(), t.tolist()):
             seen[k].append(v)
-            out.append(None if v <= limits[k] else ("above", k))
-        return out
+        return t > np.array(limits)[rows]
 
-    values, witnesses = largest_feasible_rows(violation, his)
+    values, failed = largest_feasible_rows(infeasible, his)
+    assert failed.dtype == bool
     for k, (limit, hi) in enumerate(zip(limits, his)):
         alone = []
-        value, witness = largest_feasible(_threshold(limit, alone), hi)
+        value, failed_alone = largest_feasible(_threshold(limit, alone), hi)
         assert seen[k] == alone
         assert values[k] == value
-        assert witnesses[k] == (None if witness is None else ("above", k))
+        assert failed[k] == failed_alone
     # the probe round sees every bracket, later rounds only the open ones
     assert rounds[0] == [0, 1, 2, 3, 4, 5]
     assert rounds[1] == [0, 2, 3, 4]
@@ -72,18 +71,35 @@ def test_rows_make_each_brackets_own_probes():
 
 
 def test_rows_with_no_brackets_make_no_call():
-    def violation(rows, t):
+    def infeasible(rows, t):
         raise AssertionError("called")
 
-    values, witnesses = largest_feasible_rows(violation, [])
-    assert values.shape == (0,) and witnesses == []
+    values, failed = largest_feasible_rows(infeasible, [])
+    assert values.shape == (0,) and failed.shape == (0,) and failed.dtype == bool
+
+
+@pytest.mark.parametrize("everywhere, rounds, want", [
+    (True, 1, [0.0, 0.0, 0.0]),  # every bracket fails its probe
+    (False, 2, [2.4, 1.3, 3.0]),  # every bracket passes at hi
+])
+def test_rows_that_all_fail_the_probe_or_all_pass_at_hi(everywhere, rounds, want):
+    his = [2.4, 1.3, 3.0]
+    calls = []
+
+    def infeasible(rows, t):
+        calls.append((rows.tolist(), t.tolist()))
+        return np.full(len(rows), everywhere)
+
+    values, failed = largest_feasible_rows(infeasible, his)
+    assert calls == [([0, 1, 2], [0.0024, 0.0013000000000000002, 0.003]), ([0, 1, 2], his)][:rounds]
+    assert values.tolist() == want and failed.tolist() == [everywhere] * 3
 
 
 def test_nonpositive_bracket_rejected():
     with pytest.raises(ValueError, match="positive"):
         largest_feasible(_threshold(1.0), 0.0)
     with pytest.raises(ValueError, match="positive"):
-        largest_feasible_rows(lambda rows, t: [None] * len(rows), [1.0, -1.0])
+        largest_feasible_rows(lambda rows, t: np.zeros(len(rows), dtype=bool), [1.0, -1.0])
 
 
 def test_tolerance_below_float_spacing_terminates():
@@ -91,12 +107,12 @@ def test_tolerance_below_float_spacing_terminates():
     # the bracket closes at its feasible end instead of probing forever
     probes = []
 
-    def violation(t):
+    def infeasible(t):
         probes.append(t)
         if len(probes) > 10_000:
             raise RuntimeError("bisection makes no progress")
-        return None if t <= 0.3 else "above"
+        return t > 0.3
 
-    value, witness = largest_feasible(violation, 1.0, rel_tol=1e-17)
-    assert (value, witness) == (0.3, None)
+    value, failed = largest_feasible(infeasible, 1.0, rel_tol=1e-17)
+    assert (value, failed) == (0.3, False)
     assert len(probes) < 100

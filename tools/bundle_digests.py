@@ -42,10 +42,15 @@ image is the hull of two radii, [-1.5, -0.1]: ``falsify --eps 0.01``,
 ``verify --eps 0.05 --check robust-strict`` and ``margin``.  The falsify
 run is the default budget, 400 trials of 25,000 steps, and each of its
 strong images is a lookup in the map's table of runs: it takes about 2 s,
-and the whole script 6 to 8 s, on a 2-vCPU machine.  Last,
+and the whole script 6 to 8 s, on a 2-vCPU machine.  Then
 ``verify example2 --eps 0.05 --density 13`` and ``falsify example2 --eps
 0.04 --density 13``, whose strong images concatenate the images of the
-113 points of each row's argument-ball lattice.  Every other run
+113 points of each row's argument-ball lattice.  Last, ``all`` and
+``falsify --eps 0.1`` on ``moving-pieces``, linear-stable's config with 24
+starts, a horizon of 2 and three overlapping pieces whose images move with
+x1: {0.2 - x1} + 0.1 B on x1 <= 0.5, {-x1} on x1 >= 0 and {-x1^2} + 0.05 B on
+x1 >= 1.5, so that strong images near the overlaps take the general
+assembly of several pieces' points and radii.  Every other run
 uses seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
@@ -257,6 +262,19 @@ def main() -> int:
             ("falsify", "--eps 0.04 --density 13", {"eps": 0.04, "density": 13}),
         ):
             print(_line(tmp, "example2", command, f"{command} example2 {label}", **flags), flush=True)
+        moving = os.path.join(tmp, "moving-pieces.json")
+        with open(moving, "w", encoding="utf-8") as fh:
+            json.dump(dict(scenarios.builtin_config("linear-stable"), name="moving-pieces",
+                           falsify={"starts": 24, "horizon": 2.0}, dynamics={"pieces": [
+                               {"when": "x1 <= 0.5", "image": {"kind": "affine", "matrix": [[-1.0]],
+                                                              "offset": [0.2], "radius": 0.1}},
+                               {"when": "x1 >= 0", "image": {"kind": "affine", "matrix": [[-1.0]],
+                                                            "offset": [0.0]}},
+                               {"when": "x1 >= 1.5", "image": {"kind": "polynomial", "components": ["-x1**2"],
+                                                              "radius": 0.05}},
+                           ]}), fh)
+        print(_line(tmp, moving, "all", "all moving-pieces"), flush=True)
+        print(_line(tmp, moving, "falsify", "falsify moving-pieces --eps 0.1", eps=0.1), flush=True)
     return 0
 
 
