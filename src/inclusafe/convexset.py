@@ -29,10 +29,15 @@ keep as their oracles: :func:`row_set` builds a row's set, and
 :func:`hausdorff`, and :func:`row_norms` ``np.linalg.norm`` of each vector.
 Support values are point-major in both forms: a set's product is ``points
 @ D.T``, less the shortfalls times the norms, and its support is the max
-over its rows, a tied zero as +0.0; a stack takes one such product per
-point count, each row in the shape of its own set.  The support and
-distance kernels raise ValueError, as building the sets would, if a row is
-not finite.
+over its rows, a tied zero as +0.0.  A stack takes one product per point
+count with the point index outermost: one gemm per point over all the rows
+of that count, reduced over that outer axis.  It is exact: each value is a
+dot product over K = n that gemm rounds alike for any number of rows M,
+which changes only its blocking, so every value is the per-set one.  A
+group of one row, or of one point, keeps the per-row product, since numpy
+takes a (1, n) left operand down a vector–matrix path that rounds apart
+from gemm rows.  The support and distance kernels raise ValueError, as
+building the sets would, if a row is not finite.
 
 In n >= 2, :func:`contains_rows` first tries a nearest-point certificate on
 each row: v passes at once if some point p of radius r has ‖v − p‖ <= r +
@@ -111,10 +116,12 @@ def _directions_cached(dimension: int, count: int) -> np.ndarray:
     return dirs
 
 
-@lru_cache(maxsize=None)
-def _unit_norms(dimension: int) -> np.ndarray:
-    """``np.linalg.norm`` of each of the default ``unit_directions``."""
-    return np.linalg.norm(unit_directions(dimension), axis=1)
+@lru_cache(maxsize=64)
+def _unit_norms(dimension: int, count: int = DEFAULT_DIRECTIONS) -> np.ndarray:
+    """``np.linalg.norm`` of each of the ``unit_directions(dimension, count)``."""
+    norms = np.linalg.norm(unit_directions(dimension, count), axis=1)
+    norms.setflags(write=False)
+    return norms
 
 
 def unit_directions(dimension: int, count: int = DEFAULT_DIRECTIONS) -> np.ndarray:
@@ -405,21 +412,34 @@ def row_norms(D: np.ndarray) -> np.ndarray:
 
 def _supports(stack: tuple, D: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """:func:`support_rows` without the finiteness check, given the norms of
-    the directions.  Each row's product is point-major, ``points @ D.T`` of
-    its own K points as in ``support_many``, less the shortfalls times the
-    norms, and its max over those points; rows of one point count share one
-    stacked product.  A product over the padded width rounds differently:
-    BLAS may round a padding copy apart from its original.  With one point
-    count, and with a ball on every row or on none, no row mask is built."""
+    the directions.
+
+    The rows of one point count c share one product, point-outer: point k
+    of all of them times ``D.T`` is one gemm, the (c, rows, d) values less
+    the shortfalls times the norms are reduced over the outer axis, so the
+    max runs over whole (rows, d) planes, not one short max per row and
+    point.  Each value is a dot product over K = n, which gemm rounds alike
+    for any number of rows M (M changes only the blocking), so it equals its
+    own in ``support_many``'s ``points @ D.T`` (M = c), and the max is
+    exact.  Two kinds of group keep the per-row product, one (c, n) matrix
+    per row: a group of one row, whose point-outer products would be
+    (1, n) @ (n, d), and a group of one point, whose per-row products are
+    that shape in ``support_many`` too; numpy takes such a product down a
+    vector–matrix path that rounds apart from gemm rows.  A one-point group
+    takes its values without a max.  Only the first c points of a row enter
+    its product, since BLAS may round a padding copy apart from its
+    original.  With one point count, and with a ball on every row or on
+    none, no row mask is built."""
     points, counts, radii, shortfalls = stack if len(stack) == 4 else (*stack, None)
     sizes = set(counts.tolist())
-    out = np.empty((len(counts), D.shape[0]))
-    for c in sizes:
-        rows = counts == c if len(sizes) > 1 else slice(None)
-        dots = np.matmul(points[rows, :c], D.T)
-        if shortfalls is not None:
-            dots -= shortfalls[rows, :c, None] * norms
-        out[rows] = dots.max(axis=1)
+    if len(sizes) == 1:
+        c = sizes.pop()
+        out = _max_terms(points[:, :c], None if shortfalls is None else shortfalls[:, :c], D, norms)
+    else:
+        out = np.empty((len(counts), D.shape[0]))
+        for c in sizes:
+            rows = counts == c
+            out[rows] = _max_terms(points[rows, :c], None if shortfalls is None else shortfalls[rows, :c], D, norms)
     out += 0.0  # a tied zero as +0.0, as in support_many
     ball = radii > 0.0
     if ball.all():
@@ -429,11 +449,28 @@ def _supports(stack: tuple, D: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _max_terms(block: np.ndarray, shortfalls, D: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The max over the points of each row of a (rows, c, n) block of
+    ``points @ D.T`` less the (rows, c) shortfalls times the norms:
+    point-outer, or per row for one row or one point (see
+    :func:`_supports`)."""
+    c = block.shape[1]
+    if c > 1 and len(block) > 1:
+        dots = np.matmul(block.transpose(1, 0, 2), D.T)
+    else:
+        dots = np.matmul(block, D.T).transpose(1, 0, 2)
+    if shortfalls is not None:
+        dots -= shortfalls.T[:, :, None] * norms
+    return dots[0] if c == 1 else np.maximum.reduce(dots, axis=0)
+
+
 def support_rows(stack: tuple, directions: np.ndarray) -> np.ndarray:
     """``support_many`` of every set of a padded stack, as an (m, d) array."""
     _check_rows(stack)
     D = np.asarray(directions, dtype=float)
-    return _supports(stack, D, np.linalg.norm(D, axis=1))
+    d, n = D.shape
+    # the cached norms when D is the cached unit_directions array itself
+    return _supports(stack, D, _unit_norms(n, d) if D is unit_directions(n, d) else np.linalg.norm(D, axis=1))
 
 
 def support_pairs(stack: tuple, rows: np.ndarray, directions: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -500,17 +537,26 @@ def norm_bounds(stack: tuple) -> np.ndarray:
 
 
 def hausdorff_rows(a: tuple, b: tuple, *, directions: int = DEFAULT_DIRECTIONS) -> np.ndarray:
-    """:func:`hausdorff` between row i of two padded stacks with the same
-    number of rows, for every row: interval endpoints in one dimension,
-    sampled support values (:func:`support_rows`) otherwise."""
-    n = a[0].shape[2]
+    """:func:`hausdorff` between the rows of two padded stacks: interval
+    endpoints in one dimension, sampled support values
+    (:func:`support_rows`) otherwise.  The first stack's m rows fall in
+    runs of equal length, one run per row of the second (which holds m
+    rows, or one row, or any count that divides m), and the distance of
+    row i is the one against the row of its run.  The second stack's bounds
+    or support values are computed once per row and broadcast over its
+    run, so each distance is the one against ``take_rows`` of that row
+    repeated, bit for bit."""
+    _check_rows(a)
+    _check_rows(b)
+    runs, n = len(b[1]), a[0].shape[2]
     if n == 1:
-        _check_rows(a)
-        _check_rows(b)
         (alo, ahi), (blo, bhi) = interval_rows(a), interval_rows(b)
-        return np.maximum(np.abs(alo - blo), np.abs(ahi - bhi))
-    dirs = unit_directions(n, directions)
-    return np.abs(support_rows(a, dirs) - support_rows(b, dirs)).max(axis=1)
+        gaps = np.maximum(np.abs(alo.reshape(runs, -1) - blo[:, None]), np.abs(ahi.reshape(runs, -1) - bhi[:, None]))
+    else:
+        dirs, norms = unit_directions(n, directions), _unit_norms(n, directions)
+        sa, sb = _supports(a, dirs, norms), _supports(b, dirs, norms)
+        gaps = np.abs(sa.reshape(runs, -1, len(dirs)) - sb[:, None]).max(axis=2)
+    return gaps.reshape(-1)
 
 
 def contains(s: ConvexCompactSet, x, tol: float = 0.0) -> bool:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convexset import ConvexCompactSet, hausdorff, hausdorff_rows, row_norms, support_rows, take_rows, unit_directions
+from .convexset import ConvexCompactSet, hausdorff, hausdorff_rows, row_norms, support_rows, unit_directions
 from .expressions import rows_of
 from .numerics import box_array
 from .svmap import unit_ball_lattice
@@ -292,8 +292,8 @@ def build_modulus(
 
     def direct_rows(ds: np.ndarray) -> np.ndarray:
         """The direct spread term |F(s*B) - F(0)|_H at each radius s > 0."""
-        return hausdorff_rows(f_map.ball_hulls(np.zeros((len(ds), n)), ds, density),
-                              take_rows(f0, np.zeros(len(ds), dtype=int)), directions=_DIRECTIONS)
+        return hausdorff_rows(f_map.ball_hulls(np.zeros((len(ds), n)), ds, density), f0,
+                              directions=_DIRECTIONS)
 
     direct_vals = direct_rows(radii)
 
@@ -305,9 +305,8 @@ def build_modulus(
     for lo in range(0, count, per_pass):
         rs = radii[lo:lo + per_pass]
         ys = (rs[:, None, None] * ring).reshape(-1, n)
-        point = np.repeat(np.arange(len(ys)), count)
-        spread = hausdorff_rows(f_map.ball_hulls(ys[point], np.tile(radii, len(ys)), density),
-                                take_rows(f_map.images(ys), point), directions=_DIRECTIONS)
+        spread = hausdorff_rows(f_map.ball_hulls(ys.repeat(count, axis=0), np.tile(radii, len(ys)), density),
+                                f_map.images(ys), directions=_DIRECTIONS)
         gaps = spread.reshape(len(rs), len(ring), count) - direct_vals
         raw[lo:lo + len(rs)] = np.maximum(raw[lo:lo + len(rs)], gaps.max(axis=1))
 

@@ -97,20 +97,26 @@ def affine_piece(predicate, matrix, offset, radius=0.0, label="") -> Piece:
     b = np.asarray(offset, dtype=float).reshape(-1)
     r = float(radius)
 
+    # A's columns and b, as numpy scalars when the image has one component:
+    # the same products and sums, without broadcasting a (1,) array per call
+    cols = list(A.T) if len(b) > 1 else list(A[0])
+    shift = b if len(b) > 1 else b[0]
+
+    def values(X):
+        # A x + b at every row of X as one sum of column products, in
+        # column order from +0.0 (so a -0.0 first product turns into +0.0),
+        # then b: one row rounds as many do, which no batched matmul
+        # promises, and in one dimension this is the 1x1 product A @ x
+        acc = X[:, :1] * cols[0] + 0.0
+        for j in range(1, len(cols)):
+            acc += X[:, j:j + 1] * cols[j]
+        return acc + shift
+
     def image(x):
-        return ConvexCompactSet((A @ np.asarray(x, dtype=float) + b).reshape(1, -1), r)
+        return ConvexCompactSet(values(np.asarray(x, dtype=float).reshape(1, -1)), r)
 
-    if A.shape == (1, 1):
-        a, c = A[0, 0], b[0]
-
-        def rows(X):
-            # the same rounding as the 1x1 product A @ x, which accumulates
-            # onto +0.0 (so a -0.0 product turns into +0.0)
-            return (X * a + 0.0 + c)[:, None, :], r
-    else:
-        # a batched matmul rounds differently from the per-point product
-        def rows(X):
-            return np.array([A @ x + b for x in X])[:, None, :], r
+    def rows(X):
+        return values(X)[:, None, :], r
 
     return Piece(predicate, image, label, rows)
 

@@ -306,6 +306,24 @@ def test_row_forms_equal_per_set_values_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_hausdorff_rows_broadcast_each_second_row_over_a_run(n):
+    """A second stack of g rows, g dividing the first's 200, stands beside
+    runs of 200 / g rows, one row a run (g = 1: one row beside all): the
+    distances are those against each row repeated over its run, bit for
+    bit."""
+    from inclusafe.convexset import hausdorff_rows, take_rows
+
+    rng = np.random.default_rng(250 + n)
+    a = _padded_stack(rng, 200, n)
+    b = _padded_stack(rng, 40, n)
+    for g in (1, 8, 40):
+        for first in (0, 40 - g):
+            rows = np.arange(first, first + g)
+            want = hausdorff_rows(a, take_rows(b, rows.repeat(200 // g)), directions=64)
+            assert hausdorff_rows(a, take_rows(b, rows), directions=64).tobytes() == want.tobytes(), (g, first)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_support_pairs_equal_per_set_support_bit_for_bit(n):
     from inclusafe.convexset import support_pairs
 
@@ -435,6 +453,38 @@ def test_supports_make_a_tied_zero_positive(n):
                 want = np.array([ConvexCompactSet(p[:c]).support_many(dirs) for p, c in zip(points, counts)])
                 assert got.tobytes() == want.tobytes(), (K, d)
                 assert not np.signbit(got[got == 0.0]).any(), (K, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_point_outer_supports_equal_per_set_values_bit_for_bit(n):
+    """Groups of at least two rows and two points take one product per
+    point over all their rows; its bytes are still ``support_many``'s, on
+    2 to 513 rows of 2 to 64 points, 64 and 256 directions, balls of zero
+    and positive radius on alternate rows, shortfalls on rows of positive
+    radius, and mixed counts
+    that hold a one-point group and a one-row group beside them."""
+    from inclusafe.convexset import _supports, row_set
+
+    rng = np.random.default_rng(4360 + n)
+    for directions in (64, 256):
+        dirs = unit_directions(n, directions)
+        norms = np.linalg.norm(dirs, axis=1)
+        for m in (2, 3, 64, 65, 200, 513):
+            for K in (2, 13, 49, 64):
+                points = rng.standard_normal((m, K, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1, 1))
+                mixed = rng.integers(1, K + 1, m)
+                mixed[mixed == K - 1] = K
+                mixed[0], mixed[-1] = K, 1
+                if m > 2:
+                    mixed[1] = K - 1  # a lone row of K - 1 points (of one point when K is 2)
+                radii = rng.uniform(0.1, 2.0, m)
+                short = radii[:, None] * np.where(rng.random((m, K)) < 0.3, 0.0, rng.random((m, K)))
+                for counts in (np.full(m, K), mixed):
+                    for stack in ((points, counts, np.where(np.arange(m) % 2, radii, 0.0)),
+                                  (points, counts, radii, short)):
+                        got = _supports(stack, dirs, norms)
+                        want = np.array([row_set(stack, i).support_many(dirs) for i in range(m)])
+                        assert got.tobytes() == want.tobytes(), (directions, m, K, len(stack), counts.tolist())
 
 
 def test_interval_rows_equal_interval_bounds():

@@ -102,6 +102,20 @@ def test_infeasible_selection_raise_and_truncate():
     assert len(traj) == 1  # stops before appending the bad step
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_hint_velocity_just_outside_its_image_truncates_at_its_first_step(n):
+    """A fixed hint velocity 1e-7 beyond the edge x1 = 1 of its image, the
+    interval [-1, 1] or the square [-1, 1]^2, stops its trial before the
+    first step; 1e-7 inside the edge, the trial runs its whole length."""
+    corners = [[-1.0], [1.0]] if n == 1 else [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+    system = SetValuedMap(n, [constant_piece(lambda x: True, corners)])
+    for edge, length, truncated in ((1.0 + 1e-7, 1, True), (1.0 - 1e-7, 6, False)):
+        hint = Hint(np.zeros(n), constant_policy([edge] + [0.0] * (n - 1)), "edge")
+        run = _lockstep(system, hint.x0[None], [hint.policy], [np.random.default_rng(0)], nsteps=5, step=0.1,
+                        on_infeasible="truncate")
+        assert run.lengths.tolist() == [length] and run.truncated.tolist() == [truncated], edge
+
+
 def test_unverified_policy_skips_feasibility():
     pol = custom_policy(lambda x, image, rng: np.array([5.0]), name="free")
     traj = integrate(_linear_map(), [0.0], horizon=0.3, step=0.1, policy=pol)

@@ -191,6 +191,19 @@ def test_verify_rejects_understated_bound():
     assert d["passed"] is False and d["samples"] == 200
 
 
+def test_verify_fails_a_bound_short_by_a_millionth():
+    """The identity map spreads its image by exactly delta; a bound of
+    delta - 1e-6 leaves every sample a slack of about -1e-6, which fails,
+    and the bound delta passes."""
+    ident = _corpus()["identity"]
+    short = verify_modulus(ident, ModulusPair.from_callables(lambda d: d - 1e-6, lambda x: 1.0),
+                           [[-3, 3]], samples=200)
+    assert not short.passed
+    assert short.min_slack == pytest.approx(-1e-6, abs=1e-12)
+    exact = verify_modulus(ident, ModulusPair.from_callables(lambda d: d, lambda x: 1.0), [[-3, 3]], samples=200)
+    assert exact.passed and abs(exact.min_slack) <= 1e-12
+
+
 def test_verify_deterministic_per_seed(corpus_pairs):
     m, pair = corpus_pairs["quadratic"]
     a = verify_modulus(m, pair, [[-3, 3]], samples=100, seed=11)

@@ -62,6 +62,25 @@ def test_no_matching_piece_raises():
         f.image(np.array([0.0]))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_affine_rows_equal_the_stacked_images_bit_for_bit(n):
+    """Random matrices and offsets over six decades, zero entries and
+    signed-zero points: ``rows`` is the one-row ``image`` stacked, byte for
+    byte, with every zero of the sum +0.0 or an offset's -0.0."""
+    rng = np.random.default_rng(1300 + n)
+    for _ in range(20):
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+        A[rng.random((n, n)) < 0.2] = 0.0
+        b = np.where(rng.random(n) < 0.3, -0.0, rng.standard_normal(n))
+        piece = affine_piece(lambda x: True, A, b, radius=0.25)
+        X = rng.standard_normal((200, n)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
+        X[:8] = rng.choice([0.0, -0.0], (8, n))
+        points, radius = piece.rows(X)
+        want = np.stack([piece.image(x).points for x in X])
+        assert points.tobytes() == want.tobytes() and radius == 0.25
+        assert (np.abs(points[:, 0] - (X @ A.T + b)) <= 1e-12 * (np.abs(X) @ np.abs(A).T + np.abs(b))).all()
+
+
 def test_map_needs_pieces_and_dimension():
     with pytest.raises(ValueError):
         SetValuedMap(1, [])

@@ -50,7 +50,14 @@ and the whole script 6 to 8 s, on a 2-vCPU machine.  Then
 starts, a horizon of 2 and three overlapping pieces whose images move with
 x1: {0.2 - x1} + 0.1 B on x1 <= 0.5, {-x1} on x1 >= 0 and {-x1^2} + 0.05 B on
 x1 >= 1.5, so that strong images near the overlaps take the general
-assembly of several pieces' points and radii.  Every other run
+assembly of several pieces' points and radii.  Last, ``all`` and
+``falsify`` at ``--eps 0.8`` (an escape is found) and ``--eps 0.1`` (none
+is) on two configs whose one piece is affine in more than one dimension:
+``spiral2d``, x' in {A x} + 0.05 B with A = [[-0.7, 0.9], [-0.9, -0.7]]
+in the plane, and ``lin3d``, x' = -x in three dimensions, each on
+[-2, 2]^n at 21 points a side with the barrier |x|^2 - 1, the unsafe set
+|x|^2 > 1.21, 20 starts and a horizon of 2; their strong images take each
+affine image at 49 and 257 lattice points a row.  Every other run
 uses seed 0.
 A command that raises prints ``raise <ErrorClass>`` in place of a digest.
 Each file that a bundle names under ``artifacts`` (the modulus tables, the
@@ -172,6 +179,22 @@ def _wrong_lengths() -> dict:
     }
 
 
+def _ball(n: int, matrix: list, radius: float = 0.0) -> dict:
+    """The config of x' in {A x} + radius B on [-2, 2]^n, 21 points a side,
+    with the barrier |x|^2 - 1, the initial set |x|^2 <= 0.25, the unsafe
+    set |x|^2 > 1.21, 20 starts and a horizon of 2."""
+    xs = [f"x{i + 1}" for i in range(n)]
+    square = " + ".join(f"{x}*{x}" for x in xs)
+    return {
+        "name": "ball", "dimension": n, "box": [[-2.0, 2.0]] * n, "resolution": [21] * n,
+        "barrier": {"value": f"{square} - 1", "gradient": [f"2*{x}" for x in xs], "smoothness": "C2"},
+        "initial": f"{square} <= 0.25", "unsafe": f"{square} > 1.21", "depth": f"{square} - 1.21",
+        "dynamics": {"pieces": [{"when": "True", "image": {
+            "kind": "affine", "matrix": matrix, "offset": [0.0] * n, "radius": radius}}]},
+        "falsify": {"starts": 20, "horizon": 2.0},
+    }
+
+
 def _line(tmp, config, command, label, seed=0, **flags) -> str:
     out = os.path.join(tmp, "out")
     try:
@@ -275,6 +298,14 @@ def main() -> int:
                            ]}), fh)
         print(_line(tmp, moving, "all", "all moving-pieces"), flush=True)
         print(_line(tmp, moving, "falsify", "falsify moving-pieces --eps 0.1", eps=0.1), flush=True)
+        for name, cfg in (("spiral2d", _ball(2, [[-0.7, 0.9], [-0.9, -0.7]], 0.05)),
+                          ("lin3d", _ball(3, [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]))):
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(dict(cfg, name=name), fh)
+            print(_line(tmp, path, "all", f"all {name}"), flush=True)
+            for eps in (0.8, 0.1):
+                print(_line(tmp, path, "falsify", f"falsify {name} --eps {eps}", eps=eps), flush=True)
     return 0
 
 

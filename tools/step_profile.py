@@ -18,6 +18,11 @@ Then ``two-radii`` strong at eps = 0.01 at N = 4: linear-stable's config
 with the unsafe set x1 > 1.02 and two pieces that hold everywhere, {-0.1}
 and {-1} + 0.5 B, so every lattice row mixes two radii, and a per-call
 sort of the rows' piece patterns would show in its time per step.
+Then ``spiral2d`` strong at eps = 0.1 at N = 4: x' in {A x} + 0.05 B with
+A = [[-0.7, 0.9], [-0.9, -0.7]] in the plane, so every strong image takes
+an affine image in two dimensions at the 49 lattice points of each row; a
+per-row product in Python would show in its time per step, though not in
+its calls per step, as ``A @ x`` makes no call the profiler counts.
 Then the three ``exhaust`` commands of the
 benchmark's falsify-search workload (``perfbench/workloads.py``), each
 with the trials ``falsify`` makes from the command's config at seed 0: its
@@ -94,6 +99,7 @@ CASES = [
     ("example1 strong eps=0.5 hint custom", "example1", 0.5, "strong", True, True, 9),
     ("example2 strong eps=0.04 hint density=13", "example2", 0.04, "strong", True, False, 13),
     ("two-radii strong eps=0.01", "two-radii", 0.01, "strong", False, False, 9),
+    ("spiral2d strong eps=0.1", "spiral2d", 0.1, "strong", False, False, 9),
 ]
 
 
@@ -106,6 +112,20 @@ def _two_radii():
                     {"when": "True", "image": {"kind": "constant", "points": [[-1.0]], "radius": 0.5}},
                 ]})
 
+
+def _spiral2d():
+    """x' in {A x} + 0.05 B, A = [[-0.7, 0.9], [-0.9, -0.7]], on [-2, 2]^2
+    with the barrier |x|^2 - 1 and the unsafe set |x|^2 > 1.21."""
+    square = "x1*x1 + x2*x2"
+    return {"name": "spiral2d", "dimension": 2, "box": [[-2.0, 2.0]] * 2, "resolution": [21, 21],
+            "barrier": {"value": f"{square} - 1", "gradient": ["2*x1", "2*x2"], "smoothness": "C2"},
+            "initial": f"{square} <= 0.25", "unsafe": f"{square} > 1.21", "depth": f"{square} - 1.21",
+            "dynamics": {"pieces": [{"when": "True", "image": {
+                "kind": "affine", "matrix": [[-0.7, 0.9], [-0.9, -0.7]], "offset": [0.0, 0.0], "radius": 0.05}}]}}
+
+
+#: the configs of the cases that are not builtins
+CONFIGS = {"two-radii": _two_radii, "spiral2d": _spiral2d}
 
 #: the exhaust and find commands of the falsify-search workload
 EXHAUST = [cmd for cmd in workloads.WORKLOADS["falsify-search"] if cmd.role == "exhaust"]
@@ -241,7 +261,7 @@ def _cases():
     for label, name, eps, mode, hinted, custom, density in CASES:
         builtin = name in scenarios.BUILTIN
         for trials in (4,) if custom or density != 9 or not builtin else (1, 4):
-            bundle = scenarios.build(name) if builtin else scenarios.bundle_from_config(_two_radii())
+            bundle = scenarios.build(name) if builtin else scenarios.bundle_from_config(CONFIGS[name]())
             args = _setup(bundle, eps, mode, hinted, trials, density)
             if custom:
                 wrapped = {}  # one custom policy per policy, so the trials keep their groups
